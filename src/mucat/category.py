@@ -11,6 +11,7 @@ zeta function's convolution inverse is the Möbius function of the slice.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Any, Callable
@@ -24,6 +25,7 @@ from .errors import (
 from .poset import FinitePoset
 
 _SLICE_JSON_KEYS = {"objects", "morphisms", "compose", "identities", "complete"}
+_EXACT_JSON = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class CategorySlice:
@@ -37,7 +39,7 @@ class CategorySlice:
 
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities",
-        "complete", "_hom", "_facts", "_out", "_in", "_moebius",
+        "complete", "_morphism_set", "_hom", "_facts", "_out", "_in", "_moebius",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -45,9 +47,9 @@ class CategorySlice:
         self.morphisms = tuple(morphisms)
         if len(set(self.objects)) != len(self.objects):
             raise InvalidSlice("duplicate objects")
-        if len(set(self.morphisms)) != len(self.morphisms):
+        mors = self._morphism_set = frozenset(self.morphisms)
+        if len(mors) != len(self.morphisms):
             raise InvalidSlice("duplicate morphisms")
-        mors = set(self.morphisms)
         objs = set(self.objects)
         self.dom = dict(dom)
         self.cod = dict(cod)
@@ -271,10 +273,13 @@ def _exact(value):
 class IncidenceFunction(Mapping):
     """A total map from the morphisms of a slice to exact rational scalars."""
 
-    __slots__ = ("_values",)
+    # _total_on: the morphism set of the slice this function was last found
+    # total on, so repeated convolutions over one slice check totality once.
+    __slots__ = ("_values", "_total_on")
 
     def __init__(self, values: Mapping):
         self._values = {f: _exact(v) for f, v in values.items()}
+        self._total_on = None
 
     def __getitem__(self, f):
         return self._values[f]
@@ -319,21 +324,42 @@ class IncidenceFunction(Mapping):
 
     @classmethod
     def from_json(cls, c: CategorySlice, data) -> "IncidenceFunction":
+        """Load {morphism id: value}; each value is a JSON integer or a "p/q" string."""
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise InvalidSlice("incidence function JSON must be an object")
         by_key = {c.morphism_key(f): f for f in c.morphisms}
         values = {}
         for key, raw in data.items():
             if key not in by_key:
                 raise InvalidSlice(f"incidence value for unknown morphism id {key!r}")
-            values[by_key[key]] = Fraction(raw)
+            values[by_key[key]] = _exact_from_json(raw)
         return cls(values)
 
 
+def _exact_from_json(raw):
+    """An int, or a "p/q" string with q != 0; floats and bools are not exact input."""
+    if type(raw) is int:
+        return raw
+    if isinstance(raw, str) and _EXACT_JSON.fullmatch(raw):
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise InvalidSlice(f"incidence value {raw!r} has a zero denominator") from None
+    raise InvalidSlice(f"incidence value {raw!r} is not an integer or a 'p/q' string")
+
+
 def _require_total(c: CategorySlice, xi) -> None:
-    for f in c.morphisms:
-        if f not in xi:
-            raise InvalidSlice(f"incidence function is missing morphism {f!r}")
+    known = isinstance(xi, IncidenceFunction)
+    if known and xi._total_on is c._morphism_set:
+        return
+    keys = xi._values.keys() if known else xi.keys()
+    if not keys >= c._morphism_set:
+        missing = next(f for f in c.morphisms if f not in xi)
+        raise InvalidSlice(f"incidence function is missing morphism {missing!r}")
+    if known:
+        xi._total_on = c._morphism_set
 
 
 def convolve(c: CategorySlice, xi, eta, f):
@@ -350,41 +376,52 @@ def _convolve_at(c, xi, eta, f):
 def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     """The two-sided convolution inverse of xi on a fully complete slice.
 
-    Solves (xi * eta)(f) = delta(f) by recursion on right factors:
+    Solves (xi * eta)(f) = delta(f) right factors first:
 
         eta(f) = (delta(f) - sum_{f = g∘h, g != 1} xi(g) eta(h)) / xi(1_cod(f))
 
-    Raises NotInvertible if xi vanishes on an identity, and NotMoebius if the
-    recursion revisits a morphism (the slice is not one-way, so no finite
+    The walk is depth first on an explicit stack, so long factorization
+    chains need no Python recursion.  Raises NotInvertible if xi vanishes on
+    an identity, and NotMoebius if the walk revisits a morphism that is still
+    waiting for its right factors (the slice is not one-way, so no finite
     recursion computes the inverse).
     """
     _require_total(c, xi)
-    if set(c.complete) != set(c.morphisms):
+    if c.complete != c._morphism_set:
         raise IncompleteSlice("convolution inverse needs every morphism complete")
     for x in c.objects:
         if xi[c.identities[x]] == 0:
             raise NotInvertible(f"function vanishes on the identity of {x!r}")
+    facts = c._fact_index()
     eta: dict = {}
-    in_progress: set = set()
-
-    def solve(f):
-        if f in eta:
-            return eta[f]
-        if f in in_progress:
-            raise NotMoebius(f"factorization recursion revisits {f!r}; slice is not one-way")
-        in_progress.add(f)
-        one = c.identities[c.cod[f]]
-        total = Fraction(1 if f == one else 0)
-        for g, h in c.factorizations(f):
-            if g != one:
-                total -= xi[g] * solve(h)
-        value = total / xi[one]
-        in_progress.discard(f)
-        eta[f] = value
-        return value
-
-    for f in c.morphisms:
-        solve(f)
+    for root in c.morphisms:
+        if root in eta:
+            continue
+        waiting = {root}
+        stack = [(root, c.identities[c.cod[root]], iter(facts[root]))]
+        while stack:
+            f, one, pairs = stack[-1]
+            for g, h in pairs:
+                if g != one and h not in eta:
+                    if h in waiting:
+                        raise NotMoebius(
+                            f"factorization recursion revisits {h!r}; slice is not one-way"
+                        )
+                    waiting.add(h)
+                    stack.append((h, c.identities[c.cod[h]], iter(facts[h])))
+                    break
+            else:
+                stack.pop()
+                waiting.discard(f)
+                total = 1 if f == one else 0
+                for g, h in facts[f]:
+                    if g != one:
+                        total -= xi[g] * eta[h]
+                unit = xi[one]
+                if type(total) is int and type(unit) is int and total % unit == 0:
+                    eta[f] = total // unit
+                else:
+                    eta[f] = Fraction(total, unit)
     return IncidenceFunction(eta)
 
 

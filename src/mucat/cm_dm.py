@@ -15,11 +15,15 @@ categories are infinite; finite windows (a level floor for C_m, a cap on
 alpha for D_m) yield slices whose morphisms are all factorization-complete,
 because intermediate levels stay inside [j, i] and intermediate alphas inside
 [x, alpha].
+
+Objects and morphisms are NamedTuples: they hash, compare and order exactly
+as their field tuples, so every slice, interval and poset lookup keyed by
+them runs in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import CategorySlice
 from .errors import NotComposable
@@ -30,8 +34,7 @@ def _require_modulus(m: int) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
 
 
-@dataclass(frozen=True, order=True)
-class CmObject:
+class CmObject(NamedTuple):
     """An object (residue, level) with 0 <= residue < m and level <= 0."""
 
     residue: int
@@ -41,8 +44,7 @@ class CmObject:
         return f"{self.residue},{self.level}"
 
 
-@dataclass(frozen=True, order=True)
-class CmMorphism:
+class CmMorphism(NamedTuple):
     """A morphism (a, x, i, j): (x, i) -> ((a + x) mod m, j), 0 <= a <= i - j."""
 
     a: int
@@ -72,6 +74,11 @@ def validate_cm_morphism(m: int, f: CmMorphism) -> None:
     _require_modulus(m)
     if not 0 <= f.x < m:
         raise ValueError(f"residue {f.x} not in [0, {m})")
+    _require_cm_shape(f)
+
+
+def _require_cm_shape(f: CmMorphism) -> None:
+    """The modulus-free part of validate_cm_morphism: levels and shift."""
     if f.i > 0 or f.j > 0:
         raise ValueError(f"levels ({f.i}, {f.j}) must be <= 0")
     if f.a < 0 or f.a > f.i - f.j:
@@ -135,7 +142,12 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
 
 
 def cm_moebius_closed_form(f: CmMorphism) -> int:
-    """The closed-form Möbius value of (a, x, i, j)."""
+    """The closed-form Möbius value of (a, x, i, j).
+
+    Raises ValueError unless i, j <= 0 and 0 <= a <= i - j; the residue x
+    does not enter the value and is not checked (that needs the modulus).
+    """
+    _require_cm_shape(f)
     if (f.a == 0 and f.j == f.i) or (f.a == 1 and f.j == f.i - 2):
         return 1
     if (f.a == 0 and f.j == f.i - 1) or (f.a == 1 and f.j == f.i - 1):
@@ -158,8 +170,7 @@ def cm_factorization_objects(m: int, f: CmMorphism) -> list[tuple[int, int, int]
     ]
 
 
-@dataclass(frozen=True, order=True)
-class DmMorphism:
+class DmMorphism(NamedTuple):
     """A morphism (alpha, x): x -> alpha mod m, with alpha >= x."""
 
     alpha: int

@@ -9,17 +9,15 @@ mu(f) is the poset Möbius value from bottom to top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .category import CategorySlice
 from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """An ordered factorization subject = left ∘ right."""
+class Factorization(NamedTuple):
+    """An ordered factorization subject = left ∘ right; equal to its field tuple."""
 
     left: Any
     right: Any

@@ -161,7 +161,16 @@ class InverseSemigroup:
             raise InvalidSemigroup(f"unknown keys in semigroup JSON: {sorted(unknown)}")
         if "elements" not in data or "table" not in data:
             raise InvalidSemigroup("semigroup JSON needs 'elements' and 'table'")
-        return cls(data["elements"], data["table"], data.get("one"))
+        elements, table, one = data["elements"], data["table"], data.get("one")
+        if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+            raise InvalidSemigroup("semigroup JSON 'elements' must be an array of strings")
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(isinstance(x, str) for x in row) for row in table
+        ):
+            raise InvalidSemigroup("semigroup JSON 'table' must be an array of arrays of strings")
+        if one is not None and not isinstance(one, str):
+            raise InvalidSemigroup("semigroup JSON 'one' must be a string")
+        return cls(elements, table, one)
 
     def to_json(self) -> str:
         """Serialize; non-string elements are rendered through str()."""
@@ -297,13 +306,14 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     """
     if not is_one_way_category(c):
         raise NotOneWay("quotient posets need a one-way category")
-    carrier = list(c.morphisms_from(e))
-    pairs = [
+    carrier = c.morphisms_from(e)
+    in_carrier = set(carrier)
+    pairs = {
         (sf, tf)
-        for sf in carrier
         for tf in carrier
-        if any(c.compose.get((u, tf)) == sf for u in c.morphisms_from(c.cod[tf]))
-    ]
+        for u in c.morphisms_from(c.cod[tf])
+        if (sf := c.compose.get((u, tf))) in in_carrier
+    }
     return FinitePoset(carrier, leq=pairs)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from mucat import (
     cm_slice,
     convolution_inverse,
     convolve,
+    dm_moebius_closed_form,
+    dm_slice,
     find_slice_violation,
     is_one_way_category,
     moebius_inversion_check,
@@ -213,6 +216,25 @@ def test_inverse_needs_complete_slice():
         convolution_inverse(partial, IncidenceFunction.zeta(partial))
 
 
+def test_inverse_of_twice_zeta_is_half_moebius():
+    c = poset_as_category(chain([0, 1, 2]))
+    inv = convolution_inverse(c, IncidenceFunction.constant(c, 2))
+    half = Fraction(1, 2)
+    expected = {(0, 0): half, (0, 1): -half, (0, 2): 0, (1, 1): half, (1, 2): -half, (2, 2): half}
+    assert dict(inv) == expected
+    assert [type(inv[f]) for f in c.morphisms] == [type(expected[f]) for f in c.morphisms]
+
+
+def test_inverse_of_long_chain_in_reversed_order():
+    # right factors come after their composites, so the solve nests ~1100 deep
+    d = dm_slice(2, 1100)
+    c = CategorySlice(
+        d.objects, reversed(d.morphisms), d.dom, d.cod, d.compose, d.identities, d.complete
+    )
+    mu = moebius_of_slice(c)
+    assert all(mu[f] == dm_moebius_closed_form(f) for f in c.morphisms)
+
+
 def test_iso_pair_yields_not_moebius():
     c = iso_pair_category()
     with pytest.raises(NotMoebius):
@@ -263,6 +285,31 @@ def test_moebius_convolution_identities():
     for f in c.morphisms:
         assert convolve(c, mu, zeta, f) == delta[f]
         assert convolve(c, zeta, mu, f) == delta[f]
+
+
+def test_convolve_rejects_non_total_incidence_function_every_call():
+    c = cm_slice(2, -2)
+    zeta = IncidenceFunction.zeta(c)
+    partial = IncidenceFunction({f: 1 for f in c.morphisms[1:]})
+    for _ in range(2):
+        with pytest.raises(InvalidSlice, match="missing morphism"):
+            convolve(c, partial, zeta, c.morphisms[0])
+
+
+def test_convolve_rechecks_totality_on_another_slice():
+    small, large = cm_slice(2, -2), cm_slice(2, -3)
+    zeta = IncidenceFunction.zeta(small)
+    f = small.morphisms[-1]
+    assert convolve(small, zeta, zeta, f) == len(small.factorizations(f))
+    with pytest.raises(InvalidSlice, match="missing morphism"):
+        convolve(large, zeta, IncidenceFunction.zeta(large), f)
+
+
+def test_convolve_rejects_non_total_plain_dict():
+    c = cm_slice(2, -2)
+    partial = {f: 1 for f in c.morphisms[:-1]}
+    with pytest.raises(InvalidSlice, match=re.escape(repr(c.morphisms[-1]))):
+        convolve(c, IncidenceFunction.zeta(c), partial, c.morphisms[0])
 
 
 # -- Möbius inversion ---------------------------------------------------------------------
@@ -324,3 +371,16 @@ def test_incidence_function_json_rejects_unknown_ids():
     c = poset_as_category(chain([0, 1]))
     with pytest.raises(InvalidSlice):
         IncidenceFunction.from_json(c, '{"nope": "1"}')
+
+
+@pytest.mark.parametrize("raw", ["0.1", "true", '"1/0"', '"-3/00"', '"0.1"', '"1e3"', "null"])
+def test_incidence_function_json_rejects_inexact_values(raw):
+    c = poset_as_category(chain([0]))
+    with pytest.raises(InvalidSlice, match="zero denominator|integer or a 'p/q' string"):
+        IncidenceFunction.from_json(c, '{"(0, 0)": %s}' % raw)
+
+
+def test_incidence_function_json_reads_ints_and_fractions():
+    c = poset_as_category(chain([0, 1]))
+    xi = IncidenceFunction.from_json(c, '{"(0, 0)": 3, "(0, 1)": "-4/6", "(1, 1)": "5"}')
+    assert dict(xi) == {(0, 0): 3, (0, 1): Fraction(-2, 3), (1, 1): 5}

@@ -212,3 +212,12 @@ def test_semigroup_rejects_invalid_table(capsys, tmp_path):
     code, _, err = run_cli(capsys, "semigroup", str(path), "a,a")
     assert code == 2
     assert "not an inverse semigroup" in err
+
+
+def test_semigroup_rejects_unhashable_element_names(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"elements": [["a"]], "table": [[["a"]]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "semigroup", str(path), "a,a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,6 +6,7 @@ from mucat import (
     CmMorphism,
     CmObject,
     DmMorphism,
+    Factorization,
     NotComposable,
     cm_compose,
     cm_factorization_objects,
@@ -36,6 +37,38 @@ def cm_member(m, f, source, target):
         and 0 <= f.a <= f.i - f.j
         and (f.a + f.x) % m == target.residue
     )
+
+
+# -- representation -------------------------------------------------------------
+
+REPRESENTATIVES = [
+    CmObject(2, -3),
+    CmMorphism(1, 0, 0, -2),
+    DmMorphism(7, 2),
+    Factorization(CmMorphism(1, 0, 0, -2), CmMorphism(0, 0, 0, 0), CmMorphism(1, 0, 0, -2)),
+]
+
+
+@pytest.mark.parametrize("obj", REPRESENTATIVES, ids=lambda o: type(o).__name__)
+def test_values_hash_and_compare_as_their_field_tuples(obj):
+    fields = tuple(getattr(obj, name) for name in obj._fields)
+    assert hash(obj) == hash(fields)
+    assert obj == fields
+
+
+@pytest.mark.parametrize("obj", REPRESENTATIVES, ids=lambda o: type(o).__name__)
+def test_values_are_immutable(obj):
+    with pytest.raises(AttributeError):
+        setattr(obj, obj._fields[0], 0)
+
+
+def test_morphism_text_forms():
+    f = CmMorphism(1, 0, 0, -2)
+    assert str(f) == "1,0,0,-2"
+    assert repr(f) == "CmMorphism(a=1, x=0, i=0, j=-2)"
+    assert str(CmObject(2, -3)) == "2,-3"
+    assert str(DmMorphism(7, 2)) == "7,2"
+    assert sorted([CmMorphism(0, 3, 0, -1), CmMorphism(0, 1, 0, -1)])[0] == CmMorphism(0, 1, 0, -1)
 
 
 # -- hom-set enumeration --------------------------------------------------------
@@ -151,6 +184,17 @@ def test_closed_form_cases():
     assert cm_moebius_closed_form(CmMorphism(1, 0, 0, -1)) == -1
     assert cm_moebius_closed_form(CmMorphism(2, 0, 0, -2)) == 0
     assert cm_moebius_closed_form(CmMorphism(0, 0, 0, -2)) == 0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [CmMorphism(-5, 0, 3, 7), CmMorphism(-1, 0, 0, -2), CmMorphism(3, 0, 0, -2),
+     CmMorphism(0, 0, 1, 0), CmMorphism(0, 0, 0, 1)],
+    ids=str,
+)
+def test_closed_form_rejects_invalid_morphisms(f):
+    with pytest.raises(ValueError):
+        cm_moebius_closed_form(f)
 
 
 # -- factorization enumeration -------------------------------------------------------

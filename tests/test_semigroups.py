@@ -333,3 +333,20 @@ def test_semigroup_json_rejects_unknown_keys():
 def test_semigroup_json_requires_table():
     with pytest.raises(InvalidSemigroup):
         InverseSemigroup.from_json('{"elements": ["a"]}')
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"elements": "a", "table": [["a"]]},
+        {"elements": ["a"], "table": "a"},
+        {"elements": ["a"], "table": ["a"]},
+        {"elements": [["a"]], "table": [[["a"]]]},
+        {"elements": ["a"], "table": [[["a"]]]},
+        {"elements": [1], "table": [[1]]},
+        {"elements": ["a"], "table": [["a"]], "one": ["a"]},
+    ],
+)
+def test_semigroup_json_rejects_malformed_shapes(data):
+    with pytest.raises(InvalidSemigroup):
+        InverseSemigroup.from_json(data)
