@@ -40,6 +40,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities",
         "complete", "_morphism_set", "_hom", "_facts", "_out", "_in", "_moebius",
+        "_one_way",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -74,6 +75,7 @@ class CategorySlice:
         self._out = None
         self._in = None
         self._moebius = None
+        self._one_way = None
 
     def __repr__(self):
         return f"CategorySlice({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -174,19 +176,36 @@ class CategorySlice:
         missing = _SLICE_JSON_KEYS - set(data)
         if missing:
             raise InvalidSlice(f"missing keys in slice JSON: {sorted(missing)}")
-        morphisms = [rec["id"] for rec in data["morphisms"]]
-        dom = {rec["id"]: rec["dom"] for rec in data["morphisms"]}
-        cod = {rec["id"]: rec["cod"] for rec in data["morphisms"]}
-        compose = {}
-        for row in data["compose"]:
-            if len(row) != 3:
-                raise InvalidSlice(f"compose entry {row!r} is not a triple")
-            g, h, k = row
-            compose[(g, h)] = k
-        return cls(
-            data["objects"], morphisms, dom, cod, compose,
-            data["identities"], data["complete"],
-        )
+        objects, records, rows = data["objects"], data["morphisms"], data["compose"]
+        identities, complete = data["identities"], data["complete"]
+        if not _is_string_list(objects):
+            raise InvalidSlice("slice JSON 'objects' must be an array of strings")
+        if not isinstance(records, list) or not all(
+            isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in ("id", "dom", "cod"))
+            for rec in records
+        ):
+            raise InvalidSlice(
+                "slice JSON 'morphisms' must be an array of objects with string 'id', 'dom', 'cod'"
+            )
+        if not isinstance(rows, list) or not all(
+            _is_string_list(row) and len(row) == 3 for row in rows
+        ):
+            raise InvalidSlice("slice JSON 'compose' must be an array of string triples")
+        if not isinstance(identities, dict) or not all(
+            isinstance(v, str) for v in identities.values()
+        ):
+            raise InvalidSlice("slice JSON 'identities' must map object ids to morphism ids")
+        if not _is_string_list(complete):
+            raise InvalidSlice("slice JSON 'complete' must be an array of strings")
+        morphisms = [rec["id"] for rec in records]
+        dom = {rec["id"]: rec["dom"] for rec in records}
+        cod = {rec["id"]: rec["cod"] for rec in records}
+        compose = {(g, h): k for g, h, k in rows}
+        return cls(objects, morphisms, dom, cod, compose, identities, complete)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 # -- validation ------------------------------------------------------------
@@ -231,15 +250,30 @@ def validate_slice(c: CategorySlice) -> bool:
 
 
 def is_one_way_category(c: CategorySlice) -> bool:
-    """No two distinct objects connected both ways, and every Hom(X, X) = {1_X}."""
-    for x in c.objects:
-        if len(c.hom(x, x)) != 1:
-            return False
-    for i, x in enumerate(c.objects):
-        for y in c.objects[i + 1:]:
-            if c.hom(x, y) and c.hom(y, x):
+    """No two distinct objects connected both ways, and every Hom(X, X) = {1_X}.
+
+    Cached on the slice.
+    """
+    if c._one_way is None:
+        c._one_way = one_way_homs(c.objects, c._hom_table())
+    return c._one_way
+
+
+def one_way_homs(objects, homs) -> bool:
+    """The one-way test on a hom table {(x, y): non-empty tuple} over objects.
+
+    Every object has exactly one endomorphism and no key (x, y) with x != y
+    has its reverse (y, x) as a key; O(|objects| + |homs|).
+    """
+    endos = 0
+    for (x, y), hs in homs.items():
+        if x == y:
+            if len(hs) != 1:
                 return False
-    return True
+            endos += 1
+        elif (y, x) in homs:
+            return False
+    return endos == len(objects)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .category import IncidenceFunction, moebius_of_slice, validate_slice
+from .category import IncidenceFunction, convolve, moebius_of_slice, validate_slice
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
@@ -130,8 +130,7 @@ def cmd_verify(args) -> int:
     zeta = IncidenceFunction.zeta(c)
     delta = IncidenceFunction.delta(c)
     conv_ok = all(
-        sum(mu[g] * zeta[h] for g, h in c.factorizations(f)) == delta[f]
-        and sum(zeta[g] * mu[h] for g, h in c.factorizations(f)) == delta[f]
+        convolve(c, mu, zeta, f) == delta[f] == convolve(c, zeta, mu, f)
         for f in c.morphisms
     )
 

@@ -163,11 +163,19 @@ class FinitePoset:
         """Least upper bound, or None.
 
         The common upper bounds form an up-set, so their least element is the
-        unique member whose up-set is the whole bound set.
+        unique member whose up-set is the whole bound set; since each such
+        up-set lies inside the bound set, comparing sizes suffices.
+        Comparable pairs, common in is_lattice's sweep, need no intersection.
         """
-        uppers = self._up[x] & self._up[y]
+        up = self._up
+        if y in up[x]:
+            return y
+        if x in up[y]:
+            return x
+        uppers = up[x] & up[y]
+        n = len(uppers)
         for u in uppers:
-            if self._up[u] == uppers:
+            if len(up[u]) == n:
                 return u
         return None
 
@@ -175,16 +183,25 @@ class FinitePoset:
         """Greatest lower bound, or None."""
         down = self._down_table()
         lowers = down[x] & down[y]
+        n = len(lowers)
         for u in lowers:
-            if down[u] == lowers:
+            if len(down[u]) == n:
                 return u
         return None
 
     def is_lattice(self) -> bool:
-        """True iff every pair has a unique least upper and greatest lower bound."""
+        """True iff every pair has a unique least upper and greatest lower bound.
+
+        A finite poset is a lattice iff it is empty, or it has a bottom and
+        every pair has a join (Stanley, EC1, Ch. 3), so meets are not checked.
+        """
+        if not self.elements:
+            return True
+        if self.bottom() is None:
+            return False
         for i, x in enumerate(self.elements):
-            for y in self.elements[i:]:
-                if self.join(x, y) is None or self.meet(x, y) is None:
+            for y in self.elements[i + 1:]:
+                if self.join(x, y) is None:
                     return False
         return True
 
@@ -248,6 +265,9 @@ class FinitePoset:
             raise InvalidPoset(f"unknown keys in poset JSON: {sorted(unknown)}")
         if "elements" not in data:
             raise InvalidPoset("poset JSON needs 'elements'")
+        for key in ("elements", "leq", "covers"):
+            if key in data and not isinstance(data[key], list):
+                raise InvalidPoset(f"poset JSON {key!r} must be an array")
         if not all(isinstance(x, str) for x in data["elements"]):
             raise InvalidPoset("poset JSON elements must be strings")
         if ("leq" in data) == ("covers" in data):

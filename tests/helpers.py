@@ -68,6 +68,30 @@ def bf_is_lattice(p: FinitePoset) -> bool:
     return True
 
 
+def bf_lawvere_homs(c, f) -> dict:
+    """The interval's homs by definition: every pair of factorizations of f,
+    every ambient morphism h between their middle objects, kept when
+    h∘v = v' and u'∘h = u.  Keys are (u, v, f) triples, source-major then
+    target, in the order the slice lists factorizations (right factor major);
+    each hom-set is in slice order."""
+    objects = [
+        (g, h, f)
+        for h in c.morphisms
+        for g in c.morphisms
+        if c.dom[g] == c.cod[h] and c.compose.get((g, h)) == f
+    ]
+    homs = {}
+    for a in objects:
+        for b in objects:
+            connecting = tuple(
+                h for h in c.hom(c.cod[a[1]], c.cod[b[1]])
+                if c.compose.get((h, a[1])) == b[1] and c.compose.get((b[0], h)) == a[0]
+            )
+            if connecting:
+                homs[(a, b)] = connecting
+    return homs
+
+
 def classical_moebius(n: int) -> int:
     """Number-theoretic Möbius of n via trial-division factorization."""
     if n < 1:

@@ -360,6 +360,25 @@ def test_slice_json_rejects_missing_keys():
         CategorySlice.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["morphisms"][0].pop("id"), "morphisms"),
+        (lambda d: d["compose"].append(5), "compose"),
+        (lambda d: d["morphisms"].append("(0, 0)"), "morphisms"),
+        (lambda d: d.update(objects=[["X"]]), "objects"),
+    ],
+    ids=["morphism_without_id", "non_array_compose_row", "morphism_as_string", "unhashable_object"],
+)
+def test_slice_json_rejects_malformed_records(edit, field):
+    import json as json_module
+
+    data = json_module.loads(poset_as_category(chain([0, 1])).to_json())
+    edit(data)
+    with pytest.raises(InvalidSlice, match=f"'{field}'"):
+        CategorySlice.from_json(data)
+
+
 def test_incidence_function_json_round_trip():
     c = poset_as_category(chain([0, 1]))
     xi = IncidenceFunction({f: Fraction(k - 1, 3) for k, f in enumerate(c.morphisms)})

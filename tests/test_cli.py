@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mucat import FinitePoset, chain, meet_semilattice
 from mucat.cli import main
 
@@ -218,6 +220,18 @@ def test_semigroup_rejects_unhashable_element_names(capsys, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text(json.dumps({"elements": [["a"]], "table": [[["a"]]]}), encoding="utf-8")
     code, out, err = run_cli(capsys, "semigroup", str(path), "a,a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data", [{"elements": 5, "leq": []}, {"elements": ["a"], "leq": 7}]
+)
+def test_poset_mu_rejects_non_array_fields(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "poset-mu", str(path), "a", "a")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,17 +10,26 @@ from mucat import (
     Unbounded,
     chain,
     cm_slice,
+    division_category,
     dm_slice,
     interval_as_poset,
     is_one_way,
     lawvere_interval,
+    meet_semilattice,
     moebius_of_slice,
     moebius_test,
     moebius_via_lawvere,
     poset_as_category,
 )
 
-from helpers import B2, are_isomorphic, is_total_order
+from helpers import (
+    B2,
+    are_isomorphic,
+    bf_lawvere_homs,
+    boolean_lattice,
+    divisor_poset,
+    is_total_order,
+)
 
 from test_category import idempotent_endo_category, iso_pair_category
 
@@ -51,6 +60,26 @@ def test_connecting_morphism_between_trivial_factorizations():
     top = Factorization(CmMorphism(0, 1, -1, -1), f, f)
     assert iv.hom(bottom, top) == (f,)
     assert iv.hom(top, bottom) == ()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cm_slice(3, -4),
+        lambda: dm_slice(2, 12),
+        lambda: division_category(meet_semilattice(boolean_lattice(3))),
+        lambda: poset_as_category(divisor_poset(12)),
+        idempotent_endo_category,
+        iso_pair_category,
+    ],
+    ids=["cm_3_-4", "dm_2_12", "division_B3", "poset_D12", "idempotent_endo", "iso_pair"],
+)
+def test_interval_homs_match_definitional_scan(make):
+    c = make()
+    for f in c.morphisms:
+        homs = lawvere_interval(c, f).homs
+        expected = bf_lawvere_homs(c, f)
+        assert list(homs.items()) == list(expected.items()), f
 
 
 # -- one-way test ----------------------------------------------------------------

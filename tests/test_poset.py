@@ -141,6 +141,17 @@ def test_antichain_is_not_a_lattice():
     assert not antichain(["a", "b"]).is_lattice()
 
 
+def test_empty_poset_is_a_lattice():
+    assert FinitePoset([], covers=[]).is_lattice()
+
+
+def test_joins_without_bottom_is_not_a_lattice():
+    p = FinitePoset(["a", "b", "top"], covers=[("a", "top"), ("b", "top")])
+    assert p.join("a", "b") == "top"
+    assert not p.is_lattice()
+    assert not bf_is_lattice(p)
+
+
 def test_product_of_chains_is_a_lattice():
     p = chain([0, 1, 2]).product(chain([0, 1]))
     assert p.is_lattice()
@@ -292,6 +303,20 @@ def test_json_rejects_unknown_keys():
 def test_json_rejects_both_relations():
     data = {"elements": ["a"], "covers": [], "leq": [["a", "a"]]}
     with pytest.raises(InvalidPoset):
+        FinitePoset.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"elements": 5, "leq": []},
+        {"elements": "ab", "covers": []},
+        {"elements": ["a"], "leq": 7},
+        {"elements": ["a"], "covers": {"a": "a"}},
+    ],
+)
+def test_json_rejects_non_array_fields(data):
+    with pytest.raises(InvalidPoset, match="must be an array"):
         FinitePoset.from_json(data)
 
 
