@@ -20,6 +20,7 @@ from .poset import FinitePoset, chain
 from .category import (
     CategorySlice,
     IncidenceFunction,
+    compose_table,
     convolution_inverse,
     convolve,
     find_slice_violation,

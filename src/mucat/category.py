@@ -39,8 +39,7 @@ class CategorySlice:
 
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities",
-        "complete", "_morphism_set", "_hom", "_facts", "_out", "_in", "_moebius",
-        "_one_way",
+        "complete", "_morphism_set", "_groups", "_facts", "_moebius", "_one_way",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -70,10 +69,8 @@ class CategorySlice:
         self.complete = frozenset(complete)
         if not self.complete <= mors:
             raise InvalidSlice("complete set mentions unknown morphisms")
-        self._hom = None
+        self._groups = None
         self._facts = None
-        self._out = None
-        self._in = None
         self._moebius = None
         self._one_way = None
 
@@ -86,48 +83,47 @@ class CategorySlice:
     def is_identity(self, f) -> bool:
         return self.identities[self.dom[f]] == f
 
-    def _hom_table(self):
-        if self._hom is None:
-            table = {}
+    def _grouped(self):
+        """Morphisms by (dom, cod), by dom and by cod, in slice order; one pass."""
+        if self._groups is None:
+            hom, out, into = {}, {}, {}
             for f in self.morphisms:
-                table.setdefault((self.dom[f], self.cod[f]), []).append(f)
-            self._hom = {k: tuple(v) for k, v in table.items()}
-        return self._hom
+                x, y = self.dom[f], self.cod[f]
+                hom.setdefault((x, y), []).append(f)
+                out.setdefault(x, []).append(f)
+                into.setdefault(y, []).append(f)
+            self._groups = tuple({k: tuple(v) for k, v in t.items()} for t in (hom, out, into))
+        return self._groups
 
     def hom(self, x, y) -> tuple:
         """All morphisms x -> y, in slice order."""
-        return self._hom_table().get((x, y), ())
+        return self._grouped()[0].get((x, y), ())
 
     def morphisms_from(self, x) -> tuple:
-        if self._out is None:
-            out = {}
-            for f in self.morphisms:
-                out.setdefault(self.dom[f], []).append(f)
-            self._out = {k: tuple(v) for k, v in out.items()}
-        return self._out.get(x, ())
+        return self._grouped()[1].get(x, ())
 
     def morphisms_into(self, x) -> tuple:
-        if self._in is None:
-            into = {}
-            for f in self.morphisms:
-                into.setdefault(self.cod[f], []).append(f)
-            self._in = {k: tuple(v) for k, v in into.items()}
-        return self._in.get(x, ())
+        return self._grouped()[2].get(x, ())
 
     def _fact_index(self):
-        # one pass over the composition table; order: right factor major
+        # one pass over the composition table, in its own order, sharing its
+        # key pairs; entries on non-composable pairs are skipped
         if self._facts is None:
             index = {f: [] for f in self.morphisms}
-            for h in self.morphisms:
-                for g in self.morphisms_from(self.cod[h]):
-                    k = self.compose.get((g, h))
-                    if k is not None:
-                        index[k].append((g, h))
+            dom, cod = self.dom, self.cod
+            for pair, k in self.compose.items():
+                g, h = pair
+                if cod[h] == dom[g]:
+                    index[k].append(pair)
             self._facts = {f: tuple(v) for f, v in index.items()}
         return self._facts
 
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
-        """All ordered pairs (g, h) with g∘h = f, trivial ones included."""
+        """All ordered pairs (g, h) with g∘h = f, trivial ones included.
+
+        Listed in the order of the composition table, which every window the
+        library builds lists right factor major (see ``compose_table``).
+        """
         if f not in self.complete:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
         return self._fact_index()[f]
@@ -152,12 +148,7 @@ class CategorySlice:
                 {"id": mid[f], "dom": oid[self.dom[f]], "cod": oid[self.cod[f]]}
                 for f in self.morphisms
             ],
-            "compose": [
-                [mid[g], mid[h], mid[k]]
-                for h in self.morphisms
-                for g in self.morphisms_from(self.cod[h])
-                if (k := self.compose.get((g, h))) is not None
-            ],
+            "compose": [[mid[g], mid[h], mid[k]] for (g, h), k in self.compose.items()],
             "identities": {oid[x]: mid[self.identities[x]] for x in self.objects},
             "complete": [mid[f] for f in self.morphisms if f in self.complete],
         }
@@ -255,7 +246,7 @@ def is_one_way_category(c: CategorySlice) -> bool:
     Cached on the slice.
     """
     if c._one_way is None:
-        c._one_way = one_way_homs(c.objects, c._hom_table())
+        c._one_way = one_way_homs(c.objects, c._grouped()[0])
     return c._one_way
 
 
@@ -276,6 +267,26 @@ def one_way_homs(objects, homs) -> bool:
     return endos == len(objects)
 
 
+def compose_table(morphisms, dom, cod, rule) -> dict:
+    """The composition table {(g, f): g∘f} of a window, in one by-domain walk.
+
+    ``rule(g, f)`` gives the composite of a pair with cod f = dom g, or None
+    when it falls outside the window.  Entries come right factor major, in
+    the order of ``morphisms``, and so do the left factors of each f; a slice
+    lists factorizations in this order.
+    """
+    by_dom: dict = {}
+    for f in morphisms:
+        by_dom.setdefault(dom[f], []).append(f)
+    table = {}
+    for f in morphisms:
+        for g in by_dom.get(cod[f], ()):
+            k = rule(g, f)
+            if k is not None:
+                table[g, f] = k
+    return table
+
+
 def poset_as_category(p: FinitePoset) -> CategorySlice:
     """The poset as a category: one morphism (x, y) per related pair x <= y.
 
@@ -284,11 +295,7 @@ def poset_as_category(p: FinitePoset) -> CategorySlice:
     morphisms = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
     dom = {f: f[0] for f in morphisms}
     cod = {f: f[1] for f in morphisms}
-    compose = {}
-    for (y1, z) in morphisms:
-        for (x, y2) in morphisms:
-            if y1 == y2:
-                compose[((y1, z), (x, y2))] = (x, z)
+    compose = compose_table(morphisms, dom, cod, lambda g, f: (f[0], g[1]))
     identities = {x: (x, x) for x in p.elements}
     return CategorySlice(p.elements, morphisms, dom, cod, compose, identities, morphisms)
 

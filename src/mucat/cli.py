@@ -68,33 +68,30 @@ def _emit(args, text_lines, payload) -> None:
 
 
 def cmd_mu_cm(args) -> int:
-    f = parse_cm_spec(args.m, args.spec)
-    closed = cm_moebius_closed_form(f)
-    if not args.verify:
-        _emit(args, [str(closed)], {"mu": closed})
-        return 0
-    level_min = args.level_min if args.level_min is not None else f.j
-    c = cm_slice(args.m, min(level_min, f.j))
-    law = moebius_via_lawvere(c, f)
-    conv = moebius_of_slice(c)[f]
-    agree = closed == law == conv
-    verdict = "AGREE" if agree else "DISAGREE"
-    _emit(
-        args,
-        [f"{closed} {law} {conv} {verdict}"],
-        {"closed_form": closed, "lawvere": law, "convolution": conv, "agree": agree},
-    )
-    return 0 if agree else 1
+    def window(f):
+        level_min = args.level_min if args.level_min is not None else f.j
+        return cm_slice(args.m, min(level_min, f.j))
+
+    return _mu_command(args, parse_cm_spec, cm_moebius_closed_form, window)
 
 
 def cmd_mu_dm(args) -> int:
-    f = parse_dm_spec(args.m, args.spec)
-    closed = dm_moebius_closed_form(f)
+    def window(f):
+        alpha_max = args.alpha_max if args.alpha_max is not None else f.x + 10
+        return dm_slice(args.m, max(alpha_max, f.alpha, args.m - 1))
+
+    return _mu_command(args, parse_dm_spec, dm_moebius_closed_form, window)
+
+
+def _mu_command(args, parse, closed_form, window) -> int:
+    """The closed-form value of one morphism; with --verify, compared against
+    the interval and convolution values on the window that holds it."""
+    f = parse(args.m, args.spec)
+    closed = closed_form(f)
     if not args.verify:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
-    alpha_max = args.alpha_max if args.alpha_max is not None else f.x + 10
-    c = dm_slice(args.m, max(alpha_max, f.alpha, args.m - 1))
+    c = window(f)
     law = moebius_via_lawvere(c, f)
     conv = moebius_of_slice(c)[f]
     agree = closed == law == conv

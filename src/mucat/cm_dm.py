@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import CategorySlice
+from .category import CategorySlice, compose_table
 from .errors import NotComposable
 
 
@@ -108,6 +108,10 @@ def cm_compose(m: int, g: CmMorphism, f: CmMorphism) -> CmMorphism:
     validate_cm_morphism(m, f)
     if f.target(m) != g.source():
         raise NotComposable(f"codomain of {f} is {f.target(m)}, domain of {g} is {g.source()}")
+    return _cm_compose(g, f)
+
+
+def _cm_compose(g: CmMorphism, f: CmMorphism) -> CmMorphism:
     return CmMorphism(f.a + g.a, f.x, f.i, g.j)
 
 
@@ -130,13 +134,7 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
     ]
     dom = {f: f.source() for f in morphisms}
     cod = {f: f.target(m) for f in morphisms}
-    by_dom: dict = {}
-    for f in morphisms:
-        by_dom.setdefault(dom[f], []).append(f)
-    compose = {}
-    for f in morphisms:
-        for g in by_dom.get(cod[f], ()):
-            compose[(g, f)] = CmMorphism(f.a + g.a, f.x, f.i, g.j)
+    compose = compose_table(morphisms, dom, cod, _cm_compose)
     identities = {obj: cm_identity(obj) for obj in objects}
     return CategorySlice(objects, morphisms, dom, cod, compose, identities, morphisms)
 
@@ -221,6 +219,10 @@ def dm_compose(m: int, g: DmMorphism, f: DmMorphism) -> DmMorphism:
     validate_dm_morphism(m, f)
     if f.alpha % m != g.x:
         raise NotComposable(f"codomain of {f} is {f.alpha % m}, domain of {g} is {g.x}")
+    return _dm_compose(g, f)
+
+
+def _dm_compose(g: DmMorphism, f: DmMorphism) -> DmMorphism:
     return DmMorphism(g.alpha - g.x + f.alpha, f.x)
 
 
@@ -240,15 +242,11 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     ]
     dom = {f: f.x for f in morphisms}
     cod = {f: f.alpha % m for f in morphisms}
-    by_dom: dict = {}
-    for f in morphisms:
-        by_dom.setdefault(f.x, []).append(f)
-    compose = {}
-    for f in morphisms:
-        for g in by_dom.get(cod[f], ()):
-            alpha = g.alpha - g.x + f.alpha
-            if alpha <= alpha_max:
-                compose[(g, f)] = DmMorphism(alpha, f.x)
+    # g · f stays inside when g's rise alpha - x fits in the room above f
+    compose = compose_table(
+        morphisms, dom, cod,
+        lambda g, f: _dm_compose(g, f) if g.alpha - g.x <= alpha_max - f.alpha else None,
+    )
     identities = {x: dm_identity(x) for x in objects}
     return CategorySlice(objects, morphisms, dom, cod, compose, identities, morphisms)
 

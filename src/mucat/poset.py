@@ -225,6 +225,10 @@ class FinitePoset:
     def moebius(self, x, y) -> int:
         """mu(x, y) of this poset."""
         self._require_comparable(x, y)
+        return self._moebius(x, y)
+
+    def _moebius(self, x, y) -> int:
+        # the recursion behind moebius, on a pair already known to be comparable
         key = (x, y)
         cached = self._mu.get(key)
         if cached is not None:
@@ -232,7 +236,8 @@ class FinitePoset:
         if x == y:
             value = 1
         else:
-            value = -sum(self.moebius(x, z) for z in self._up[x] if self.leq(z, y) and z != y)
+            up = self._up
+            value = -sum(self._moebius(x, z) for z in up[x] if y in up[z] and z != y)
         self._mu[key] = value
         return value
 

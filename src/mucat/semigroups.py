@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .category import CategorySlice, is_one_way_category
+from .category import CategorySlice, compose_table, is_one_way_category
 from .errors import (
     InvalidSemigroup,
     NotOneWay,
@@ -275,24 +275,16 @@ def division_category(
     if require_combinatorial and not s.is_combinatorial():
         raise NotCombinatorial("the semigroup has a nontrivial subgroup")
     inv = s._inverses()
-    morphisms = []
-    dom = {}
-    cod = {}
-    for e in reps:
-        for x in s.elements:
-            if s.mul(x, inv[x]) in reps and s.natural_leq(s.mul(inv[x], x), e):
-                morphism = (x, e)
-                morphisms.append(morphism)
-                dom[morphism] = e
-                cod[morphism] = s.mul(x, inv[x])
+    morphisms = [
+        (x, e)
+        for e in reps
+        for x in s.elements
+        if s.mul(x, inv[x]) in reps and s.natural_leq(s.mul(inv[x], x), e)
+    ]
+    dom = {f: f[1] for f in morphisms}
+    cod = {f: s.mul(f[0], inv[f[0]]) for f in morphisms}
     # (t, f) · (x, e) = (t x, e); cod(x, e) ∈ reps always, so composites stay inside
-    by_dom: dict = {}
-    for f in morphisms:
-        by_dom.setdefault(dom[f], []).append(f)
-    compose = {}
-    for f in morphisms:
-        for g in by_dom.get(cod[f], ()):
-            compose[(g, f)] = (s.mul(g[0], f[0]), f[1])
+    compose = compose_table(morphisms, dom, cod, lambda g, f: (s.mul(g[0], f[0]), f[1]))
     identities = {e: (e, e) for e in reps}
     return CategorySlice(reps, morphisms, dom, cod, compose, identities, morphisms)
 
@@ -327,12 +319,9 @@ def moebius_via_quotients(c: CategorySlice, morphism) -> int:
 def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     """Rule two: mu(s', e) = mu_{E(eSe)}(s'⁻¹ s', e) in the idempotents below e."""
     x, e = morphism
-    below = [y for y in s.idempotents() if s.natural_leq(y, e)]
-    local = sorted(
-        {s.mul(s.mul(e, y), e) for y in s.idempotents()},
-        key=s.elements.index,
-    )
-    if sorted(below, key=s.elements.index) != local:
+    idempotents = s.idempotents()
+    below = [y for y in idempotents if s.natural_leq(y, e)]
+    if set(below) != {s.mul(s.mul(e, y), e) for y in idempotents}:
         raise InvalidSemigroup("E(eSe) differs from the idempotents below e")
     pairs = [(u, v) for u in below for v in below if s.natural_leq(u, v)]
     lattice = FinitePoset(below, leq=pairs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from mucat import FinitePoset, chain
+from mucat import FinitePoset, InverseSemigroup, chain
 
 
 # -- fixed posets ------------------------------------------------------------
@@ -41,6 +41,19 @@ def antichain(labels) -> FinitePoset:
     return FinitePoset(list(labels), covers=[])
 
 
+def brandt_five() -> InverseSemigroup:
+    """Matrix units e11, e22, a = E12, b = E21 plus a zero."""
+    products = {
+        ("e11", "e11"): "e11", ("e11", "a"): "a",
+        ("a", "b"): "e11", ("a", "e22"): "a",
+        ("b", "e11"): "b", ("b", "a"): "e22",
+        ("e22", "e22"): "e22", ("e22", "b"): "b",
+    }
+    elems = ["e11", "e22", "a", "b", "z"]
+    table = [[products.get((s, t), "z") for t in elems] for s in elems]
+    return InverseSemigroup(elems, table)
+
+
 # -- brute-force oracles -----------------------------------------------------
 
 def bf_covers(p: FinitePoset) -> set:
@@ -66,6 +79,23 @@ def bf_is_lattice(p: FinitePoset) -> bool:
             if len(least) != 1 or len(greatest) != 1:
                 return False
     return True
+
+
+def bf_compose(c, composite) -> dict:
+    """The composition table by definition: every pair (g, f) of morphisms of
+    c with cod f = dom g, kept when composite(g, f) is a morphism of c.  An
+    all-pairs scan, right factor f major, each in slice order; composite is
+    the category's own checked rule, returning None or an outside morphism
+    when the composite leaves the slice."""
+    inside = set(c.morphisms)
+    table = {}
+    for f in c.morphisms:
+        for g in c.morphisms:
+            if c.cod[f] == c.dom[g]:
+                k = composite(g, f)
+                if k in inside:
+                    table[(g, f)] = k
+    return table
 
 
 def bf_lawvere_homs(c, f) -> dict:

@@ -15,20 +15,24 @@ from mucat import (
     NotInvertible,
     NotMoebius,
     chain,
+    cm_compose,
     cm_slice,
     convolution_inverse,
     convolve,
+    division_category,
+    dm_compose,
     dm_moebius_closed_form,
     dm_slice,
     find_slice_violation,
     is_one_way_category,
+    meet_semilattice,
     moebius_inversion_check,
     moebius_of_slice,
     poset_as_category,
     validate_slice,
 )
 
-from helpers import B2, divisor_poset
+from helpers import B2, bf_compose, boolean_lattice, brandt_five, divisor_poset
 
 
 def iso_pair_category():
@@ -129,6 +133,64 @@ def test_factorizations_require_completeness():
     )
     with pytest.raises(IncompleteSlice):
         partial.factorizations((0, 1))
+
+
+def _builder_corpus():
+    """(name, slice, the category's checked composition rule) per builder."""
+    boolean = meet_semilattice(boolean_lattice(3))
+    brandt = brandt_five()
+    divisors = divisor_poset(12)
+    return [
+        ("cm_slice(3,-4)", cm_slice(3, -4), lambda g, f: cm_compose(3, g, f)),
+        ("dm_slice(2,12)", dm_slice(2, 12), lambda g, f: dm_compose(2, g, f)),
+        ("dm_slice(3,9)", dm_slice(3, 9), lambda g, f: dm_compose(3, g, f)),
+        (
+            "division(B3)", division_category(boolean),
+            lambda g, f: (boolean.mul(g[0], f[0]), f[1]),
+        ),
+        (
+            "division(brandt)", division_category(brandt, ["e11", "z"]),
+            lambda g, f: (brandt.mul(g[0], f[0]), f[1]),
+        ),
+        (
+            "poset(divisors 12)", poset_as_category(divisors),
+            lambda g, f: (f[0], g[1]) if divisors.leq(f[0], g[1]) else None,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "c, composite",
+    [pytest.param(c, rule, id=name) for name, c, rule in _builder_corpus()],
+)
+def test_builders_match_all_pairs_compose_oracle(c, composite):
+    expected = bf_compose(c, composite)
+    assert list(c.compose.items()) == list(expected.items())
+    for f in c.morphisms:
+        assert c.factorizations(f) == tuple(pair for pair, k in expected.items() if k == f)
+
+
+def test_factorizations_skip_non_composable_compose_entries():
+    base = poset_as_category(chain([0, 1]))
+    compose = dict(base.compose)
+    compose[((0, 1), (0, 1))] = (0, 1)  # cod (0, 1) is 1, dom (0, 1) is 0
+    c = CategorySlice(
+        base.objects, base.morphisms, base.dom, base.cod,
+        compose, base.identities, base.complete,
+    )
+    assert c.factorizations((0, 1)) == (((0, 1), (0, 0)), ((1, 1), (0, 1)))
+    for f in c.morphisms:
+        assert c.factorizations(f) == base.factorizations(f)
+
+
+def test_factorizations_follow_compose_table_order():
+    base = poset_as_category(chain([0, 1, 2]))
+    flipped = CategorySlice(
+        base.objects, base.morphisms, base.dom, base.cod,
+        dict(reversed(base.compose.items())), base.identities, base.complete,
+    )
+    for f in base.morphisms:
+        assert flipped.factorizations(f) == base.factorizations(f)[::-1]
 
 
 def test_factorizations_are_deterministic():
@@ -340,6 +402,23 @@ def test_slice_json_round_trip():
     loaded_mu = moebius_of_slice(loaded)
     for f in c.morphisms:
         assert loaded_mu[c.morphism_key(f)] == mu[f]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [cm_slice(2, -3), dm_slice(3, 9), poset_as_category(divisor_poset(12)), iso_pair_category()],
+    ids=["cm", "dm", "poset", "iso_pair"],
+)
+def test_slice_json_round_trip_keeps_compose_and_factorization_order(c):
+    key = c.morphism_key
+    loaded = CategorySlice.from_json(c.to_json())
+    assert list(loaded.compose.items()) == [
+        ((key(g), key(h)), key(k)) for (g, h), k in c.compose.items()
+    ]
+    for f in c.morphisms:
+        assert loaded.factorizations(key(f)) == tuple(
+            (key(g), key(h)) for g, h in c.factorizations(f)
+        )
 
 
 def test_slice_json_rejects_unknown_keys():

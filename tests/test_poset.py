@@ -192,6 +192,15 @@ def test_moebius_requires_comparability():
         CHAIN3.moebius(2, 0)
 
 
+def test_moebius_checks_comparability_after_values_are_cached():
+    p = chain(["a", "b", "c"])
+    assert p.moebius("a", "c") == 0
+    with pytest.raises(NotComparable, match="does not hold"):
+        p.moebius("c", "a")
+    with pytest.raises(NotComparable, match="not an element"):
+        p.moebius("a", "z")
+
+
 def test_chain_moebius_depends_only_on_length():
     for n in range(1, 7):
         p = chain(range(n))

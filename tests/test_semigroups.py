@@ -22,7 +22,7 @@ from mucat import (
     validate_slice,
 )
 
-from helpers import B2, are_isomorphic, boolean_lattice, fork_poset
+from helpers import B2, are_isomorphic, boolean_lattice, brandt_five, fork_poset
 
 
 def two_element_group():
@@ -42,19 +42,6 @@ def semilattice_times_z2():
         for x in chain2.elements
         for a in (0, 1)
     ]
-    return InverseSemigroup(elems, table)
-
-
-def brandt_five():
-    """Matrix units e11, e22, a = E12, b = E21 plus a zero."""
-    products = {
-        ("e11", "e11"): "e11", ("e11", "a"): "a",
-        ("a", "b"): "e11", ("a", "e22"): "a",
-        ("b", "e11"): "b", ("b", "a"): "e22",
-        ("e22", "e22"): "e22", ("e22", "b"): "b",
-    }
-    elems = ["e11", "e22", "a", "b", "z"]
-    table = [[products.get((s, t), "z") for t in elems] for s in elems]
     return InverseSemigroup(elems, table)
 
 
