@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Any, Callable
 
+from ._json import load_object, rows, strings
 from .errors import (
     IncompleteSlice,
     InvalidSlice,
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .poset import FinitePoset
 
-_SLICE_JSON_KEYS = {"objects", "morphisms", "compose", "identities", "complete"}
 _EXACT_JSON = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -157,46 +157,29 @@ class CategorySlice:
     @classmethod
     def from_json(cls, data) -> "CategorySlice":
         """Load a slice whose objects and morphisms are string ids."""
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        if not isinstance(data, dict):
-            raise InvalidSlice("slice JSON must be an object")
-        unknown = set(data) - _SLICE_JSON_KEYS
-        if unknown:
-            raise InvalidSlice(f"unknown keys in slice JSON: {sorted(unknown)}")
-        missing = _SLICE_JSON_KEYS - set(data)
-        if missing:
-            raise InvalidSlice(f"missing keys in slice JSON: {sorted(missing)}")
-        objects, records, rows = data["objects"], data["morphisms"], data["compose"]
-        identities, complete = data["identities"], data["complete"]
-        if not _is_string_list(objects):
-            raise InvalidSlice("slice JSON 'objects' must be an array of strings")
-        if not isinstance(records, list) or not all(
-            isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in ("id", "dom", "cod"))
-            for rec in records
-        ):
-            raise InvalidSlice(
-                "slice JSON 'morphisms' must be an array of objects with string 'id', 'dom', 'cod'"
-            )
-        if not isinstance(rows, list) or not all(
-            _is_string_list(row) and len(row) == 3 for row in rows
-        ):
-            raise InvalidSlice("slice JSON 'compose' must be an array of string triples")
-        if not isinstance(identities, dict) or not all(
-            isinstance(v, str) for v in identities.values()
-        ):
-            raise InvalidSlice("slice JSON 'identities' must map object ids to morphism ids")
-        if not _is_string_list(complete):
-            raise InvalidSlice("slice JSON 'complete' must be an array of strings")
+        data = load_object(data, InvalidSlice, "slice", {
+            "objects": (strings, "an array of strings"),
+            "morphisms": (
+                lambda v: isinstance(v, list) and all(
+                    isinstance(rec, dict) and strings([rec.get(k) for k in ("id", "dom", "cod")])
+                    for rec in v
+                ),
+                "an array of objects with string 'id', 'dom', 'cod'",
+            ),
+            "compose": (lambda v: rows(v, 3), "an array of string triples"),
+            "identities": (
+                lambda v: isinstance(v, dict) and strings(list(v.values())),
+                "an object mapping object ids to morphism ids",
+            ),
+            "complete": (strings, "an array of strings"),
+        })
+        records = data["morphisms"]
         morphisms = [rec["id"] for rec in records]
         dom = {rec["id"]: rec["dom"] for rec in records}
         cod = {rec["id"]: rec["cod"] for rec in records}
-        compose = {(g, h): k for g, h, k in rows}
-        return cls(objects, morphisms, dom, cod, compose, identities, complete)
-
-
-def _is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+        compose = {(g, h): k for g, h, k in data["compose"]}
+        identities, complete = data["identities"], data["complete"]
+        return cls(data["objects"], morphisms, dom, cod, compose, identities, complete)
 
 
 # -- validation ------------------------------------------------------------
@@ -366,10 +349,7 @@ class IncidenceFunction(Mapping):
     @classmethod
     def from_json(cls, c: CategorySlice, data) -> "IncidenceFunction":
         """Load {morphism id: value}; each value is a JSON integer or a "p/q" string."""
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        if not isinstance(data, dict):
-            raise InvalidSlice("incidence function JSON must be an object")
+        data = load_object(data, InvalidSlice, "incidence function")
         by_key = {c.morphism_key(f): f for f in c.morphisms}
         values = {}
         for key, raw in data.items():
@@ -388,6 +368,8 @@ def _exact_from_json(raw):
             return Fraction(raw)
         except ZeroDivisionError:
             raise InvalidSlice(f"incidence value {raw!r} has a zero denominator") from None
+        except ValueError as exc:  # more digits than int() may read
+            raise InvalidSlice(f"incidence value is too long to read: {exc}") from None
     raise InvalidSlice(f"incidence value {raw!r} is not an integer or a 'p/q' string")
 
 

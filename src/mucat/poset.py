@@ -10,7 +10,8 @@ The Möbius function is computed by the classical recursion
 
     mu(x, x) = 1,    mu(x, y) = -sum(mu(x, z) for x <= z < y)
 
-memoized per instance; values are always integers.
+evaluated bottom-up over the interval in a linear extension and memoized per
+instance; values are always integers.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Iterable
 
+from ._json import load_object, rows, strings
 from .errors import InvalidPoset, NotComparable
-
-_POSET_JSON_KEYS = {"elements", "leq", "covers"}
 
 
 def _transitive_reflexive_closure(elements, arcs):
@@ -63,7 +63,7 @@ class FinitePoset:
         def check_pair(pair):
             a, b = pair
             if a not in index or b not in index:
-                raise InvalidPoset(f"relation mentions unknown element in {pair!r}")
+                raise InvalidPoset(f"relation mentions unknown element in {(a, b)!r}")
             return a, b
 
         if covers is not None:
@@ -228,17 +228,18 @@ class FinitePoset:
         return self._moebius(x, y)
 
     def _moebius(self, x, y) -> int:
-        # the recursion behind moebius, on a pair already known to be comparable
-        key = (x, y)
-        cached = self._mu.get(key)
-        if cached is not None:
-            return cached
-        if x == y:
-            value = 1
-        else:
+        # mu(x, .) on all of [x, y], in a linear extension and without
+        # recursion: a strict predecessor has a strictly larger up-set, so it
+        # comes first (Stanley, EC1, Ch. 3)
+        mu = self._mu
+        value = mu.get((x, y))
+        if value is None:
             up = self._up
-            value = -sum(self._moebius(x, z) for z in up[x] if y in up[z] and z != y)
-        self._mu[key] = value
+            row = []
+            for w in sorted((z for z in up[x] if y in up[z]), key=lambda z: -len(up[z])):
+                row.append((w, -sum(m for z, m in row if w in up[z]) if row else 1))
+            mu.update(((x, w), m) for w, m in row)
+            value = mu[x, y]
         return value
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
@@ -259,36 +260,13 @@ class FinitePoset:
         """Build from the documented JSON object (or its serialized form).
 
         Schema: {"elements": [str, ...]} plus exactly one of "leq" / "covers",
-        each an array of 2-element arrays.  Unknown keys are rejected.
+        each an array of 2-string arrays.  Unknown keys are rejected.
         """
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        if not isinstance(data, dict):
-            raise InvalidPoset("poset JSON must be an object")
-        unknown = set(data) - _POSET_JSON_KEYS
-        if unknown:
-            raise InvalidPoset(f"unknown keys in poset JSON: {sorted(unknown)}")
-        if "elements" not in data:
-            raise InvalidPoset("poset JSON needs 'elements'")
-        for key in ("elements", "leq", "covers"):
-            if key in data and not isinstance(data[key], list):
-                raise InvalidPoset(f"poset JSON {key!r} must be an array")
-        if not all(isinstance(x, str) for x in data["elements"]):
-            raise InvalidPoset("poset JSON elements must be strings")
-        if ("leq" in data) == ("covers" in data):
-            raise InvalidPoset("poset JSON needs exactly one of 'leq' or 'covers'")
-
-        def as_pairs(rows):
-            out = []
-            for row in rows:
-                if not isinstance(row, (list, tuple)) or len(row) != 2:
-                    raise InvalidPoset(f"relation entry {row!r} is not a 2-element array")
-                out.append((row[0], row[1]))
-            return out
-
-        if "leq" in data:
-            return cls(data["elements"], leq=as_pairs(data["leq"]))
-        return cls(data["elements"], covers=as_pairs(data["covers"]))
+        relation = (lambda v: v is None or rows(v, 2), "an array of 2-string arrays")
+        data = load_object(data, InvalidPoset, "poset", {
+            "elements": (strings, "an array of strings"), "leq": relation, "covers": relation,
+        })
+        return cls(data["elements"], leq=data.get("leq"), covers=data.get("covers"))
 
     def to_json(self) -> str:
         """Serialize as {"elements": ..., "covers": ...}; names go through str()."""

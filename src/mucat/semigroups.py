@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from ._json import load_object, rows, strings
 from .category import CategorySlice, compose_table, is_one_way_category
 from .errors import (
     InvalidSemigroup,
@@ -25,8 +26,6 @@ from .errors import (
     NotCombinatorial,
 )
 from .poset import FinitePoset
-
-_SEMIGROUP_JSON_KEYS = {"elements", "table", "one"}
 
 
 class InverseSemigroup:
@@ -38,7 +37,7 @@ class InverseSemigroup:
     raise InvalidSemigroup otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "one", "_inv")
+    __slots__ = ("elements", "_index", "_table", "one", "_inv", "_idem_poset")
 
     def __init__(self, elements: Iterable[str], table, one=None):
         self.elements = tuple(elements)
@@ -61,6 +60,7 @@ class InverseSemigroup:
                 raise InvalidSemigroup(f"'one' {one!r} is not an identity")
         self.one = one
         self._inv = None
+        self._idem_poset = None
 
     def __len__(self):
         return len(self.elements)
@@ -142,35 +142,24 @@ class InverseSemigroup:
         return True
 
     def idempotent_poset(self) -> FinitePoset:
-        """(E(S), natural order) as a finite poset."""
-        es = self.idempotents()
-        pairs = [(x, y) for x in es for y in es if self.natural_leq(x, y)]
-        return FinitePoset(es, leq=pairs)
+        """(E(S), natural order) as a finite poset, built once per instance."""
+        if self._idem_poset is None:
+            es = self.idempotents()
+            pairs = [(x, y) for x in es for y in es if self.natural_leq(x, y)]
+            self._idem_poset = FinitePoset(es, leq=pairs)
+        return self._idem_poset
 
     # -- serialization ---------------------------------------------------
 
     @classmethod
     def from_json(cls, data) -> "InverseSemigroup":
-        """Schema: {"elements": [...], "table": [[...]], "one": optional}."""
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        if not isinstance(data, dict):
-            raise InvalidSemigroup("semigroup JSON must be an object")
-        unknown = set(data) - _SEMIGROUP_JSON_KEYS
-        if unknown:
-            raise InvalidSemigroup(f"unknown keys in semigroup JSON: {sorted(unknown)}")
-        if "elements" not in data or "table" not in data:
-            raise InvalidSemigroup("semigroup JSON needs 'elements' and 'table'")
-        elements, table, one = data["elements"], data["table"], data.get("one")
-        if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
-            raise InvalidSemigroup("semigroup JSON 'elements' must be an array of strings")
-        if not isinstance(table, list) or not all(
-            isinstance(row, list) and all(isinstance(x, str) for x in row) for row in table
-        ):
-            raise InvalidSemigroup("semigroup JSON 'table' must be an array of arrays of strings")
-        if one is not None and not isinstance(one, str):
-            raise InvalidSemigroup("semigroup JSON 'one' must be a string")
-        return cls(elements, table, one)
+        """Schema: {"elements": [str, ...], "table": [[str, ...], ...], "one": optional str}."""
+        data = load_object(data, InvalidSemigroup, "semigroup", {
+            "elements": (strings, "an array of strings"),
+            "table": (rows, "an array of arrays of strings"),
+            "one": (lambda v: v is None or isinstance(v, str), "a string"),
+        })
+        return cls(data["elements"], data["table"], data.get("one"))
 
     def to_json(self) -> str:
         """Serialize; non-string elements are rendered through str()."""
@@ -271,7 +260,7 @@ def division_category(
     factorization-complete.  For non-combinatorial s the category is still
     returned (it just fails the Möbius test) unless ``require_combinatorial``.
     """
-    reps = check_transversal(s, default_transversal(s) if transversal is None else transversal)
+    reps = default_transversal(s) if transversal is None else check_transversal(s, transversal)
     if require_combinatorial and not s.is_combinatorial():
         raise NotCombinatorial("the semigroup has a nontrivial subgroup")
     inv = s._inverses()
@@ -317,13 +306,14 @@ def moebius_via_quotients(c: CategorySlice, morphism) -> int:
 
 
 def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
-    """Rule two: mu(s', e) = mu_{E(eSe)}(s'⁻¹ s', e) in the idempotents below e."""
+    """Rule two: mu(s', e) = mu_{E(eSe)}(s'⁻¹ s', e) in the idempotents below e.
+
+    The interval [s'⁻¹ s', e] is the same in E(S) as in the idempotents below
+    e, so mu is read off the cached idempotent poset.
+    """
     x, e = morphism
-    idempotents = s.idempotents()
-    below = [y for y in idempotents if s.natural_leq(y, e)]
-    if set(below) != {s.mul(s.mul(e, y), e) for y in idempotents}:
+    poset = s.idempotent_poset()
+    below = poset.down_set(e) if e in poset else frozenset()
+    if below != {s.mul(s.mul(e, y), e) for y in poset.elements}:
         raise InvalidSemigroup("E(eSe) differs from the idempotents below e")
-    pairs = [(u, v) for u in below for v in below if s.natural_leq(u, v)]
-    lattice = FinitePoset(below, leq=pairs)
-    start = s.mul(s.inverse(x), x)
-    return lattice.moebius(start, e)
+    return poset.moebius(s.mul(s.inverse(x), x), e)

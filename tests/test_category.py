@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -476,6 +477,13 @@ def test_incidence_function_json_rejects_inexact_values(raw):
     c = poset_as_category(chain([0]))
     with pytest.raises(InvalidSlice, match="zero denominator|integer or a 'p/q' string"):
         IncidenceFunction.from_json(c, '{"(0, 0)": %s}' % raw)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_incidence_function_json_rejects_values_too_long_to_read():
+    c = poset_as_category(chain([0]))
+    with pytest.raises(InvalidSlice, match="too long to read"):
+        IncidenceFunction.from_json(c, '{"(0, 0)": "1/%s"}' % ("7" * 5000))
 
 
 def test_incidence_function_json_reads_ints_and_fractions():

@@ -235,3 +235,22 @@ def test_poset_mu_rejects_non_array_fields(capsys, tmp_path, data):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"elements": ["a"], "covers": [[["a"], "a"]]}',
+        '{"elements": ["a"], "leq": [[{"a": 1}, "a"]]}',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["list_in_covers_row", "object_in_leq_row", "deep_nesting"],
+)
+@pytest.mark.parametrize("command, spec", [("poset-mu", ["a", "a"]), ("semigroup", ["a,a"])])
+def test_malformed_json_exits_two(capsys, tmp_path, text, command, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), *spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -208,6 +208,12 @@ def test_chain_moebius_depends_only_on_length():
         assert p.moebius(0, n - 1) == expected
 
 
+def test_moebius_of_long_chain_needs_no_recursion():
+    p = chain(range(1500, 0, -1))
+    assert p.moebius(1500, 1) == 0
+    assert p.moebius(1500, 1499) == -1
+
+
 def test_zeta_sum_identity_on_fixtures():
     for p in (CHAIN3, B2, divisor_poset(60), boolean_lattice(3)):
         for x in p.elements:
@@ -275,6 +281,16 @@ def test_zeta_sum_identity_random(p):
             if p.leq(x, y):
                 total = sum(p.moebius(x, z) for z in p.elements if p.leq(x, z) and p.leq(z, y))
                 assert total == (1 if x == y else 0)
+
+
+@given(random_posets(max_size=8), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_moebius_does_not_depend_on_query_order(p, rnd):
+    pairs = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
+    shuffled = list(pairs)
+    rnd.shuffle(shuffled)
+    fresh = FinitePoset.from_json(p.to_json())
+    assert {q: fresh.moebius(*q) for q in shuffled} == {q: p.moebius(*q) for q in pairs}
 
 
 @given(random_posets(max_size=4), random_posets(max_size=4))

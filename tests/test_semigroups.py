@@ -142,6 +142,11 @@ def test_idempotent_poset_of_semilattice_is_the_poset():
 
 # -- transversals ---------------------------------------------------------------------
 
+def test_idempotent_poset_is_built_once():
+    s = meet_semilattice(B2)
+    assert s.idempotent_poset() is s.idempotent_poset()
+
+
 def test_default_transversal_on_semilattice_is_everything():
     s = meet_semilattice(B2)
     assert set(default_transversal(s)) == set(s.elements)
@@ -173,6 +178,16 @@ def test_transversal_must_contain_identity_of_monoid():
     partial = [e for e in s.elements if e != s.identity()]
     with pytest.raises(NotTransversal):
         division_category(s, partial)
+
+
+def test_division_category_computes_d_classes_once(monkeypatch):
+    calls = []
+    d_classes = InverseSemigroup.d_classes
+    monkeypatch.setattr(
+        InverseSemigroup, "d_classes", lambda self: calls.append(self) or d_classes(self)
+    )
+    division_category(meet_semilattice(B2))
+    assert len(calls) == 1
 
 
 # -- division categories -----------------------------------------------------------------
