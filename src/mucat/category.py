@@ -40,6 +40,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities",
         "complete", "_morphism_set", "_groups", "_facts", "_moebius", "_one_way",
+        "_quotients",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -73,6 +74,7 @@ class CategorySlice:
         self._facts = None
         self._moebius = None
         self._one_way = None
+        self._quotients: dict = {}
 
     def __repr__(self):
         return f"CategorySlice({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -229,25 +231,30 @@ def is_one_way_category(c: CategorySlice) -> bool:
     Cached on the slice.
     """
     if c._one_way is None:
-        c._one_way = one_way_homs(c.objects, c._grouped()[0])
+        index = {x: k for k, x in enumerate(c.objects)}
+        into: list[set] = [set() for _ in c.objects]
+        multiple = set()
+        for (x, y), hs in c._grouped()[0].items():
+            into[index[y]].add(index[x])
+            if len(hs) > 1:
+                multiple.add((index[x], index[y]))
+        c._one_way = one_way(into, multiple)
     return c._one_way
 
 
-def one_way_homs(objects, homs) -> bool:
-    """The one-way test on a hom table {(x, y): non-empty tuple} over objects.
-
-    Every object has exactly one endomorphism and no key (x, y) with x != y
-    has its reverse (y, x) as a key; O(|objects| + |homs|).
+def one_way(into, multiple) -> bool:
+    """The one-way test on objects numbered 0..n-1: ``into[j]`` holds every
+    i with a morphism i -> j, and ``multiple`` every pair (i, j) with two or
+    more.  Every object has exactly one endomorphism and no two distinct
+    objects are connected both ways; O(objects + homs).
     """
-    endos = 0
-    for (x, y), hs in homs.items():
-        if x == y:
-            if len(hs) != 1:
-                return False
-            endos += 1
-        elif (y, x) in homs:
+    for j, sources in enumerate(into):
+        if j not in sources or (j, j) in multiple:
             return False
-    return endos == len(objects)
+        for i in sources:
+            if i != j and j in into[i]:
+                return False
+    return True
 
 
 def compose_table(morphisms, dom, cod, rule) -> dict:

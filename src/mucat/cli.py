@@ -24,7 +24,13 @@ from .cm_dm import (
     validate_dm_morphism,
 )
 from .errors import MucatError
-from .lawvere import interval_as_poset, is_one_way, lawvere_interval, moebius_via_lawvere
+from .lawvere import (
+    interval_as_poset,
+    interval_moebius,
+    is_one_way,
+    lawvere_interval,
+    moebius_via_lawvere,
+)
 from .poset import FinitePoset
 from .semigroups import (
     InverseSemigroup,
@@ -121,7 +127,7 @@ def cmd_verify(args) -> int:
         if poset.is_lattice():
             lattices += 1
         closed = cm_moebius_closed_form(f)
-        if closed == moebius_via_lawvere(c, f) == mu[f]:
+        if closed == interval_moebius(c, f, poset) == mu[f]:
             agree += 1
 
     zeta = IncidenceFunction.zeta(c)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .category import CategorySlice, one_way_homs
+from .category import CategorySlice, one_way
 from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
@@ -25,17 +25,37 @@ class Factorization(NamedTuple):
 
 
 class LawvereInterval:
-    """The factorization category of a single morphism."""
+    """The factorization category of a single morphism.
 
-    __slots__ = ("subject", "objects", "homs")
+    Stored as index adjacency: ``_into[j]`` maps the position i of every
+    object with a morphism into ``objects[j]`` to the first such morphism,
+    and ``_more`` holds the rest of each hom-set with two or more elements,
+    keyed (i, j).  The ``homs`` dict, keyed (source, target) source-major
+    then target in object order, is built on first read.
+    """
 
-    def __init__(self, subject, objects, homs):
+    __slots__ = ("subject", "objects", "_into", "_more", "_homs")
+
+    def __init__(self, subject, objects, into, more):
         self.subject = subject
         self.objects = tuple(objects)
-        self.homs = dict(homs)
+        self._into = into
+        self._more = more
+        self._homs = None
 
     def __repr__(self):
         return f"LawvereInterval({self.subject!r}, {len(self.objects)} factorizations)"
+
+    @property
+    def homs(self) -> dict:
+        """{(source, target): hom-set tuple}, every hom-set in slice order."""
+        if self._homs is None:
+            objects, into, more = self.objects, self._into, self._more
+            keys = sorted((i, j) for j, row in enumerate(into) for i in row)
+            self._homs = {
+                (objects[i], objects[j]): (into[j][i], *more.get((i, j), ())) for i, j in keys
+            }
+        return self._homs
 
     def hom(self, a: Factorization, b: Factorization) -> tuple:
         return self.homs.get((a, b), ())
@@ -46,30 +66,35 @@ def lawvere_interval(c: CategorySlice, f) -> LawvereInterval:
 
     Each hom is read off the factorization index: h connects (u, v) to
     (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
-    the factorizations of each v' finds every morphism into (u', v').  The
-    homs come out keyed source-major, then target, in object order, with
-    each hom-set in slice order.
+    the factorizations of each v' finds every morphism into (u', v'), each
+    hom-set in slice order.
     """
-    objects = [Factorization(g, h, f) for g, h in c.factorizations(f)]
-    position = {ob: k for k, ob in enumerate(objects)}
+    pairs = c.factorizations(f)
+    objects = [Factorization(g, h, f) for g, h in pairs]
+    position = {pair: k for k, pair in enumerate(pairs)}
     facts = c._fact_index()
     cod, compose = c.cod, c.compose
-    found: dict = {}
-    for j, (u2, v2, _) in enumerate(objects):
+    into = []
+    more: dict = {}
+    for j, (u2, v2) in enumerate(pairs):
         mid_b = cod[v2]
+        row: dict = {}
         # the index only pairs h with v when dom h = cod v
         for h, v in facts[v2]:
             if cod[h] == mid_b:
-                i = position.get((compose.get((u2, h)), v, f))
+                i = position.get((compose.get((u2, h)), v))
                 if i is not None:
-                    found.setdefault((i, j), []).append(h)
-    homs = {(objects[i], objects[j]): tuple(hs) for (i, j), hs in sorted(found.items())}
-    return LawvereInterval(f, objects, homs)
+                    if i in row:
+                        more.setdefault((i, j), []).append(h)
+                    else:
+                        row[i] = h
+        into.append(row)
+    return LawvereInterval(f, objects, into, more)
 
 
 def is_one_way(iv: LawvereInterval) -> bool:
     """Distinct factorizations never connected both ways; endo hom-sets are singletons."""
-    return one_way_homs(iv.objects, iv.homs)
+    return one_way(iv._into, iv._more)
 
 
 def moebius_test(c: CategorySlice) -> bool:
@@ -85,24 +110,29 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     """The interval as a poset: F1 <= F2 iff some morphism connects F1 to F2.
 
     Only defined for thin one-way intervals; raises NotThin when a hom-set has
-    two or more elements and NotOneWay when antisymmetry fails.
+    two or more elements and NotOneWay when antisymmetry fails.  The relation
+    goes to the poset as up-set masks, and every poset law is still checked.
     """
-    for pair, hs in iv.homs.items():
-        if len(hs) > 1:
-            raise NotThin(f"hom-set {pair!r} has {len(hs)} elements")
+    if iv._more:
+        (i, j), extra = min(iv._more.items())
+        pair = (iv.objects[i], iv.objects[j])
+        raise NotThin(f"hom-set {pair!r} has {1 + len(extra)} elements")
     if not is_one_way(iv):
         raise NotOneWay(f"interval of {iv.subject!r} is not one-way")
-    pairs = [(a, b) for (a, b) in iv.homs]
+    up = [0] * len(iv.objects)
+    for j, row in enumerate(iv._into):
+        bit = 1 << j
+        for i in row:
+            up[i] |= bit
     try:
-        return FinitePoset(iv.objects, leq=pairs)
+        return FinitePoset._from_masks(iv.objects, up)
     except InvalidPoset as exc:  # connectivity relation fails poset laws
         raise NotOneWay(str(exc)) from exc
 
 
-def moebius_via_lawvere(c: CategorySlice, f) -> int:
-    """mu(f) computed as the interval-poset Möbius value from bottom to top."""
-    iv = lawvere_interval(c, f)
-    poset = interval_as_poset(iv)
+def interval_moebius(c: CategorySlice, f, poset: FinitePoset) -> int:
+    """mu(f) as the Möbius value of f's interval poset from bottom to top,
+    once the trivial factorizations are checked to bound it."""
     bottom = Factorization(f, c.identities[c.dom[f]], f)
     top = Factorization(c.identities[c.cod[f]], f, f)
     if bottom not in poset or top not in poset:
@@ -110,3 +140,8 @@ def moebius_via_lawvere(c: CategorySlice, f) -> int:
     if poset.bottom() != bottom or poset.top() != top:
         raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
     return poset.moebius(bottom, top)
+
+
+def moebius_via_lawvere(c: CategorySlice, f) -> int:
+    """mu(f) computed as the interval-poset Möbius value from bottom to top."""
+    return interval_moebius(c, f, interval_as_poset(lawvere_interval(c, f)))

@@ -6,39 +6,122 @@ transitively).  Element order is the order in which the elements were supplied
 and every derived output (cover lists, DOT, JSON) iterates in that order, so
 identical inputs produce byte-identical outputs.
 
+Internally each element has a bit position in a linear extension: the
+supplied order when it is one, else decreasing up-set size with ties in
+supplied order.  The order is a list of Python ``int`` bitmasks: bit q of
+``_up[p]`` is set iff the element at position p is <= the one at position q
+(the transposed down-set masks are built when first needed).  A strict
+predecessor sits at a strictly lower position, so the least element of a set
+of upper bounds, if there is one, is its lowest bit (the word-parallel
+treatment of relation matrices: Warshall, JACM 1962; Stanley, EC1, Ch. 3).
+
 The Möbius function is computed by the classical recursion
 
-    mu(x, x) = 1,    mu(x, y) = -sum(mu(x, z) for x <= z < y)
+    mu(x, x) = 1,    mu(x, y) = -sum(mu(z, y) for x < z <= y)
 
-evaluated bottom-up over the interval in a linear extension and memoized per
-instance; values are always integers.
+evaluated top-down over the interval in the linear extension and memoized
+per instance; values are always integers.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from itertools import compress, count
+from operator import and_
 from typing import Any, Callable, Iterable
 
 from ._json import load_object, rows, strings
 from .errors import InvalidPoset, NotComparable
 
+_BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
-def _transitive_reflexive_closure(elements, arcs):
-    """Closure of arcs as a dict element -> set of successors (self included)."""
-    succ = {x: {x} for x in elements}
-    adj = {x: set() for x in elements}
+
+def _selectors(mask: int) -> bytes:
+    """Bit k of mask as byte k (0 or 1), lowest bit first; feeds compress()."""
+    return bin(mask)[:1:-1].encode().translate(_BYTE_BITS)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _minimal(up: list[int], rest: int):
+    """The minimal elements of the position set ``rest``, ascending, where
+    up[q] is the up-set of q and positions follow a linear extension: the
+    lowest position left is one, and its up-set is skipped once the caller
+    has seen it."""
+    while rest:
+        q = _lowest(rest)
+        yield q
+        rest &= ~up[q]
+
+
+def _transpose(masks: list[int]) -> list[int]:
+    """The transpose of a square 0/1 matrix given by its row masks.
+
+    The rows go into one string, highest bit first and last row first, so
+    each column is a strided slice that reads as a binary numeral.  No
+    per-column tuples are made, so none pile up on the interpreter's tuple
+    free lists.
+    """
+    n = len(masks)
+    width = 1 << n
+    flat = "".join([bin(m | width)[3:] for m in reversed(masks)])
+    return [int(flat[n - 1 - k::n], 2) for k in range(n)]
+
+
+def _relabel(masks: list[int], order: list[int]) -> list[int]:
+    """A square 0/1 matrix with rows and columns put in ``order`` (new k is
+    old order[k]): reorder the rows, transpose, reorder, transpose back."""
+    columns = _transpose([masks[k] for k in order])
+    return _transpose([columns[k] for k in order])
+
+
+def _index(elems: tuple) -> dict:
+    """Element -> index in supplied order; elements must be distinct."""
+    index = dict(zip(elems, range(len(elems))))
+    if len(index) != len(elems):
+        raise InvalidPoset("duplicate elements")
+    return index
+
+
+def _close_covers(elems: tuple, arcs) -> list[int]:
+    """Reflexive-transitive closure of cover arcs (index pairs) as up-set masks.
+
+    A depth-first walk finishes every successor of x before x, so up[x] is
+    x's bit or'ed with its successors' closures; an arc back into the walk's
+    own stack closes a cycle.  Loops (x, x) add nothing.
+    """
+    n = len(elems)
+    succ: list[list[int]] = [[] for _ in range(n)]
     for a, b in arcs:
-        adj[a].add(b)
-    for x in elements:
-        # iterative DFS from x
-        stack = list(adj[x])
-        seen = succ[x]
+        if a != b:
+            succ[a].append(b)
+    up = [0] * n
+    state = [0] * n  # 0 unseen, 1 on the stack, 2 closed
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
         while stack:
-            y = stack.pop()
-            if y not in seen:
-                seen.add(y)
-                stack.extend(adj[y])
-    return succ
+            x, todo = stack[-1]
+            for y in todo:
+                if state[y] == 1:
+                    raise InvalidPoset(f"cyclic cover input: {elems[x]!r} and {elems[y]!r}")
+                if state[y] == 0:
+                    state[y] = 1
+                    stack.append((y, iter(succ[y])))
+                    break
+            else:
+                stack.pop()
+                state[x] = 2
+                closed = 1 << x
+                for y in succ[x]:
+                    closed |= up[y]
+                up[x] = closed
+    return up
 
 
 class FinitePoset:
@@ -50,50 +133,76 @@ class FinitePoset:
     transitivity, and cyclic input is rejected.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_mu")
+    __slots__ = ("elements", "_pos", "_at", "_up", "_down", "_mu")
 
     def __init__(self, elements: Iterable[Any], *, leq=None, covers=None):
         elems = tuple(elements)
-        if len(set(elems)) != len(elems):
-            raise InvalidPoset("duplicate elements")
+        index = _index(elems)
         if (leq is None) == (covers is None):
             raise InvalidPoset("give exactly one of 'leq' or 'covers'")
-        index = {x: k for k, x in enumerate(elems)}
 
         def check_pair(pair):
             a, b = pair
-            if a not in index or b not in index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise InvalidPoset(f"relation mentions unknown element in {(a, b)!r}")
-            return a, b
+            return i, j
 
         if covers is not None:
-            arcs = [check_pair(p) for p in covers]
-            up = _transitive_reflexive_closure(elems, arcs)
-            for x in elems:
-                for y in up[x]:
-                    if x != y and x in up[y]:
-                        raise InvalidPoset(f"cyclic cover input: {x!r} and {y!r}")
+            up = _close_covers(elems, [check_pair(p) for p in covers])
         else:
-            pairs = {check_pair(p) for p in leq}
-            up = {x: set() for x in elems}
-            for a, b in pairs:
-                up[a].add(b)
-            for x in elems:
-                if x not in up[x]:
-                    raise InvalidPoset(f"relation is not reflexive at {x!r}")
-            for a in elems:
-                for b in up[a]:
-                    if a != b and a in up[b]:
-                        raise InvalidPoset(f"relation is not antisymmetric on {a!r}, {b!r}")
-                    if not up[b] <= up[a]:
-                        c = next(iter(up[b] - up[a]))
-                        raise InvalidPoset(
-                            f"relation is not transitive: {a!r} <= {b!r} <= {c!r}"
-                        )
+            up = [0] * len(elems)
+            for p in leq:
+                i, j = check_pair(p)
+                up[i] |= 1 << j
+        self._adopt(elems, index, up)
 
+    @classmethod
+    def _from_masks(cls, elements: Iterable[Any], up: list[int]) -> "FinitePoset":
+        """A poset from up-set masks over the supplied order: bit j of up[i]
+        is set iff elements[i] <= elements[j].  Every law is checked."""
+        elems = tuple(elements)
+        poset = cls.__new__(cls)
+        poset._adopt(elems, _index(elems), up)
+        return poset
+
+    def _adopt(self, elems: tuple, pos: dict, up: list[int]) -> None:
+        """Check the poset laws on up-set masks over elems (``pos`` maps each
+        element to its index) and store them, relabelled to a linear
+        extension (decreasing up-set size) unless the supplied order already
+        is one; the validation behind every constructor."""
+        n = len(elems)
+        at = elems
+        # In a linear extension each element is the lowest bit of its own
+        # up-set: that is reflexivity, and every strict successor higher up.
+        if not all(u & -u == 1 << k for k, u in enumerate(up)):
+            order = sorted(range(n), key=lambda k: -up[k].bit_count())
+            at = tuple(elems[k] for k in order)
+            pos = dict(zip(at, range(n)))
+            up = _relabel(up, order)
+            for p, above in enumerate(up):
+                if not above >> p & 1:
+                    raise InvalidPoset(f"relation is not reflexive at {at[p]!r}")
+                q = _lowest(above)
+                if q != p and up[q] >> p & 1:
+                    raise InvalidPoset(f"relation is not antisymmetric on {at[q]!r}, {at[p]!r}")
+        # Transitivity, upper positions first.  A q in up[p] other than p
+        # either sits higher and is already checked, so once up[q] <= up[p]
+        # holds q's whole up-set can be skipped and only the covers of p are
+        # visited; or it sits lower, where only a relabelled order puts it,
+        # with an up-set no smaller than p's that lacks p, and fails at once.
+        for p in range(n - 1, -1, -1):
+            above = up[p]
+            for q in _minimal(up, above & ~(1 << p)):
+                beyond = up[q] & ~above
+                if beyond:
+                    raise InvalidPoset(
+                        f"relation is not transitive: {at[p]!r} <= {at[q]!r} <= {at[_lowest(beyond)]!r}"
+                    )
         self.elements = elems
-        self._index = index
-        self._up = {x: frozenset(s) for x, s in up.items()}
+        self._pos = pos
+        self._at = at
+        self._up = up
         self._down = None
         self._mu: dict = {}
 
@@ -103,49 +212,49 @@ class FinitePoset:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._index
+        return x in self._pos
 
     def __repr__(self):
         return f"FinitePoset({len(self.elements)} elements)"
 
     def leq(self, x, y) -> bool:
-        return y in self._up[x]
+        pos = self._pos
+        q = pos.get(y)
+        return q is not None and self._up[pos[x]] >> q & 1 == 1
 
     def lt(self, x, y) -> bool:
-        return x != y and y in self._up[x]
+        return x != y and self.leq(x, y)
 
     def up_set(self, x) -> frozenset:
         """All y with x <= y."""
-        return self._up[x]
-
-    def _down_table(self):
-        if self._down is None:
-            down = {x: set() for x in self.elements}
-            for x in self.elements:
-                for y in self._up[x]:
-                    down[y].add(x)
-            self._down = {y: frozenset(s) for y, s in down.items()}
-        return self._down
+        return frozenset(compress(self._at, _selectors(self._up[self._pos[x]])))
 
     def down_set(self, y) -> frozenset:
         """All x with x <= y."""
-        return self._down_table()[y]
+        return frozenset(compress(self._at, _selectors(self._downs()[self._pos[y]])))
 
-    def _sorted(self, xs):
-        return sorted(xs, key=self._index.__getitem__)
+    def _downs(self) -> list[int]:
+        """Down-set masks, the transpose of the up-set masks; built on first use."""
+        if self._down is None:
+            self._down = _transpose(self._up)
+        return self._down
 
     def covers(self) -> list[tuple[Any, Any]]:
-        """All pairs x < y with nothing strictly between, in element order."""
+        """All pairs x < y with nothing strictly between, in element order:
+        the covers of x are the minimal elements of its strict up-set."""
+        up, pos, at = self._up, self._pos, self._at
+        rank = [0] * len(at)
+        for k, x in enumerate(self.elements):
+            rank[pos[x]] = k
         out = []
         for x in self.elements:
-            above = [y for y in self._up[x] if y != x]
-            for y in self._sorted(above):
-                if not any(self.lt(x, z) and self.lt(z, y) for z in above):
-                    out.append((x, y))
+            p = pos[x]
+            above = sorted(_minimal(up, up[p] & ~(1 << p)), key=rank.__getitem__)
+            out.extend((x, at[q]) for q in above)
         return out
 
     def _require_comparable(self, x, y):
-        if x not in self._index or y not in self._index:
+        if x not in self._pos or y not in self._pos:
             raise NotComparable(f"{x!r} or {y!r} is not an element of this poset")
         if not self.leq(x, y):
             raise NotComparable(f"{x!r} <= {y!r} does not hold")
@@ -160,86 +269,90 @@ class FinitePoset:
     # -- lattice / Möbius ------------------------------------------------
 
     def join(self, x, y):
-        """Least upper bound, or None.
-
-        The common upper bounds form an up-set, so their least element is the
-        unique member whose up-set is the whole bound set; since each such
-        up-set lies inside the bound set, comparing sizes suffices.
-        Comparable pairs, common in is_lattice's sweep, need no intersection.
-        """
-        up = self._up
-        if y in up[x]:
-            return y
-        if x in up[y]:
-            return x
-        uppers = up[x] & up[y]
-        n = len(uppers)
-        for u in uppers:
-            if len(up[u]) == n:
-                return u
+        """Least upper bound, or None: the lowest common upper bound, when
+        its up-set is all of them."""
+        up, pos = self._up, self._pos
+        common = up[pos[x]] & up[pos[y]]
+        if common:
+            u = _lowest(common)
+            if up[u] == common:
+                return self._at[u]
         return None
 
     def meet(self, x, y):
-        """Greatest lower bound, or None."""
-        down = self._down_table()
-        lowers = down[x] & down[y]
-        n = len(lowers)
-        for u in lowers:
-            if len(down[u]) == n:
-                return u
+        """Greatest lower bound, or None: the highest common lower bound,
+        when its down-set is all of them."""
+        down, pos = self._downs(), self._pos
+        common = down[pos[x]] & down[pos[y]]
+        if common:
+            u = common.bit_length() - 1
+            if down[u] == common:
+                return self._at[u]
         return None
 
     def is_lattice(self) -> bool:
         """True iff every pair has a unique least upper and greatest lower bound.
 
         A finite poset is a lattice iff it is empty, or it has a bottom and
-        every pair has a join (Stanley, EC1, Ch. 3), so meets are not checked.
+        every pair has a join (Stanley, EC1, Ch. 3), so meets are not checked;
+        nor are comparable pairs, whose join is the larger.
         """
         if not self.elements:
             return True
         if self.bottom() is None:
             return False
-        for i, x in enumerate(self.elements):
-            for y in self.elements[i + 1:]:
-                if self.join(x, y) is None:
+        up = self._up
+        full = (1 << len(up)) - 1
+        for p, above in enumerate(up):
+            # incomparable partners at higher positions; lower ones had their turn
+            rest = (above ^ full) >> (p + 1) << (p + 1)
+            while rest:
+                low = rest & -rest
+                common = above & up[low.bit_length() - 1]
+                if not common or up[_lowest(common)] != common:
                     return False
+                rest ^= low
         return True
 
     def bottom(self):
         """The unique minimum, or None."""
-        n = len(self.elements)
-        for x in self.elements:
-            if len(self._up[x]) == n:
-                return x
+        up = self._up
+        if up and up[0] == (1 << len(up)) - 1:
+            return self._at[0]
         return None
 
     def top(self):
-        """The unique maximum, or None."""
-        down = self._down_table()
-        n = len(self.elements)
-        for x in self.elements:
-            if len(down[x]) == n:
-                return x
+        """The unique maximum, or None: the last position, when every up-set
+        holds it."""
+        up = self._up
+        if up and reduce(and_, up):
+            return self._at[-1]
         return None
 
     def moebius(self, x, y) -> int:
         """mu(x, y) of this poset."""
         self._require_comparable(x, y)
-        return self._moebius(x, y)
+        return self._moebius(self._pos[x], self._pos[y])
 
-    def _moebius(self, x, y) -> int:
-        # mu(x, .) on all of [x, y], in a linear extension and without
-        # recursion: a strict predecessor has a strictly larger up-set, so it
-        # comes first (Stanley, EC1, Ch. 3)
+    def _moebius(self, p, q) -> int:
+        # mu(., y) on all of [x, y], from y downward and without recursion:
+        # mu(w, y) = -sum(mu(z, y) for w < z <= y), and a strict successor
+        # sits at a higher position (Stanley, EC1, Ch. 3).  values[w] is
+        # still 0 when w's up-set is summed, and so is every z in it that is
+        # not <= y (it was skipped), so the sum runs over w < z <= y exactly
         mu = self._mu
-        value = mu.get((x, y))
+        value = mu.get((p, q))
         if value is None:
             up = self._up
-            row = []
-            for w in sorted((z for z in up[x] if y in up[z]), key=lambda z: -len(up[z])):
-                row.append((w, -sum(m for z, m in row if w in up[z]) if row else 1))
-            mu.update(((x, w), m) for w, m in row)
-            value = mu[x, y]
+            values = [0] * len(up)
+            values[q] = 1
+            below = list(compress(count(), _selectors(up[p] & ((1 << q) - 1))))
+            for w in reversed(below):
+                if up[w] >> q & 1:
+                    values[w] = -sum(compress(values, _selectors(up[w])))
+            mu.update(((w, q), values[w]) for w in below if up[w] >> q & 1)
+            mu[q, q] = 1
+            value = values[p]
         return value
 
     def product(self, other: "FinitePoset") -> "FinitePoset":

@@ -283,19 +283,23 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
 
     (s, e) <= (t, e) iff some u in the category has u ∘ (t, e) = (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
-    the order is antisymmetric.
+    the order is antisymmetric.  Built once per (slice, e) and cached on the
+    slice.
     """
-    if not is_one_way_category(c):
-        raise NotOneWay("quotient posets need a one-way category")
-    carrier = c.morphisms_from(e)
-    in_carrier = set(carrier)
-    pairs = {
-        (sf, tf)
-        for tf in carrier
-        for u in c.morphisms_from(c.cod[tf])
-        if (sf := c.compose.get((u, tf))) in in_carrier
-    }
-    return FinitePoset(carrier, leq=pairs)
+    poset = c._quotients.get(e)
+    if poset is None:
+        if not is_one_way_category(c):
+            raise NotOneWay("quotient posets need a one-way category")
+        carrier = c.morphisms_from(e)
+        index = {g: k for k, g in enumerate(carrier)}
+        up = [0] * len(carrier)
+        for t, tf in enumerate(carrier):
+            for u in c.morphisms_from(c.cod[tf]):
+                s = index.get(c.compose.get((u, tf)))
+                if s is not None:
+                    up[s] |= 1 << t
+        poset = c._quotients[e] = FinitePoset._from_masks(carrier, up)
+    return poset
 
 
 def moebius_via_quotients(c: CategorySlice, morphism) -> int:

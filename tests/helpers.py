@@ -81,6 +81,76 @@ def bf_is_lattice(p: FinitePoset) -> bool:
     return True
 
 
+# -- oracles on a bare relation (a set of (a, b) pairs meaning a <= b) --------
+#
+# These read the relation directly, never a FinitePoset, so they share no
+# code with mucat.poset.
+
+def bf_is_partial_order(elements, relation: set) -> bool:
+    """Reflexive, antisymmetric and transitive, checked pair by pair and triple by triple."""
+    for a in elements:
+        if (a, a) not in relation:
+            return False
+    for a in elements:
+        for b in elements:
+            if a != b and (a, b) in relation and (b, a) in relation:
+                return False
+            for c in elements:
+                if (a, b) in relation and (b, c) in relation and (a, c) not in relation:
+                    return False
+    return True
+
+
+def bf_closure(elements, arcs) -> set:
+    """Reflexive-transitive closure of arcs by repeated relaxation to a fixed point."""
+    relation = {(a, a) for a in elements} | set(arcs)
+    grew = True
+    while grew:
+        grew = False
+        for a, b in list(relation):
+            for c, d in list(relation):
+                if b == c and (a, d) not in relation:
+                    relation.add((a, d))
+                    grew = True
+    return relation
+
+
+def bf_join(elements, relation: set, x, y):
+    """The common upper bound below all the others, or None."""
+    uppers = [z for z in elements if (x, z) in relation and (y, z) in relation]
+    least = [u for u in uppers if all((u, v) in relation for v in uppers)]
+    return least[0] if len(least) == 1 else None
+
+
+def bf_meet(elements, relation: set, x, y):
+    """The common lower bound above all the others, or None."""
+    lowers = [z for z in elements if (z, x) in relation and (z, y) in relation]
+    greatest = [u for u in lowers if all((v, u) in relation for v in lowers)]
+    return greatest[0] if len(greatest) == 1 else None
+
+
+def bf_relation_covers(elements, relation: set) -> set:
+    strict = {(a, b) for a, b in relation if a != b}
+    return {
+        (a, b) for a, b in strict
+        if not any((a, z) in strict and (z, b) in strict for z in elements)
+    }
+
+
+def bf_chain_moebius(elements, relation: set, x, y) -> int:
+    """Philip Hall's theorem: mu(x, y) = sum over chains x = z0 < ... < zk = y
+    of (-1)^k, counted by depth-first enumeration of strict chains."""
+    def signed_chains(z):
+        if z == y:
+            return 1
+        return -sum(
+            signed_chains(w) for w in elements
+            if w != z and (z, w) in relation and (w, y) in relation
+        )
+
+    return signed_chains(x) if (x, y) in relation else None
+
+
 def bf_compose(c, composite) -> dict:
     """The composition table by definition: every pair (g, f) of morphisms of
     c with cod f = dom g, kept when composite(g, f) is a morphism of c.  An

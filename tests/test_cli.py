@@ -102,6 +102,25 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
+def test_verify_builds_each_interval_once(capsys, monkeypatch):
+    import mucat.cli
+    import mucat.lawvere
+
+    built = []
+    real = mucat.lawvere.lawvere_interval
+
+    def counting(c, f):
+        built.append(f)
+        return real(c, f)
+
+    monkeypatch.setattr(mucat.lawvere, "lawvere_interval", counting)
+    monkeypatch.setattr(mucat.cli, "lawvere_interval", counting)
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--level-min", "-3")
+    assert code == 0
+    morphisms = int(out.splitlines()[1].split()[1])
+    assert len(built) == len(set(built)) == morphisms
+
+
 # -- interval-dot ------------------------------------------------------------------
 
 def test_interval_dot_diamond(capsys, tmp_path):

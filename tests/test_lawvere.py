@@ -82,6 +82,19 @@ def test_interval_homs_match_definitional_scan(make):
         assert list(homs.items()) == list(expected.items()), f
 
 
+def test_homs_are_built_only_when_read():
+    c = cm_slice(3, -4)
+    f = CmMorphism(2, 1, 0, -4)
+    iv = lawvere_interval(c, f)
+    assert is_one_way(iv)
+    bottom = Factorization(f, c.identities[c.dom[f]], f)
+    top = Factorization(c.identities[c.cod[f]], f, f)
+    assert moebius_via_lawvere(c, f) == interval_as_poset(iv).moebius(bottom, top)
+    assert iv._homs is None
+    assert iv.homs is iv.homs
+    assert list(iv.homs.items()) == list(bf_lawvere_homs(c, f).items())
+
+
 # -- one-way test ----------------------------------------------------------------
 
 def test_poset_intervals_are_one_way():

@@ -11,9 +11,15 @@ from helpers import (
     CHAIN3,
     antichain,
     are_isomorphic,
+    bf_chain_moebius,
+    bf_closure,
     bf_covers,
     bf_interval_elements,
     bf_is_lattice,
+    bf_is_partial_order,
+    bf_join,
+    bf_meet,
+    bf_relation_covers,
     boolean_lattice,
     classical_moebius,
     divisor_poset,
@@ -148,6 +154,19 @@ def test_empty_poset_is_a_lattice():
 def test_joins_without_bottom_is_not_a_lattice():
     p = FinitePoset(["a", "b", "top"], covers=[("a", "top"), ("b", "top")])
     assert p.join("a", "b") == "top"
+    assert not p.is_lattice()
+    assert not bf_is_lattice(p)
+
+
+def test_bounded_bowtie_is_not_a_lattice():
+    # every pair has common upper and lower bounds, but a, b have two minimal
+    # upper bounds c, d; supplied top first, so the poset relabels its order
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+              ("c", "1"), ("d", "1")]
+    p = FinitePoset(["1", "d", "c", "b", "a", "0"], covers=covers)
+    assert (p.bottom(), p.top()) == ("0", "1")
+    assert p.join("a", "b") is None and p.meet("c", "d") is None
+    assert p.join("a", "c") == "c" and p.meet("a", "b") == "0"
     assert not p.is_lattice()
     assert not bf_is_lattice(p)
 
@@ -301,6 +320,115 @@ def test_product_law_random(p, q):
         for (c, d) in prod.elements:
             if prod.leq((a, b), (c, d)):
                 assert prod.moebius((a, b), (c, d)) == p.moebius(a, c) * q.moebius(b, d)
+
+
+# -- oracles on random relations ----------------------------------------------
+
+@st.composite
+def relations(draw, max_size=7, orders_only=False):
+    """(elements, relation) on up to max_size elements, the relation a set of
+    (smaller, larger) pairs.  Half the draws are arbitrary relations; the
+    other half close a random DAG over a shuffled rank order and then toggle
+    a few pairs, so that both partial orders and near misses of every law
+    come up, and the supplied order is a linear extension only sometimes.
+    With orders_only, every draw is a closed DAG with no pair toggled."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    elements = [f"e{k}" for k in range(n)]
+    every = [(a, b) for a in elements for b in elements]
+    if not every:
+        return elements, set()
+    if not orders_only and draw(st.booleans()):
+        return elements, set(draw(st.lists(st.sampled_from(every), unique=True)))
+    rank = dict(zip(elements, draw(st.permutations(range(n)))))
+    upward = [(a, b) for a, b in every if rank[a] < rank[b]]
+    arcs = draw(st.lists(st.sampled_from(upward), max_size=2 * n)) if upward else []
+    relation = bf_closure(elements, arcs)
+    if not orders_only:
+        for pair in draw(st.lists(st.sampled_from(every), max_size=2)):
+            relation ^= {pair}
+    return elements, relation
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_leq_input_is_rejected_exactly_when_a_law_fails(drawn):
+    elements, relation = drawn
+    if bf_is_partial_order(elements, relation):
+        FinitePoset(elements, leq=sorted(relation))
+    else:
+        with pytest.raises(InvalidPoset):
+            FinitePoset(elements, leq=sorted(relation))
+
+
+@given(relations(orders_only=True))
+@settings(max_examples=200, deadline=None)
+def test_order_queries_match_the_relation(drawn):
+    elements, relation = drawn
+    assert bf_is_partial_order(elements, relation)
+    p = FinitePoset(elements, leq=sorted(relation))
+    for x in elements:
+        assert p.up_set(x) == {y for y in elements if (x, y) in relation}
+        assert p.down_set(x) == {y for y in elements if (y, x) in relation}
+        for y in elements:
+            assert p.leq(x, y) == ((x, y) in relation)
+            assert p.join(x, y) == bf_join(elements, relation, x, y)
+            assert p.meet(x, y) == bf_meet(elements, relation, x, y)
+            if (x, y) in relation:
+                assert p.moebius(x, y) == bf_chain_moebius(elements, relation, x, y)
+    lows = [x for x in elements if all((x, y) in relation for y in elements)]
+    highs = [x for x in elements if all((y, x) in relation for y in elements)]
+    assert p.bottom() == (lows[0] if lows else None)
+    assert p.top() == (highs[0] if highs else None)
+    assert set(p.covers()) == bf_relation_covers(elements, relation)
+    assert p.is_lattice() == all(
+        bf_join(elements, relation, x, y) is not None and bf_meet(elements, relation, x, y) is not None
+        for x in elements for y in elements
+    )
+
+
+@st.composite
+def arc_lists(draw, max_size=7):
+    """Random cover arcs, loops and cycles allowed, over up to max_size elements."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    elements = [f"e{k}" for k in range(n)]
+    every = [(a, b) for a in elements for b in elements]
+    return elements, draw(st.lists(st.sampled_from(every), max_size=2 * n))
+
+
+@given(arc_lists())
+@settings(max_examples=200, deadline=None)
+def test_covers_input_is_closed_or_rejected_as_cyclic(drawn):
+    elements, arcs = drawn
+    relation = bf_closure(elements, arcs)
+    cyclic = any(a != b and (b, a) in relation for a, b in relation)
+    if cyclic:
+        with pytest.raises(InvalidPoset, match="cyclic cover input"):
+            FinitePoset(elements, covers=arcs)
+    else:
+        p = FinitePoset(elements, covers=arcs)
+        assert {(x, y) for x in elements for y in elements if p.leq(x, y)} == relation
+
+
+@given(random_posets(max_size=8), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_results_do_not_depend_on_element_order(p, rnd):
+    pairs = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
+    shuffled = list(p.elements)
+    rnd.shuffle(shuffled)
+    rnd.shuffle(pairs)
+    q = FinitePoset(shuffled, leq=pairs)
+    assert q.elements == tuple(shuffled)
+    assert q.is_lattice() == p.is_lattice()
+    for x in p.elements:
+        assert type(q.up_set(x)) is frozenset and type(q.down_set(x)) is frozenset
+        assert q.up_set(x) == p.up_set(x) and q.down_set(x) == p.down_set(x)
+        for y in p.elements:
+            assert q.join(x, y) == p.join(x, y)
+            assert q.meet(x, y) == p.meet(x, y)
+            if p.leq(x, y):
+                assert q.moebius(x, y) == p.moebius(x, y)
+    rank = {x: k for k, x in enumerate(shuffled)}
+    assert q.covers() == sorted(p.covers(), key=lambda c: (rank[c[0]], rank[c[1]]))
 
 
 # -- serialization -------------------------------------------------------------------

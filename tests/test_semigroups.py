@@ -261,6 +261,19 @@ def test_quotient_poset_of_boolean_top_is_boolean():
     assert are_isomorphic(quotient_poset(c, top), B2)
 
 
+def test_quotient_poset_is_cached_and_matches_factor_through_order():
+    for s in SEMILATTICE_CORPUS:
+        c = division_category(s)
+        for e in c.objects:
+            q = quotient_poset(c, e)
+            assert quotient_poset(c, e) is q
+            assert q.elements == c.morphisms_from(e)
+            for sf in q.elements:
+                for tf in q.elements:
+                    below = any(c.compose.get((u, tf)) == sf for u in c.morphisms_from(c.cod[tf]))
+                    assert q.leq(sf, tf) == below
+
+
 def test_quotient_poset_needs_one_way_category():
     c = division_category(two_element_group())
     assert not is_one_way_category(c)
