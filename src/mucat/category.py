@@ -261,9 +261,11 @@ def compose_table(morphisms, dom, cod, rule) -> dict:
     """The composition table {(g, f): g∘f} of a window, in one by-domain walk.
 
     ``rule(g, f)`` gives the composite of a pair with cod f = dom g, or None
-    when it falls outside the window.  Entries come right factor major, in
-    the order of ``morphisms``, and so do the left factors of each f; a slice
-    lists factorizations in this order.
+    when it falls outside the window.  None ends the walk over f's left
+    factors, so a rule may return it only when every later left factor falls
+    outside too.  Entries come right factor major, in the order of
+    ``morphisms``, and so do the left factors of each f; a slice lists
+    factorizations in this order.
     """
     by_dom: dict = {}
     for f in morphisms:
@@ -272,8 +274,9 @@ def compose_table(morphisms, dom, cod, rule) -> dict:
     for f in morphisms:
         for g in by_dom.get(cod[f], ()):
             k = rule(g, f)
-            if k is not None:
-                table[g, f] = k
+            if k is None:
+                break
+            table[g, f] = k
     return table
 
 

@@ -31,10 +31,12 @@ from .poset import FinitePoset
 class InverseSemigroup:
     """A finite semigroup given by its full multiplication table.
 
-    The inverse map is derived by exhaustive search, not supplied.  Use
-    ``find_semigroup_violation`` / ``validate_inverse_semigroup`` to check that
-    the table really is an inverse semigroup; accessors that need inverses
-    raise InvalidSemigroup otherwise.
+    ``_table[i][j]`` is the position of elements[i] · elements[j]; names are
+    read and written only at the public surface.  The inverse map is derived
+    by exhaustive search, not supplied.  Use ``find_semigroup_violation`` /
+    ``validate_inverse_semigroup`` to check that the table really is an
+    inverse semigroup; accessors that need inverses raise InvalidSemigroup
+    otherwise.
     """
 
     __slots__ = ("elements", "_index", "_table", "one", "_inv", "_idem_poset")
@@ -44,23 +46,21 @@ class InverseSemigroup:
         if len(set(self.elements)) != len(self.elements):
             raise InvalidSemigroup("duplicate elements")
         n = len(self.elements)
-        self._index = {s: k for k, s in enumerate(self.elements)}
+        index = self._index = {s: k for k, s in enumerate(self.elements)}
         rows = [list(row) for row in table]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidSemigroup(f"table must be {n}x{n}")
-        for row in rows:
-            for entry in row:
-                if entry not in self._index:
-                    raise InvalidSemigroup(f"table entry {entry!r} is not an element")
-        self._table = rows
+        self._table = [[index.get(entry) for entry in row] for row in rows]
+        for names, row in zip(rows, self._table):
+            if None in row:
+                raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
+        self.one = self._inv = self._idem_poset = None
         if one is not None:
-            if one not in self._index:
+            if one not in index:
                 raise InvalidSemigroup(f"'one' {one!r} is not an element")
-            if any(self.mul(one, s) != s or self.mul(s, one) != s for s in self.elements):
+            if self.identity() != one:
                 raise InvalidSemigroup(f"'one' {one!r} is not an identity")
         self.one = one
-        self._inv = None
-        self._idem_poset = None
 
     def __len__(self):
         return len(self.elements)
@@ -70,83 +70,76 @@ class InverseSemigroup:
 
     def mul(self, s, t):
         """Row = left factor."""
-        return self._table[self._index[s]][self._index[t]]
+        return self.elements[self._table[self._index[s]][self._index[t]]]
 
-    def _inverses(self):
+    def _idempotents(self) -> list[int]:
+        return [k for k, row in enumerate(self._table) if row[k] == k]
+
+    def _inverses(self) -> list[int]:
+        """Position of each element's unique inverse."""
         if self._inv is None:
-            inv = {}
-            for s in self.elements:
-                found = [
-                    t for t in self.elements
-                    if self.mul(self.mul(s, t), s) == s and self.mul(self.mul(t, s), t) == t
-                ]
+            table = self._table
+            inv = []
+            for s, row in enumerate(table):
+                found = [t for t, st in enumerate(row)
+                         if table[st][s] == s and table[table[t][s]][t] == t]
                 if len(found) != 1:
-                    raise InvalidSemigroup(
-                        f"element {s!r} has {len(found)} inverse candidates, expected 1"
-                    )
-                inv[s] = found[0]
+                    raise InvalidSemigroup(f"element {self.elements[s]!r} has "
+                                           f"{len(found)} inverse candidates, expected 1")
+                inv.append(found[0])
             self._inv = inv
         return self._inv
 
     def inverse(self, s):
-        return self._inverses()[s]
+        return self.elements[self._inverses()[self._index[s]]]
 
     def idempotents(self) -> list:
-        return [e for e in self.elements if self.mul(e, e) == e]
+        return [self.elements[e] for e in self._idempotents()]
 
     def natural_leq(self, s, t) -> bool:
         """s <= t iff s = s s⁻¹ t."""
-        return s == self.mul(self.mul(s, self.inverse(s)), t)
+        i = self._index[s]
+        return i == self._table[self._table[i][self._inverses()[i]]][self._index[t]]
 
     def identity(self):
         """The identity element if one exists (detected, not assumed)."""
         if self.one is not None:
             return self.one
-        for e in self.elements:
-            if all(self.mul(e, s) == s and self.mul(s, e) == s for s in self.elements):
-                return e
+        table, ident = self._table, list(range(len(self.elements)))
+        for k, row in enumerate(table):
+            if row == ident and [r[k] for r in table] == ident:
+                return self.elements[k]
         return None
 
     def d_classes(self) -> list[list]:
-        """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹."""
-        inv = self._inverses()
+        """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹.
 
-        def related(s, t):
-            ss = self.mul(inv[s], s)
-            tt = self.mul(t, inv[t])
-            return any(
-                self.mul(inv[x], x) == ss and self.mul(x, inv[x]) == tt
-                for x in self.elements
-            )
-
-        classes: list[list] = []
-        for s in self.elements:
-            for cls in classes:
-                if related(s, cls[0]):
-                    cls.append(s)
-                    break
-            else:
-                classes.append([s])
-        return classes
+        As s D s⁻¹s, and the idempotents D-related to e are the xx⁻¹ with
+        x⁻¹x = e, s is keyed by the earliest such xx⁻¹ for e = s⁻¹s.
+        """
+        table, inv = self._table, self._inverses()
+        key = [len(table)] * len(table)
+        for x, i in enumerate(inv):
+            key[table[i][x]] = min(key[table[i][x]], table[x][i])
+        classes: dict[int, list] = {}
+        for s, name in enumerate(self.elements):
+            classes.setdefault(key[table[inv[s]][s]], []).append(name)
+        return list(classes.values())
 
     def is_combinatorial(self) -> bool:
-        """True iff every maximal subgroup {s : s s⁻¹ = s⁻¹ s = e} is trivial."""
-        inv = self._inverses()
-        for e in self.idempotents():
-            group = [
-                s for s in self.elements
-                if self.mul(s, inv[s]) == e and self.mul(inv[s], s) == e
-            ]
-            if group != [e]:
-                return False
-        return True
+        """True iff every maximal subgroup {s : s s⁻¹ = s⁻¹ s = e} is trivial,
+        i.e. every s with s s⁻¹ = s⁻¹ s is idempotent."""
+        table, inv = self._table, self._inverses()
+        return all(row[s] == s for s, row in enumerate(table)
+                   if row[inv[s]] == table[inv[s]][s])
 
     def idempotent_poset(self) -> FinitePoset:
         """(E(S), natural order) as a finite poset, built once per instance."""
         if self._idem_poset is None:
-            es = self.idempotents()
-            pairs = [(x, y) for x in es for y in es if self.natural_leq(x, y)]
-            self._idem_poset = FinitePoset(es, leq=pairs)
+            table, inv, es = self._table, self._inverses(), self._idempotents()
+            up = [sum(1 << j for j, y in enumerate(es) if table[table[x][inv[x]]][y] == x)
+                  for x in es]
+            self._idem_poset = FinitePoset._from_masks([self.elements[e] for e in es], up)
         return self._idem_poset
 
     # -- serialization ---------------------------------------------------
@@ -163,16 +156,13 @@ class InverseSemigroup:
 
     def to_json(self) -> str:
         """Serialize; non-string elements are rendered through str()."""
-        key = {s: s if isinstance(s, str) else str(s) for s in self.elements}
-        if len(set(key.values())) != len(key):
+        names = [s if isinstance(s, str) else str(s) for s in self.elements]
+        if len(set(names)) != len(names):
             raise InvalidSemigroup("element names are not unique; cannot serialize")
-        data = {
-            "elements": [key[s] for s in self.elements],
-            "table": [[key[self.mul(s, t)] for t in self.elements] for s in self.elements],
-        }
+        data = {"elements": names, "table": [[names[k] for k in row] for row in self._table]}
         identity = self.identity()
         if identity is not None:
-            data["one"] = key[identity]
+            data["one"] = names[self._index[identity]]
         return json.dumps(data)
 
 
@@ -181,34 +171,34 @@ def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
 
     Every pair must have a meet (the poset need not have a top).
     """
-    table = []
-    for x in p.elements:
-        row = []
-        for y in p.elements:
-            m = p.meet(x, y)
-            if m is None:
-                raise InvalidSemigroup(f"{x!r} and {y!r} have no meet")
-            row.append(m)
-        table.append(row)
+    table = [[p.meet(x, y) for y in p.elements] for x in p.elements]
+    for x, row in zip(p.elements, table):
+        if None in row:
+            raise InvalidSemigroup(f"{x!r} and {p.elements[row.index(None)]!r} have no meet")
     return InverseSemigroup(p.elements, table, one=p.top())
 
 
 def find_semigroup_violation(s: InverseSemigroup) -> str | None:
-    """First associativity / unique-inverse / commuting-idempotent violation."""
-    for a in s.elements:
-        for b in s.elements:
-            ab = s.mul(a, b)
-            for c in s.elements:
-                if s.mul(ab, c) != s.mul(a, s.mul(b, c)):
-                    return f"associativity fails on ({a!r}, {b!r}, {c!r})"
+    """First associativity / unique-inverse / commuting-idempotent violation.
+
+    (ab)c = a(bc) is checked for every c at once: row ab against row a read
+    through row b."""
+    table, name = s._table, s.elements
+    for a, row_a in enumerate(table):
+        for b, row_b in enumerate(table):
+            row_ab, through = table[row_a[b]], [row_a[bc] for bc in row_b]
+            if row_ab != through:
+                c = next(c for c, x in enumerate(through) if row_ab[c] != x)
+                return f"associativity fails on ({name[a]!r}, {name[b]!r}, {name[c]!r})"
     try:
         s._inverses()
     except InvalidSemigroup as exc:
         return str(exc)
-    for e in s.idempotents():
-        for f in s.idempotents():
-            if s.mul(e, f) != s.mul(f, e):
-                return f"idempotents {e!r}, {f!r} do not commute"
+    es = s._idempotents()
+    for e in es:
+        for f in es:
+            if table[e][f] != table[f][e]:
+                return f"idempotents {name[e]!r}, {name[f]!r} do not commute"
     return None
 
 
@@ -239,8 +229,7 @@ def check_transversal(s: InverseSemigroup, reps) -> tuple:
     for e in reps:
         if e not in idem:
             raise NotTransversal(f"{e!r} is not an idempotent")
-    classes = s.d_classes()
-    for cls in classes:
+    for cls in s.d_classes():
         hits = [e for e in reps if e in cls]
         if len(hits) != 1:
             raise NotTransversal(f"D-class {cls!r} meets the transversal in {hits!r}")
@@ -263,17 +252,21 @@ def division_category(
     reps = default_transversal(s) if transversal is None else check_transversal(s, transversal)
     if require_combinatorial and not s.is_combinatorial():
         raise NotCombinatorial("the semigroup has a nontrivial subgroup")
-    inv = s._inverses()
-    morphisms = [
-        (x, e)
-        for e in reps
-        for x in s.elements
-        if s.mul(x, inv[x]) in reps and s.natural_leq(s.mul(inv[x], x), e)
-    ]
+    table, inv, name = s._table, s._inverses(), s.elements
+    objects = {s._index[e]: e for e in reps}
+    left = {}  # morphism -> position of its first component
+    for k, e in objects.items():
+        for x, i in enumerate(inv):
+            d = table[i][x]
+            # x x⁻¹ in the transversal and d = x⁻¹x <= e, i.e. d = d d⁻¹ e
+            if table[x][i] in objects and table[table[d][inv[d]]][k] == d:
+                left[name[x], e] = x
+    morphisms = list(left)
     dom = {f: f[1] for f in morphisms}
-    cod = {f: s.mul(f[0], inv[f[0]]) for f in morphisms}
+    cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
     # (t, f) · (x, e) = (t x, e); cod(x, e) ∈ reps always, so composites stay inside
-    compose = compose_table(morphisms, dom, cod, lambda g, f: (s.mul(g[0], f[0]), f[1]))
+    compose = compose_table(morphisms, dom, cod,
+                            lambda g, f: (name[table[left[g]][left[f]]], f[1]))
     identities = {e: (e, e) for e in reps}
     return CategorySlice(reps, morphisms, dom, cod, compose, identities, morphisms)
 
@@ -318,6 +311,7 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     x, e = morphism
     poset = s.idempotent_poset()
     below = poset.down_set(e) if e in poset else frozenset()
-    if below != {s.mul(s.mul(e, y), e) for y in poset.elements}:
+    table, k = s._table, s._index[e]
+    if below != {s.elements[table[table[k][y]][k]] for y in s._idempotents()}:
         raise InvalidSemigroup("E(eSe) differs from the idempotents below e")
     return poset.moebius(s.mul(s.inverse(x), x), e)

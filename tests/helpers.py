@@ -7,6 +7,7 @@ their bugs.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 from mucat import FinitePoset, InverseSemigroup, chain
@@ -51,6 +52,17 @@ def brandt_five() -> InverseSemigroup:
     }
     elems = ["e11", "e22", "a", "b", "z"]
     table = [[products.get((s, t), "z") for t in elems] for s in elems]
+    return InverseSemigroup(elems, table)
+
+
+def brandt(n: int) -> InverseSemigroup:
+    """The Brandt semigroup B_n: matrix units eij (i, j in 1..n) and a zero z,
+    with eij·ekl = eil when j = k and z otherwise (n**2 + 1 elements, n <= 9)."""
+    units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    elems = [f"e{i}{j}" for i, j in units] + ["z"]
+    table = [
+        [f"e{i}{q}" if j == p else "z" for p, q in units] + ["z"] for i, j in units
+    ] + [["z"] * len(elems)]
     return InverseSemigroup(elems, table)
 
 
@@ -190,6 +202,78 @@ def bf_lawvere_homs(c, f) -> dict:
             if connecting:
                 homs[(a, b)] = connecting
     return homs
+
+
+# -- semigroup oracles ----------------------------------------------------------
+#
+# These read the table through to_json(), never through InverseSemigroup's
+# accessors, so they share no code with mucat.semigroups.
+
+def _named_table(s) -> tuple[list, dict]:
+    data = json.loads(s.to_json())
+    names = data["elements"]
+    mul = {(a, b): ab for a, row in zip(names, data["table"]) for b, ab in zip(names, row)}
+    return names, mul
+
+
+def _bf_inverse_candidates(names, mul, a) -> list:
+    return [t for t in names if mul[mul[a, t], a] == a and mul[mul[t, a], t] == t]
+
+
+def bf_semigroup_violation(s) -> str | None:
+    """The first failing triple (a, b, c) in table order, then the first element
+    without exactly one inverse, then the first non-commuting idempotent pair."""
+    names, mul = _named_table(s)
+    for a in names:
+        for b in names:
+            for c in names:
+                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
+                    return f"associativity fails on ({a!r}, {b!r}, {c!r})"
+    for a in names:
+        found = _bf_inverse_candidates(names, mul, a)
+        if len(found) != 1:
+            return f"element {a!r} has {len(found)} inverse candidates, expected 1"
+    idempotents = [e for e in names if mul[e, e] == e]
+    for e in idempotents:
+        for f in idempotents:
+            if mul[e, f] != mul[f, e]:
+                return f"idempotents {e!r}, {f!r} do not commute"
+    return None
+
+
+def bf_d_classes(s) -> list[list]:
+    """Greedy partition by the definition: s joins the first class whose first
+    member t has some x with x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹."""
+    names, mul = _named_table(s)
+    inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
+
+    def related(a, b):
+        return any(
+            mul[inv[x], x] == mul[inv[a], a] and mul[x, inv[x]] == mul[b, inv[b]]
+            for x in names
+        )
+
+    classes: list[list] = []
+    for a in names:
+        for cls in classes:
+            if related(a, cls[0]):
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    return classes
+
+
+def bf_is_combinatorial(s) -> bool:
+    """Every maximal subgroup H_e = {x : xx⁻¹ = x⁻¹x = e} is {e}."""
+    names, mul = _named_table(s)
+    inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
+    for e in names:
+        if mul[e, e] == e:
+            group = [x for x in names if mul[x, inv[x]] == e and mul[inv[x], x] == e]
+            if group != [e]:
+                return False
+    return True
 
 
 def classical_moebius(n: int) -> int:

@@ -18,6 +18,7 @@ from mucat import (
     chain,
     cm_compose,
     cm_slice,
+    compose_table,
     convolution_inverse,
     convolve,
     division_category,
@@ -192,6 +193,22 @@ def test_factorizations_follow_compose_table_order():
     )
     for f in base.morphisms:
         assert flipped.factorizations(f) == base.factorizations(f)[::-1]
+
+
+def test_compose_table_stops_at_the_first_none():
+    # One object, morphisms 0..4 composing by addition while the sum stays <= 4.
+    morphisms = list(range(5))
+    ends = {f: "x" for f in morphisms}
+    calls = []
+
+    def rule(g, f):
+        calls.append((g, f))
+        return g + f if g + f <= 4 else None
+
+    table = compose_table(morphisms, ends, ends, rule)
+    assert table == {(g, f): g + f for f in morphisms for g in morphisms if g + f <= 4}
+    # each f's walk ends right after its first out-of-window left factor
+    assert calls == [(g, f) for f in morphisms for g in range(min(5, 6 - f))]
 
 
 def test_factorizations_are_deterministic():

@@ -1,8 +1,9 @@
 """Byte-for-byte CLI output against committed golden files.
 
-Each file under tests/golden/ holds the exact stdout of one command, recorded
-before the poset and interval internals moved to bitmasks; stdout, JSON and
-DOT must not change with the representation.
+Each output file under tests/golden/ holds the exact stdout of one command,
+recorded before the poset and interval internals moved to bitmasks (the
+semigroup files before the multiplication table moved to positions); stdout,
+JSON and DOT must not change with the representation.
 """
 
 from pathlib import Path
@@ -20,6 +21,20 @@ CASES = [
     ("interval_dot_m2_grid.dot", ["interval-dot", "--m", "2", "2,0,0,-4"]),
     ("mu_dm_m3_verify.txt", ["mu-dm", "--m", "3", "60,0", "--verify"]),
     ("poset_mu_divisors12.txt", ["poset-mu", str(GOLDEN / "divisors12.json"), "1", "12"]),
+    ("semigroup_divisors60.txt", ["semigroup", str(GOLDEN / "divisors60.json"), "1,60"]),
+    (
+        "semigroup_divisors60.json",
+        ["semigroup", str(GOLDEN / "divisors60.json"), "2,30", "--format", "json"],
+    ),
+    (
+        "semigroup_brandt5.txt",
+        ["semigroup", str(GOLDEN / "brandt5.json"), "z,e11", "--transversal", "e11,z"],
+    ),
+    (
+        "semigroup_brandt5.json",
+        ["semigroup", str(GOLDEN / "brandt5.json"), "z,e11", "--transversal", "e11,z",
+         "--format", "json"],
+    ),
 ]
 
 

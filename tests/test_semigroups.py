@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from mucat import (
@@ -22,7 +25,18 @@ from mucat import (
     validate_slice,
 )
 
-from helpers import B2, are_isomorphic, boolean_lattice, brandt_five, fork_poset
+from helpers import (
+    B2,
+    are_isomorphic,
+    bf_d_classes,
+    bf_is_combinatorial,
+    bf_semigroup_violation,
+    boolean_lattice,
+    brandt,
+    brandt_five,
+    divisor_poset,
+    fork_poset,
+)
 
 
 def two_element_group():
@@ -133,6 +147,71 @@ def test_d_classes_of_brandt():
     assert s.is_combinatorial()
     classes = {frozenset(cls) for cls in s.d_classes()}
     assert classes == {frozenset({"z"}), frozenset({"e11", "e22", "a", "b"})}
+
+
+# -- agreement with the oracles in helpers ---------------------------------------
+
+def _named(s):
+    """The same table with every element named through str(), as the oracles read it."""
+    return InverseSemigroup.from_json(s.to_json())
+
+
+ORACLE_CORPUS = {
+    **{f"boolean B_{k}": meet_semilattice(boolean_lattice(k)) for k in (2, 3, 4)},
+    "divisors of 60": meet_semilattice(divisor_poset(60)),
+    "semilattice x Z_2": semilattice_times_z2(),
+    "two-element group": two_element_group(),
+    **{f"Brandt B_{n}": brandt(n) for n in range(2, 7)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CORPUS))
+def test_structure_matches_oracles(name):
+    s = _named(ORACLE_CORPUS[name])
+    assert find_semigroup_violation(s) is None
+    assert bf_semigroup_violation(s) is None
+    assert s.d_classes() == bf_d_classes(s)
+    assert s.is_combinatorial() == bf_is_combinatorial(s)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [left_zero_two(), InverseSemigroup(["0", "a"], [["0", "0"], ["0", "0"]])],
+    ids=["left zero", "null"],
+)
+def test_inverse_count_violation_matches_oracle(s):
+    violation = find_semigroup_violation(s)
+    assert "inverse candidates" in violation
+    assert violation == bf_semigroup_violation(s)
+
+
+def _planted_edits(count, seed):
+    """Tables of B_3, Brandt B_3 and the divisors of 60 with one or two
+    entries overwritten by a random element."""
+    rng = random.Random(seed)
+    bases = [
+        _named(meet_semilattice(boolean_lattice(3))),
+        brandt(3),
+        _named(meet_semilattice(divisor_poset(60))),
+    ]
+    for k in range(count):
+        data = json.loads(bases[k % len(bases)].to_json())
+        names, table = data["elements"], data["table"]
+        for _ in range(rng.choice((1, 2))):
+            table[rng.randrange(len(names))][rng.randrange(len(names))] = rng.choice(names)
+        yield InverseSemigroup(names, table)
+
+
+def test_planted_table_edits_match_oracles():
+    valid = 0
+    for s in _planted_edits(330, seed=11):
+        violation = find_semigroup_violation(s)
+        assert violation == bf_semigroup_violation(s)
+        if violation is None:
+            valid += 1
+            assert s.d_classes() == bf_d_classes(s)
+            assert s.is_combinatorial() == bf_is_combinatorial(s)
+    assert 0 < valid < 330
 
 
 def test_idempotent_poset_of_semilattice_is_the_poset():
@@ -287,6 +366,14 @@ def test_rule_values_on_chain():
     assert moebius_via_quotients(c, ("e", "e")) == 1
     assert moebius_via_quotients(c, ("f", "e")) == -1
     assert moebius_via_idempotent_lattice(s, ("f", "e")) == -1
+
+
+def test_idempotent_rule_checks_e_s_e_against_the_idempotents_below_e():
+    # unique inverses, but (c b) c != c (b c): E(bSb) is not the down-set of b
+    s = InverseSemigroup(["a", "b", "c"], [["a", "a", "a"], ["a", "b", "a"], ["a", "c", "c"]])
+    assert find_semigroup_violation(s).startswith("associativity")
+    with pytest.raises(InvalidSemigroup, match=r"E\(eSe\) differs"):
+        moebius_via_idempotent_lattice(s, ("b", "b"))
 
 
 def test_rule_values_on_boolean_lattice():
