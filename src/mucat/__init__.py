@@ -23,6 +23,7 @@ from .category import (
     compose_table,
     convolution_inverse,
     convolve,
+    factor_slice,
     find_slice_violation,
     is_one_way_category,
     moebius_inversion_check,
@@ -44,12 +45,14 @@ from .cm_dm import (
     CmObject,
     DmMorphism,
     cm_compose,
+    cm_factor_slice,
     cm_factorization_objects,
     cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     dm_compose,
+    dm_factor_slice,
     dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,

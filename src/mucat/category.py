@@ -14,6 +14,7 @@ import json
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Callable
 
 from ._json import load_object, rows, strings
@@ -123,8 +124,8 @@ class CategorySlice:
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
 
-        Listed in the order of the composition table, which every window the
-        library builds lists right factor major (see ``compose_table``).
+        Listed in composition-table order, which in every slice the library
+        builds is right factor major (see ``compose_table``, ``factor_slice``).
         """
         if f not in self.complete:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
@@ -278,6 +279,28 @@ def compose_table(morphisms, dom, cod, rule) -> dict:
                 break
             table[g, f] = k
     return table
+
+
+def factor_slice(f, factorizations, dom, cod, identity) -> CategorySlice:
+    """The full subcategory on the middle factors of f, every k with f = w∘k∘v.
+
+    ``factorizations(k)`` lists every (g, h) with g∘h = k, trivial ones too,
+    in the order the slice is to list them.  A factor of a factor is a middle
+    factor, so each morphism is complete.  Equal morphisms are interned, so
+    lookups match by identity.
+    """
+    seen = {f: f}
+    walk = [f]
+    compose = {}
+    for k in walk:
+        for g, h in factorizations(k):
+            compose[seen.setdefault(g, g), seen.setdefault(h, h)] = k
+        walk.extend(islice(reversed(seen), len(seen) - len(walk)))  # first met at k
+    dom_of = {k: dom(k) for k in walk}
+    objects = list(dict.fromkeys(dom_of.values()))
+    identities = {x: seen[identity(x)] for x in objects}  # met in k = k∘1_x
+    cod_of = {k: cod(k) for k in walk}
+    return CategorySlice(objects, walk, dom_of, cod_of, compose, identities, walk)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:

@@ -16,10 +16,11 @@ from .category import IncidenceFunction, convolve, moebius_of_slice, validate_sl
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
+    cm_factor_slice,
     cm_moebius_closed_form,
     cm_slice,
+    dm_factor_slice,
     dm_moebius_closed_form,
-    dm_slice,
     validate_cm_morphism,
     validate_dm_morphism,
 )
@@ -73,31 +74,16 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def cmd_mu_cm(args) -> int:
-    def window(f):
-        level_min = args.level_min if args.level_min is not None else f.j
-        return cm_slice(args.m, min(level_min, f.j))
-
-    return _mu_command(args, parse_cm_spec, cm_moebius_closed_form, window)
-
-
-def cmd_mu_dm(args) -> int:
-    def window(f):
-        alpha_max = args.alpha_max if args.alpha_max is not None else f.x + 10
-        return dm_slice(args.m, max(alpha_max, f.alpha, args.m - 1))
-
-    return _mu_command(args, parse_dm_spec, dm_moebius_closed_form, window)
-
-
-def _mu_command(args, parse, closed_form, window) -> int:
+def cmd_mu(args) -> int:
     """The closed-form value of one morphism; with --verify, compared against
-    the interval and convolution values on the window that holds it."""
+    the interval and convolution values on its factor slice."""
+    parse, closed_form, factor_slice = args.routes
     f = parse(args.m, args.spec)
     closed = closed_form(f)
     if not args.verify:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
-    c = window(f)
+    c = factor_slice(args.m, f)
     law = moebius_via_lawvere(c, f)
     conv = moebius_of_slice(c)[f]
     agree = closed == law == conv
@@ -170,7 +156,7 @@ def cmd_verify(args) -> int:
 
 def cmd_interval_dot(args) -> int:
     f = parse_cm_spec(args.m, args.spec)
-    c = cm_slice(args.m, f.j)
+    c = cm_factor_slice(args.m, f)
     poset = interval_as_poset(lawvere_interval(c, f))
     dot = poset.to_dot(label=lambda fac: f"({fac.right.a},{fac.right.j})")
     if args.out:
@@ -197,7 +183,7 @@ def cmd_semigroup(args) -> int:
         raise MucatError(f"not an inverse semigroup: {violation}")
     transversal = args.transversal.split(",") if args.transversal else None
     c = division_category(s, transversal)
-    x, e = _parse_names(args.spec)
+    x, e = _parse_names(args.spec, set(s.elements))
     morphism = (x, e)
     if morphism not in set(c.morphisms):
         raise MucatError(f"({x!r}, {e!r}) is not a morphism of the division category")
@@ -219,11 +205,18 @@ def cmd_semigroup(args) -> int:
     return 0 if agree else 1
 
 
-def _parse_names(spec: str) -> tuple[str, str]:
+def _parse_names(spec: str, names) -> tuple[str, str]:
+    """Split 's,e' into two element names.  Names may hold commas, so a spec
+    with more splits at the one comma whose halves both name elements."""
     parts = spec.split(",")
-    if len(parts) != 2:
+    splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
+    if len(parts) > 2:
+        splits = [(x, e) for x, e in splits if x in names and e in names]
+        if len(splits) > 1:
+            raise ValueError(f"morphism spec {spec!r} is ambiguous: {len(splits)} splits fit")
+    if len(splits) != 1:
         raise ValueError(f"morphism spec must be 's,e', got {spec!r}")
-    return parts[0], parts[1]
+    return splits[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,20 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="modulus (>= 2)")
         p.add_argument("spec", help=morphism_help)
         p.add_argument("--verify", action="store_true",
-                       help="also compute interval and convolution values and compare")
+                       help="also compute interval and convolution values on the "
+                            "morphism's factor closure and compare")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("mu-cm", help="Möbius value of a level-category morphism a,x,i,j")
     add_common(p, "morphism as 'a,x,i,j'")
     p.add_argument("--level-min", type=int, default=None,
-                   help="window floor for --verify (default: the morphism's target level)")
-    p.set_defaults(handler=cmd_mu_cm)
+                   help="accepted and ignored: --verify works on the factor closure")
+    p.set_defaults(handler=cmd_mu, routes=(parse_cm_spec, cm_moebius_closed_form, cm_factor_slice))
 
     p = sub.add_parser("mu-dm", help="Möbius value of a residue-category morphism alpha,x")
     add_common(p, "morphism as 'alpha,x'")
     p.add_argument("--alpha-max", type=int, default=None,
-                   help="window cap for --verify (default: x + 10)")
-    p.set_defaults(handler=cmd_mu_dm)
+                   help="accepted and ignored: --verify works on the factor closure")
+    p.set_defaults(handler=cmd_mu, routes=(parse_dm_spec, dm_moebius_closed_form, dm_factor_slice))
 
     p = sub.add_parser("verify", help="cross-verification sweep over a level-category window")
     p.add_argument("--m", type=int, required=True)

@@ -14,7 +14,7 @@ comparisons such as alpha >= x are against canonical representatives.  Both
 categories are infinite; finite windows (a level floor for C_m, a cap on
 alpha for D_m) yield slices whose morphisms are all factorization-complete,
 because intermediate levels stay inside [j, i] and intermediate alphas inside
-[x, alpha].
+[x, alpha].  A factor slice holds just the middle factors of one morphism.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
 as their field tuples, so every slice, interval and poset lookup keyed by
@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import CategorySlice, compose_table
+from .category import CategorySlice, compose_table, factor_slice
 from .errors import NotComposable
+
+_new = tuple.__new__  # a NamedTuple from its field tuple, skipping the class's slower __new__
 
 
 def _require_modulus(m: int) -> None:
@@ -158,14 +160,25 @@ def cm_factorization_objects(m: int, f: CmMorphism) -> list[tuple[int, int, int]
 
     The factorization indexed by (b, z, k) is
     (a-b, z, k, j) ∘ (b, x, i, k) with z = (b + x) mod m and
-    a-b+j <= k <= i-b; there are (a+1)(i-j-a+1) triples.
+    a-b+j <= k <= i-b; there are (a+1)(i-j-a+1) triples, in ascending order.
     """
     validate_cm_morphism(m, f)
-    return [
-        (b, (b + f.x) % m, k)
-        for b in range(f.a + 1)
-        for k in range(f.a - b + f.j, f.i - b + 1)
-    ]
+    return sorted((h.a, g.x, h.j) for g, h in _cm_factorizations(m, f))
+
+
+def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphism]]:
+    """Every pair (g, h) with g∘h = f: right factor (b, x, i, l) with l from i
+    down to j, then b ascending, the order cm_slice lists them in."""
+    a, x, i, j = f
+    return [(_new(CmMorphism, (a - b, (b + x) % m, l, j)), _new(CmMorphism, (b, x, i, l)))
+            for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
+
+
+def cm_factor_slice(m: int, f: CmMorphism) -> CategorySlice:
+    """The full subcategory of C_m on the middle factors of f (see factor_slice)."""
+    validate_cm_morphism(m, f)
+    return factor_slice(f, lambda k: _cm_factorizations(m, k), CmMorphism.source,
+                        lambda k: k.target(m), cm_identity)
 
 
 class DmMorphism(NamedTuple):
@@ -249,6 +262,21 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     )
     identities = {x: dm_identity(x) for x in objects}
     return CategorySlice(objects, morphisms, dom, cod, compose, identities, morphisms)
+
+
+def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphism]]:
+    """Every pair (g, h) with g · h = f: right factor (c, x) with c ascending,
+    the order dm_slice lists them in."""
+    alpha, x = f
+    return [(_new(DmMorphism, (alpha - c + c % m, c % m)), _new(DmMorphism, (c, x)))
+            for c in range(x, alpha + 1)]
+
+
+def dm_factor_slice(m: int, f: DmMorphism) -> CategorySlice:
+    """The full subcategory of D_m on the middle factors of f (see factor_slice)."""
+    validate_dm_morphism(m, f)
+    return factor_slice(f, lambda k: _dm_factorizations(m, k), DmMorphism.source,
+                        lambda k: k.target(m), dm_identity)
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:

@@ -5,7 +5,7 @@ import pytest
 from mucat import FinitePoset, chain, meet_semilattice
 from mucat.cli import main
 
-from helpers import divisor_poset
+from helpers import boolean_lattice, divisor_poset
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,24 @@ def test_mu_dm_verify(capsys):
     code, out, _ = run_cli(capsys, "mu-dm", "--m", "3", "3,2", "--verify")
     assert code == 0
     assert out == "-1 -1 -1 AGREE\n"
+
+
+def test_single_morphism_commands_build_no_window(capsys, monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a single-morphism command built a window")
+
+    for name in ("cm_slice", "dm_slice"):
+        monkeypatch.setattr(f"mucat.cli.{name}", no_window, raising=False)
+        monkeypatch.setattr(f"mucat.cm_dm.{name}", no_window)
+    monkeypatch.setattr("mucat.cm_dm.compose_table", no_window)
+    assert run_cli(capsys, "mu-cm", "--m", "3", "1,2,0,-2", "--verify", "--level-min", "-9")[:2] == (
+        0, "1 1 1 AGREE\n"
+    )
+    assert run_cli(capsys, "mu-dm", "--m", "3", "13,1", "--verify", "--alpha-max", "40")[:2] == (
+        0, "0 0 0 AGREE\n"
+    )
+    code, out, _ = run_cli(capsys, "interval-dot", "--m", "3", "2,0,0,-3")
+    assert code == 0 and out.count("->") == 7
 
 
 # -- verify ----------------------------------------------------------------------
@@ -215,6 +233,32 @@ def test_semigroup_boolean_lattice_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "semigroup", str(path), "bot,top")
     assert code == 0
     assert out == "1 1 1 AGREE\n"
+
+
+def test_semigroup_names_holding_commas(capsys, tmp_path):
+    # to_json names frozenset elements through str(), e.g. "frozenset({1, 2})"
+    s = meet_semilattice(boolean_lattice(3))
+    path = tmp_path / "b3.json"
+    path.write_text(s.to_json(), encoding="utf-8")
+    names = {e: str(e) for e in s.elements}
+    specs = [f"{names[x]},{names[e]}" for x in s.elements for e in s.elements if x <= e]
+    assert len(specs) == 27
+    for spec in specs:
+        code, out, _ = run_cli(capsys, "semigroup", str(path), spec)
+        assert code == 0
+        assert out.endswith(" AGREE\n")
+    code, _, err = run_cli(capsys, "semigroup", str(path), "frozenset({1, 2}),frozenset({1")
+    assert code == 2
+    assert err == "error: morphism spec must be 's,e', got 'frozenset({1, 2}),frozenset({1'\n"
+
+
+def test_semigroup_ambiguous_comma_split(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(meet_semilattice(chain(["a", "a,b", "b,c", "c"])).to_json(), encoding="utf-8")
+    code, out, err = run_cli(capsys, "semigroup", str(path), "a,b,c")
+    assert (code, out) == (2, "")
+    assert "ambiguous" in err and err.count("\n") == 1
+    assert run_cli(capsys, "semigroup", str(path), "a,a,b")[:2] == (0, "-1 -1 -1 AGREE\n")
 
 
 def test_semigroup_rejects_non_morphism(capsys, tmp_path):

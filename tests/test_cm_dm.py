@@ -9,12 +9,14 @@ from mucat import (
     Factorization,
     NotComposable,
     cm_compose,
+    cm_factor_slice,
     cm_factorization_objects,
     cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     dm_compose,
+    dm_factor_slice,
     dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,
@@ -26,6 +28,8 @@ from mucat import (
     validate_dm_morphism,
     validate_slice,
 )
+
+from helpers import bf_compose
 
 
 def cm_member(m, f, source, target):
@@ -224,6 +228,71 @@ def test_factorization_objects_match_pair_scan():
         closed = cm_factorization_objects(m, f)
         assert from_scan == set(closed)
         assert len(pairs) == len(closed) == (f.a + 1) * (f.i - f.j - f.a + 1)
+
+
+def test_factorization_objects_in_ascending_triple_order():
+    m = 3
+    for f in cm_slice(m, -5).morphisms:
+        a, x, i, j = f
+        expected = [
+            (b, (b + x) % m, k) for b in range(a + 1) for k in range(a - b + j, i - b + 1)
+        ]
+        assert cm_factorization_objects(m, f) == expected
+
+
+# -- factor slices ---------------------------------------------------------------------
+
+FACTOR_WINDOWS = [
+    *((m, cm_slice(m, -6), cm_factor_slice) for m in (2, 3, 4)),
+    *((m, dm_slice(m, 20), dm_factor_slice) for m in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "m, window, factor_slice", FACTOR_WINDOWS,
+    ids=[f"{fs.__name__}-m{m}" for m, _, fs in FACTOR_WINDOWS],
+)
+def test_factor_slice_is_the_window_restricted_to_middle_factors(m, window, factor_slice):
+    for f in window.morphisms:
+        middle = {k for u, _ in window.factorizations(f) for _, k in window.factorizations(u)}
+        c = factor_slice(m, f)
+        assert set(c.morphisms) == middle
+        assert c.complete == c._morphism_set
+        assert c.compose == {
+            (g, h): k for (g, h), k in window.compose.items()
+            if g in middle and h in middle and k in middle
+        }
+        for k in c.morphisms:
+            assert c.factorizations(k) == window.factorizations(k)
+
+
+@pytest.mark.parametrize(
+    "m, window, factor_slice, compose",
+    [(2, cm_slice(2, -4), cm_factor_slice, cm_compose),
+     (3, dm_slice(3, 12), dm_factor_slice, dm_compose)],
+    ids=["cm", "dm"],
+)
+def test_factor_slice_table_is_every_composite_inside_it(m, window, factor_slice, compose):
+    for f in window.morphisms:
+        c = factor_slice(m, f)
+        assert c.compose == bf_compose(c, lambda g, h: compose(m, g, h))
+
+
+def test_factor_slice_interns_equal_morphisms():
+    c = cm_factor_slice(3, CmMorphism(2, 1, -1, -5))
+    assert validate_slice(c)
+    canonical = {f: f for f in c.morphisms}
+    for (g, h), k in c.compose.items():
+        assert g is canonical[g] and h is canonical[h] and k is canonical[k]
+    for x, e in c.identities.items():
+        assert e is canonical[e] and e == cm_identity(x)
+
+
+def test_factor_slices_validate_the_morphism():
+    with pytest.raises(ValueError):
+        cm_factor_slice(3, CmMorphism(0, 3, 0, 0))
+    with pytest.raises(ValueError):
+        dm_factor_slice(3, DmMorphism(1, 2))
 
 
 # -- residue category ------------------------------------------------------------------
