@@ -15,7 +15,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Callable
+from typing import Any
 
 from ._json import load_object, rows, strings
 from .errors import (
@@ -33,9 +33,9 @@ class CategorySlice:
     """Finite presentation of a window of a small category.
 
     ``compose`` maps pairs (g, h) with cod(h) = dom(g) to g∘h whenever the
-    composite lies in the slice.  Instances are immutable after construction;
-    derived tables (hom-sets, factorization index, Möbius function) are cached
-    lazily and deterministically.
+    composite lies in the slice; the constructor checks each entry's and each
+    identity's endpoints once and indexes factorizations in that pass.  Other
+    derived tables (hom-sets, Möbius function) are cached lazily.
     """
 
     __slots__ = (
@@ -47,32 +47,46 @@ class CategorySlice:
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
-        if len(set(self.objects)) != len(self.objects):
+        objs = set(self.objects)
+        if len(objs) != len(self.objects):
             raise InvalidSlice("duplicate objects")
         mors = self._morphism_set = frozenset(self.morphisms)
         if len(mors) != len(self.morphisms):
             raise InvalidSlice("duplicate morphisms")
-        objs = set(self.objects)
         self.dom = dict(dom)
         self.cod = dict(cod)
+        ends = {}  # morphism -> (dom, cod, factorizations so far)
         for f in self.morphisms:
             if f not in self.dom or f not in self.cod:
                 raise InvalidSlice(f"morphism {f!r} lacks a domain or codomain")
-            if self.dom[f] not in objs or self.cod[f] not in objs:
+            x, y = self.dom[f], self.cod[f]
+            if x not in objs or y not in objs:
                 raise InvalidSlice(f"morphism {f!r} has endpoints outside the slice")
+            ends[f] = (x, y, [])
         self.compose = dict(compose)
-        for (g, h), k in self.compose.items():
-            if g not in mors or h not in mors or k not in mors:
+        for pair, k in self.compose.items():
+            g, h = pair
+            ek, eg, eh = ends.get(k), ends.get(g), ends.get(h)
+            if ek is None or eg is None or eh is None:
                 raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
+            if eh[1] != eg[0]:
+                raise InvalidSlice(f"compose defined on non-composable pair ({g!r}, {h!r})")
+            if ek[0] != eh[0] or ek[1] != eg[1]:
+                raise InvalidSlice(f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints")
+            ek[2].append(pair)
         self.identities = dict(identities)
         for x in self.objects:
             if x not in self.identities or self.identities[x] not in mors:
                 raise InvalidSlice(f"object {x!r} lacks an identity morphism")
+            ex = ends[self.identities[x]]
+            if ex[0] != x or ex[1] != x:
+                raise InvalidSlice(f"identity of {x!r} has endpoints ({ex[0]!r}, {ex[1]!r})")
         self.complete = frozenset(complete)
         if not self.complete <= mors:
             raise InvalidSlice("complete set mentions unknown morphisms")
+        # popping frees each list as its tuple is made, which lowers peak memory
+        self._facts = {f: tuple(ends.pop(f)[2]) for f in self.morphisms}
         self._groups = None
-        self._facts = None
         self._moebius = None
         self._one_way = None
         self._quotients: dict = {}
@@ -108,19 +122,6 @@ class CategorySlice:
     def morphisms_into(self, x) -> tuple:
         return self._grouped()[2].get(x, ())
 
-    def _fact_index(self):
-        # one pass over the composition table, in its own order, sharing its
-        # key pairs; entries on non-composable pairs are skipped
-        if self._facts is None:
-            index = {f: [] for f in self.morphisms}
-            dom, cod = self.dom, self.cod
-            for pair, k in self.compose.items():
-                g, h = pair
-                if cod[h] == dom[g]:
-                    index[k].append(pair)
-            self._facts = {f: tuple(v) for f, v in index.items()}
-        return self._facts
-
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
 
@@ -129,7 +130,7 @@ class CategorySlice:
         """
         if f not in self.complete:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
-        return self._fact_index()[f]
+        return self._facts[f]
 
     # -- serialization ---------------------------------------------------
 
@@ -191,17 +192,9 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     """First identity/associativity violation in the slice, or None.
 
     Associativity is checked on every composable triple for which both
-    bracketings are expressible inside the slice.
+    bracketings are expressible inside the slice; endpoints are checked
+    when the slice is built.
     """
-    for x in c.objects:
-        e = c.identities[x]
-        if c.dom[e] != x or c.cod[e] != x:
-            return f"identity of {x!r} has endpoints ({c.dom[e]!r}, {c.cod[e]!r})"
-    for (g, h), k in c.compose.items():
-        if c.cod[h] != c.dom[g]:
-            return f"compose defined on non-composable pair ({g!r}, {h!r})"
-        if c.dom[k] != c.dom[h] or c.cod[k] != c.cod[g]:
-            return f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints"
     for f in c.morphisms:
         if c.compose.get((f, c.identities[c.dom[f]])) != f:
             return f"right identity law fails at {f!r}"
@@ -369,10 +362,6 @@ class IncidenceFunction(Mapping):
         """The convolution identity: 1 on identities, 0 elsewhere."""
         return cls({f: 1 if c.is_identity(f) else 0 for f in c.morphisms})
 
-    @classmethod
-    def from_callable(cls, c: CategorySlice, fn: Callable) -> "IncidenceFunction":
-        return cls({f: fn(f) for f in c.morphisms})
-
     def to_json(self, c: CategorySlice) -> str:
         """Serialize as {morphism id: "p/q"} in slice order."""
         return json.dumps(
@@ -448,7 +437,7 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     for x in c.objects:
         if xi[c.identities[x]] == 0:
             raise NotInvertible(f"function vanishes on the identity of {x!r}")
-    facts = c._fact_index()
+    facts = c._facts
     eta: dict = {}
     for root in c.morphisms:
         if root in eta:

@@ -181,10 +181,13 @@ def cmd_semigroup(args) -> int:
     violation = find_semigroup_violation(s)
     if violation is not None:
         raise MucatError(f"not an inverse semigroup: {violation}")
-    transversal = args.transversal.split(",") if args.transversal else None
+    names = set(s.elements)
+    transversal = _split_names(args.transversal, names, "transversal") if args.transversal else None
     c = division_category(s, transversal)
-    x, e = _parse_names(args.spec, set(s.elements))
-    morphism = (x, e)
+    spec = _split_names(args.spec, names, "morphism spec", 2)
+    if len(spec) != 2:
+        raise ValueError(f"morphism spec must be 's,e', got {args.spec!r}")
+    morphism = x, e = tuple(spec)
     if morphism not in set(c.morphisms):
         raise MucatError(f"({x!r}, {e!r}) is not a morphism of the division category")
     r_quot = moebius_via_quotients(c, morphism)
@@ -205,18 +208,29 @@ def cmd_semigroup(args) -> int:
     return 0 if agree else 1
 
 
-def _parse_names(spec: str, names) -> tuple[str, str]:
-    """Split 's,e' into two element names.  Names may hold commas, so a spec
-    with more splits at the one comma whose halves both name elements."""
-    parts = spec.split(",")
-    splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
-    if len(parts) > 2:
-        splits = [(x, e) for x, e in splits if x in names and e in names]
-        if len(splits) > 1:
-            raise ValueError(f"morphism spec {spec!r} is ambiguous: {len(splits)} splits fit")
-    if len(splits) != 1:
-        raise ValueError(f"morphism spec must be 's,e', got {spec!r}")
-    return splits[0]
+def _split_names(text: str, names, what: str, count=None) -> list[str]:
+    """Split comma-separated element names (``count`` of them, if given), where
+    names may hold commas: the split at every comma if its parts all name
+    elements, else the one split into element names, else, for the caller's
+    own checks to report, the split at every comma."""
+    parts = text.split(",")
+    if count in (None, len(parts)) and all(p in names for p in parts):
+        return parts
+    longest = 1 + max((name.count(",") for name in names), default=0)
+    # fits[k][used]: (splits of parts[:k] into `used` names, up to 2; the first); no count: used 0
+    fits = [{0: (1, [])}]
+    for k in range(1, len(parts) + 1):
+        fits.append({})
+        for i in range(max(0, k - longest), k):
+            name = ",".join(parts[i:k])
+            for used, (ways, first) in fits[i].items() if name in names else ():
+                key = used + 1 if count else 0
+                seen, kept = fits[k].get(key, (0, None))
+                fits[k][key] = (min(2, seen + ways), kept or first + [name])
+    ways, split = fits[-1].get(count or 0, (0, parts))
+    if ways > 1:
+        raise ValueError(f"{what} {text!r} is ambiguous: more than one split into element names fits")
+    return split
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,22 +72,18 @@ def lawvere_interval(c: CategorySlice, f) -> LawvereInterval:
     pairs = c.factorizations(f)
     objects = [Factorization(g, h, f) for g, h in pairs]
     position = {pair: k for k, pair in enumerate(pairs)}
-    facts = c._fact_index()
-    cod, compose = c.cod, c.compose
+    facts, compose = c._facts, c.compose
     into = []
     more: dict = {}
     for j, (u2, v2) in enumerate(pairs):
-        mid_b = cod[v2]
         row: dict = {}
-        # the index only pairs h with v when dom h = cod v
         for h, v in facts[v2]:
-            if cod[h] == mid_b:
-                i = position.get((compose.get((u2, h)), v))
-                if i is not None:
-                    if i in row:
-                        more.setdefault((i, j), []).append(h)
-                    else:
-                        row[i] = h
+            i = position.get((compose.get((u2, h)), v))
+            if i is not None:
+                if i in row:
+                    more.setdefault((i, j), []).append(h)
+                else:
+                    row[i] = h
         into.append(row)
     return LawvereInterval(f, objects, into, more)
 
@@ -110,15 +106,13 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     """The interval as a poset: F1 <= F2 iff some morphism connects F1 to F2.
 
     Only defined for thin one-way intervals; raises NotThin when a hom-set has
-    two or more elements and NotOneWay when antisymmetry fails.  The relation
-    goes to the poset as up-set masks, and every poset law is still checked.
+    two or more elements, else NotOneWay when the poset laws, checked on the
+    up-set masks, fail (for a thin interval, one-way is reflexive and antisymmetric).
     """
     if iv._more:
         (i, j), extra = min(iv._more.items())
         pair = (iv.objects[i], iv.objects[j])
         raise NotThin(f"hom-set {pair!r} has {1 + len(extra)} elements")
-    if not is_one_way(iv):
-        raise NotOneWay(f"interval of {iv.subject!r} is not one-way")
     up = [0] * len(iv.objects)
     for j, row in enumerate(iv._into):
         bit = 1 << j
@@ -127,7 +121,7 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     try:
         return FinitePoset._from_masks(iv.objects, up)
     except InvalidPoset as exc:  # connectivity relation fails poset laws
-        raise NotOneWay(str(exc)) from exc
+        raise NotOneWay(f"interval of {iv.subject!r}: {exc}") from exc
 
 
 def interval_moebius(c: CategorySlice, f, poset: FinitePoset) -> int:

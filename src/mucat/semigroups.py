@@ -98,8 +98,7 @@ class InverseSemigroup:
 
     def natural_leq(self, s, t) -> bool:
         """s <= t iff s = s s⁻¹ t."""
-        i = self._index[s]
-        return i == self._table[self._table[i][self._inverses()[i]]][self._index[t]]
+        return _below(self._table, self._inverses(), self._index[s], self._index[t])
 
     def identity(self):
         """The identity element if one exists (detected, not assumed)."""
@@ -137,8 +136,7 @@ class InverseSemigroup:
         """(E(S), natural order) as a finite poset, built once per instance."""
         if self._idem_poset is None:
             table, inv, es = self._table, self._inverses(), self._idempotents()
-            up = [sum(1 << j for j, y in enumerate(es) if table[table[x][inv[x]]][y] == x)
-                  for x in es]
+            up = [sum(1 << j for j, y in enumerate(es) if _below(table, inv, x, y)) for x in es]
             self._idem_poset = FinitePoset._from_masks([self.elements[e] for e in es], up)
         return self._idem_poset
 
@@ -164,6 +162,11 @@ class InverseSemigroup:
         if identity is not None:
             data["one"] = names[self._index[identity]]
         return json.dumps(data)
+
+
+def _below(table, inv, x, y) -> bool:
+    """The natural order on positions: x <= y iff x = (x x⁻¹) y."""
+    return table[table[x][inv[x]]][y] == x
 
 
 def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
@@ -257,9 +260,8 @@ def division_category(
     left = {}  # morphism -> position of its first component
     for k, e in objects.items():
         for x, i in enumerate(inv):
-            d = table[i][x]
-            # x x⁻¹ in the transversal and d = x⁻¹x <= e, i.e. d = d d⁻¹ e
-            if table[x][i] in objects and table[table[d][inv[d]]][k] == d:
+            # x x⁻¹ in the transversal and x⁻¹x <= e
+            if table[x][i] in objects and _below(table, inv, table[i][x], k):
                 left[name[x], e] = x
     morphisms = list(left)
     dom = {f: f[1] for f in morphisms}

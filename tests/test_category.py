@@ -88,12 +88,11 @@ def test_wrong_codomain_composite_is_reported():
     base = poset_as_category(p)
     compose = dict(base.compose)
     compose[((1, 2), (0, 1))] = (0, 1)  # should be (0, 2)
-    broken = CategorySlice(
-        base.objects, base.morphisms, base.dom, base.cod,
-        compose, base.identities, base.complete,
-    )
-    message = find_slice_violation(broken)
-    assert message is not None and "wrong endpoints" in message
+    with pytest.raises(InvalidSlice, match="wrong endpoints"):
+        CategorySlice(
+            base.objects, base.morphisms, base.dom, base.cod,
+            compose, base.identities, base.complete,
+        )
 
 
 def test_missing_identity_law_is_reported():
@@ -112,6 +111,47 @@ def test_missing_identity_law_is_reported():
 def test_constructor_rejects_dangling_morphisms():
     with pytest.raises(InvalidSlice):
         CategorySlice(["X"], ["1"], {"1": "X"}, {"1": "X"}, {}, {"X": "other"})
+
+
+def _arrow_slice(compose, identities=None):
+    """Objects X, Y and morphisms 1X, 1Y, f: X -> Y; dom and cod also know
+    a morphism "ghost" the slice does not hold."""
+    dom = {"1X": "X", "1Y": "Y", "f": "X", "ghost": "X"}
+    cod = {"1X": "X", "1Y": "Y", "f": "Y", "ghost": "X"}
+    return CategorySlice(
+        ["X", "Y"], ["1X", "1Y", "f"], dom, cod, compose,
+        identities or {"X": "1X", "Y": "1Y"},
+    )
+
+
+@pytest.mark.parametrize(
+    "compose, identities, message",
+    [
+        ({("f", "f"): "f"}, None, "compose defined on non-composable pair ('f', 'f')"),
+        ({("1Y", "f"): "1Y"}, None, "composite '1Y' of ('1Y', 'f') has wrong endpoints"),
+        ({}, {"X": "1X", "Y": "f"}, "identity of 'Y' has endpoints ('X', 'Y')"),
+        (
+            {("ghost", "1X"): "ghost"}, None,
+            "compose entry ('ghost', '1X') -> 'ghost' mentions unknown morphisms",
+        ),
+    ],
+    ids=["non_composable", "wrong_composite_endpoints", "identity_endpoints", "unknown"],
+)
+def test_constructor_checks_every_entry_and_identity(compose, identities, message):
+    with pytest.raises(InvalidSlice) as caught:
+        _arrow_slice(compose, identities)
+    assert str(caught.value) == message
+
+
+def test_associativity_failure_is_reported():
+    # one object; a∘a = b and every other product of a, b is a, so
+    # (a∘a)∘b = b∘b = a while a∘(a∘b) = a∘a = b
+    compose = {("1", f): f for f in "1ab"} | {(f, "1"): f for f in "ab"}
+    compose |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
+    ends = dict.fromkeys("1ab", "X")
+    c = CategorySlice(["X"], ["1", "a", "b"], ends, ends, compose, {"X": "1"}, "1ab")
+    assert find_slice_violation(c) == "associativity fails on ('a', 'a', 'b'): 'a' != 'b'"
+    assert not validate_slice(c)
 
 
 # -- factorizations --------------------------------------------------------------
@@ -173,16 +213,15 @@ def test_builders_match_all_pairs_compose_oracle(c, composite):
 
 
 def test_factorizations_skip_non_composable_compose_entries():
+    # no slice holds such an entry: the constructor rejects it
     base = poset_as_category(chain([0, 1]))
     compose = dict(base.compose)
     compose[((0, 1), (0, 1))] = (0, 1)  # cod (0, 1) is 1, dom (0, 1) is 0
-    c = CategorySlice(
-        base.objects, base.morphisms, base.dom, base.cod,
-        compose, base.identities, base.complete,
-    )
-    assert c.factorizations((0, 1)) == (((0, 1), (0, 0)), ((1, 1), (0, 1)))
-    for f in c.morphisms:
-        assert c.factorizations(f) == base.factorizations(f)
+    with pytest.raises(InvalidSlice, match=re.escape("non-composable pair ((0, 1), (0, 1))")):
+        CategorySlice(
+            base.objects, base.morphisms, base.dom, base.cod,
+            compose, base.identities, base.complete,
+        )
 
 
 def test_factorizations_follow_compose_table_order():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mucat import FinitePoset, chain, meet_semilattice
+from mucat import FinitePoset, chain, default_transversal, meet_semilattice
 from mucat.cli import main
 
 from helpers import boolean_lattice, divisor_poset
@@ -252,13 +252,29 @@ def test_semigroup_names_holding_commas(capsys, tmp_path):
     assert err == "error: morphism spec must be 's,e', got 'frozenset({1, 2}),frozenset({1'\n"
 
 
+def test_semigroup_transversal_names_holding_commas(capsys, tmp_path):
+    s = meet_semilattice(boolean_lattice(3))
+    path = tmp_path / "b3.json"
+    path.write_text(s.to_json(), encoding="utf-8")
+    spec = "frozenset(),frozenset({1})"
+    transversal = ",".join(str(e) for e in default_transversal(s))
+    assert run_cli(capsys, "semigroup", str(path), spec, "--transversal", transversal) == (
+        0, "-1 -1 -1 AGREE\n", ""
+    )
+
+
 def test_semigroup_ambiguous_comma_split(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(meet_semilattice(chain(["a", "a,b", "b,c", "c"])).to_json(), encoding="utf-8")
-    code, out, err = run_cli(capsys, "semigroup", str(path), "a,b,c")
-    assert (code, out) == (2, "")
-    assert "ambiguous" in err and err.count("\n") == 1
+    for extra, what in (([], "morphism spec"), (["--transversal", "a,b,c"], "transversal")):
+        code, out, err = run_cli(capsys, "semigroup", str(path), "a,b,c", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what} 'a,b,c' is ambiguous") and err.count("\n") == 1
     assert run_cli(capsys, "semigroup", str(path), "a,a,b")[:2] == (0, "-1 -1 -1 AGREE\n")
+    transversal = ["--transversal", "c,b,c,a,b,a"]
+    assert run_cli(capsys, "semigroup", str(path), "a,a,b", *transversal)[:2] == (
+        0, "-1 -1 -1 AGREE\n"
+    )
 
 
 def test_semigroup_rejects_non_morphism(capsys, tmp_path):
