@@ -81,9 +81,11 @@ class CategorySlice:
             ex = ends[self.identities[x]]
             if ex[0] != x or ex[1] != x:
                 raise InvalidSlice(f"identity of {x!r} has endpoints ({ex[0]!r}, {ex[1]!r})")
-        self.complete = frozenset(complete)
-        if not self.complete <= mors:
+        complete = frozenset(complete)
+        if not complete <= mors:
             raise InvalidSlice("complete set mentions unknown morphisms")
+        # a fully complete slice shares the morphism set, so readers test that by identity
+        self.complete = mors if complete == mors else complete
         # popping frees each list as its tuple is made, which lowers peak memory
         self._facts = {f: tuple(ends.pop(f)[2]) for f in self.morphisms}
         self._groups = None
@@ -432,7 +434,7 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     recursion computes the inverse).
     """
     _require_total(c, xi)
-    if c.complete != c._morphism_set:
+    if c.complete is not c._morphism_set:
         raise IncompleteSlice("convolution inverse needs every morphism complete")
     for x in c.objects:
         if xi[c.identities[x]] == 0:
@@ -471,16 +473,13 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
 
 
 def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
-    """The Möbius function: convolution inverse of zeta.  Values are integers.
+    """The Möbius function: convolution inverse of zeta.
 
-    Cached on the slice (deterministic, idempotent).
+    Values are integers, as the inverse divides by zeta(1) = 1 in ``int``
+    arithmetic.  Cached on the slice (deterministic, idempotent).
     """
     if c._moebius is None:
-        mu = convolution_inverse(c, IncidenceFunction.zeta(c))
-        for f, v in mu.items():
-            if not isinstance(v, int):
-                raise NotMoebius(f"non-integer Möbius value {v} at {f!r}")
-        c._moebius = mu
+        c._moebius = convolution_inverse(c, IncidenceFunction.zeta(c))
     return c._moebius
 
 

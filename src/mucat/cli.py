@@ -188,7 +188,7 @@ def cmd_semigroup(args) -> int:
     if len(spec) != 2:
         raise ValueError(f"morphism spec must be 's,e', got {args.spec!r}")
     morphism = x, e = tuple(spec)
-    if morphism not in set(c.morphisms):
+    if morphism not in c.dom:
         raise MucatError(f"({x!r}, {e!r}) is not a morphism of the division category")
     r_quot = moebius_via_quotients(c, morphism)
     r_idem = moebius_via_idempotent_lattice(s, morphism)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from .category import CategorySlice, one_way
-from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
+from .errors import IncompleteSlice, InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
 
@@ -62,14 +62,20 @@ class LawvereInterval:
 
 
 def lawvere_interval(c: CategorySlice, f) -> LawvereInterval:
-    """Build the full interval of f inside the slice; f must be complete.
+    """Build the full interval of f inside the slice; f and every factor of f
+    must be complete.
 
     Each hom is read off the factorization index: h connects (u, v) to
     (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
     the factorizations of each v' finds every morphism into (u', v'), each
-    hom-set in slice order.
+    hom-set in slice order.  Those reads are exact only on complete factors,
+    which a fully complete slice need not check one by one.
     """
     pairs = c.factorizations(f)
+    if c.complete is not c._morphism_set:
+        k = next((k for pair in pairs for k in pair if k not in c.complete), None)
+        if k is not None:
+            raise IncompleteSlice(f"factor {k!r} of {f!r} is not marked factorization-complete")
     objects = [Factorization(g, h, f) for g, h in pairs]
     position = {pair: k for k, pair in enumerate(pairs)}
     facts, compose = c._facts, c.compose

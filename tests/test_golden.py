@@ -6,7 +6,7 @@ semigroup files before the multiplication table moved to positions, the
 mu-cm/mu-dm --verify files and the third interval-dot file before those
 commands moved from windows to factor slices); stdout, JSON and DOT must not
 change with the representation.  The README's CLI examples that state a
-result are run too.
+result are run too, and so is each of its ```python blocks.
 """
 
 import re
@@ -84,3 +84,10 @@ def test_readme_example_prints_its_stated_result(capsys, argv, expected):
     code = main(argv)
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

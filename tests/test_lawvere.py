@@ -5,6 +5,7 @@ from mucat import (
     CmMorphism,
     DmMorphism,
     Factorization,
+    IncompleteSlice,
     NotOneWay,
     NotThin,
     Unbounded,
@@ -12,6 +13,7 @@ from mucat import (
     cm_slice,
     division_category,
     dm_slice,
+    find_slice_violation,
     interval_as_poset,
     is_one_way,
     lawvere_interval,
@@ -213,3 +215,28 @@ def test_missing_trivial_factorization_is_unbounded():
     broken = CategorySlice(objects, morphisms, dom, cod, compose, {"X": "1X", "Y": "1Y"}, morphisms)
     with pytest.raises(Unbounded):
         moebius_via_lawvere(broken, "f")
+
+
+def test_incomplete_factor_of_a_complete_morphism_is_rejected():
+    # without (1, 2), (0, 3)'s interval loses 0 <= 1 <= 2 <= 3; read anyway it gives mu = 1
+    base = poset_as_category(chain([0, 1, 2, 3]))
+    gone = (1, 2)
+    morphisms = [f for f in base.morphisms if f != gone]
+    compose = {pair: k for pair, k in base.compose.items() if gone not in (*pair, k)}
+    c = CategorySlice(base.objects, morphisms, base.dom, base.cod, compose,
+                      base.identities, [(0, 3)])
+    assert find_slice_violation(c) is None
+    assert c.factorizations((0, 3)) == base.factorizations((0, 3))
+    with pytest.raises(IncompleteSlice, match=r"factor .* of \(0, 3\) is not marked"):
+        moebius_via_lawvere(c, (0, 3))
+
+
+def test_lawvere_route_needs_only_f_and_its_factors_complete():
+    # (0, 3) is a factor of no other morphism
+    p = chain([0, 1, 2, 3])
+    base = poset_as_category(p)
+    complete = [f for f in base.morphisms if f != (0, 3)]
+    c = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, base.compose,
+                      base.identities, complete)
+    for f in complete:
+        assert moebius_via_lawvere(c, f) == p.moebius(*f)

@@ -376,6 +376,31 @@ def test_idempotent_rule_checks_e_s_e_against_the_idempotents_below_e():
         moebius_via_idempotent_lattice(s, ("b", "b"))
 
 
+def test_idempotent_poset_checks_e_s_e_against_the_idempotents_below_e():
+    s = InverseSemigroup(["a", "b", "c"], [["a", "a", "a"], ["a", "b", "a"], ["a", "c", "c"]])
+    with pytest.raises(InvalidSemigroup, match=r"E\(eSe\) differs .* below e = 'b'$"):
+        s.idempotent_poset()
+
+
+def test_idempotent_rule_lists_the_idempotents_once_per_semigroup(monkeypatch):
+    s = meet_semilattice(boolean_lattice(3))
+    c = division_category(s)
+    calls = []
+    idempotents = InverseSemigroup._idempotents
+    monkeypatch.setattr(
+        InverseSemigroup, "_idempotents", lambda self: calls.append(self) or idempotents(self)
+    )
+    assert len(c.morphisms) == 27
+    for morphism in c.morphisms:
+        moebius_via_idempotent_lattice(s, morphism)
+    assert len(calls) <= 1
+
+
+def test_idempotent_rule_names_an_e_that_is_not_idempotent():
+    with pytest.raises(InvalidSemigroup, match=r"^'a' is not an idempotent$"):
+        moebius_via_idempotent_lattice(brandt_five(), ("z", "a"))
+
+
 def test_rule_values_on_boolean_lattice():
     s = meet_semilattice(B2)
     c = division_category(s)
