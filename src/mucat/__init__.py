@@ -20,7 +20,6 @@ from .poset import FinitePoset, chain
 from .category import (
     CategorySlice,
     IncidenceFunction,
-    compose_table,
     convolution_inverse,
     convolve,
     factor_slice,

@@ -127,8 +127,9 @@ class CategorySlice:
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
 
-        Listed in composition-table order, which in every slice the library
-        builds is right factor major (see ``compose_table``, ``factor_slice``).
+        Listed in composition-table order: the enumerator's order in every
+        slice ``factor_slice`` builds, right factor major in a division
+        category.
         """
         if f not in self.complete:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
@@ -253,39 +254,17 @@ def one_way(into, multiple) -> bool:
     return True
 
 
-def compose_table(morphisms, dom, cod, rule) -> dict:
-    """The composition table {(g, f): g∘f} of a window, in one by-domain walk.
-
-    ``rule(g, f)`` gives the composite of a pair with cod f = dom g, or None
-    when it falls outside the window.  None ends the walk over f's left
-    factors, so a rule may return it only when every later left factor falls
-    outside too.  Entries come right factor major, in the order of
-    ``morphisms``, and so do the left factors of each f; a slice lists
-    factorizations in this order.
-    """
-    by_dom: dict = {}
-    for f in morphisms:
-        by_dom.setdefault(dom[f], []).append(f)
-    table = {}
-    for f in morphisms:
-        for g in by_dom.get(cod[f], ()):
-            k = rule(g, f)
-            if k is None:
-                break
-            table[g, f] = k
-    return table
-
-
-def factor_slice(f, factorizations, dom, cod, identity) -> CategorySlice:
-    """The full subcategory on the middle factors of f, every k with f = w∘k∘v.
+def factor_slice(roots, factorizations, dom, cod, identity) -> CategorySlice:
+    """The full subcategory on the middle factors of the roots, every k with w∘k∘v a root.
 
     ``factorizations(k)`` lists every (g, h) with g∘h = k, trivial ones too,
-    in the order the slice is to list them.  A factor of a factor is a middle
-    factor, so each morphism is complete.  Equal morphisms are interned, so
-    lookups match by identity.
+    in the order the slice is to list them.  The walk lists each morphism's
+    factorizations in turn from the roots on, so roots closed under factors
+    (a window) keep their order.  A factor of a factor is a middle factor, so
+    each morphism is complete.  Equal morphisms are interned to one object.
     """
-    seen = {f: f}
-    walk = [f]
+    seen = dict(zip(roots, roots))
+    walk = list(seen)
     compose = {}
     for k in walk:
         for g, h in factorizations(k):
@@ -303,12 +282,12 @@ def poset_as_category(p: FinitePoset) -> CategorySlice:
 
     Every morphism is factorization-complete (the slice is the whole category).
     """
-    morphisms = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
-    dom = {f: f[0] for f in morphisms}
-    cod = {f: f[1] for f in morphisms}
-    compose = compose_table(morphisms, dom, cod, lambda g, f: (f[0], g[1]))
-    identities = {x: (x, x) for x in p.elements}
-    return CategorySlice(p.elements, morphisms, dom, cod, compose, identities, morphisms)
+    elements, leq = p.elements, p.leq
+    return factor_slice(
+        [(x, y) for x in elements for y in elements if leq(x, y)],
+        lambda f: [((z, f[1]), (f[0], z)) for z in elements if leq(f[0], z) and leq(z, f[1])],
+        lambda f: f[0], lambda f: f[1], lambda x: (x, x),
+    )
 
 
 # -- incidence functions -----------------------------------------------------

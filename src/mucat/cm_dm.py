@@ -14,7 +14,9 @@ comparisons such as alpha >= x are against canonical representatives.  Both
 categories are infinite; finite windows (a level floor for C_m, a cap on
 alpha for D_m) yield slices whose morphisms are all factorization-complete,
 because intermediate levels stay inside [j, i] and intermediate alphas inside
-[x, alpha].  A factor slice holds just the middle factors of one morphism.
+[x, alpha].  ``factor_slice`` builds both windows and factor slices (the middle
+factors of one morphism) from closed-form factorization enumerators, seeding
+its walk with the window's morphisms or with the one morphism.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
 as their field tuples, so every slice, interval and poset lookup keyed by
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import CategorySlice, compose_table, factor_slice
+from .category import CategorySlice, factor_slice
 from .errors import NotComposable
 
 _new = tuple.__new__  # a NamedTuple from its field tuple, skipping the class's slower __new__
@@ -110,10 +112,6 @@ def cm_compose(m: int, g: CmMorphism, f: CmMorphism) -> CmMorphism:
     validate_cm_morphism(m, f)
     if f.target(m) != g.source():
         raise NotComposable(f"codomain of {f} is {f.target(m)}, domain of {g} is {g.source()}")
-    return _cm_compose(g, f)
-
-
-def _cm_compose(g: CmMorphism, f: CmMorphism) -> CmMorphism:
     return CmMorphism(f.a + g.a, f.x, f.i, g.j)
 
 
@@ -126,7 +124,6 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
     _require_modulus(m)
     if level_min > 0:
         raise ValueError(f"level_min must be <= 0, got {level_min}")
-    objects = [CmObject(x, i) for i in range(0, level_min - 1, -1) for x in range(m)]
     morphisms = [
         CmMorphism(a, x, i, j)
         for i in range(0, level_min - 1, -1)
@@ -134,11 +131,8 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
         for a in range(i - j + 1)
         for x in range(m)
     ]
-    dom = {f: f.source() for f in morphisms}
-    cod = {f: f.target(m) for f in morphisms}
-    compose = compose_table(morphisms, dom, cod, _cm_compose)
-    identities = {obj: cm_identity(obj) for obj in objects}
-    return CategorySlice(objects, morphisms, dom, cod, compose, identities, morphisms)
+    return factor_slice(morphisms, lambda k: _cm_factorizations(m, k), CmMorphism.source,
+                        lambda k: k.target(m), cm_identity)
 
 
 def cm_moebius_closed_form(f: CmMorphism) -> int:
@@ -177,7 +171,7 @@ def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphi
 def cm_factor_slice(m: int, f: CmMorphism) -> CategorySlice:
     """The full subcategory of C_m on the middle factors of f (see factor_slice)."""
     validate_cm_morphism(m, f)
-    return factor_slice(f, lambda k: _cm_factorizations(m, k), CmMorphism.source,
+    return factor_slice((f,), lambda k: _cm_factorizations(m, k), CmMorphism.source,
                         lambda k: k.target(m), cm_identity)
 
 
@@ -232,10 +226,6 @@ def dm_compose(m: int, g: DmMorphism, f: DmMorphism) -> DmMorphism:
     validate_dm_morphism(m, f)
     if f.alpha % m != g.x:
         raise NotComposable(f"codomain of {f} is {f.alpha % m}, domain of {g} is {g.x}")
-    return _dm_compose(g, f)
-
-
-def _dm_compose(g: DmMorphism, f: DmMorphism) -> DmMorphism:
     return DmMorphism(g.alpha - g.x + f.alpha, f.x)
 
 
@@ -249,19 +239,11 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     _require_modulus(m)
     if alpha_max < m - 1:
         raise ValueError(f"alpha_max must be >= m-1 = {m - 1} so identities exist")
-    objects = list(range(m))
     morphisms = [
         DmMorphism(alpha, x) for x in range(m) for alpha in range(x, alpha_max + 1)
     ]
-    dom = {f: f.x for f in morphisms}
-    cod = {f: f.alpha % m for f in morphisms}
-    # g · f stays inside when g's rise alpha - x fits in the room above f
-    compose = compose_table(
-        morphisms, dom, cod,
-        lambda g, f: _dm_compose(g, f) if g.alpha - g.x <= alpha_max - f.alpha else None,
-    )
-    identities = {x: dm_identity(x) for x in objects}
-    return CategorySlice(objects, morphisms, dom, cod, compose, identities, morphisms)
+    return factor_slice(morphisms, lambda k: _dm_factorizations(m, k), DmMorphism.source,
+                        lambda k: k.target(m), dm_identity)
 
 
 def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphism]]:
@@ -275,7 +257,7 @@ def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphi
 def dm_factor_slice(m: int, f: DmMorphism) -> CategorySlice:
     """The full subcategory of D_m on the middle factors of f (see factor_slice)."""
     validate_dm_morphism(m, f)
-    return factor_slice(f, lambda k: _dm_factorizations(m, k), DmMorphism.source,
+    return factor_slice((f,), lambda k: _dm_factorizations(m, k), DmMorphism.source,
                         lambda k: k.target(m), dm_identity)
 
 

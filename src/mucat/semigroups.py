@@ -15,12 +15,14 @@ below e.  On combinatorial semigroups all routes agree exactly.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Iterable
 
 from ._json import load_object, rows, strings
-from .category import CategorySlice, compose_table, is_one_way_category
+from .category import CategorySlice, is_one_way_category
 from .errors import (
     InvalidSemigroup,
+    InvalidSlice,
     NotOneWay,
     NotTransversal,
     NotCombinatorial,
@@ -39,7 +41,7 @@ class InverseSemigroup:
     otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "one", "_inv", "_idem_poset")
+    __slots__ = ("elements", "_index", "_table", "one", "_inv", "_idem_poset", "_in_groups")
 
     def __init__(self, elements: Iterable[str], table, one=None):
         self.elements = tuple(elements)
@@ -54,7 +56,7 @@ class InverseSemigroup:
         for names, row in zip(rows, self._table):
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
-        self.one = self._inv = self._idem_poset = None
+        self.one = self._inv = self._idem_poset = self._in_groups = None
         if one is not None:
             if one not in index:
                 raise InvalidSemigroup(f"'one' {one!r} is not an element")
@@ -128,9 +130,16 @@ class InverseSemigroup:
     def is_combinatorial(self) -> bool:
         """True iff every maximal subgroup {s : s s⁻¹ = s⁻¹ s = e} is trivial,
         i.e. every s with s s⁻¹ = s⁻¹ s is idempotent."""
-        table, inv = self._table, self._inverses()
-        return all(row[s] == s for s, row in enumerate(table)
-                   if row[inv[s]] == table[inv[s]][s])
+        return not self._subgroup_members()
+
+    def _subgroup_members(self) -> list:
+        """The non-idempotent s with s s⁻¹ = s⁻¹ s, the members of nontrivial
+        maximal subgroups; found once per instance."""
+        if self._in_groups is None:
+            table, inv = self._table, self._inverses()
+            self._in_groups = [self.elements[s] for s, row in enumerate(table)
+                               if row[inv[s]] == table[inv[s]][s] and row[s] != s]
+        return self._in_groups
 
     def idempotent_poset(self) -> FinitePoset:
         """(E(S), natural order) as a finite poset, built once per instance.
@@ -253,19 +262,15 @@ def check_transversal(s: InverseSemigroup, reps) -> tuple:
     return reps
 
 
-def division_category(
-    s: InverseSemigroup, transversal=None, *, require_combinatorial=False
-) -> CategorySlice:
+def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     """The division category of s relative to an idempotent transversal.
 
     Objects are the transversal; Hom(e, f) = {(s', e) : s'⁻¹ s' <= e,
     s' s'⁻¹ = f}.  This is the whole (finite) category, so every morphism is
     factorization-complete.  For non-combinatorial s the category is still
-    returned (it just fails the Möbius test) unless ``require_combinatorial``.
+    returned; it just fails the Möbius test.
     """
     reps = default_transversal(s) if transversal is None else check_transversal(s, transversal)
-    if require_combinatorial and not s.is_combinatorial():
-        raise NotCombinatorial("the semigroup has a nontrivial subgroup")
     table, inv, name = s._table, s._inverses(), s.elements
     objects = {s._index[e]: e for e in reps}
     left = {}  # morphism -> position of its first component
@@ -277,9 +282,11 @@ def division_category(
     morphisms = list(left)
     dom = {f: f[1] for f in morphisms}
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
-    # (t, f) · (x, e) = (t x, e); cod(x, e) ∈ reps always, so composites stay inside
-    compose = compose_table(morphisms, dom, cod,
-                            lambda g, f: (name[table[left[g]][left[f]]], f[1]))
+    by_dom = {e: list(fs) for e, fs in groupby(morphisms, lambda f: f[1])}  # listed e-major
+    # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always,
+    # so composites stay inside
+    compose = {(g, f): (name[table[left[g]][left[f]]], f[1])
+               for f in morphisms for g in by_dom[cod[f]]}
     identities = {e: (e, e) for e in reps}
     return CategorySlice(reps, morphisms, dom, cod, compose, identities, morphisms)
 
@@ -310,6 +317,8 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
 
 def moebius_via_quotients(c: CategorySlice, morphism) -> int:
     """Rule one: mu(s, e) = mu_{Q(e)}((s, e), (e, e))."""
+    if morphism not in c.dom:
+        raise InvalidSlice(f"{morphism!r} is not a morphism of the division category")
     e = c.dom[morphism]
     q = quotient_poset(c, e)
     return q.moebius(morphism, c.identities[e])
@@ -320,10 +329,15 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
 
     ``idempotent_poset`` has checked that E(eSe) is the down-set of e, and the
     interval [s'⁻¹ s', e] is the same there as in E(S), so mu is read off the
-    cached idempotent poset.
+    cached idempotent poset.  The rule holds for combinatorial s only, so it
+    raises NotCombinatorial otherwise (a check made once per semigroup).
     """
     x, e = morphism
     poset = s.idempotent_poset()
     if e not in poset:
         raise InvalidSemigroup(f"{e!r} is not an idempotent")
-    return poset.moebius(s.mul(s.inverse(x), x), e)
+    if s._subgroup_members():
+        raise NotCombinatorial(f"{s._subgroup_members()[0]!r} lies in a nontrivial subgroup")
+    if x not in s._index or not poset.leq(source := s.mul(s.inverse(x), x), e):
+        raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")
+    return poset.moebius(source, e)

@@ -180,6 +180,31 @@ def bf_compose(c, composite) -> dict:
     return table
 
 
+def bf_chain_moebius_of_slice(c, composite) -> dict:
+    """Leroux's formula for every morphism f of c: mu(f) is the sum over k of
+    (-1)^k times the number of chains f = f_k∘...∘f_1 of k non-identity
+    morphisms (the empty chain composes to each identity).  The chains are
+    counted one length at a time from the all-pairs table of bf_compose, so
+    c must hold every factor of each of its morphisms.  In a Möbius category
+    the partial composites f_j∘...∘f_1 of a chain are distinct, so a chain
+    longer than c has morphisms means c is not Möbius."""
+    identities = set(c.identities.values())
+    steps = [(g, h, k) for (g, h), k in bf_compose(c, composite).items() if g not in identities]
+    mu = {f: 1 if f in identities else 0 for f in c.morphisms}
+    chains = {f: 1 for f in c.morphisms if f not in identities}  # length 1, by composite
+    length = 1
+    while chains:
+        assert length <= len(c.morphisms), "a chain repeats a partial composite"
+        for f, count in chains.items():
+            mu[f] += (-1) ** length * count
+        longer: dict = {}
+        for g, h, k in steps:
+            if h in chains:
+                longer[k] = longer.get(k, 0) + chains[h]
+        chains, length = longer, length + 1
+    return mu
+
+
 def bf_lawvere_homs(c, f) -> dict:
     """The interval's homs by definition: every pair of factorizations of f,
     every ambient morphism h between their middle objects, kept when

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mucat import (
     CategorySlice,
     CmMorphism,
+    DmMorphism,
     IncidenceFunction,
     IncompleteSlice,
     InvalidSlice,
@@ -17,12 +18,14 @@ from mucat import (
     NotMoebius,
     chain,
     cm_compose,
+    cm_factor_slice,
+    cm_moebius_closed_form,
     cm_slice,
-    compose_table,
     convolution_inverse,
     convolve,
     division_category,
     dm_compose,
+    dm_factor_slice,
     dm_moebius_closed_form,
     dm_slice,
     find_slice_violation,
@@ -34,7 +37,14 @@ from mucat import (
     validate_slice,
 )
 
-from helpers import B2, bf_compose, boolean_lattice, brandt_five, divisor_poset
+from helpers import (
+    B2,
+    bf_chain_moebius_of_slice,
+    bf_compose,
+    boolean_lattice,
+    brandt_five,
+    divisor_poset,
+)
 
 
 def iso_pair_category():
@@ -202,14 +212,67 @@ def _builder_corpus():
 
 
 @pytest.mark.parametrize(
-    "c, composite",
-    [pytest.param(c, rule, id=name) for name, c, rule in _builder_corpus()],
+    "c, composite, right_factor_major",
+    [pytest.param(c, rule, name.startswith("division"), id=name)
+     for name, c, rule in _builder_corpus()],
 )
-def test_builders_match_all_pairs_compose_oracle(c, composite):
+def test_builders_match_all_pairs_compose_oracle(c, composite, right_factor_major):
     expected = bf_compose(c, composite)
-    assert list(c.compose.items()) == list(expected.items())
+    assert c.compose == expected
     for f in c.morphisms:
         assert c.factorizations(f) == tuple(pair for pair, k in expected.items() if k == f)
+    if right_factor_major:
+        assert list(c.compose.items()) == list(expected.items())
+    else:  # built by factor_slice: each morphism's factorizations in turn
+        assert list(c.compose.items()) == [(p, k) for k in c.morphisms for p in c.factorizations(k)]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(c, id=name) for name, c, _ in _builder_corpus() if not name.startswith("division")],
+)
+def test_walk_built_slices_hold_only_their_own_morphism_objects(c):
+    own = {id(f) for f in c.morphisms}
+    assert all(id(f) in own for pair, k in c.compose.items() for f in (*pair, k))
+    assert all(id(f) in own for f in c.identities.values())
+
+
+def _leroux_corpus():
+    """(name, slice, checked composition rule, closed-form mu or None)."""
+    def cm(m):
+        return lambda g, f: cm_compose(m, g, f)
+
+    def dm(m):
+        return lambda g, f: dm_compose(m, g, f)
+
+    boolean = meet_semilattice(boolean_lattice(3))
+    brandt = brandt_five()
+    return [
+        ("cm_slice(2,-4)", cm_slice(2, -4), cm(2), cm_moebius_closed_form),
+        ("cm_slice(3,-3)", cm_slice(3, -3), cm(3), cm_moebius_closed_form),
+        ("dm_slice(3,9)", dm_slice(3, 9), dm(3), dm_moebius_closed_form),
+        ("cm_factor(3;2,1,-1,-5)", cm_factor_slice(3, CmMorphism(2, 1, -1, -5)), cm(3),
+         cm_moebius_closed_form),
+        ("cm_factor(2;3,0,0,-5)", cm_factor_slice(2, CmMorphism(3, 0, 0, -5)), cm(2),
+         cm_moebius_closed_form),
+        ("dm_factor(3;13,1)", dm_factor_slice(3, DmMorphism(13, 1)), dm(3), dm_moebius_closed_form),
+        ("dm_factor(2;9,0)", dm_factor_slice(2, DmMorphism(9, 0)), dm(2), dm_moebius_closed_form),
+        ("division(B3)", division_category(boolean),
+         lambda g, f: (boolean.mul(g[0], f[0]), f[1]), None),
+        ("division(brandt)", division_category(brandt, ["e11", "z"]),
+         lambda g, f: (brandt.mul(g[0], f[0]), f[1]), None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "c, composite, closed_form",
+    [pytest.param(c, rule, closed, id=name) for name, c, rule, closed in _leroux_corpus()],
+)
+def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form):
+    expected = bf_chain_moebius_of_slice(c, composite)
+    assert dict(moebius_of_slice(c)) == expected
+    if closed_form is not None:
+        assert {f: closed_form(f) for f in c.morphisms} == expected
 
 
 def test_factorizations_skip_non_composable_compose_entries():
@@ -232,22 +295,6 @@ def test_factorizations_follow_compose_table_order():
     )
     for f in base.morphisms:
         assert flipped.factorizations(f) == base.factorizations(f)[::-1]
-
-
-def test_compose_table_stops_at_the_first_none():
-    # One object, morphisms 0..4 composing by addition while the sum stays <= 4.
-    morphisms = list(range(5))
-    ends = {f: "x" for f in morphisms}
-    calls = []
-
-    def rule(g, f):
-        calls.append((g, f))
-        return g + f if g + f <= 4 else None
-
-    table = compose_table(morphisms, ends, ends, rule)
-    assert table == {(g, f): g + f for f in morphisms for g in morphisms if g + f <= 4}
-    # each f's walk ends right after its first out-of-window left factor
-    assert calls == [(g, f) for f in morphisms for g in range(min(5, 6 - f))]
 
 
 def test_factorizations_are_deterministic():

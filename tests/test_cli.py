@@ -76,7 +76,6 @@ def test_single_morphism_commands_build_no_window(capsys, monkeypatch):
     for name in ("cm_slice", "dm_slice"):
         monkeypatch.setattr(f"mucat.cli.{name}", no_window, raising=False)
         monkeypatch.setattr(f"mucat.cm_dm.{name}", no_window)
-    monkeypatch.setattr("mucat.cm_dm.compose_table", no_window)
     assert run_cli(capsys, "mu-cm", "--m", "3", "1,2,0,-2", "--verify", "--level-min", "-9")[:2] == (
         0, "1 1 1 AGREE\n"
     )

@@ -1,10 +1,12 @@
 import json
 import random
+import re
 
 import pytest
 
 from mucat import (
     InvalidSemigroup,
+    InvalidSlice,
     InverseSemigroup,
     NotCombinatorial,
     NotOneWay,
@@ -312,7 +314,7 @@ def test_group_division_category_is_returned_but_not_moebius():
     assert validate_slice(c)
     assert not moebius_test(c)
     with pytest.raises(NotCombinatorial):
-        division_category(g, require_combinatorial=True)
+        moebius_via_idempotent_lattice(g, ("g", "1"))
 
 
 # -- quotient posets and the two poset rules -----------------------------------------------
@@ -399,6 +401,35 @@ def test_idempotent_rule_lists_the_idempotents_once_per_semigroup(monkeypatch):
 def test_idempotent_rule_names_an_e_that_is_not_idempotent():
     with pytest.raises(InvalidSemigroup, match=r"^'a' is not an idempotent$"):
         moebius_via_idempotent_lattice(brandt_five(), ("z", "a"))
+
+
+@pytest.mark.parametrize("pair", [("nope", "e11"), ("b", "e22")])
+def test_idempotent_rule_names_a_pair_that_is_not_a_morphism(pair):
+    # 'nope' is no element; b⁻¹b = e11 is not below e22
+    message = rf"^{re.escape(repr(pair))} is not a morphism of the division category$"
+    with pytest.raises(InvalidSemigroup, match=message):
+        moebius_via_idempotent_lattice(brandt_five(), pair)
+
+
+@pytest.mark.parametrize("pair", [("nope", "e11"), ("b", "e22")])
+def test_quotient_rule_names_a_pair_that_is_not_a_morphism(pair):
+    c = division_category(brandt_five(), ["e11", "z"])
+    message = rf"^{re.escape(repr(pair))} is not a morphism of the division category$"
+    with pytest.raises(InvalidSlice, match=message):
+        moebius_via_quotients(c, pair)
+
+
+@pytest.mark.parametrize(
+    "s, member",
+    [(two_element_group(), "g"), (semilattice_times_z2(), "f1")],
+    ids=["group", "semilattice-x-z2"],
+)
+def test_idempotent_rule_refuses_a_non_combinatorial_semigroup(s, member):
+    for x in s.elements:  # every idempotent e, whether or not (x, e) is a morphism
+        for e in s.idempotents():
+            with pytest.raises(NotCombinatorial, match=rf"^'{member}' lies in a nontrivial subgroup"):
+                moebius_via_idempotent_lattice(s, (x, e))
+    assert s._subgroup_members() is s._subgroup_members()  # searched once
 
 
 def test_rule_values_on_boolean_lattice():
