@@ -45,6 +45,21 @@ class CategorySlice:
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
+        self._adopt(objects, morphisms, dict(dom), dict(cod), dict(compose), dict(identities),
+                    complete)
+
+    @classmethod
+    def _from_tables(cls, objects, morphisms, dom, cod, compose, identities, complete):
+        """A slice that keeps the caller's dom, cod, compose and identities
+        dicts instead of copying them; for builders that never touch them
+        again.  Every check of the constructor is made."""
+        c = cls.__new__(cls)
+        c._adopt(objects, morphisms, dom, cod, compose, identities, complete)
+        return c
+
+    def _adopt(self, objects, morphisms, dom, cod, compose, identities, complete) -> None:
+        """Check the tables and index factorizations in one pass, then store
+        the dicts as given; the validation behind every constructor."""
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         objs = set(self.objects)
@@ -53,8 +68,7 @@ class CategorySlice:
         mors = self._morphism_set = frozenset(self.morphisms)
         if len(mors) != len(self.morphisms):
             raise InvalidSlice("duplicate morphisms")
-        self.dom = dict(dom)
-        self.cod = dict(cod)
+        self.dom, self.cod = dom, cod
         ends = {}  # morphism -> (dom, cod, factorizations so far)
         for f in self.morphisms:
             if f not in self.dom or f not in self.cod:
@@ -63,7 +77,7 @@ class CategorySlice:
             if x not in objs or y not in objs:
                 raise InvalidSlice(f"morphism {f!r} has endpoints outside the slice")
             ends[f] = (x, y, [])
-        self.compose = dict(compose)
+        self.compose = compose
         for pair, k in self.compose.items():
             g, h = pair
             ek, eg, eh = ends.get(k), ends.get(g), ends.get(h)
@@ -74,7 +88,7 @@ class CategorySlice:
             if ek[0] != eh[0] or ek[1] != eg[1]:
                 raise InvalidSlice(f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints")
             ek[2].append(pair)
-        self.identities = dict(identities)
+        self.identities = identities
         for x in self.objects:
             if x not in self.identities or self.identities[x] not in mors:
                 raise InvalidSlice(f"object {x!r} lacks an identity morphism")
@@ -274,7 +288,7 @@ def factor_slice(roots, factorizations, dom, cod, identity) -> CategorySlice:
     objects = list(dict.fromkeys(dom_of.values()))
     identities = {x: seen[identity(x)] for x in objects}  # met in k = k∘1_x
     cod_of = {k: cod(k) for k in walk}
-    return CategorySlice(objects, walk, dom_of, cod_of, compose, identities, walk)
+    return CategorySlice._from_tables(objects, walk, dom_of, cod_of, compose, identities, walk)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:

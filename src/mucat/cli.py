@@ -9,6 +9,7 @@ of the invoked command passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .cm_dm import (
     validate_cm_morphism,
     validate_dm_morphism,
 )
-from .errors import MucatError
+from .errors import MucatError, NotCombinatorial
 from .lawvere import (
     interval_as_poset,
     interval_moebius,
@@ -181,6 +182,8 @@ def cmd_semigroup(args) -> int:
     violation = find_semigroup_violation(s)
     if violation is not None:
         raise MucatError(f"not an inverse semigroup: {violation}")
+    if members := s._subgroup_members():  # first: a transversal check would blame another cause
+        raise NotCombinatorial(f"{members[0]!r} lies in a nontrivial subgroup")
     names = set(s.elements)
     transversal = _split_names(args.transversal, names, "transversal") if args.transversal else None
     c = division_category(s, transversal)
@@ -234,6 +237,7 @@ def _split_names(text: str, names, what: str, count=None) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``main`` reuses the one ``_parser`` keeps."""
     parser = argparse.ArgumentParser(
         prog="mucat",
         description="Exact Möbius functions of posets, category slices, and inverse semigroups.",
@@ -290,8 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first ``main`` call:
+    parsing leaves a parser unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (MucatError, ValueError, OSError) as exc:

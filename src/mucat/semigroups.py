@@ -288,7 +288,7 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     compose = {(g, f): (name[table[left[g]][left[f]]], f[1])
                for f in morphisms for g in by_dom[cod[f]]}
     identities = {e: (e, e) for e in reps}
-    return CategorySlice(reps, morphisms, dom, cod, compose, identities, morphisms)
+    return CategorySlice._from_tables(reps, morphisms, dom, cod, compose, identities, morphisms)
 
 
 def quotient_poset(c: CategorySlice, e) -> FinitePoset:

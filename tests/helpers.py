@@ -8,7 +8,7 @@ their bugs.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 from mucat import FinitePoset, InverseSemigroup, chain
 
@@ -64,6 +64,41 @@ def brandt(n: int) -> InverseSemigroup:
         [f"e{i}{q}" if j == p else "z" for p, q in units] + ["z"] for i, j in units
     ] + [["z"] * len(elems)]
     return InverseSemigroup(elems, table)
+
+
+def _partial_injections(n: int, images) -> InverseSemigroup:
+    """Injective partial maps of {0..n-1}, each domain sent onto every tuple
+    ``images(k)`` lists, named like "{0>1 1>0}"; s·t applies s first."""
+    maps = [
+        tuple(zip(dom, image))
+        for k in range(n + 1) for dom in combinations(range(n), k) for image in images(k)
+    ]
+    name = {m: "{" + " ".join(f"{a}>{b}" for a, b in m) + "}" for m in maps}
+
+    def mul(s, t):
+        after = dict(t)
+        return tuple((a, after[b]) for a, b in s if b in after)
+
+    return InverseSemigroup(
+        [name[s] for s in maps], [[name[mul(s, t)] for t in maps] for s in maps]
+    )
+
+
+def symmetric_inverse_monoid(n: int) -> InverseSemigroup:
+    """I_n, every partial injection of {0..n-1}; not combinatorial for n >= 2."""
+    return _partial_injections(n, lambda k: permutations(range(n), k))
+
+
+def poi(n: int) -> InverseSemigroup:
+    """POI_n, the order-preserving partial injections of the chain 0 < ... < n-1:
+    C(2n, n) elements, combinatorial, one D-class per rank."""
+    return _partial_injections(n, lambda k: combinations(range(n), k))
+
+
+def partial_identities(n: int) -> list[str]:
+    """The partial identity on {0..k-1} for k = 0..n, one idempotent per rank:
+    a transversal of the D-classes of I_n and of POI_n."""
+    return ["{" + " ".join(f"{a}>{a}" for a in range(k)) + "}" for k in range(n + 1)]
 
 
 # -- brute-force oracles -----------------------------------------------------

@@ -123,18 +123,18 @@ def test_constructor_rejects_dangling_morphisms():
         CategorySlice(["X"], ["1"], {"1": "X"}, {"1": "X"}, {}, {"X": "other"})
 
 
-def _arrow_slice(compose, identities=None):
+def _arrow_slice(compose, identities=None, build=CategorySlice):
     """Objects X, Y and morphisms 1X, 1Y, f: X -> Y; dom and cod also know
     a morphism "ghost" the slice does not hold."""
     dom = {"1X": "X", "1Y": "Y", "f": "X", "ghost": "X"}
     cod = {"1X": "X", "1Y": "Y", "f": "Y", "ghost": "X"}
-    return CategorySlice(
+    return build(
         ["X", "Y"], ["1X", "1Y", "f"], dom, cod, compose,
-        identities or {"X": "1X", "Y": "1Y"},
+        identities or {"X": "1X", "Y": "1Y"}, (),
     )
 
 
-@pytest.mark.parametrize(
+BAD_ARROW_TABLES = pytest.mark.parametrize(
     "compose, identities, message",
     [
         ({("f", "f"): "f"}, None, "compose defined on non-composable pair ('f', 'f')"),
@@ -147,10 +147,34 @@ def _arrow_slice(compose, identities=None):
     ],
     ids=["non_composable", "wrong_composite_endpoints", "identity_endpoints", "unknown"],
 )
+
+
+@BAD_ARROW_TABLES
 def test_constructor_checks_every_entry_and_identity(compose, identities, message):
     with pytest.raises(InvalidSlice) as caught:
         _arrow_slice(compose, identities)
     assert str(caught.value) == message
+
+
+@BAD_ARROW_TABLES
+def test_table_adopting_builder_checks_every_entry_and_identity(compose, identities, message):
+    with pytest.raises(InvalidSlice) as caught:
+        _arrow_slice(compose, identities, CategorySlice._from_tables)
+    assert str(caught.value) == message
+
+
+def test_constructor_copies_the_callers_tables():
+    compose = {("1X", "1X"): "1X", ("1Y", "1Y"): "1Y", ("f", "1X"): "f", ("1Y", "f"): "f"}
+    dom, cod = {"1X": "X", "1Y": "Y", "f": "X"}, {"1X": "X", "1Y": "Y", "f": "Y"}
+    identities = {"X": "1X", "Y": "1Y"}
+    c = CategorySlice(["X", "Y"], list(dom), dom, cod, compose, identities, list(dom))
+    kept = [dict(t) for t in (c.dom, c.cod, c.compose, c.identities)]
+    compose[("f", "1X")] = "1Y"
+    del compose[("1Y", "f")]
+    identities["Y"] = "f"
+    dom["f"] = cod["f"] = "X"
+    assert [c.dom, c.cod, c.compose, c.identities] == kept
+    assert c.factorizations("f") == (("f", "1X"), ("1Y", "f"))
 
 
 def test_associativity_failure_is_reported():

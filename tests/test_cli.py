@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mucat import FinitePoset, chain, default_transversal, meet_semilattice
+from mucat import FinitePoset, chain, cli, default_transversal, meet_semilattice
 from mucat.cli import main
 
-from helpers import boolean_lattice, divisor_poset
+from helpers import boolean_lattice, divisor_poset, partial_identities, symmetric_inverse_monoid
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +307,18 @@ def test_semigroup_rejects_unhashable_element_names(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_semigroup_names_a_non_combinatorial_semigroup(capsys, tmp_path, n):
+    # I_n holds the swap of 0 and 1, a non-idempotent s with s s⁻¹ = s⁻¹ s; its
+    # D-classes hold several idempotents, and no transversal gives a one-way category
+    path = tmp_path / f"i{n}.json"
+    path.write_text(symmetric_inverse_monoid(n).to_json(), encoding="utf-8")
+    for extra in ([], ["--transversal", ",".join(partial_identities(n))]):
+        assert run_cli(capsys, "semigroup", str(path), "{},{}", *extra) == (
+            2, "", "error: '{0>1 1>0}' lies in a nontrivial subgroup\n"
+        )
+
+
 @pytest.mark.parametrize(
     "data", [{"elements": 5, "leq": []}, {"elements": ["a"], "leq": 7}]
 )
@@ -332,3 +348,55 @@ def test_malformed_json_exits_two(capsys, tmp_path, text, command, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- one parser per process ------------------------------------------------------
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser_and_answers_as_a_new_one_would(capsys, monkeypatch, tmp_path):
+    semilattice = str(write_chain_semilattice(tmp_path))
+    calls = [
+        ["mu-cm", "--m", "3", "2,0,0,-2", "--verify"],
+        ["mu-dm", "--m", "3", "3,2", "--verify", "--format", "json"],
+        ["mu-cm", "--m", "3", "1,1,0"],
+        ["mu-dm", "--m", "3", "--verify"],
+        ["verify", "--m", "2", "--level-min", "-3"],
+        ["semigroup", semilattice, "f,e"],
+        ["mu-cm", "--m", "3", "2,0,0,-2", "--verify"],
+    ]
+    build_parser, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert len(built) == 1
+    new = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        new.append(_outcome(capsys, argv))
+    assert len(built) == 1 + len(calls)
+    assert reused == new
+    assert [code for code, _, _ in reused] == [0, 0, 2, "SystemExit(2)", 0, 0, 0]
+    assert reused[2][2].startswith("error: ") and reused[3][2].startswith("usage: mucat mu-dm")
+    assert build_parser() is not build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = "import mucat.cli as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout == "0\n"

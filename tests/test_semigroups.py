@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from math import comb
 
 import pytest
 
@@ -38,6 +39,8 @@ from helpers import (
     brandt_five,
     divisor_poset,
     fork_poset,
+    partial_identities,
+    poi,
 )
 
 
@@ -452,6 +455,23 @@ def test_all_rules_agree_across_corpus():
             idem = moebius_via_idempotent_lattice(s, morphism)
             law = moebius_via_lawvere(c, morphism)
             assert quot == idem == law == mu[morphism]
+
+
+@pytest.mark.parametrize("n, morphisms", [(2, 7), (3, 15), (4, 31), (5, 63)])
+def test_poi_rules_give_the_sign_of_the_rank_difference(n, morphisms):
+    # the idempotents below e are the partial identities on subsets of dom e,
+    # a boolean lattice, so mu(x, e) = (-1)^(|dom e| - |dom x|)
+    s = poi(n)
+    assert len(s) == comb(2 * n, n)
+    assert find_semigroup_violation(s) is None
+    c = division_category(s, partial_identities(n))
+    assert len(c.morphisms) == morphisms
+    for x, e in c.morphisms:
+        expected = (-1) ** (e.count(">") - x.count(">"))
+        quot = moebius_via_quotients(c, (x, e))
+        idem = moebius_via_idempotent_lattice(s, (x, e))
+        law = moebius_via_lawvere(c, (x, e))
+        assert (quot, idem, law) == (expected,) * 3, (x, e)
 
 
 def test_transversal_choice_comparison_is_recorded():
