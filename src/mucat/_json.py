@@ -1,5 +1,6 @@
 """The one JSON boundary: every ``from_json`` reader parses and checks here, so
-any malformed input raises the reader's own error with a one-line message."""
+any malformed input raises the reader's own error with a one-line message, and
+every writer names its items by the one rule here."""
 
 from __future__ import annotations
 
@@ -15,6 +16,21 @@ def strings(value, length=None) -> bool:
 def rows(value, length=None) -> bool:
     """True iff value is an array of string arrays (each of ``length``, if given)."""
     return isinstance(value, list) and all(strings(row, length) for row in value)
+
+
+def name(item) -> str:
+    """The JSON name of an element, object or morphism: a string is its own
+    name, anything else is rendered through str()."""
+    return item if isinstance(item, str) else str(item)
+
+
+def names(items, error, what: str) -> dict:
+    """Each item's ``name``, in item order; two items with one name raise
+    ``error`` saying ``what`` are not unique, as JSON could not tell them apart."""
+    named = {item: name(item) for item in items}
+    if len(set(named.values())) != len(named):
+        raise error(f"{what} are not unique; cannot serialize")
+    return named
 
 
 def load_object(data, error, what: str, fields=None) -> dict:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any
 
-from ._json import load_object, rows, strings
+from ._json import load_object, name, names, rows, strings
 from .errors import (
     IncompleteSlice,
     InvalidSlice,
@@ -151,18 +151,13 @@ class CategorySlice:
 
     # -- serialization ---------------------------------------------------
 
-    def morphism_key(self, f) -> str:
-        return f if isinstance(f, str) else str(f)
-
-    def object_key(self, x) -> str:
-        return x if isinstance(x, str) else str(x)
+    # the name to_json gives one morphism or object
+    morphism_key = object_key = staticmethod(name)
 
     def to_json(self) -> str:
         """Serialize in the documented slice schema (morphisms become string ids)."""
-        mid = {f: self.morphism_key(f) for f in self.morphisms}
-        oid = {x: self.object_key(x) for x in self.objects}
-        if len(set(mid.values())) != len(mid) or len(set(oid.values())) != len(oid):
-            raise InvalidSlice("morphism/object keys are not unique; cannot serialize")
+        mid = names(self.morphisms, InvalidSlice, "morphism/object keys")
+        oid = names(self.objects, InvalidSlice, "morphism/object keys")
         data = {
             "objects": [oid[x] for x in self.objects],
             "morphisms": [
@@ -359,15 +354,14 @@ class IncidenceFunction(Mapping):
 
     def to_json(self, c: CategorySlice) -> str:
         """Serialize as {morphism id: "p/q"} in slice order."""
-        return json.dumps(
-            {c.morphism_key(f): str(Fraction(self._values[f])) for f in c.morphisms}
-        )
+        mid = names(c.morphisms, InvalidSlice, "morphism keys")
+        return json.dumps({mid[f]: str(Fraction(self._values[f])) for f in c.morphisms})
 
     @classmethod
     def from_json(cls, c: CategorySlice, data) -> "IncidenceFunction":
         """Load {morphism id: value}; each value is a JSON integer or a "p/q" string."""
         data = load_object(data, InvalidSlice, "incidence function")
-        by_key = {c.morphism_key(f): f for f in c.morphisms}
+        by_key = {key: f for f, key in names(c.morphisms, InvalidSlice, "morphism keys").items()}
         values = {}
         for key, raw in data.items():
             if key not in by_key:

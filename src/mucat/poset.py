@@ -31,7 +31,7 @@ from itertools import compress, count
 from operator import and_
 from typing import Any, Callable, Iterable
 
-from ._json import load_object, rows, strings
+from ._json import load_object, names, rows, strings
 from .errors import InvalidPoset, NotComparable
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -382,10 +382,8 @@ class FinitePoset:
         return cls(data["elements"], leq=data.get("leq"), covers=data.get("covers"))
 
     def to_json(self) -> str:
-        """Serialize as {"elements": ..., "covers": ...}; names go through str()."""
-        key = {x: x if isinstance(x, str) else str(x) for x in self.elements}
-        if len(set(key.values())) != len(key):
-            raise InvalidPoset("element names are not unique; cannot serialize")
+        """Serialize as {"elements": ..., "covers": ...} under ``_json.names``."""
+        key = names(self.elements, InvalidPoset, "element names")
         return json.dumps(
             {
                 "elements": [key[x] for x in self.elements],

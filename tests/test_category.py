@@ -118,9 +118,50 @@ def test_missing_identity_law_is_reported():
     assert message is not None and "identity law" in message
 
 
+def test_missing_left_identity_law_is_reported():
+    base = poset_as_category(chain([0, 1]))
+    compose = dict(base.compose)
+    del compose[((1, 1), (0, 1))]
+    broken = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                           base.identities)
+    assert find_slice_violation(broken) == "left identity law fails at (0, 1)"
+
+
+def test_associativity_definedness_mismatch_is_reported():
+    # (2, 3)∘(0, 2) is left out, so ((2, 3)∘(1, 2))∘(0, 1) = (0, 3) while
+    # (2, 3)∘((1, 2)∘(0, 1)) is undefined
+    base = poset_as_category(chain([0, 1, 2, 3]))
+    compose = dict(base.compose)
+    del compose[((2, 3), (0, 2))]
+    broken = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                           base.identities)
+    assert find_slice_violation(broken) == (
+        "associativity definedness mismatch on ((2, 3), (1, 2), (0, 1))"
+    )
+
+
 def test_constructor_rejects_dangling_morphisms():
     with pytest.raises(InvalidSlice):
         CategorySlice(["X"], ["1"], {"1": "X"}, {"1": "X"}, {}, {"X": "other"})
+
+
+@pytest.mark.parametrize(
+    "objects, morphisms, dom, complete, message",
+    [
+        (["X", "X"], [], {}, (), "duplicate objects"),
+        (["X"], ["1", "1"], {"1": "X"}, (), "duplicate morphisms"),
+        (["X"], ["1"], {}, (), "morphism '1' lacks a domain or codomain"),
+        (["X"], ["1"], {"1": "Y"}, (), "morphism '1' has endpoints outside the slice"),
+        (["X"], ["1"], {"1": "X"}, ["nope"], "complete set mentions unknown morphisms"),
+    ],
+    ids=["duplicate_objects", "duplicate_morphisms", "no_domain", "outside", "complete"],
+)
+def test_constructor_rejects_malformed_objects_and_morphisms(
+    objects, morphisms, dom, complete, message
+):
+    with pytest.raises(InvalidSlice) as caught:
+        CategorySlice(objects, morphisms, dom, {"1": "X"}, {}, {"X": "1"}, complete)
+    assert str(caught.value) == message
 
 
 def _arrow_slice(compose, identities=None, build=CategorySlice):
@@ -591,6 +632,27 @@ def test_incidence_function_json_round_trip():
     xi = IncidenceFunction({f: Fraction(k - 1, 3) for k, f in enumerate(c.morphisms)})
     restored = IncidenceFunction.from_json(c, xi.to_json(c))
     assert restored == xi
+
+
+def test_json_refuses_morphisms_or_objects_that_share_a_name():
+    # the int 1 and the string "1" would both be written as "1"
+    c = CategorySlice(["a", "b"], [1, "1"], {1: "a", "1": "b"}, {1: "a", "1": "b"},
+                      {(1, 1): 1, ("1", "1"): "1"}, {"a": 1, "b": "1"}, [1, "1"])
+    with pytest.raises(InvalidSlice, match="^morphism/object keys are not unique; cannot"):
+        c.to_json()
+    with pytest.raises(InvalidSlice, match="^morphism keys are not unique; cannot serialize$"):
+        IncidenceFunction({1: 1, "1": 2}).to_json(c)
+    with pytest.raises(InvalidSlice, match="^morphism keys are not unique; cannot serialize$"):
+        IncidenceFunction.from_json(c, '{"1": "2"}')
+    objects = CategorySlice([0, "0"], ["f", "g"], {"f": 0, "g": "0"}, {"f": 0, "g": "0"},
+                            {}, {0: "f", "0": "g"})
+    with pytest.raises(InvalidSlice, match="^morphism/object keys are not unique; cannot"):
+        objects.to_json()
+
+
+def test_incidence_values_must_be_exact():
+    with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
+        IncidenceFunction({(0, 0): 0.5})
 
 
 def test_incidence_function_json_rejects_unknown_ids():

@@ -53,6 +53,13 @@ def test_mu_cm_rejects_bad_spec(capsys):
     assert "error" in err
 
 
+def test_mu_cm_rejects_a_spec_that_is_not_integers(capsys):
+    assert run_cli(capsys, "mu-cm", "--m", "3", "1,x,0,0") == (
+        2, "", "error: morphism spec 'a,x,i,j' must be integers: "
+               "invalid literal for int() with base 10: 'x'\n",
+    )
+
+
 def test_mu_cm_rejects_invalid_morphism(capsys):
     code, _, err = run_cli(capsys, "mu-cm", "--m", "2", "3,0,0,-1")
     assert code == 2
@@ -282,9 +289,9 @@ def test_semigroup_ambiguous_comma_split(capsys, tmp_path):
 
 def test_semigroup_rejects_non_morphism(capsys, tmp_path):
     path = write_chain_semilattice(tmp_path)
-    code, _, err = run_cli(capsys, "semigroup", str(path), "e,f")
-    assert code == 2
-    assert "not a morphism" in err
+    code, out, err = run_cli(capsys, "semigroup", str(path), "e,f")
+    assert (code, out) == (2, "")
+    assert err == "error: ('e', 'f') is not a morphism of the division category\n"
 
 
 def test_semigroup_rejects_invalid_table(capsys, tmp_path):

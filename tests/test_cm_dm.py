@@ -29,6 +29,8 @@ from mucat import (
     validate_slice,
 )
 
+from mucat.cm_dm import validate_cm_object
+
 from helpers import bf_compose
 
 
@@ -146,7 +148,22 @@ def test_morphism_validation():
         validate_cm_morphism(1, CmMorphism(0, 0, 0, 0))  # modulus too small
 
 
+def test_object_validation():
+    validate_cm_object(2, CmObject(1, -3))
+    with pytest.raises(ValueError, match=r"^residue 2 not in \[0, 2\)$"):
+        validate_cm_object(2, CmObject(2, 0))
+    with pytest.raises(ValueError, match="^level 1 is positive$"):
+        validate_cm_object(2, CmObject(0, 1))
+    with pytest.raises(ValueError, match="^modulus must be"):
+        validate_cm_object(1, CmObject(0, 0))
+
+
 # -- slices ----------------------------------------------------------------------
+
+def test_window_floor_must_not_be_positive():
+    with pytest.raises(ValueError, match="^level_min must be <= 0, got 1$"):
+        cm_slice(2, 1)
+
 
 def test_zero_window_has_identities_only():
     c = cm_slice(2, 0)
@@ -307,6 +324,13 @@ def test_dm_hom_bounded_scan():
 
 def test_dm_hom_empty_when_bound_is_low():
     assert dm_hom_bounded(3, 0, 1, 0) == []
+
+
+def test_dm_hom_bounded_checks_residues_and_bound():
+    with pytest.raises(ValueError, match=r"^residues \(3, 0\) not in \[0, 3\)$"):
+        dm_hom_bounded(3, 3, 0, 5)
+    with pytest.raises(ValueError, match="^alpha_max must be >= 0, got -1$"):
+        dm_hom_bounded(3, 0, 0, -1)
 
 
 def test_dm_compose_with_identity():

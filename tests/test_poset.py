@@ -441,6 +441,11 @@ def test_json_round_trip():
     assert q.moebius("1", "12") == p.moebius(1, 12)
 
 
+def test_json_refuses_elements_that_share_a_name():
+    with pytest.raises(InvalidPoset, match="^element names are not unique; cannot serialize$"):
+        FinitePoset([1, "1"], covers=[]).to_json()
+
+
 def test_json_accepts_full_relation():
     data = {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"], ["a", "b"]]}
     p = FinitePoset.from_json(json.dumps(data))

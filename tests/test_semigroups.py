@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from mucat import (
     NotOneWay,
     NotTransversal,
     chain,
+    check_transversal,
     default_transversal,
     division_category,
     find_semigroup_violation,
@@ -30,7 +32,9 @@ from mucat import (
 
 from helpers import (
     B2,
+    antichain,
     are_isomorphic,
+    bf_compose,
     bf_d_classes,
     bf_is_combinatorial,
     bf_semigroup_violation,
@@ -41,6 +45,7 @@ from helpers import (
     fork_poset,
     partial_identities,
     poi,
+    symmetric_inverse_monoid,
 )
 
 
@@ -104,6 +109,13 @@ def test_table_shape_is_checked():
 def test_declared_identity_is_checked():
     with pytest.raises(InvalidSemigroup):
         InverseSemigroup(["a", "b"], [["a", "a"], ["a", "a"]], one="b")
+
+
+def test_constructor_rejects_duplicate_elements_and_a_foreign_one():
+    with pytest.raises(InvalidSemigroup, match="^duplicate elements$"):
+        InverseSemigroup(["a", "a"], [["a", "a"], ["a", "a"]])
+    with pytest.raises(InvalidSemigroup, match=r"^'one' 'q' is not an element$"):
+        InverseSemigroup(["a"], [["a"]], one="q")
 
 
 # -- natural order, idempotents, D-classes ----------------------------------------
@@ -190,6 +202,33 @@ def test_inverse_count_violation_matches_oracle(s):
     assert violation == bf_semigroup_violation(s)
 
 
+def _all_tables(n):
+    """Every binary operation on the n elements a, b, c, ... as a table."""
+    elements = "abc"[:n]
+    for entries in product(elements, repeat=n * n):
+        yield InverseSemigroup(elements, [entries[k:k + n] for k in range(0, n * n, n)])
+
+
+def test_every_table_of_order_at_most_three_matches_oracle():
+    # the oracle still compares idempotents pairwise, which the library leaves
+    # to associativity and unique inverses (Howie, Thm 5.1.1); and in each
+    # inverse monoid the identity is the only idempotent of its D-class, which
+    # check_transversal relies on
+    valid = monoids = 0
+    for n in (1, 2, 3):
+        for s in _all_tables(n):
+            violation = find_semigroup_violation(s)
+            assert violation == bf_semigroup_violation(s)
+            if violation is None:
+                valid += 1
+                one = s.identity()
+                if one is not None:
+                    monoids += 1
+                    (units,) = [cls for cls in s.d_classes() if one in cls]
+                    assert [e for e in units if e in s.idempotents()] == [one]
+    assert 0 < monoids < valid
+
+
 def _planted_edits(count, seed):
     """Tables of B_3, Brandt B_3 and the divisors of 60 with one or two
     entries overwritten by a random element."""
@@ -262,6 +301,17 @@ def test_transversal_must_contain_identity_of_monoid():
     partial = [e for e in s.elements if e != s.identity()]
     with pytest.raises(NotTransversal):
         division_category(s, partial)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transversal_without_the_identity_is_rejected_on_symmetric_inverse_monoids(n):
+    s = symmetric_inverse_monoid(n)
+    *reps, one = partial_identities(n)
+    assert s.identity() == one
+    with pytest.raises(NotTransversal, match=r"meets the transversal in \[\]$"):
+        check_transversal(s, reps)
+    with pytest.raises(NotTransversal, match=r"meets the transversal in \[\]$"):
+        division_category(s, reps)
 
 
 def test_division_category_computes_d_classes_once(monkeypatch):
@@ -346,15 +396,22 @@ def test_quotient_poset_of_boolean_top_is_boolean():
 
 
 def test_quotient_poset_is_cached_and_matches_factor_through_order():
-    for s in SEMILATTICE_CORPUS:
-        c = division_category(s)
+    """s <= t iff u∘t = s for some u, read off the all-pairs compose oracle."""
+    corpus = [(s, None) for s in SEMILATTICE_CORPUS] + [
+        (meet_semilattice(divisor_poset(60)), None),
+        (brandt_five(), ["e11", "z"]),
+        (poi(4), partial_identities(4)),
+    ]
+    for s, transversal in corpus:
+        c = division_category(s, transversal)
+        table = bf_compose(c, lambda g, f: (s.mul(g[0], f[0]), f[1]))
         for e in c.objects:
             q = quotient_poset(c, e)
             assert quotient_poset(c, e) is q
             assert q.elements == c.morphisms_from(e)
             for sf in q.elements:
                 for tf in q.elements:
-                    below = any(c.compose.get((u, tf)) == sf for u in c.morphisms_from(c.cod[tf]))
+                    below = any(k == sf for (_, t), k in table.items() if t == tf)
                     assert q.leq(sf, tf) == below
 
 
@@ -501,6 +558,17 @@ def test_semigroup_json_keeps_identity():
     s = meet_semilattice(B2)
     restored = InverseSemigroup.from_json(s.to_json())
     assert restored.one == str(s.identity())
+
+
+def test_semigroup_json_refuses_elements_that_share_a_name():
+    s = InverseSemigroup([1, "1"], [[1, 1], [1, 1]])
+    with pytest.raises(InvalidSemigroup, match="^element names are not unique; cannot serialize$"):
+        s.to_json()
+
+
+def test_meet_semilattice_needs_every_meet():
+    with pytest.raises(InvalidSemigroup, match="^'a' and 'b' have no meet$"):
+        meet_semilattice(antichain(["a", "b"]))
 
 
 def test_semigroup_json_rejects_unknown_keys():
