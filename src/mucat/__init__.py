@@ -19,12 +19,14 @@ from .errors import (
 from .poset import FinitePoset, chain
 from .category import (
     CategorySlice,
+    FactorizationSource,
     IncidenceFunction,
     convolution_inverse,
     convolve,
     factor_slice,
     find_slice_violation,
     is_one_way_category,
+    moebius_at,
     moebius_inversion_check,
     moebius_of_slice,
     poset_as_category,
@@ -44,18 +46,18 @@ from .cm_dm import (
     CmObject,
     DmMorphism,
     cm_compose,
-    cm_factor_slice,
     cm_factorization_objects,
     cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
+    cm_source,
     dm_compose,
-    dm_factor_slice,
     dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,
     dm_slice,
+    dm_source,
     functor_F,
     functor_F_object,
     validate_cm_morphism,

@@ -83,10 +83,8 @@ class CategorySlice:
             ek, eg, eh = ends.get(k), ends.get(g), ends.get(h)
             if ek is None or eg is None or eh is None:
                 raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
-            if eh[1] != eg[0]:
-                raise InvalidSlice(f"compose defined on non-composable pair ({g!r}, {h!r})")
-            if ek[0] != eh[0] or ek[1] != eg[1]:
-                raise InvalidSlice(f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints")
+            if eh[1] != eg[0] or ek[0] != eh[0] or ek[1] != eg[1]:
+                raise _bad_entry(g, h, k, eh[1] == eg[0])
             ek[2].append(pair)
         self.identities = identities
         for x in self.objects:
@@ -94,7 +92,7 @@ class CategorySlice:
                 raise InvalidSlice(f"object {x!r} lacks an identity morphism")
             ex = ends[self.identities[x]]
             if ex[0] != x or ex[1] != x:
-                raise InvalidSlice(f"identity of {x!r} has endpoints ({ex[0]!r}, {ex[1]!r})")
+                raise _bad_identity(x, ex[0], ex[1])
         complete = frozenset(complete)
         if not complete <= mors:
             raise InvalidSlice("complete set mentions unknown morphisms")
@@ -196,6 +194,74 @@ class CategorySlice:
         compose = {(g, h): k for g, h, k in data["compose"]}
         identities, complete = data["identities"], data["complete"]
         return cls(data["objects"], morphisms, dom, cod, compose, identities, complete)
+
+
+def _bad_entry(g, h, k, composable: bool) -> InvalidSlice:
+    """The refusal of a composition entry (g, h) -> k with wrong endpoints."""
+    if not composable:
+        return InvalidSlice(f"compose defined on non-composable pair ({g!r}, {h!r})")
+    return InvalidSlice(f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints")
+
+
+def _bad_identity(x, d, c) -> InvalidSlice:
+    """The refusal of an identity of x that runs from d to c."""
+    return InvalidSlice(f"identity of {x!r} has endpoints ({d!r}, {c!r})")
+
+
+class _Rule:
+    """A read-only mapping that stores nothing: ``r.get(k)`` is ``rule(k)``
+    and so is ``r[k]``."""
+
+    __slots__ = ("get",)
+
+    def __init__(self, rule):
+        self.get = rule
+
+    def __getitem__(self, key):
+        return self.get(key)
+
+
+class FactorizationSource:
+    """A category read through its rules instead of a table.
+
+    ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
+    give endpoints, ``identity(x)`` the identity of x, ``composite((g, h))``
+    the composite of a composable pair, unchecked, and ``validate(f)`` raises
+    unless f is a morphism.  Its ``dom``, ``cod``, ``identities``, ``compose`` and
+    ``_facts`` mappings compute each value on request, so the interval build
+    and the convolution recursion read a source as they read a slice's
+    tables, and memory grows only with what a route reads.  Every
+    factorization pair and identity handed out is checked as the
+    ``CategorySlice`` constructor checks a table entry, with its messages.
+    """
+
+    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_validate")
+
+    def __init__(self, factorizations, dom, cod, identity, composite, validate):
+        def checked_pairs(k):
+            pairs = factorizations(k)
+            x, y = dom(k), cod(k)
+            for g, h in pairs:
+                if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
+                    raise _bad_entry(g, h, k, cod(h) == dom(g))
+            return pairs
+
+        def checked_identity(x):
+            e = identity(x)
+            if dom(e) != x or cod(e) != x:
+                raise _bad_identity(x, dom(e), cod(e))
+            return e
+
+        self.dom, self.cod = _Rule(dom), _Rule(cod)
+        self.identities = _Rule(checked_identity)
+        self.compose = _Rule(composite)
+        self._facts = _Rule(checked_pairs)
+        self._validate = validate
+
+    def factorizations(self, f) -> list:
+        """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
+        self._validate(f)
+        return self._facts[f]
 
 
 # -- validation ------------------------------------------------------------
@@ -426,37 +492,58 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     for x in c.objects:
         if xi[c.identities[x]] == 0:
             raise NotInvertible(f"function vanishes on the identity of {x!r}")
-    facts = c._facts
     eta: dict = {}
     for root in c.morphisms:
-        if root in eta:
-            continue
-        waiting = {root}
-        stack = [(root, c.identities[c.cod[root]], iter(facts[root]))]
-        while stack:
-            f, one, pairs = stack[-1]
-            for g, h in pairs:
-                if g != one and h not in eta:
-                    if h in waiting:
-                        raise NotMoebius(
-                            f"factorization recursion revisits {h!r}; slice is not one-way"
-                        )
-                    waiting.add(h)
-                    stack.append((h, c.identities[c.cod[h]], iter(facts[h])))
-                    break
-            else:
-                stack.pop()
-                waiting.discard(f)
-                total = 1 if f == one else 0
-                for g, h in facts[f]:
-                    if g != one:
-                        total -= xi[g] * eta[h]
-                unit = xi[one]
-                if type(total) is int and type(unit) is int and total % unit == 0:
-                    eta[f] = total // unit
-                else:
-                    eta[f] = Fraction(total, unit)
+        if root not in eta:
+            _invert_from(c, xi, eta, root)
     return IncidenceFunction(eta)
+
+
+def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) -> None:
+    """Add to eta the inverse's value at root and at each right factor of
+    root it lacks, right factors first; c is a slice or a source.
+
+    Each morphism's factorizations are read once and kept on the stack until
+    its value is summed.
+    """
+    facts, identities, cod = c._facts, c.identities, c.cod
+    waiting = {root}
+    pairs = facts[root]
+    stack = [(root, identities[cod[root]], pairs, iter(pairs))]
+    while stack:
+        f, one, pairs, rest = stack[-1]
+        for g, h in rest:
+            if g != one and h not in eta:
+                if h in waiting:
+                    raise NotMoebius(f"factorization recursion revisits {h!r}; slice is not one-way")
+                waiting.add(h)
+                below = facts[h]
+                stack.append((h, identities[cod[h]], below, iter(below)))
+                break
+        else:
+            stack.pop()
+            waiting.discard(f)
+            total = 1 if f == one else 0
+            for g, h in pairs:
+                if g != one:
+                    total -= xi[g] * eta[h]
+            unit = xi[one]
+            if type(total) is int and type(unit) is int and total % unit == 0:
+                eta[f] = total // unit
+            else:
+                eta[f] = Fraction(total, unit)
+
+
+_ZETA = _Rule(lambda f: 1)  # the constant-1 function on every morphism of any category
+
+
+def moebius_at(c: FactorizationSource, f) -> int:
+    """μ(f) alone, by the recursion of ``convolution_inverse`` on zeta run
+    from f: it reads only f's right factors and their factorizations."""
+    c.factorizations(f)  # refuses an f that is not a morphism of c
+    eta: dict = {}
+    _invert_from(c, _ZETA, eta, f)
+    return eta[f]
 
 
 def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:

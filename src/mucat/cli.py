@@ -13,15 +13,15 @@ import functools
 import json
 import sys
 
-from .category import IncidenceFunction, convolve, moebius_of_slice, validate_slice
+from .category import IncidenceFunction, convolve, moebius_at, moebius_of_slice, validate_slice
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
-    cm_factor_slice,
     cm_moebius_closed_form,
     cm_slice,
-    dm_factor_slice,
+    cm_source,
     dm_moebius_closed_form,
+    dm_source,
     validate_cm_morphism,
     validate_dm_morphism,
 )
@@ -77,16 +77,17 @@ def _emit(args, text_lines, payload) -> None:
 
 def cmd_mu(args) -> int:
     """The closed-form value of one morphism; with --verify, compared against
-    the interval and convolution values on its factor slice."""
-    parse, closed_form, factor_slice = args.routes
+    the interval and convolution values, read off the category's rules with
+    no table: f's factorizations and its right factors' factorizations."""
+    parse, closed_form, source = args.routes
     f = parse(args.m, args.spec)
     closed = closed_form(f)
     if not args.verify:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
-    c = factor_slice(args.m, f)
+    c = source(args.m)
     law = moebius_via_lawvere(c, f)
-    conv = moebius_of_slice(c)[f]
+    conv = moebius_at(c, f)
     agree = closed == law == conv
     verdict = "AGREE" if agree else "DISAGREE"
     _emit(
@@ -156,8 +157,7 @@ def cmd_verify(args) -> int:
 
 def cmd_interval_dot(args) -> int:
     f = parse_cm_spec(args.m, args.spec)
-    c = cm_factor_slice(args.m, f)
-    poset = interval_as_poset(lawvere_interval(c, f))
+    poset = interval_as_poset(lawvere_interval(cm_source(args.m), f))
     dot = poset.to_dot(label=lambda fac: f"({fac.right.a},{fac.right.j})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -245,21 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="modulus (>= 2)")
         p.add_argument("spec", help=morphism_help)
         p.add_argument("--verify", action="store_true",
-                       help="also compute interval and convolution values on the "
-                            "morphism's factor closure and compare")
+                       help="also compute interval and convolution values from the "
+                            "morphism's factorizations and compare")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("mu-cm", help="Möbius value of a level-category morphism a,x,i,j")
     add_common(p, "morphism as 'a,x,i,j'")
     p.add_argument("--level-min", type=int, default=None,
                    help="accepted and ignored: --verify works on the factor closure")
-    p.set_defaults(handler=cmd_mu, routes=(parse_cm_spec, cm_moebius_closed_form, cm_factor_slice))
+    p.set_defaults(handler=cmd_mu, routes=(parse_cm_spec, cm_moebius_closed_form, cm_source))
 
     p = sub.add_parser("mu-dm", help="Möbius value of a residue-category morphism alpha,x")
     add_common(p, "morphism as 'alpha,x'")
     p.add_argument("--alpha-max", type=int, default=None,
                    help="accepted and ignored: --verify works on the factor closure")
-    p.set_defaults(handler=cmd_mu, routes=(parse_dm_spec, dm_moebius_closed_form, dm_factor_slice))
+    p.set_defaults(handler=cmd_mu, routes=(parse_dm_spec, dm_moebius_closed_form, dm_source))
 
     p = sub.add_parser("verify", help="cross-verification sweep over a level-category window")
     p.add_argument("--m", type=int, required=True)

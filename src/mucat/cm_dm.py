@@ -14,9 +14,10 @@ comparisons such as alpha >= x are against canonical representatives.  Both
 categories are infinite; finite windows (a level floor for C_m, a cap on
 alpha for D_m) yield slices whose morphisms are all factorization-complete,
 because intermediate levels stay inside [j, i] and intermediate alphas inside
-[x, alpha].  ``factor_slice`` builds both windows and factor slices (the middle
-factors of one morphism) from closed-form factorization enumerators, seeding
-its walk with the window's morphisms or with the one morphism.
+[x, alpha].  ``factor_slice`` builds both windows from closed-form
+factorization enumerators; ``cm_source``/``dm_source`` read the same
+enumerators and composition rules with no window, for routes that need one
+morphism's factorizations and its right factors' only.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
 as their field tuples, so every slice, interval and poset lookup keyed by
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import CategorySlice, factor_slice
+from .category import CategorySlice, FactorizationSource, factor_slice
 from .errors import NotComposable
 
 _new = tuple.__new__  # a NamedTuple from its field tuple, skipping the class's slower __new__
@@ -57,10 +58,10 @@ class CmMorphism(NamedTuple):
     j: int
 
     def source(self) -> CmObject:
-        return CmObject(self.x, self.i)
+        return _new(CmObject, (self.x, self.i))
 
     def target(self, m: int) -> CmObject:
-        return CmObject((self.a + self.x) % m, self.j)
+        return _new(CmObject, ((self.a + self.x) % m, self.j))
 
     def __str__(self):
         return f"{self.a},{self.x},{self.i},{self.j}"
@@ -112,7 +113,13 @@ def cm_compose(m: int, g: CmMorphism, f: CmMorphism) -> CmMorphism:
     validate_cm_morphism(m, f)
     if f.target(m) != g.source():
         raise NotComposable(f"codomain of {f} is {f.target(m)}, domain of {g} is {g.source()}")
-    return CmMorphism(f.a + g.a, f.x, f.i, g.j)
+    return _cm_composite((g, f))
+
+
+def _cm_composite(pair: tuple[CmMorphism, CmMorphism]) -> CmMorphism:
+    """The composite of a composable pair (g, f), unchecked."""
+    g, f = pair
+    return _new(CmMorphism, (f.a + g.a, f.x, f.i, g.j))
 
 
 def cm_slice(m: int, level_min: int) -> CategorySlice:
@@ -168,11 +175,13 @@ def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphi
             for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
 
 
-def cm_factor_slice(m: int, f: CmMorphism) -> CategorySlice:
-    """The full subcategory of C_m on the middle factors of f (see factor_slice)."""
-    validate_cm_morphism(m, f)
-    return factor_slice((f,), lambda k: _cm_factorizations(m, k), CmMorphism.source,
-                        lambda k: k.target(m), cm_identity)
+def cm_source(m: int) -> FactorizationSource:
+    """C_m with no window: factorizations from the closed-form enumerator,
+    composites and endpoints from the morphisms' fields."""
+    _require_modulus(m)
+    return FactorizationSource(lambda k: _cm_factorizations(m, k), CmMorphism.source,
+                               lambda k: k.target(m), cm_identity, _cm_composite,
+                               lambda f: validate_cm_morphism(m, f))
 
 
 class DmMorphism(NamedTuple):
@@ -226,7 +235,13 @@ def dm_compose(m: int, g: DmMorphism, f: DmMorphism) -> DmMorphism:
     validate_dm_morphism(m, f)
     if f.alpha % m != g.x:
         raise NotComposable(f"codomain of {f} is {f.alpha % m}, domain of {g} is {g.x}")
-    return DmMorphism(g.alpha - g.x + f.alpha, f.x)
+    return _dm_composite((g, f))
+
+
+def _dm_composite(pair: tuple[DmMorphism, DmMorphism]) -> DmMorphism:
+    """The composite of a composable pair (g, f), unchecked."""
+    g, f = pair
+    return _new(DmMorphism, (g.alpha - g.x + f.alpha, f.x))
 
 
 def dm_slice(m: int, alpha_max: int) -> CategorySlice:
@@ -254,11 +269,13 @@ def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphi
             for c in range(x, alpha + 1)]
 
 
-def dm_factor_slice(m: int, f: DmMorphism) -> CategorySlice:
-    """The full subcategory of D_m on the middle factors of f (see factor_slice)."""
-    validate_dm_morphism(m, f)
-    return factor_slice((f,), lambda k: _dm_factorizations(m, k), DmMorphism.source,
-                        lambda k: k.target(m), dm_identity)
+def dm_source(m: int) -> FactorizationSource:
+    """D_m with no window: factorizations from the closed-form enumerator,
+    composites and endpoints from the morphisms' fields."""
+    _require_modulus(m)
+    return FactorizationSource(lambda k: _dm_factorizations(m, k), DmMorphism.source,
+                               lambda k: k.target(m), dm_identity, _dm_composite,
+                               lambda f: validate_dm_morphism(m, f))
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:

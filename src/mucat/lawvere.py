@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .category import CategorySlice, one_way
+from .category import CategorySlice, FactorizationSource, one_way
 from .errors import IncompleteSlice, InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
@@ -61,9 +61,9 @@ class LawvereInterval:
         return self.homs.get((a, b), ())
 
 
-def lawvere_interval(c: CategorySlice, f) -> LawvereInterval:
-    """Build the full interval of f inside the slice; f and every factor of f
-    must be complete.
+def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
+    """Build the full interval of f inside a slice, where f and every factor
+    of f must be complete, or inside a ``FactorizationSource``.
 
     Each hom is read off the factorization index: h connects (u, v) to
     (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
@@ -72,7 +72,7 @@ def lawvere_interval(c: CategorySlice, f) -> LawvereInterval:
     which a fully complete slice need not check one by one.
     """
     pairs = c.factorizations(f)
-    if c.complete is not c._morphism_set:
+    if isinstance(c, CategorySlice) and c.complete is not c._morphism_set:
         k = next((k for pair in pairs for k in pair if k not in c.complete), None)
         if k is not None:
             raise IncompleteSlice(f"factor {k!r} of {f!r} is not marked factorization-complete")
@@ -130,7 +130,7 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
         raise NotOneWay(f"interval of {iv.subject!r}: {exc}") from exc
 
 
-def interval_moebius(c: CategorySlice, f, poset: FinitePoset) -> int:
+def interval_moebius(c: CategorySlice | FactorizationSource, f, poset: FinitePoset) -> int:
     """mu(f) as the Möbius value of f's interval poset from bottom to top,
     once the trivial factorizations are checked to bound it."""
     bottom = Factorization(f, c.identities[c.dom[f]], f)
@@ -142,6 +142,7 @@ def interval_moebius(c: CategorySlice, f, poset: FinitePoset) -> int:
     return poset.moebius(bottom, top)
 
 
-def moebius_via_lawvere(c: CategorySlice, f) -> int:
-    """mu(f) computed as the interval-poset Möbius value from bottom to top."""
+def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
+    """mu(f) computed as the interval-poset Möbius value from bottom to top;
+    c is a slice or a ``FactorizationSource``."""
     return interval_moebius(c, f, interval_as_poset(lawvere_interval(c, f)))

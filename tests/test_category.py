@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mucat import (
     CategorySlice,
     CmMorphism,
+    FactorizationSource,
     DmMorphism,
     IncidenceFunction,
     IncompleteSlice,
@@ -18,24 +19,30 @@ from mucat import (
     NotMoebius,
     chain,
     cm_compose,
-    cm_factor_slice,
     cm_moebius_closed_form,
     cm_slice,
+    cm_source,
     convolution_inverse,
     convolve,
     division_category,
     dm_compose,
-    dm_factor_slice,
     dm_moebius_closed_form,
+    dm_identity,
     dm_slice,
+    dm_source,
     find_slice_violation,
     is_one_way_category,
+    lawvere_interval,
     meet_semilattice,
+    moebius_at,
     moebius_inversion_check,
     moebius_of_slice,
+    moebius_via_lawvere,
     poset_as_category,
+    validate_dm_morphism,
     validate_slice,
 )
+from mucat.cm_dm import _dm_composite, _dm_factorizations
 
 from helpers import (
     B2,
@@ -303,7 +310,9 @@ def test_walk_built_slices_hold_only_their_own_morphism_objects(c):
 
 
 def _leroux_corpus():
-    """(name, slice, checked composition rule, closed-form mu or None)."""
+    """(name, slice, checked composition rule, closed-form mu or None, (source, f)
+    or None).  A source case checks the source on the middle factors of f, which
+    the slice holds."""
     def cm(m):
         return lambda g, f: cm_compose(m, g, f)
 
@@ -313,31 +322,117 @@ def _leroux_corpus():
     boolean = meet_semilattice(boolean_lattice(3))
     brandt = brandt_five()
     return [
-        ("cm_slice(2,-4)", cm_slice(2, -4), cm(2), cm_moebius_closed_form),
-        ("cm_slice(3,-3)", cm_slice(3, -3), cm(3), cm_moebius_closed_form),
-        ("dm_slice(3,9)", dm_slice(3, 9), dm(3), dm_moebius_closed_form),
-        ("cm_factor(3;2,1,-1,-5)", cm_factor_slice(3, CmMorphism(2, 1, -1, -5)), cm(3),
-         cm_moebius_closed_form),
-        ("cm_factor(2;3,0,0,-5)", cm_factor_slice(2, CmMorphism(3, 0, 0, -5)), cm(2),
-         cm_moebius_closed_form),
-        ("dm_factor(3;13,1)", dm_factor_slice(3, DmMorphism(13, 1)), dm(3), dm_moebius_closed_form),
-        ("dm_factor(2;9,0)", dm_factor_slice(2, DmMorphism(9, 0)), dm(2), dm_moebius_closed_form),
+        ("cm_slice(2,-4)", cm_slice(2, -4), cm(2), cm_moebius_closed_form, None),
+        ("cm_slice(3,-3)", cm_slice(3, -3), cm(3), cm_moebius_closed_form, None),
+        ("dm_slice(3,9)", dm_slice(3, 9), dm(3), dm_moebius_closed_form, None),
+        ("cm_factor(3;2,1,-1,-5)", cm_slice(3, -5), cm(3), cm_moebius_closed_form,
+         (cm_source(3), CmMorphism(2, 1, -1, -5))),
+        ("cm_factor(2;3,0,0,-5)", cm_slice(2, -5), cm(2), cm_moebius_closed_form,
+         (cm_source(2), CmMorphism(3, 0, 0, -5))),
+        ("dm_factor(3;13,1)", dm_slice(3, 13), dm(3), dm_moebius_closed_form,
+         (dm_source(3), DmMorphism(13, 1))),
+        ("dm_factor(2;9,0)", dm_slice(2, 9), dm(2), dm_moebius_closed_form,
+         (dm_source(2), DmMorphism(9, 0))),
         ("division(B3)", division_category(boolean),
-         lambda g, f: (boolean.mul(g[0], f[0]), f[1]), None),
+         lambda g, f: (boolean.mul(g[0], f[0]), f[1]), None, None),
         ("division(brandt)", division_category(brandt, ["e11", "z"]),
-         lambda g, f: (brandt.mul(g[0], f[0]), f[1]), None),
+         lambda g, f: (brandt.mul(g[0], f[0]), f[1]), None, None),
     ]
 
 
 @pytest.mark.parametrize(
-    "c, composite, closed_form",
-    [pytest.param(c, rule, closed, id=name) for name, c, rule, closed in _leroux_corpus()],
+    "c, composite, closed_form, source",
+    [pytest.param(c, rule, closed, source, id=name)
+     for name, c, rule, closed, source in _leroux_corpus()],
 )
-def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form):
+def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, source):
     expected = bf_chain_moebius_of_slice(c, composite)
     assert dict(moebius_of_slice(c)) == expected
     if closed_form is not None:
         assert {f: closed_form(f) for f in c.morphisms} == expected
+    if source is not None:
+        s, f = source
+        middle = {k for u, _ in c.factorizations(f) for _, k in c.factorizations(u)}
+        assert len(middle) > 10
+        assert {k: moebius_at(s, k) for k in middle} == {k: expected[k] for k in middle}
+        assert {k: moebius_via_lawvere(s, k) for k in middle} == {k: expected[k] for k in middle}
+
+
+# -- factorization sources -----------------------------------------------------------
+
+def _dm3_source(factorizations=None, identity=dm_identity):
+    """D_3 as a source whose enumerator or identity rule may be replaced."""
+    return FactorizationSource(
+        factorizations or (lambda k: _dm_factorizations(3, k)), DmMorphism.source,
+        lambda k: k.target(3), identity, _dm_composite, lambda f: validate_dm_morphism(3, f),
+    )
+
+
+def _constructor_message(**changes) -> str:
+    """The message the CategorySlice constructor gives for a D_3 window with
+    its compose or identities tables updated by ``changes``."""
+    w = dm_slice(3, 9)
+    tables = {"compose": dict(w.compose), "identities": dict(w.identities)}
+    for table, entries in changes.items():
+        tables[table].update(entries)
+    with pytest.raises(InvalidSlice) as caught:
+        CategorySlice(w.objects, w.morphisms, w.dom, w.cod, tables["compose"],
+                      tables["identities"], w.complete)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((DmMorphism(4, 1), DmMorphism(2, 1)),
+         "compose defined on non-composable pair "
+         "(DmMorphism(alpha=4, x=1), DmMorphism(alpha=2, x=1))"),
+        ((DmMorphism(1, 1), DmMorphism(1, 0)),
+         "composite DmMorphism(alpha=4, x=1) of "
+         "(DmMorphism(alpha=1, x=1), DmMorphism(alpha=1, x=0)) has wrong endpoints"),
+        ((DmMorphism(2, 1), DmMorphism(1, 1)),
+         "composite DmMorphism(alpha=4, x=1) of "
+         "(DmMorphism(alpha=2, x=1), DmMorphism(alpha=1, x=1)) has wrong endpoints"),
+    ],
+    ids=["non_composable", "wrong_domain", "wrong_codomain"],
+)
+def test_source_checks_each_pair_as_the_constructor_does(bad, message):
+    k = DmMorphism(4, 1)  # a right factor of (7, 1) and of (13, 1)
+
+    def one_bad_pair(f):
+        pairs = _dm_factorizations(3, f)
+        return [bad, *pairs[1:]] if f == k else pairs
+
+    assert _constructor_message(compose={bad: k}) == message
+    source = _dm3_source(one_bad_pair)
+    for read in (source.factorizations, lambda f: lawvere_interval(source, f), lambda f: moebius_at(source, f)):
+        with pytest.raises(InvalidSlice) as caught:
+            read(k)
+        assert str(caught.value) == message
+    for f in (DmMorphism(7, 1), DmMorphism(13, 1)):  # the pair is read as a right factor's
+        with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+            moebius_at(source, f)
+        with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+            moebius_via_lawvere(source, f)
+    assert moebius_at(_dm3_source(), DmMorphism(7, 1)) == 0
+
+
+def test_source_checks_each_identity_as_the_constructor_does():
+    def wrong(x):
+        return DmMorphism(2, 1) if x == 1 else dm_identity(x)
+
+    message = "identity of 1 has endpoints (1, 2)"
+    assert _constructor_message(identities={1: DmMorphism(2, 1)}) == message
+    source = _dm3_source(identity=wrong)
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        source.identities[1]
+    for read in (moebius_at, moebius_via_lawvere):
+        with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+            read(source, DmMorphism(4, 1))  # an endomorphism of 1
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        moebius_at(source, DmMorphism(3, 0))  # on 0, but 1_1 is the unit of its right factor (1, 0)
+    assert moebius_via_lawvere(source, DmMorphism(3, 0)) == 0  # reads only 1_0
+    assert moebius_at(source, DmMorphism(3, 2)) == -1  # right factors end at 2 and 0
 
 
 def test_factorizations_skip_non_composable_compose_entries():

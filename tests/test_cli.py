@@ -6,7 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from mucat import FinitePoset, chain, cli, default_transversal, meet_semilattice
+from mucat import (
+    FinitePoset,
+    chain,
+    cli,
+    cm_moebius_closed_form,
+    cm_slice,
+    default_transversal,
+    dm_moebius_closed_form,
+    dm_slice,
+    interval_as_poset,
+    lawvere_interval,
+    meet_semilattice,
+    moebius_of_slice,
+    moebius_via_lawvere,
+)
 from mucat.cli import main
 
 from helpers import boolean_lattice, divisor_poset, partial_identities, symmetric_inverse_monoid
@@ -95,6 +109,37 @@ def test_single_morphism_commands_build_no_window(capsys, monkeypatch):
     )
     code, out, _ = run_cli(capsys, "interval-dot", "--m", "3", "2,0,0,-3")
     assert code == 0 and out.count("->") == 7
+
+
+PARITY_WINDOWS = [
+    *(("mu-cm", m, cm_slice(m, -6), cm_moebius_closed_form) for m in (2, 3, 4)),
+    *(("mu-dm", m, dm_slice(m, 20), dm_moebius_closed_form) for m in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, m, window, closed_form", PARITY_WINDOWS,
+    ids=[f"{command}-m{m}" for command, m, _, _ in PARITY_WINDOWS],
+)
+def test_single_morphism_commands_print_the_window_route_values(
+    capsys, command, m, window, closed_form
+):
+    mu = moebius_of_slice(window)
+    for f in window.morphisms:
+        closed, law, conv = closed_form(f), moebius_via_lawvere(window, f), mu[f]
+        agree = closed == law == conv
+        argv = [command, "--m", str(m), str(f), "--verify"]
+        assert run_cli(capsys, *argv) == (
+            0 if agree else 1, f"{closed} {law} {conv} {'AGREE' if agree else 'DISAGREE'}\n", ""
+        )
+        payload = {"closed_form": closed, "lawvere": law, "convolution": conv, "agree": agree}
+        assert run_cli(capsys, *argv, "--format", "json") == (
+            0 if agree else 1, json.dumps(payload, sort_keys=True) + "\n", ""
+        )
+        if command == "mu-cm":
+            poset = interval_as_poset(lawvere_interval(window, f))
+            dot = poset.to_dot(label=lambda fac: f"({fac.right.a},{fac.right.j})")
+            assert run_cli(capsys, "interval-dot", "--m", str(m), str(f)) == (0, dot, "")
 
 
 # -- verify ----------------------------------------------------------------------

@@ -9,20 +9,23 @@ from mucat import (
     Factorization,
     NotComposable,
     cm_compose,
-    cm_factor_slice,
     cm_factorization_objects,
     cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
+    cm_source,
     dm_compose,
-    dm_factor_slice,
     dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,
     dm_slice,
+    dm_source,
     functor_F,
     functor_F_object,
+    lawvere_interval,
+    moebius_at,
+    moebius_of_slice,
     moebius_via_lawvere,
     validate_cm_morphism,
     validate_dm_morphism,
@@ -257,59 +260,40 @@ def test_factorization_objects_in_ascending_triple_order():
         assert cm_factorization_objects(m, f) == expected
 
 
-# -- factor slices ---------------------------------------------------------------------
+# -- sources ---------------------------------------------------------------------------
 
-FACTOR_WINDOWS = [
-    *((m, cm_slice(m, -6), cm_factor_slice) for m in (2, 3, 4)),
-    *((m, dm_slice(m, 20), dm_factor_slice) for m in (2, 3, 4, 5)),
+SOURCE_WINDOWS = [
+    *((m, cm_slice(m, -6), cm_source, cm_compose) for m in (2, 3, 4)),
+    *((m, dm_slice(m, 20), dm_source, dm_compose) for m in (2, 3, 4, 5)),
 ]
 
 
 @pytest.mark.parametrize(
-    "m, window, factor_slice", FACTOR_WINDOWS,
-    ids=[f"{fs.__name__}-m{m}" for m, _, fs in FACTOR_WINDOWS],
+    "m, window, source, compose", SOURCE_WINDOWS,
+    ids=[f"{s.__name__}-m{m}" for m, _, s, _ in SOURCE_WINDOWS],
 )
-def test_factor_slice_is_the_window_restricted_to_middle_factors(m, window, factor_slice):
+def test_source_reads_as_the_window(m, window, source, compose):
+    c = source(m)
+    mu = moebius_of_slice(window)
     for f in window.morphisms:
-        middle = {k for u, _ in window.factorizations(f) for _, k in window.factorizations(u)}
-        c = factor_slice(m, f)
-        assert set(c.morphisms) == middle
-        assert c.complete == c._morphism_set
-        assert c.compose == {
-            (g, h): k for (g, h), k in window.compose.items()
-            if g in middle and h in middle and k in middle
-        }
-        for k in c.morphisms:
-            assert c.factorizations(k) == window.factorizations(k)
+        assert tuple(c.factorizations(f)) == window.factorizations(f)
+        iv, expected = lawvere_interval(c, f), lawvere_interval(window, f)
+        assert iv.objects == expected.objects
+        assert iv.homs == expected.homs
+        assert moebius_at(c, f) == mu[f]
+    composites = bf_compose(window, lambda g, h: compose(m, g, h))
+    assert {pair: c.compose.get(pair) for pair in composites} == composites
+    for x in window.objects:
+        assert c.identities[x] == window.identities[x]
 
 
-@pytest.mark.parametrize(
-    "m, window, factor_slice, compose",
-    [(2, cm_slice(2, -4), cm_factor_slice, cm_compose),
-     (3, dm_slice(3, 12), dm_factor_slice, dm_compose)],
-    ids=["cm", "dm"],
-)
-def test_factor_slice_table_is_every_composite_inside_it(m, window, factor_slice, compose):
-    for f in window.morphisms:
-        c = factor_slice(m, f)
-        assert c.compose == bf_compose(c, lambda g, h: compose(m, g, h))
-
-
-def test_factor_slice_interns_equal_morphisms():
-    c = cm_factor_slice(3, CmMorphism(2, 1, -1, -5))
-    assert validate_slice(c)
-    canonical = {f: f for f in c.morphisms}
-    for (g, h), k in c.compose.items():
-        assert g is canonical[g] and h is canonical[h] and k is canonical[k]
-    for x, e in c.identities.items():
-        assert e is canonical[e] and e == cm_identity(x)
-
-
-def test_factor_slices_validate_the_morphism():
-    with pytest.raises(ValueError):
-        cm_factor_slice(3, CmMorphism(0, 3, 0, 0))
-    with pytest.raises(ValueError):
-        dm_factor_slice(3, DmMorphism(1, 2))
+def test_sources_validate_the_morphism():
+    with pytest.raises(ValueError, match=r"^residue 3 not in \[0, 3\)$"):
+        moebius_via_lawvere(cm_source(3), CmMorphism(0, 3, 0, 0))
+    with pytest.raises(ValueError, match=r"^alpha=1 is below the canonical representative 2$"):
+        moebius_at(dm_source(3), DmMorphism(1, 2))
+    with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2, got 1$"):
+        dm_source(1)
 
 
 # -- residue category ------------------------------------------------------------------
