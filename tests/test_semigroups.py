@@ -18,7 +18,9 @@ from mucat import (
     default_transversal,
     division_category,
     find_semigroup_violation,
+    interval_as_poset,
     is_one_way_category,
+    lawvere_interval,
     meet_semilattice,
     moebius_of_slice,
     moebius_test,
@@ -29,6 +31,9 @@ from mucat import (
     validate_inverse_semigroup,
     validate_slice,
 )
+
+import mucat.poset
+from mucat.semigroups import _generators, _light_passes
 
 from helpers import (
     B2,
@@ -229,15 +234,10 @@ def test_every_table_of_order_at_most_three_matches_oracle():
     assert 0 < monoids < valid
 
 
-def _planted_edits(count, seed):
-    """Tables of B_3, Brandt B_3 and the divisors of 60 with one or two
-    entries overwritten by a random element."""
+def _planted_edits(bases, count, seed):
+    """Tables of the bases, in turn, with one or two entries overwritten by a
+    random element."""
     rng = random.Random(seed)
-    bases = [
-        _named(meet_semilattice(boolean_lattice(3))),
-        brandt(3),
-        _named(meet_semilattice(divisor_poset(60))),
-    ]
     for k in range(count):
         data = json.loads(bases[k % len(bases)].to_json())
         names, table = data["elements"], data["table"]
@@ -247,8 +247,13 @@ def _planted_edits(count, seed):
 
 
 def test_planted_table_edits_match_oracles():
+    bases = [
+        _named(meet_semilattice(boolean_lattice(3))),
+        brandt(3),
+        _named(meet_semilattice(divisor_poset(60))),
+    ]
     valid = 0
-    for s in _planted_edits(330, seed=11):
+    for s in _planted_edits(bases, 330, seed=11):
         violation = find_semigroup_violation(s)
         assert violation == bf_semigroup_violation(s)
         if violation is None:
@@ -314,6 +319,58 @@ def test_transversal_without_the_identity_is_rejected_on_symmetric_inverse_monoi
         division_category(s, reps)
 
 
+def test_light_filter_with_few_generators_matches_oracle():
+    # B_5 has 6 generators for 32 elements, POI_4 8 for 70, Brandt B_4 7 for 17
+    bases = [_named(meet_semilattice(boolean_lattice(5))), _named(poi(4)), brandt(4)]
+    assert [len(_generators(s._table)) for s in bases] == [6, 8, 7]
+    failed = 0
+    for s in [*bases, *_planted_edits(bases, 45, seed=15)]:
+        violation = bf_semigroup_violation(s)
+        assert find_semigroup_violation(s) == violation
+        associative = violation is None or "associativity" not in violation
+        assert _light_passes(s._table) == associative
+        failed += not associative
+    assert failed > 40
+
+
+def _closure(s, gens) -> set:
+    """Every product of the generators, by squaring the set until it stops growing."""
+    reached = set(gens)
+    while more := {s.mul(x, y) for x in reached for y in reached} - reached:
+        reached |= more
+    return reached
+
+
+GENERATED_CORPUS = {
+    **{f"semilattice {k}": s for k, s in enumerate(SEMILATTICE_CORPUS)},
+    **ORACLE_CORPUS,
+    **{f"POI_{n}": poi(n) for n in (2, 3, 4)},
+    "I_3": symmetric_inverse_monoid(3),
+    "left zero": left_zero_two(),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED_CORPUS))
+def test_generators_close_to_the_whole_table(name):
+    s = GENERATED_CORPUS[name]
+    gens = [s.elements[g] for g in _generators(s._table)]
+    assert len(set(gens)) == len(gens)
+    assert _closure(s, gens) == set(s.elements)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_boolean_semilattice_is_generated_by_its_top_and_coatoms(k):
+    s = meet_semilattice(boolean_lattice(k))
+    top = frozenset(range(1, k + 1))
+    assert [s.elements[g] for g in _generators(s._table)] == [top] + [
+        x for x in s.elements if len(x) == k - 1
+    ]
+
+
+def test_poi_6_validates_at_scale():
+    assert find_semigroup_violation(poi(6)) is None
+
+
 def test_division_category_computes_d_classes_once(monkeypatch):
     calls = []
     d_classes = InverseSemigroup.d_classes
@@ -359,6 +416,50 @@ def test_semilattice_division_category_is_its_poset():
 def test_division_category_passes_validation_across_corpus():
     for s in SEMILATTICE_CORPUS:
         assert validate_slice(division_category(s))
+
+
+ORDER_CORPUS = {
+    "boolean B_4": (meet_semilattice(boolean_lattice(4)), None),
+    "divisors of 60": (meet_semilattice(divisor_poset(60)), None),
+    "POI_4": (poi(4), partial_identities(4)),
+    "Brandt B_3": (brandt(3), ["e11", "z"]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_CORPUS))
+def test_division_category_is_the_definition_listed_by_decreasing_ideal(name):
+    s, transversal = ORDER_CORPUS[name]
+    c = division_category(s, transversal)
+    source = {x: s.mul(s.inverse(x), x) for x in s.elements}
+    target = {x: s.mul(x, s.inverse(x)) for x in s.elements}
+    ideal = {x: len({s.mul(source[x], y) for y in s.elements}) for x in s.elements}
+    by_object = [
+        [(x, e) for x in s.elements if target[x] in c.objects and s.natural_leq(source[x], e)]
+        for e in c.objects
+    ]
+    morphisms = [f for fs in by_object for f in fs]
+    assert set(c.morphisms) == set(morphisms)
+    for a in c.objects:
+        for b in c.objects:
+            assert set(c.hom(a, b)) == {(x, e) for x, e in morphisms if e == a and target[x] == b}
+    table = bf_compose(c, lambda g, f: (s.mul(g[0], f[0]), f[1]))
+    assert set(c.compose.items()) == set(table.items())
+    # each object's morphisms by decreasing |x⁻¹x·S|, ties in element order
+    assert c.morphisms == tuple(f for fs in by_object for f in sorted(fs, key=lambda f: -ideal[f[0]]))
+
+
+@pytest.mark.parametrize("name", list(ORDER_CORPUS))
+def test_interval_posets_of_division_categories_need_no_relabelling(name, monkeypatch):
+    s, transversal = ORDER_CORPUS[name]
+    c = division_category(s, transversal)
+
+    def refuse(masks, order):
+        raise AssertionError("factorizations are not listed in a linear extension")
+
+    monkeypatch.setattr(mucat.poset, "_relabel", refuse)
+    for f in c.morphisms:
+        iv = lawvere_interval(c, f)
+        assert interval_as_poset(iv).elements == iv.objects
 
 
 def test_group_division_category_is_returned_but_not_moebius():
