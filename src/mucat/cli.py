@@ -25,7 +25,7 @@ from .cm_dm import (
     validate_cm_morphism,
     validate_dm_morphism,
 )
-from .errors import MucatError, NotCombinatorial
+from .errors import MucatError
 from .lawvere import (
     interval_as_poset,
     interval_moebius,
@@ -36,6 +36,7 @@ from .lawvere import (
 from .poset import FinitePoset
 from .semigroups import (
     InverseSemigroup,
+    check_combinatorial,
     division_category,
     find_semigroup_violation,
     moebius_via_idempotent_lattice,
@@ -75,6 +76,17 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
+def _agreement(args, values: dict) -> int:
+    """Report routes that should give the same value: their values and AGREE
+    or DISAGREE on one line, or one JSON object with ``agree``; exit 0 iff
+    they agree."""
+    first, *rest = values.values()
+    agree = all(value == first for value in rest)
+    verdict = "AGREE" if agree else "DISAGREE"
+    _emit(args, [" ".join(map(str, [*values.values(), verdict]))], {**values, "agree": agree})
+    return 0 if agree else 1
+
+
 def cmd_mu(args) -> int:
     """The closed-form value of one morphism; with --verify, compared against
     the interval and convolution values, read off the category's rules with
@@ -86,72 +98,42 @@ def cmd_mu(args) -> int:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
     c = source(args.m)
-    law = moebius_via_lawvere(c, f)
-    conv = moebius_at(c, f)
-    agree = closed == law == conv
-    verdict = "AGREE" if agree else "DISAGREE"
-    _emit(
-        args,
-        [f"{closed} {law} {conv} {verdict}"],
-        {"closed_form": closed, "lawvere": law, "convolution": conv, "agree": agree},
-    )
-    return 0 if agree else 1
+    law, conv = moebius_via_lawvere(c, f), moebius_at(c, f)
+    return _agreement(args, {"closed_form": closed, "lawvere": law, "convolution": conv})
 
 
 def cmd_verify(args) -> int:
     c = cm_slice(args.m, args.level_min)
     slice_ok = validate_slice(c)
-
-    one_way = 0
-    lattices = 0
-    agree = 0
+    one_way = lattices = agree = 0
     mu = moebius_of_slice(c)
     for f in c.morphisms:
         iv = lawvere_interval(c, f)
-        if is_one_way(iv):
-            one_way += 1
+        one_way += is_one_way(iv)
         poset = interval_as_poset(iv)
-        if poset.is_lattice():
-            lattices += 1
-        closed = cm_moebius_closed_form(f)
-        if closed == interval_moebius(c, f, poset) == mu[f]:
-            agree += 1
-
-    zeta = IncidenceFunction.zeta(c)
-    delta = IncidenceFunction.delta(c)
-    conv_ok = all(
-        convolve(c, mu, zeta, f) == delta[f] == convolve(c, zeta, mu, f)
-        for f in c.morphisms
-    )
+        lattices += poset.is_lattice()
+        agree += cm_moebius_closed_form(f) == interval_moebius(c, f, poset) == mu[f]
+    zeta, delta = IncidenceFunction.zeta(c), IncidenceFunction.delta(c)
+    conv_ok = all(convolve(c, mu, zeta, f) == delta[f] == convolve(c, zeta, mu, f)
+                  for f in c.morphisms)
 
     n = len(c.morphisms)
-    checks = {
-        "slice_valid": slice_ok,
-        "moebius_test": one_way == n,
-        "intervals_lattice": lattices == n,
-        "mu_agreement": agree == n,
-        "convolution_identity": conv_ok,
-    }
-    ok = all(checks.values())
-    lines = [
-        f"objects {len(c.objects)}",
-        f"morphisms {n}",
-        f"slice-valid {'PASS' if slice_ok else 'FAIL'}",
-        f"moebius-test {one_way}/{n} {'PASS' if checks['moebius_test'] else 'FAIL'}",
-        f"intervals-lattice {lattices}/{n} {'PASS' if checks['intervals_lattice'] else 'FAIL'}",
-        f"mu-agreement {agree}/{n} {'PASS' if checks['mu_agreement'] else 'FAIL'}",
-        f"convolution-identity {'PASS' if conv_ok else 'FAIL'}",
-        f"RESULT {'PASS' if ok else 'FAIL'}",
+    checks = [  # (name, how many morphisms passed or None, passed)
+        ("slice-valid", None, slice_ok),
+        ("moebius-test", one_way, one_way == n),
+        ("intervals-lattice", lattices, lattices == n),
+        ("mu-agreement", agree, agree == n),
+        ("convolution-identity", None, conv_ok),
     ]
-    payload = {
-        "m": args.m,
-        "level_min": args.level_min,
-        "objects": len(c.objects),
-        "morphisms": n,
-        **checks,
-        "pass": ok,
-    }
-    _emit(args, lines, payload)
+    ok = all(passed for _, _, passed in checks)
+    lines = [f"objects {len(c.objects)}", f"morphisms {n}"]
+    payload = {"m": args.m, "level_min": args.level_min, "objects": len(c.objects), "morphisms": n}
+    for name, count, passed in checks:
+        counted = "" if count is None else f" {count}/{n}"
+        lines.append(f"{name}{counted} {'PASS' if passed else 'FAIL'}")
+        payload[name.replace("-", "_")] = passed
+    lines.append(f"RESULT {'PASS' if ok else 'FAIL'}")
+    _emit(args, lines, {**payload, "pass": ok})
     return 0 if ok else 1
 
 
@@ -181,8 +163,7 @@ def cmd_semigroup(args) -> int:
     violation = find_semigroup_violation(s)
     if violation is not None:
         raise MucatError(f"not an inverse semigroup: {violation}")
-    if members := s._subgroup_members():  # first: a transversal check would blame another cause
-        raise NotCombinatorial(f"{members[0]!r} lies in a nontrivial subgroup")
+    check_combinatorial(s)  # first: a transversal check would blame another cause
     names = set(s.elements)
     transversal = _split_names(args.transversal, names, "transversal") if args.transversal else None
     c = division_category(s, transversal)
@@ -190,22 +171,11 @@ def cmd_semigroup(args) -> int:
     if len(spec) != 2:
         raise ValueError(f"morphism spec must be 's,e', got {args.spec!r}")
     morphism = tuple(spec)
-    r_quot = moebius_via_quotients(c, morphism)
-    r_idem = moebius_via_idempotent_lattice(s, morphism)
-    r_law = moebius_via_lawvere(c, morphism)
-    agree = r_quot == r_idem == r_law
-    verdict = "AGREE" if agree else "DISAGREE"
-    _emit(
-        args,
-        [f"{r_quot} {r_idem} {r_law} {verdict}"],
-        {
-            "quotient_rule": r_quot,
-            "idempotent_rule": r_idem,
-            "lawvere_rule": r_law,
-            "agree": agree,
-        },
-    )
-    return 0 if agree else 1
+    return _agreement(args, {
+        "quotient_rule": moebius_via_quotients(c, morphism),
+        "idempotent_rule": moebius_via_idempotent_lattice(s, morphism),
+        "lawvere_rule": moebius_via_lawvere(c, morphism),
+    })
 
 
 def _split_names(text: str, names, what: str, count=None) -> list[str]:

@@ -30,6 +30,8 @@ from .errors import (
 )
 from .poset import FinitePoset
 
+_UNKNOWN = object()  # InverseSemigroup._one before identity() has looked
+
 
 class InverseSemigroup:
     """A finite semigroup given by its full multiplication table.
@@ -42,9 +44,9 @@ class InverseSemigroup:
     otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "one", "_inv", "_idem_poset", "_in_groups")
+    __slots__ = ("elements", "_index", "_table", "_one", "_inv", "_idem_poset", "_in_groups")
 
-    def __init__(self, elements: Iterable[str], table, one=None):
+    def __init__(self, elements: Iterable[str], table):
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise InvalidSemigroup("duplicate elements")
@@ -57,13 +59,8 @@ class InverseSemigroup:
         for names, row in zip(rows, self._table):
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
-        self.one = self._inv = self._idem_poset = self._in_groups = None
-        if one is not None:
-            if one not in index:
-                raise InvalidSemigroup(f"'one' {one!r} is not an element")
-            if self.identity() != one:
-                raise InvalidSemigroup(f"'one' {one!r} is not an identity")
-        self.one = one
+        self._one = _UNKNOWN
+        self._inv = self._idem_poset = self._in_groups = None
 
     def __len__(self):
         return len(self.elements)
@@ -104,14 +101,12 @@ class InverseSemigroup:
         return _below(self._table, self._inverses(), self._index[s], self._index[t])
 
     def identity(self):
-        """The identity element if one exists (detected, not assumed)."""
-        if self.one is not None:
-            return self.one
-        table, ident = self._table, list(range(len(self.elements)))
-        for k, row in enumerate(table):
-            if row == ident and [r[k] for r in table] == ident:
-                return self.elements[k]
-        return None
+        """The identity element if one exists, else None; detected once per instance."""
+        if self._one is _UNKNOWN:
+            table, ident = self._table, list(range(len(self.elements)))
+            self._one = next((self.elements[k] for k, row in enumerate(table)
+                              if row == ident and [r[k] for r in table] == ident), None)
+        return self._one
 
     def d_classes(self) -> list[list]:
         """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹.
@@ -165,13 +160,18 @@ class InverseSemigroup:
 
     @classmethod
     def from_json(cls, data) -> "InverseSemigroup":
-        """Schema: {"elements": [str, ...], "table": [[str, ...], ...], "one": optional str}."""
+        """Schema: {"elements": [str, ...], "table": [[str, ...], ...], "one": optional str};
+        "one", when given, must be the identity."""
         data = load_object(data, InvalidSemigroup, "semigroup", {
             "elements": (strings, "an array of strings"),
             "table": (rows, "an array of arrays of strings"),
             "one": (lambda v: v is None or isinstance(v, str), "a string"),
         })
-        return cls(data["elements"], data["table"], data.get("one"))
+        s, one = cls(data["elements"], data["table"]), data.get("one")
+        if one is not None and s.identity() != one:
+            what = "an identity" if one in s._index else "an element"
+            raise InvalidSemigroup(f"'one' {one!r} is not {what}")
+        return s
 
     def to_json(self) -> str:
         """Serialize, each element named by ``_json.names``."""
@@ -197,7 +197,7 @@ def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
     for x, row in zip(p.elements, table):
         if None in row:
             raise InvalidSemigroup(f"{x!r} and {p.elements[row.index(None)]!r} have no meet")
-    return InverseSemigroup(p.elements, table, one=p.top())
+    return InverseSemigroup(p.elements, table)
 
 
 def _generators(table) -> list[int]:
@@ -272,6 +272,13 @@ def find_semigroup_violation(s: InverseSemigroup) -> str | None:
 
 def validate_inverse_semigroup(s: InverseSemigroup) -> bool:
     return find_semigroup_violation(s) is None
+
+
+def check_combinatorial(s: InverseSemigroup) -> None:
+    """Raise NotCombinatorial naming the first member of a nontrivial maximal
+    subgroup, if any; the members are found once per semigroup."""
+    if members := s._subgroup_members():
+        raise NotCombinatorial(f"{members[0]!r} lies in a nontrivial subgroup")
 
 
 # -- division category -------------------------------------------------------
@@ -388,8 +395,7 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     poset = s.idempotent_poset()
     if e not in poset:
         raise InvalidSemigroup(f"{e!r} is not an idempotent")
-    if s._subgroup_members():
-        raise NotCombinatorial(f"{s._subgroup_members()[0]!r} lies in a nontrivial subgroup")
+    check_combinatorial(s)
     if x not in s._index or not poset.leq(source := s.mul(s.inverse(x), x), e):
         raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")
     return poset.moebius(source, e)

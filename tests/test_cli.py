@@ -402,6 +402,93 @@ def test_malformed_json_exits_two(capsys, tmp_path, text, command, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# -- failure reports: each route or check forced to disagree ---------------------
+
+def _wrong_once(real, wrong):
+    """``real``, except that the first call returns ``wrong``."""
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        return wrong if len(calls) == 1 else real(*args)
+    return patched
+
+
+def _report(capsys, argv):
+    """Text and JSON runs of one invocation, each as (exit code, stdout, stderr)."""
+    return run_cli(capsys, *argv), run_cli(capsys, *argv, "--format", "json")
+
+
+@pytest.mark.parametrize("argv, route, text, payload", [
+    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], "moebius_at", "0 0 7 DISAGREE",
+     {"closed_form": 0, "lawvere": 0, "convolution": 7}),
+    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], "moebius_via_lawvere", "0 7 0 DISAGREE",
+     {"closed_form": 0, "lawvere": 7, "convolution": 0}),
+    (["mu-dm", "--m", "3", "3,2", "--verify"], "moebius_at", "-1 -1 7 DISAGREE",
+     {"closed_form": -1, "lawvere": -1, "convolution": 7}),
+    (["mu-dm", "--m", "3", "3,2", "--verify"], "moebius_via_lawvere", "-1 7 -1 DISAGREE",
+     {"closed_form": -1, "lawvere": 7, "convolution": -1}),
+], ids=["mu-cm-convolution", "mu-cm-lawvere", "mu-dm-convolution", "mu-dm-lawvere"])
+def test_single_morphism_disagreement_report(capsys, monkeypatch, argv, route, text, payload):
+    monkeypatch.setattr(cli, route, lambda c, f: 7)
+    assert _report(capsys, argv) == (
+        (1, text + "\n", ""),
+        (1, json.dumps({**payload, "agree": False}, sort_keys=True) + "\n", ""),
+    )
+
+
+@pytest.mark.parametrize("rule, text, key", [
+    ("moebius_via_quotients", "5 -1 -1 DISAGREE", "quotient_rule"),
+    ("moebius_via_idempotent_lattice", "-1 5 -1 DISAGREE", "idempotent_rule"),
+    ("moebius_via_lawvere", "-1 -1 5 DISAGREE", "lawvere_rule"),
+])
+def test_semigroup_disagreement_report(capsys, monkeypatch, tmp_path, rule, text, key):
+    path = write_chain_semilattice(tmp_path)
+    monkeypatch.setattr(cli, rule, lambda s, morphism: 5)
+    payload = {"quotient_rule": -1, "idempotent_rule": -1, "lawvere_rule": -1, key: 5, "agree": False}
+    assert _report(capsys, ["semigroup", str(path), "f,e"]) == (
+        (1, text + "\n", ""),
+        (1, json.dumps(payload, sort_keys=True) + "\n", ""),
+    )
+
+
+VERIFY_PASS_LINES = [
+    "objects 6",
+    "morphisms 20",
+    "slice-valid PASS",
+    "moebius-test 20/20 PASS",
+    "intervals-lattice 20/20 PASS",
+    "mu-agreement 20/20 PASS",
+    "convolution-identity PASS",
+    "RESULT PASS",
+]
+
+
+@pytest.mark.parametrize("check, owner, name, wrong, line", [
+    ("slice-valid", cli, "validate_slice", False, "slice-valid FAIL"),
+    ("moebius-test", cli, "is_one_way", False, "moebius-test 19/20 FAIL"),
+    ("intervals-lattice", FinitePoset, "is_lattice", False, "intervals-lattice 19/20 FAIL"),
+    ("mu-agreement", cli, "interval_moebius", 7, "mu-agreement 19/20 FAIL"),
+    ("convolution-identity", cli, "convolve", 7, "convolution-identity FAIL"),
+])
+def test_verify_failure_report(capsys, monkeypatch, check, owner, name, wrong, line):
+    argv = ["verify", "--m", "2", "--level-min", "-2"]
+    real = getattr(owner, name)
+    lines = [line if row.startswith(check + " ") else row for row in VERIFY_PASS_LINES]
+    lines[-1] = "RESULT FAIL"
+    payload = {
+        "m": 2, "level_min": -2, "objects": 6, "morphisms": 20, "slice_valid": True,
+        "moebius_test": True, "intervals_lattice": True, "mu_agreement": True,
+        "convolution_identity": True, check.replace("-", "_"): False, "pass": False,
+    }
+    monkeypatch.setattr(owner, name, _wrong_once(real, wrong))
+    assert run_cli(capsys, *argv) == (1, "\n".join(lines) + "\n", "")
+    monkeypatch.setattr(owner, name, _wrong_once(real, wrong))
+    assert run_cli(capsys, *argv, "--format", "json") == (
+        1, json.dumps(payload, sort_keys=True) + "\n", ""
+    )
+
+
 # -- one parser per process ------------------------------------------------------
 
 def _outcome(capsys, argv):

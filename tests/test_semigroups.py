@@ -33,7 +33,7 @@ from mucat import (
 )
 
 import mucat.poset
-from mucat.semigroups import _generators, _light_passes
+from mucat.semigroups import _generators, _light_passes, check_combinatorial
 
 from helpers import (
     B2,
@@ -55,7 +55,8 @@ from helpers import (
 
 
 def two_element_group():
-    return InverseSemigroup(["1", "g"], [["1", "g"], ["g", "1"]], one="1")
+    return InverseSemigroup.from_json('{"elements": ["1", "g"], "table": [["1", "g"], ["g", "1"]], '
+                                      '"one": "1"}')
 
 
 def left_zero_two():
@@ -112,15 +113,16 @@ def test_table_shape_is_checked():
 
 
 def test_declared_identity_is_checked():
-    with pytest.raises(InvalidSemigroup):
-        InverseSemigroup(["a", "b"], [["a", "a"], ["a", "a"]], one="b")
+    with pytest.raises(InvalidSemigroup, match=r"^'one' 'b' is not an identity$"):
+        InverseSemigroup.from_json('{"elements": ["a", "b"], "table": [["a", "a"], ["a", "a"]], '
+                                   '"one": "b"}')
 
 
 def test_constructor_rejects_duplicate_elements_and_a_foreign_one():
     with pytest.raises(InvalidSemigroup, match="^duplicate elements$"):
         InverseSemigroup(["a", "a"], [["a", "a"], ["a", "a"]])
     with pytest.raises(InvalidSemigroup, match=r"^'one' 'q' is not an element$"):
-        InverseSemigroup(["a"], [["a"]], one="q")
+        InverseSemigroup.from_json('{"elements": ["a"], "table": [["a"]], "one": "q"}')
 
 
 # -- natural order, idempotents, D-classes ----------------------------------------
@@ -586,9 +588,12 @@ def test_quotient_rule_names_a_pair_that_is_not_a_morphism(pair):
     ids=["group", "semilattice-x-z2"],
 )
 def test_idempotent_rule_refuses_a_non_combinatorial_semigroup(s, member):
+    message = rf"^'{member}' lies in a nontrivial subgroup$"
+    with pytest.raises(NotCombinatorial, match=message):
+        check_combinatorial(s)
     for x in s.elements:  # every idempotent e, whether or not (x, e) is a morphism
         for e in s.idempotents():
-            with pytest.raises(NotCombinatorial, match=rf"^'{member}' lies in a nontrivial subgroup"):
+            with pytest.raises(NotCombinatorial, match=message):
                 moebius_via_idempotent_lattice(s, (x, e))
     assert s._subgroup_members() is s._subgroup_members()  # searched once
 
@@ -657,8 +662,18 @@ def test_semigroup_json_round_trip():
 
 def test_semigroup_json_keeps_identity():
     s = meet_semilattice(B2)
-    restored = InverseSemigroup.from_json(s.to_json())
-    assert restored.one == str(s.identity())
+    text = s.to_json()
+    assert json.loads(text)["one"] == str(s.identity())
+    assert InverseSemigroup.from_json(text).identity() == str(s.identity())
+
+
+def test_identity_is_detected_once():
+    # a meet semilattice's identity is its poset's top; the fork has none
+    for p in (B2, boolean_lattice(3), fork_poset(), chain(["f", "e"])):
+        s = meet_semilattice(p)
+        assert s.identity() == p.top()
+        s._table = None  # a second detection would fail on the table
+        assert s.identity() == p.top()
 
 
 def test_semigroup_json_refuses_elements_that_share_a_name():
