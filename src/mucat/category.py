@@ -24,7 +24,7 @@ from .errors import (
     NotInvertible,
     NotMoebius,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, _transpose
 
 _EXACT_JSON = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -303,30 +303,30 @@ def is_one_way_category(c: CategorySlice) -> bool:
     Cached on the slice.
     """
     if c._one_way is None:
-        index = {x: k for k, x in enumerate(c.objects)}
-        into: list[set] = [set() for _ in c.objects]
-        multiple = set()
-        for (x, y), hs in c._grouped()[0].items():
-            into[index[y]].add(index[x])
-            if len(hs) > 1:
-                multiple.add((index[x], index[y]))
-        c._one_way = one_way(into, multiple)
+        objects, homs = c.objects, c._grouped()[0]
+        index = {x: k for k, x in enumerate(objects)}
+        up = [0] * len(objects)
+        for x, y in homs:
+            up[index[x]] |= 1 << index[y]
+        endos = {(k, k) for k, x in enumerate(objects) if len(homs[x, x]) > 1}
+        c._one_way = one_way(up, endos)
     return c._one_way
 
 
-def one_way(into, multiple) -> bool:
-    """The one-way test on objects numbered 0..n-1: ``into[j]`` holds every
-    i with a morphism i -> j, and ``multiple`` every pair (i, j) with two or
-    more.  Every object has exactly one endomorphism and no two distinct
-    objects are connected both ways; O(objects + homs).
+def one_way(up, multiple) -> bool:
+    """The one-way test on objects numbered 0..n-1: bit j of ``up[i]`` is
+    set iff some morphism goes i -> j, and ``multiple`` holds the pairs
+    (i, j) with two or more (only those with i == j matter).  Every object
+    has exactly one endomorphism and no two distinct objects are connected
+    both ways.  When each object is the lowest bit of its own up-set, as in
+    a linear extension, both ways cannot occur; otherwise the masks are met
+    with their transpose.
     """
-    for j, sources in enumerate(into):
-        if j not in sources or (j, j) in multiple:
-            return False
-        for i in sources:
-            if i != j and j in into[i]:
-                return False
-    return True
+    if any(i == j for i, j in multiple):
+        return False
+    if all(u & -u == 1 << j for j, u in enumerate(up)):
+        return True
+    return all(u & d == 1 << j for j, (u, d) in enumerate(zip(up, _transpose(up))))
 
 
 def factor_slice(roots, factorizations, dom, cod, identity) -> CategorySlice:

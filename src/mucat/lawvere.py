@@ -27,20 +27,21 @@ class Factorization(NamedTuple):
 class LawvereInterval:
     """The factorization category of a single morphism.
 
-    Stored as index adjacency: ``_into[j]`` maps the position i of every
-    object with a morphism into ``objects[j]`` to the first such morphism,
-    and ``_more`` holds the rest of each hom-set with two or more elements,
-    keyed (i, j).  The ``homs`` dict, keyed (source, target) source-major
-    then target in object order, is built on first read.
+    Stored as up-set masks over the object order: bit j of ``_up[i]`` is set
+    iff some morphism connects ``objects[i]`` to ``objects[j]``, and
+    ``_more`` counts the elements of each hom-set with two or more, keyed
+    (i, j).  The ``homs`` dict, keyed (source, target) source-major then
+    target in object order, is re-read from the category on first access.
     """
 
-    __slots__ = ("subject", "objects", "_into", "_more", "_homs")
+    __slots__ = ("subject", "objects", "_up", "_more", "_c", "_homs")
 
-    def __init__(self, subject, objects, into, more):
+    def __init__(self, subject, objects, up, more, c):
         self.subject = subject
         self.objects = tuple(objects)
-        self._into = into
+        self._up = up
         self._more = more
+        self._c = c
         self._homs = None
 
     def __repr__(self):
@@ -50,53 +51,55 @@ class LawvereInterval:
     def homs(self) -> dict:
         """{(source, target): hom-set tuple}, every hom-set in slice order."""
         if self._homs is None:
-            objects, into, more = self.objects, self._into, self._more
-            keys = sorted((i, j) for j, row in enumerate(into) for i in row)
-            self._homs = {
-                (objects[i], objects[j]): (into[j][i], *more.get((i, j), ())) for i, j in keys
-            }
+            objects, found = self.objects, {}
+            for i, j, h in _connections(self._c, [obj[:2] for obj in objects]):
+                found.setdefault((i, j), []).append(h)
+            self._homs = {(objects[i], objects[j]): tuple(found[i, j]) for i, j in sorted(found)}
         return self._homs
 
     def hom(self, a: Factorization, b: Factorization) -> tuple:
         return self.homs.get((a, b), ())
 
 
-def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
-    """Build the full interval of f inside a slice, where f and every factor
-    of f must be complete, or inside a ``FactorizationSource``.
+def _connections(c, pairs):
+    """(i, j, h) for every h connecting pairs[i] to pairs[j], target-major,
+    each hom-set in slice order: h connects (u, v) to (u', v') exactly when
+    (h, v) factors v' and u'∘h = u, so one walk over the factorizations of
+    each v' finds every morphism into (u', v'), and no hom-set is scanned."""
+    position = {pair: k for k, pair in enumerate(pairs)}
+    facts, compose = c._facts, c.compose
+    for j, (u2, v2) in enumerate(pairs):
+        for h, v in facts[v2]:
+            i = position.get((compose.get((u2, h)), v))
+            if i is not None:
+                yield i, j, h
 
-    Each hom is read off the factorization index: h connects (u, v) to
-    (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
-    the factorizations of each v' finds every morphism into (u', v'), each
-    hom-set in slice order.  Those reads are exact only on complete factors,
-    which a fully complete slice need not check one by one.
-    """
+
+def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
+    """Build the full interval of f inside a ``FactorizationSource`` or a
+    slice, where f and every factor of f must be complete: the factorization
+    index is exact only there, and a fully complete slice need not check
+    them one by one."""
     pairs = c.factorizations(f)
     if isinstance(c, CategorySlice) and c.complete is not c._morphism_set:
         k = next((k for pair in pairs for k in pair if k not in c.complete), None)
         if k is not None:
             raise IncompleteSlice(f"factor {k!r} of {f!r} is not marked factorization-complete")
     objects = [Factorization(g, h, f) for g, h in pairs]
-    position = {pair: k for k, pair in enumerate(pairs)}
-    facts, compose = c._facts, c.compose
-    into = []
+    up = [0] * len(objects)
     more: dict = {}
-    for j, (u2, v2) in enumerate(pairs):
-        row: dict = {}
-        for h, v in facts[v2]:
-            i = position.get((compose.get((u2, h)), v))
-            if i is not None:
-                if i in row:
-                    more.setdefault((i, j), []).append(h)
-                else:
-                    row[i] = h
-        into.append(row)
-    return LawvereInterval(f, objects, into, more)
+    for i, j, _ in _connections(c, pairs):
+        bit = 1 << j
+        if up[i] & bit:
+            more[i, j] = more.get((i, j), 1) + 1
+        else:
+            up[i] |= bit
+    return LawvereInterval(f, objects, up, more, c)
 
 
 def is_one_way(iv: LawvereInterval) -> bool:
     """Distinct factorizations never connected both ways; endo hom-sets are singletons."""
-    return one_way(iv._into, iv._more)
+    return one_way(iv._up, iv._more)
 
 
 def moebius_test(c: CategorySlice) -> bool:
@@ -116,16 +119,11 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     up-set masks, fail (for a thin interval, one-way is reflexive and antisymmetric).
     """
     if iv._more:
-        (i, j), extra = min(iv._more.items())
+        (i, j), count = min(iv._more.items())
         pair = (iv.objects[i], iv.objects[j])
-        raise NotThin(f"hom-set {pair!r} has {1 + len(extra)} elements")
-    up = [0] * len(iv.objects)
-    for j, row in enumerate(iv._into):
-        bit = 1 << j
-        for i in row:
-            up[i] |= bit
+        raise NotThin(f"hom-set {pair!r} has {count} elements")
     try:
-        return FinitePoset._from_masks(iv.objects, up)
+        return FinitePoset._from_masks(iv.objects, iv._up)
     except InvalidPoset as exc:  # connectivity relation fails poset laws
         raise NotOneWay(f"interval of {iv.subject!r}: {exc}") from exc
 

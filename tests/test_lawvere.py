@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from mucat import (
@@ -5,6 +7,7 @@ from mucat import (
     CmMorphism,
     DmMorphism,
     Factorization,
+    FinitePoset,
     IncompleteSlice,
     NotOneWay,
     NotThin,
@@ -13,9 +16,11 @@ from mucat import (
     cm_slice,
     division_category,
     dm_slice,
+    dm_source,
     find_slice_violation,
     interval_as_poset,
     is_one_way,
+    is_one_way_category,
     lawvere_interval,
     meet_semilattice,
     moebius_of_slice,
@@ -97,12 +102,36 @@ def test_homs_are_built_only_when_read():
     assert list(iv.homs.items()) == list(bf_lawvere_homs(c, f).items())
 
 
+def test_interval_holds_masks_not_connecting_morphisms():
+    # one connecting morphism kept per related pair held about 8 MB here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        iv = lawvere_interval(dm_source(2), DmMorphism(400, 0))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(iv.objects) == 401
+    assert held < 1_000_000
+
+
 # -- one-way test ----------------------------------------------------------------
 
+def _top_first(p):
+    """p with its elements supplied top-first: the objects of its category,
+    and of its intervals, are then in no linear extension."""
+    elems = p.elements[::-1]
+    return FinitePoset(elems, leq=[(x, y) for x in elems for y in elems if p.leq(x, y)])
+
+
 def test_poset_intervals_are_one_way():
-    c = poset_as_category(B2)
-    for f in c.morphisms:
-        assert is_one_way(lawvere_interval(c, f))
+    # top-first orders take the one-way test past its linear-extension shortcut
+    for p in (B2, _top_first(boolean_lattice(3)), _top_first(divisor_poset(12))):
+        c = poset_as_category(p)
+        assert is_one_way_category(c)
+        for f in c.morphisms:
+            assert is_one_way(lawvere_interval(c, f))
+        assert moebius_test(c)
 
 
 def test_iso_pair_interval_is_not_one_way():
@@ -153,8 +182,10 @@ def test_grid_interval_matches_product_of_chains():
 
 
 def test_thin_violation_is_reported():
-    with pytest.raises(NotThin):
+    with pytest.raises(NotThin) as raised:
         interval_as_poset(lawvere_interval(idempotent_endo_category(), "s"))
+    s = "Factorization(left='s', right='s', subject='s')"
+    assert str(raised.value) == f"hom-set ({s}, {s}) has 2 elements"
 
 
 def test_one_way_violation_is_reported():
