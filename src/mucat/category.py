@@ -4,15 +4,17 @@ A CategorySlice is a finite window of a (possibly infinite) category: objects,
 morphisms, a partial composition table, and an identity per object.  Morphisms
 marked *complete* promise that every ambient factorization g∘h of the morphism
 has g, h (and the pair entry) inside the slice, so factorization sums are
-exact.  Incidence functions take exact rational values (Fraction / int); the
-zeta function's convolution inverse is the Möbius function of the slice.
+exact.  A slice numbers its morphisms and keeps its tables by number; the
+walks read a slice by number and a ``FactorizationSource`` by morphism.
+Incidence functions take exact rational values (Fraction / int); the zeta
+function's convolution inverse is the Möbius function of the slice.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from itertools import islice
 from typing import Any
@@ -32,74 +34,87 @@ _EXACT_JSON = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 class CategorySlice:
     """Finite presentation of a window of a small category.
 
-    ``compose`` maps pairs (g, h) with cod(h) = dom(g) to g∘h whenever the
-    composite lies in the slice; the constructor checks each entry's and each
-    identity's endpoints once and indexes factorizations in that pass.  Other
-    derived tables (hom-sets, Möbius function) are cached lazily.
+    Morphisms and objects are numbered in list order, and the tables are
+    kept by number: ``_table`` maps (g, h) with cod(h) = dom(g) to g∘h when
+    the composite lies in the slice, ``_facts[k]`` lists the pairs composing
+    to k, and ``_dom``/``_cod``/``_ident`` give endpoints and identities;
+    ``compose`` is a read-only view of ``_table`` by morphism.  The
+    constructor checks each entry's and each identity's endpoints once and
+    indexes factorizations in that pass.  Other derived tables are cached.
     """
 
     __slots__ = (
-        "objects", "morphisms", "dom", "cod", "compose", "identities",
-        "complete", "_morphism_set", "_groups", "_facts", "_moebius", "_one_way",
-        "_quotients",
+        "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
+        "_number", "_at", "_table", "_facts", "_dom", "_cod", "_ident",
+        "_groups", "_moebius", "_one_way", "_quotients",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
-        self._adopt(objects, morphisms, dict(dom), dict(cod), dict(compose), dict(identities),
-                    complete)
+        morphisms = tuple(morphisms)
+        number, table, unknown = dict(zip(morphisms, range(len(morphisms)))).get, {}, None
+        for (g, h), k in compose.items():
+            key, composite = (number(g), number(h)), number(k)
+            if composite is None or None in key:
+                unknown = f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms"
+                break
+            table[key] = composite
+        self._adopt(objects, morphisms, dict(dom), dict(cod), table, dict(identities), complete, unknown)
 
     @classmethod
-    def _from_tables(cls, objects, morphisms, dom, cod, compose, identities, complete):
-        """A slice that keeps the caller's dom, cod, compose and identities
-        dicts instead of copying them; for builders that never touch them
-        again.  Every check of the constructor is made."""
+    def _from_tables(cls, objects, morphisms, dom, cod, table, identities, complete):
+        """A slice that keeps the caller's dicts, its composition table keyed
+        by morphism numbers, instead of copying them; every check is made."""
         c = cls.__new__(cls)
-        c._adopt(objects, morphisms, dom, cod, compose, identities, complete)
+        c._adopt(objects, morphisms, dom, cod, table, identities, complete)
         return c
 
-    def _adopt(self, objects, morphisms, dom, cod, compose, identities, complete) -> None:
+    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete, unknown=None):
         """Check the tables and index factorizations in one pass, then store
-        the dicts as given; the validation behind every constructor."""
+        them as given.  ``unknown`` refuses an entry the constructor could not
+        number; it is raised once the entries before that one pass."""
         self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
-        objs = set(self.objects)
-        if len(objs) != len(self.objects):
+        self.morphisms = self._at = tuple(morphisms)
+        place = dict(zip(self.objects, range(len(self.objects))))
+        if len(place) != len(self.objects):
             raise InvalidSlice("duplicate objects")
-        mors = self._morphism_set = frozenset(self.morphisms)
-        if len(mors) != len(self.morphisms):
+        number = self._number = dict(zip(self.morphisms, range(len(self.morphisms))))
+        if len(number) != len(self.morphisms):
             raise InvalidSlice("duplicate morphisms")
         self.dom, self.cod = dom, cod
-        ends = {}  # morphism -> (dom, cod, factorizations so far)
+        dom_of, cod_of = self._dom, self._cod = [], []
         for f in self.morphisms:
-            if f not in self.dom or f not in self.cod:
+            if f not in dom or f not in cod:
                 raise InvalidSlice(f"morphism {f!r} lacks a domain or codomain")
-            x, y = self.dom[f], self.cod[f]
-            if x not in objs or y not in objs:
+            x, y = place.get(dom[f]), place.get(cod[f])
+            if x is None or y is None:
                 raise InvalidSlice(f"morphism {f!r} has endpoints outside the slice")
-            ends[f] = (x, y, [])
-        self.compose = compose
-        for pair, k in self.compose.items():
+            dom_of.append(x)
+            cod_of.append(y)
+        facts = [[] for _ in self.morphisms]
+        for pair, k in table.items():
             g, h = pair
-            ek, eg, eh = ends.get(k), ends.get(g), ends.get(h)
-            if ek is None or eg is None or eh is None:
-                raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
-            if eh[1] != eg[0] or ek[0] != eh[0] or ek[1] != eg[1]:
-                raise _bad_entry(g, h, k, eh[1] == eg[0])
-            ek[2].append(pair)
-        self.identities = identities
-        for x in self.objects:
-            if x not in self.identities or self.identities[x] not in mors:
+            if cod_of[h] != dom_of[g] or dom_of[k] != dom_of[h] or cod_of[k] != cod_of[g]:
+                at = self.morphisms
+                raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
+            facts[k].append(pair)
+        if unknown is not None:
+            raise InvalidSlice(unknown)
+        self._table = table
+        self.compose = _Compose(table, number, self.morphisms)
+        self.identities, self._ident = identities, []
+        for x, i in place.items():
+            e = number.get(identities[x]) if x in identities else None
+            if e is None:
                 raise InvalidSlice(f"object {x!r} lacks an identity morphism")
-            ex = ends[self.identities[x]]
-            if ex[0] != x or ex[1] != x:
-                raise _bad_identity(x, ex[0], ex[1])
-        complete = frozenset(complete)
-        if not complete <= mors:
+            if dom_of[e] != i or cod_of[e] != i:
+                raise _bad_identity(x, dom[self.morphisms[e]], cod[self.morphisms[e]])
+            self._ident.append(e)
+        self.complete = frozenset(complete)
+        if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
-        # a fully complete slice shares the morphism set, so readers test that by identity
-        self.complete = mors if complete == mors else complete
-        # popping frees each list as its tuple is made, which lowers peak memory
-        self._facts = {f: tuple(ends.pop(f)[2]) for f in self.morphisms}
+        for k, pairs in enumerate(facts):  # each list is freed as its tuple is made
+            facts[k] = tuple(pairs)
+        self._facts = facts
         self._groups = None
         self._moebius = None
         self._one_way = None
@@ -141,11 +156,15 @@ class CategorySlice:
 
         Listed in composition-table order: the enumerator's order in every
         slice ``factor_slice`` builds, right factor major in a division
-        category.
+        category.  Translated from the numbered table on each call.
         """
+        at = self.morphisms
+        return tuple([(at[g], at[h]) for g, h in self._facts[self._handle(f)]])
+
+    def _handle(self, f) -> int:  # the number f is read by, once f is checked to be complete
         if f not in self.complete:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
-        return self._facts[f]
+        return self._number[f]
 
     # -- serialization ---------------------------------------------------
 
@@ -208,6 +227,43 @@ def _bad_identity(x, d, c) -> InvalidSlice:
     return InvalidSlice(f"identity of {x!r} has endpoints ({d!r}, {c!r})")
 
 
+class _Compose(Mapping):
+    """A slice's composition table read by morphism, (g, h) -> g∘h, in table
+    order; read-only, it translates the numbered table on each read."""
+
+    __slots__ = ("_table", "_number", "_at")
+
+    def __init__(self, table, number, at):
+        self._table, self._number, self._at = table, number, at
+
+    def __getitem__(self, pair):
+        if isinstance(pair, tuple) and len(pair) == 2:
+            k = self._table.get((self._number.get(pair[0]), self._number.get(pair[1])))
+            if k is not None:
+                return self._at[k]
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return (pair for pair, _ in self.items())
+
+    def __len__(self):
+        return len(self._table)
+
+    def items(self):
+        return _ComposeItems(self)
+
+
+class _ComposeItems(ItemsView):
+    """The view's items in table order, forwards or reversed."""
+
+    def __iter__(self, order=iter):
+        at = self._mapping._at
+        return (((at[g], at[h]), at[k]) for (g, h), k in order(self._mapping._table.items()))
+
+    def __reversed__(self):
+        return self.__iter__(reversed)
+
+
 class _Rule:
     """A read-only mapping that stores nothing: ``r.get(k)`` is ``rule(k)``
     and so is ``r[k]``."""
@@ -227,15 +283,17 @@ class FactorizationSource:
     ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
     give endpoints, ``identity(x)`` the identity of x, ``composite((g, h))``
     the composite of a composable pair, unchecked, and ``validate(f)`` raises
-    unless f is a morphism.  Its ``dom``, ``cod``, ``identities``, ``compose`` and
-    ``_facts`` mappings compute each value on request, so the interval build
-    and the convolution recursion read a source as they read a slice's
-    tables, and memory grows only with what a route reads.  Every
+    unless f is a morphism.  Each rule is read on request through a mapping
+    named as a slice's numbered table, with the morphism itself as handle, so
+    the interval walk and the convolution recursion read a source as they
+    read a slice, and memory grows only with what a route reads.  Every
     factorization pair and identity handed out is checked as the
     ``CategorySlice`` constructor checks a table entry, with its messages.
     """
 
-    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_validate")
+    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_cod", "_ident",
+                 "_validate")
+    _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
         def checked_pairs(k):
@@ -253,15 +311,17 @@ class FactorizationSource:
             return e
 
         self.dom, self.cod = _Rule(dom), _Rule(cod)
-        self.identities = _Rule(checked_identity)
-        self.compose = _Rule(composite)
-        self._facts = _Rule(checked_pairs)
-        self._validate = validate
+        self.identities = self._ident = _Rule(checked_identity)
+        self.compose = self._table = _Rule(composite)
+        self._facts, self._cod, self._validate = _Rule(checked_pairs), self.cod, validate
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
-        self._validate(f)
-        return self._facts[f]
+        return self._facts[self._handle(f)]
+
+    def _handle(self, f):
+        self._validate(f)  # a source reads f by f itself
+        return f
 
 
 # -- validation ------------------------------------------------------------
@@ -273,22 +333,26 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     bracketings are expressible inside the slice; endpoints are checked
     when the slice is built.
     """
-    for f in c.morphisms:
-        if c.compose.get((f, c.identities[c.dom[f]])) != f:
-            return f"right identity law fails at {f!r}"
-        if c.compose.get((c.identities[c.cod[f]], f)) != f:
-            return f"left identity law fails at {f!r}"
-    for (g, h), gh in c.compose.items():
-        for k in c.morphisms_into(c.dom[h]):
-            hk = c.compose.get((h, k))
-            left = c.compose.get((gh, k))
+    at, get, ident, dom, cod = c.morphisms, c._table.get, c._ident, c._dom, c._cod
+    for f in range(len(at)):
+        if get((f, ident[dom[f]])) != f:
+            return f"right identity law fails at {at[f]!r}"
+        if get((ident[cod[f]], f)) != f:
+            return f"left identity law fails at {at[f]!r}"
+    into: dict = {}  # morphisms into each object, in slice order
+    for f, y in enumerate(cod):
+        into.setdefault(y, []).append(f)
+    for (g, h), gh in c._table.items():
+        for k in into.get(dom[h], ()):
+            hk = get((h, k))
             if hk is None:
                 continue
-            right = c.compose.get((g, hk))
+            left, right = get((gh, k)), get((g, hk))
             if (left is None) != (right is None):
-                return f"associativity definedness mismatch on ({g!r}, {h!r}, {k!r})"
+                return f"associativity definedness mismatch on ({at[g]!r}, {at[h]!r}, {at[k]!r})"
             if left is not None and left != right:
-                return f"associativity fails on ({g!r}, {h!r}, {k!r}): {left!r} != {right!r}"
+                return (f"associativity fails on ({at[g]!r}, {at[h]!r}, {at[k]!r}): "
+                        f"{at[left]!r} != {at[right]!r}")
     return None
 
 
@@ -303,13 +367,12 @@ def is_one_way_category(c: CategorySlice) -> bool:
     Cached on the slice.
     """
     if c._one_way is None:
-        objects, homs = c.objects, c._grouped()[0]
-        index = {x: k for k, x in enumerate(objects)}
-        up = [0] * len(objects)
-        for x, y in homs:
-            up[index[x]] |= 1 << index[y]
-        endos = {(k, k) for k, x in enumerate(objects) if len(homs[x, x]) > 1}
-        c._one_way = one_way(up, endos)
+        up, endos = [0] * len(c.objects), [0] * len(c.objects)
+        for x, y in zip(c._dom, c._cod):
+            up[x] |= 1 << y
+            if x == y:
+                endos[x] += 1
+        c._one_way = one_way(up, [(x, x) for x, n in enumerate(endos) if n > 1])
     return c._one_way
 
 
@@ -336,20 +399,21 @@ def factor_slice(roots, factorizations, dom, cod, identity) -> CategorySlice:
     in the order the slice is to list them.  The walk lists each morphism's
     factorizations in turn from the roots on, so roots closed under factors
     (a window) keep their order.  A factor of a factor is a middle factor, so
-    each morphism is complete.  Equal morphisms are interned to one object.
+    each morphism is complete.  Equal morphisms are interned to one object,
+    and each is listed and numbered in the order it is first met.
     """
-    seen = dict(zip(roots, roots))
-    walk = list(seen)
-    compose = {}
-    for k in walk:
-        for g, h in factorizations(k):
-            compose[seen.setdefault(g, g), seen.setdefault(h, h)] = k
-        walk.extend(islice(reversed(seen), len(seen) - len(walk)))  # first met at k
-    dom_of = {k: dom(k) for k in walk}
+    number = {f: k for k, f in enumerate(dict.fromkeys(roots))}
+    walk = list(number)
+    table = {}
+    for k, f in enumerate(walk):
+        for g, h in factorizations(f):
+            table[number.setdefault(g, len(number)), number.setdefault(h, len(number))] = k
+        walk += [*islice(reversed(number), len(number) - len(walk))][::-1]  # first met at f
+    dom_of = {f: dom(f) for f in walk}
     objects = list(dict.fromkeys(dom_of.values()))
-    identities = {x: seen[identity(x)] for x in objects}  # met in k = k∘1_x
-    cod_of = {k: cod(k) for k in walk}
-    return CategorySlice._from_tables(objects, walk, dom_of, cod_of, compose, identities, walk)
+    identities = {x: walk[number[identity(x)]] for x in objects}  # met in f = f∘1_x
+    cod_of = {f: cod(f) for f in walk}
+    return CategorySlice._from_tables(objects, walk, dom_of, cod_of, table, identities, walk)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:
@@ -379,13 +443,13 @@ def _exact(value):
 class IncidenceFunction(Mapping):
     """A total map from the morphisms of a slice to exact rational scalars."""
 
-    # _total_on: the morphism set of the slice this function was last found
-    # total on, so repeated convolutions over one slice check totality once.
-    __slots__ = ("_values", "_total_on")
+    # _total_on: the morphism numbering of the slice this function was last found
+    # total on, and _row its values by number, so convolutions check totality once.
+    __slots__ = ("_values", "_total_on", "_row")
 
     def __init__(self, values: Mapping):
         self._values = {f: _exact(v) for f, v in values.items()}
-        self._total_on = None
+        self._total_on = self._row = None
 
     def __getitem__(self, f):
         return self._values[f]
@@ -450,27 +514,25 @@ def _exact_from_json(raw):
     raise InvalidSlice(f"incidence value {raw!r} is not an integer or a 'p/q' string")
 
 
-def _require_total(c: CategorySlice, xi) -> None:
+def _row(c: CategorySlice, xi) -> list:
+    """xi's values by morphism number, once xi is checked to be total on c (kept on xi)."""
     known = isinstance(xi, IncidenceFunction)
-    if known and xi._total_on is c._morphism_set:
-        return
-    keys = xi._values.keys() if known else xi.keys()
-    if not keys >= c._morphism_set:
-        missing = next(f for f in c.morphisms if f not in xi)
+    if known and xi._total_on is c._number:
+        return xi._row
+    values = xi._values if known else xi
+    if not values.keys() >= c._number.keys():
+        missing = next(f for f in c.morphisms if f not in values)
         raise InvalidSlice(f"incidence function is missing morphism {missing!r}")
+    row = [values[f] for f in c.morphisms]
     if known:
-        xi._total_on = c._morphism_set
+        xi._total_on, xi._row = c._number, row
+    return row
 
 
 def convolve(c: CategorySlice, xi, eta, f):
     """(xi * eta)(f) = sum over factorizations f = g∘h of xi(g) * eta(h)."""
-    _require_total(c, xi)
-    _require_total(c, eta)
-    return _convolve_at(c, xi, eta, f)
-
-
-def _convolve_at(c, xi, eta, f):
-    return sum(xi[g] * eta[h] for g, h in c.factorizations(f))
+    xi, eta = _row(c, xi), _row(c, eta)
+    return sum([xi[g] * eta[h] for g, h in c._facts[c._handle(f)]])
 
 
 def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
@@ -486,39 +548,41 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     waiting for its right factors (the slice is not one-way, so no finite
     recursion computes the inverse).
     """
-    _require_total(c, xi)
-    if c.complete is not c._morphism_set:
+    xi = _row(c, xi)
+    if len(c.complete) != len(c.morphisms):
         raise IncompleteSlice("convolution inverse needs every morphism complete")
-    for x in c.objects:
-        if xi[c.identities[x]] == 0:
+    for x, e in zip(c.objects, c._ident):
+        if xi[e] == 0:
             raise NotInvertible(f"function vanishes on the identity of {x!r}")
     eta: dict = {}
-    for root in c.morphisms:
+    for root in range(len(c.morphisms)):
         if root not in eta:
             _invert_from(c, xi, eta, root)
-    return IncidenceFunction(eta)
+    return IncidenceFunction({c.morphisms[f]: value for f, value in eta.items()})
 
 
 def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) -> None:
     """Add to eta the inverse's value at root and at each right factor of
-    root it lacks, right factors first; c is a slice or a source.
+    root it lacks, right factors first; c is a slice or a source, and root,
+    xi and eta use its handles.
 
     Each morphism's factorizations are read once and kept on the stack until
     its value is summed.
     """
-    facts, identities, cod = c._facts, c.identities, c.cod
+    facts, ident, cod = c._facts, c._ident, c._cod
     waiting = {root}
     pairs = facts[root]
-    stack = [(root, identities[cod[root]], pairs, iter(pairs))]
+    stack = [(root, ident[cod[root]], pairs, iter(pairs))]
     while stack:
         f, one, pairs, rest = stack[-1]
         for g, h in rest:
             if g != one and h not in eta:
                 if h in waiting:
-                    raise NotMoebius(f"factorization recursion revisits {h!r}; slice is not one-way")
+                    raise NotMoebius(f"factorization recursion revisits {c._at[h]!r}; "
+                                     "slice is not one-way")
                 waiting.add(h)
                 below = facts[h]
-                stack.append((h, identities[cod[h]], below, iter(below)))
+                stack.append((h, ident[cod[h]], below, iter(below)))
                 break
         else:
             stack.pop()
@@ -537,13 +601,13 @@ def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) ->
 _ZETA = _Rule(lambda f: 1)  # the constant-1 function on every morphism of any category
 
 
-def moebius_at(c: FactorizationSource, f) -> int:
+def moebius_at(c: CategorySlice | FactorizationSource, f) -> int:
     """μ(f) alone, by the recursion of ``convolution_inverse`` on zeta run
     from f: it reads only f's right factors and their factorizations."""
-    c.factorizations(f)  # refuses an f that is not a morphism of c
+    root = c._handle(f)  # refuses an f that is not a morphism of c
     eta: dict = {}
-    _invert_from(c, _ZETA, eta, f)
-    return eta[f]
+    _invert_from(c, _ZETA, eta, root)
+    return eta[root]
 
 
 def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
@@ -559,8 +623,7 @@ def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
 
 def moebius_inversion_check(c: CategorySlice, eta) -> bool:
     """Verify eta = (eta * zeta) * mu pointwise and exactly."""
-    _require_total(c, eta)
-    zeta = IncidenceFunction.zeta(c)
-    mu = moebius_of_slice(c)
-    xi = IncidenceFunction({f: _convolve_at(c, eta, zeta, f) for f in c.morphisms})
-    return all(_convolve_at(c, xi, mu, f) == eta[f] for f in c.morphisms)
+    eta = _row(c, eta)
+    mu = _row(c, moebius_of_slice(c))
+    xi = [sum([eta[g] for g, _ in pairs]) for pairs in c._facts]  # eta * zeta
+    return all(sum([xi[g] * mu[h] for g, h in pairs]) == v for pairs, v in zip(c._facts, eta))

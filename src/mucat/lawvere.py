@@ -15,6 +15,8 @@ from .category import CategorySlice, FactorizationSource, one_way
 from .errors import IncompleteSlice, InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
+_new = tuple.__new__  # a Factorization from its field tuple, skipping the class's slower __new__
+
 
 class Factorization(NamedTuple):
     """An ordered factorization subject = left ∘ right; equal to its field tuple."""
@@ -31,17 +33,18 @@ class LawvereInterval:
     iff some morphism connects ``objects[i]`` to ``objects[j]``, and
     ``_more`` counts the elements of each hom-set with two or more, keyed
     (i, j).  The ``homs`` dict, keyed (source, target) source-major then
-    target in object order, is re-read from the category on first access.
+    target in object order, is re-read from the category's handles ``_pairs``.
     """
 
-    __slots__ = ("subject", "objects", "_up", "_more", "_c", "_homs")
+    __slots__ = ("subject", "objects", "_up", "_more", "_c", "_pairs", "_homs")
 
-    def __init__(self, subject, objects, up, more, c):
+    def __init__(self, subject, objects, up, more, c, pairs):
         self.subject = subject
         self.objects = tuple(objects)
         self._up = up
         self._more = more
         self._c = c
+        self._pairs = pairs
         self._homs = None
 
     def __repr__(self):
@@ -51,50 +54,54 @@ class LawvereInterval:
     def homs(self) -> dict:
         """{(source, target): hom-set tuple}, every hom-set in slice order."""
         if self._homs is None:
-            objects, found = self.objects, {}
-            for i, j, h in _connections(self._c, [obj[:2] for obj in objects]):
-                found.setdefault((i, j), []).append(h)
-            self._homs = {(objects[i], objects[j]): tuple(found[i, j]) for i, j in sorted(found)}
+            objects, at, found = self.objects, self._c._at, {}
+            _walk(self._c, self._pairs, found)
+            self._homs = {(objects[i], objects[j]): tuple([at[h] for h in found[i, j]])
+                          for i, j in sorted(found)}
         return self._homs
 
     def hom(self, a: Factorization, b: Factorization) -> tuple:
         return self.homs.get((a, b), ())
 
 
-def _connections(c, pairs):
-    """(i, j, h) for every h connecting pairs[i] to pairs[j], target-major,
-    each hom-set in slice order: h connects (u, v) to (u', v') exactly when
-    (h, v) factors v' and u'∘h = u, so one walk over the factorizations of
-    each v' finds every morphism into (u', v'), and no hom-set is scanned."""
-    position = {pair: k for k, pair in enumerate(pairs)}
-    facts, compose = c._facts, c.compose
+def _walk(c, pairs, found=None):
+    """``_up`` and ``_more`` of the interval on ``pairs``, given as c's handles
+    (a slice's numbers, a source's morphisms), appending each connecting h to
+    found[i, j] if found is a dict.  h connects (u, v) to (u', v') exactly when
+    (h, v) factors v' and u'∘h = u, so one walk over the factorizations of each
+    v' finds every morphism into (u', v'), each hom-set in slice order, and no
+    hom-set is scanned.  The loop is inline: a generator step per connection
+    would cost more than the lookups it feeds."""
+    position = dict(zip(pairs, range(len(pairs))))
+    get, composite, facts = position.get, c._table.get, c._facts
+    up, more = [0] * len(pairs), {}
     for j, (u2, v2) in enumerate(pairs):
+        bit = 1 << j
         for h, v in facts[v2]:
-            i = position.get((compose.get((u2, h)), v))
+            i = get((composite((u2, h)), v))
             if i is not None:
-                yield i, j, h
+                if up[i] & bit:
+                    more[i, j] = more.get((i, j), 1) + 1
+                else:
+                    up[i] |= bit
+                if found is not None:
+                    found.setdefault((i, j), []).append(h)
+    return up, more
 
 
 def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
     """Build the full interval of f inside a ``FactorizationSource`` or a
     slice, where f and every factor of f must be complete: the factorization
     index is exact only there, and a fully complete slice need not check
-    them one by one."""
-    pairs = c.factorizations(f)
-    if isinstance(c, CategorySlice) and c.complete is not c._morphism_set:
-        k = next((k for pair in pairs for k in pair if k not in c.complete), None)
+    them one by one.  Both are walked by handle."""
+    pairs = c._facts[c._handle(f)]
+    at = c._at
+    if isinstance(c, CategorySlice) and len(c.complete) != len(c.morphisms):
+        k = next((at[k] for pair in pairs for k in pair if at[k] not in c.complete), None)
         if k is not None:
             raise IncompleteSlice(f"factor {k!r} of {f!r} is not marked factorization-complete")
-    objects = [Factorization(g, h, f) for g, h in pairs]
-    up = [0] * len(objects)
-    more: dict = {}
-    for i, j, _ in _connections(c, pairs):
-        bit = 1 << j
-        if up[i] & bit:
-            more[i, j] = more.get((i, j), 1) + 1
-        else:
-            up[i] |= bit
-    return LawvereInterval(f, objects, up, more, c)
+    objects = [_new(Factorization, (at[g], at[h], f)) for g, h in pairs]
+    return LawvereInterval(f, objects, *_walk(c, pairs), c, pairs)
 
 
 def is_one_way(iv: LawvereInterval) -> bool:

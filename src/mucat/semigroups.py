@@ -15,7 +15,6 @@ below e.  On combinatorial semigroups all routes agree exactly.
 from __future__ import annotations
 
 import json
-from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
@@ -335,21 +334,21 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     table, inv, name = s._table, s._inverses(), s.elements
     objects = {s._index[e]: e for e in reps}
     ideal = {f: len(set(table[f])) for f in s._idempotents()}  # |fS|
-    left = {}  # morphism -> position of its first component
+    left, out = {}, {}  # morphism -> position of its first component; e -> {x: number of (x, e)}
     for k, e in objects.items():
         # x x⁻¹ in the transversal and x⁻¹x <= e, by decreasing |x⁻¹x·S|
         xs = [x for x, i in enumerate(inv)
               if table[x][i] in objects and _below(table, inv, table[i][x], k)]
-        for x in sorted(xs, key=lambda x: -ideal[table[inv[x]][x]]):
-            left[name[x], e] = x
-    morphisms = list(left)
+        xs.sort(key=lambda x: -ideal[table[inv[x]][x]])
+        out[e] = {x: len(left) + n for n, x in enumerate(xs)}
+        left.update(((name[x], e), x) for x in out[e])
+    morphisms, xs = list(left), list(left.values())  # numbered in this order
     dom = {f: f[1] for f in morphisms}
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
-    by_dom = {e: list(fs) for e, fs in groupby(morphisms, lambda f: f[1])}  # listed e-major
     # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always,
     # so composites stay inside
-    compose = {(g, f): (name[table[left[g]][left[f]]], f[1])
-               for f in morphisms for g in by_dom[cod[f]]}
+    compose = {(g, k): out[f[1]][table[xs[g]][xs[k]]]
+               for k, f in enumerate(morphisms) for g in out[cod[f]].values()}
     identities = {e: (e, e) for e in reps}
     return CategorySlice._from_tables(reps, morphisms, dom, cod, compose, identities, morphisms)
 
@@ -368,8 +367,9 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
         if not is_one_way_category(c):
             raise NotOneWay("quotient posets need a one-way category")
         carrier = c.morphisms_from(e)
-        bit = {g: 1 << k for k, g in enumerate(carrier)}
-        up = [sum({bit[t] for _, t in c.factorizations(s)}) for s in carrier]
+        handles = [c._handle(s) for s in carrier]
+        bit = {g: 1 << k for k, g in enumerate(handles)}
+        up = [sum({bit[t] for _, t in c._facts[s]}) for s in handles]
         poset = c._quotients[e] = FinitePoset._from_masks(carrier, up)
     return poset
 

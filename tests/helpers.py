@@ -215,6 +215,30 @@ def bf_compose(c, composite) -> dict:
     return table
 
 
+def bf_slice_violation(c) -> str | None:
+    """The first identity or associativity failure by definition, read from
+    the public tables: each morphism's right then left identity law in slice
+    order, then every composable triple (g, h, k) with h∘k defined, in
+    compose order and k in slice order, whose two bracketings differ in
+    being defined or in value."""
+    compose = dict(c.compose.items())
+    for f in c.morphisms:
+        if compose.get((f, c.identities[c.dom[f]])) != f:
+            return f"right identity law fails at {f!r}"
+        if compose.get((c.identities[c.cod[f]], f)) != f:
+            return f"left identity law fails at {f!r}"
+    for (g, h), gh in compose.items():
+        for k in c.morphisms:
+            if c.cod[k] != c.dom[h] or (h, k) not in compose:
+                continue
+            left, right = compose.get((gh, k)), compose.get((g, compose[h, k]))
+            if (left is None) != (right is None):
+                return f"associativity definedness mismatch on ({g!r}, {h!r}, {k!r})"
+            if left != right:
+                return f"associativity fails on ({g!r}, {h!r}, {k!r}): {left!r} != {right!r}"
+    return None
+
+
 def bf_chain_moebius_of_slice(c, composite) -> dict:
     """Leroux's formula for every morphism f of c: mu(f) is the sum over k of
     (-1)^k times the number of chains f = f_k∘...∘f_1 of k non-identity

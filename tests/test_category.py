@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,7 @@ from helpers import (
     B2,
     bf_chain_moebius_of_slice,
     bf_compose,
+    bf_slice_violation,
     boolean_lattice,
     brandt_five,
     divisor_poset,
@@ -182,32 +184,41 @@ def _arrow_slice(compose, identities=None, build=CategorySlice):
     )
 
 
-BAD_ARROW_TABLES = pytest.mark.parametrize(
+BAD_ARROW_TABLES = [
+    ({("f", "f"): "f"}, None, "compose defined on non-composable pair ('f', 'f')"),
+    ({("1Y", "f"): "1Y"}, None, "composite '1Y' of ('1Y', 'f') has wrong endpoints"),
+    ({}, {"X": "1X", "Y": "f"}, "identity of 'Y' has endpoints ('X', 'Y')"),
+]
+BAD_ARROW_IDS = ["non_composable", "wrong_composite_endpoints", "identity_endpoints"]
+
+
+@pytest.mark.parametrize(
     "compose, identities, message",
-    [
-        ({("f", "f"): "f"}, None, "compose defined on non-composable pair ('f', 'f')"),
-        ({("1Y", "f"): "1Y"}, None, "composite '1Y' of ('1Y', 'f') has wrong endpoints"),
-        ({}, {"X": "1X", "Y": "f"}, "identity of 'Y' has endpoints ('X', 'Y')"),
-        (
-            {("ghost", "1X"): "ghost"}, None,
-            "compose entry ('ghost', '1X') -> 'ghost' mentions unknown morphisms",
-        ),
-    ],
-    ids=["non_composable", "wrong_composite_endpoints", "identity_endpoints", "unknown"],
+    [*BAD_ARROW_TABLES, (
+        {("ghost", "1X"): "ghost"}, None,
+        "compose entry ('ghost', '1X') -> 'ghost' mentions unknown morphisms",
+    )],
+    ids=[*BAD_ARROW_IDS, "unknown"],
 )
-
-
-@BAD_ARROW_TABLES
 def test_constructor_checks_every_entry_and_identity(compose, identities, message):
     with pytest.raises(InvalidSlice) as caught:
         _arrow_slice(compose, identities)
     assert str(caught.value) == message
 
 
-@BAD_ARROW_TABLES
+def _numbered_tables(objects, morphisms, dom, cod, compose, identities, complete):
+    """``_from_tables`` on the compose table keyed by morphism numbers, as
+    the builders hand it; a builder numbers only morphisms it lists, so no
+    entry can name an unknown one."""
+    number = {f: k for k, f in enumerate(morphisms)}
+    table = {(number[g], number[h]): number[k] for (g, h), k in compose.items()}
+    return CategorySlice._from_tables(objects, morphisms, dom, cod, table, identities, complete)
+
+
+@pytest.mark.parametrize("compose, identities, message", BAD_ARROW_TABLES, ids=BAD_ARROW_IDS)
 def test_table_adopting_builder_checks_every_entry_and_identity(compose, identities, message):
     with pytest.raises(InvalidSlice) as caught:
-        _arrow_slice(compose, identities, CategorySlice._from_tables)
+        _arrow_slice(compose, identities, _numbered_tables)
     assert str(caught.value) == message
 
 
@@ -234,6 +245,85 @@ def test_associativity_failure_is_reported():
     c = CategorySlice(["X"], ["1", "a", "b"], ends, ends, compose, {"X": "1"}, "1ab")
     assert find_slice_violation(c) == "associativity fails on ('a', 'a', 'b'): 'a' != 'b'"
     assert not validate_slice(c)
+
+
+def _one_object_slice(drop=()):
+    """The one-object category of test_associativity_failure_is_reported with
+    the compose entries ``drop`` left out."""
+    compose = {("1", f): f for f in "1ab"} | {(f, "1"): f for f in "ab"}
+    compose |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
+    for pair in drop:
+        del compose[pair]
+    ends = dict.fromkeys("1ab", "X")
+    return CategorySlice(["X"], ["1", "a", "b"], ends, ends, compose, {"X": "1"}, "1ab")
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        ((), "associativity fails on ('a', 'a', 'b'): 'a' != 'b'"),
+        ([("a", "1")], "right identity law fails at 'a'"),
+        ([("1", "b")], "left identity law fails at 'b'"),
+        ([("b", "a")], "associativity definedness mismatch on ('a', 'a', 'a')"),
+        ([("b", "b")], "associativity definedness mismatch on ('a', 'a', 'b')"),
+    ],
+    ids=["associativity", "right_identity", "left_identity", "definedness", "definedness_late"],
+)
+def test_planted_law_failures_are_reported(drop, message):
+    c = _one_object_slice(drop)
+    assert find_slice_violation(c) == message == bf_slice_violation(c)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [cm_slice(2, -3), dm_slice(2, 8), poset_as_category(divisor_poset(12)),
+     division_category(brandt_five(), ["e11", "z"])],
+    ids=["cm_slice(2,-3)", "dm_slice(2,8)", "poset(divisors 12)", "division(brandt)"],
+)
+def test_numbered_scan_reports_the_first_violation_of_planted_tables(base):
+    # drop entries or redirect one to another morphism with the same endpoints
+    rng = random.Random(18)
+    entries = list(base.compose.items())
+    for _ in range(40):
+        compose = dict(entries)
+        for pair in rng.sample(entries, rng.randint(0, 2)):
+            del compose[pair[0]]
+        (g, h), k = rng.choice(entries)
+        if (g, h) in compose:
+            compose[g, h] = rng.choice(base.hom(base.dom[h], base.cod[g]))
+        c = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                          base.identities, base.complete)
+        assert find_slice_violation(c) == bf_slice_violation(c)
+    assert find_slice_violation(base) is None is bf_slice_violation(base)
+
+
+def test_compose_is_a_read_only_view_in_table_order():
+    c = cm_slice(2, -2)
+    order = [(pair, k) for k in c.morphisms for pair in c.factorizations(k)]
+    view = c.compose
+    assert isinstance(view, Mapping) and len(view) == len(order) == 42
+    assert list(view) == [pair for pair, _ in order]
+    assert list(view.items()) == order and list(reversed(view.items())) == order[::-1]
+    assert list(view.values()) == [k for _, k in order]
+    for pair, k in order:
+        assert view[pair] == view.get(pair) == k and pair in view
+    f, g = CmMorphism(1, 0, 0, -1), CmMorphism(0, 1, 0, 0)  # (0,0) -> (1,-1) and 1 at (1,0)
+    missing = [(f, f), (g, f), (f, CmMorphism(0, 0, 5, 5)), (f,), (f, f, f), "ab", 7]
+    for key in missing:
+        assert key not in view and view.get(key) is None and view.get(key, 0) == 0
+        with pytest.raises(KeyError):
+            view[key]
+    expected = dict(order)
+    assert view == expected and expected == view
+    assert not view != expected and not expected != view
+    pair, k = order[-1]
+    assert view != {**expected, pair: f} and {**expected, pair: f} != view
+    assert view != {p: q for p, q in order[:-1]} != view
+    with pytest.raises(TypeError):
+        view[pair] = k
+    with pytest.raises(TypeError):
+        del view[pair]
+    assert view == expected
 
 
 # -- factorizations --------------------------------------------------------------

@@ -14,6 +14,7 @@ from mucat import (
     Unbounded,
     chain,
     cm_slice,
+    cm_source,
     division_category,
     dm_slice,
     dm_source,
@@ -23,6 +24,7 @@ from mucat import (
     is_one_way_category,
     lawvere_interval,
     meet_semilattice,
+    moebius_at,
     moebius_of_slice,
     moebius_test,
     moebius_via_lawvere,
@@ -87,6 +89,22 @@ def test_interval_homs_match_definitional_scan(make):
         homs = lawvere_interval(c, f).homs
         expected = bf_lawvere_homs(c, f)
         assert list(homs.items()) == list(expected.items()), f
+
+
+@pytest.mark.parametrize(
+    "window, source",
+    [(cm_slice(3, -6), cm_source(3)), (dm_slice(2, 30), dm_source(2))],
+    ids=["cm(3,-6)", "dm(2,30)"],
+)
+def test_one_walk_reads_slices_by_number_and_sources_by_morphism(window, source):
+    mu = moebius_of_slice(window)
+    for f in window.morphisms:
+        numbered, direct = lawvere_interval(window, f), lawvere_interval(source, f)
+        assert numbered.objects == direct.objects
+        assert (numbered._up, numbered._more) == (direct._up, direct._more)
+        assert numbered.homs == direct.homs
+        assert moebius_via_lawvere(window, f) == moebius_via_lawvere(source, f) == mu[f]
+        assert moebius_at(window, f) == moebius_at(source, f) == mu[f]
 
 
 def test_homs_are_built_only_when_read():
