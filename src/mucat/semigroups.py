@@ -342,12 +342,12 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
         xs.sort(key=lambda x: -ideal[table[inv[x]][x]])
         out[e] = {x: len(left) + n for n, x in enumerate(xs)}
         left.update(((name[x], e), x) for x in out[e])
-    morphisms, xs = list(left), list(left.values())  # numbered in this order
+    morphisms, firsts = list(left), list(left.values())  # numbered in this order
     dom = {f: f[1] for f in morphisms}
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
     # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always,
     # so composites stay inside
-    compose = {(g, k): out[f[1]][table[xs[g]][xs[k]]]
+    compose = {(g, k): out[f[1]][table[firsts[g]][firsts[k]]]
                for k, f in enumerate(morphisms) for g in out[cod[f]].values()}
     identities = {e: (e, e) for e in reps}
     return CategorySlice._from_tables(reps, morphisms, dom, cod, compose, identities, morphisms)
