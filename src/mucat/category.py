@@ -130,15 +130,14 @@ class CategorySlice:
         return self.identities[self.dom[f]] == f
 
     def _grouped(self):
-        """Morphisms by (dom, cod), by dom and by cod, in slice order; one pass."""
+        """Morphisms by (dom, cod) and by dom, in slice order; one pass."""
         if self._groups is None:
-            hom, out, into = {}, {}, {}
+            hom, out = {}, {}
             for f in self.morphisms:
-                x, y = self.dom[f], self.cod[f]
-                hom.setdefault((x, y), []).append(f)
+                x = self.dom[f]
+                hom.setdefault((x, self.cod[f]), []).append(f)
                 out.setdefault(x, []).append(f)
-                into.setdefault(y, []).append(f)
-            self._groups = tuple({k: tuple(v) for k, v in t.items()} for t in (hom, out, into))
+            self._groups = tuple({k: tuple(v) for k, v in t.items()} for t in (hom, out))
         return self._groups
 
     def hom(self, x, y) -> tuple:
@@ -149,7 +148,7 @@ class CategorySlice:
         return self._grouped()[1].get(x, ())
 
     def morphisms_into(self, x) -> tuple:
-        return self._grouped()[2].get(x, ())
+        return tuple([f for f in self.morphisms if self.cod[f] == x])
 
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
@@ -289,6 +288,9 @@ class FactorizationSource:
     read a slice, and memory grows only with what a route reads.  Every
     factorization pair and identity handed out is checked as the
     ``CategorySlice`` constructor checks a table entry, with its messages.
+    The source records each k whose whole list has passed and hands later
+    lists of k out unchecked, so the enumerator must be a function of k; a
+    list that fails is not recorded and raises again on every read.
     """
 
     __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_cod", "_ident",
@@ -296,12 +298,16 @@ class FactorizationSource:
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
+        checked = set()  # the morphisms whose lists have passed, not the lists
+
         def checked_pairs(k):
             pairs = factorizations(k)
-            x, y = dom(k), cod(k)
-            for g, h in pairs:
-                if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
-                    raise _bad_entry(g, h, k, cod(h) == dom(g))
+            if k not in checked:
+                x, y = dom(k), cod(k)
+                for g, h in pairs:
+                    if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
+                        raise _bad_entry(g, h, k, cod(h) == dom(g))
+                checked.add(k)
             return pairs
 
         def checked_identity(x):

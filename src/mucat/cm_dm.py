@@ -180,8 +180,8 @@ def cm_source(m: int) -> FactorizationSource:
     composites and endpoints from the morphisms' fields."""
     _require_modulus(m)
     return FactorizationSource(lambda k: _cm_factorizations(m, k), CmMorphism.source,
-                               lambda k: k.target(m), cm_identity, _cm_composite,
-                               lambda f: validate_cm_morphism(m, f))
+                               lambda k: _new(CmObject, ((k.a + k.x) % m, k.j)), cm_identity,
+                               _cm_composite, lambda f: validate_cm_morphism(m, f))
 
 
 class DmMorphism(NamedTuple):
@@ -274,7 +274,7 @@ def dm_source(m: int) -> FactorizationSource:
     composites and endpoints from the morphisms' fields."""
     _require_modulus(m)
     return FactorizationSource(lambda k: _dm_factorizations(m, k), DmMorphism.source,
-                               lambda k: k.target(m), dm_identity, _dm_composite,
+                               lambda k: k.alpha % m, dm_identity, _dm_composite,
                                lambda f: validate_dm_morphism(m, f))
 
 

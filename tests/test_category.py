@@ -1,6 +1,8 @@
+import functools
 import random
 import re
 import sys
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -51,6 +53,7 @@ from helpers import (
     bf_compose,
     bf_slice_violation,
     boolean_lattice,
+    brandt,
     brandt_five,
     divisor_poset,
 )
@@ -458,6 +461,43 @@ def _dm3_source(factorizations=None, identity=dm_identity):
     )
 
 
+def _counted_dm3_source():
+    """D_3 as a source that counts its endpoint reads and the lists it enumerates."""
+    count = Counter()
+
+    def counted(rule, key):
+        def read(k):
+            count[key] += 1
+            return rule(k)
+        return read
+
+    endpoint = functools.partial(counted, key="endpoints")
+    source = FactorizationSource(
+        counted(lambda k: _dm_factorizations(3, k), "lists"), endpoint(DmMorphism.source),
+        endpoint(lambda k: k.target(3)), dm_identity, _dm_composite,
+        lambda f: validate_dm_morphism(3, f),
+    )
+    return source, count
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(moebius_via_lawvere, moebius_at), (moebius_at, moebius_via_lawvere)],
+    ids=["lawvere_then_recursion", "recursion_then_lawvere"],
+)
+def test_source_checks_each_list_once(first, second):
+    f = DmMorphism(13, 1)
+    read = {f, *(h for _, h in _dm_factorizations(3, f))}  # the lists both routes read
+    check = sum(2 + 4 * len(_dm_factorizations(3, k)) for k in read)  # endpoint reads
+    alone, alone_count = _counted_dm3_source()
+    shared, count = _counted_dm3_source()
+    assert second(alone, f) == first(shared, f) == 0
+    count.clear()
+    assert second(shared, f) == 0
+    assert count["lists"] == alone_count["lists"] >= len(read)  # enumerated again, not kept
+    assert count["endpoints"] == alone_count["endpoints"] - check
+
+
 def _constructor_message(**changes) -> str:
     """The message the CategorySlice constructor gives for a D_3 window with
     its compose or identities tables updated by ``changes``."""
@@ -545,6 +585,23 @@ def test_factorizations_follow_compose_table_order():
     )
     for f in base.morphisms:
         assert flipped.factorizations(f) == base.factorizations(f)[::-1]
+
+
+@pytest.mark.parametrize(
+    "c",
+    [cm_slice(3, -4), dm_slice(2, 12), division_category(brandt(3), ["e11", "z"])],
+    ids=["cm_slice(3,-4)", "dm_slice(2,12)", "division(brandt3)"],
+)
+def test_grouped_reads_match_filters(c):
+    for x in c.objects:
+        assert c.morphisms_from(x) == tuple(f for f in c.morphisms if c.dom[f] == x)
+        assert c.morphisms_into(x) == tuple(f for f in c.morphisms if c.cod[f] == x)
+        for y in c.objects:
+            assert c.hom(x, y) == tuple(
+                f for f in c.morphisms if c.dom[f] == x and c.cod[f] == y
+            )
+    absent = object()
+    assert c.morphisms_from(absent) == c.morphisms_into(absent) == c.hom(absent, absent) == ()
 
 
 def test_factorizations_are_deterministic():
