@@ -1,4 +1,3 @@
-import functools
 import random
 import re
 import sys
@@ -453,11 +452,12 @@ def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, sou
 
 # -- factorization sources -----------------------------------------------------------
 
-def _dm3_source(factorizations=None, identity=dm_identity):
-    """D_3 as a source whose enumerator or identity rule may be replaced."""
+def _dm3_source(factorizations=None, identity=dm_identity, dom=DmMorphism.source,
+                cod=lambda k: k.target(3)):
+    """D_3 as a source whose enumerator, identity or endpoint rules may be replaced."""
     return FactorizationSource(
-        factorizations or (lambda k: _dm_factorizations(3, k)), DmMorphism.source,
-        lambda k: k.target(3), identity, _dm_composite, lambda f: validate_dm_morphism(3, f),
+        factorizations or (lambda k: _dm_factorizations(3, k)), dom, cod, identity,
+        _dm_composite, lambda f: validate_dm_morphism(3, f),
     )
 
 
@@ -471,12 +471,9 @@ def _counted_dm3_source():
             return rule(k)
         return read
 
-    endpoint = functools.partial(counted, key="endpoints")
-    source = FactorizationSource(
-        counted(lambda k: _dm_factorizations(3, k), "lists"), endpoint(DmMorphism.source),
-        endpoint(lambda k: k.target(3)), dm_identity, _dm_composite,
-        lambda f: validate_dm_morphism(3, f),
-    )
+    source = _dm3_source(counted(lambda k: _dm_factorizations(3, k), "lists"),
+                         dom=counted(DmMorphism.source, "endpoints"),
+                         cod=counted(lambda k: k.target(3), "endpoints"))
     return source, count
 
 
