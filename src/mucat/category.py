@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
 from typing import Any
@@ -51,14 +51,13 @@ class CategorySlice:
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
         morphisms = tuple(morphisms)
-        number, table, unknown = dict(zip(morphisms, range(len(morphisms)))).get, {}, None
+        number, table = dict(zip(morphisms, range(len(morphisms)))).get, {}
         for (g, h), k in compose.items():
             key, composite = (number(g), number(h)), number(k)
             if composite is None or None in key:
-                unknown = f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms"
-                break
+                raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
             table[key] = composite
-        self._adopt(objects, morphisms, dict(dom), dict(cod), table, dict(identities), complete, unknown)
+        self._adopt(objects, morphisms, dict(dom), dict(cod), table, dict(identities), complete)
 
     @classmethod
     def _from_tables(cls, objects, morphisms, dom, cod, table, identities, complete):
@@ -68,10 +67,9 @@ class CategorySlice:
         c._adopt(objects, morphisms, dom, cod, table, identities, complete)
         return c
 
-    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete, unknown=None):
+    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete):
         """Check the tables and index factorizations in one pass, then store
-        them as given.  ``unknown`` refuses an entry the constructor could not
-        number; it is raised once the entries before that one pass."""
+        them as given."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -97,8 +95,6 @@ class CategorySlice:
                 at = self.morphisms
                 raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
             facts[k].append(pair)
-        if unknown is not None:
-            raise InvalidSlice(unknown)
         self._table = table
         self.compose = _Compose(table, number, self.morphisms)
         self.identities, self._ident = identities, []
@@ -165,6 +161,17 @@ class CategorySlice:
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
         return self._number[f]
 
+    def _closed_handle(self, f) -> int:
+        """f's number, once f and every factor of f are checked to be complete, as
+        exact intervals and sums need; a fully complete slice skips the factors."""
+        k = self._handle(f)
+        if len(self.complete) != len(self.morphisms):
+            for h in (self._at[g] for pair in self._facts[k] for g in pair):
+                if h not in self.complete:
+                    raise IncompleteSlice(
+                        f"factor {h!r} of {f!r} is not marked factorization-complete")
+        return k
+
     # -- serialization ---------------------------------------------------
 
     # the name to_json gives one morphism or object
@@ -174,13 +181,14 @@ class CategorySlice:
         """Serialize in the documented slice schema (morphisms become string ids)."""
         mid = names(self.morphisms, InvalidSlice, "morphism/object keys")
         oid = names(self.objects, InvalidSlice, "morphism/object keys")
+        key = [mid[f] for f in self.morphisms]  # by number
         data = {
             "objects": [oid[x] for x in self.objects],
             "morphisms": [
                 {"id": mid[f], "dom": oid[self.dom[f]], "cod": oid[self.cod[f]]}
                 for f in self.morphisms
             ],
-            "compose": [[mid[g], mid[h], mid[k]] for (g, h), k in self.compose.items()],
+            "compose": [[key[g], key[h], key[k]] for (g, h), k in self._table.items()],
             "identities": {oid[x]: mid[self.identities[x]] for x in self.objects},
             "complete": [mid[f] for f in self.morphisms if f in self.complete],
         }
@@ -209,7 +217,11 @@ class CategorySlice:
         morphisms = [rec["id"] for rec in records]
         dom = {rec["id"]: rec["dom"] for rec in records}
         cod = {rec["id"]: rec["cod"] for rec in records}
-        compose = {(g, h): k for g, h, k in data["compose"]}
+        compose = {}
+        for g, h, k in data["compose"]:
+            if (g, h) in compose:
+                raise InvalidSlice(f"compose lists the pair ({g!r}, {h!r}) twice")
+            compose[g, h] = k
         identities, complete = data["identities"], data["complete"]
         return cls(data["objects"], morphisms, dom, cod, compose, identities, complete)
 
@@ -243,24 +255,11 @@ class _Compose(Mapping):
         raise KeyError(pair)
 
     def __iter__(self):
-        return (pair for pair, _ in self.items())
+        at = self._at
+        return ((at[g], at[h]) for g, h in self._table)
 
     def __len__(self):
         return len(self._table)
-
-    def items(self):
-        return _ComposeItems(self)
-
-
-class _ComposeItems(ItemsView):
-    """The view's items in table order, forwards or reversed."""
-
-    def __iter__(self, order=iter):
-        at = self._mapping._at
-        return (((at[g], at[h]), at[k]) for (g, h), k in order(self._mapping._table.items()))
-
-    def __reversed__(self):
-        return self.__iter__(reversed)
 
 
 class _Rule:
@@ -328,6 +327,8 @@ class FactorizationSource:
     def _handle(self, f):
         self._validate(f)  # a source reads f by f itself
         return f
+
+    _closed_handle = _handle  # every morphism of a source is complete
 
 
 # -- validation ------------------------------------------------------------
@@ -609,8 +610,9 @@ _ZETA = _Rule(lambda f: 1)  # the constant-1 function on every morphism of any c
 
 def moebius_at(c: CategorySlice | FactorizationSource, f) -> int:
     """μ(f) alone, by the recursion of ``convolution_inverse`` on zeta run
-    from f: it reads only f's right factors and their factorizations."""
-    root = c._handle(f)  # refuses an f that is not a morphism of c
+    from f: it reads only f's right factors and their factorizations, so f
+    and every factor of f must be complete."""
+    root = c._closed_handle(f)
     eta: dict = {}
     _invert_from(c, _ZETA, eta, root)
     return eta[root]

@@ -165,7 +165,8 @@ def cmd_semigroup(args) -> int:
         raise MucatError(f"not an inverse semigroup: {violation}")
     check_combinatorial(s)  # first: a transversal check would blame another cause
     names = set(s.elements)
-    transversal = _split_names(args.transversal, names, "transversal") if args.transversal else None
+    transversal = (None if args.transversal is None
+                   else _split_names(args.transversal, names, "transversal"))
     c = division_category(s, transversal)
     spec = _split_names(args.spec, names, "morphism spec", 2)
     if len(spec) != 2:

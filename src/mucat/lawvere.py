@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from .category import CategorySlice, FactorizationSource, one_way
-from .errors import IncompleteSlice, InvalidPoset, NotOneWay, NotThin, Unbounded
+from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset
 
 _new = tuple.__new__  # a Factorization from its field tuple, skipping the class's slower __new__
@@ -92,14 +92,9 @@ def _walk(c, pairs, found=None):
 def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
     """Build the full interval of f inside a ``FactorizationSource`` or a
     slice, where f and every factor of f must be complete: the factorization
-    index is exact only there, and a fully complete slice need not check
-    them one by one.  Both are walked by handle."""
-    pairs = c._facts[c._handle(f)]
+    index is exact only there.  Both are walked by handle."""
+    pairs = c._facts[c._closed_handle(f)]
     at = c._at
-    if isinstance(c, CategorySlice) and len(c.complete) != len(c.morphisms):
-        k = next((at[k] for pair in pairs for k in pair if at[k] not in c.complete), None)
-        if k is not None:
-            raise IncompleteSlice(f"factor {k!r} of {f!r} is not marked factorization-complete")
     objects = [_new(Factorization, (at[g], at[h], f)) for g, h in pairs]
     return LawvereInterval(f, objects, *_walk(c, pairs), c, pairs)
 

@@ -278,6 +278,15 @@ def test_semigroup_explicit_transversal(capsys, tmp_path):
     assert out == "1 1 1 AGREE\n"
 
 
+def test_semigroup_empty_transversal_is_checked(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(meet_semilattice(chain(["e"])).to_json(), encoding="utf-8")
+    assert run_cli(capsys, "semigroup", str(path), "e,e")[:2] == (0, "1 1 1 AGREE\n")
+    assert run_cli(capsys, "semigroup", str(path), "e,e", "--transversal", "") == (
+        2, "", "error: '' is not an idempotent\n"
+    )
+
+
 def test_semigroup_boolean_lattice_file(capsys, tmp_path):
     square = FinitePoset(
         ["bot", "a", "b", "top"],

@@ -279,6 +279,17 @@ def test_missing_trivial_factorization_is_unbounded():
         moebius_via_lawvere(broken, "f")
 
 
+def test_trivial_factorizations_that_do_not_bound_the_interval_are_unbounded():
+    # without (0, 1)∘1_0 nothing connects the bottom ((0, 2), 1_0) to ((1, 2), (0, 1))
+    base = poset_as_category(chain([0, 1, 2]))
+    compose = {pair: k for pair, k in base.compose.items() if pair != ((0, 1), (0, 0))}
+    c = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                      base.identities, base.complete)
+    with pytest.raises(Unbounded) as caught:
+        moebius_via_lawvere(c, (0, 2))
+    assert str(caught.value) == "interval of (0, 2) is not bounded by its trivial factorizations"
+
+
 def test_incomplete_factor_of_a_complete_morphism_is_rejected():
     # without (1, 2), (0, 3)'s interval loses 0 <= 1 <= 2 <= 3; read anyway it gives mu = 1
     base = poset_as_category(chain([0, 1, 2, 3]))
@@ -289,8 +300,9 @@ def test_incomplete_factor_of_a_complete_morphism_is_rejected():
                       base.identities, [(0, 3)])
     assert find_slice_violation(c) is None
     assert c.factorizations((0, 3)) == base.factorizations((0, 3))
-    with pytest.raises(IncompleteSlice, match=r"factor .* of \(0, 3\) is not marked"):
-        moebius_via_lawvere(c, (0, 3))
+    for route in (moebius_via_lawvere, moebius_at):
+        with pytest.raises(IncompleteSlice, match=r"factor .* of \(0, 3\) is not marked"):
+            route(c, (0, 3))
 
 
 def test_lawvere_route_needs_only_f_and_its_factors_complete():
