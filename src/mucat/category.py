@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from itertools import islice
 from typing import Any
@@ -261,6 +261,15 @@ class _Compose(Mapping):
     def __len__(self):
         return len(self._table)
 
+    def items(self):  # each entry translated once, not looked up again by key
+        return _ComposeItems(self)
+
+
+class _ComposeItems(ItemsView):
+    def __iter__(self):
+        at = self._mapping._at
+        return (((at[g], at[h]), at[k]) for (g, h), k in self._mapping._table.items())
+
 
 class _Rule:
     """A read-only mapping that stores nothing: ``r.get(k)`` is ``rule(k)``
@@ -292,8 +301,8 @@ class FactorizationSource:
     list that fails is not recorded and raises again on every read.
     """
 
-    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_cod", "_ident",
-                 "_validate")
+    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_dom", "_cod",
+                 "_ident", "_validate")
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
@@ -315,10 +324,10 @@ class FactorizationSource:
                 raise _bad_identity(x, dom(e), cod(e))
             return e
 
-        self.dom, self.cod = _Rule(dom), _Rule(cod)
+        self.dom, self.cod = self._dom, self._cod = _Rule(dom), _Rule(cod)
         self.identities = self._ident = _Rule(checked_identity)
         self.compose = self._table = _Rule(composite)
-        self._facts, self._cod, self._validate = _Rule(checked_pairs), self.cod, validate
+        self._facts, self._validate = _Rule(checked_pairs), validate
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""

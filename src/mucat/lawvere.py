@@ -4,7 +4,9 @@ The interval of a morphism f has the factorizations f = u∘v as objects; an
 ambient morphism h connects (u, v) to (u', v') when h∘v = v' and u'∘h = u.
 With that convention f itself connects the bottom (f, 1_dom) to the top
 (1_cod, f).  When the interval is one-way and thin it is a finite poset and
-mu(f) is the poset Möbius value from bottom to top.
+mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``
+reads it by position off the walk's masks, with the thin, poset-law, bound
+and μ code of the staged route through ``interval_as_poset``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Any, NamedTuple
 
 from .category import CategorySlice, FactorizationSource, one_way
 from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
-from .poset import FinitePoset
+from .poset import FinitePoset, _linear, _moebius_to
 
 _new = tuple.__new__  # a Factorization from its field tuple, skipping the class's slower __new__
 
@@ -33,18 +35,18 @@ class LawvereInterval:
     iff some morphism connects ``objects[i]`` to ``objects[j]``, and
     ``_more`` counts the elements of each hom-set with two or more, keyed
     (i, j).  The ``homs`` dict, keyed (source, target) source-major then
-    target in object order, is re-read from the category's handles ``_pairs``.
+    target in object order, is re-walked from the subject's handle ``_root``.
     """
 
-    __slots__ = ("subject", "objects", "_up", "_more", "_c", "_pairs", "_homs")
+    __slots__ = ("subject", "objects", "_up", "_more", "_c", "_root", "_homs")
 
-    def __init__(self, subject, objects, up, more, c, pairs):
+    def __init__(self, subject, objects, up, more, c, root):
         self.subject = subject
         self.objects = tuple(objects)
         self._up = up
         self._more = more
         self._c = c
-        self._pairs = pairs
+        self._root = root
         self._homs = None
 
     def __repr__(self):
@@ -55,7 +57,7 @@ class LawvereInterval:
         """{(source, target): hom-set tuple}, every hom-set in slice order."""
         if self._homs is None:
             objects, at, found = self.objects, self._c._at, {}
-            _walk(self._c, self._pairs, found)
+            _walk(self._c, self._root, found)
             self._homs = {(objects[i], objects[j]): tuple([at[h] for h in found[i, j]])
                           for i, j in sorted(found)}
         return self._homs
@@ -64,20 +66,21 @@ class LawvereInterval:
         return self.homs.get((a, b), ())
 
 
-def _walk(c, pairs, found=None):
-    """``_up`` and ``_more`` of the interval on ``pairs``, given as c's handles
-    (a slice's numbers, a source's morphisms), appending each connecting h to
-    found[i, j] if found is a dict.  h connects (u, v) to (u', v') exactly when
-    (h, v) factors v' and u'∘h = u, so one walk over the factorizations of each
-    v' finds every morphism into (u', v'), each hom-set in slice order, and no
-    hom-set is scanned.  The loop is inline: a generator step per connection
-    would cost more than the lookups it feeds."""
+def _walk(c, root, found=None):
+    """The factorizations ``pairs`` of c's handle ``root``, their positions,
+    and ``_up`` and ``_more`` on them, appending each connecting h to
+    found[i, j] if found is a dict.  h connects (u, v) to (u', v') exactly
+    when (h, v) factors v' and u'∘h = u, so one walk over the factorizations
+    of each v' (``pairs`` for the root) finds every morphism into (u', v'),
+    each hom-set in slice order.  The loop is inline: a generator step per
+    connection would cost more than the lookups it feeds."""
+    pairs = c._facts[root]
     position = dict(zip(pairs, range(len(pairs))))
     get, composite, facts = position.get, c._table.get, c._facts
     up, more = [0] * len(pairs), {}
     for j, (u2, v2) in enumerate(pairs):
         bit = 1 << j
-        for h, v in facts[v2]:
+        for h, v in pairs if v2 == root else facts[v2]:
             i = get((composite((u2, h)), v))
             if i is not None:
                 if up[i] & bit:
@@ -86,17 +89,18 @@ def _walk(c, pairs, found=None):
                     up[i] |= bit
                 if found is not None:
                     found.setdefault((i, j), []).append(h)
-    return up, more
+    return pairs, position, up, more
 
 
 def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
     """Build the full interval of f inside a ``FactorizationSource`` or a
     slice, where f and every factor of f must be complete: the factorization
     index is exact only there.  Both are walked by handle."""
-    pairs = c._facts[c._closed_handle(f)]
+    k = c._closed_handle(f)
+    pairs, _, up, more = _walk(c, k)
     at = c._at
     objects = [_new(Factorization, (at[g], at[h], f)) for g, h in pairs]
-    return LawvereInterval(f, objects, *_walk(c, pairs), c, pairs)
+    return LawvereInterval(f, objects, up, more, c, k)
 
 
 def is_one_way(iv: LawvereInterval) -> bool:
@@ -113,6 +117,32 @@ def moebius_test(c: CategorySlice) -> bool:
     return all(is_one_way(lawvere_interval(c, f)) for f in c.morphisms)
 
 
+def _interval_order(f, up, more, position, name):
+    """``_linear``'s (order, masks) for f's interval: NotThin unless it is
+    thin, NotOneWay if ``position`` (factorization -> index) shows one listed
+    twice or a poset law fails.  name(i) names index i in messages."""
+    if more:
+        (i, j), count = min(more.items())
+        raise NotThin(f"hom-set {(name(i), name(j))!r} has {count} elements")
+    try:
+        if len(position) != len(up):
+            raise InvalidPoset("duplicate elements")
+        return _linear(up, name)
+    except InvalidPoset as exc:  # connectivity relation fails poset laws
+        raise NotOneWay(f"interval of {f!r}: {exc}") from exc
+
+
+def _bounded_moebius(f, up, linear, bottom, top) -> int:
+    """mu from bottom to top once the trivial factorizations, at indices
+    bottom and top of the masks up (None if absent), are least and greatest:
+    then they sit first and last in the linear extension ``linear``."""
+    if bottom is None or top is None:
+        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
+    if up[bottom] != (1 << len(up)) - 1 or not all(u >> top & 1 for u in up):
+        raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
+    return _moebius_to(linear, len(linear) - 1)[0]
+
+
 def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     """The interval as a poset: F1 <= F2 iff some morphism connects F1 to F2.
 
@@ -120,29 +150,28 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     two or more elements, else NotOneWay when the poset laws, checked on the
     up-set masks, fail (for a thin interval, one-way is reflexive and antisymmetric).
     """
-    if iv._more:
-        (i, j), count = min(iv._more.items())
-        pair = (iv.objects[i], iv.objects[j])
-        raise NotThin(f"hom-set {pair!r} has {count} elements")
-    try:
-        return FinitePoset._from_masks(iv.objects, iv._up)
-    except InvalidPoset as exc:  # connectivity relation fails poset laws
-        raise NotOneWay(f"interval of {iv.subject!r}: {exc}") from exc
+    objects = iv.objects
+    pos = dict(zip(objects, range(len(objects))))
+    order, up = _interval_order(iv.subject, iv._up, iv._more, pos, objects.__getitem__)
+    return FinitePoset.__new__(FinitePoset)._adopt(objects, pos, order, up)
 
 
 def interval_moebius(c: CategorySlice | FactorizationSource, f, poset: FinitePoset) -> int:
     """mu(f) as the Möbius value of f's interval poset from bottom to top,
     once the trivial factorizations are checked to bound it."""
-    bottom = Factorization(f, c.identities[c.dom[f]], f)
-    top = Factorization(c.identities[c.cod[f]], f, f)
-    if bottom not in poset or top not in poset:
-        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
-    if poset.bottom() != bottom or poset.top() != top:
-        raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
-    return poset.moebius(bottom, top)
+    bottom = poset._pos.get(Factorization(f, c.identities[c.dom[f]], f))
+    top = poset._pos.get(Factorization(c.identities[c.cod[f]], f, f))
+    return _bounded_moebius(f, poset._up, poset._up, bottom, top)
 
 
 def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
-    """mu(f) computed as the interval-poset Möbius value from bottom to top;
-    c is a slice or a ``FactorizationSource``."""
-    return interval_moebius(c, f, interval_as_poset(lawvere_interval(c, f)))
+    """``interval_moebius`` of ``interval_as_poset``, checks and messages
+    included, by position on the walk's masks; no factorization, interval or
+    poset is built.  c is a slice or a ``FactorizationSource``."""
+    k = c._closed_handle(f)
+    pairs, position, up, more = _walk(c, k)
+    at, ident = c._at, c._ident
+    linear = _interval_order(f, up, more, position,
+                             lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
+    bottom, top = position.get((k, ident[c._dom[k]])), position.get((ident[c._cod[k]], k))
+    return _bounded_moebius(f, up, linear, bottom, top)

@@ -19,15 +19,17 @@ The Möbius function is computed by the classical recursion
 
     mu(x, x) = 1,    mu(x, y) = -sum(mu(z, y) for x < z <= y)
 
-evaluated top-down over the interval in the linear extension and memoized
-per instance; values are always integers.
+evaluated top-down over the down-set of y in the linear extension, one
+column mu(., y) memoized per instance; values are always integers.  The law
+check (``_linear``) and the recursion (``_moebius_to``) work on bare masks,
+so the Lawvere route runs them with no poset object.
 """
 
 from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import compress, count
+from itertools import compress
 from operator import and_
 from typing import Any, Callable, Iterable
 
@@ -124,6 +126,52 @@ def _close_covers(elems: tuple, arcs) -> list[int]:
     return up
 
 
+def _linear(up: list[int], name: Callable[[int], Any]) -> tuple[list[int] | None, list[int]]:
+    """Check the poset laws on up-set masks and return (order, masks) in a
+    linear extension: order is None if the indices are one, else position k
+    holds index order[k].  InvalidPoset names elements by name(index)."""
+    order, at = None, name
+    # In a linear extension each element is the lowest bit of its own
+    # up-set: that is reflexivity, and every strict successor higher up.
+    if not all(u & -u == 1 << k for k, u in enumerate(up)):
+        order = sorted(range(len(up)), key=lambda k: -up[k].bit_count())
+        up = _relabel(up, order)
+        at = lambda p: name(order[p])
+        for p, above in enumerate(up):
+            if not above >> p & 1:
+                raise InvalidPoset(f"relation is not reflexive at {at(p)!r}")
+            q = _lowest(above)
+            if q != p and up[q] >> p & 1:
+                raise InvalidPoset(f"relation is not antisymmetric on {at(q)!r}, {at(p)!r}")
+    # Transitivity, upper positions first.  A q in up[p] other than p
+    # either sits higher and is already checked, so once up[q] <= up[p]
+    # holds q's whole up-set can be skipped and only the covers of p are
+    # visited; or it sits lower, where only a relabelled order puts it,
+    # with an up-set no smaller than p's that lacks p, and fails at once.
+    for p in range(len(up) - 1, -1, -1):
+        above = up[p]
+        for q in _minimal(up, above & ~(1 << p)):
+            beyond = up[q] & ~above
+            if beyond:
+                raise InvalidPoset(
+                    f"relation is not transitive: {at(p)!r} <= {at(q)!r} <= {at(_lowest(beyond))!r}"
+                )
+    return order, up
+
+
+def _moebius_to(up: list[int], q: int) -> list:
+    """values[w] = mu(w, q) for w <= q, else 0, on masks in a linear
+    extension, by mu(w, q) = -sum(mu(z, q) for w < z <= q) from q down: a
+    strict successor sits higher (Stanley, EC1, Ch. 3), and when w's up-set
+    is summed, values[w] and every z not <= q still read 0."""
+    values = [0] * len(up)
+    values[q] = 1
+    for w in range(q - 1, -1, -1):
+        if up[w] >> q & 1:
+            values[w] = -sum(compress(values, _selectors(up[w])))
+    return values
+
+
 class FinitePoset:
     """A finite poset over opaque hashable elements.
 
@@ -155,56 +203,28 @@ class FinitePoset:
             for p in leq:
                 i, j = check_pair(p)
                 up[i] |= 1 << j
-        self._adopt(elems, index, up)
+        self._adopt(elems, index, *_linear(up, elems.__getitem__))
 
     @classmethod
     def _from_masks(cls, elements: Iterable[Any], up: list[int]) -> "FinitePoset":
         """A poset from up-set masks over the supplied order: bit j of up[i]
         is set iff elements[i] <= elements[j].  Every law is checked."""
         elems = tuple(elements)
-        poset = cls.__new__(cls)
-        poset._adopt(elems, _index(elems), up)
-        return poset
+        return cls.__new__(cls)._adopt(elems, _index(elems), *_linear(up, elems.__getitem__))
 
-    def _adopt(self, elems: tuple, pos: dict, up: list[int]) -> None:
-        """Check the poset laws on up-set masks over elems (``pos`` maps each
-        element to its index) and store them, relabelled to a linear
-        extension (decreasing up-set size) unless the supplied order already
-        is one; the validation behind every constructor."""
-        n = len(elems)
+    def _adopt(self, elems: tuple, pos: dict, order, up: list[int]) -> "FinitePoset":
+        """Store what ``_linear`` returned for masks over elems; returns self."""
         at = elems
-        # In a linear extension each element is the lowest bit of its own
-        # up-set: that is reflexivity, and every strict successor higher up.
-        if not all(u & -u == 1 << k for k, u in enumerate(up)):
-            order = sorted(range(n), key=lambda k: -up[k].bit_count())
+        if order is not None:
             at = tuple(elems[k] for k in order)
-            pos = dict(zip(at, range(n)))
-            up = _relabel(up, order)
-            for p, above in enumerate(up):
-                if not above >> p & 1:
-                    raise InvalidPoset(f"relation is not reflexive at {at[p]!r}")
-                q = _lowest(above)
-                if q != p and up[q] >> p & 1:
-                    raise InvalidPoset(f"relation is not antisymmetric on {at[q]!r}, {at[p]!r}")
-        # Transitivity, upper positions first.  A q in up[p] other than p
-        # either sits higher and is already checked, so once up[q] <= up[p]
-        # holds q's whole up-set can be skipped and only the covers of p are
-        # visited; or it sits lower, where only a relabelled order puts it,
-        # with an up-set no smaller than p's that lacks p, and fails at once.
-        for p in range(n - 1, -1, -1):
-            above = up[p]
-            for q in _minimal(up, above & ~(1 << p)):
-                beyond = up[q] & ~above
-                if beyond:
-                    raise InvalidPoset(
-                        f"relation is not transitive: {at[p]!r} <= {at[q]!r} <= {at[_lowest(beyond)]!r}"
-                    )
+            pos = dict(zip(at, range(len(at))))
         self.elements = elems
         self._pos = pos
         self._at = at
         self._up = up
         self._down = None
         self._mu: dict = {}
+        return self
 
     # -- basic queries ---------------------------------------------------
 
@@ -330,30 +350,13 @@ class FinitePoset:
         return None
 
     def moebius(self, x, y) -> int:
-        """mu(x, y) of this poset."""
+        """mu(x, y) of this poset; mu(., y) is memoized per instance."""
         self._require_comparable(x, y)
-        return self._moebius(self._pos[x], self._pos[y])
-
-    def _moebius(self, p, q) -> int:
-        # mu(., y) on all of [x, y], from y downward and without recursion:
-        # mu(w, y) = -sum(mu(z, y) for w < z <= y), and a strict successor
-        # sits at a higher position (Stanley, EC1, Ch. 3).  values[w] is
-        # still 0 when w's up-set is summed, and so is every z in it that is
-        # not <= y (it was skipped), so the sum runs over w < z <= y exactly
-        mu = self._mu
-        value = mu.get((p, q))
-        if value is None:
-            up = self._up
-            values = [0] * len(up)
-            values[q] = 1
-            below = list(compress(count(), _selectors(up[p] & ((1 << q) - 1))))
-            for w in reversed(below):
-                if up[w] >> q & 1:
-                    values[w] = -sum(compress(values, _selectors(up[w])))
-            mu.update(((w, q), values[w]) for w in below if up[w] >> q & 1)
-            mu[q, q] = 1
-            value = values[p]
-        return value
+        q = self._pos[y]
+        column = self._mu.get(q)
+        if column is None:
+            column = self._mu[q] = _moebius_to(self._up, q)
+        return column[self._pos[x]]
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
         """Cartesian product with componentwise order; elements are pairs."""

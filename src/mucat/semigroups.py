@@ -359,14 +359,15 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     (s, e) <= (t, e) iff some u in the category has u ∘ (t, e) = (s, e), that
     is iff some (u, (t, e)) is among the factorizations of (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
-    the order is antisymmetric.  Built once per (slice, e) and cached on the
+    the order is antisymmetric.  Listed in reverse slice order, top last, so
+    mostly in a linear extension.  Built once per (slice, e) and cached on the
     slice.
     """
     poset = c._quotients.get(e)
     if poset is None:
         if not is_one_way_category(c):
             raise NotOneWay("quotient posets need a one-way category")
-        carrier = c.morphisms_from(e)
+        carrier = c.morphisms_from(e)[::-1]
         handles = [c._handle(s) for s in carrier]
         bit = {g: 1 << k for k, g in enumerate(handles)}
         up = [sum({bit[t] for _, t in c._facts[s]}) for s in handles]

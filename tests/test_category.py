@@ -315,6 +315,9 @@ def test_compose_is_a_read_only_view_in_table_order():
         assert key not in view and view.get(key) is None and view.get(key, 0) == 0
         with pytest.raises(KeyError):
             view[key]
+    items = view.items()
+    assert len(items) == 42 and order[0] in items and ((f, f), f) not in items
+    assert (order[0][0], f) not in items and items == dict(order).items()
     expected = dict(order)
     assert view == expected and expected == view
     assert not view != expected and not expected != view
@@ -326,6 +329,22 @@ def test_compose_is_a_read_only_view_in_table_order():
     with pytest.raises(TypeError):
         del view[pair]
     assert view == expected
+
+
+def test_slice_rebuilt_from_a_compose_view_equals_one_rebuilt_from_a_copy():
+    # the reversed numbering makes the view's handles differ from the new slice's
+    base = dm_slice(2, 12)
+    for source in (base, _rebuilt(base, dict(base.compose), base.morphisms[::-1])):
+        from_view = _rebuilt(source, source.compose, source.morphisms[::-1])
+        from_copy = _rebuilt(source, dict(source.compose.items()), source.morphisms[::-1])
+        assert from_view.to_json() == from_copy.to_json()
+        assert (from_view._table, from_view._facts) == (from_copy._table, from_copy._facts)
+        assert list(from_view.compose.items()) == list(from_copy.compose.items())
+        assert dict(from_view.compose.items()) == dict(source.compose)
+
+
+def _rebuilt(c, compose, morphisms):
+    return CategorySlice(c.objects, morphisms, c.dom, c.cod, compose, c.identities, c.complete)
 
 
 # -- factorizations --------------------------------------------------------------
@@ -462,7 +481,8 @@ def _dm3_source(factorizations=None, identity=dm_identity, dom=DmMorphism.source
 
 
 def _counted_dm3_source():
-    """D_3 as a source that counts its endpoint reads and the lists it enumerates."""
+    """D_3 as a source that counts its endpoint reads and the lists it
+    enumerates, in all and of each morphism k under ("lists", k)."""
     count = Counter()
 
     def counted(rule, key):
@@ -471,7 +491,11 @@ def _counted_dm3_source():
             return rule(k)
         return read
 
-    source = _dm3_source(counted(lambda k: _dm_factorizations(3, k), "lists"),
+    def listed(k):
+        count["lists", k] += 1
+        return _dm_factorizations(3, k)
+
+    source = _dm3_source(counted(listed, "lists"),
                          dom=counted(DmMorphism.source, "endpoints"),
                          cod=counted(lambda k: k.target(3), "endpoints"))
     return source, count
@@ -492,6 +516,7 @@ def test_source_checks_each_list_once(first, second):
     count.clear()
     assert second(shared, f) == 0
     assert count["lists"] == alone_count["lists"] >= len(read)  # enumerated again, not kept
+    assert count["lists", f] == alone_count["lists", f] == 1  # f's list once per call
     assert count["endpoints"] == alone_count["endpoints"] - check
 
 

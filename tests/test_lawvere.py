@@ -30,6 +30,9 @@ from mucat import (
     moebius_via_lawvere,
     poset_as_category,
 )
+import mucat.poset
+from mucat.cm_dm import _dm_factorizations
+from mucat.lawvere import interval_moebius
 
 from helpers import (
     B2,
@@ -40,7 +43,8 @@ from helpers import (
     is_total_order,
 )
 
-from test_category import idempotent_endo_category, iso_pair_category
+from test_category import _dm3_source, idempotent_endo_category, iso_pair_category
+from test_semigroups import ORDER_CORPUS
 
 
 # -- interval construction ----------------------------------------------------
@@ -263,28 +267,33 @@ def test_interval_value_agrees_with_convolution_inverse():
             assert moebius_via_lawvere(c, f) == mu[f]
 
 
-def test_missing_trivial_factorization_is_unbounded():
+def _missing_bottom_category():
+    """X -> Y with ("f", "1X") omitted from compose: f's bottom factorization is invisible."""
     objects = ["X", "Y"]
     morphisms = ["1X", "1Y", "f"]
     dom = {"1X": "X", "1Y": "Y", "f": "X"}
     cod = {"1X": "X", "1Y": "Y", "f": "Y"}
-    compose = {
-        ("1X", "1X"): "1X",
-        ("1Y", "1Y"): "1Y",
-        ("1Y", "f"): "f",
-        # ("f", "1X") omitted: the bottom factorization is invisible
-    }
-    broken = CategorySlice(objects, morphisms, dom, cod, compose, {"X": "1X", "Y": "1Y"}, morphisms)
+    compose = {("1X", "1X"): "1X", ("1Y", "1Y"): "1Y", ("1Y", "f"): "f"}
+    return CategorySlice(objects, morphisms, dom, cod, compose, {"X": "1X", "Y": "1Y"}, morphisms)
+
+
+def _chain_without(pair, p=chain([0, 1, 2])):
+    """The category of the chain p, 0 < 1 < 2 by default, with the compose
+    entry ``pair`` left out."""
+    base = poset_as_category(p)
+    compose = {entry: k for entry, k in base.compose.items() if entry != pair}
+    return CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                         base.identities, base.complete)
+
+
+def test_missing_trivial_factorization_is_unbounded():
     with pytest.raises(Unbounded):
-        moebius_via_lawvere(broken, "f")
+        moebius_via_lawvere(_missing_bottom_category(), "f")
 
 
 def test_trivial_factorizations_that_do_not_bound_the_interval_are_unbounded():
     # without (0, 1)∘1_0 nothing connects the bottom ((0, 2), 1_0) to ((1, 2), (0, 1))
-    base = poset_as_category(chain([0, 1, 2]))
-    compose = {pair: k for pair, k in base.compose.items() if pair != ((0, 1), (0, 0))}
-    c = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
-                      base.identities, base.complete)
+    c = _chain_without(((0, 1), (0, 0)))
     with pytest.raises(Unbounded) as caught:
         moebius_via_lawvere(c, (0, 2))
     assert str(caught.value) == "interval of (0, 2) is not bounded by its trivial factorizations"
@@ -314,3 +323,80 @@ def test_lawvere_route_needs_only_f_and_its_factors_complete():
                       base.identities, complete)
     for f in complete:
         assert moebius_via_lawvere(c, f) == p.moebius(*f)
+
+
+# -- the position route against the staged route ---------------------------------
+
+def _staged(c, f):
+    """The Lawvere route through its public stages: interval, poset, bounded μ."""
+    return interval_moebius(c, f, interval_as_poset(lawvere_interval(c, f)))
+
+
+PARITY_CASES = {
+    "cm_slice(3, -6)": lambda: (cm_slice(3, -6), None),
+    "dm_slice(3, 14)": lambda: (dm_slice(3, 14), None),
+    "cm_source(3)": lambda: (cm_source(3), cm_slice(3, -5).morphisms),
+    "dm_source(2)": lambda: (dm_source(2), dm_slice(2, 24).morphisms),
+    **{f"division {name}": (lambda s=s, t=t: (division_category(s, t), None))
+       for name, (s, t) in ORDER_CORPUS.items()},
+    "poset D12": lambda: (poset_as_category(divisor_poset(12)), None),
+    "poset B3 top-first": lambda: (poset_as_category(_top_first(boolean_lattice(3))), None),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY_CASES))
+def test_position_route_matches_the_staged_route(name, monkeypatch):
+    c, morphisms = PARITY_CASES[name]()
+    relabelled = []
+    relabel = mucat.poset._relabel
+    monkeypatch.setattr(mucat.poset, "_relabel",
+                        lambda masks, order: relabelled.append(order) or relabel(masks, order))
+    for f in morphisms or c.morphisms:
+        assert moebius_via_lawvere(c, f) == _staged(c, f), f
+    # a top-first poset lists every nontrivial interval top first
+    assert bool(relabelled) == name.endswith("top-first")
+
+
+def _relisted(edit):
+    """D_3 as a source that hands the factorizations of (7, 1) through ``edit``."""
+    def factorizations(k):
+        pairs = _dm_factorizations(3, k)
+        return edit(pairs) if k == DmMorphism(7, 1) else pairs
+
+    return _dm3_source(factorizations)
+
+
+@pytest.mark.parametrize(
+    "make, f, error, message",
+    [
+        (idempotent_endo_category, "s", NotThin, "hom-set "),
+        # the top (1, f) meets a pair listed twice twice; without the top, no hom-set does
+        (lambda: _relisted(lambda pairs: pairs + pairs[:1]), DmMorphism(7, 1), NotThin,
+         "hom-set "),
+        (lambda: _relisted(lambda pairs: pairs[:-1] + pairs[:1]), DmMorphism(7, 1), NotOneWay,
+         "interval of DmMorphism(alpha=7, x=1): duplicate elements"),
+        (_missing_bottom_category, "f", Unbounded, "interval of 'f' lacks its trivial"),
+        (lambda: _chain_without(((0, 1), (0, 0))), (0, 2), Unbounded,
+         "interval of (0, 2) is not bounded"),
+        # the bottom is least, but ((1, 2), (0, 1)) is not below the top
+        (lambda: _chain_without(((2, 2), (1, 2))), (0, 2), Unbounded,
+         "interval of (0, 2) is not bounded"),
+        # antisymmetry and reflexivity fail on relabelled masks; top first, the
+        # bottom ((0, 2), 1_0) is listed last and relabelled to the middle
+        (iso_pair_category, "1X", NotOneWay, "interval of '1X': relation is not antisymmetric"),
+        (lambda: _chain_without(((0, 0), (0, 0)), _top_first(chain([0, 1, 2]))), (0, 2), NotOneWay,
+         "interval of (0, 2): relation is not reflexive at "
+         "Factorization(left=(0, 2), right=(0, 0), subject=(0, 2))"),
+    ],
+    ids=["not_thin", "listed_twice", "listed_twice_without_top", "missing_bottom",
+         "not_bounded_below", "not_bounded_above", "not_antisymmetric", "not_reflexive"],
+)
+def test_position_route_refuses_as_the_staged_route(make, f, error, message):
+    c = make()
+    with pytest.raises(error) as staged:
+        _staged(c, f)
+    with pytest.raises(error) as direct:
+        moebius_via_lawvere(c, f)
+    assert type(direct.value) is type(staged.value) is error
+    assert str(direct.value) == str(staged.value)
+    assert str(direct.value).startswith(message)
