@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .category import IncidenceFunction, convolve, moebius_at, moebius_of_slice, validate_slice
+from .category import IncidenceFunction, convolve, moebius_of_slice, validate_slice
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
@@ -27,6 +27,7 @@ from .cm_dm import (
 )
 from .errors import MucatError
 from .lawvere import (
+    _both_routes,
     interval_as_poset,
     interval_moebius,
     is_one_way,
@@ -97,8 +98,7 @@ def cmd_mu(args) -> int:
     if not args.verify:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
-    c = source(args.m)
-    law, conv = moebius_via_lawvere(c, f), moebius_at(c, f)
+    law, conv = _both_routes(source(args.m), f, {})
     return _agreement(args, {"closed_form": closed, "lawvere": law, "convolution": conv})
 
 

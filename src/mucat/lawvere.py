@@ -6,15 +6,16 @@ With that convention f itself connects the bottom (f, 1_dom) to the top
 (1_cod, f).  When the interval is one-way and thin it is a finite poset and
 mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``
 reads it by position off the walk's masks, with the thin, poset-law, bound
-and μ code of the staged route through ``interval_as_poset``.
+and μ code of the staged route through ``interval_as_poset``.  For ``--verify``
+the walk also sums ``moebius_at``'s recursion, which reads the same lists.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .category import CategorySlice, FactorizationSource, one_way
-from .errors import InvalidPoset, NotOneWay, NotThin, Unbounded
+from .category import _ZETA, CategorySlice, FactorizationSource, _invert_from, one_way
+from .errors import InvalidPoset, InvalidSlice, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset, _linear, _moebius_to
 
 _new = tuple.__new__  # a Factorization from its field tuple, skipping the class's slower __new__
@@ -66,21 +67,23 @@ class LawvereInterval:
         return self.homs.get((a, b), ())
 
 
-def _walk(c, root, found=None):
+def _walk(c, root, found=None, eta=None):
     """The factorizations ``pairs`` of c's handle ``root``, their positions,
     and ``_up`` and ``_more`` on them, appending each connecting h to
     found[i, j] if found is a dict.  h connects (u, v) to (u', v') exactly
     when (h, v) factors v' and u'∘h = u, so one walk over the factorizations
     of each v' (``pairs`` for the root) finds every morphism into (u', v'),
-    each hom-set in slice order.  The loop is inline: a generator step per
-    connection would cost more than the lookups it feeds."""
+    each hom-set in slice order.  If eta is a dict, v' gains its ``_invert_from``
+    value on zeta if eta already holds v for each (h, v) in its list with h not
+    1.  The loop is inline: a generator step costs more than its lookups."""
     pairs = c._facts[root]
     position = dict(zip(pairs, range(len(pairs))))
-    get, composite, facts = position.get, c._table.get, c._facts
+    get, composite, facts, ident, cod = position.get, c._table.get, c._facts, c._ident, c._cod
     up, more = [0] * len(pairs), {}
     for j, (u2, v2) in enumerate(pairs):
         bit = 1 << j
-        for h, v in pairs if v2 == root else facts[v2]:
+        below = pairs if v2 == root else facts[v2]
+        for h, v in below:
             i = get((composite((u2, h)), v))
             if i is not None:
                 if up[i] & bit:
@@ -89,6 +92,14 @@ def _walk(c, root, found=None):
                     up[i] |= bit
                 if found is not None:
                     found.setdefault((i, j), []).append(h)
+        if eta is not None and v2 not in eta:
+            try:
+                one = ident[cod[v2]]
+            except InvalidSlice:  # the recursion raises it, after the interval's checks
+                continue
+            rest = [eta.get(v) for h, v in below if h != one]
+            if None not in rest:
+                eta[v2] = int(v2 == one) - sum(rest)
     return pairs, position, up, more
 
 
@@ -168,10 +179,19 @@ def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
     """``interval_moebius`` of ``interval_as_poset``, checks and messages
     included, by position on the walk's masks; no factorization, interval or
     poset is built.  c is a slice or a ``FactorizationSource``."""
+    return _both_routes(c, f, None)[0]
+
+
+def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict | None) -> tuple:
+    """(``moebius_via_lawvere``, ``moebius_at`` or None if eta is None) of f, raising
+    as the two in turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
     k = c._closed_handle(f)
-    pairs, position, up, more = _walk(c, k)
+    pairs, position, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, position,
                              lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
     bottom, top = position.get((k, ident[c._dom[k]])), position.get((ident[c._cod[k]], k))
-    return _bounded_moebius(f, up, linear, bottom, top)
+    law = _bounded_moebius(f, up, linear, bottom, top)
+    if eta is not None and k not in eta:
+        _invert_from(c, _ZETA, eta, k)
+    return law, None if eta is None else eta[k]

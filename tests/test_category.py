@@ -21,6 +21,7 @@ from mucat import (
     NotMoebius,
     chain,
     cm_compose,
+    cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
@@ -41,10 +42,12 @@ from mucat import (
     moebius_of_slice,
     moebius_via_lawvere,
     poset_as_category,
+    validate_cm_morphism,
     validate_dm_morphism,
     validate_slice,
 )
-from mucat.cm_dm import _dm_composite, _dm_factorizations
+from mucat.cm_dm import _cm_composite, _cm_factorizations, _dm_composite, _dm_factorizations
+from mucat.lawvere import _both_routes
 
 from helpers import (
     B2,
@@ -520,6 +523,39 @@ def test_source_checks_each_list_once(first, second):
     assert count["endpoints"] == alone_count["endpoints"] - check
 
 
+def _counted_cm3_source():
+    """C_3 as a source that counts the lists it enumerates, of each morphism k under ("lists", k)."""
+    count = Counter()
+
+    def listed(k):
+        count["lists", k] += 1
+        return _cm_factorizations(3, k)
+
+    return FactorizationSource(listed, CmMorphism.source, lambda k: k.target(3), cm_identity,
+                               _cm_composite, lambda f: validate_cm_morphism(3, f)), count
+
+
+def _per_list(count) -> dict:
+    """{k: how many times k's list was enumerated} from a counted source's count."""
+    return {key[1]: n for key, n in count.items() if isinstance(key, tuple)}
+
+
+@pytest.mark.parametrize(
+    "counted, plain, f",
+    [(_counted_dm3_source, dm_source(3), DmMorphism(13, 1)),
+     (_counted_cm3_source, cm_source(3), CmMorphism(3, 0, 0, -6))],
+    ids=["D_3", "C_3"],
+)
+def test_shared_pass_enumerates_each_list_once(counted, plain, f):
+    read = {f, *(h for _, h in plain.factorizations(f))}  # the lists both routes read
+    in_turn, turn_count = counted()
+    shared, count = counted()
+    assert _both_routes(shared, f, {}) == (moebius_via_lawvere(in_turn, f), moebius_at(in_turn, f))
+    assert len(read) > 10
+    assert _per_list(count) == dict.fromkeys(read, 1)
+    assert _per_list(turn_count) == dict.fromkeys(read, 2)  # the two routes in turn
+
+
 def _constructor_message(**changes) -> str:
     """The message the CategorySlice constructor gives for a D_3 window with
     its compose or identities tables updated by ``changes``."""
@@ -533,30 +569,36 @@ def _constructor_message(**changes) -> str:
     return str(caught.value)
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ((DmMorphism(4, 1), DmMorphism(2, 1)),
-         "compose defined on non-composable pair "
-         "(DmMorphism(alpha=4, x=1), DmMorphism(alpha=2, x=1))"),
-        ((DmMorphism(1, 1), DmMorphism(1, 0)),
-         "composite DmMorphism(alpha=4, x=1) of "
-         "(DmMorphism(alpha=1, x=1), DmMorphism(alpha=1, x=0)) has wrong endpoints"),
-        ((DmMorphism(2, 1), DmMorphism(1, 1)),
-         "composite DmMorphism(alpha=4, x=1) of "
-         "(DmMorphism(alpha=2, x=1), DmMorphism(alpha=1, x=1)) has wrong endpoints"),
-    ],
-    ids=["non_composable", "wrong_domain", "wrong_codomain"],
-)
-def test_source_checks_each_pair_as_the_constructor_does(bad, message):
-    k = DmMorphism(4, 1)  # a right factor of (7, 1) and of (13, 1)
+BAD_PAIRS = [  # (the pair listed first for (4, 1), the constructor's message for it)
+    ((DmMorphism(4, 1), DmMorphism(2, 1)),
+     "compose defined on non-composable pair "
+     "(DmMorphism(alpha=4, x=1), DmMorphism(alpha=2, x=1))"),
+    ((DmMorphism(1, 1), DmMorphism(1, 0)),
+     "composite DmMorphism(alpha=4, x=1) of "
+     "(DmMorphism(alpha=1, x=1), DmMorphism(alpha=1, x=0)) has wrong endpoints"),
+    ((DmMorphism(2, 1), DmMorphism(1, 1)),
+     "composite DmMorphism(alpha=4, x=1) of "
+     "(DmMorphism(alpha=2, x=1), DmMorphism(alpha=1, x=1)) has wrong endpoints"),
+]
+BAD_PAIR_IDS = ["non_composable", "wrong_domain", "wrong_codomain"]
+
+
+def _one_bad_pair_source(bad):
+    """D_3 as a source that lists ``bad`` in place of the first pair of (4, 1)."""
+    k = DmMorphism(4, 1)
 
     def one_bad_pair(f):
         pairs = _dm_factorizations(3, f)
         return [bad, *pairs[1:]] if f == k else pairs
 
+    return _dm3_source(one_bad_pair)
+
+
+@pytest.mark.parametrize("bad, message", BAD_PAIRS, ids=BAD_PAIR_IDS)
+def test_source_checks_each_pair_as_the_constructor_does(bad, message):
+    k = DmMorphism(4, 1)  # a right factor of (7, 1) and of (13, 1)
     assert _constructor_message(compose={bad: k}) == message
-    source = _dm3_source(one_bad_pair)
+    source = _one_bad_pair_source(bad)
     for read in (source.factorizations, lambda f: lawvere_interval(source, f), lambda f: moebius_at(source, f)):
         with pytest.raises(InvalidSlice) as caught:
             read(k)
@@ -569,13 +611,15 @@ def test_source_checks_each_pair_as_the_constructor_does(bad, message):
     assert moebius_at(_dm3_source(), DmMorphism(7, 1)) == 0
 
 
-def test_source_checks_each_identity_as_the_constructor_does():
-    def wrong(x):
-        return DmMorphism(2, 1) if x == 1 else dm_identity(x)
+def _wrong_identity_source():
+    """D_3 as a source whose identity of object 1 is (2, 1), from 1 to 2."""
+    return _dm3_source(identity=lambda x: DmMorphism(2, 1) if x == 1 else dm_identity(x))
 
+
+def test_source_checks_each_identity_as_the_constructor_does():
     message = "identity of 1 has endpoints (1, 2)"
     assert _constructor_message(identities={1: DmMorphism(2, 1)}) == message
-    source = _dm3_source(identity=wrong)
+    source = _wrong_identity_source()
     with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
         source.identities[1]
     for read in (moebius_at, moebius_via_lawvere):

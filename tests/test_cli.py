@@ -429,17 +429,25 @@ def _report(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, route, text, payload", [
-    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], "moebius_at", "0 0 7 DISAGREE",
+    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], 1, "0 0 7 DISAGREE",
      {"closed_form": 0, "lawvere": 0, "convolution": 7}),
-    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], "moebius_via_lawvere", "0 7 0 DISAGREE",
+    (["mu-cm", "--m", "3", "2,0,0,-2", "--verify"], 0, "0 7 0 DISAGREE",
      {"closed_form": 0, "lawvere": 7, "convolution": 0}),
-    (["mu-dm", "--m", "3", "3,2", "--verify"], "moebius_at", "-1 -1 7 DISAGREE",
+    (["mu-dm", "--m", "3", "3,2", "--verify"], 1, "-1 -1 7 DISAGREE",
      {"closed_form": -1, "lawvere": -1, "convolution": 7}),
-    (["mu-dm", "--m", "3", "3,2", "--verify"], "moebius_via_lawvere", "-1 7 -1 DISAGREE",
+    (["mu-dm", "--m", "3", "3,2", "--verify"], 0, "-1 7 -1 DISAGREE",
      {"closed_form": -1, "lawvere": 7, "convolution": -1}),
 ], ids=["mu-cm-convolution", "mu-cm-lawvere", "mu-dm-convolution", "mu-dm-lawvere"])
 def test_single_morphism_disagreement_report(capsys, monkeypatch, argv, route, text, payload):
-    monkeypatch.setattr(cli, route, lambda c, f: 7)
+    # the shared pass returns (Lawvere value, convolution value); route 0 or 1 reads 7
+    real = cli._both_routes
+
+    def one_route_wrong(c, f, eta):
+        values = list(real(c, f, eta))
+        values[route] = 7
+        return tuple(values)
+
+    monkeypatch.setattr(cli, "_both_routes", one_route_wrong)
     assert _report(capsys, argv) == (
         (1, text + "\n", ""),
         (1, json.dumps({**payload, "agree": False}, sort_keys=True) + "\n", ""),

@@ -7,6 +7,7 @@ from mucat import (
     CmMorphism,
     DmMorphism,
     Factorization,
+    FactorizationSource,
     FinitePoset,
     IncompleteSlice,
     NotOneWay,
@@ -32,7 +33,8 @@ from mucat import (
 )
 import mucat.poset
 from mucat.cm_dm import _dm_factorizations
-from mucat.lawvere import interval_moebius
+from mucat.errors import MucatError
+from mucat.lawvere import _both_routes, interval_moebius
 
 from helpers import (
     B2,
@@ -43,7 +45,15 @@ from helpers import (
     is_total_order,
 )
 
-from test_category import _dm3_source, idempotent_endo_category, iso_pair_category
+from test_category import (
+    BAD_PAIR_IDS,
+    BAD_PAIRS,
+    _dm3_source,
+    _one_bad_pair_source,
+    _wrong_identity_source,
+    idempotent_endo_category,
+    iso_pair_category,
+)
 from test_semigroups import ORDER_CORPUS
 
 
@@ -139,15 +149,77 @@ def test_interval_holds_masks_not_connecting_morphisms():
 
 def test_source_records_checked_morphisms_not_their_lists():
     # the 401 recorded morphisms take about 0.1 MB; keeping their lists took 16 MB
-    tracemalloc.start()
+    f = DmMorphism(400, 0)
+    for routes in (lambda s: (moebius_via_lawvere(s, f), moebius_at(s, f)),
+                   lambda s: _both_routes(s, f, {})):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            source = dm_source(2)
+            assert routes(source) == (0, 0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+
+
+def _values_or_error(routes, c, f):
+    """routes(c, f), or the type and message of the error it raises."""
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        source, f = dm_source(2), DmMorphism(400, 0)
-        assert moebius_via_lawvere(source, f) == moebius_at(source, f) == 0
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 1_000_000
+        return routes(c, f)
+    except MucatError as exc:
+        return type(exc), str(exc)
+
+
+def _in_turn(c, f):  # the two routes called one after the other
+    return moebius_via_lawvere(c, f), moebius_at(c, f)
+
+
+def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatch):
+    # each list names its largest right factor first, so the walk reads every
+    # list before its right factors' values are known and the recursion fills
+    # every value but an identity's
+    fallbacks = []
+    real = mucat.lawvere._invert_from
+    monkeypatch.setattr(mucat.lawvere, "_invert_from", lambda *a: fallbacks.append(a[-1]) or real(*a))
+    window = dm_slice(3, 14)
+    reversed_lists = _dm3_source(lambda k: _dm_factorizations(3, k)[::-1])
+    for f in window.morphisms:
+        assert _both_routes(reversed_lists, f, {}) == _in_turn(reversed_lists, f)
+    assert fallbacks == [f for f in window.morphisms if f.alpha != f.x]
+    fallbacks.clear()
+    for f in window.morphisms:  # lists in the enumerator's order need no fallback
+        assert _both_routes(_dm3_source(), f, {}) == _in_turn(_dm3_source(), f)
+    assert fallbacks == []
+
+
+def _iso_pair_source_with_wrong_identity():
+    """The iso pair read through its rules, with f: X -> Y given as Y's identity."""
+    c = iso_pair_category()
+    return FactorizationSource(c.factorizations, c.dom.__getitem__, c.cod.__getitem__,
+                               lambda x: "f" if x == "Y" else c.identities[x],
+                               c.compose.__getitem__, c.factorizations)
+
+
+@pytest.mark.parametrize(
+    "make, morphisms",
+    [
+        (iso_pair_category, iso_pair_category().morphisms),
+        (idempotent_endo_category, idempotent_endo_category().morphisms),
+        *[(lambda bad=bad: _one_bad_pair_source(bad), [DmMorphism(4, 1), DmMorphism(7, 1), DmMorphism(13, 1)])
+          for bad, _ in BAD_PAIRS],
+        (_wrong_identity_source, dm_slice(3, 14).morphisms),
+        (_iso_pair_source_with_wrong_identity, iso_pair_category().morphisms),
+    ],
+    ids=["iso_pair", "idempotent_endo", *BAD_PAIR_IDS, "wrong_identity", "iso_pair_wrong_identity"],
+)
+def test_shared_pass_refuses_as_the_two_routes_in_turn(make, morphisms):
+    refused = 0
+    for f in morphisms:  # fresh sources: a source records the lists that passed
+        expected = _values_or_error(_in_turn, make(), f)
+        assert _values_or_error(lambda c, f: _both_routes(c, f, {}), make(), f) == expected
+        refused += isinstance(expected[0], type)
+    assert refused
 
 
 # -- one-way test ----------------------------------------------------------------
