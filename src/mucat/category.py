@@ -143,9 +143,6 @@ class CategorySlice:
     def morphisms_from(self, x) -> tuple:
         return self._grouped()[1].get(x, ())
 
-    def morphisms_into(self, x) -> tuple:
-        return tuple([f for f in self.morphisms if self.cod[f] == x])
-
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
 
@@ -294,11 +291,9 @@ class FactorizationSource:
     named as a slice's numbered table, with the morphism itself as handle, so
     the interval walk and the convolution recursion read a source as they
     read a slice, and memory grows only with what a route reads.  Every
-    factorization pair and identity handed out is checked as the
-    ``CategorySlice`` constructor checks a table entry, with its messages.
-    The source records each k whose whole list has passed and hands later
-    lists of k out unchecked, so the enumerator must be a function of k; a
-    list that fails is not recorded and raises again on every read.
+    factorization list and identity is checked each time it is handed out,
+    as the ``CategorySlice`` constructor checks a table entry, with its
+    messages; the source stores nothing.
     """
 
     __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_dom", "_cod",
@@ -306,16 +301,12 @@ class FactorizationSource:
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
-        checked = set()  # the morphisms whose lists have passed, not the lists
-
         def checked_pairs(k):
             pairs = factorizations(k)
-            if k not in checked:
-                x, y = dom(k), cod(k)
-                for g, h in pairs:
-                    if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
-                        raise _bad_entry(g, h, k, cod(h) == dom(g))
-                checked.add(k)
+            x, y = dom(k), cod(k)
+            for g, h in pairs:
+                if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
+                    raise _bad_entry(g, h, k, cod(h) == dom(g))
             return pairs
 
         def checked_identity(x):

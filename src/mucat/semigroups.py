@@ -144,8 +144,10 @@ class InverseSemigroup:
         semigroup; rule two relies on this and checks nothing itself.
         """
         if self._idem_poset is None:
-            table, inv, es = self._table, self._inverses(), self._idempotents()
-            up = [sum(1 << j for j, y in enumerate(es) if _below(table, inv, x, y)) for x in es]
+            self._inverses()  # raises unless every element has exactly one inverse
+            table, es = self._table, self._idempotents()
+            up = [sum(1 << j for j, y in enumerate(es) if row[y] == x)  # x <= y iff xy = x
+                  for x in es for row in [table[x]]]
             poset = FinitePoset._from_masks([self.elements[e] for e in es], up)
             for j, e in enumerate(es):
                 row = table[e]

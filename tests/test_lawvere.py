@@ -147,8 +147,8 @@ def test_interval_holds_masks_not_connecting_morphisms():
     assert held < 1_000_000
 
 
-def test_source_records_checked_morphisms_not_their_lists():
-    # the 401 recorded morphisms take about 0.1 MB; keeping their lists took 16 MB
+def test_source_holds_no_lists():
+    # keeping the 401 lists both routes read would take 16 MB
     f = DmMorphism(400, 0)
     for routes in (lambda s: (moebius_via_lawvere(s, f), moebius_at(s, f)),
                    lambda s: _both_routes(s, f, {})):
@@ -215,7 +215,7 @@ def _iso_pair_source_with_wrong_identity():
 )
 def test_shared_pass_refuses_as_the_two_routes_in_turn(make, morphisms):
     refused = 0
-    for f in morphisms:  # fresh sources: a source records the lists that passed
+    for f in morphisms:  # fresh for each call: neither starts from the other's slice caches
         expected = _values_or_error(_in_turn, make(), f)
         assert _values_or_error(lambda c, f: _both_routes(c, f, {}), make(), f) == expected
         refused += isinstance(expected[0], type)
