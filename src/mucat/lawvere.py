@@ -12,6 +12,8 @@ the walk also sums ``moebius_at``'s recursion, which reads the same lists.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Any, NamedTuple
 
 from .category import _ZETA, CategorySlice, FactorizationSource, _invert_from, one_way
@@ -149,7 +151,7 @@ def _bounded_moebius(f, up, linear, bottom, top) -> int:
     then they sit first and last in the linear extension ``linear``."""
     if bottom is None or top is None:
         raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
-    if up[bottom] != (1 << len(up)) - 1 or not all(u >> top & 1 for u in up):
+    if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
         raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
     return _moebius_to(linear, len(linear) - 1)[0]
 

@@ -20,9 +20,10 @@ The Möbius function is computed by the classical recursion
     mu(x, x) = 1,    mu(x, y) = -sum(mu(z, y) for x < z <= y)
 
 evaluated top-down over the down-set of y in the linear extension, one
-column mu(., y) memoized per instance; values are always integers.  The law
-check (``_linear``) and the recursion (``_moebius_to``) work on bare masks,
-so the Lawvere route runs them with no poset object.
+column mu(., y) memoized per instance; values are always integers, each
+up-set summed bit by bit up to ``_PER_BIT`` elements, else via ``compress``.
+The law check (``_linear``) and the recursion (``_moebius_to``) work on bare
+masks, so the Lawvere route runs them with no poset object.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ._json import load_object, names, rows, strings
 from .errors import InvalidPoset, NotComparable
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_PER_BIT = 8  # _moebius_to sums an up-set of at most this many bits bit by bit (measured)
 
 
 def _selectors(mask: int) -> bytes:
@@ -129,33 +131,38 @@ def _close_covers(elems: tuple, arcs) -> list[int]:
 def _linear(up: list[int], name: Callable[[int], Any]) -> tuple[list[int] | None, list[int]]:
     """Check the poset laws on up-set masks and return (order, masks) in a
     linear extension: order is None if the indices are one, else position k
-    holds index order[k].  InvalidPoset names elements by name(index)."""
+    holds index order[k].  InvalidPoset names elements by name(index).  The
+    loops are inline: a generator step costs more than its mask operations."""
     order, at = None, name
     # In a linear extension each element is the lowest bit of its own
     # up-set: that is reflexivity, and every strict successor higher up.
-    if not all(u & -u == 1 << k for k, u in enumerate(up)):
-        order = sorted(range(len(up)), key=lambda k: -up[k].bit_count())
-        up = _relabel(up, order)
-        at = lambda p: name(order[p])
-        for p, above in enumerate(up):
-            if not above >> p & 1:
-                raise InvalidPoset(f"relation is not reflexive at {at(p)!r}")
-            q = _lowest(above)
-            if q != p and up[q] >> p & 1:
-                raise InvalidPoset(f"relation is not antisymmetric on {at(q)!r}, {at(p)!r}")
+    for k, u in enumerate(up):
+        if u & -u != 1 << k:  # not one: relabel, then check the first two laws
+            order = sorted(range(len(up)), key=lambda i: -up[i].bit_count())
+            up = _relabel(up, order)
+            at = lambda p: name(order[p])
+            for p, above in enumerate(up):
+                if not above >> p & 1:
+                    raise InvalidPoset(f"relation is not reflexive at {at(p)!r}")
+                q = _lowest(above)
+                if q != p and up[q] >> p & 1:
+                    raise InvalidPoset(f"relation is not antisymmetric on {at(q)!r}, {at(p)!r}")
+            break
     # Transitivity, upper positions first.  A q in up[p] other than p
     # either sits higher and is already checked, so once up[q] <= up[p]
     # holds q's whole up-set can be skipped and only the covers of p are
-    # visited; or it sits lower, where only a relabelled order puts it,
-    # with an up-set no smaller than p's that lacks p, and fails at once.
+    # visited, lowest first (``_minimal``'s walk); or it sits lower, where
+    # only a relabelled order puts it, with an up-set no smaller than p's
+    # that lacks p, and fails at once.
     for p in range(len(up) - 1, -1, -1):
         above = up[p]
-        for q in _minimal(up, above & ~(1 << p)):
-            beyond = up[q] & ~above
-            if beyond:
-                raise InvalidPoset(
-                    f"relation is not transitive: {at(p)!r} <= {at(q)!r} <= {at(_lowest(beyond))!r}"
-                )
+        rest = above ^ 1 << p
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            if up[q] | above != above:
+                raise InvalidPoset(f"relation is not transitive: {at(p)!r} <= {at(q)!r} "
+                                   f"<= {at(_lowest(up[q] & ~above))!r}")
+            rest &= ~up[q]
     return order, up
 
 
@@ -167,8 +174,17 @@ def _moebius_to(up: list[int], q: int) -> list:
     values = [0] * len(up)
     values[q] = 1
     for w in range(q - 1, -1, -1):
-        if up[w] >> q & 1:
-            values[w] = -sum(compress(values, _selectors(up[w])))
+        u = up[w]
+        if u >> q & 1:
+            if u.bit_count() > _PER_BIT:
+                values[w] = -sum(compress(values, _selectors(u)))
+                continue
+            total = 0
+            while u:
+                low = u & -u
+                total -= values[low.bit_length() - 1]
+                u ^= low
+            values[w] = total
     return values
 
 
@@ -329,7 +345,7 @@ class FinitePoset:
             while rest:
                 low = rest & -rest
                 common = above & up[low.bit_length() - 1]
-                if not common or up[_lowest(common)] != common:
+                if not common or up[(common & -common).bit_length() - 1] != common:
                     return False
                 rest ^= low
         return True

@@ -97,7 +97,8 @@ class InverseSemigroup:
 
     def natural_leq(self, s, t) -> bool:
         """s <= t iff s = s s⁻¹ t."""
-        return _below(self._table, self._inverses(), self._index[s], self._index[t])
+        table, x = self._table, self._index[s]
+        return table[table[x][self._inverses()[x]]][self._index[t]] == x
 
     def identity(self):
         """The identity element if one exists, else None; detected once per instance."""
@@ -182,11 +183,6 @@ class InverseSemigroup:
         if identity is not None:
             data["one"] = named[self._index[identity]]
         return json.dumps(data)
-
-
-def _below(table, inv, x, y) -> bool:
-    """The natural order on positions: x <= y iff x = (x x⁻¹) y."""
-    return table[table[x][inv[x]]][y] == x
 
 
 def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
@@ -337,10 +333,10 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     objects = {s._index[e]: e for e in reps}
     ideal = {f: len(set(table[f])) for f in s._idempotents()}  # |fS|
     left, out = {}, {}  # morphism -> position of its first component; e -> {x: number of (x, e)}
+    sources = [(x, table[i][x]) for x, i in enumerate(inv) if table[x][i] in objects]  # (x, x⁻¹x)
     for k, e in objects.items():
-        # x x⁻¹ in the transversal and x⁻¹x <= e, by decreasing |x⁻¹x·S|
-        xs = [x for x, i in enumerate(inv)
-              if table[x][i] in objects and _below(table, inv, table[i][x], k)]
+        # x x⁻¹ in the transversal and x⁻¹x <= e (e x⁻¹x = x⁻¹x), by decreasing |x⁻¹x·S|
+        xs = [x for x, d in sources if table[k][d] == d]
         xs.sort(key=lambda x: -ideal[table[inv[x]][x]])
         out[e] = {x: len(left) + n for n, x in enumerate(xs)}
         left.update(((name[x], e), x) for x in out[e])

@@ -1,10 +1,17 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mucat import FinitePoset, InvalidPoset, NotComparable, chain
+from mucat import (
+    FinitePoset,
+    InvalidPoset,
+    NotComparable,
+    chain,
+    moebius_via_lawvere,
+    poset_as_category,
+)
 
 from helpers import (
     B2,
@@ -27,12 +34,17 @@ from helpers import (
 
 
 @st.composite
-def random_posets(draw, max_size=12):
-    """Transitive closures of random DAGs (edges only point up a fixed order)."""
+def random_posets(draw, max_size=12, dense=False):
+    """Transitive closures of random DAGs (edges only point up a fixed order):
+    at most two arcs per element, or with dense each upward pair an arc by a
+    coin flip, so that intervals of nearly the whole poset come up."""
     n = draw(st.integers(min_value=1, max_value=max_size))
     elements = [f"e{k}" for k in range(n)]
     upward = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    arcs = draw(st.lists(st.sampled_from(upward), max_size=2 * n, unique=True)) if upward else []
+    if dense:
+        arcs = [arc for arc in upward if draw(st.booleans())]
+    else:
+        arcs = draw(st.lists(st.sampled_from(upward), max_size=2 * n, unique=True)) if upward else []
     return FinitePoset(elements, covers=[(elements[i], elements[j]) for i, j in arcs])
 
 
@@ -60,21 +72,53 @@ def test_rejects_cyclic_covers():
         FinitePoset(["a", "b"], covers=[("a", "b"), ("b", "a")])
 
 
+def _refusal(elements, strict_pairs) -> str:
+    """The message FinitePoset raises for the reflexive closure of strict_pairs."""
+    with pytest.raises(InvalidPoset) as info:
+        FinitePoset(elements, leq=[(x, x) for x in elements] + strict_pairs)
+    return str(info.value)
+
+
 def test_rejects_missing_reflexivity():
-    with pytest.raises(InvalidPoset):
+    with pytest.raises(InvalidPoset, match="^relation is not reflexive at 'b'$"):
         FinitePoset(["a", "b"], leq=[("a", "a"), ("a", "b")])
+    # b is below c but not below itself, so the supplied order is relabelled first
+    pairs = [("a", "a"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")]
+    with pytest.raises(InvalidPoset, match="^relation is not reflexive at 'b'$"):
+        FinitePoset(["b", "a", "c"], leq=pairs)
 
 
 def test_rejects_antisymmetry_violation():
     pairs = [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")]
-    with pytest.raises(InvalidPoset):
+    with pytest.raises(InvalidPoset, match="^relation is not antisymmetric on 'a', 'b'$"):
         FinitePoset(["a", "b"], leq=pairs)
+    assert (_refusal(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")])
+            == "relation is not antisymmetric on 'b', 'c'")
 
 
 def test_rejects_transitivity_violation():
     pairs = [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")]
-    with pytest.raises(InvalidPoset):
+    with pytest.raises(InvalidPoset, match="^relation is not transitive: 'a' <= 'b' <= 'c'$"):
         FinitePoset(["a", "b", "c"], leq=pairs)
+
+
+def test_transitivity_refusal_names_the_lowest_failing_cover_and_its_lowest_escape():
+    # a's covers are b and c, lowest first; b's up-set stays inside a's, c
+    # reaches d and e outside it, and d is the lower of the two
+    strict = [("a", "b"), ("a", "c"), ("c", "d"), ("c", "e")]
+    assert _refusal(list("abcde"), strict) == "relation is not transitive: 'a' <= 'c' <= 'd'"
+    assert _refusal(list("abcde"), strict + [("b", "e")]) == (
+        "relation is not transitive: 'a' <= 'b' <= 'e'")
+
+
+def test_transitivity_refusal_on_relabelled_masks():
+    # the supplied order puts c before a and b, so the masks are relabelled
+    assert (_refusal(["c", "a", "b"], [("a", "b"), ("b", "c")])
+            == "relation is not transitive: 'a' <= 'b' <= 'c'")
+    # relabelling by up-set size puts y, with three elements above it, below
+    # x, with two; x's up-set holds y, a lower position, which fails at once
+    assert (_refusal(["z", "x", "y", "w"], [("x", "y"), ("y", "z"), ("y", "w")])
+            == "relation is not transitive: 'x' <= 'y' <= 'z'")
 
 
 def test_covers_input_is_transitively_closed():
@@ -290,6 +334,25 @@ def test_interval_matches_brute_force(p, data):
     ups = sorted(p.up_set(x), key=p.elements.index)
     y = data.draw(st.sampled_from(ups))
     assert set(p.interval(x, y).elements) == bf_interval_elements(p, x, y)
+
+
+@given(random_posets(max_size=14, dense=True), st.integers(min_value=0), st.integers(min_value=0))
+@example(chain([f"e{k}" for k in range(14)]), 0, 0)
+@example(FinitePoset(range(14), covers=[(a, b) for k in range(1, 13) for a, b in [(0, k), (k, 13)]]), 0, 0)
+@settings(max_examples=60, deadline=None)
+def test_moebius_matches_chain_count_on_both_sides_of_the_per_bit_crossover(p, i, j):
+    # mu sums an up-set of at most 8 bits one bit at a time and a larger one
+    # through compress; dense posets of up to 14 elements, with small i and j
+    # picking the widest intervals, reach both, as the two examples from
+    # bottom to top surely do (mu 0 on the chain, 11 on twelve atoms between
+    # a bottom and a top).  One pair per poset: the chain count is exponential
+    x = sorted(p.elements, key=lambda z: -len(p.up_set(z)))[i % len(p)]
+    ups = sorted(p.up_set(x), key=lambda z: -len(p.down_set(z)))
+    y = ups[j % len(ups)]
+    relation = {(a, b) for a in p.elements for b in p.elements if p.leq(a, b)}
+    expected = bf_chain_moebius(p.elements, relation, x, y)
+    assert p.moebius(x, y) == expected
+    assert moebius_via_lawvere(poset_as_category(p), (x, y)) == expected
 
 
 @given(random_posets())
