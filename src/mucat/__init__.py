@@ -38,7 +38,6 @@ from .lawvere import (
     interval_as_poset,
     is_one_way,
     lawvere_interval,
-    moebius_test,
     moebius_via_lawvere,
 )
 from .cm_dm import (

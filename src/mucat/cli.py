@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .category import IncidenceFunction, convolve, moebius_of_slice, validate_slice
+from .category import IncidenceFunction, convolve, moebius_of_slice, one_way, validate_slice
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
@@ -28,13 +28,12 @@ from .cm_dm import (
 from .errors import MucatError
 from .lawvere import (
     _both_routes,
+    _position_route,
     interval_as_poset,
-    interval_moebius,
-    is_one_way,
     lawvere_interval,
     moebius_via_lawvere,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, _is_lattice
 from .semigroups import (
     InverseSemigroup,
     check_combinatorial,
@@ -105,14 +104,13 @@ def cmd_mu(args) -> int:
 def cmd_verify(args) -> int:
     c = cm_slice(args.m, args.level_min)
     slice_ok = validate_slice(c)
-    one_way = lattices = agree = 0
+    one_ways = lattices = agree = 0
     mu = moebius_of_slice(c)
     for f in c.morphisms:
-        iv = lawvere_interval(c, f)
-        one_way += is_one_way(iv)
-        poset = interval_as_poset(iv)
-        lattices += poset.is_lattice()
-        agree += cm_moebius_closed_form(f) == interval_moebius(c, f, poset) == mu[f]
+        _, up, more, linear, law = _position_route(c, f)
+        one_ways += one_way(up, more)
+        lattices += _is_lattice(linear)
+        agree += cm_moebius_closed_form(f) == law == mu[f]
     zeta, delta = IncidenceFunction.zeta(c), IncidenceFunction.delta(c)
     conv_ok = all(convolve(c, mu, zeta, f) == delta[f] == convolve(c, zeta, mu, f)
                   for f in c.morphisms)
@@ -120,7 +118,7 @@ def cmd_verify(args) -> int:
     n = len(c.morphisms)
     checks = [  # (name, how many morphisms passed or None, passed)
         ("slice-valid", None, slice_ok),
-        ("moebius-test", one_way, one_way == n),
+        ("moebius-test", one_ways, one_ways == n),
         ("intervals-lattice", lattices, lattices == n),
         ("mu-agreement", agree, agree == n),
         ("convolution-identity", None, conv_ok),

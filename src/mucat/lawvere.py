@@ -4,10 +4,12 @@ The interval of a morphism f has the factorizations f = u∘v as objects; an
 ambient morphism h connects (u, v) to (u', v') when h∘v = v' and u'∘h = u.
 With that convention f itself connects the bottom (f, 1_dom) to the top
 (1_cod, f).  When the interval is one-way and thin it is a finite poset and
-mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``
-reads it by position off the walk's masks, with the thin, poset-law, bound
-and μ code of the staged route through ``interval_as_poset``.  For ``--verify``
-the walk also sums ``moebius_at``'s recursion, which reads the same lists.
+mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``,
+``mucat verify`` and ``mu-cm``/``mu-dm --verify`` read it by position off
+the walk's masks, with the thin and poset-law checks of ``interval_as_poset``;
+the ``--verify`` walk also sums ``moebius_at``'s recursion, which reads the
+same lists.  The staged objects (``LawvereInterval``, ``interval_as_poset``)
+serve ``interval-dot`` and the public API.
 """
 
 from __future__ import annotations
@@ -121,15 +123,6 @@ def is_one_way(iv: LawvereInterval) -> bool:
     return one_way(iv._up, iv._more)
 
 
-def moebius_test(c: CategorySlice) -> bool:
-    """True iff every morphism's interval is finite and one-way.
-
-    Finiteness is automatic in a finite slice (enumeration closes); the
-    substance is the one-way check on every interval.
-    """
-    return all(is_one_way(lawvere_interval(c, f)) for f in c.morphisms)
-
-
 def _interval_order(f, up, more, position, name):
     """``_linear``'s (order, masks) for f's interval: NotThin unless it is
     thin, NotOneWay if ``position`` (factorization -> index) shows one listed
@@ -145,17 +138,6 @@ def _interval_order(f, up, more, position, name):
         raise NotOneWay(f"interval of {f!r}: {exc}") from exc
 
 
-def _bounded_moebius(f, up, linear, bottom, top) -> int:
-    """mu from bottom to top once the trivial factorizations, at indices
-    bottom and top of the masks up (None if absent), are least and greatest:
-    then they sit first and last in the linear extension ``linear``."""
-    if bottom is None or top is None:
-        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
-    if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
-        raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
-    return _moebius_to(linear, len(linear) - 1)[0]
-
-
 def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     """The interval as a poset: F1 <= F2 iff some morphism connects F1 to F2.
 
@@ -169,31 +151,35 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     return FinitePoset.__new__(FinitePoset)._adopt(objects, pos, order, up)
 
 
-def interval_moebius(c: CategorySlice | FactorizationSource, f, poset: FinitePoset) -> int:
-    """mu(f) as the Möbius value of f's interval poset from bottom to top,
-    once the trivial factorizations are checked to bound it."""
-    bottom = poset._pos.get(Factorization(f, c.identities[c.dom[f]], f))
-    top = poset._pos.get(Factorization(c.identities[c.cod[f]], f, f))
-    return _bounded_moebius(f, poset._up, poset._up, bottom, top)
-
-
 def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
-    """``interval_moebius`` of ``interval_as_poset``, checks and messages
-    included, by position on the walk's masks; no factorization, interval or
-    poset is built.  c is a slice or a ``FactorizationSource``."""
-    return _both_routes(c, f, None)[0]
+    """mu(f) as the Möbius value of f's interval poset from bottom to top, by
+    position on the walk's masks; no factorization, interval or poset is
+    built.  c is a slice or a ``FactorizationSource``."""
+    return _position_route(c, f)[-1]
 
 
-def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict | None) -> tuple:
-    """(``moebius_via_lawvere``, ``moebius_at`` or None if eta is None) of f, raising
-    as the two in turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
+def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None) -> tuple:
+    """(f's handle, the walk's up and more, ``_linear``'s masks, mu(f)).  It
+    raises as ``interval_as_poset``, then Unbounded unless the trivial
+    factorizations are least and greatest; they then sit first and last in
+    the linear extension.  The walk fills eta as ``_walk`` says."""
     k = c._closed_handle(f)
     pairs, position, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, position,
                              lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
     bottom, top = position.get((k, ident[c._dom[k]])), position.get((ident[c._cod[k]], k))
-    law = _bounded_moebius(f, up, linear, bottom, top)
-    if eta is not None and k not in eta:
+    if bottom is None or top is None:
+        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
+    if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
+        raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
+    return k, up, more, linear, _moebius_to(linear, len(linear) - 1)[0]
+
+
+def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict) -> tuple:
+    """(``moebius_via_lawvere``, ``moebius_at``) of f, raising as the two in
+    turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
+    k, _, _, _, law = _position_route(c, f, eta)
+    if k not in eta:
         _invert_from(c, _ZETA, eta, k)
-    return law, None if eta is None else eta[k]
+    return law, eta[k]

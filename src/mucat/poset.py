@@ -22,8 +22,9 @@ The Möbius function is computed by the classical recursion
 evaluated top-down over the down-set of y in the linear extension, one
 column mu(., y) memoized per instance; values are always integers, each
 up-set summed bit by bit up to ``_PER_BIT`` elements, else via ``compress``.
-The law check (``_linear``) and the recursion (``_moebius_to``) work on bare
-masks, so the Lawvere route runs them with no poset object.
+The law check (``_linear``), the recursion (``_moebius_to``) and the lattice
+test (``_is_lattice``) work on bare masks, so the Lawvere route runs them
+with no poset object.
 """
 
 from __future__ import annotations
@@ -188,6 +189,25 @@ def _moebius_to(up: list[int], q: int) -> list:
     return values
 
 
+def _is_lattice(up: list[int]) -> bool:
+    """True iff the masks up, in a linear extension, make a lattice: empty, or
+    a bottom (then first) and a join of every pair (Stanley, EC1, Ch. 3), so
+    meets are not checked, nor comparable pairs, whose join is the larger."""
+    full = (1 << len(up)) - 1
+    if up and up[0] != full:
+        return False
+    for p, above in enumerate(up):
+        # incomparable partners at higher positions; lower ones had their turn
+        rest = (above ^ full) >> (p + 1) << (p + 1)
+        while rest:
+            low = rest & -rest
+            common = above & up[low.bit_length() - 1]
+            if not common or up[(common & -common).bit_length() - 1] != common:
+                return False
+            rest ^= low
+    return True
+
+
 class FinitePoset:
     """A finite poset over opaque hashable elements.
 
@@ -327,28 +347,8 @@ class FinitePoset:
         return None
 
     def is_lattice(self) -> bool:
-        """True iff every pair has a unique least upper and greatest lower bound.
-
-        A finite poset is a lattice iff it is empty, or it has a bottom and
-        every pair has a join (Stanley, EC1, Ch. 3), so meets are not checked;
-        nor are comparable pairs, whose join is the larger.
-        """
-        if not self.elements:
-            return True
-        if self.bottom() is None:
-            return False
-        up = self._up
-        full = (1 << len(up)) - 1
-        for p, above in enumerate(up):
-            # incomparable partners at higher positions; lower ones had their turn
-            rest = (above ^ full) >> (p + 1) << (p + 1)
-            while rest:
-                low = rest & -rest
-                common = above & up[low.bit_length() - 1]
-                if not common or up[(common & -common).bit_length() - 1] != common:
-                    return False
-                rest ^= low
-        return True
+        """True iff every pair has a unique least upper and greatest lower bound."""
+        return _is_lattice(self._up)
 
     def bottom(self):
         """The unique minimum, or None."""

@@ -288,6 +288,16 @@ def bf_lawvere_homs(c, f) -> dict:
     return homs
 
 
+def bf_one_way(c, f) -> bool:
+    """The one-way test on f's interval by definition, read off
+    ``bf_lawvere_homs``: no two distinct factorizations connected both ways,
+    and every endo hom-set a singleton."""
+    homs = bf_lawvere_homs(c, f)
+    objects = {a for pair in homs for a in pair}
+    return (all(len(homs.get((a, a), ())) == 1 for a in objects)
+            and not any(a != b and (b, a) in homs for a, b in homs))
+
+
 # -- semigroup oracles ----------------------------------------------------------
 #
 # These read the table through to_json(), never through InverseSemigroup's

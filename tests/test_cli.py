@@ -175,23 +175,26 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
-def test_verify_builds_each_interval_once(capsys, monkeypatch):
-    import mucat.cli
+def test_verify_walks_each_interval_once(capsys, monkeypatch):
     import mucat.lawvere
 
-    built = []
-    real = mucat.lawvere.lawvere_interval
+    walked, walk = [], mucat.lawvere._walk
 
-    def counting(c, f):
-        built.append(f)
-        return real(c, f)
+    def counting(c, root, found=None, eta=None):
+        walked.append(root)
+        return walk(c, root, found, eta)
 
-    monkeypatch.setattr(mucat.lawvere, "lawvere_interval", counting)
-    monkeypatch.setattr(mucat.cli, "lawvere_interval", counting)
+    def staged(*args):
+        raise AssertionError("verify builds a staged interval")
+
+    monkeypatch.setattr(mucat.lawvere, "_walk", counting)
+    for module in (mucat.lawvere, cli):
+        monkeypatch.setattr(module, "lawvere_interval", staged)
+        monkeypatch.setattr(module, "interval_as_poset", staged)
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--level-min", "-3")
     assert code == 0
     morphisms = int(out.splitlines()[1].split()[1])
-    assert len(built) == len(set(built)) == morphisms
+    assert len(walked) == len(set(walked)) == morphisms
 
 
 # -- interval-dot ------------------------------------------------------------------
@@ -483,9 +486,9 @@ VERIFY_PASS_LINES = [
 
 @pytest.mark.parametrize("check, owner, name, wrong, line", [
     ("slice-valid", cli, "validate_slice", False, "slice-valid FAIL"),
-    ("moebius-test", cli, "is_one_way", False, "moebius-test 19/20 FAIL"),
-    ("intervals-lattice", FinitePoset, "is_lattice", False, "intervals-lattice 19/20 FAIL"),
-    ("mu-agreement", cli, "interval_moebius", 7, "mu-agreement 19/20 FAIL"),
+    ("moebius-test", cli, "one_way", False, "moebius-test 19/20 FAIL"),
+    ("intervals-lattice", cli, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
+    ("mu-agreement", cli, "cm_moebius_closed_form", 7, "mu-agreement 19/20 FAIL"),
     ("convolution-identity", cli, "convolve", 7, "convolution-identity FAIL"),
 ])
 def test_verify_failure_report(capsys, monkeypatch, check, owner, name, wrong, line):

@@ -34,10 +34,13 @@ from helpers import (
 
 
 @st.composite
-def random_posets(draw, max_size=12, dense=False):
+def random_posets(draw, max_size=12, dense=None):
     """Transitive closures of random DAGs (edges only point up a fixed order):
     at most two arcs per element, or with dense each upward pair an arc by a
-    coin flip, so that intervals of nearly the whole poset come up."""
+    coin flip, so that intervals of nearly the whole poset come up.  Unless
+    the caller fixes dense, it is drawn, so sparse and dense posets both come up."""
+    if dense is None:
+        dense = draw(st.booleans())
     n = draw(st.integers(min_value=1, max_value=max_size))
     elements = [f"e{k}" for k in range(n)]
     upward = [(i, j) for i in range(n) for j in range(i + 1, n)]
