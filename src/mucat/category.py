@@ -16,7 +16,6 @@ import json
 import re
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from itertools import islice
 from typing import Any
 
 from ._json import load_object, name, names, rows, strings
@@ -399,28 +398,29 @@ def one_way(up, multiple) -> bool:
     return all(u & d == 1 << j for j, (u, d) in enumerate(zip(up, _transpose(up))))
 
 
-def factor_slice(roots, factorizations, dom, cod, identity) -> CategorySlice:
-    """The full subcategory on the middle factors of the roots, every k with w∘k∘v a root.
+def factor_slice(window, factorizations, dom, cod, identity) -> CategorySlice:
+    """The full subcategory on a window closed under factors, in the window's order.
 
     ``factorizations(k)`` lists every (g, h) with g∘h = k, trivial ones too,
-    in the order the slice is to list them.  The walk lists each morphism's
-    factorizations in turn from the roots on, so roots closed under factors
-    (a window) keep their order.  A factor of a factor is a middle factor, so
-    each morphism is complete.  Equal morphisms are interned to one object,
-    and each is listed and numbered in the order it is first met.
+    in the order the slice is to list them; each list is read once, and both
+    factors are looked up by number, so every table entry and identity is one
+    of the window's own morphisms and each morphism is complete.  A factor
+    outside the window raises InvalidSlice.
     """
-    number = {f: k for k, f in enumerate(dict.fromkeys(roots))}
-    walk = list(number)
+    window = tuple(window)
+    number = dict(zip(window, range(len(window))))
     table = {}
-    for k, f in enumerate(walk):
+    for k, f in enumerate(window):
         for g, h in factorizations(f):
-            table[number.setdefault(g, len(number)), number.setdefault(h, len(number))] = k
-        walk += [*islice(reversed(number), len(number) - len(walk))][::-1]  # first met at f
-    dom_of = {f: dom(f) for f in walk}
+            try:
+                table[number[g], number[h]] = k
+            except KeyError as exc:
+                raise InvalidSlice(f"factor {exc.args[0]!r} of {f!r} lies outside the window") from None
+    dom_of = {f: dom(f) for f in window}
     objects = list(dict.fromkeys(dom_of.values()))
-    identities = {x: walk[number[identity(x)]] for x in objects}  # met in f = f∘1_x
-    cod_of = {f: cod(f) for f in walk}
-    return CategorySlice._from_tables(objects, walk, dom_of, cod_of, table, identities, walk)
+    identities = {x: window[number[identity(x)]] for x in objects}  # a factor of f = f∘1_x
+    cod_of = {f: cod(f) for f in window}
+    return CategorySlice._from_tables(objects, window, dom_of, cod_of, table, identities, window)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:

@@ -6,10 +6,10 @@ With that convention f itself connects the bottom (f, 1_dom) to the top
 (1_cod, f).  When the interval is one-way and thin it is a finite poset and
 mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``,
 ``mucat verify`` and ``mu-cm``/``mu-dm --verify`` read it by position off
-the walk's masks, with the thin and poset-law checks of ``interval_as_poset``;
-the ``--verify`` walk also sums ``moebius_at``'s recursion, which reads the
-same lists.  The staged objects (``LawvereInterval``, ``interval_as_poset``)
-serve ``interval-dot`` and the public API.
+the walk's masks, after the thin and poset-law checks of ``interval_as_poset``
+have refused any interval that is not one-way; the ``--verify`` walk also
+sums ``moebius_at``'s recursion on the same lists.  The staged objects
+(``LawvereInterval``, ``interval_as_poset``) serve ``interval-dot`` and the public API.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
 
 
 def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None) -> tuple:
-    """(f's handle, the walk's up and more, ``_linear``'s masks, mu(f)).  It
-    raises as ``interval_as_poset``, then Unbounded unless the trivial
+    """(f's handle, ``_linear``'s masks, mu(f)).  It raises as
+    ``interval_as_poset``, then Unbounded unless the trivial
     factorizations are least and greatest; they then sit first and last in
     the linear extension.  The walk fills eta as ``_walk`` says."""
     k = c._closed_handle(f)
@@ -173,13 +173,13 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
         raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
     if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
         raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
-    return k, up, more, linear, _moebius_to(linear, len(linear) - 1)[0]
+    return k, linear, _moebius_to(linear, len(linear) - 1)[0]
 
 
 def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict) -> tuple:
     """(``moebius_via_lawvere``, ``moebius_at``) of f, raising as the two in
     turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
-    k, _, _, _, law = _position_route(c, f, eta)
+    k, _, law = _position_route(c, f, eta)
     if k not in eta:
         _invert_from(c, _ZETA, eta, k)
     return law, eta[k]

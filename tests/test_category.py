@@ -33,6 +33,7 @@ from mucat import (
     dm_identity,
     dm_slice,
     dm_source,
+    factor_slice,
     find_slice_violation,
     is_one_way_category,
     lawvere_interval,
@@ -373,6 +374,15 @@ def test_factorizations_require_completeness():
         partial.factorizations((0, 1))
 
 
+def _dm_window(m, window):
+    """The D_m slice that ``factor_slice`` builds on the given window."""
+    return factor_slice(window, lambda k: _dm_factorizations(m, k), DmMorphism.source,
+                        lambda k: k.target(m), dm_identity)
+
+
+REVERSED_DM_WINDOW = dm_slice(2, 8).morphisms[::-1]
+
+
 def _builder_corpus():
     """(name, slice, the category's checked composition rule) per builder."""
     boolean = meet_semilattice(boolean_lattice(3))
@@ -382,6 +392,10 @@ def _builder_corpus():
         ("cm_slice(3,-4)", cm_slice(3, -4), lambda g, f: cm_compose(3, g, f)),
         ("dm_slice(2,12)", dm_slice(2, 12), lambda g, f: dm_compose(2, g, f)),
         ("dm_slice(3,9)", dm_slice(3, 9), lambda g, f: dm_compose(3, g, f)),
+        (
+            "reversed dm_slice(2,8)", _dm_window(2, REVERSED_DM_WINDOW),
+            lambda g, f: dm_compose(2, g, f),
+        ),
         (
             "division(B3)", division_category(boolean),
             lambda g, f: (boolean.mul(g[0], f[0]), f[1]),
@@ -398,15 +412,17 @@ def _builder_corpus():
 
 
 @pytest.mark.parametrize(
-    "c, composite, right_factor_major",
-    [pytest.param(c, rule, name.startswith("division"), id=name)
+    "c, composite, right_factor_major, reversed_window",
+    [pytest.param(c, rule, name.startswith("division"), name.startswith("reversed"), id=name)
      for name, c, rule in _builder_corpus()],
 )
-def test_builders_match_all_pairs_compose_oracle(c, composite, right_factor_major):
+def test_builders_match_all_pairs_compose_oracle(c, composite, right_factor_major, reversed_window):
     expected = bf_compose(c, composite)
     assert c.compose == expected
     for f in c.morphisms:
-        assert c.factorizations(f) == tuple(pair for pair, k in expected.items() if k == f)
+        listed = tuple(pair for pair, k in expected.items() if k == f)
+        # the enumerator lists right factors in dm_slice's order, the reverse of this window's
+        assert c.factorizations(f) == (listed[::-1] if reversed_window else listed)
     if right_factor_major:
         assert list(c.compose.items()) == list(expected.items())
     else:  # built by factor_slice: each morphism's factorizations in turn
@@ -414,13 +430,26 @@ def test_builders_match_all_pairs_compose_oracle(c, composite, right_factor_majo
 
 
 @pytest.mark.parametrize(
-    "c",
-    [pytest.param(c, id=name) for name, c, _ in _builder_corpus() if not name.startswith("division")],
+    "c, reversed_window",
+    [pytest.param(c, name.startswith("reversed"), id=name)
+     for name, c, _ in _builder_corpus() if not name.startswith("division")],
 )
-def test_walk_built_slices_hold_only_their_own_morphism_objects(c):
+def test_walk_built_slices_hold_only_their_own_morphism_objects(c, reversed_window):
     own = {id(f) for f in c.morphisms}
     assert all(id(f) in own for pair, k in c.compose.items() for f in (*pair, k))
     assert all(id(f) in own for f in c.identities.values())
+    if reversed_window:  # the window's own objects, in the order given
+        assert list(map(id, c.morphisms)) == list(map(id, REVERSED_DM_WINDOW))
+
+
+def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice():
+    f = CmMorphism(1, 0, 0, -1)
+    factor = repr(CmMorphism(0, 0, 0, 0))  # the first right factor of f listed, 1_(0, 0)
+    with pytest.raises(InvalidSlice, match=re.escape(f"factor {factor} of {f!r} lies outside")):
+        factor_slice([f], lambda k: _cm_factorizations(2, k), CmMorphism.source,
+                     lambda k: k.target(2), cm_identity)
+    with pytest.raises(InvalidSlice, match="^duplicate morphisms$"):
+        _dm_window(2, [*REVERSED_DM_WINDOW, REVERSED_DM_WINDOW[3]])
 
 
 def _leroux_corpus():

@@ -8,6 +8,7 @@ import pytest
 
 from mucat import (
     FinitePoset,
+    IncidenceFunction,
     chain,
     cli,
     cm_moebius_closed_form,
@@ -24,6 +25,8 @@ from mucat import (
 from mucat.cli import main
 
 from helpers import boolean_lattice, divisor_poset, partial_identities, symmetric_inverse_monoid
+
+from test_category import idempotent_endo_category, iso_pair_category
 
 
 def run_cli(capsys, *argv):
@@ -486,7 +489,6 @@ VERIFY_PASS_LINES = [
 
 @pytest.mark.parametrize("check, owner, name, wrong, line", [
     ("slice-valid", cli, "validate_slice", False, "slice-valid FAIL"),
-    ("moebius-test", cli, "one_way", False, "moebius-test 19/20 FAIL"),
     ("intervals-lattice", cli, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
     ("mu-agreement", cli, "cm_moebius_closed_form", 7, "mu-agreement 19/20 FAIL"),
     ("convolution-identity", cli, "convolve", 7, "convolution-identity FAIL"),
@@ -507,6 +509,26 @@ def test_verify_failure_report(capsys, monkeypatch, check, owner, name, wrong, l
     assert run_cli(capsys, *argv, "--format", "json") == (
         1, json.dumps(payload, sort_keys=True) + "\n", ""
     )
+
+
+@pytest.mark.parametrize("make, bypass, message", [
+    (iso_pair_category, False, "factorization recursion revisits '1X'; slice is not one-way"),
+    (iso_pair_category, True, "interval of '1X': relation is not antisymmetric on "),
+    (idempotent_endo_category, False, "factorization recursion revisits 's'; slice is not one-way"),
+    (idempotent_endo_category, True, "hom-set (Factorization(left='s', right='s', subject='s'), "
+                                     "Factorization(left='s', right='s', subject='s')) has 2 elements"),
+], ids=["iso-pair", "iso-pair-route", "idempotent", "idempotent-route"])
+def test_verify_refuses_a_window_that_is_not_one_way(capsys, monkeypatch, make, bypass, message):
+    # there is no moebius-test FAIL line: the slice's mu refuses such a window,
+    # and with it bypassed the position route's thin or poset-law check does
+    monkeypatch.setattr(cli, "cm_slice", lambda m, level_min: make())
+    if bypass:
+        monkeypatch.setattr(cli, "moebius_of_slice", IncidenceFunction.zeta)
+        monkeypatch.setattr(cli, "cm_moebius_closed_form", lambda f: None)
+    for form in ("text", "json"):
+        code, out, err = run_cli(capsys, "verify", "--m", "2", "--format", form)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1 and err.endswith("\n")
 
 
 # -- one parser per process ------------------------------------------------------

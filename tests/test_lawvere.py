@@ -450,7 +450,7 @@ def test_position_route_matches_the_staged_route(name, monkeypatch):
         assert moebius_via_lawvere(c, f) == _staged(c, f), f
         # verify's lattice test reads the position route's masks, relabelled if need be
         poset = interval_as_poset(lawvere_interval(c, f))
-        assert _is_lattice(_position_route(c, f)[3]) == poset.is_lattice() == bf_is_lattice(poset), f
+        assert _is_lattice(_position_route(c, f)[1]) == poset.is_lattice() == bf_is_lattice(poset), f
     # a top-first poset lists every nontrivial interval top first
     assert bool(relabelled) == name.endswith("top-first")
 
