@@ -30,7 +30,6 @@ from .category import (
     moebius_inversion_check,
     moebius_of_slice,
     poset_as_category,
-    validate_slice,
 )
 from .lawvere import (
     Factorization,
@@ -72,7 +71,6 @@ from .semigroups import (
     moebius_via_idempotent_lattice,
     moebius_via_quotients,
     quotient_poset,
-    validate_inverse_semigroup,
 )
 
 __version__ = "0.1.0"

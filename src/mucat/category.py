@@ -118,9 +118,6 @@ class CategorySlice:
     def __repr__(self):
         return f"CategorySlice({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
-    def identity_of(self, x):
-        return self.identities[x]
-
     def is_identity(self, f) -> bool:
         return self.identities[self.dom[f]] == f
 
@@ -170,8 +167,8 @@ class CategorySlice:
 
     # -- serialization ---------------------------------------------------
 
-    # the name to_json gives one morphism or object
-    morphism_key = object_key = staticmethod(name)
+    # the name to_json gives one morphism
+    morphism_key = staticmethod(name)
 
     def to_json(self) -> str:
         """Serialize in the documented slice schema (morphisms become string ids)."""
@@ -360,11 +357,6 @@ def find_slice_violation(c: CategorySlice) -> str | None:
                 return (f"associativity fails on ({at[g]!r}, {at[h]!r}, {at[k]!r}): "
                         f"{at[left]!r} != {at[right]!r}")
     return None
-
-
-def validate_slice(c: CategorySlice) -> bool:
-    """True iff the identity and associativity laws hold throughout the slice."""
-    return find_slice_violation(c) is None
 
 
 def is_one_way_category(c: CategorySlice) -> bool:

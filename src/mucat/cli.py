@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .category import IncidenceFunction, convolve, moebius_of_slice, validate_slice
+from .category import IncidenceFunction, convolve, find_slice_violation, moebius_of_slice
 from .cm_dm import (
     CmMorphism,
     DmMorphism,
@@ -103,7 +103,7 @@ def cmd_mu(args) -> int:
 
 def cmd_verify(args) -> int:
     c = cm_slice(args.m, args.level_min)
-    slice_ok = validate_slice(c)
+    slice_ok = find_slice_violation(c) is None
     lattices = agree = 0
     mu = moebius_of_slice(c)
     for f in c.morphisms:

@@ -9,7 +9,9 @@ mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``,
 the walk's masks, after the thin and poset-law checks of ``interval_as_poset``
 have refused any interval that is not one-way; the ``--verify`` walk also
 sums ``moebius_at``'s recursion on the same lists.  The staged objects
-(``LawvereInterval``, ``interval_as_poset``) serve ``interval-dot`` and the public API.
+(``LawvereInterval``, ``interval_as_poset``, ``is_one_way``) serve
+``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
+imports and reads them (``LawvereInterval.homs`` too).
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class LawvereInterval:
             self._homs = {(objects[i], objects[j]): tuple([at[h] for h in found[i, j]])
                           for i, j in sorted(found)}
         return self._homs
-
-    def hom(self, a: Factorization, b: Factorization) -> tuple:
-        return self.homs.get((a, b), ())
 
 
 def _walk(c, root, found=None, eta=None):

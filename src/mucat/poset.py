@@ -2,9 +2,10 @@
 
 Elements are opaque hashable identifiers.  A poset can be built either from the
 full relation or from its cover relation (the covers are closed reflexively and
-transitively).  Element order is the order in which the elements were supplied
-and every derived output (cover lists, DOT, JSON) iterates in that order, so
-identical inputs produce byte-identical outputs.
+transitively in a topological order from the standard library's ``graphlib``,
+which also finds any cycle to refuse).  Element order is the order in which the
+elements were supplied and every derived output (cover lists, DOT, JSON)
+iterates in that order, so identical inputs produce byte-identical outputs.
 
 Internally each element has a bit position in a linear extension: the
 supplied order when it is one, else decreasing up-set size with ties in
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
+from graphlib import CycleError, TopologicalSorter
 from itertools import compress
 from operator import and_
 from typing import Any, Callable, Iterable
@@ -94,38 +96,26 @@ def _index(elems: tuple) -> dict:
 def _close_covers(elems: tuple, arcs) -> list[int]:
     """Reflexive-transitive closure of cover arcs (index pairs) as up-set masks.
 
-    A depth-first walk finishes every successor of x before x, so up[x] is
-    x's bit or'ed with its successors' closures; an arc back into the walk's
-    own stack closes a cycle.  Loops (x, x) add nothing.
+    ``graphlib`` orders the indices so that every arc points forward, and
+    up[x] is x's bit or'ed with its successors' masks, filled last to first;
+    on a cycle the arc that closes it is named.  Loops (x, x) add nothing.
     """
-    n = len(elems)
-    succ: list[list[int]] = [[] for _ in range(n)]
+    graph, succ = TopologicalSorter(), [[] for _ in elems]
+    for x in range(len(elems)):
+        graph.add(x)
     for a, b in arcs:
         if a != b:
+            graph.add(b, a)
             succ[a].append(b)
-    up = [0] * n
-    state = [0] * n  # 0 unseen, 1 on the stack, 2 closed
-    for root in range(n):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            x, todo = stack[-1]
-            for y in todo:
-                if state[y] == 1:
-                    raise InvalidPoset(f"cyclic cover input: {elems[x]!r} and {elems[y]!r}")
-                if state[y] == 0:
-                    state[y] = 1
-                    stack.append((y, iter(succ[y])))
-                    break
-            else:
-                stack.pop()
-                state[x] = 2
-                closed = 1 << x
-                for y in succ[x]:
-                    closed |= up[y]
-                up[x] = closed
+    try:
+        order = list(graph.static_order())
+    except CycleError as exc:
+        x, y = exc.args[1][-2:]
+        raise InvalidPoset(f"cyclic cover input: {elems[x]!r} and {elems[y]!r}") from None
+    up = [1 << x for x in range(len(elems))]
+    for x in reversed(order):
+        for y in succ[x]:
+            up[x] |= up[y]
     return up
 
 
@@ -278,9 +268,6 @@ class FinitePoset:
         q = pos.get(y)
         return q is not None and self._up[pos[x]] >> q & 1 == 1
 
-    def lt(self, x, y) -> bool:
-        return x != y and self.leq(x, y)
-
     def up_set(self, x) -> frozenset:
         """All y with x <= y."""
         return frozenset(compress(self._at, _selectors(self._up[self._pos[x]])))
@@ -426,6 +413,8 @@ class FinitePoset:
 
 
 def chain(labels: Iterable[Any]) -> FinitePoset:
-    """The chain with the given labels, ordered as listed."""
-    elems = list(labels)
-    return FinitePoset(elems, covers=list(zip(elems, elems[1:])))
+    """The chain with the given labels, ordered as listed: position k is
+    below every later position, so its masks are built with no closure."""
+    elems = tuple(labels)
+    full = (1 << len(elems)) - 1
+    return FinitePoset._from_masks(elems, [full >> k << k for k in range(len(elems))])

@@ -37,10 +37,9 @@ class InverseSemigroup:
 
     ``_table[i][j]`` is the position of elements[i] · elements[j]; names are
     read and written only at the public surface.  The inverse map is derived
-    by exhaustive search, not supplied.  Use ``find_semigroup_violation`` /
-    ``validate_inverse_semigroup`` to check that the table really is an
-    inverse semigroup; accessors that need inverses raise InvalidSemigroup
-    otherwise.
+    by exhaustive search, not supplied.  ``find_semigroup_violation`` checks
+    that the table really is an inverse semigroup; accessors that need
+    inverses raise InvalidSemigroup otherwise.
     """
 
     __slots__ = ("elements", "_index", "_table", "_one", "_inv", "_idem_poset", "_in_groups")
@@ -265,10 +264,6 @@ def find_semigroup_violation(s: InverseSemigroup) -> str | None:
     except InvalidSemigroup as exc:
         return str(exc)
     return None
-
-
-def validate_inverse_semigroup(s: InverseSemigroup) -> bool:
-    return find_semigroup_violation(s) is None
 
 
 def check_combinatorial(s: InverseSemigroup) -> None:

@@ -104,10 +104,13 @@ def partial_identities(n: int) -> list[str]:
 # -- brute-force oracles -----------------------------------------------------
 
 def bf_covers(p: FinitePoset) -> set:
+    def lt(a, b):
+        return a != b and p.leq(a, b)
+
     out = set()
     for x in p.elements:
         for y in p.elements:
-            if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y) for z in p.elements):
+            if lt(x, y) and not any(lt(x, z) and lt(z, y) for z in p.elements):
                 out.add((x, y))
     return out
 
@@ -160,6 +163,30 @@ def bf_closure(elements, arcs) -> set:
                     relation.add((a, d))
                     grew = True
     return relation
+
+
+def bf_first_back_arc(elements, arcs):
+    """The first arc (x, y) with y on the current path of a recursive
+    depth-first search that starts from each unvisited element in order and
+    follows each element's arcs as listed, loops skipped; None if acyclic."""
+    out = {a: [b for x, b in arcs if x == a and b != a] for a in elements}
+    path, done = [], set()
+
+    def visit(x):
+        path.append(x)
+        for y in out[x]:
+            if y in path:
+                return x, y
+            if y not in done and (found := visit(y)):
+                return found
+        path.pop()
+        done.add(x)
+        return None
+
+    for x in elements:
+        if x not in done and (found := visit(x)):
+            return found
+    return None
 
 
 def bf_join(elements, relation: set, x, y):

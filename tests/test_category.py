@@ -45,7 +45,6 @@ from mucat import (
     poset_as_category,
     validate_cm_morphism,
     validate_dm_morphism,
-    validate_slice,
 )
 from mucat.cm_dm import _cm_composite, _cm_factorizations, _dm_composite, _dm_factorizations
 from mucat.lawvere import _both_routes
@@ -93,18 +92,24 @@ def idempotent_endo_category():
 
 def test_poset_as_category_is_valid():
     c = poset_as_category(B2)
-    assert validate_slice(c)
+    assert find_slice_violation(c) is None
     assert is_one_way_category(c)
 
 
 def test_cm_slice_window_is_valid():
     # exhaustive identity/associativity tuple check on the window i in [-4, 0]
-    assert validate_slice(cm_slice(3, -4))
+    assert find_slice_violation(cm_slice(3, -4)) is None
+
+
+def test_slice_and_incidence_function_reprs_give_their_sizes():
+    c = cm_slice(2, -2)
+    assert repr(c) == "CategorySlice(6 objects, 20 morphisms)"
+    assert repr(IncidenceFunction.zeta(c)) == "IncidenceFunction(20 values)"
 
 
 def test_iso_pair_category_is_valid_but_not_one_way():
     c = iso_pair_category()
-    assert validate_slice(c)
+    assert find_slice_violation(c) is None
     assert not is_one_way_category(c)
 
 
@@ -250,7 +255,6 @@ def test_associativity_failure_is_reported():
     ends = dict.fromkeys("1ab", "X")
     c = CategorySlice(["X"], ["1", "a", "b"], ends, ends, compose, {"X": "1"}, "1ab")
     assert find_slice_violation(c) == "associativity fails on ('a', 'a', 'b'): 'a' != 'b'"
-    assert not validate_slice(c)
 
 
 def _one_object_slice(drop=()):
@@ -723,6 +727,13 @@ def test_factorizations_are_deterministic():
 
 # -- convolution -------------------------------------------------------------------
 
+def test_incidence_functions_equal_only_incidence_functions():
+    c = cm_slice(2, -2)
+    values = dict.fromkeys(c.morphisms, 1)
+    assert IncidenceFunction.zeta(c) == IncidenceFunction(values)
+    assert IncidenceFunction.zeta(c) != values  # __eq__ gives NotImplemented, so identity decides
+
+
 def test_delta_is_left_identity_for_convolution():
     c = poset_as_category(B2)
     rng = random.Random(7)
@@ -857,7 +868,7 @@ def test_moebius_is_one_on_identities():
     c = cm_slice(3, -3)
     mu = moebius_of_slice(c)
     for x in c.objects:
-        assert mu[c.identity_of(x)] == 1
+        assert mu[c.identities[x]] == 1
 
 
 def test_moebius_convolution_identities():
@@ -916,7 +927,7 @@ def test_inversion_check_for_random_integer_functions():
 def test_slice_json_round_trip():
     c = cm_slice(2, -2)
     loaded = CategorySlice.from_json(c.to_json())
-    assert validate_slice(loaded)
+    assert find_slice_violation(loaded) is None
     assert len(loaded.morphisms) == len(c.morphisms)
     assert set(loaded.complete) == set(loaded.morphisms)
     mu = moebius_of_slice(c)

@@ -488,7 +488,7 @@ VERIFY_PASS_LINES = [
 
 
 @pytest.mark.parametrize("check, owner, name, wrong, line", [
-    ("slice-valid", cli, "validate_slice", False, "slice-valid FAIL"),
+    ("slice-valid", cli, "find_slice_violation", "broken", "slice-valid FAIL"),
     ("intervals-lattice", cli, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
     ("mu-agreement", cli, "cm_moebius_closed_form", 7, "mu-agreement 19/20 FAIL"),
     ("convolution-identity", cli, "convolve", 7, "convolution-identity FAIL"),
@@ -581,3 +581,17 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
     )
     assert result.stdout == "0\n"
+
+
+def test_module_entry_point_exits_with_the_command_code():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mucat.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    agree = run("mu-cm", "--m", "3", "2,0,0,-2", "--verify")
+    assert (agree.returncode, agree.stdout, agree.stderr) == (0, "0 0 0 AGREE\n", "")
+    refused = run("verify", "--m", "1")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1

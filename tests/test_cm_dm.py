@@ -21,6 +21,7 @@ from mucat import (
     dm_moebius_closed_form,
     dm_slice,
     dm_source,
+    find_slice_violation,
     functor_F,
     functor_F_object,
     lawvere_interval,
@@ -29,7 +30,6 @@ from mucat import (
     moebius_via_lawvere,
     validate_cm_morphism,
     validate_dm_morphism,
-    validate_slice,
 )
 
 from mucat.cm_dm import validate_cm_object
@@ -190,8 +190,8 @@ def test_one_level_window_counts():
 
 
 def test_slice_is_valid_category():
-    assert validate_slice(cm_slice(2, -1))
-    assert validate_slice(cm_slice(3, -3))
+    assert find_slice_violation(cm_slice(2, -1)) is None
+    assert find_slice_violation(cm_slice(3, -3)) is None
 
 
 def test_every_slice_morphism_is_complete():
@@ -347,7 +347,7 @@ def test_dm_closed_form():
 
 def test_dm_slice_is_valid_and_complete():
     d = dm_slice(3, 9)
-    assert validate_slice(d)
+    assert find_slice_violation(d) is None
     assert set(d.complete) == set(d.morphisms)
 
 

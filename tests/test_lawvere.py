@@ -66,7 +66,8 @@ def test_interval_of_identity_is_a_point():
     iv = lawvere_interval(c, (0, 0))
     assert len(iv.objects) == 1
     (obj,) = iv.objects
-    assert iv.hom(obj, obj) == ((0, 0),)
+    assert iv.homs.get((obj, obj), ()) == ((0, 0),)
+    assert repr(iv) == "LawvereInterval((0, 0), 1 factorizations)"
 
 
 def test_interval_sizes_in_level_category():
@@ -83,8 +84,8 @@ def test_connecting_morphism_between_trivial_factorizations():
     iv = lawvere_interval(c, f)
     bottom = Factorization(f, CmMorphism(0, 0, 0, 0), f)
     top = Factorization(CmMorphism(0, 1, -1, -1), f, f)
-    assert iv.hom(bottom, top) == (f,)
-    assert iv.hom(top, bottom) == ()
+    assert iv.homs.get((bottom, top), ()) == (f,)
+    assert iv.homs.get((top, bottom), ()) == ()
 
 
 @pytest.mark.parametrize(
@@ -330,7 +331,7 @@ def test_hom_sets_inside_grid_intervals():
 
     for one in iv.objects:
         for two in iv.objects:
-            hom = iv.hom(one, two)
+            hom = iv.homs.get((one, two), ())
             assert len(hom) <= 1
             b1, t1 = coords(one)
             b2, t2 = coords(two)

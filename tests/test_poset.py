@@ -21,6 +21,7 @@ from helpers import (
     bf_chain_moebius,
     bf_closure,
     bf_covers,
+    bf_first_back_arc,
     bf_interval_elements,
     bf_is_lattice,
     bf_is_partial_order,
@@ -56,6 +57,8 @@ def random_posets(draw, max_size=12, dense=None):
 def test_rejects_duplicate_elements():
     with pytest.raises(InvalidPoset):
         FinitePoset(["a", "a"], covers=[])
+    with pytest.raises(InvalidPoset, match="^duplicate elements$"):
+        chain(["a", "b", "a"])
 
 
 def test_rejects_unknown_elements_in_relation():
@@ -71,7 +74,7 @@ def test_requires_exactly_one_relation_argument():
 
 
 def test_rejects_cyclic_covers():
-    with pytest.raises(InvalidPoset):
+    with pytest.raises(InvalidPoset, match="^cyclic cover input: 'b' and 'a'$"):
         FinitePoset(["a", "b"], covers=[("a", "b"), ("b", "a")])
 
 
@@ -467,9 +470,14 @@ def test_covers_input_is_closed_or_rejected_as_cyclic(drawn):
     elements, arcs = drawn
     relation = bf_closure(elements, arcs)
     cyclic = any(a != b and (b, a) in relation for a, b in relation)
+    back = bf_first_back_arc(elements, arcs)
+    assert (back is not None) == cyclic
     if cyclic:
-        with pytest.raises(InvalidPoset, match="cyclic cover input"):
+        # the refusal names the arc that closes the first cycle a depth-first
+        # search meets, from each element in order along the arcs as listed
+        with pytest.raises(InvalidPoset) as info:
             FinitePoset(elements, covers=arcs)
+        assert str(info.value) == "cyclic cover input: {!r} and {!r}".format(*back)
     else:
         p = FinitePoset(elements, covers=arcs)
         assert {(x, y) for x in elements for y in elements if p.leq(x, y)} == relation

@@ -18,6 +18,7 @@ from mucat import (
     default_transversal,
     division_category,
     find_semigroup_violation,
+    find_slice_violation,
     interval_as_poset,
     is_one_way,
     is_one_way_category,
@@ -28,8 +29,6 @@ from mucat import (
     moebius_via_lawvere,
     moebius_via_quotients,
     quotient_poset,
-    validate_inverse_semigroup,
-    validate_slice,
 )
 
 import mucat.poset
@@ -84,13 +83,14 @@ SEMILATTICE_CORPUS = [
 
 def test_semilattices_are_inverse_semigroups():
     for s in SEMILATTICE_CORPUS:
-        assert validate_inverse_semigroup(s)
+        assert find_semigroup_violation(s) is None
 
 
 def test_two_element_group_is_inverse_but_not_combinatorial():
     g = two_element_group()
-    assert validate_inverse_semigroup(g)
+    assert find_semigroup_violation(g) is None
     assert not g.is_combinatorial()
+    assert repr(g) == "InverseSemigroup(2 elements)"
 
 
 def test_left_zero_semigroup_has_non_unique_inverses():
@@ -159,7 +159,7 @@ def test_d_classes_of_group_form_one_class():
 
 def test_d_classes_of_product_with_group():
     s = semilattice_times_z2()
-    assert validate_inverse_semigroup(s)
+    assert find_semigroup_violation(s) is None
     classes = {frozenset(cls) for cls in s.d_classes()}
     assert classes == {frozenset({"f0", "f1"}), frozenset({"e0", "e1"})}
     assert not s.is_combinatorial()
@@ -167,7 +167,7 @@ def test_d_classes_of_product_with_group():
 
 def test_d_classes_of_brandt():
     s = brandt_five()
-    assert validate_inverse_semigroup(s)
+    assert find_semigroup_violation(s) is None
     assert s.is_combinatorial()
     classes = {frozenset(cls) for cls in s.d_classes()}
     assert classes == {frozenset({"z"}), frozenset({"e11", "e22", "a", "b"})}
@@ -289,7 +289,7 @@ def test_default_transversal_is_ambiguous_for_brandt():
 
 def test_explicit_transversal_for_brandt():
     c = division_category(brandt_five(), ["e11", "z"])
-    assert validate_slice(c)
+    assert find_slice_violation(c) is None
     assert len(c.morphisms) == 3
 
 
@@ -398,14 +398,14 @@ def test_division_category_identities():
     s = meet_semilattice(B2)
     c = division_category(s)
     for e in c.objects:
-        assert c.identity_of(e) == (e, e)
+        assert c.identities[e] == (e, e)
 
 
 def test_semilattice_division_category_is_its_poset():
     p = B2
     s = meet_semilattice(p)
     c = division_category(s)
-    assert validate_slice(c)
+    assert find_slice_violation(c) is None
     related = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
     assert len(c.morphisms) == len(related)
     mu = moebius_of_slice(c)
@@ -417,7 +417,7 @@ def test_semilattice_division_category_is_its_poset():
 
 def test_division_category_passes_validation_across_corpus():
     for s in SEMILATTICE_CORPUS:
-        assert validate_slice(division_category(s))
+        assert find_slice_violation(division_category(s)) is None
 
 
 ORDER_CORPUS = {
@@ -467,7 +467,7 @@ def test_interval_posets_of_division_categories_need_no_relabelling(name, monkey
 def test_group_division_category_is_returned_but_not_moebius():
     g = two_element_group()
     c = division_category(g)
-    assert validate_slice(c)
+    assert find_slice_violation(c) is None
     assert not all(is_one_way(lawvere_interval(c, f)) for f in c.morphisms)
     with pytest.raises(NotCombinatorial):
         moebius_via_idempotent_lattice(g, ("g", "1"))
