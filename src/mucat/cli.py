@@ -201,8 +201,10 @@ def _split_names(text: str, names, what: str, count=None) -> list[str]:
     return split
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call; ``main`` reuses the one ``_parser`` keeps."""
+    """The one parser of this process, built on the first call: parsing
+    leaves a parser unchanged, so ``main`` and every later call reuse it."""
     parser = argparse.ArgumentParser(
         prog="mucat",
         description="Exact Möbius functions of posets, category slices, and inverse semigroups.",
@@ -259,15 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built by the first ``main`` call:
-    parsing leaves a parser unchanged, so every later call reuses it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (MucatError, ValueError, OSError) as exc:

@@ -225,19 +225,6 @@ def _generators(table) -> list[int]:
     return gens
 
 
-def _light_passes(table) -> bool:
-    """(ag)c = a(gc) for every a and c and every g of ``_generators``: row ag
-    against row a read through row g, one a at a time."""
-    rows = [tuple(row) for row in table]
-    if len(rows) < 2:  # a one-element table is associative
-        return True
-    for g in _generators(table):
-        through = itemgetter(*rows[g])
-        if not all(rows[row_a[g]] == through(row_a) for row_a in rows):
-            return False
-    return True
-
-
 def find_semigroup_violation(s: InverseSemigroup) -> str | None:
     """First associativity or unique-inverse violation, or None.
 
@@ -245,20 +232,21 @@ def find_semigroup_violation(s: InverseSemigroup) -> str | None:
     Algebraic Theory of Semigroups*, Vol. I, 1961): (ag)c = a(gc) is
     checked for all a, c only for g in a generating set, each a at once as
     row ag against row a read through row g.  That is sound for any table,
-    as the g that pass are closed under the product.  Only when some g fails
-    does the full scan over every middle factor b run, so the first failing
-    triple in table order is the one named.  Idempotents are not compared
+    as the g that pass are closed under the product.  A failure names the
+    triple the test meets: the first failing g in ``_generators`` order,
+    then the first a, then the first c.  Idempotents are not compared
     pairwise: in a semigroup where every element has exactly one inverse
     they commute (Howie, *Fundamentals of Semigroup Theory*, 1995,
     Thm 5.1.1)."""
-    table, name = s._table, s.elements
-    if not _light_passes(table):
-        for a, row_a in enumerate(table):
-            for b, row_b in enumerate(table):
-                row_ab, through = table[row_a[b]], [row_a[bc] for bc in row_b]
-                if row_ab != through:
-                    c = next(c for c, x in enumerate(through) if row_ab[c] != x)
-                    return f"associativity fails on ({name[a]!r}, {name[b]!r}, {name[c]!r})"
+    rows, name = [tuple(row) for row in s._table], s.elements
+    # a one-element table is associative, and itemgetter of one index returns no tuple
+    for g in _generators(rows) if len(rows) > 1 else ():
+        through = itemgetter(*rows[g])
+        for a, row_a in enumerate(rows):
+            row_ag, via = rows[row_a[g]], through(row_a)
+            if row_ag != via:
+                c = next(c for c, x in enumerate(via) if row_ag[c] != x)
+                return f"associativity fails on ({name[a]!r}, {name[g]!r}, {name[c]!r})"
     try:
         s._inverses()
     except InvalidSemigroup as exc:

@@ -362,6 +362,12 @@ def bf_semigroup_violation(s) -> str | None:
     return None
 
 
+def bf_triple_fails(s, a, b, c) -> bool:
+    """(ab)c != a(bc), by the definition."""
+    _, mul = _named_table(s)
+    return mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+
 def bf_d_classes(s) -> list[list]:
     """Greedy partition by the definition: s joins the first class whose first
     member t has some x with x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹."""

@@ -365,6 +365,19 @@ def test_semigroup_rejects_invalid_table(capsys, tmp_path):
     assert "not an inverse semigroup" in err
 
 
+def test_semigroup_names_the_triple_lights_test_meets(capsys, tmp_path):
+    # a a = a b = b b = a and b a = b: b is the one generator, and row b b = a
+    # differs from row b read through row b at c = b
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"elements": ["a", "b"], "table": [["a", "a"], ["b", "a"]]}),
+        encoding="utf-8",
+    )
+    assert run_cli(capsys, "semigroup", str(path), "a,a") == (
+        2, "", "error: not an inverse semigroup: associativity fails on ('b', 'b', 'b')\n"
+    )
+
+
 def test_semigroup_rejects_unhashable_element_names(capsys, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text(json.dumps({"elements": [["a"]], "table": [[["a"]]]}), encoding="utf-8")
@@ -542,7 +555,7 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_main_reuses_one_parser_and_answers_as_a_new_one_would(capsys, monkeypatch, tmp_path):
+def test_main_reuses_one_parser_and_answers_as_a_new_one_would(capsys, tmp_path):
     semilattice = str(write_chain_semilattice(tmp_path))
     calls = [
         ["mu-cm", "--m", "3", "2,0,0,-2", "--verify"],
@@ -553,29 +566,21 @@ def test_main_reuses_one_parser_and_answers_as_a_new_one_would(capsys, monkeypat
         ["semigroup", semilattice, "f,e"],
         ["mu-cm", "--m", "3", "2,0,0,-2", "--verify"],
     ]
-    build_parser, built = cli.build_parser, []
-
-    def counting_build_parser():
-        built.append(None)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     reused = [_outcome(capsys, argv) for argv in calls]
-    assert len(built) == 1
+    assert cli.build_parser.cache_info().misses == 1
     new = []
     for argv in calls:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         new.append(_outcome(capsys, argv))
-    assert len(built) == 1 + len(calls)
     assert reused == new
     assert [code for code, _, _ in reused] == [0, 0, 2, "SystemExit(2)", 0, 0, 0]
     assert reused[2][2].startswith("error: ") and reused[3][2].startswith("usage: mucat mu-dm")
-    assert build_parser() is not build_parser()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_importing_the_cli_builds_no_parser():
-    script = "import mucat.cli as c; print(c._parser.cache_info().currsize)"
+    script = "import mucat.cli as c; print(c.build_parser.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import re
@@ -32,7 +33,7 @@ from mucat import (
 )
 
 import mucat.poset
-from mucat.semigroups import _generators, _light_passes, check_combinatorial
+from mucat.semigroups import _generators, check_combinatorial
 
 from helpers import (
     B2,
@@ -42,6 +43,7 @@ from helpers import (
     bf_d_classes,
     bf_is_combinatorial,
     bf_semigroup_violation,
+    bf_triple_fails,
     boolean_lattice,
     brandt,
     brandt_five,
@@ -103,6 +105,17 @@ def test_non_associative_table_is_reported():
     s = InverseSemigroup(["a", "b"], [["b", "b"], ["a", "a"]])
     violation = find_semigroup_violation(s)
     assert violation is not None and "associativity" in violation
+
+
+def test_light_test_names_the_triple_it_meets_mid_table():
+    # B_9's meet table (subsets of 9 bits, meet = &) with 255 · 254 planted as
+    # 510: row 255 now has the most distinct entries after the top, so 255 is
+    # the second generator and the first to fail, at a = 255, c = 254
+    n = range(512)
+    table = [[str(a & b) for b in n] for a in n]
+    table[255][254] = "510"
+    s = InverseSemigroup([str(a) for a in n], table)
+    assert find_semigroup_violation(s) == "associativity fails on ('255', '255', '254')"
 
 
 def test_table_shape_is_checked():
@@ -209,6 +222,21 @@ def test_inverse_count_violation_matches_oracle(s):
     assert violation == bf_semigroup_violation(s)
 
 
+def _assert_matches_oracle(s, violation):
+    """``violation`` is None exactly when the oracle's verdict is, and of the
+    same kind; an inverse message equals the oracle's, and a named triple
+    fails in the oracle's table (Light's test need not meet the oracle's
+    first triple in table order)."""
+    expected = bf_semigroup_violation(s)
+    assert (violation is None) == (expected is None)
+    triple = violation and re.fullmatch(r"associativity fails on (\(.*\))", violation)
+    if triple:
+        assert expected.startswith("associativity fails")
+        assert bf_triple_fails(s, *ast.literal_eval(triple[1]))
+    else:
+        assert violation == expected
+
+
 def _all_tables(n):
     """Every binary operation on the n elements a, b, c, ... as a table."""
     elements = "abc"[:n]
@@ -225,7 +253,7 @@ def test_every_table_of_order_at_most_three_matches_oracle():
     for n in (1, 2, 3):
         for s in _all_tables(n):
             violation = find_semigroup_violation(s)
-            assert violation == bf_semigroup_violation(s)
+            _assert_matches_oracle(s, violation)
             if violation is None:
                 valid += 1
                 one = s.identity()
@@ -257,7 +285,7 @@ def test_planted_table_edits_match_oracles():
     valid = 0
     for s in _planted_edits(bases, 330, seed=11):
         violation = find_semigroup_violation(s)
-        assert violation == bf_semigroup_violation(s)
+        _assert_matches_oracle(s, violation)
         if violation is None:
             valid += 1
             assert s.d_classes() == bf_d_classes(s)
@@ -327,11 +355,9 @@ def test_light_filter_with_few_generators_matches_oracle():
     assert [len(_generators(s._table)) for s in bases] == [6, 8, 7]
     failed = 0
     for s in [*bases, *_planted_edits(bases, 45, seed=15)]:
-        violation = bf_semigroup_violation(s)
-        assert find_semigroup_violation(s) == violation
-        associative = violation is None or "associativity" not in violation
-        assert _light_passes(s._table) == associative
-        failed += not associative
+        violation = find_semigroup_violation(s)
+        _assert_matches_oracle(s, violation)
+        failed += violation is not None and "associativity" in violation
     assert failed > 40
 
 
