@@ -44,7 +44,6 @@ from .cm_dm import (
     CmObject,
     DmMorphism,
     cm_compose,
-    cm_factorization_objects,
     cm_hom,
     cm_identity,
     cm_moebius_closed_form,
@@ -57,7 +56,6 @@ from .cm_dm import (
     dm_slice,
     dm_source,
     functor_F,
-    functor_F_object,
     validate_cm_morphism,
     validate_dm_morphism,
 )

@@ -18,7 +18,7 @@ from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from typing import Any
 
-from ._json import load_object, name, names, rows, strings
+from ._json import load_object, names, rows, strings
 from .errors import (
     IncompleteSlice,
     InvalidSlice,
@@ -56,19 +56,13 @@ class CategorySlice:
             if composite is None or None in key:
                 raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
             table[key] = composite
-        self._adopt(objects, morphisms, dict(dom), dict(cod), table, dict(identities), complete)
+        self._adopt(objects, morphisms, {f: dom[f] for f in morphisms if f in dom},
+                    {f: cod[f] for f in morphisms if f in cod}, table, dict(identities), complete)
 
-    @classmethod
-    def _from_tables(cls, objects, morphisms, dom, cod, table, identities, complete):
-        """A slice that keeps the caller's dicts, its composition table keyed
-        by morphism numbers, instead of copying them; every check is made."""
-        c = cls.__new__(cls)
-        c._adopt(objects, morphisms, dom, cod, table, identities, complete)
-        return c
-
-    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete):
+    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete) -> "CategorySlice":
         """Check the tables and index factorizations in one pass, then store
-        them as given."""
+        them as given and return self.  The caller's dicts are kept, not
+        copied, and the composition table is keyed by morphism numbers."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -104,6 +98,8 @@ class CategorySlice:
             if dom_of[e] != i or cod_of[e] != i:
                 raise _bad_identity(x, dom[self.morphisms[e]], cod[self.morphisms[e]])
             self._ident.append(e)
+        if len(identities) != len(place):
+            raise InvalidSlice("identities mention unknown objects")
         self.complete = frozenset(complete)
         if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
@@ -114,6 +110,7 @@ class CategorySlice:
         self._moebius = None
         self._one_way = None
         self._quotients: dict = {}
+        return self
 
     def __repr__(self):
         return f"CategorySlice({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -151,6 +148,8 @@ class CategorySlice:
 
     def _handle(self, f) -> int:  # the number f is read by, once f is checked to be complete
         if f not in self.complete:
+            if f not in self._number:
+                raise InvalidSlice(f"{f!r} is not a morphism of the slice")
             raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
         return self._number[f]
 
@@ -166,9 +165,6 @@ class CategorySlice:
         return k
 
     # -- serialization ---------------------------------------------------
-
-    # the name to_json gives one morphism
-    morphism_key = staticmethod(name)
 
     def to_json(self) -> str:
         """Serialize in the documented slice schema (morphisms become string ids)."""
@@ -412,7 +408,8 @@ def factor_slice(window, factorizations, dom, cod, identity) -> CategorySlice:
     objects = list(dict.fromkeys(dom_of.values()))
     identities = {x: window[number[identity(x)]] for x in objects}  # a factor of f = f∘1_x
     cod_of = {f: cod(f) for f in window}
-    return CategorySlice._from_tables(objects, window, dom_of, cod_of, table, identities, window)
+    return CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, table,
+                                                       identities, window)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:
@@ -468,13 +465,9 @@ class IncidenceFunction(Mapping):
         return f"IncidenceFunction({len(self._values)} values)"
 
     @classmethod
-    def constant(cls, c: CategorySlice, value) -> "IncidenceFunction":
-        return cls({f: value for f in c.morphisms})
-
-    @classmethod
     def zeta(cls, c: CategorySlice) -> "IncidenceFunction":
         """The constant-1 function."""
-        return cls.constant(c, 1)
+        return cls(dict.fromkeys(c.morphisms, 1))
 
     @classmethod
     def delta(cls, c: CategorySlice) -> "IncidenceFunction":

@@ -156,17 +156,6 @@ def cm_moebius_closed_form(f: CmMorphism) -> int:
     return 0
 
 
-def cm_factorization_objects(m: int, f: CmMorphism) -> list[tuple[int, int, int]]:
-    """Closed-form enumeration of the factorizations of f as triples (b, z, k).
-
-    The factorization indexed by (b, z, k) is
-    (a-b, z, k, j) ∘ (b, x, i, k) with z = (b + x) mod m and
-    a-b+j <= k <= i-b; there are (a+1)(i-j-a+1) triples, in ascending order.
-    """
-    validate_cm_morphism(m, f)
-    return sorted((h.a, g.x, h.j) for g, h in _cm_factorizations(m, f))
-
-
 def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphism]]:
     """Every pair (g, h) with g∘h = f: right factor (b, x, i, l) with l from i
     down to j, then b ascending, the order cm_slice lists them in."""
@@ -285,11 +274,6 @@ def dm_moebius_closed_form(f: DmMorphism) -> int:
     if f.alpha == f.x + 1:
         return -1
     return 0
-
-
-def functor_F_object(obj: CmObject) -> int:
-    """F on objects: drop the level."""
-    return obj.residue
 
 
 def functor_F(f: CmMorphism) -> DmMorphism:

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .poset import FinitePoset
 
-_UNKNOWN = object()  # InverseSemigroup._one before identity() has looked
-
 
 class InverseSemigroup:
     """A finite semigroup given by its full multiplication table.
@@ -42,7 +40,7 @@ class InverseSemigroup:
     inverses raise InvalidSemigroup otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "_one", "_inv", "_idem_poset", "_in_groups")
+    __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups")
 
     def __init__(self, elements: Iterable[str], table):
         self.elements = tuple(elements)
@@ -57,7 +55,6 @@ class InverseSemigroup:
         for names, row in zip(rows, self._table):
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
-        self._one = _UNKNOWN
         self._inv = self._idem_poset = self._in_groups = None
 
     def __len__(self):
@@ -100,12 +97,10 @@ class InverseSemigroup:
         return table[table[x][self._inverses()[x]]][self._index[t]] == x
 
     def identity(self):
-        """The identity element if one exists, else None; detected once per instance."""
-        if self._one is _UNKNOWN:
-            table, ident = self._table, list(range(len(self.elements)))
-            self._one = next((self.elements[k] for k, row in enumerate(table)
-                              if row == ident and [r[k] for r in table] == ident), None)
-        return self._one
+        """The identity element if one exists, else None; detected on each call."""
+        table, ident = self._table, list(range(len(self.elements)))
+        return next((self.elements[k] for k, row in enumerate(table)
+                     if row == ident and [r[k] for r in table] == ident), None)
 
     def d_classes(self) -> list[list]:
         """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹.
@@ -331,7 +326,8 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     compose = {(g, k): out[f[1]][table[firsts[g]][firsts[k]]]
                for k, f in enumerate(morphisms) for g in out[cod[f]].values()}
     identities = {e: (e, e) for e in reps}
-    return CategorySlice._from_tables(reps, morphisms, dom, cod, compose, identities, morphisms)
+    return CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, compose,
+                                                       identities, morphisms)
 
 
 def quotient_poset(c: CategorySlice, e) -> FinitePoset:

@@ -42,6 +42,7 @@ from mucat import (
     moebius_inversion_check,
     moebius_of_slice,
     moebius_via_lawvere,
+    moebius_via_quotients,
     poset_as_category,
     validate_cm_morphism,
     validate_dm_morphism,
@@ -218,12 +219,13 @@ def test_constructor_checks_every_entry_and_identity(compose, identities, messag
 
 
 def _numbered_tables(objects, morphisms, dom, cod, compose, identities, complete):
-    """``_from_tables`` on the compose table keyed by morphism numbers, as
-    the builders hand it; a builder numbers only morphisms it lists, so no
-    entry can name an unknown one."""
+    """``_adopt`` on the compose table keyed by morphism numbers, as the
+    builders hand it; a builder numbers only morphisms it lists, so no entry
+    can name an unknown one."""
     number = {f: k for k, f in enumerate(morphisms)}
     table = {(number[g], number[h]): number[k] for (g, h), k in compose.items()}
-    return CategorySlice._from_tables(objects, morphisms, dom, cod, table, identities, complete)
+    return CategorySlice.__new__(CategorySlice)._adopt(
+        objects, morphisms, dom, cod, table, identities, complete)
 
 
 @pytest.mark.parametrize("compose, identities, message", BAD_ARROW_TABLES, ids=BAD_ARROW_IDS)
@@ -245,6 +247,20 @@ def test_constructor_copies_the_callers_tables():
     dom["f"] = cod["f"] = "X"
     assert [c.dom, c.cod, c.compose, c.identities] == kept
     assert c.factorizations("f") == (("f", "1X"), ("1Y", "f"))
+
+
+def test_constructor_refuses_identities_of_objects_outside_the_slice():
+    data = {"objects": ["x"], "morphisms": [{"id": "1", "dom": "x", "cod": "x"}],
+            "compose": [["1", "1", "1"]], "identities": {"x": "1", "y": "1"}, "complete": ["1"]}
+    with pytest.raises(InvalidSlice, match="^identities mention unknown objects$"):
+        CategorySlice.from_json(data)
+
+
+def test_constructor_keeps_only_the_endpoints_of_its_own_morphisms():
+    c = _arrow_slice({("1X", "1X"): "1X", ("1Y", "1Y"): "1Y", ("f", "1X"): "f", ("1Y", "f"): "f"})
+    assert list(c.dom) == list(c.cod) == ["1X", "1Y", "f"]
+    with pytest.raises(InvalidSlice, match="^'ghost' is not a morphism of the division category$"):
+        moebius_via_quotients(c, "ghost")
 
 
 def test_associativity_failure_is_reported():
@@ -376,6 +392,21 @@ def test_factorizations_require_completeness():
     )
     with pytest.raises(IncompleteSlice):
         partial.factorizations((0, 1))
+
+
+def test_reads_tell_a_non_member_from_an_incomplete_member():
+    c = cm_slice(2, -2)
+    zeta = IncidenceFunction.zeta(c)
+    reads = [c.factorizations, lambda f: convolve(c, zeta, zeta, f), lambda f: moebius_at(c, f),
+             lambda f: moebius_via_lawvere(c, f), lambda f: lawvere_interval(c, f)]
+    for read in reads:
+        with pytest.raises(InvalidSlice, match="^'ghost' is not a morphism of the slice$"):
+            read("ghost")
+    partial = CategorySlice(c.objects, c.morphisms, c.dom, c.cod, c.compose, c.identities)
+    f = c.morphisms[-1]
+    with pytest.raises(IncompleteSlice) as caught:
+        partial.factorizations(f)
+    assert str(caught.value) == f"morphism {f!r} is not marked factorization-complete"
 
 
 def _dm_window(m, window):
@@ -812,7 +843,7 @@ def test_inverse_needs_complete_slice():
 
 def test_inverse_of_twice_zeta_is_half_moebius():
     c = poset_as_category(chain([0, 1, 2]))
-    inv = convolution_inverse(c, IncidenceFunction.constant(c, 2))
+    inv = convolution_inverse(c, IncidenceFunction(dict.fromkeys(c.morphisms, 2)))
     half = Fraction(1, 2)
     expected = {(0, 0): half, (0, 1): -half, (0, 2): 0, (1, 1): half, (1, 2): -half, (2, 2): half}
     assert dict(inv) == expected
@@ -933,7 +964,7 @@ def test_slice_json_round_trip():
     mu = moebius_of_slice(c)
     loaded_mu = moebius_of_slice(loaded)
     for f in c.morphisms:
-        assert loaded_mu[c.morphism_key(f)] == mu[f]
+        assert loaded_mu[str(f)] == mu[f]
 
 
 @pytest.mark.parametrize(
@@ -942,14 +973,13 @@ def test_slice_json_round_trip():
     ids=["cm", "dm", "poset", "iso_pair"],
 )
 def test_slice_json_round_trip_keeps_compose_and_factorization_order(c):
-    key = c.morphism_key
     loaded = CategorySlice.from_json(c.to_json())
     assert list(loaded.compose.items()) == [
-        ((key(g), key(h)), key(k)) for (g, h), k in c.compose.items()
+        ((str(g), str(h)), str(k)) for (g, h), k in c.compose.items()
     ]
     for f in c.morphisms:
-        assert loaded.factorizations(key(f)) == tuple(
-            (key(g), key(h)) for g, h in c.factorizations(f)
+        assert loaded.factorizations(str(f)) == tuple(
+            (str(g), str(h)) for g, h in c.factorizations(f)
         )
 
 
