@@ -8,7 +8,6 @@ from .errors import (
     MucatError,
     NotCombinatorial,
     NotComparable,
-    NotComposable,
     NotInvertible,
     NotMoebius,
     NotOneWay,
@@ -27,7 +26,6 @@ from .category import (
     find_slice_violation,
     is_one_way_category,
     moebius_at,
-    moebius_inversion_check,
     moebius_of_slice,
     poset_as_category,
 )
@@ -43,19 +41,14 @@ from .cm_dm import (
     CmMorphism,
     CmObject,
     DmMorphism,
-    cm_compose,
-    cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
-    dm_compose,
-    dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,
     dm_slice,
     dm_source,
-    functor_F,
     validate_cm_morphism,
     validate_dm_morphism,
 )
@@ -65,7 +58,6 @@ from .semigroups import (
     default_transversal,
     division_category,
     find_semigroup_violation,
-    meet_semilattice,
     moebius_via_idempotent_lattice,
     moebius_via_quotients,
     quotient_poset,

@@ -13,7 +13,6 @@ function's convolution inverse is the Möbius function of the slice.
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from typing import Any
@@ -26,8 +25,6 @@ from .errors import (
     NotMoebius,
 )
 from .poset import FinitePoset, _transpose
-
-_EXACT_JSON = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class CategorySlice:
@@ -474,37 +471,6 @@ class IncidenceFunction(Mapping):
         """The convolution identity: 1 on identities, 0 elsewhere."""
         return cls({f: 1 if c.is_identity(f) else 0 for f in c.morphisms})
 
-    def to_json(self, c: CategorySlice) -> str:
-        """Serialize as {morphism id: "p/q"} in slice order."""
-        mid = names(c.morphisms, InvalidSlice, "morphism keys")
-        return json.dumps({mid[f]: str(Fraction(self._values[f])) for f in c.morphisms})
-
-    @classmethod
-    def from_json(cls, c: CategorySlice, data) -> "IncidenceFunction":
-        """Load {morphism id: value}; each value is a JSON integer or a "p/q" string."""
-        data = load_object(data, InvalidSlice, "incidence function")
-        by_key = {key: f for f, key in names(c.morphisms, InvalidSlice, "morphism keys").items()}
-        values = {}
-        for key, raw in data.items():
-            if key not in by_key:
-                raise InvalidSlice(f"incidence value for unknown morphism id {key!r}")
-            values[by_key[key]] = _exact_from_json(raw)
-        return cls(values)
-
-
-def _exact_from_json(raw):
-    """An int, or a "p/q" string with q != 0; floats and bools are not exact input."""
-    if type(raw) is int:
-        return raw
-    if isinstance(raw, str) and _EXACT_JSON.fullmatch(raw):
-        try:
-            return Fraction(raw)
-        except ZeroDivisionError:
-            raise InvalidSlice(f"incidence value {raw!r} has a zero denominator") from None
-        except ValueError as exc:  # more digits than int() may read
-            raise InvalidSlice(f"incidence value is too long to read: {exc}") from None
-    raise InvalidSlice(f"incidence value {raw!r} is not an integer or a 'p/q' string")
-
 
 def _row(c: CategorySlice, xi) -> list:
     """xi's values by morphism number, once xi is checked to be total on c (kept on xi)."""
@@ -613,10 +579,3 @@ def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
         c._moebius = convolution_inverse(c, IncidenceFunction.zeta(c))
     return c._moebius
 
-
-def moebius_inversion_check(c: CategorySlice, eta) -> bool:
-    """Verify eta = (eta * zeta) * mu pointwise and exactly."""
-    eta = _row(c, eta)
-    mu = _row(c, moebius_of_slice(c))
-    xi = [sum([eta[g] for g, _ in pairs]) for pairs in c._facts]  # eta * zeta
-    return all(sum([xi[g] * mu[h] for g, h in pairs]) == v for pairs, v in zip(c._facts, eta))

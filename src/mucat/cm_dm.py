@@ -6,8 +6,7 @@ runs from (x, i) to ((a + x) mod m, j) with 0 <= a <= i - j, and composes by
 
 D_m has the residues mod m as objects; a morphism (alpha, x) runs from x to
 alpha mod m with alpha >= x, and composes by (beta, y) · (alpha, x) =
-(beta - y + alpha, x).  The functor F collapses levels: F(a, x, i, j) =
-(a + x, x).
+(beta - y + alpha, x).
 
 Residue classes are stored by their canonical representative in [0, m); all
 comparisons such as alpha >= x are against canonical representatives.  Both
@@ -29,7 +28,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .category import CategorySlice, FactorizationSource, factor_slice
-from .errors import NotComposable
 
 _new = tuple.__new__  # a NamedTuple from its field tuple, skipping the class's slower __new__
 
@@ -67,14 +65,6 @@ class CmMorphism(NamedTuple):
         return f"{self.a},{self.x},{self.i},{self.j}"
 
 
-def validate_cm_object(m: int, obj: CmObject) -> None:
-    _require_modulus(m)
-    if not 0 <= obj.residue < m:
-        raise ValueError(f"residue {obj.residue} not in [0, {m})")
-    if obj.level > 0:
-        raise ValueError(f"level {obj.level} is positive")
-
-
 def validate_cm_morphism(m: int, f: CmMorphism) -> None:
     _require_modulus(m)
     if not 0 <= f.x < m:
@@ -92,28 +82,6 @@ def _require_cm_shape(f: CmMorphism) -> None:
 
 def cm_identity(obj: CmObject) -> CmMorphism:
     return CmMorphism(0, obj.residue, obj.level, obj.level)
-
-
-def cm_hom(m: int, source: CmObject, target: CmObject) -> list[CmMorphism]:
-    """All morphisms source -> target: a in [0, i-j] with a = y - x (mod m), ascending."""
-    validate_cm_object(m, source)
-    validate_cm_object(m, target)
-    i, j = source.level, target.level
-    need = (target.residue - source.residue) % m
-    return [
-        CmMorphism(a, source.residue, i, j)
-        for a in range(i - j + 1)
-        if a % m == need
-    ]
-
-
-def cm_compose(m: int, g: CmMorphism, f: CmMorphism) -> CmMorphism:
-    """g ∘ f = (f.a + g.a, f.x, f.i, g.j); f's codomain must equal g's domain."""
-    validate_cm_morphism(m, g)
-    validate_cm_morphism(m, f)
-    if f.target(m) != g.source():
-        raise NotComposable(f"codomain of {f} is {f.target(m)}, domain of {g} is {g.source()}")
-    return _cm_composite((g, f))
 
 
 def _cm_composite(pair: tuple[CmMorphism, CmMorphism]) -> CmMorphism:
@@ -201,32 +169,6 @@ def dm_identity(x: int) -> DmMorphism:
     return DmMorphism(x, x)
 
 
-def dm_hom_bounded(m: int, x: int, y: int, alpha_max: int) -> list[DmMorphism]:
-    """All morphisms x -> y with alpha <= alpha_max, ascending.
-
-    Hom-sets are infinite, so the bound is mandatory.
-    """
-    _require_modulus(m)
-    if not 0 <= x < m or not 0 <= y < m:
-        raise ValueError(f"residues ({x}, {y}) not in [0, {m})")
-    if alpha_max < 0:
-        raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
-    return [
-        DmMorphism(alpha, x)
-        for alpha in range(x, alpha_max + 1)
-        if alpha % m == y
-    ]
-
-
-def dm_compose(m: int, g: DmMorphism, f: DmMorphism) -> DmMorphism:
-    """g · f = (g.alpha - g.x + f.alpha, f.x); f's codomain residue must be g.x."""
-    validate_dm_morphism(m, g)
-    validate_dm_morphism(m, f)
-    if f.alpha % m != g.x:
-        raise NotComposable(f"codomain of {f} is {f.alpha % m}, domain of {g} is {g.x}")
-    return _dm_composite((g, f))
-
-
 def _dm_composite(pair: tuple[DmMorphism, DmMorphism]) -> DmMorphism:
     """The composite of a composable pair (g, f), unchecked."""
     g, f = pair
@@ -275,7 +217,3 @@ def dm_moebius_closed_form(f: DmMorphism) -> int:
         return -1
     return 0
 
-
-def functor_F(f: CmMorphism) -> DmMorphism:
-    """F on morphisms: (a, x, i, j) -> (a + x, x)."""
-    return DmMorphism(f.a + f.x, f.x)

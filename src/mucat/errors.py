@@ -21,10 +21,6 @@ class IncompleteSlice(MucatError):
     """A morphism was used as factorization-complete without being marked so."""
 
 
-class NotComposable(MucatError):
-    """Attempted composition of morphisms whose endpoints do not match."""
-
-
 class NotInvertible(MucatError):
     """An incidence function vanishing on some identity has no convolution inverse."""
 

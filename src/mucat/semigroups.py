@@ -179,18 +179,6 @@ class InverseSemigroup:
         return json.dumps(data)
 
 
-def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
-    """The meet operation of a poset as an inverse semigroup.
-
-    Every pair must have a meet (the poset need not have a top).
-    """
-    table = [[p.meet(x, y) for y in p.elements] for x in p.elements]
-    for x, row in zip(p.elements, table):
-        if None in row:
-            raise InvalidSemigroup(f"{x!r} and {p.elements[row.index(None)]!r} have no meet")
-    return InverseSemigroup(p.elements, table)
-
-
 def _generators(table) -> list[int]:
     """A generating set of the table's products, picked greedily.
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 import json
 from itertools import combinations, permutations
 
-from mucat import FinitePoset, InverseSemigroup, chain
+from mucat import (
+    CmMorphism,
+    DmMorphism,
+    FinitePoset,
+    IncidenceFunction,
+    InverseSemigroup,
+    chain,
+    convolve,
+    moebius_of_slice,
+)
 
 
 # -- fixed posets ------------------------------------------------------------
@@ -53,6 +62,16 @@ def brandt_five() -> InverseSemigroup:
     elems = ["e11", "e22", "a", "b", "z"]
     table = [[products.get((s, t), "z") for t in elems] for s in elems]
     return InverseSemigroup(elems, table)
+
+
+def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
+    """The meet operation of p as an inverse semigroup, each meet found by
+    ``bf_meet`` on the relation read through ``p.leq``; every pair of
+    elements must have a meet (p need not have a top)."""
+    relation = {(a, b) for a in p.elements for b in p.elements if p.leq(a, b)}
+    table = [[bf_meet(p.elements, relation, x, y) for y in p.elements] for x in p.elements]
+    assert all(None not in row for row in table), "some pair of elements has no meet"
+    return InverseSemigroup(p.elements, table)
 
 
 def brandt(n: int) -> InverseSemigroup:
@@ -223,6 +242,34 @@ def bf_chain_moebius(elements, relation: set, x, y) -> int:
         )
 
     return signed_chains(x) if (x, y) in relation else None
+
+
+def cm_composite(m: int, g, f) -> CmMorphism:
+    """g∘f in C_m by the definition (b, y, j, k)∘(a, x, i, j) = (a + b, x, i, k),
+    once f's codomain ((a + x) mod m, j) is checked to be g's domain (y, j)."""
+    assert ((f.a + f.x) % m, f.j) == (g.x, g.i), f"{g!r}∘{f!r} is not composable"
+    return CmMorphism(f.a + g.a, f.x, f.i, g.j)
+
+
+def dm_composite(m: int, g, f) -> DmMorphism:
+    """g·f in D_m by the definition (beta, y)·(alpha, x) = (beta - y + alpha, x),
+    once f's codomain alpha mod m is checked to be g's domain y."""
+    assert f.alpha % m == g.x, f"{g!r}·{f!r} is not composable"
+    return DmMorphism(g.alpha - g.x + f.alpha, f.x)
+
+
+def functor_F(f) -> DmMorphism:
+    """The level-collapsing functor F: C_m -> D_m on morphisms, (a, x, i, j) -> (a + x, x)."""
+    return DmMorphism(f.a + f.x, f.x)
+
+
+def inversion_round_trip(c, eta) -> bool:
+    """Möbius inversion on c by the definition: xi = eta * zeta, then
+    xi * mu = eta at every morphism, each value through the public ``convolve``.
+    xi is an IncidenceFunction, so convolve keeps its row after the first read."""
+    zeta, mu = IncidenceFunction.zeta(c), moebius_of_slice(c)
+    xi = IncidenceFunction({f: convolve(c, eta, zeta, f) for f in c.morphisms})
+    return all(convolve(c, xi, mu, f) == eta[f] for f in c.morphisms)
 
 
 def bf_compose(c, composite) -> dict:

@@ -16,10 +16,8 @@ from mucat import (
     cm_moebius_closed_form,
     cm_slice,
     convolve,
-    dm_compose,
     dm_moebius_closed_form,
     dm_slice,
-    functor_F,
     CmMorphism,
     DmMorphism,
     division_category,
@@ -27,15 +25,24 @@ from mucat import (
     interval_as_poset,
     is_one_way,
     lawvere_interval,
-    meet_semilattice,
-    moebius_inversion_check,
     moebius_of_slice,
     moebius_via_idempotent_lattice,
     moebius_via_lawvere,
     moebius_via_quotients,
 )
 
-from helpers import B2, boolean_lattice, classical_moebius, divisor_poset, fork_poset, is_total_order
+from helpers import (
+    B2,
+    boolean_lattice,
+    classical_moebius,
+    divisor_poset,
+    dm_composite,
+    fork_poset,
+    functor_F,
+    inversion_round_trip,
+    is_total_order,
+    meet_semilattice,
+)
 
 MODULI = (2, 3, 5)
 LEVEL_MIN = -8
@@ -160,7 +167,7 @@ def test_criterion_4_convolution_algebra(cm_windows, dm_windows):
                 violations.append((label, f, "zeta * mu"))
         for trial in range(100):
             eta = IncidenceFunction({f: rng.randint(-9, 9) for f in c.morphisms})
-            if not moebius_inversion_check(c, eta):
+            if not inversion_round_trip(c, eta):
                 violations.append((label, trial, "inversion check"))
     report("criterion 4: mu*zeta = delta = zeta*mu and 100 random inversions per slice", violations)
 
@@ -188,7 +195,7 @@ def test_criterion_6_level_collapsing_functor():
     violations = []
 
     for (g, f), gf in c.compose.items():
-        if functor_F(gf) != dm_compose(m, functor_F(g), functor_F(f)):
+        if functor_F(gf) != dm_composite(m, functor_F(g), functor_F(f)):
             violations.append((g, f, "functoriality"))
     for x in c.objects:
         image = functor_F(c.identities[x])

@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -20,7 +19,6 @@ from mucat import (
     NotInvertible,
     NotMoebius,
     chain,
-    cm_compose,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
@@ -28,7 +26,6 @@ from mucat import (
     convolution_inverse,
     convolve,
     division_category,
-    dm_compose,
     dm_moebius_closed_form,
     dm_identity,
     dm_slice,
@@ -37,9 +34,7 @@ from mucat import (
     find_slice_violation,
     is_one_way_category,
     lawvere_interval,
-    meet_semilattice,
     moebius_at,
-    moebius_inversion_check,
     moebius_of_slice,
     moebius_via_lawvere,
     moebius_via_quotients,
@@ -58,7 +53,11 @@ from helpers import (
     boolean_lattice,
     brandt,
     brandt_five,
+    cm_composite,
     divisor_poset,
+    dm_composite,
+    inversion_round_trip,
+    meet_semilattice,
 )
 
 
@@ -424,12 +423,12 @@ def _builder_corpus():
     brandt = brandt_five()
     divisors = divisor_poset(12)
     return [
-        ("cm_slice(3,-4)", cm_slice(3, -4), lambda g, f: cm_compose(3, g, f)),
-        ("dm_slice(2,12)", dm_slice(2, 12), lambda g, f: dm_compose(2, g, f)),
-        ("dm_slice(3,9)", dm_slice(3, 9), lambda g, f: dm_compose(3, g, f)),
+        ("cm_slice(3,-4)", cm_slice(3, -4), lambda g, f: cm_composite(3, g, f)),
+        ("dm_slice(2,12)", dm_slice(2, 12), lambda g, f: dm_composite(2, g, f)),
+        ("dm_slice(3,9)", dm_slice(3, 9), lambda g, f: dm_composite(3, g, f)),
         (
             "reversed dm_slice(2,8)", _dm_window(2, REVERSED_DM_WINDOW),
-            lambda g, f: dm_compose(2, g, f),
+            lambda g, f: dm_composite(2, g, f),
         ),
         (
             "division(B3)", division_category(boolean),
@@ -492,10 +491,10 @@ def _leroux_corpus():
     or None).  A source case checks the source on the middle factors of f, which
     the slice holds."""
     def cm(m):
-        return lambda g, f: cm_compose(m, g, f)
+        return lambda g, f: cm_composite(m, g, f)
 
     def dm(m):
-        return lambda g, f: dm_compose(m, g, f)
+        return lambda g, f: dm_composite(m, g, f)
 
     boolean = meet_semilattice(boolean_lattice(3))
     brandt = brandt_five()
@@ -941,8 +940,8 @@ def test_convolve_rejects_non_total_plain_dict():
 
 def test_inversion_check_for_delta_and_zeta():
     c = cm_slice(2, -3)
-    assert moebius_inversion_check(c, IncidenceFunction.delta(c))
-    assert moebius_inversion_check(c, IncidenceFunction.zeta(c))
+    assert inversion_round_trip(c, IncidenceFunction.delta(c))
+    assert inversion_round_trip(c, IncidenceFunction.zeta(c))
 
 
 def test_inversion_check_for_random_integer_functions():
@@ -950,7 +949,7 @@ def test_inversion_check_for_random_integer_functions():
     rng = random.Random(20240811)
     for _ in range(25):
         eta = IncidenceFunction({f: rng.randint(-9, 9) for f in c.morphisms})
-        assert moebius_inversion_check(c, eta)
+        assert inversion_round_trip(c, eta)
 
 
 # -- serialization ---------------------------------------------------------------------------
@@ -1032,23 +1031,12 @@ def test_slice_json_rejects_a_pair_listed_twice(composite):
     assert str(caught.value) == "compose lists the pair ('1Y', 'f') twice"
 
 
-def test_incidence_function_json_round_trip():
-    c = poset_as_category(chain([0, 1]))
-    xi = IncidenceFunction({f: Fraction(k - 1, 3) for k, f in enumerate(c.morphisms)})
-    restored = IncidenceFunction.from_json(c, xi.to_json(c))
-    assert restored == xi
-
-
 def test_json_refuses_morphisms_or_objects_that_share_a_name():
     # the int 1 and the string "1" would both be written as "1"
     c = CategorySlice(["a", "b"], [1, "1"], {1: "a", "1": "b"}, {1: "a", "1": "b"},
                       {(1, 1): 1, ("1", "1"): "1"}, {"a": 1, "b": "1"}, [1, "1"])
     with pytest.raises(InvalidSlice, match="^morphism/object keys are not unique; cannot"):
         c.to_json()
-    with pytest.raises(InvalidSlice, match="^morphism keys are not unique; cannot serialize$"):
-        IncidenceFunction({1: 1, "1": 2}).to_json(c)
-    with pytest.raises(InvalidSlice, match="^morphism keys are not unique; cannot serialize$"):
-        IncidenceFunction.from_json(c, '{"1": "2"}')
     objects = CategorySlice([0, "0"], ["f", "g"], {"f": 0, "g": "0"}, {"f": 0, "g": "0"},
                             {}, {0: "f", "0": "g"})
     with pytest.raises(InvalidSlice, match="^morphism/object keys are not unique; cannot"):
@@ -1058,29 +1046,3 @@ def test_json_refuses_morphisms_or_objects_that_share_a_name():
 def test_incidence_values_must_be_exact():
     with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
         IncidenceFunction({(0, 0): 0.5})
-
-
-def test_incidence_function_json_rejects_unknown_ids():
-    c = poset_as_category(chain([0, 1]))
-    with pytest.raises(InvalidSlice):
-        IncidenceFunction.from_json(c, '{"nope": "1"}')
-
-
-@pytest.mark.parametrize("raw", ["0.1", "true", '"1/0"', '"-3/00"', '"0.1"', '"1e3"', "null"])
-def test_incidence_function_json_rejects_inexact_values(raw):
-    c = poset_as_category(chain([0]))
-    with pytest.raises(InvalidSlice, match="zero denominator|integer or a 'p/q' string"):
-        IncidenceFunction.from_json(c, '{"(0, 0)": %s}' % raw)
-
-
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
-def test_incidence_function_json_rejects_values_too_long_to_read():
-    c = poset_as_category(chain([0]))
-    with pytest.raises(InvalidSlice, match="too long to read"):
-        IncidenceFunction.from_json(c, '{"(0, 0)": "1/%s"}' % ("7" * 5000))
-
-
-def test_incidence_function_json_reads_ints_and_fractions():
-    c = poset_as_category(chain([0, 1]))
-    xi = IncidenceFunction.from_json(c, '{"(0, 0)": 3, "(0, 1)": "-4/6", "(1, 1)": "5"}')
-    assert dict(xi) == {(0, 0): 3, (0, 1): Fraction(-2, 3), (1, 1): 5}

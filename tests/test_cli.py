@@ -18,13 +18,18 @@ from mucat import (
     dm_slice,
     interval_as_poset,
     lawvere_interval,
-    meet_semilattice,
     moebius_of_slice,
     moebius_via_lawvere,
 )
 from mucat.cli import main
 
-from helpers import boolean_lattice, divisor_poset, partial_identities, symmetric_inverse_monoid
+from helpers import (
+    boolean_lattice,
+    divisor_poset,
+    meet_semilattice,
+    partial_identities,
+    symmetric_inverse_monoid,
+)
 
 from test_category import idempotent_endo_category, iso_pair_category
 

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,21 +9,15 @@ from mucat import (
     CmObject,
     DmMorphism,
     Factorization,
-    NotComposable,
-    cm_compose,
-    cm_hom,
     cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
-    dm_compose,
-    dm_hom_bounded,
     dm_identity,
     dm_moebius_closed_form,
     dm_slice,
     dm_source,
     find_slice_violation,
-    functor_F,
     lawvere_interval,
     moebius_at,
     moebius_of_slice,
@@ -30,9 +26,7 @@ from mucat import (
     validate_dm_morphism,
 )
 
-from mucat.cm_dm import validate_cm_object
-
-from helpers import bf_compose
+from helpers import bf_compose, cm_composite, dm_composite, functor_F
 
 
 def cm_member(m, f, source, target):
@@ -80,21 +74,27 @@ def test_morphism_text_forms():
 
 # -- hom-set enumeration --------------------------------------------------------
 
+@cache
+def cm_window(m):
+    """The C_m window whose hom-sets the tests below read."""
+    return cm_slice(m, -5)
+
+
 def test_hom_identity_only():
-    assert cm_hom(2, CmObject(0, 0), CmObject(0, 0)) == [CmMorphism(0, 0, 0, 0)]
+    assert cm_window(2).hom(CmObject(0, 0), CmObject(0, 0)) == (CmMorphism(0, 0, 0, 0),)
 
 
 def test_hom_single_shift():
-    assert cm_hom(2, CmObject(0, 0), CmObject(1, -1)) == [CmMorphism(1, 0, 0, -1)]
+    assert cm_window(2).hom(CmObject(0, 0), CmObject(1, -1)) == (CmMorphism(1, 0, 0, -1),)
 
 
 def test_hom_empty_when_level_rises():
-    assert cm_hom(2, CmObject(0, -1), CmObject(1, 0)) == []
+    assert cm_window(2).hom(CmObject(0, -1), CmObject(1, 0)) == ()
 
 
 def test_hom_every_residue_step():
-    fs = cm_hom(3, CmObject(0, 0), CmObject(0, -7))
-    assert [f.a for f in fs] == [0, 3, 6]
+    fs = cm_window(3).hom(CmObject(0, 0), CmObject(0, -5))
+    assert [f.a for f in fs] == [0, 3]
 
 
 @given(
@@ -108,7 +108,7 @@ def test_hom_every_residue_step():
 def test_hom_matches_membership_predicate(m, xr, i, yr, j):
     source = CmObject(xr % m, i)
     target = CmObject(yr % m, j)
-    members = set(cm_hom(m, source, target))
+    members = set(cm_window(m).hom(source, target))
     for a in range(0, 8):
         f = CmMorphism(a, source.residue, i, j)
         assert (f in members) == cm_member(m, f, source, target)
@@ -120,22 +120,14 @@ def test_compose_with_identities():
     f = CmMorphism(1, 0, 0, -1)
     left = cm_identity(CmObject(1, -1))
     right = cm_identity(CmObject(0, 0))
-    assert cm_compose(2, left, f) == f
-    assert cm_compose(2, f, right) == f
+    compose = cm_source(2).compose
+    assert compose[(left, f)] == f
+    assert compose[(f, right)] == f
 
 
 def test_compose_formula():
-    assert cm_compose(2, CmMorphism(1, 1, -1, -2), CmMorphism(1, 0, 0, -1)) == CmMorphism(2, 0, 0, -2)
-
-
-def test_compose_rejects_level_mismatch():
-    with pytest.raises(NotComposable):
-        cm_compose(2, CmMorphism(0, 1, -2, -2), CmMorphism(1, 0, 0, -1))
-
-
-def test_compose_rejects_residue_mismatch():
-    with pytest.raises(NotComposable):
-        cm_compose(2, CmMorphism(0, 0, -1, -1), CmMorphism(1, 0, 0, -1))
+    g, f = CmMorphism(1, 1, -1, -2), CmMorphism(1, 0, 0, -1)
+    assert cm_source(2).compose[(g, f)] == CmMorphism(2, 0, 0, -2)
 
 
 def test_morphism_validation():
@@ -147,16 +139,6 @@ def test_morphism_validation():
         validate_cm_morphism(2, CmMorphism(0, 0, 1, 0))  # positive level
     with pytest.raises(ValueError):
         validate_cm_morphism(1, CmMorphism(0, 0, 0, 0))  # modulus too small
-
-
-def test_object_validation():
-    validate_cm_object(2, CmObject(1, -3))
-    with pytest.raises(ValueError, match=r"^residue 2 not in \[0, 2\)$"):
-        validate_cm_object(2, CmObject(2, 0))
-    with pytest.raises(ValueError, match="^level 1 is positive$"):
-        validate_cm_object(2, CmObject(0, 1))
-    with pytest.raises(ValueError, match="^modulus must be"):
-        validate_cm_object(1, CmObject(0, 0))
 
 
 # -- slices ----------------------------------------------------------------------
@@ -268,8 +250,8 @@ def test_factorization_objects_in_ascending_triple_order():
 # -- sources ---------------------------------------------------------------------------
 
 SOURCE_WINDOWS = [
-    *((m, cm_slice(m, -6), cm_source, cm_compose) for m in (2, 3, 4)),
-    *((m, dm_slice(m, 20), dm_source, dm_compose) for m in (2, 3, 4, 5)),
+    *((m, cm_slice(m, -6), cm_source, cm_composite) for m in (2, 3, 4)),
+    *((m, dm_slice(m, 20), dm_source, dm_composite) for m in (2, 3, 4, 5)),
 ]
 
 
@@ -304,37 +286,33 @@ def test_sources_validate_the_morphism():
 # -- residue category ------------------------------------------------------------------
 
 def test_dm_hom_identity_case():
-    assert dm_hom_bounded(3, 2, 2, 2) == [DmMorphism(2, 2)]
+    assert dm_slice(3, 2).hom(2, 2) == (DmMorphism(2, 2),)
 
 
 def test_dm_hom_bounded_scan():
-    assert dm_hom_bounded(3, 2, 1, 8) == [DmMorphism(4, 2), DmMorphism(7, 2)]
+    m, alpha_max = 3, 8
+    d = dm_slice(m, alpha_max)
+    assert d.hom(2, 1) == (DmMorphism(4, 2), DmMorphism(7, 2))
+    for x in range(m):  # the definition: alpha = y (mod m) and x <= alpha <= alpha_max
+        for y in range(m):
+            assert d.hom(x, y) == tuple(
+                DmMorphism(alpha, x) for alpha in range(x, alpha_max + 1) if alpha % m == y
+            )
 
 
 def test_dm_hom_empty_when_bound_is_low():
-    assert dm_hom_bounded(3, 0, 1, 0) == []
-
-
-def test_dm_hom_bounded_checks_residues_and_bound():
-    with pytest.raises(ValueError, match=r"^residues \(3, 0\) not in \[0, 3\)$"):
-        dm_hom_bounded(3, 3, 0, 5)
-    with pytest.raises(ValueError, match="^alpha_max must be >= 0, got -1$"):
-        dm_hom_bounded(3, 0, 0, -1)
+    assert dm_slice(3, 2).hom(2, 1) == ()
 
 
 def test_dm_compose_with_identity():
     f = DmMorphism(4, 2)
-    assert dm_compose(3, dm_identity(1), f) == f
-    assert dm_compose(3, f, dm_identity(2)) == f
+    compose = dm_source(3).compose
+    assert compose[(dm_identity(1), f)] == f
+    assert compose[(f, dm_identity(2))] == f
 
 
 def test_dm_compose_formula():
-    assert dm_compose(3, DmMorphism(5, 1), DmMorphism(4, 2)) == DmMorphism(8, 2)
-
-
-def test_dm_compose_rejects_residue_mismatch():
-    with pytest.raises(NotComposable):
-        dm_compose(3, DmMorphism(3, 0), DmMorphism(4, 2))
+    assert dm_source(3).compose[(DmMorphism(5, 1), DmMorphism(4, 2))] == DmMorphism(8, 2)
 
 
 def test_dm_validation():
@@ -383,7 +361,7 @@ def test_functor_preserves_composition():
     m = 2
     c = cm_slice(m, -3)
     for (g, f), gf in c.compose.items():
-        assert functor_F(gf) == dm_compose(m, functor_F(g), functor_F(f))
+        assert functor_F(gf) == dm_composite(m, functor_F(g), functor_F(f))
 
 
 def test_functor_is_surjective_on_windows():

@@ -1,6 +1,6 @@
 """The shared JSON loader, and every reader behind it, on malformed input.
 
-Random JSON-shaped values and mutations of valid documents go to the four
+Random JSON-shaped values and mutations of valid documents go to the three
 ``from_json`` readers: each must load or raise its own ``Invalid*`` error.
 Through the CLI, ``poset-mu`` and ``semigroup`` must exit 0 or 2 and raise
 nothing.
@@ -15,19 +15,17 @@ from hypothesis import strategies as st
 from mucat import (
     CategorySlice,
     FinitePoset,
-    IncidenceFunction,
     InverseSemigroup,
     InvalidPoset,
     InvalidSemigroup,
     InvalidSlice,
     chain,
-    meet_semilattice,
     poset_as_category,
 )
 from mucat._json import load_object, rows, strings
 from mucat.cli import main
 
-from helpers import B2, brandt_five, divisor_poset
+from helpers import B2, brandt_five, divisor_poset, meet_semilattice
 
 SLICE = poset_as_category(chain([0, 1]))
 
@@ -46,11 +44,6 @@ READERS = {
         InverseSemigroup.from_json,
         InvalidSemigroup,
         [json.loads(brandt_five().to_json()), json.loads(meet_semilattice(B2).to_json())],
-    ),
-    "incidence": (
-        lambda data: IncidenceFunction.from_json(SLICE, data),
-        InvalidSlice,
-        [{"(0, 0)": 1, "(0, 1)": "-1", "(1, 1)": "2/3"}],
     ),
 }
 

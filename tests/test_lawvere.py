@@ -24,7 +24,6 @@ from mucat import (
     is_one_way,
     is_one_way_category,
     lawvere_interval,
-    meet_semilattice,
     moebius_at,
     moebius_of_slice,
     moebius_via_lawvere,
@@ -45,6 +44,7 @@ from helpers import (
     boolean_lattice,
     divisor_poset,
     is_total_order,
+    meet_semilattice,
 )
 
 from test_category import (

@@ -24,7 +24,6 @@ from mucat import (
     is_one_way,
     is_one_way_category,
     lawvere_interval,
-    meet_semilattice,
     moebius_of_slice,
     moebius_via_idempotent_lattice,
     moebius_via_lawvere,
@@ -37,7 +36,6 @@ from mucat.semigroups import _generators, check_combinatorial
 
 from helpers import (
     B2,
-    antichain,
     are_isomorphic,
     bf_compose,
     bf_d_classes,
@@ -49,6 +47,7 @@ from helpers import (
     brandt_five,
     divisor_poset,
     fork_poset,
+    meet_semilattice,
     partial_identities,
     poi,
     symmetric_inverse_monoid,
@@ -704,11 +703,6 @@ def test_semigroup_json_refuses_elements_that_share_a_name():
     s = InverseSemigroup([1, "1"], [[1, 1], [1, 1]])
     with pytest.raises(InvalidSemigroup, match="^element names are not unique; cannot serialize$"):
         s.to_json()
-
-
-def test_meet_semilattice_needs_every_meet():
-    with pytest.raises(InvalidSemigroup, match="^'a' and 'b' have no meet$"):
-        meet_semilattice(antichain(["a", "b"]))
 
 
 def test_semigroup_json_rejects_unknown_keys():
