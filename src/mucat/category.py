@@ -113,7 +113,10 @@ class CategorySlice:
         return f"CategorySlice({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
     def is_identity(self, f) -> bool:
-        return self.identities[self.dom[f]] == f
+        k = self._number.get(f)
+        if k is None:
+            raise InvalidSlice(f"{f!r} is not a morphism of the slice")
+        return self._ident[self._dom[k]] == k
 
     def _grouped(self):
         """Morphisms by (dom, cod) and by dom, in slice order; one pass."""

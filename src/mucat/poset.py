@@ -1,4 +1,4 @@
-"""Finite partially ordered sets with interval, cover, lattice and Möbius machinery.
+"""Finite partially ordered sets with cover, lattice and Möbius machinery.
 
 Elements are opaque hashable identifiers.  A poset can be built either from the
 full relation or from its cover relation (the covers are closed reflexively and
@@ -10,11 +10,11 @@ iterates in that order, so identical inputs produce byte-identical outputs.
 Internally each element has a bit position in a linear extension: the
 supplied order when it is one, else decreasing up-set size with ties in
 supplied order.  The order is a list of Python ``int`` bitmasks: bit q of
-``_up[p]`` is set iff the element at position p is <= the one at position q
-(the transposed down-set masks are built when first needed).  A strict
-predecessor sits at a strictly lower position, so the least element of a set
-of upper bounds, if there is one, is its lowest bit (the word-parallel
-treatment of relation matrices: Warshall, JACM 1962; Stanley, EC1, Ch. 3).
+``_up[p]`` is set iff the element at position p is <= the one at position q.
+A strict predecessor sits at a strictly lower position, so the least element
+of a set of upper bounds, if there is one, is its lowest bit (the
+word-parallel treatment of relation matrices: Warshall, JACM 1962; Stanley,
+EC1, Ch. 3).
 
 The Möbius function is computed by the classical recursion
 
@@ -31,10 +31,8 @@ with no poset object.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from itertools import compress
-from operator import and_
 from typing import Any, Callable, Iterable
 
 from ._json import load_object, names, rows, strings
@@ -207,7 +205,7 @@ class FinitePoset:
     transitivity, and cyclic input is rejected.
     """
 
-    __slots__ = ("elements", "_pos", "_at", "_up", "_down", "_mu")
+    __slots__ = ("elements", "_pos", "_at", "_up", "_mu")
 
     def __init__(self, elements: Iterable[Any], *, leq=None, covers=None):
         elems = tuple(elements)
@@ -248,7 +246,6 @@ class FinitePoset:
         self._pos = pos
         self._at = at
         self._up = up
-        self._down = None
         self._mu: dict = {}
         return self
 
@@ -268,20 +265,6 @@ class FinitePoset:
         q = pos.get(y)
         return q is not None and self._up[pos[x]] >> q & 1 == 1
 
-    def up_set(self, x) -> frozenset:
-        """All y with x <= y."""
-        return frozenset(compress(self._at, _selectors(self._up[self._pos[x]])))
-
-    def down_set(self, y) -> frozenset:
-        """All x with x <= y."""
-        return frozenset(compress(self._at, _selectors(self._downs()[self._pos[y]])))
-
-    def _downs(self) -> list[int]:
-        """Down-set masks, the transpose of the up-set masks; built on first use."""
-        if self._down is None:
-            self._down = _transpose(self._up)
-        return self._down
-
     def covers(self) -> list[tuple[Any, Any]]:
         """All pairs x < y with nothing strictly between, in element order:
         the covers of x are the minimal elements of its strict up-set."""
@@ -296,81 +279,24 @@ class FinitePoset:
             out.extend((x, at[q]) for q in above)
         return out
 
-    def _require_comparable(self, x, y):
-        if x not in self._pos or y not in self._pos:
-            raise NotComparable(f"{x!r} or {y!r} is not an element of this poset")
-        if not self.leq(x, y):
-            raise NotComparable(f"{x!r} <= {y!r} does not hold")
-
-    def interval(self, x, y) -> "FinitePoset":
-        """The induced sub-poset on {z : x <= z <= y}."""
-        self._require_comparable(x, y)
-        carrier = [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
-        pairs = [(a, b) for a in carrier for b in carrier if self.leq(a, b)]
-        return FinitePoset(carrier, leq=pairs)
-
     # -- lattice / Möbius ------------------------------------------------
-
-    def join(self, x, y):
-        """Least upper bound, or None: the lowest common upper bound, when
-        its up-set is all of them."""
-        up, pos = self._up, self._pos
-        common = up[pos[x]] & up[pos[y]]
-        if common:
-            u = _lowest(common)
-            if up[u] == common:
-                return self._at[u]
-        return None
-
-    def meet(self, x, y):
-        """Greatest lower bound, or None: the highest common lower bound,
-        when its down-set is all of them."""
-        down, pos = self._downs(), self._pos
-        common = down[pos[x]] & down[pos[y]]
-        if common:
-            u = common.bit_length() - 1
-            if down[u] == common:
-                return self._at[u]
-        return None
 
     def is_lattice(self) -> bool:
         """True iff every pair has a unique least upper and greatest lower bound."""
         return _is_lattice(self._up)
 
-    def bottom(self):
-        """The unique minimum, or None."""
-        up = self._up
-        if up and up[0] == (1 << len(up)) - 1:
-            return self._at[0]
-        return None
-
-    def top(self):
-        """The unique maximum, or None: the last position, when every up-set
-        holds it."""
-        up = self._up
-        if up and reduce(and_, up):
-            return self._at[-1]
-        return None
-
     def moebius(self, x, y) -> int:
         """mu(x, y) of this poset; mu(., y) is memoized per instance."""
-        self._require_comparable(x, y)
-        q = self._pos[y]
+        pos = self._pos
+        if x not in pos or y not in pos:
+            raise NotComparable(f"{x!r} or {y!r} is not an element of this poset")
+        p, q = pos[x], pos[y]
+        if not self._up[p] >> q & 1:
+            raise NotComparable(f"{x!r} <= {y!r} does not hold")
         column = self._mu.get(q)
         if column is None:
             column = self._mu[q] = _moebius_to(self._up, q)
-        return column[self._pos[x]]
-
-    def product(self, other: "FinitePoset") -> "FinitePoset":
-        """Cartesian product with componentwise order; elements are pairs."""
-        elems = [(a, b) for a in self.elements for b in other.elements]
-        pairs = [
-            ((a, b), (c, d))
-            for (a, b) in elems
-            for (c, d) in elems
-            if self.leq(a, c) and other.leq(b, d)
-        ]
-        return FinitePoset(elems, leq=pairs)
+        return column[p]
 
     # -- serialization ---------------------------------------------------
 

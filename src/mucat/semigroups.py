@@ -91,11 +91,6 @@ class InverseSemigroup:
     def idempotents(self) -> list:
         return [self.elements[e] for e in self._idempotents()]
 
-    def natural_leq(self, s, t) -> bool:
-        """s <= t iff s = s s⁻¹ t."""
-        table, x = self._table, self._index[s]
-        return table[table[x][self._inverses()[x]]][self._index[t]] == x
-
     def identity(self):
         """The identity element if one exists, else None; detected on each call."""
         table, ident = self._table, list(range(len(self.elements)))
@@ -116,11 +111,6 @@ class InverseSemigroup:
         for s, name in enumerate(self.elements):
             classes.setdefault(key[table[inv[s]][s]], []).append(name)
         return list(classes.values())
-
-    def is_combinatorial(self) -> bool:
-        """True iff every maximal subgroup {s : s s⁻¹ = s⁻¹ s = e} is trivial,
-        i.e. every s with s s⁻¹ = s⁻¹ s is idempotent."""
-        return not self._subgroup_members()
 
     def _subgroup_members(self) -> list:
         """The non-idempotent s with s s⁻¹ = s⁻¹ s, the members of nontrivial

@@ -11,6 +11,7 @@ import json
 from itertools import combinations, permutations
 
 from mucat import (
+    CategorySlice,
     CmMorphism,
     DmMorphism,
     FinitePoset,
@@ -51,6 +52,13 @@ def antichain(labels) -> FinitePoset:
     return FinitePoset(list(labels), covers=[])
 
 
+def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    """The cartesian product with componentwise order; elements are pairs."""
+    elems = [(a, b) for a in p.elements for b in q.elements]
+    pairs = [((a, b), (c, d)) for a, b in elems for c, d in elems if p.leq(a, c) and q.leq(b, d)]
+    return FinitePoset(elems, leq=pairs)
+
+
 def brandt_five() -> InverseSemigroup:
     """Matrix units e11, e22, a = E12, b = E21 plus a zero."""
     products = {
@@ -68,7 +76,7 @@ def meet_semilattice(p: FinitePoset) -> InverseSemigroup:
     """The meet operation of p as an inverse semigroup, each meet found by
     ``bf_meet`` on the relation read through ``p.leq``; every pair of
     elements must have a meet (p need not have a top)."""
-    relation = {(a, b) for a in p.elements for b in p.elements if p.leq(a, b)}
+    relation = bf_relation(p)
     table = [[bf_meet(p.elements, relation, x, y) for y in p.elements] for x in p.elements]
     assert all(None not in row for row in table), "some pair of elements has no meet"
     return InverseSemigroup(p.elements, table)
@@ -136,6 +144,16 @@ def bf_covers(p: FinitePoset) -> set:
 
 def bf_interval_elements(p: FinitePoset, x, y) -> set:
     return {z for z in p.elements if p.leq(x, z) and p.leq(z, y)}
+
+
+def bf_relation(p: FinitePoset) -> set:
+    """Every (x, y) with x <= y, read through ``p.leq``."""
+    return {(x, y) for x in p.elements for y in p.elements if p.leq(x, y)}
+
+
+def bf_top(p: FinitePoset):
+    """The element every element is <= to, or None."""
+    return next((y for y in p.elements if all(p.leq(x, y) for x in p.elements)), None)
 
 
 def bf_is_lattice(p: FinitePoset) -> bool:
@@ -287,6 +305,19 @@ def bf_compose(c, composite) -> dict:
                 if k in inside:
                     table[(g, f)] = k
     return table
+
+
+def opposite(c, rng=None) -> CategorySlice:
+    """The opposite of the slice c, through the public constructor: each
+    compose entry (g, h) -> k becomes (h, g) -> k and each morphism's domain
+    and codomain swap, while names, identities and completeness stay.  With
+    a seeded random.Random rng, morphisms and entries are listed shuffled."""
+    morphisms, entries = list(c.morphisms), list(c.compose.items())
+    if rng is not None:
+        rng.shuffle(morphisms)
+        rng.shuffle(entries)
+    return CategorySlice(c.objects, morphisms, c.cod, c.dom, {(h, g): k for (g, h), k in entries},
+                         c.identities, c.complete)
 
 
 def bf_slice_violation(c) -> str | None:
@@ -450,6 +481,15 @@ def bf_is_combinatorial(s) -> bool:
     return True
 
 
+def bf_natural_order(s) -> set:
+    """The natural partial order by definition, x <= y iff x = x x⁻¹ y, as
+    (x, y) pairs of s's elements."""
+    names, mul = _named_table(s)
+    inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
+    element = dict(zip(names, s.elements))
+    return {(element[x], element[y]) for x in names for y in names if mul[mul[x, inv[x]], y] == x}
+
+
 def classical_moebius(n: int) -> int:
     """Number-theoretic Möbius of n via trial-division factorization."""
     if n < 1:
@@ -475,7 +515,8 @@ def are_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
         return False
 
     def profile(poset, x):
-        return (len(poset.up_set(x)), len(poset.down_set(x)))
+        return (sum(poset.leq(x, y) for y in poset.elements),
+                sum(poset.leq(y, x) for y in poset.elements))
 
     if sorted(profile(p, x) for x in p.elements) != sorted(profile(q, y) for y in q.elements):
         return False

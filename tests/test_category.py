@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from mucat import (
     IncidenceFunction,
     IncompleteSlice,
     InvalidSlice,
+    InverseSemigroup,
     NotInvertible,
     NotMoebius,
     chain,
@@ -58,6 +60,7 @@ from helpers import (
     dm_composite,
     inversion_round_trip,
     meet_semilattice,
+    opposite,
 )
 
 
@@ -322,6 +325,37 @@ def test_numbered_scan_reports_the_first_violation_of_planted_tables(base):
     assert find_slice_violation(base) is None is bf_slice_violation(base)
 
 
+# -- opposite categories -------------------------------------------------------
+
+OPPOSITE_CORPUS = {
+    "cm_slice(3,-7)": cm_slice(3, -7),
+    "cm_slice(2,-9)": cm_slice(2, -9),
+    "dm_slice(3,30)": dm_slice(3, 30),
+    "division(divisors 60)": division_category(InverseSemigroup.from_json(
+        (Path(__file__).parent / "golden" / "divisors60.json").read_text())),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 32], ids=["as_built", "shuffled"])
+@pytest.mark.parametrize("name", list(OPPOSITE_CORPUS))
+def test_opposite_category_has_the_same_moebius_function(name, seed):
+    # mu of f in the opposite is mu of f: factorizations reverse, chains keep their length
+    c = OPPOSITE_CORPUS[name]
+    op = opposite(c, None if seed is None else random.Random(seed))
+    assert find_slice_violation(op) is None
+    mu, op_mu = moebius_of_slice(c), moebius_of_slice(op)
+    for f in c.morphisms:
+        assert op_mu[f] == mu[f] == moebius_via_lawvere(op, f), f
+
+
+@pytest.mark.parametrize("seed", [None, 32], ids=["as_built", "shuffled"])
+def test_opposite_of_a_non_associative_slice_is_refused(seed):
+    op = opposite(_one_object_slice(), None if seed is None else random.Random(seed))
+    violation = find_slice_violation(op)
+    assert violation.startswith("associativity fails on ")
+    assert violation == bf_slice_violation(op)
+
+
 def test_compose_is_a_read_only_view_in_table_order():
     c = cm_slice(2, -2)
     order = [(pair, k) for k in c.morphisms for pair in c.factorizations(k)]
@@ -396,8 +430,9 @@ def test_factorizations_require_completeness():
 def test_reads_tell_a_non_member_from_an_incomplete_member():
     c = cm_slice(2, -2)
     zeta = IncidenceFunction.zeta(c)
-    reads = [c.factorizations, lambda f: convolve(c, zeta, zeta, f), lambda f: moebius_at(c, f),
-             lambda f: moebius_via_lawvere(c, f), lambda f: lawvere_interval(c, f)]
+    reads = [c.is_identity, c.factorizations, lambda f: convolve(c, zeta, zeta, f),
+             lambda f: moebius_at(c, f), lambda f: moebius_via_lawvere(c, f),
+             lambda f: lawvere_interval(c, f)]
     for read in reads:
         with pytest.raises(InvalidSlice, match="^'ghost' is not a morphism of the slice$"):
             read("ghost")

@@ -45,6 +45,7 @@ from helpers import (
     divisor_poset,
     is_total_order,
     meet_semilattice,
+    product,
 )
 
 from test_category import (
@@ -302,8 +303,8 @@ def test_grid_interval_matches_product_of_chains():
     c = cm_slice(3, -3)
     f = CmMorphism(2, 0, 0, -3)  # 3 x 2 grid
     poset = interval_as_poset(lawvere_interval(c, f))
-    product = chain(range(f.a + 1)).product(chain(range(f.i - f.j - f.a + 1)))
-    assert are_isomorphic(poset, product)
+    grid = product(chain(range(f.a + 1)), chain(range(f.i - f.j - f.a + 1)))
+    assert are_isomorphic(poset, grid)
     assert poset.is_lattice()
 
 

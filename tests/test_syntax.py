@@ -1,7 +1,7 @@
 """Every Python file of the project parses under the oldest supported grammar
 (``requires-python = ">=3.10"``), whatever interpreter runs the tests, and the
-names ``mucat`` exports are exactly the listed ones, so any change to the public
-surface shows in this file."""
+names ``mucat`` exports, and the public attributes of its main classes, are
+exactly the listed ones, so any change to the public surface shows in this file."""
 
 import ast
 from pathlib import Path
@@ -26,6 +26,23 @@ PUBLIC_NAMES = [
     "poset_as_category", "quotient_poset", "validate_cm_morphism", "validate_dm_morphism",
 ]
 
+PUBLIC_ATTRIBUTES = {
+    "CategorySlice": [
+        "cod", "complete", "compose", "dom", "factorizations", "from_json", "hom", "identities",
+        "is_identity", "morphisms", "morphisms_from", "objects", "to_json",
+    ],
+    "FactorizationSource": ["cod", "compose", "dom", "factorizations", "identities"],
+    "FinitePoset": [
+        "covers", "elements", "from_json", "is_lattice", "leq", "moebius", "to_dot", "to_json",
+    ],
+    "IncidenceFunction": ["delta", "get", "items", "keys", "values", "zeta"],
+    "InverseSemigroup": [
+        "d_classes", "elements", "from_json", "idempotent_poset", "idempotents", "identity",
+        "inverse", "mul", "to_json",
+    ],
+    "LawvereInterval": ["homs", "objects", "subject"],
+}
+
 
 def test_sources_parse_as_python_3_10():
     paths = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
@@ -40,3 +57,11 @@ def test_public_names_are_the_listed_ones():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def test_public_attributes_of_the_main_classes_are_the_listed_ones():
+    exported = {
+        name: sorted(attr for attr in dir(getattr(mucat, name)) if not attr.startswith("_"))
+        for name in PUBLIC_ATTRIBUTES
+    }
+    assert exported == PUBLIC_ATTRIBUTES
