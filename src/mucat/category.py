@@ -21,6 +21,7 @@ from ._json import load_object, names, rows, strings
 from .errors import (
     IncompleteSlice,
     InvalidSlice,
+    NotComparable,
     NotInvertible,
     NotMoebius,
 )
@@ -285,11 +286,12 @@ class FactorizationSource:
     read a slice, and memory grows only with what a route reads.  Every
     factorization list and identity is checked each time it is handed out,
     as the ``CategorySlice`` constructor checks a table entry, with its
-    messages; the source stores nothing.
+    messages; the source stores nothing.  ``_enumerate`` is the enumerator
+    unchecked, for ``factor_slice``, whose constructor pass checks each entry.
     """
 
-    __slots__ = ("dom", "cod", "identities", "compose", "_facts", "_table", "_dom", "_cod",
-                 "_ident", "_validate")
+    __slots__ = ("dom", "cod", "identities", "compose", "_enumerate", "_facts", "_table", "_dom",
+                 "_cod", "_ident", "_validate")
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
@@ -310,7 +312,8 @@ class FactorizationSource:
         self.dom, self.cod = self._dom, self._cod = _Rule(dom), _Rule(cod)
         self.identities = self._ident = _Rule(checked_identity)
         self.compose = self._table = _Rule(composite)
-        self._facts, self._validate = _Rule(checked_pairs), validate
+        self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
+        self._validate = validate
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
@@ -386,43 +389,48 @@ def one_way(up, multiple) -> bool:
     return all(u & d == 1 << j for j, (u, d) in enumerate(zip(up, _transpose(up))))
 
 
-def factor_slice(window, factorizations, dom, cod, identity) -> CategorySlice:
-    """The full subcategory on a window closed under factors, in the window's order.
+def factor_slice(window, source: FactorizationSource) -> CategorySlice:
+    """The full subcategory of ``source`` on a window closed under factors, in window order.
 
-    ``factorizations(k)`` lists every (g, h) with g∘h = k, trivial ones too,
-    in the order the slice is to list them; each list is read once, and both
-    factors are looked up by number, so every table entry and identity is one
-    of the window's own morphisms and each morphism is complete.  A factor
-    outside the window raises InvalidSlice.
+    Each morphism's factorizations are enumerated once, in the order the slice
+    is to list them, and both factors are looked up by number, so every table
+    entry and identity is one of the window's own morphisms and each morphism
+    is complete.  A factor or an identity outside the window raises InvalidSlice.
     """
     window = tuple(window)
     number = dict(zip(window, range(len(window))))
-    table = {}
+    table, factorizations = {}, source._enumerate
     for k, f in enumerate(window):
         for g, h in factorizations(f):
             try:
                 table[number[g], number[h]] = k
             except KeyError as exc:
                 raise InvalidSlice(f"factor {exc.args[0]!r} of {f!r} lies outside the window") from None
+    dom, cod, ident = source._dom.get, source._cod.get, source._ident.get
     dom_of = {f: dom(f) for f in window}
     objects = list(dict.fromkeys(dom_of.values()))
-    identities = {x: window[number[identity(x)]] for x in objects}  # a factor of f = f∘1_x
+    identities = {x: window[k] for x in objects if (k := number.get(ident(x))) is not None}
     cod_of = {f: cod(f) for f in window}
     return CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, table,
                                                        identities, window)
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:
-    """The poset as a category: one morphism (x, y) per related pair x <= y.
-
-    Every morphism is factorization-complete (the slice is the whole category).
+    """The poset as a category: one morphism (x, y) per related pair x <= y,
+    factored through each z with x <= z <= y; the window holds every morphism.
     """
     elements, leq = p.elements, p.leq
-    return factor_slice(
-        [(x, y) for x in elements for y in elements if leq(x, y)],
+
+    def validate(f):
+        if not leq(*f):  # leq refuses a non-member with NotComparable
+            raise NotComparable(f"{f[0]!r} <= {f[1]!r} does not hold")
+
+    source = FactorizationSource(
         lambda f: [((z, f[1]), (f[0], z)) for z in elements if leq(f[0], z) and leq(z, f[1])],
-        lambda f: f[0], lambda f: f[1], lambda x: (x, x),
+        lambda f: f[0], lambda f: f[1], lambda x: (x, x), lambda pair: (pair[1][0], pair[0][1]),
+        validate,
     )
+    return factor_slice([(x, y) for x in elements for y in elements if leq(x, y)], source)
 
 
 # -- incidence functions -----------------------------------------------------
@@ -476,7 +484,8 @@ class IncidenceFunction(Mapping):
 
 
 def _row(c: CategorySlice, xi) -> list:
-    """xi's values by morphism number, once xi is checked to be total on c (kept on xi)."""
+    """xi's values by morphism number, once xi is checked to be total on c (kept on xi);
+    a plain mapping's values are checked exact as the IncidenceFunction constructor does."""
     known = isinstance(xi, IncidenceFunction)
     if known and xi._total_on is c._number:
         return xi._row
@@ -485,8 +494,9 @@ def _row(c: CategorySlice, xi) -> list:
         missing = next(f for f in c.morphisms if f not in values)
         raise InvalidSlice(f"incidence function is missing morphism {missing!r}")
     row = [values[f] for f in c.morphisms]
-    if known:
-        xi._total_on, xi._row = c._number, row
+    if not known:
+        return list(map(_exact, row))
+    xi._total_on, xi._row = c._number, row
     return row
 
 

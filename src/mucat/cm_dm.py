@@ -13,10 +13,10 @@ comparisons such as alpha >= x are against canonical representatives.  Both
 categories are infinite; finite windows (a level floor for C_m, a cap on
 alpha for D_m) yield slices whose morphisms are all factorization-complete,
 because intermediate levels stay inside [j, i] and intermediate alphas inside
-[x, alpha].  ``factor_slice`` builds both windows from closed-form
-factorization enumerators; ``cm_source``/``dm_source`` read the same
-enumerators and composition rules with no window, for routes that need one
-morphism's factorizations and its right factors' only.
+[x, alpha].  ``cm_source``/``dm_source`` state each category's rules once, with
+closed-form factorization enumerators; ``factor_slice`` builds both windows
+from them, and routes that need one morphism's factorizations and its right
+factors' only read them with no window.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
 as their field tuples, so every slice, interval and poset lookup keyed by
@@ -55,12 +55,6 @@ class CmMorphism(NamedTuple):
     i: int
     j: int
 
-    def source(self) -> CmObject:
-        return _new(CmObject, (self.x, self.i))
-
-    def target(self, m: int) -> CmObject:
-        return _new(CmObject, ((self.a + self.x) % m, self.j))
-
     def __str__(self):
         return f"{self.a},{self.x},{self.i},{self.j}"
 
@@ -96,7 +90,7 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
     Every morphism is factorization-complete: intermediate objects of any
     factorization of (a, x, i, j) have level in [j, i], inside the window.
     """
-    _require_modulus(m)
+    source = cm_source(m)
     if level_min > 0:
         raise ValueError(f"level_min must be <= 0, got {level_min}")
     morphisms = [
@@ -106,8 +100,7 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
         for a in range(i - j + 1)
         for x in range(m)
     ]
-    return factor_slice(morphisms, lambda k: _cm_factorizations(m, k), CmMorphism.source,
-                        lambda k: k.target(m), cm_identity)
+    return factor_slice(morphisms, source)
 
 
 def cm_moebius_closed_form(f: CmMorphism) -> int:
@@ -133,10 +126,11 @@ def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphi
 
 
 def cm_source(m: int) -> FactorizationSource:
-    """C_m with no window: factorizations from the closed-form enumerator,
-    composites and endpoints from the morphisms' fields."""
+    """C_m's rules, read with no window or through ``cm_slice``: factorizations from
+    the closed-form enumerator, composites and endpoints from the morphisms' fields."""
     _require_modulus(m)
-    return FactorizationSource(lambda k: _cm_factorizations(m, k), CmMorphism.source,
+    return FactorizationSource(lambda k: _cm_factorizations(m, k),
+                               lambda k: _new(CmObject, (k.x, k.i)),
                                lambda k: _new(CmObject, ((k.a + k.x) % m, k.j)), cm_identity,
                                _cm_composite, lambda f: validate_cm_morphism(m, f))
 
@@ -146,12 +140,6 @@ class DmMorphism(NamedTuple):
 
     alpha: int
     x: int
-
-    def source(self) -> int:
-        return self.x
-
-    def target(self, m: int) -> int:
-        return self.alpha % m
 
     def __str__(self):
         return f"{self.alpha},{self.x}"
@@ -182,14 +170,13 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     x <= gamma <= alpha, so every morphism is complete; composition is partial
     (composites with alpha beyond the cap fall outside the slice).
     """
-    _require_modulus(m)
+    source = dm_source(m)
     if alpha_max < m - 1:
         raise ValueError(f"alpha_max must be >= m-1 = {m - 1} so identities exist")
     morphisms = [
         DmMorphism(alpha, x) for x in range(m) for alpha in range(x, alpha_max + 1)
     ]
-    return factor_slice(morphisms, lambda k: _dm_factorizations(m, k), DmMorphism.source,
-                        lambda k: k.target(m), dm_identity)
+    return factor_slice(morphisms, source)
 
 
 def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphism]]:
@@ -201,10 +188,10 @@ def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphi
 
 
 def dm_source(m: int) -> FactorizationSource:
-    """D_m with no window: factorizations from the closed-form enumerator,
-    composites and endpoints from the morphisms' fields."""
+    """D_m's rules, read with no window or through ``dm_slice``: factorizations from
+    the closed-form enumerator, composites and endpoints from the morphisms' fields."""
     _require_modulus(m)
-    return FactorizationSource(lambda k: _dm_factorizations(m, k), DmMorphism.source,
+    return FactorizationSource(lambda k: _dm_factorizations(m, k), lambda k: k.x,
                                lambda k: k.alpha % m, dm_identity, _dm_composite,
                                lambda f: validate_dm_morphism(m, f))
 

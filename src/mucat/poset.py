@@ -262,8 +262,10 @@ class FinitePoset:
 
     def leq(self, x, y) -> bool:
         pos = self._pos
-        q = pos.get(y)
-        return q is not None and self._up[pos[x]] >> q & 1 == 1
+        try:
+            return self._up[pos[x]] >> pos[y] & 1 == 1
+        except KeyError:
+            raise NotComparable(f"{x!r} or {y!r} is not an element of this poset") from None
 
     def covers(self) -> list[tuple[Any, Any]]:
         """All pairs x < y with nothing strictly between, in element order:

@@ -65,7 +65,10 @@ class InverseSemigroup:
 
     def mul(self, s, t):
         """Row = left factor."""
-        return self.elements[self._table[self._index[s]][self._index[t]]]
+        try:
+            return self.elements[self._table[self._index[s]][self._index[t]]]
+        except KeyError as exc:
+            raise InvalidSemigroup(f"{exc.args[0]!r} is not an element of the semigroup") from None
 
     def _idempotents(self) -> list[int]:
         return [k for k, row in enumerate(self._table) if row[k] == k]
@@ -86,7 +89,10 @@ class InverseSemigroup:
         return self._inv
 
     def inverse(self, s):
-        return self.elements[self._inverses()[self._index[s]]]
+        try:
+            return self.elements[self._inverses()[self._index[s]]]
+        except KeyError as exc:
+            raise InvalidSemigroup(f"{exc.args[0]!r} is not an element of the semigroup") from None
 
     def idempotents(self) -> list:
         return [self.elements[e] for e in self._idempotents()]

@@ -445,11 +445,11 @@ def test_reads_tell_a_non_member_from_an_incomplete_member():
 
 def _dm_window(m, window):
     """The D_m slice that ``factor_slice`` builds on the given window."""
-    return factor_slice(window, lambda k: _dm_factorizations(m, k), DmMorphism.source,
-                        lambda k: k.target(m), dm_identity)
+    return factor_slice(window, dm_source(m))
 
 
 REVERSED_DM_WINDOW = dm_slice(2, 8).morphisms[::-1]
+D3, C3 = dm_source(3), cm_source(3)
 
 
 def _builder_corpus():
@@ -515,10 +515,41 @@ def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice(
     f = CmMorphism(1, 0, 0, -1)
     factor = repr(CmMorphism(0, 0, 0, 0))  # the first right factor of f listed, 1_(0, 0)
     with pytest.raises(InvalidSlice, match=re.escape(f"factor {factor} of {f!r} lies outside")):
-        factor_slice([f], lambda k: _cm_factorizations(2, k), CmMorphism.source,
-                     lambda k: k.target(2), cm_identity)
+        factor_slice([f], cm_source(2))
     with pytest.raises(InvalidSlice, match="^duplicate morphisms$"):
         _dm_window(2, [*REVERSED_DM_WINDOW, REVERSED_DM_WINDOW[3]])
+
+
+def test_factor_slice_refuses_an_identity_outside_the_window():
+    nontrivial = FactorizationSource(  # lists no factorization, so 1_0 need not be in the window
+        lambda k: [], D3.dom.get, D3.cod.get, dm_identity, _dm_composite,
+        lambda f: validate_dm_morphism(3, f))
+    with pytest.raises(InvalidSlice, match="^object 0 lacks an identity morphism$"):
+        factor_slice([DmMorphism(3, 0)], nontrivial)
+
+
+@pytest.mark.parametrize(
+    "c, source",
+    [pytest.param(cm_slice(m, floor), cm_source(m), id=f"cm_slice({m},{floor})")
+     for m, floor in ((2, -6), (3, -5), (5, -4))]
+    + [pytest.param(dm_slice(m, cap), dm_source(m), id=f"dm_slice({m},{cap})")
+       for m, cap in ((2, 14), (3, 20), (5, 17))],
+)
+def test_window_reads_as_its_source(c, source):
+    for f in c.morphisms:
+        assert c.factorizations(f) == tuple(source.factorizations(f))
+        assert (c.dom[f], c.cod[f]) == (source.dom[f], source.cod[f])
+    assert c.identities == {x: source.identities[x] for x in c.objects}
+
+
+def test_factor_slice_enumerates_each_list_once_unchecked():
+    window = dm_slice(3, 9)
+    source, count = _counted_dm3_source()
+    assert factor_slice(window.morphisms, source).to_json() == window.to_json()
+    assert _per_list(count) == dict.fromkeys(window.morphisms, 1)
+    # one dom and one cod read per morphism, and the check of each identity's
+    # endpoints; a checked list would read both endpoints of each factor again
+    assert count["endpoints"] == 2 * len(window.morphisms) + 2 * len(window.objects)
 
 
 def _leroux_corpus():
@@ -572,8 +603,7 @@ def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, sou
 
 # -- factorization sources -----------------------------------------------------------
 
-def _dm3_source(factorizations=None, identity=dm_identity, dom=DmMorphism.source,
-                cod=lambda k: k.target(3)):
+def _dm3_source(factorizations=None, identity=dm_identity, dom=D3.dom.get, cod=D3.cod.get):
     """D_3 as a source whose enumerator, identity or endpoint rules may be replaced."""
     return FactorizationSource(
         factorizations or (lambda k: _dm_factorizations(3, k)), dom, cod, identity,
@@ -597,8 +627,8 @@ def _counted_dm3_source():
         return _dm_factorizations(3, k)
 
     source = _dm3_source(counted(listed, "lists"),
-                         dom=counted(DmMorphism.source, "endpoints"),
-                         cod=counted(lambda k: k.target(3), "endpoints"))
+                         dom=counted(D3.dom.get, "endpoints"),
+                         cod=counted(D3.cod.get, "endpoints"))
     return source, count
 
 
@@ -628,7 +658,7 @@ def _counted_cm3_source():
         count["lists", k] += 1
         return _cm_factorizations(3, k)
 
-    return FactorizationSource(listed, CmMorphism.source, lambda k: k.target(3), cm_identity,
+    return FactorizationSource(listed, C3.dom.get, C3.cod.get, cm_identity,
                                _cm_composite, lambda f: validate_cm_morphism(3, f)), count
 
 
@@ -639,8 +669,8 @@ def _per_list(count) -> dict:
 
 @pytest.mark.parametrize(
     "counted, plain, f",
-    [(_counted_dm3_source, dm_source(3), DmMorphism(13, 1)),
-     (_counted_cm3_source, cm_source(3), CmMorphism(3, 0, 0, -6))],
+    [(_counted_dm3_source, D3, DmMorphism(13, 1)),
+     (_counted_cm3_source, C3, CmMorphism(3, 0, 0, -6))],
     ids=["D_3", "C_3"],
 )
 def test_shared_pass_enumerates_each_list_once(counted, plain, f):
@@ -725,6 +755,12 @@ def test_source_refuses_a_bad_list_on_a_later_read(bad, message):
     assert source.factorizations(k) == _dm_factorizations(3, k)
 
 
+@pytest.mark.parametrize("bad, message", BAD_PAIRS, ids=BAD_PAIR_IDS)
+def test_factor_slice_refuses_a_bad_pair_as_the_constructor_does(bad, message):
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        factor_slice(dm_slice(3, 9).morphisms, _one_bad_pair_source(bad))
+
+
 def _wrong_identity_source():
     """D_3 as a source whose identity of object 1 is (2, 1), from 1 to 2."""
     return _dm3_source(identity=lambda x: DmMorphism(2, 1) if x == 1 else dm_identity(x))
@@ -743,6 +779,8 @@ def test_source_checks_each_identity_as_the_constructor_does():
         moebius_at(source, DmMorphism(3, 0))  # on 0, but 1_1 is the unit of its right factor (1, 0)
     assert moebius_via_lawvere(source, DmMorphism(3, 0)) == 0  # reads only 1_0
     assert moebius_at(source, DmMorphism(3, 2)) == -1  # right factors end at 2 and 0
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        factor_slice(dm_slice(3, 9).morphisms, source)
 
 
 def test_factorizations_skip_non_composable_compose_entries():
@@ -1081,3 +1119,19 @@ def test_json_refuses_morphisms_or_objects_that_share_a_name():
 def test_incidence_values_must_be_exact():
     with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
         IncidenceFunction({(0, 0): 0.5})
+
+
+def test_convolve_checks_a_plain_mappings_values_are_exact():
+    c = cm_slice(2, -2)
+    with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
+        convolve(c, dict.fromkeys(c.morphisms, 0.5), IncidenceFunction.zeta(c), c.morphisms[-1])
+    halves = dict.fromkeys(c.morphisms, Fraction(1, 2))
+    assert convolve(c, halves, halves, c.morphisms[0]) == Fraction(1, 4)
+
+
+def test_convolution_inverse_checks_a_plain_mappings_values_are_exact():
+    c = cm_slice(2, -2)
+    with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
+        convolution_inverse(c, dict.fromkeys(c.morphisms, 1.0))
+    ones = dict.fromkeys(c.morphisms, Fraction(1))
+    assert convolution_inverse(c, ones) == moebius_of_slice(c)

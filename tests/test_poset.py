@@ -249,6 +249,14 @@ def test_moebius_checks_comparability_after_values_are_cached():
         p.moebius("a", "z")
 
 
+def test_leq_refuses_a_non_member_in_either_place():
+    p = chain(["a", "b"])
+    for x, y in (("a", "ghost"), ("ghost", "a"), ("ghost", "ghost")):
+        with pytest.raises(NotComparable, match=f"^'{x}' or '{y}' is not an element of this poset$"):
+            p.leq(x, y)
+    assert p.leq("a", "b") and not p.leq("b", "a")
+
+
 def test_chain_moebius_depends_only_on_length():
     for n in range(1, 7):
         p = chain(range(n))

@@ -105,6 +105,15 @@ def test_two_element_group_is_inverse_but_not_combinatorial():
     assert repr(g) == "InverseSemigroup(2 elements)"
 
 
+def test_reads_refuse_a_non_element_by_name():
+    g = two_element_group()
+    for read in (lambda: g.mul("ghost", "1"), lambda: g.mul("1", "ghost"),
+                 lambda: g.inverse("ghost")):
+        with pytest.raises(InvalidSemigroup, match="^'ghost' is not an element of the semigroup$"):
+            read()
+    assert g.mul("g", "g") == g.inverse("1") == "1"
+
+
 def test_left_zero_semigroup_has_non_unique_inverses():
     s = left_zero_two()
     violation = find_semigroup_violation(s)

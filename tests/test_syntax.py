@@ -1,7 +1,8 @@
 """Every Python file of the project parses under the oldest supported grammar
-(``requires-python = ">=3.10"``), whatever interpreter runs the tests, and the
-names ``mucat`` exports, and the public attributes of its main classes, are
-exactly the listed ones, so any change to the public surface shows in this file."""
+(``requires-python = ">=3.10"``), whatever interpreter runs the tests, every
+module of ``mucat`` reads each name it imports, and the names ``mucat`` exports,
+and the public attributes of its main classes, are exactly the listed ones, so
+any change to the public surface shows in this file."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,26 @@ def test_sources_parse_as_python_3_10():
     assert {"cli.py", "test_syntax.py", "run.py"} <= {path.name for path in paths}
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_modules_read_every_name_they_import():
+    # the package's __init__ imports to re-export; the test below pins those names
+    paths = sorted((ROOT / "src" / "mucat").glob("*.py"))
+    unread = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert "cli.py" in {path.name for path in paths}
+    assert unread == []
 
 
 def test_public_names_are_the_listed_ones():
