@@ -280,7 +280,8 @@ class FactorizationSource:
     ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
     give endpoints, ``identity(x)`` the identity of x, ``composite((g, h))``
     the composite of a composable pair, unchecked, and ``validate(f)`` raises
-    unless f is a morphism.  Each rule is read on request through a mapping
+    unless f is a morphism.  ``factorizations`` is the one public read, and it
+    runs ``validate``.  Each rule is read on request through a private mapping
     named as a slice's numbered table, with the morphism itself as handle, so
     the interval walk and the convolution recursion read a source as they
     read a slice, and memory grows only with what a route reads.  Every
@@ -290,8 +291,7 @@ class FactorizationSource:
     unchecked, for ``factor_slice``, whose constructor pass checks each entry.
     """
 
-    __slots__ = ("dom", "cod", "identities", "compose", "_enumerate", "_facts", "_table", "_dom",
-                 "_cod", "_ident", "_validate")
+    __slots__ = ("_enumerate", "_facts", "_table", "_dom", "_cod", "_ident", "_validate")
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
@@ -309,9 +309,8 @@ class FactorizationSource:
                 raise _bad_identity(x, dom(e), cod(e))
             return e
 
-        self.dom, self.cod = self._dom, self._cod = _Rule(dom), _Rule(cod)
-        self.identities = self._ident = _Rule(checked_identity)
-        self.compose = self._table = _Rule(composite)
+        self._dom, self._cod = _Rule(dom), _Rule(cod)
+        self._ident, self._table = _Rule(checked_identity), _Rule(composite)
         self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
         self._validate = validate
 
@@ -445,59 +444,50 @@ def _exact(value):
 
 
 class IncidenceFunction(Mapping):
-    """A total map from the morphisms of a slice to exact rational scalars."""
+    """A total map from the morphisms of a slice to exact rational scalars,
+    kept as one row of values by the slice's morphism number and read in
+    slice order.  The constructor checks once that ``values`` gives every
+    morphism of ``c`` an exact value; keys outside ``c`` are dropped."""
 
-    # _total_on: the morphism numbering of the slice this function was last found
-    # total on, and _row its values by number, so convolutions check totality once.
-    __slots__ = ("_values", "_total_on", "_row")
+    # _number: the slice's numbering, not the slice, so a slice's cached μ forms no cycle
+    __slots__ = ("_number", "_row")
 
-    def __init__(self, values: Mapping):
-        self._values = {f: _exact(v) for f, v in values.items()}
-        self._total_on = self._row = None
+    def __init__(self, c: CategorySlice, values: Mapping):
+        if not values.keys() >= c._number.keys():
+            missing = next(f for f in c.morphisms if f not in values)
+            raise InvalidSlice(f"incidence function is missing morphism {missing!r}")
+        self._number, self._row = c._number, [_exact(values[f]) for f in c.morphisms]
 
     def __getitem__(self, f):
-        return self._values[f]
+        return self._row[self._number[f]]
 
     def __iter__(self):
-        return iter(self._values)
+        return iter(self._number)
 
     def __len__(self):
-        return len(self._values)
-
-    def __eq__(self, other):
-        if isinstance(other, IncidenceFunction):
-            return self._values == other._values
-        return NotImplemented
+        return len(self._row)
 
     def __repr__(self):
-        return f"IncidenceFunction({len(self._values)} values)"
+        return f"IncidenceFunction({len(self._row)} values)"
 
     @classmethod
     def zeta(cls, c: CategorySlice) -> "IncidenceFunction":
         """The constant-1 function."""
-        return cls(dict.fromkeys(c.morphisms, 1))
+        return cls(c, dict.fromkeys(c.morphisms, 1))
 
     @classmethod
     def delta(cls, c: CategorySlice) -> "IncidenceFunction":
         """The convolution identity: 1 on identities, 0 elsewhere."""
-        return cls({f: 1 if c.is_identity(f) else 0 for f in c.morphisms})
+        return cls(c, {f: 1 if c.is_identity(f) else 0 for f in c.morphisms})
 
 
 def _row(c: CategorySlice, xi) -> list:
-    """xi's values by morphism number, once xi is checked to be total on c (kept on xi);
-    a plain mapping's values are checked exact as the IncidenceFunction constructor does."""
-    known = isinstance(xi, IncidenceFunction)
-    if known and xi._total_on is c._number:
-        return xi._row
-    values = xi._values if known else xi
-    if not values.keys() >= c._number.keys():
-        missing = next(f for f in c.morphisms if f not in values)
-        raise InvalidSlice(f"incidence function is missing morphism {missing!r}")
-    row = [values[f] for f in c.morphisms]
-    if not known:
-        return list(map(_exact, row))
-    xi._total_on, xi._row = c._number, row
-    return row
+    """xi's values by c's morphism number: a function on c's numbering is read
+    as it is, anything else (a plain mapping, a function on another slice) is
+    checked total and exact by the IncidenceFunction constructor."""
+    if not (isinstance(xi, IncidenceFunction) and xi._number is c._number):
+        xi = IncidenceFunction(c, xi)
+    return xi._row
 
 
 def convolve(c: CategorySlice, xi, eta, f):
@@ -529,7 +519,7 @@ def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
     for root in range(len(c.morphisms)):
         if root not in eta:
             _invert_from(c, xi, eta, root)
-    return IncidenceFunction({c.morphisms[f]: value for f, value in eta.items()})
+    return IncidenceFunction(c, {c.morphisms[f]: value for f, value in eta.items()})
 
 
 def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) -> None:

@@ -284,9 +284,9 @@ def functor_F(f) -> DmMorphism:
 def inversion_round_trip(c, eta) -> bool:
     """Möbius inversion on c by the definition: xi = eta * zeta, then
     xi * mu = eta at every morphism, each value through the public ``convolve``.
-    xi is an IncidenceFunction, so convolve keeps its row after the first read."""
+    xi is an IncidenceFunction on c, so convolve reads its row as it is."""
     zeta, mu = IncidenceFunction.zeta(c), moebius_of_slice(c)
-    xi = IncidenceFunction({f: convolve(c, eta, zeta, f) for f in c.morphisms})
+    xi = IncidenceFunction(c, {f: convolve(c, eta, zeta, f) for f in c.morphisms})
     return all(convolve(c, xi, mu, f) == eta[f] for f in c.morphisms)
 
 

@@ -166,7 +166,7 @@ def test_criterion_4_convolution_algebra(cm_windows, dm_windows):
             if convolve(c, zeta, mu, f) != delta[f]:
                 violations.append((label, f, "zeta * mu"))
         for trial in range(100):
-            eta = IncidenceFunction({f: rng.randint(-9, 9) for f in c.morphisms})
+            eta = IncidenceFunction(c, {f: rng.randint(-9, 9) for f in c.morphisms})
             if not inversion_round_trip(c, eta):
                 violations.append((label, trial, "inversion check"))
     report("criterion 4: mu*zeta = delta = zeta*mu and 100 random inversions per slice", violations)

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -522,7 +523,7 @@ def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice(
 
 def test_factor_slice_refuses_an_identity_outside_the_window():
     nontrivial = FactorizationSource(  # lists no factorization, so 1_0 need not be in the window
-        lambda k: [], D3.dom.get, D3.cod.get, dm_identity, _dm_composite,
+        lambda k: [], D3._dom.get, D3._cod.get, dm_identity, _dm_composite,
         lambda f: validate_dm_morphism(3, f))
     with pytest.raises(InvalidSlice, match="^object 0 lacks an identity morphism$"):
         factor_slice([DmMorphism(3, 0)], nontrivial)
@@ -538,8 +539,8 @@ def test_factor_slice_refuses_an_identity_outside_the_window():
 def test_window_reads_as_its_source(c, source):
     for f in c.morphisms:
         assert c.factorizations(f) == tuple(source.factorizations(f))
-        assert (c.dom[f], c.cod[f]) == (source.dom[f], source.cod[f])
-    assert c.identities == {x: source.identities[x] for x in c.objects}
+        assert (c.dom[f], c.cod[f]) == (source._dom[f], source._cod[f])
+    assert c.identities == {x: source._ident[x] for x in c.objects}
 
 
 def test_factor_slice_enumerates_each_list_once_unchecked():
@@ -603,7 +604,7 @@ def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, sou
 
 # -- factorization sources -----------------------------------------------------------
 
-def _dm3_source(factorizations=None, identity=dm_identity, dom=D3.dom.get, cod=D3.cod.get):
+def _dm3_source(factorizations=None, identity=dm_identity, dom=D3._dom.get, cod=D3._cod.get):
     """D_3 as a source whose enumerator, identity or endpoint rules may be replaced."""
     return FactorizationSource(
         factorizations or (lambda k: _dm_factorizations(3, k)), dom, cod, identity,
@@ -627,8 +628,8 @@ def _counted_dm3_source():
         return _dm_factorizations(3, k)
 
     source = _dm3_source(counted(listed, "lists"),
-                         dom=counted(D3.dom.get, "endpoints"),
-                         cod=counted(D3.cod.get, "endpoints"))
+                         dom=counted(D3._dom.get, "endpoints"),
+                         cod=counted(D3._cod.get, "endpoints"))
     return source, count
 
 
@@ -658,7 +659,7 @@ def _counted_cm3_source():
         count["lists", k] += 1
         return _cm_factorizations(3, k)
 
-    return FactorizationSource(listed, C3.dom.get, C3.cod.get, cm_identity,
+    return FactorizationSource(listed, C3._dom.get, C3._cod.get, cm_identity,
                                _cm_composite, lambda f: validate_cm_morphism(3, f)), count
 
 
@@ -771,7 +772,7 @@ def test_source_checks_each_identity_as_the_constructor_does():
     assert _constructor_message(identities={1: DmMorphism(2, 1)}) == message
     source = _wrong_identity_source()
     with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
-        source.identities[1]
+        source._ident[1]
     for read in (moebius_at, moebius_via_lawvere):
         with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
             read(source, DmMorphism(4, 1))  # an endomorphism of 1
@@ -830,17 +831,18 @@ def test_factorizations_are_deterministic():
 
 # -- convolution -------------------------------------------------------------------
 
-def test_incidence_functions_equal_only_incidence_functions():
+def test_incidence_functions_compare_by_items_in_slice_order():
     c = cm_slice(2, -2)
-    values = dict.fromkeys(c.morphisms, 1)
-    assert IncidenceFunction.zeta(c) == IncidenceFunction(values)
-    assert IncidenceFunction.zeta(c) != values  # __eq__ gives NotImplemented, so identity decides
+    values = dict.fromkeys(c.morphisms[::-1], 1)
+    assert IncidenceFunction.zeta(c) == IncidenceFunction(c, values) == values
+    assert list(IncidenceFunction(c, values)) == list(c.morphisms)
+    assert IncidenceFunction.zeta(c) != IncidenceFunction.delta(c)
 
 
 def test_delta_is_left_identity_for_convolution():
     c = poset_as_category(B2)
     rng = random.Random(7)
-    xi = IncidenceFunction({f: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for f in c.morphisms})
+    xi = IncidenceFunction(c, {f: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for f in c.morphisms})
     delta = IncidenceFunction.delta(c)
     for f in c.morphisms:
         assert convolve(c, delta, xi, f) == xi[f]
@@ -858,9 +860,10 @@ def test_zeta_squared_counts_factorizations():
 
 def test_convolve_requires_total_functions():
     c = poset_as_category(chain([0, 1]))
-    partial = IncidenceFunction({(0, 0): 1})
-    with pytest.raises(InvalidSlice):
-        convolve(c, partial, partial, (0, 1))
+    with pytest.raises(InvalidSlice, match=r"^incidence function is missing morphism \(0, 1\)$"):
+        IncidenceFunction(c, {(0, 0): 1})
+    with pytest.raises(InvalidSlice, match=r"^incidence function is missing morphism \(0, 1\)$"):
+        convolve(c, {(0, 0): 1}, {(0, 0): 1}, (0, 1))
 
 
 @given(st.data())
@@ -871,12 +874,12 @@ def test_convolution_is_associative(data):
 
     def draw_fn(label):
         return IncidenceFunction(
-            {f: data.draw(scalars, label=f"{label}{f}") for f in c.morphisms}
+            c, {f: data.draw(scalars, label=f"{label}{f}") for f in c.morphisms}
         )
 
     xi, eta, theta = draw_fn("xi"), draw_fn("eta"), draw_fn("theta")
-    left_inner = IncidenceFunction({f: convolve(c, xi, eta, f) for f in c.morphisms})
-    right_inner = IncidenceFunction({f: convolve(c, eta, theta, f) for f in c.morphisms})
+    left_inner = IncidenceFunction(c, {f: convolve(c, xi, eta, f) for f in c.morphisms})
+    right_inner = IncidenceFunction(c, {f: convolve(c, eta, theta, f) for f in c.morphisms})
     for f in c.morphisms:
         assert convolve(c, left_inner, theta, f) == convolve(c, xi, right_inner, f)
 
@@ -898,7 +901,7 @@ def test_inverse_of_zeta_on_level_category_window():
 
 def test_not_invertible_when_zero_on_identity():
     c = poset_as_category(chain([0, 1]))
-    xi = IncidenceFunction({f: 0 if f == (0, 0) else 1 for f in c.morphisms})
+    xi = IncidenceFunction(c, {f: 0 if f == (0, 0) else 1 for f in c.morphisms})
     with pytest.raises(NotInvertible):
         convolution_inverse(c, xi)
 
@@ -915,7 +918,7 @@ def test_inverse_needs_complete_slice():
 
 def test_inverse_of_twice_zeta_is_half_moebius():
     c = poset_as_category(chain([0, 1, 2]))
-    inv = convolution_inverse(c, IncidenceFunction(dict.fromkeys(c.morphisms, 2)))
+    inv = convolution_inverse(c, IncidenceFunction(c, dict.fromkeys(c.morphisms, 2)))
     half = Fraction(1, 2)
     expected = {(0, 0): half, (0, 1): -half, (0, 2): 0, (1, 1): half, (1, 2): -half, (2, 2): half}
     assert dict(inv) == expected
@@ -987,7 +990,9 @@ def test_moebius_convolution_identities():
 def test_convolve_rejects_non_total_incidence_function_every_call():
     c = cm_slice(2, -2)
     zeta = IncidenceFunction.zeta(c)
-    partial = IncidenceFunction({f: 1 for f in c.morphisms[1:]})
+    partial = {f: 1 for f in c.morphisms[1:]}
+    with pytest.raises(InvalidSlice, match="missing morphism"):
+        IncidenceFunction(c, partial)
     for _ in range(2):
         with pytest.raises(InvalidSlice, match="missing morphism"):
             convolve(c, partial, zeta, c.morphisms[0])
@@ -1009,6 +1014,32 @@ def test_convolve_rejects_non_total_plain_dict():
         convolve(c, IncidenceFunction.zeta(c), partial, c.morphisms[0])
 
 
+def test_a_function_on_another_numbering_is_read_again():
+    c = cm_slice(2, -3)
+    copy = _rebuilt(c, c.compose, c.morphisms[::-1])
+    rng = random.Random(5)
+    xi = IncidenceFunction(c, {f: 1 if c.is_identity(f) else rng.randint(-4, 4) for f in c.morphisms})
+    zeta = IncidenceFunction.zeta(c)
+    for f in c.morphisms:
+        assert convolve(copy, xi, zeta, f) == convolve(c, xi, zeta, f)
+        assert convolve(copy, zeta, xi, f) == convolve(c, zeta, xi, f)
+    assert convolution_inverse(copy, xi) == convolution_inverse(c, xi)
+    assert list(convolution_inverse(copy, xi)) == list(copy.morphisms)
+
+
+def test_a_slice_with_its_moebius_function_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        c = cm_slice(2, -3)
+        mu, zeta = moebius_of_slice(c), IncidenceFunction.zeta(c)
+        assert convolve(c, mu, zeta, CmMorphism(1, 0, 0, -2)) == 0
+        del c, mu, zeta
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- Möbius inversion ---------------------------------------------------------------------
 
 def test_inversion_check_for_delta_and_zeta():
@@ -1021,7 +1052,7 @@ def test_inversion_check_for_random_integer_functions():
     c = cm_slice(2, -5)
     rng = random.Random(20240811)
     for _ in range(25):
-        eta = IncidenceFunction({f: rng.randint(-9, 9) for f in c.morphisms})
+        eta = IncidenceFunction(c, {f: rng.randint(-9, 9) for f in c.morphisms})
         assert inversion_round_trip(c, eta)
 
 
@@ -1118,7 +1149,7 @@ def test_json_refuses_morphisms_or_objects_that_share_a_name():
 
 def test_incidence_values_must_be_exact():
     with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
-        IncidenceFunction({(0, 0): 0.5})
+        IncidenceFunction(poset_as_category(chain([0])), {(0, 0): 0.5})
 
 
 def test_convolve_checks_a_plain_mappings_values_are_exact():

@@ -1,6 +1,7 @@
 """Every Python file of the project parses under the oldest supported grammar
 (``requires-python = ">=3.10"``), whatever interpreter runs the tests, every
-module of ``mucat`` reads each name it imports, and the names ``mucat`` exports,
+module of ``mucat`` reads each name it imports, some module of ``mucat`` reads
+each private module-level name one defines, and the names ``mucat`` exports,
 and the public attributes of its main classes, are exactly the listed ones, so
 any change to the public surface shows in this file."""
 
@@ -32,7 +33,7 @@ PUBLIC_ATTRIBUTES = {
         "cod", "complete", "compose", "dom", "factorizations", "from_json", "hom", "identities",
         "is_identity", "morphisms", "morphisms_from", "objects", "to_json",
     ],
-    "FactorizationSource": ["cod", "compose", "dom", "factorizations", "identities"],
+    "FactorizationSource": ["factorizations"],
     "FinitePoset": [
         "covers", "elements", "from_json", "is_lattice", "leq", "moebius", "to_dot", "to_json",
     ],
@@ -70,6 +71,28 @@ def test_modules_read_every_name_they_import():
                     unread.append(f"{path.name}:{node.lineno}: {name}")
     assert "cli.py" in {path.name for path in paths}
     assert unread == []
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    # a private function, class or constant that only tests read is a leftover
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "mucat").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {"_row", "_exact", "_Rule"} <= defined.keys()
+    assert sorted(f"{where}: {name}" for name, where in defined.items() if name not in read) == []
 
 
 def test_public_names_are_the_listed_ones():
