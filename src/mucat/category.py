@@ -6,8 +6,11 @@ marked *complete* promise that every ambient factorization g∘h of the morphism
 has g, h (and the pair entry) inside the slice, so factorization sums are
 exact.  A slice numbers its morphisms and keeps its tables by number; the
 walks read a slice by number and a ``FactorizationSource`` by morphism.
-Incidence functions take exact rational values (Fraction / int); the zeta
-function's convolution inverse is the Möbius function of the slice.
+A law check that passes on a table composing every composable pair (or
+Light's test on the semigroup of a division category) marks the slice, and
+``lawvere._walk`` then keys positions by right factor.  Incidence functions
+take exact rational values (Fraction / int); the zeta function's
+convolution inverse is the Möbius function of the slice.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
         "_number", "_at", "_table", "_facts", "_dom", "_cod", "_ident",
-        "_groups", "_moebius", "_one_way", "_quotients",
+        "_groups", "_moebius", "_one_way", "_quotients", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -57,10 +60,12 @@ class CategorySlice:
         self._adopt(objects, morphisms, {f: dom[f] for f in morphisms if f in dom},
                     {f: cod[f] for f in morphisms if f in cod}, table, dict(identities), complete)
 
-    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete) -> "CategorySlice":
+    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete,
+               associative=False) -> "CategorySlice":
         """Check the tables and index factorizations in one pass, then store
         them as given and return self.  The caller's dicts are kept, not
-        copied, and the composition table is keyed by morphism numbers."""
+        copied, and the composition table is keyed by morphism numbers;
+        ``associative`` is a law check's verdict on a total table."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -108,6 +113,7 @@ class CategorySlice:
         self._moebius = None
         self._one_way = None
         self._quotients: dict = {}
+        self._associative = associative
         return self
 
     def __repr__(self):
@@ -293,6 +299,7 @@ class FactorizationSource:
 
     __slots__ = ("_enumerate", "_facts", "_table", "_dom", "_cod", "_ident", "_validate")
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
+    _associative = False  # no law check has read the rules
 
     def __init__(self, factorizations, dom, cod, identity, composite, validate):
         def checked_pairs(k):
@@ -332,7 +339,9 @@ def find_slice_violation(c: CategorySlice) -> str | None:
 
     Associativity is checked on every composable triple for which both
     bracketings are expressible inside the slice; endpoints are checked
-    when the slice is built.
+    when the slice is built.  When it passes and the table composes every
+    composable pair, one entry per g and k into dom(g), the slice records
+    that verdict, which ``lawvere._walk`` reads.
     """
     at, get, ident, dom, cod = c.morphisms, c._table.get, c._ident, c._dom, c._cod
     for f in range(len(at)):
@@ -354,6 +363,7 @@ def find_slice_violation(c: CategorySlice) -> str | None:
             if left is not None and left != right:
                 return (f"associativity fails on ({at[g]!r}, {at[h]!r}, {at[k]!r}): "
                         f"{at[left]!r} != {at[right]!r}")
+    c._associative = sum([len(into[x]) for x in dom]) == len(c._table)
     return None
 
 

@@ -11,7 +11,8 @@ have refused any interval that is not one-way; the ``--verify`` walk also
 sums ``moebius_at``'s recursion on the same lists.  The staged objects
 (``LawvereInterval``, ``interval_as_poset``, ``is_one_way``) serve
 ``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
-imports and reads them (``LawvereInterval.homs`` too).
+imports and reads them (``LawvereInterval.homs`` too).  On a slice that a
+law check marked (see ``category``), the walk finds positions by right factor.
 """
 
 from __future__ import annotations
@@ -78,23 +79,41 @@ def _walk(c, root, found=None, eta=None):
     of each v' (``pairs`` for the root) finds every morphism into (u', v'),
     each hom-set in slice order.  If eta is a dict, v' gains its ``_invert_from``
     value on zeta if eta already holds v for each (h, v) in its list with h not
-    1.  The loop is inline: a generator step costs more than its lookups."""
+    1.  The loop is inline: a generator step costs more than its lookups.
+
+    A slice with a law check's verdict (``_associative``) has a total,
+    associative table, so for (u', v') in the root's list and (h, v) in v''s,
+    (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
+    (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
+    alone: no composite is read and ``position`` maps right factors."""
     pairs = c._facts[root]
-    position = dict(zip(pairs, range(len(pairs))))
+    right = c._associative and dict(zip([v for _, v in pairs], range(len(pairs))))
+    keyed = right and len(right) == len(pairs)  # a checked slice listing each right factor once
+    position = right if keyed else dict(zip(pairs, range(len(pairs))))
     get, composite, facts, ident, cod = position.get, c._table.get, c._facts, c._ident, c._cod
     up, more = [0] * len(pairs), {}
     for j, (u2, v2) in enumerate(pairs):
         bit = 1 << j
         below = pairs if v2 == root else facts[v2]
-        for h, v in below:
-            i = get((composite((u2, h)), v))
-            if i is not None:
+        if keyed:
+            for h, v in below:
+                i = position[v]
                 if up[i] & bit:
                     more[i, j] = more.get((i, j), 1) + 1
                 else:
                     up[i] |= bit
                 if found is not None:
                     found.setdefault((i, j), []).append(h)
+        else:
+            for h, v in below:
+                i = get((composite((u2, h)), v))
+                if i is not None:
+                    if up[i] & bit:
+                        more[i, j] = more.get((i, j), 1) + 1
+                    else:
+                        up[i] |= bit
+                    if found is not None:
+                        found.setdefault((i, j), []).append(h)
         if eta is not None and v2 not in eta:
             try:
                 one = ident[cod[v2]]
@@ -124,8 +143,8 @@ def is_one_way(iv: LawvereInterval) -> bool:
 
 def _interval_order(f, up, more, position, name):
     """``_linear``'s (order, masks) for f's interval: NotThin unless it is
-    thin, NotOneWay if ``position`` (factorization -> index) shows one listed
-    twice or a poset law fails.  name(i) names index i in messages."""
+    thin, NotOneWay if ``position`` (a key per distinct pair) shows one
+    listed twice or a poset law fails.  name(i) names index i in messages."""
     if more:
         (i, j), count = min(more.items())
         raise NotThin(f"hom-set {(name(i), name(j))!r} has {count} elements")
@@ -167,9 +186,10 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, position,
                              lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
-    bottom, top = position.get((k, ident[c._dom[k]])), position.get((ident[c._cod[k]], k))
-    if bottom is None or top is None:
-        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations")
+    try:  # the factorizations are distinct here, so each is listed once
+        bottom, top = pairs.index((k, ident[c._dom[k]])), pairs.index((ident[c._cod[k]], k))
+    except ValueError:
+        raise Unbounded(f"interval of {f!r} lacks its trivial factorizations") from None
     if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
         raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
     return k, linear, _moebius_to(linear, len(linear) - 1)[0]

@@ -40,7 +40,7 @@ class InverseSemigroup:
     inverses raise InvalidSemigroup otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups")
+    __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups", "_associative")
 
     def __init__(self, elements: Iterable[str], table):
         self.elements = tuple(elements)
@@ -56,6 +56,7 @@ class InverseSemigroup:
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
         self._inv = self._idem_poset = self._in_groups = None
+        self._associative = False  # set once find_semigroup_violation passes
 
     def __len__(self):
         return len(self.elements)
@@ -230,6 +231,7 @@ def find_semigroup_violation(s: InverseSemigroup) -> str | None:
         s._inverses()
     except InvalidSemigroup as exc:
         return str(exc)
+    s._associative = True
     return None
 
 
@@ -266,10 +268,14 @@ def check_transversal(s: InverseSemigroup, reps) -> tuple:
     for e in reps:
         if e not in idem:
             raise NotTransversal(f"{e!r} is not an idempotent")
-    for cls in s.d_classes():
-        hits = [e for e in reps if e in cls]
-        if len(hits) != 1:
-            raise NotTransversal(f"D-class {cls!r} meets the transversal in {hits!r}")
+    classes = s.d_classes()
+    where = {x: k for k, cls in enumerate(classes) for x in cls}
+    hits: list[list] = [[] for _ in classes]
+    for e in reps:
+        hits[where[e]].append(e)
+    for cls, met in zip(classes, hits):
+        if len(met) != 1:
+            raise NotTransversal(f"D-class {cls!r} meets the transversal in {met!r}")
     return reps
 
 
@@ -279,7 +285,8 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     Objects are the transversal; Hom(e, f) = {(s', e) : s'⁻¹ s' <= e,
     s' s'⁻¹ = f}.  This is the whole (finite) category, so every morphism is
     factorization-complete.  For non-combinatorial s the category is still
-    returned; it just fails the Möbius test.
+    returned; it just fails the Möbius test.  Its table is total, so it takes
+    s's verdict from ``find_semigroup_violation``.
 
     Morphisms are listed object by object, in transversal order, and each
     object's by decreasing size of the principal right ideal x⁻¹x·S, ties
@@ -311,7 +318,7 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
                for k, f in enumerate(morphisms) for g in out[cod[f]].values()}
     identities = {e: (e, e) for e in reps}
     return CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, compose,
-                                                       identities, morphisms)
+                                                       identities, morphisms, s._associative)
 
 
 def quotient_poset(c: CategorySlice, e) -> FinitePoset:

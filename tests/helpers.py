@@ -320,6 +320,25 @@ def opposite(c, rng=None) -> CategorySlice:
                          c.identities, c.complete)
 
 
+def slice_product(a, b) -> CategorySlice:
+    """The product of the slices a and b, through the public constructor:
+    objects, morphisms and identities are pairs, endpoints are taken
+    componentwise, entries (g, h) -> k of a and (g', h') -> k' of b give
+    ((g, g'), (h, h')) -> (k, k'), and a pair is complete when both of its
+    components are.  (``product`` is the product of posets.)"""
+    morphisms = [(f, g) for f in a.morphisms for g in b.morphisms]
+    pairs = [(x, y) for x in a.objects for y in b.objects]
+    return CategorySlice(
+        pairs, morphisms,
+        {(f, g): (a.dom[f], b.dom[g]) for f, g in morphisms},
+        {(f, g): (a.cod[f], b.cod[g]) for f, g in morphisms},
+        {((g, g2), (h, h2)): (k, k2)
+         for (g, h), k in a.compose.items() for (g2, h2), k2 in b.compose.items()},
+        {(x, y): (a.identities[x], b.identities[y]) for x, y in pairs},
+        [(f, g) for f, g in morphisms if f in a.complete and g in b.complete],
+    )
+
+
 def bf_slice_violation(c) -> str | None:
     """The first identity or associativity failure by definition, read from
     the public tables: each morphism's right then left identity law in slice

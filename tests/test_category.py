@@ -62,6 +62,7 @@ from helpers import (
     inversion_round_trip,
     meet_semilattice,
     opposite,
+    slice_product,
 )
 
 
@@ -355,6 +356,39 @@ def test_opposite_of_a_non_associative_slice_is_refused(seed):
     violation = find_slice_violation(op)
     assert violation.startswith("associativity fails on ")
     assert violation == bf_slice_violation(op)
+
+
+# -- product categories ------------------------------------------------------------
+
+PRODUCT_CASES = {  # (A, B, whether the product's table composes every composable pair)
+    "cm_slice(3,-3) x division(divisors 60)":
+        (cm_slice(3, -3), OPPOSITE_CORPUS["division(divisors 60)"], True),
+    "cm_slice(2,-3) x dm_slice(3,8)": (cm_slice(2, -3), dm_slice(3, 8), False),
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_CASES))
+def test_product_category_multiplies_moebius_functions(name):
+    # intervals of A x B are products of intervals (Leroux 1975), so
+    # mu(f, g) = mu_A(f) mu_B(g); a total product table takes the keyed walk,
+    # the partial one the walk by composite
+    a, b, total = PRODUCT_CASES[name]
+    c = slice_product(a, b)
+    assert find_slice_violation(c) is None
+    assert c._associative is total
+    mu, mu_a, mu_b = moebius_of_slice(c), moebius_of_slice(a), moebius_of_slice(b)
+    assert len(mu) == len(a.morphisms) * len(b.morphisms)
+    for f, g in c.morphisms:
+        assert mu[f, g] == mu_a[f] * mu_b[g] == moebius_via_lawvere(c, (f, g)), (f, g)
+
+
+def test_product_with_a_non_associative_slice_is_refused():
+    point = CategorySlice(["*"], ["1"], {"1": "*"}, {"1": "*"}, {("1", "1"): "1"}, {"*": "1"}, "1")
+    for c in (slice_product(_one_object_slice(), point), slice_product(point, _one_object_slice())):
+        violation = find_slice_violation(c)
+        assert violation.startswith("associativity fails on ")
+        assert violation == bf_slice_violation(c)
+        assert not c._associative
 
 
 def test_compose_is_a_read_only_view_in_table_order():

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from mucat import (
     FactorizationSource,
     FinitePoset,
     IncompleteSlice,
+    InverseSemigroup,
     NotOneWay,
     NotThin,
     Unbounded,
@@ -19,6 +21,7 @@ from mucat import (
     division_category,
     dm_slice,
     dm_source,
+    find_semigroup_violation,
     find_slice_violation,
     interval_as_poset,
     is_one_way,
@@ -32,7 +35,7 @@ from mucat import (
 import mucat.poset
 from mucat.cm_dm import _dm_factorizations
 from mucat.errors import MucatError
-from mucat.lawvere import _both_routes, _position_route
+from mucat.lawvere import _both_routes, _position_route, _walk
 from mucat.poset import _is_lattice
 
 from helpers import (
@@ -45,6 +48,7 @@ from helpers import (
     divisor_poset,
     is_total_order,
     meet_semilattice,
+    opposite,
     product,
 )
 
@@ -53,6 +57,7 @@ from test_category import (
     BAD_PAIRS,
     _dm3_source,
     _one_bad_pair_source,
+    _one_object_slice,
     _wrong_identity_source,
     idempotent_endo_category,
     iso_pair_category,
@@ -506,3 +511,157 @@ def test_position_route_refuses_as_the_staged_route(make, f, error, message):
             interval_as_poset(lawvere_interval(c, f))
         assert type(staged.value) is error
         assert str(staged.value) == str(direct.value)
+
+
+# -- the keyed walk on checked slices -------------------------------------------
+
+class _CountingTable(dict):
+    """A slice's composition table that counts the composites read through ``get``."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def _walks(c):
+    """Each morphism's walk on c (its pairs, how many keys its positions
+    have, its masks and the connecting morphisms it finds) and how many
+    composites the walks read."""
+    table = c._table = _CountingTable(c._table)
+    walks = []
+    for k in range(len(c.morphisms)):
+        found = {}
+        pairs, position, up, more = _walk(c, k, found)
+        walks.append((pairs, len(position), up, more, found))
+    return walks, table.reads
+
+
+def _lists_a_right_factor_twice(c) -> bool:
+    return any(len({v for _, v in pairs}) < len(pairs) for pairs in c._facts)
+
+
+def _fresh(s):
+    """A copy of the semigroup s that no check has read."""
+    return InverseSemigroup(s.elements, [[s.elements[k] for k in row] for row in s._table])
+
+
+def _two_left_factors():
+    """A one-way category with u∘v = u2∘v = f: f's list names v twice.  Its
+    table composes every composable pair and is associative."""
+    objects = ["A", "B", "C"]
+    ends = {"1A": "AA", "1B": "BB", "1C": "CC", "v": "AB", "u": "BC", "u2": "BC", "f": "AC"}
+    ident = {"A": "1A", "B": "1B", "C": "1C"}
+    compose = {("u", "v"): "f", ("u2", "v"): "f"}
+    for g, (x, y) in ends.items():
+        compose[g, ident[x]] = compose[ident[y], g] = g
+    dom = {g: x for g, (x, _) in ends.items()}
+    cod = {g: y for g, (_, y) in ends.items()}
+    return CategorySlice(objects, list(ends), dom, cod, compose, ident, list(ends))
+
+
+KEYED_CORPUS = {
+    "cm_slice(3,-4)": lambda: cm_slice(3, -4),
+    "cm_slice(2,-6)": lambda: cm_slice(2, -6),
+    "poset D12": lambda: poset_as_category(divisor_poset(12)),
+    "poset B3 top-first": lambda: poset_as_category(_top_first(boolean_lattice(3))),
+    **{f"division {name}": (lambda s=s, t=t: division_category(_fresh(s), t))
+       for name, (s, t) in ORDER_CORPUS.items()},
+    "opposite cm_slice(3,-4)": lambda: opposite(cm_slice(3, -4)),
+    # POI_4's division category lists a left factor twice: its opposite mixes both walks
+    "opposite division POI_4": lambda: opposite(division_category(*ORDER_CORPUS["POI_4"]),
+                                                random.Random(35)),
+    "iso pair": iso_pair_category,
+    "idempotent endo": idempotent_endo_category,
+    "u∘v = u2∘v": _two_left_factors,
+}
+
+
+@pytest.mark.parametrize("name", list(KEYED_CORPUS))
+def test_keyed_walk_equals_the_walk_by_composite(name):
+    # a passing law check on a total table lets the walk key positions by
+    # right factor; masks, hom-sets, values and refusals stay the unchecked walk's
+    checked, plain = KEYED_CORPUS[name](), KEYED_CORPUS[name]()
+    assert find_slice_violation(checked) is None
+    assert checked._associative and not plain._associative
+    keyed, keyed_reads = _walks(checked)
+    walked, reads = _walks(plain)
+    assert keyed == walked
+    assert (keyed_reads == 0) is not _lists_a_right_factor_twice(checked) and reads > 0
+    for f in checked.morphisms:
+        homs = lawvere_interval(checked, f).homs
+        assert homs == lawvere_interval(plain, f).homs
+        assert homs == bf_lawvere_homs(checked, f), f  # an opposite lists pairs in its own order
+        for routes in (_in_turn, lambda c, f: _both_routes(c, f, {})):
+            assert _values_or_error(routes, checked, f) == _values_or_error(routes, plain, f), f
+
+
+def test_a_right_factor_listed_twice_keeps_the_walk_by_composite():
+    c = _two_left_factors()
+    assert find_slice_violation(c) is None and c._associative
+    table = c._table = _CountingTable(c._table)
+    for k, f in enumerate(c.morphisms):  # only f's list names a right factor twice
+        before = table.reads
+        _walk(c, k)
+        assert (table.reads > before) is (f == "f"), f
+    assert _walks(c)[0] == _walks(_two_left_factors())[0]
+    # bottom (f, 1A) < (u, v), (u2, v) < top (1C, f): mu = 1 on both routes
+    assert moebius_via_lawvere(c, "f") == moebius_at(c, "f") == moebius_of_slice(c)["f"] == 1
+
+
+@pytest.mark.parametrize(
+    "base",
+    [cm_slice(2, -3), poset_as_category(divisor_poset(12)), division_category(*ORDER_CORPUS["Brandt B_3"])],
+    ids=["cm_slice(2,-3)", "poset(divisors 12)", "division(Brandt B_3)"],
+)
+def test_planted_edits_get_the_verdict_only_when_associative_and_total(base):
+    # redirect one entry to another morphism with the same endpoints, maybe
+    # dropping one; the walk and the route's refusals stay the unchecked slice's
+    rng = random.Random(35)
+    entries = list(base.compose.items())
+    refused = 0
+    for _ in range(25):
+        compose = dict(entries)
+        for (pair, _) in rng.sample(entries, rng.randint(0, 1)):
+            del compose[pair]
+        (g, h), _ = rng.choice(entries)
+        if (g, h) in compose:
+            compose[g, h] = rng.choice(base.hom(base.dom[h], base.cod[g]))
+
+        def make():
+            return CategorySlice(base.objects, base.morphisms, base.dom, base.cod, compose,
+                                 base.identities, base.complete)
+
+        c = make()
+        violation = find_slice_violation(c)
+        assert c._associative is (violation is None and len(compose) == len(entries))
+        refused += violation is not None
+        assert _walks(c)[0] == _walks(make())[0]
+        for f in c.morphisms:
+            assert _values_or_error(_in_turn, c, f) == _values_or_error(_in_turn, make(), f)
+    assert refused
+    c = _one_object_slice()  # total, and (a∘a)∘b != a∘(a∘b)
+    assert find_slice_violation(c) is not None and not c._associative
+
+
+def test_partial_window_passes_the_law_check_but_keeps_the_walk_by_composite():
+    c = dm_slice(3, 30)  # its cap drops composites: the table is partial
+    assert find_slice_violation(c) is None and not c._associative
+    walks, reads = _walks(c)
+    assert reads > 0 and walks == _walks(dm_slice(3, 30))[0]
+
+
+def test_division_category_takes_its_semigroups_verdict():
+    s, transversal = ORDER_CORPUS["boolean B_4"]
+    s = _fresh(s)
+    assert not division_category(s, transversal)._associative  # no check has run
+    assert find_semigroup_violation(s) is None
+    checked = division_category(s, transversal)
+    assert checked._associative
+    assert _walks(checked)[1] == 0
+    # Light's test fails on (c, b, c), yet the table still has a division category
+    failing = InverseSemigroup("abc", ["aaa", "aba", "acc"])
+    assert find_semigroup_violation(failing) == "associativity fails on ('c', 'b', 'c')"
+    c = division_category(failing)
+    assert not c._associative and _walks(c)[1] > 0

@@ -329,6 +329,48 @@ def test_transversal_must_hit_each_class_once():
         division_category(brandt_five(), ["e11", "e22", "z"])
 
 
+def _transversal_refusal(s, reps):
+    """check_transversal's verdict by definition: the first non-idempotent in
+    reps order, else the first D-class, in d_classes() order, that reps does
+    not meet exactly once, with its hits in reps order."""
+    idempotents = {x for x in s.elements if s.mul(x, x) == x}
+    for e in reps:
+        if e not in idempotents:
+            return f"{e!r} is not an idempotent"
+    for cls in s.d_classes():
+        hits = [e for e in reps if e in cls]
+        if len(hits) != 1:
+            return f"D-class {cls!r} meets the transversal in {hits!r}"
+    return None
+
+
+def test_transversal_refusals_name_the_first_fault():
+    s = brandt_five()  # D-classes [e11, e22, a, b] and [z]
+    cases = {
+        # a non-idempotent is named before any D-class is read
+        ("e11", "e22", "a"): "'a' is not an idempotent",
+        # both classes fail; the first is named, its hits in reps order
+        ("z", "e22", "z", "e11"): "D-class ['e11', 'e22', 'a', 'b'] meets the transversal in ['e22', 'e11']",
+        ("e22",): "D-class ['z'] meets the transversal in []",
+    }
+    for reps, message in cases.items():
+        assert _transversal_refusal(s, reps) == message
+        with pytest.raises(NotTransversal) as refusal:
+            check_transversal(s, reps)
+        assert str(refusal.value) == message
+    rng = random.Random(35)
+    for s in (brandt(3), poi(3), meet_semilattice(B2), symmetric_inverse_monoid(2)):
+        names = [*s.elements, *s.idempotents() * 3]
+        for _ in range(60):
+            reps = rng.sample(names, rng.randint(0, 6))
+            try:
+                assert check_transversal(s, reps) == tuple(reps)
+                got = None
+            except NotTransversal as exc:
+                got = str(exc)
+            assert got == _transversal_refusal(s, reps), reps
+
+
 def test_transversal_must_contain_identity_of_monoid():
     s = meet_semilattice(B2)
     partial = [e for e in s.elements if e != s.identity()]
