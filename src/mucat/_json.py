@@ -1,6 +1,7 @@
 """The one JSON boundary: every ``from_json`` reader parses and checks here, so
-any malformed input raises the reader's own error with a one-line message, and
-every writer names its items by the one rule here."""
+any malformed input raises the reader's own error with a one-line message.
+mucat reads JSON and writes none back; the CLI's ``--format json`` reports
+are the one JSON it prints."""
 
 from __future__ import annotations
 
@@ -18,22 +19,7 @@ def rows(value, length=None) -> bool:
     return isinstance(value, list) and all(strings(row, length) for row in value)
 
 
-def name(item) -> str:
-    """The JSON name of an element, object or morphism: a string is its own
-    name, anything else is rendered through str()."""
-    return item if isinstance(item, str) else str(item)
-
-
-def names(items, error, what: str) -> dict:
-    """Each item's ``name``, in item order; two items with one name raise
-    ``error`` saying ``what`` are not unique, as JSON could not tell them apart."""
-    named = {item: name(item) for item in items}
-    if len(set(named.values())) != len(named):
-        raise error(f"{what} are not unique; cannot serialize")
-    return named
-
-
-def load_object(data, error, what: str, fields=None) -> dict:
+def load_object(data, error, what: str, fields) -> dict:
     """Parse ``data`` (JSON text, or a value already parsed) as a JSON object.
 
     ``fields`` maps every allowed key to ``(test, shape)``: other keys are
@@ -47,11 +33,10 @@ def load_object(data, error, what: str, fields=None) -> dict:
             raise error(f"{what} JSON does not parse: {exc}") from None
     if not isinstance(data, dict):
         raise error(f"{what} JSON must be an object")
-    if fields is not None:
-        unknown = set(data) - fields.keys()
-        if unknown:
-            raise error(f"unknown keys in {what} JSON: {sorted(unknown)}")
-        for key, (test, shape) in fields.items():
-            if not test(data.get(key)):
-                raise error(f"{what} JSON {key!r} must be {shape}")
+    unknown = set(data) - fields.keys()
+    if unknown:
+        raise error(f"unknown keys in {what} JSON: {sorted(unknown)}")
+    for key, (test, shape) in fields.items():
+        if not test(data.get(key)):
+            raise error(f"{what} JSON {key!r} must be {shape}")
     return data

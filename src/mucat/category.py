@@ -15,12 +15,11 @@ convolution inverse is the Möbius function of the slice.
 
 from __future__ import annotations
 
-import json
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from typing import Any
 
-from ._json import load_object, names, rows, strings
+from ._json import load_object, rows, strings
 from .errors import (
     IncompleteSlice,
     InvalidSlice,
@@ -171,24 +170,7 @@ class CategorySlice:
                         f"factor {h!r} of {f!r} is not marked factorization-complete")
         return k
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize in the documented slice schema (morphisms become string ids)."""
-        mid = names(self.morphisms, InvalidSlice, "morphism/object keys")
-        oid = names(self.objects, InvalidSlice, "morphism/object keys")
-        key = [mid[f] for f in self.morphisms]  # by number
-        data = {
-            "objects": [oid[x] for x in self.objects],
-            "morphisms": [
-                {"id": mid[f], "dom": oid[self.dom[f]], "cod": oid[self.cod[f]]}
-                for f in self.morphisms
-            ],
-            "compose": [[key[g], key[h], key[k]] for (g, h), k in self._table.items()],
-            "identities": {oid[x]: mid[self.identities[x]] for x in self.objects},
-            "complete": [mid[f] for f in self.morphisms if f in self.complete],
-        }
-        return json.dumps(data)
+    # -- JSON input ------------------------------------------------------
 
     @classmethod
     def from_json(cls, data) -> "CategorySlice":

@@ -4,8 +4,8 @@ Elements are opaque hashable identifiers.  A poset can be built either from the
 full relation or from its cover relation (the covers are closed reflexively and
 transitively in a topological order from the standard library's ``graphlib``,
 which also finds any cycle to refuse).  Element order is the order in which the
-elements were supplied and every derived output (cover lists, DOT, JSON)
-iterates in that order, so identical inputs produce byte-identical outputs.
+elements were supplied and every derived output (cover lists, DOT) iterates
+in that order, so identical inputs produce byte-identical outputs.
 
 Internally each element has a bit position in a linear extension: the
 supplied order when it is one, else decreasing up-set size with ties in
@@ -30,12 +30,11 @@ with no poset object.
 
 from __future__ import annotations
 
-import json
 from graphlib import CycleError, TopologicalSorter
 from itertools import compress
 from typing import Any, Callable, Iterable
 
-from ._json import load_object, names, rows, strings
+from ._json import load_object, rows, strings
 from .errors import InvalidPoset, NotComparable
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -300,11 +299,11 @@ class FinitePoset:
             column = self._mu[q] = _moebius_to(self._up, q)
         return column[p]
 
-    # -- serialization ---------------------------------------------------
+    # -- JSON input and DOT output ----------------------------------------
 
     @classmethod
     def from_json(cls, data) -> "FinitePoset":
-        """Build from the documented JSON object (or its serialized form).
+        """Build from the documented JSON object (or its text).
 
         Schema: {"elements": [str, ...]} plus exactly one of "leq" / "covers",
         each an array of 2-string arrays.  Unknown keys are rejected.
@@ -314,16 +313,6 @@ class FinitePoset:
             "elements": (strings, "an array of strings"), "leq": relation, "covers": relation,
         })
         return cls(data["elements"], leq=data.get("leq"), covers=data.get("covers"))
-
-    def to_json(self) -> str:
-        """Serialize as {"elements": ..., "covers": ...} under ``_json.names``."""
-        key = names(self.elements, InvalidPoset, "element names")
-        return json.dumps(
-            {
-                "elements": [key[x] for x in self.elements],
-                "covers": [[key[a], key[b]] for a, b in self.covers()],
-            }
-        )
 
     def to_dot(self, label: Callable[[Any], str] = str) -> str:
         """DOT Hasse diagram: one node per element, one edge per cover pair,

@@ -14,11 +14,10 @@ below e.  On combinatorial semigroups all routes agree exactly.
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 from typing import Iterable
 
-from ._json import load_object, names, rows, strings
+from ._json import load_object, rows, strings
 from .category import CategorySlice, is_one_way_category
 from .errors import (
     InvalidSemigroup,
@@ -149,7 +148,7 @@ class InverseSemigroup:
             self._idem_poset = poset
         return self._idem_poset
 
-    # -- serialization ---------------------------------------------------
+    # -- JSON input ------------------------------------------------------
 
     @classmethod
     def from_json(cls, data) -> "InverseSemigroup":
@@ -165,15 +164,6 @@ class InverseSemigroup:
             what = "an identity" if one in s._index else "an element"
             raise InvalidSemigroup(f"'one' {one!r} is not {what}")
         return s
-
-    def to_json(self) -> str:
-        """Serialize, each element named by ``_json.names``."""
-        named = list(names(self.elements, InvalidSemigroup, "element names").values())
-        data = {"elements": named, "table": [[named[k] for k in row] for row in self._table]}
-        identity = self.identity()
-        if identity is not None:
-            data["one"] = named[self._index[identity]]
-        return json.dumps(data)
 
 
 def _generators(table) -> list[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations, permutations
+from math import factorial
 
 from mucat import (
     CategorySlice,
@@ -126,6 +127,77 @@ def partial_identities(n: int) -> list[str]:
     """The partial identity on {0..k-1} for k = 0..n, one idempotent per rank:
     a transversal of the D-classes of I_n and of POI_n."""
     return ["{" + " ".join(f"{a}>{a}" for a in range(k)) + "}" for k in range(n + 1)]
+
+
+# -- JSON documents ------------------------------------------------------------
+#
+# mucat reads these formats and writes none of them; these helpers write each
+# from public reads, every item named through str(), for the readers' tests.
+
+def poset_json(p: FinitePoset) -> str:
+    """p in the poset format, as its elements and its cover pairs."""
+    return json.dumps({"elements": [str(x) for x in p.elements],
+                       "covers": [[str(a), str(b)] for a, b in p.covers()]})
+
+
+def semigroup_json(s: InverseSemigroup) -> str:
+    """s in the semigroup format, its table read through ``mul``, with "one"
+    when s has an identity."""
+    data = {"elements": [str(x) for x in s.elements],
+            "table": [[str(s.mul(x, y)) for y in s.elements] for x in s.elements]}
+    one = s.identity()
+    if one is not None:
+        data["one"] = str(one)
+    return json.dumps(data)
+
+
+def slice_json(c: CategorySlice) -> str:
+    """c in the slice format, its compose entries in ``c.compose`` order."""
+    return json.dumps({
+        "objects": [str(x) for x in c.objects],
+        "morphisms": [{"id": str(f), "dom": str(c.dom[f]), "cod": str(c.cod[f])}
+                      for f in c.morphisms],
+        "compose": [[str(g), str(h), str(k)] for (g, h), k in c.compose.items()],
+        "identities": {str(x): str(c.identities[x]) for x in c.objects},
+        "complete": [str(f) for f in c.morphisms if f in c.complete],
+    })
+
+
+def _partitions(n: int) -> list[tuple]:
+    """The set partitions of {0..n-1} as restricted growth strings: r[k] is
+    the block of k, blocks numbered by their least elements."""
+    strings = [()]
+    for _ in range(n):
+        strings = [r + (b,) for r in strings for b in range(max(r, default=-1) + 2)]
+    return strings
+
+
+def partition_lattice_json(n: int) -> str:
+    """The partition lattice Π_n (n <= 10) in the semigroup format: the
+    partitions of {0..n-1}, named like "01|2" (blocks by least element),
+    with the common refinement as the product, its meet under refinement."""
+    parts = _partitions(n)
+    name = {r: "|".join("".join(str(k) for k, b in enumerate(r) if b == i)
+                        for i in range(max(r, default=-1) + 1))
+            for r in parts}
+
+    def refine(r, q):  # k's block is its pair of blocks, renumbered by first appearance
+        blocks: dict = {}
+        return tuple(blocks.setdefault(pair, len(blocks)) for pair in zip(r, q))
+
+    return json.dumps({"elements": [name[r] for r in parts],
+                       "table": [[name[refine(r, q)] for q in parts] for r in parts]})
+
+
+def partition_moebius(x: str, e: str) -> int:
+    """Rota's closed form for μ(x, e) on Π_n, x finer than e, both named as
+    by ``partition_lattice_json``: the product over the blocks of e of
+    (-1)^(k - 1) (k - 1)!, k the number of blocks of x inside that block."""
+    mu = 1
+    for block in e.split("|"):
+        k = sum(set(small) <= set(block) for small in x.split("|"))
+        mu *= (-1) ** (k - 1) * factorial(k - 1)
+    return mu
 
 
 # -- brute-force oracles -----------------------------------------------------
@@ -392,8 +464,9 @@ def bf_lawvere_homs(c, f) -> dict:
     """The interval's homs by definition: every pair of factorizations of f,
     every ambient morphism h between their middle objects, kept when
     h∘v = v' and u'∘h = u.  Keys are (u, v, f) triples, source-major then
-    target, in the order the slice lists factorizations (right factor major);
-    each hom-set is in slice order."""
+    target, factorizations ordered by right factor, then by left factor, each
+    in slice morphism order (the order ``factorizations`` lists them only when
+    the table was filled right factor major).  Each hom-set is in slice order."""
     objects = [
         (g, h, f)
         for h in c.morphisms
@@ -424,14 +497,13 @@ def bf_one_way(c, f) -> bool:
 
 # -- semigroup oracles ----------------------------------------------------------
 #
-# These read the table through to_json(), never through InverseSemigroup's
-# accessors, so they share no code with mucat.semigroups.
+# These read the table once, product by product through the public
+# InverseSemigroup.mul, and recompute everything else from the definitions,
+# so they share no algorithm with mucat.semigroups.
 
-def _named_table(s) -> tuple[list, dict]:
-    data = json.loads(s.to_json())
-    names = data["elements"]
-    mul = {(a, b): ab for a, row in zip(names, data["table"]) for b, ab in zip(names, row)}
-    return names, mul
+def _read_table(s) -> tuple[list, dict]:
+    names = list(s.elements)
+    return names, {(a, b): s.mul(a, b) for a in names for b in names}
 
 
 def _bf_inverse_candidates(names, mul, a) -> list:
@@ -441,7 +513,7 @@ def _bf_inverse_candidates(names, mul, a) -> list:
 def bf_semigroup_violation(s) -> str | None:
     """The first failing triple (a, b, c) in table order, then the first element
     without exactly one inverse, then the first non-commuting idempotent pair."""
-    names, mul = _named_table(s)
+    names, mul = _read_table(s)
     for a in names:
         for b in names:
             for c in names:
@@ -461,14 +533,14 @@ def bf_semigroup_violation(s) -> str | None:
 
 def bf_triple_fails(s, a, b, c) -> bool:
     """(ab)c != a(bc), by the definition."""
-    _, mul = _named_table(s)
+    _, mul = _read_table(s)
     return mul[mul[a, b], c] != mul[a, mul[b, c]]
 
 
 def bf_d_classes(s) -> list[list]:
     """Greedy partition by the definition: s joins the first class whose first
     member t has some x with x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹."""
-    names, mul = _named_table(s)
+    names, mul = _read_table(s)
     inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
 
     def related(a, b):
@@ -490,7 +562,7 @@ def bf_d_classes(s) -> list[list]:
 
 def bf_is_combinatorial(s) -> bool:
     """Every maximal subgroup H_e = {x : xx⁻¹ = x⁻¹x = e} is {e}."""
-    names, mul = _named_table(s)
+    names, mul = _read_table(s)
     inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
     for e in names:
         if mul[e, e] == e:
@@ -503,10 +575,9 @@ def bf_is_combinatorial(s) -> bool:
 def bf_natural_order(s) -> set:
     """The natural partial order by definition, x <= y iff x = x x⁻¹ y, as
     (x, y) pairs of s's elements."""
-    names, mul = _named_table(s)
+    names, mul = _read_table(s)
     inv = {a: _bf_inverse_candidates(names, mul, a)[0] for a in names}
-    element = dict(zip(names, s.elements))
-    return {(element[x], element[y]) for x in names for y in names if mul[mul[x, inv[x]], y] == x}
+    return {(x, y) for x in names for y in names if mul[mul[x, inv[x]], y] == x}
 
 
 def classical_moebius(n: int) -> int:

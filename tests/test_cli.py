@@ -28,6 +28,8 @@ from helpers import (
     divisor_poset,
     meet_semilattice,
     partial_identities,
+    poset_json,
+    semigroup_json,
     symmetric_inverse_monoid,
 )
 
@@ -234,7 +236,7 @@ def test_interval_dot_grid_cover_count(capsys):
 
 def test_poset_mu_divisor_file(capsys, tmp_path):
     path = tmp_path / "divisors12.json"
-    path.write_text(divisor_poset(12).to_json(), encoding="utf-8")
+    path.write_text(poset_json(divisor_poset(12)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "poset-mu", str(path), "1", "12")
     assert code == 0
     assert out == "0\n"
@@ -242,7 +244,7 @@ def test_poset_mu_divisor_file(capsys, tmp_path):
 
 def test_poset_mu_not_comparable(capsys, tmp_path):
     path = tmp_path / "divisors12.json"
-    path.write_text(divisor_poset(12).to_json(), encoding="utf-8")
+    path.write_text(poset_json(divisor_poset(12)), encoding="utf-8")
     code, _, err = run_cli(capsys, "poset-mu", str(path), "12", "1")
     assert code == 2
     assert "error" in err
@@ -258,7 +260,7 @@ def test_poset_mu_missing_file(capsys, tmp_path):
 
 def write_chain_semilattice(tmp_path):
     path = tmp_path / "chain.json"
-    path.write_text(meet_semilattice(chain(["f", "e"])).to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(meet_semilattice(chain(["f", "e"]))), encoding="utf-8")
     return path
 
 
@@ -291,7 +293,7 @@ def test_semigroup_explicit_transversal(capsys, tmp_path):
 
 def test_semigroup_empty_transversal_is_checked(capsys, tmp_path):
     path = tmp_path / "one.json"
-    path.write_text(meet_semilattice(chain(["e"])).to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(meet_semilattice(chain(["e"]))), encoding="utf-8")
     assert run_cli(capsys, "semigroup", str(path), "e,e")[:2] == (0, "1 1 1 AGREE\n")
     assert run_cli(capsys, "semigroup", str(path), "e,e", "--transversal", "") == (
         2, "", "error: '' is not an idempotent\n"
@@ -304,17 +306,17 @@ def test_semigroup_boolean_lattice_file(capsys, tmp_path):
         covers=[("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
     )
     path = tmp_path / "square.json"
-    path.write_text(meet_semilattice(square).to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(meet_semilattice(square)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "semigroup", str(path), "bot,top")
     assert code == 0
     assert out == "1 1 1 AGREE\n"
 
 
 def test_semigroup_names_holding_commas(capsys, tmp_path):
-    # to_json names frozenset elements through str(), e.g. "frozenset({1, 2})"
+    # semigroup_json names frozenset elements through str(), e.g. "frozenset({1, 2})"
     s = meet_semilattice(boolean_lattice(3))
     path = tmp_path / "b3.json"
-    path.write_text(s.to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(s), encoding="utf-8")
     names = {e: str(e) for e in s.elements}
     specs = [f"{names[x]},{names[e]}" for x in s.elements for e in s.elements if x <= e]
     assert len(specs) == 27
@@ -330,7 +332,7 @@ def test_semigroup_names_holding_commas(capsys, tmp_path):
 def test_semigroup_transversal_names_holding_commas(capsys, tmp_path):
     s = meet_semilattice(boolean_lattice(3))
     path = tmp_path / "b3.json"
-    path.write_text(s.to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(s), encoding="utf-8")
     spec = "frozenset(),frozenset({1})"
     transversal = ",".join(str(e) for e in default_transversal(s))
     assert run_cli(capsys, "semigroup", str(path), spec, "--transversal", transversal) == (
@@ -340,7 +342,8 @@ def test_semigroup_transversal_names_holding_commas(capsys, tmp_path):
 
 def test_semigroup_ambiguous_comma_split(capsys, tmp_path):
     path = tmp_path / "chain.json"
-    path.write_text(meet_semilattice(chain(["a", "a,b", "b,c", "c"])).to_json(), encoding="utf-8")
+    s = meet_semilattice(chain(["a", "a,b", "b,c", "c"]))
+    path.write_text(semigroup_json(s), encoding="utf-8")
     for extra, what in (([], "morphism spec"), (["--transversal", "a,b,c"], "transversal")):
         code, out, err = run_cli(capsys, "semigroup", str(path), "a,b,c", *extra)
         assert (code, out) == (2, "")
@@ -397,7 +400,7 @@ def test_semigroup_names_a_non_combinatorial_semigroup(capsys, tmp_path, n):
     # I_n holds the swap of 0 and 1, a non-idempotent s with s s⁻¹ = s⁻¹ s; its
     # D-classes hold several idempotents, and no transversal gives a one-way category
     path = tmp_path / f"i{n}.json"
-    path.write_text(symmetric_inverse_monoid(n).to_json(), encoding="utf-8")
+    path.write_text(semigroup_json(symmetric_inverse_monoid(n)), encoding="utf-8")
     for extra in ([], ["--transversal", ",".join(partial_identities(n))]):
         assert run_cli(capsys, "semigroup", str(path), "{},{}", *extra) == (
             2, "", "error: '{0>1 1>0}' lies in a nontrivial subgroup\n"

@@ -25,7 +25,7 @@ from mucat import (
 from mucat._json import load_object, rows, strings
 from mucat.cli import main
 
-from helpers import B2, brandt_five, divisor_poset, meet_semilattice
+from helpers import B2, brandt_five, divisor_poset, meet_semilattice, poset_json, semigroup_json, slice_json
 
 SLICE = poset_as_category(chain([0, 1]))
 
@@ -35,15 +35,15 @@ READERS = {
         FinitePoset.from_json,
         InvalidPoset,
         [
-            json.loads(divisor_poset(12).to_json()),
+            json.loads(poset_json(divisor_poset(12))),
             {"elements": ["a", "b"], "leq": [["a", "a"], ["b", "b"], ["a", "b"]]},
         ],
     ),
-    "slice": (CategorySlice.from_json, InvalidSlice, [json.loads(SLICE.to_json())]),
+    "slice": (CategorySlice.from_json, InvalidSlice, [json.loads(slice_json(SLICE))]),
     "semigroup": (
         InverseSemigroup.from_json,
         InvalidSemigroup,
-        [json.loads(brandt_five().to_json()), json.loads(meet_semilattice(B2).to_json())],
+        [json.loads(semigroup_json(brandt_five())), json.loads(semigroup_json(meet_semilattice(B2)))],
     ),
 }
 
@@ -151,7 +151,6 @@ def test_load_object_reads_text_and_values():
     assert load_object(json.dumps(doc), Bad, "test", FIELDS) == doc
     assert load_object(doc, Bad, "test", FIELDS) is doc
     assert load_object('{"names": []}', Bad, "test", FIELDS) == {"names": []}
-    assert load_object('{"anything": 1}', Bad, "test") == {"anything": 1}
 
 
 @pytest.mark.parametrize(

@@ -547,18 +547,37 @@ def _fresh(s):
     return InverseSemigroup(s.elements, [[s.elements[k] for k in row] for row in s._table])
 
 
-def _two_left_factors():
-    """A one-way category with u∘v = u2∘v = f: f's list names v twice.  Its
-    table composes every composable pair and is associative."""
-    objects = ["A", "B", "C"]
-    ends = {"1A": "AA", "1B": "BB", "1C": "CC", "v": "AB", "u": "BC", "u2": "BC", "f": "AC"}
-    ident = {"A": "1A", "B": "1B", "C": "1C"}
-    compose = {("u", "v"): "f", ("u2", "v"): "f"}
+def _letter_slice(objects, ends, compose):
+    """The slice on one-letter objects whose morphisms run as ``ends`` says
+    (dom then cod), with the entries ``compose``, then every identity entry;
+    "1X" is the identity of X, and every morphism is complete."""
+    ident = {x: f"1{x}" for x in objects}
+    compose = dict(compose)
     for g, (x, y) in ends.items():
         compose[g, ident[x]] = compose[ident[y], g] = g
     dom = {g: x for g, (x, _) in ends.items()}
     cod = {g: y for g, (_, y) in ends.items()}
     return CategorySlice(objects, list(ends), dom, cod, compose, ident, list(ends))
+
+
+def _two_left_factors():
+    """A one-way category with u∘v = u2∘v = f: f's list names v twice.  Its
+    table composes every composable pair and is associative."""
+    ends = {"1A": "AA", "1B": "BB", "1C": "CC", "v": "AB", "u": "BC", "u2": "BC", "f": "AC"}
+    return _letter_slice("ABC", ends, {("u", "v"): "f", ("u2", "v"): "f"})
+
+
+def _two_connecting_morphisms():
+    """A category with h∘v = k∘v = w, u2∘h = u2∘k = u and u∘v = u2∘w = f:
+    h and k both connect (u, v) to (u2, w), so f's interval is not thin.  Its
+    table composes every composable pair and is associative, and f's list
+    names each right factor once."""
+    ends = {"1A": "AA", "1B": "BB", "1P": "PP", "1C": "CC", "v": "AB", "h": "BP", "k": "BP",
+            "w": "AP", "u2": "PC", "u": "BC", "f": "AC"}
+    return _letter_slice("ABPC", ends, {
+        ("h", "v"): "w", ("k", "v"): "w", ("u2", "h"): "u", ("u2", "k"): "u",
+        ("u", "v"): "f", ("u2", "w"): "f",
+    })
 
 
 KEYED_CORPUS = {
@@ -575,6 +594,7 @@ KEYED_CORPUS = {
     "iso pair": iso_pair_category,
     "idempotent endo": idempotent_endo_category,
     "u∘v = u2∘v": _two_left_factors,
+    "h∘v = k∘v": _two_connecting_morphisms,
 }
 
 
@@ -608,6 +628,26 @@ def test_a_right_factor_listed_twice_keeps_the_walk_by_composite():
     assert _walks(c)[0] == _walks(_two_left_factors())[0]
     # bottom (f, 1A) < (u, v), (u2, v) < top (1C, f): mu = 1 on both routes
     assert moebius_via_lawvere(c, "f") == moebius_at(c, "f") == moebius_of_slice(c)["f"] == 1
+
+
+def test_keyed_walk_counts_a_hom_set_with_two_elements():
+    c = _two_connecting_morphisms()
+    assert find_slice_violation(c) is None and c._associative
+    source, target = Factorization("u", "v", "f"), Factorization("u2", "w", "f")
+    assert lawvere_interval(c, "f").homs[source, target] == ("h", "k")
+    walks = []
+    for associative in (True, False):  # the keyed walk, then the walk by composite
+        c._associative = associative
+        with pytest.raises(NotThin) as caught:
+            moebius_via_lawvere(c, "f")
+        assert str(caught.value) == f"hom-set {(source, target)!r} has 2 elements"
+        table, found = _CountingTable(c._table), {}
+        c._table = table
+        pairs, _, up, more = _walk(c, c.morphisms.index("f"), found)
+        walks.append(((pairs, up, more, found), table.reads))
+    (keyed, keyed_reads), (walked, reads) = walks
+    assert keyed == walked and keyed_reads == 0 < reads
+    assert list(keyed[2].values()) == [2]  # _more: one hom-set, with two elements
 
 
 @pytest.mark.parametrize(

@@ -31,16 +31,16 @@ PUBLIC_NAMES = [
 PUBLIC_ATTRIBUTES = {
     "CategorySlice": [
         "cod", "complete", "compose", "dom", "factorizations", "from_json", "hom", "identities",
-        "is_identity", "morphisms", "morphisms_from", "objects", "to_json",
+        "is_identity", "morphisms", "morphisms_from", "objects",
     ],
     "FactorizationSource": ["factorizations"],
     "FinitePoset": [
-        "covers", "elements", "from_json", "is_lattice", "leq", "moebius", "to_dot", "to_json",
+        "covers", "elements", "from_json", "is_lattice", "leq", "moebius", "to_dot",
     ],
     "IncidenceFunction": ["delta", "get", "items", "keys", "values", "zeta"],
     "InverseSemigroup": [
         "d_classes", "elements", "from_json", "idempotent_poset", "idempotents", "identity",
-        "inverse", "mul", "to_json",
+        "inverse", "mul",
     ],
     "LawvereInterval": ["homs", "objects", "subject"],
 }
