@@ -4,8 +4,9 @@ A CategorySlice is a finite window of a (possibly infinite) category: objects,
 morphisms, a partial composition table, and an identity per object.  Morphisms
 marked *complete* promise that every ambient factorization g∘h of the morphism
 has g, h (and the pair entry) inside the slice, so factorization sums are
-exact.  A slice numbers its morphisms and keeps its tables by number; the
-walks read a slice by number and a ``FactorizationSource`` by morphism.
+exact.  A slice numbers its morphisms and keeps its tables by number, the
+composition table as one row per left factor; the walks read a slice by
+number and a ``FactorizationSource`` by morphism.
 A law check that passes on a table composing every composable pair (or
 Light's test on the semigroup of a division category) marks the slice, and
 ``lawvere._walk`` then keys positions by right factor.  Incidence functions
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
+from functools import partial
 from typing import Any
 
 from ._json import load_object, rows, strings
@@ -34,37 +36,43 @@ class CategorySlice:
     """Finite presentation of a window of a small category.
 
     Morphisms and objects are numbered in list order, and the tables are
-    kept by number: ``_table`` maps (g, h) with cod(h) = dom(g) to g∘h when
-    the composite lies in the slice, ``_facts[k]`` lists the pairs composing
-    to k, and ``_dom``/``_cod``/``_ident`` give endpoints and identities;
-    ``compose`` is a read-only view of ``_table`` by morphism.  The
-    constructor checks each entry's and each identity's endpoints once and
-    indexes factorizations in that pass.  Other derived tables are cached.
+    kept by number: the row ``_after[g]`` maps h with cod(h) = dom(g) to g∘h
+    when the composite lies in the slice, ``_facts[k]`` lists the pairs
+    composing to k, and ``_dom``/``_cod``/``_ident`` give endpoints and
+    identities; ``compose`` is a read-only view of the rows by morphism.
+    The constructor fills the index in one pass over its table and checks
+    each entry's and each identity's endpoints once; the rows are filled
+    from the index on the first read that needs them.  Other derived tables
+    are cached.
     """
 
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
-        "_number", "_at", "_table", "_facts", "_dom", "_cod", "_ident",
+        "_number", "_at", "_after", "_facts", "_dom", "_cod", "_ident",
         "_groups", "_moebius", "_one_way", "_quotients", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
         morphisms = tuple(morphisms)
-        number, table = dict(zip(morphisms, range(len(morphisms)))).get, {}
+        number = dict(zip(morphisms, range(len(morphisms)))).get
+        facts, order = [[] for _ in morphisms], []
         for (g, h), k in compose.items():
-            key, composite = (number(g), number(h)), number(k)
-            if composite is None or None in key:
+            pair, composite = (number(g), number(h)), number(k)
+            if composite is None or None in pair:
                 raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
-            table[key] = composite
+            facts[composite].append(pair)
+            order.append(pair)
         self._adopt(objects, morphisms, {f: dom[f] for f in morphisms if f in dom},
-                    {f: cod[f] for f in morphisms if f in cod}, table, dict(identities), complete)
+                    {f: cod[f] for f in morphisms if f in cod}, facts, order,
+                    dict(identities), complete)
 
-    def _adopt(self, objects, morphisms, dom, cod, table, identities, complete,
+    def _adopt(self, objects, morphisms, dom, cod, facts, order, identities, complete,
                associative=False) -> "CategorySlice":
-        """Check the tables and index factorizations in one pass, then store
-        them as given and return self.  The caller's dicts are kept, not
-        copied, and the composition table is keyed by morphism numbers;
-        ``associative`` is a law check's verdict on a total table."""
+        """Check the tables, then store them as given and return self.  The
+        caller's dicts and lists are kept, not copied: ``facts[k]`` lists the
+        number pairs composing to k, and ``order`` lists every pair in
+        ``compose`` order, or is None to list them by composite, in ``facts``
+        order; ``associative`` is a law check's verdict on a total table."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -83,15 +91,15 @@ class CategorySlice:
                 raise InvalidSlice(f"morphism {f!r} has endpoints outside the slice")
             dom_of.append(x)
             cod_of.append(y)
-        facts = [[] for _ in self.morphisms]
-        for pair, k in table.items():
-            g, h = pair
-            if cod_of[h] != dom_of[g] or dom_of[k] != dom_of[h] or cod_of[k] != cod_of[g]:
-                at = self.morphisms
-                raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
-            facts[k].append(pair)
-        self._table = table
-        self.compose = _Compose(table, number, self.morphisms)
+        at = self.morphisms
+        for k, pairs in enumerate(facts):  # each list is freed as its tuple is made
+            x, y = dom_of[k], cod_of[k]
+            for g, h in pairs:
+                if cod_of[h] != dom_of[g] or dom_of[h] != x or cod_of[g] != y:
+                    raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
+            facts[k] = tuple(pairs)
+        self._after, self._facts = [], facts  # ``_rows`` fills the rows on the first read
+        self.compose = _Compose(self._after, facts, order, number, at)
         self.identities, self._ident = identities, []
         for x, i in place.items():
             e = number.get(identities[x]) if x in identities else None
@@ -105,9 +113,6 @@ class CategorySlice:
         self.complete = frozenset(complete)
         if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
-        for k, pairs in enumerate(facts):  # each list is freed as its tuple is made
-            facts[k] = tuple(pairs)
-        self._facts = facts
         self._groups = None
         self._moebius = None
         self._one_way = None
@@ -216,37 +221,61 @@ def _bad_identity(x, d, c) -> InvalidSlice:
     return InvalidSlice(f"identity of {x!r} has endpoints ({d!r}, {c!r})")
 
 
+def _rows(c):
+    """The rows by left factor of a slice, its ``compose`` view or a source;
+    a slice fills them from its factorization index on the first read, so a
+    slice that no read needs them on (a checked division category, walked by
+    right factor) never holds them."""
+    after = c._after
+    if not after and c._facts:
+        after += [{} for _ in c._facts]
+        for k, pairs in enumerate(c._facts):
+            for g, h in pairs:
+                after[g][h] = k
+    return after
+
+
 class _Compose(Mapping):
     """A slice's composition table read by morphism, (g, h) -> g∘h, in table
-    order; read-only, it translates the numbered table on each read."""
+    order; read-only, it translates the numbered rows on each read."""
 
-    __slots__ = ("_table", "_number", "_at")
+    __slots__ = ("_after", "_facts", "_order", "_number", "_at")
 
-    def __init__(self, table, number, at):
-        self._table, self._number, self._at = table, number, at
+    def __init__(self, after, facts, order, number, at):
+        self._after, self._facts, self._order = after, facts, order
+        self._number, self._at = number, at
 
     def __getitem__(self, pair):
         if isinstance(pair, tuple) and len(pair) == 2:
-            k = self._table.get((self._number.get(pair[0]), self._number.get(pair[1])))
+            g = self._number.get(pair[0])
+            k = None if g is None else _rows(self)[g].get(self._number.get(pair[1]))
             if k is not None:
                 return self._at[k]
         raise KeyError(pair)
 
     def __iter__(self):
         at = self._at
-        return ((at[g], at[h]) for g, h in self._table)
+        return ((at[g], at[h]) for g, h, _ in self._numbered())
 
     def __len__(self):
-        return len(self._table)
+        return sum(map(len, self._facts))
 
     def items(self):  # each entry translated once, not looked up again by key
         return _ComposeItems(self)
+
+    def _numbered(self):
+        """Each entry (g, h, g∘h) by number, in table order: as ``_order``
+        lists the pairs, or by composite."""
+        if self._order is None:
+            return ((g, h, k) for k, pairs in enumerate(self._facts) for g, h in pairs)
+        after = _rows(self)
+        return ((g, h, after[g][h]) for g, h in self._order)
 
 
 class _ComposeItems(ItemsView):
     def __iter__(self):
         at = self._mapping._at
-        return (((at[g], at[h]), at[k]) for (g, h), k in self._mapping._table.items())
+        return (((at[g], at[h]), at[k]) for g, h, k in self._mapping._numbered())
 
 
 class _Rule:
@@ -266,11 +295,12 @@ class FactorizationSource:
     """A category read through its rules instead of a table.
 
     ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
-    give endpoints, ``identity(x)`` the identity of x, ``composite((g, h))``
+    give endpoints, ``identity(x)`` the identity of x, ``composite(g, h)``
     the composite of a composable pair, unchecked, and ``validate(f)`` raises
     unless f is a morphism.  ``factorizations`` is the one public read, and it
     runs ``validate``.  Each rule is read on request through a private mapping
-    named as a slice's numbered table, with the morphism itself as handle, so
+    named as a slice's numbered table, with the morphism itself as handle
+    (g's row is ``composite`` with g bound first), so
     the interval walk and the convolution recursion read a source as they
     read a slice, and memory grows only with what a route reads.  Every
     factorization list and identity is checked each time it is handed out,
@@ -279,7 +309,7 @@ class FactorizationSource:
     unchecked, for ``factor_slice``, whose constructor pass checks each entry.
     """
 
-    __slots__ = ("_enumerate", "_facts", "_table", "_dom", "_cod", "_ident", "_validate")
+    __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate")
     _at = _Rule(lambda f: f)  # the morphism a handle stands for
     _associative = False  # no law check has read the rules
 
@@ -299,7 +329,8 @@ class FactorizationSource:
             return e
 
         self._dom, self._cod = _Rule(dom), _Rule(cod)
-        self._ident, self._table = _Rule(checked_identity), _Rule(composite)
+        self._ident = _Rule(checked_identity)
+        self._after = _Rule(lambda g: _Rule(partial(composite, g)))
         self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
         self._validate = validate
 
@@ -323,29 +354,31 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     bracketings are expressible inside the slice; endpoints are checked
     when the slice is built.  When it passes and the table composes every
     composable pair, one entry per g and k into dom(g), the slice records
-    that verdict, which ``lawvere._walk`` reads.
+    that verdict, which ``lawvere._walk`` reads.  Entries are visited in
+    ``compose`` order, and each composite is read from its left factor's row.
     """
-    at, get, ident, dom, cod = c.morphisms, c._table.get, c._ident, c._dom, c._cod
+    at, after, ident, dom, cod = c.morphisms, _rows(c), c._ident, c._dom, c._cod
     for f in range(len(at)):
-        if get((f, ident[dom[f]])) != f:
+        if after[f].get(ident[dom[f]]) != f:
             return f"right identity law fails at {at[f]!r}"
-        if get((ident[cod[f]], f)) != f:
+        if after[ident[cod[f]]].get(f) != f:
             return f"left identity law fails at {at[f]!r}"
     into: dict = {}  # morphisms into each object, in slice order
     for f, y in enumerate(cod):
         into.setdefault(y, []).append(f)
-    for (g, h), gh in c._table.items():
+    for g, h, gh in c.compose._numbered():
+        after_h, after_g, after_gh = after[h].get, after[g].get, after[gh].get
         for k in into.get(dom[h], ()):
-            hk = get((h, k))
+            hk = after_h(k)
             if hk is None:
                 continue
-            left, right = get((gh, k)), get((g, hk))
+            left, right = after_gh(k), after_g(hk)
             if (left is None) != (right is None):
                 return f"associativity definedness mismatch on ({at[g]!r}, {at[h]!r}, {at[k]!r})"
             if left is not None and left != right:
                 return (f"associativity fails on ({at[g]!r}, {at[h]!r}, {at[k]!r}): "
                         f"{at[left]!r} != {at[right]!r}")
-    c._associative = sum([len(into[x]) for x in dom]) == len(c._table)
+    c._associative = sum([len(into[x]) for x in dom]) == len(c.compose)
     return None
 
 
@@ -390,20 +423,24 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     """
     window = tuple(window)
     number = dict(zip(window, range(len(window))))
-    table, factorizations = {}, source._enumerate
-    for k, f in enumerate(window):
-        for g, h in factorizations(f):
-            try:
-                table[number[g], number[h]] = k
-            except KeyError as exc:
-                raise InvalidSlice(f"factor {exc.args[0]!r} of {f!r} lies outside the window") from None
+    facts, factorizations = [], source._enumerate
+    for f in window:
+        try:
+            facts.append(tuple([(number[g], number[h]) for g, h in factorizations(f)]))
+        except KeyError as exc:
+            raise InvalidSlice(f"factor {exc.args[0]!r} of {f!r} lies outside the window") from None
     dom, cod, ident = source._dom.get, source._cod.get, source._ident.get
     dom_of = {f: dom(f) for f in window}
     objects = list(dict.fromkeys(dom_of.values()))
     identities = {x: window[k] for x in objects if (k := number.get(ident(x))) is not None}
     cod_of = {f: cod(f) for f in window}
-    return CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, table,
-                                                       identities, window)
+    c = CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, facts, None,
+                                                    identities, window)
+    # its windows are walked by composite, so the rows are filled here, where a
+    # pair the enumerator lists twice shows as one entry fewer than listed
+    if sum(map(len, _rows(c))) != len(c.compose):
+        raise InvalidSlice("a factorization is listed twice")
+    return c
 
 
 def poset_as_category(p: FinitePoset) -> CategorySlice:
@@ -418,7 +455,7 @@ def poset_as_category(p: FinitePoset) -> CategorySlice:
 
     source = FactorizationSource(
         lambda f: [((z, f[1]), (f[0], z)) for z in elements if leq(f[0], z) and leq(z, f[1])],
-        lambda f: f[0], lambda f: f[1], lambda x: (x, x), lambda pair: (pair[1][0], pair[0][1]),
+        lambda f: f[0], lambda f: f[1], lambda x: (x, x), lambda g, h: (h[0], g[1]),
         validate,
     )
     return factor_slice([(x, y) for x in elements for y in elements if leq(x, y)], source)

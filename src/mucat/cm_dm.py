@@ -78,9 +78,8 @@ def cm_identity(obj: CmObject) -> CmMorphism:
     return CmMorphism(0, obj.residue, obj.level, obj.level)
 
 
-def _cm_composite(pair: tuple[CmMorphism, CmMorphism]) -> CmMorphism:
-    """The composite of a composable pair (g, f), unchecked."""
-    g, f = pair
+def _cm_composite(g: CmMorphism, f: CmMorphism) -> CmMorphism:
+    """The composite g∘f of a composable pair, unchecked."""
     return _new(CmMorphism, (f.a + g.a, f.x, f.i, g.j))
 
 
@@ -157,9 +156,8 @@ def dm_identity(x: int) -> DmMorphism:
     return DmMorphism(x, x)
 
 
-def _dm_composite(pair: tuple[DmMorphism, DmMorphism]) -> DmMorphism:
-    """The composite of a composable pair (g, f), unchecked."""
-    g, f = pair
+def _dm_composite(g: DmMorphism, f: DmMorphism) -> DmMorphism:
+    """The composite g∘f of a composable pair, unchecked."""
     return _new(DmMorphism, (g.alpha - g.x + f.alpha, f.x))
 
 

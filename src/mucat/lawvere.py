@@ -21,7 +21,7 @@ from functools import reduce
 from operator import and_
 from typing import Any, NamedTuple
 
-from .category import _ZETA, CategorySlice, FactorizationSource, _invert_from, one_way
+from .category import _ZETA, CategorySlice, FactorizationSource, _invert_from, _rows, one_way
 from .errors import InvalidPoset, InvalidSlice, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset, _linear, _moebius_to
 
@@ -72,25 +72,36 @@ class LawvereInterval:
 
 
 def _walk(c, root, found=None, eta=None):
-    """The factorizations ``pairs`` of c's handle ``root``, their positions,
-    and ``_up`` and ``_more`` on them, appending each connecting h to
-    found[i, j] if found is a dict.  h connects (u, v) to (u', v') exactly
-    when (h, v) factors v' and u'∘h = u, so one walk over the factorizations
-    of each v' (``pairs`` for the root) finds every morphism into (u', v'),
-    each hom-set in slice order.  If eta is a dict, v' gains its ``_invert_from``
-    value on zeta if eta already holds v for each (h, v) in its list with h not
-    1.  The loop is inline: a generator step costs more than its lookups.
+    """The factorizations ``pairs`` of c's handle ``root``, how many distinct
+    pairs they hold, and ``_up`` and ``_more`` on them, appending each
+    connecting h to found[i, j] if found is a dict.  h connects (u, v) to
+    (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
+    the factorizations of each v' (``pairs`` for the root) finds every
+    morphism into (u', v'), each hom-set in slice order: u'∘h is read from
+    the row of u' (a slice's ``_after[u']``, a source's composite with u'
+    bound), and (u'∘h, v) is found by v, then checked by its left factor
+    (pairs that share a right factor are chained), so no pair is built per
+    entry.  If eta is a dict, v' gains its ``_invert_from`` value on zeta if
+    eta already holds v for each (h, v) in its list with h not 1.  The loop
+    is inline: a generator step costs more than its lookups.
 
     A slice with a law check's verdict (``_associative``) has a total,
     associative table, so for (u', v') in the root's list and (h, v) in v''s,
     (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
     (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
-    alone: no composite is read and ``position`` maps right factors."""
+    alone: no composite is read."""
     pairs = c._facts[root]
-    right = c._associative and dict(zip([v for _, v in pairs], range(len(pairs))))
-    keyed = right and len(right) == len(pairs)  # a checked slice listing each right factor once
-    position = right if keyed else dict(zip(pairs, range(len(pairs))))
-    get, composite, facts, ident, cod = position.get, c._table.get, c._facts, c._ident, c._cod
+    position = dict(zip([v for _, v in pairs], range(len(pairs))))  # the last pair ending in v
+    once = len(position) == len(pairs)  # each right factor listed once
+    keyed = once and c._associative
+    if not keyed:
+        after, lefts, earlier = _rows(c), [u for u, _ in pairs], [None] * len(pairs)
+        if not once:  # chain each pair to the one before it with the same right factor
+            position = {}
+            for i, (_, v) in enumerate(pairs):
+                earlier[i], position[v] = position.get(v), i
+    distinct = len(pairs) if once else len(set(pairs))
+    get, facts, ident, cod = position.get, c._facts, c._ident, c._cod
     up, more = [0] * len(pairs), {}
     for j, (u2, v2) in enumerate(pairs):
         bit = 1 << j
@@ -105,8 +116,11 @@ def _walk(c, root, found=None, eta=None):
                 if found is not None:
                     found.setdefault((i, j), []).append(h)
         else:
+            row = after[u2].get
             for h, v in below:
-                i = get((composite((u2, h)), v))
+                i, u = get(v), row(h)  # u is None if u2∘h is missing
+                while i is not None and lefts[i] != u:
+                    i = earlier[i]
                 if i is not None:
                     if up[i] & bit:
                         more[i, j] = more.get((i, j), 1) + 1
@@ -122,7 +136,7 @@ def _walk(c, root, found=None, eta=None):
             rest = [eta.get(v) for h, v in below if h != one]
             if None not in rest:
                 eta[v2] = int(v2 == one) - sum(rest)
-    return pairs, position, up, more
+    return pairs, distinct, up, more
 
 
 def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
@@ -141,15 +155,15 @@ def is_one_way(iv: LawvereInterval) -> bool:
     return one_way(iv._up, iv._more)
 
 
-def _interval_order(f, up, more, position, name):
+def _interval_order(f, up, more, distinct, name):
     """``_linear``'s (order, masks) for f's interval: NotThin unless it is
-    thin, NotOneWay if ``position`` (a key per distinct pair) shows one
-    listed twice or a poset law fails.  name(i) names index i in messages."""
+    thin, NotOneWay if fewer than ``len(up)`` pairs are ``distinct`` (one is
+    listed twice) or a poset law fails.  name(i) names index i in messages."""
     if more:
         (i, j), count = min(more.items())
         raise NotThin(f"hom-set {(name(i), name(j))!r} has {count} elements")
     try:
-        if len(position) != len(up):
+        if distinct != len(up):
             raise InvalidPoset("duplicate elements")
         return _linear(up, name)
     except InvalidPoset as exc:  # connectivity relation fails poset laws
@@ -165,7 +179,7 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
     """
     objects = iv.objects
     pos = dict(zip(objects, range(len(objects))))
-    order, up = _interval_order(iv.subject, iv._up, iv._more, pos, objects.__getitem__)
+    order, up = _interval_order(iv.subject, iv._up, iv._more, len(pos), objects.__getitem__)
     return FinitePoset.__new__(FinitePoset)._adopt(objects, pos, order, up)
 
 
@@ -182,9 +196,9 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
     factorizations are least and greatest; they then sit first and last in
     the linear extension.  The walk fills eta as ``_walk`` says."""
     k = c._closed_handle(f)
-    pairs, position, up, more = _walk(c, k, eta=eta)
+    pairs, distinct, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
-    linear = _interval_order(f, up, more, position,
+    linear = _interval_order(f, up, more, distinct,
                              lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
     try:  # the factorizations are distinct here, so each is listed once
         bottom, top = pairs.index((k, ident[c._dom[k]])), pairs.index((ident[c._cod[k]], k))

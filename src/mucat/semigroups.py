@@ -276,7 +276,8 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     s' s'⁻¹ = f}.  This is the whole (finite) category, so every morphism is
     factorization-complete.  For non-combinatorial s the category is still
     returned; it just fails the Möbius test.  Its table is total, so it takes
-    s's verdict from ``find_semigroup_violation``.
+    s's verdict from ``find_semigroup_violation``; with it, its walks key
+    positions by right factor and never read the rows by left factor.
 
     Morphisms are listed object by object, in transversal order, and each
     object's by decreasing size of the principal right ideal x⁻¹x·S, ties
@@ -304,10 +305,13 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
     # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always,
     # so composites stay inside
-    compose = {(g, k): out[f[1]][table[firsts[g]][firsts[k]]]
-               for k, f in enumerate(morphisms) for g in out[cod[f]].values()}
+    facts = [[] for _ in morphisms]
+    for k, f in enumerate(morphisms):
+        into, x = out[f[1]], firsts[k]
+        for g in out[cod[f]].values():
+            facts[into[table[firsts[g]][x]]].append((g, k))
     identities = {e: (e, e) for e in reps}
-    return CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, compose,
+    return CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, facts, None,
                                                        identities, morphisms, s._associative)
 
 

@@ -224,13 +224,15 @@ def test_constructor_checks_every_entry_and_identity(compose, identities, messag
 
 
 def _numbered_tables(objects, morphisms, dom, cod, compose, identities, complete):
-    """``_adopt`` on the compose table keyed by morphism numbers, as the
-    builders hand it; a builder numbers only morphisms it lists, so no entry
-    can name an unknown one."""
+    """``_adopt`` on the factorization index, the pairs composing to each
+    morphism by number, as the builders hand it; a builder numbers only
+    morphisms it lists, so no entry can name an unknown one."""
     number = {f: k for k, f in enumerate(morphisms)}
-    table = {(number[g], number[h]): number[k] for (g, h), k in compose.items()}
+    facts = [[] for _ in morphisms]
+    for (g, h), k in compose.items():
+        facts[number[k]].append((number[g], number[h]))
     return CategorySlice.__new__(CategorySlice)._adopt(
-        objects, morphisms, dom, cod, table, identities, complete)
+        objects, morphisms, dom, cod, facts, None, identities, complete)
 
 
 @pytest.mark.parametrize("compose, identities, message", BAD_ARROW_TABLES, ids=BAD_ARROW_IDS)
@@ -431,7 +433,8 @@ def test_slice_rebuilt_from_a_compose_view_equals_one_rebuilt_from_a_copy():
         from_view = _rebuilt(source, source.compose, source.morphisms[::-1])
         from_copy = _rebuilt(source, dict(source.compose.items()), source.morphisms[::-1])
         assert slice_json(from_view) == slice_json(from_copy)
-        assert (from_view._table, from_view._facts) == (from_copy._table, from_copy._facts)
+        assert (from_view._facts, from_view.compose._order) == (
+            from_copy._facts, from_copy.compose._order)
         assert list(from_view.compose.items()) == list(from_copy.compose.items())
         assert dict(from_view.compose.items()) == dict(source.compose)
 
@@ -517,21 +520,20 @@ def _builder_corpus():
 
 
 @pytest.mark.parametrize(
-    "c, composite, right_factor_major, reversed_window",
-    [pytest.param(c, rule, name.startswith("division"), name.startswith("reversed"), id=name)
+    "c, composite, reversed_window",
+    [pytest.param(c, rule, name.startswith("reversed"), id=name)
      for name, c, rule in _builder_corpus()],
 )
-def test_builders_match_all_pairs_compose_oracle(c, composite, right_factor_major, reversed_window):
+def test_builders_match_all_pairs_compose_oracle(c, composite, reversed_window):
     expected = bf_compose(c, composite)
     assert c.compose == expected
     for f in c.morphisms:
         listed = tuple(pair for pair, k in expected.items() if k == f)
-        # the enumerator lists right factors in dm_slice's order, the reverse of this window's
+        # the enumerator lists right factors in dm_slice's order, the reverse of this window's;
+        # a division category lists them right factor major, as the all-pairs scan does
         assert c.factorizations(f) == (listed[::-1] if reversed_window else listed)
-    if right_factor_major:
-        assert list(c.compose.items()) == list(expected.items())
-    else:  # built by factor_slice: each morphism's factorizations in turn
-        assert list(c.compose.items()) == [(p, k) for k in c.morphisms for p in c.factorizations(k)]
+    # every builder's view lists each morphism's factorizations in turn
+    assert list(c.compose.items()) == [(p, k) for k in c.morphisms for p in c.factorizations(k)]
 
 
 @pytest.mark.parametrize(
@@ -554,6 +556,19 @@ def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice(
         factor_slice([f], cm_source(2))
     with pytest.raises(InvalidSlice, match="^duplicate morphisms$"):
         _dm_window(2, [*REVERSED_DM_WINDOW, REVERSED_DM_WINDOW[3]])
+
+
+def test_factor_slice_refuses_a_pair_listed_twice():
+    # a row holds one composite per pair, so a pair listed twice, in one list
+    # or under two composites, would leave the rows and the lists disagreeing
+    window = dm_slice(3, 8).morphisms
+    pair = (DmMorphism(5, 2), DmMorphism(2, 0))  # the last pair listed of (5, 0)
+    for again in (DmMorphism(5, 0), DmMorphism(8, 0)):  # in its own list, then under another
+        def listed(k, again=again):
+            pairs = _dm_factorizations(3, k)
+            return [*pairs, pair] if k == again else pairs
+        with pytest.raises(InvalidSlice, match="^a factorization is listed twice$"):
+            factor_slice(window, _dm3_source(listed))
 
 
 def test_factor_slice_refuses_an_identity_outside_the_window():

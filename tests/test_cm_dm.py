@@ -120,14 +120,14 @@ def test_compose_with_identities():
     f = CmMorphism(1, 0, 0, -1)
     left = cm_identity(CmObject(1, -1))
     right = cm_identity(CmObject(0, 0))
-    compose = cm_source(2)._table
-    assert compose[(left, f)] == f
-    assert compose[(f, right)] == f
+    after = cm_source(2)._after
+    assert after[left][f] == f
+    assert after[f][right] == f
 
 
 def test_compose_formula():
     g, f = CmMorphism(1, 1, -1, -2), CmMorphism(1, 0, 0, -1)
-    assert cm_source(2)._table[(g, f)] == CmMorphism(2, 0, 0, -2)
+    assert cm_source(2)._after[g][f] == CmMorphism(2, 0, 0, -2)
 
 
 def test_morphism_validation():
@@ -269,7 +269,7 @@ def test_source_reads_as_the_window(m, window, source, compose):
         assert iv.homs == expected.homs
         assert moebius_at(c, f) == mu[f]
     composites = bf_compose(window, lambda g, h: compose(m, g, h))
-    assert {pair: c._table.get(pair) for pair in composites} == composites
+    assert {(g, h): c._after[g].get(h) for g, h in composites} == composites
     for x in window.objects:
         assert c._ident[x] == window.identities[x]
 
@@ -306,13 +306,13 @@ def test_dm_hom_empty_when_bound_is_low():
 
 def test_dm_compose_with_identity():
     f = DmMorphism(4, 2)
-    compose = dm_source(3)._table
-    assert compose[(dm_identity(1), f)] == f
-    assert compose[(f, dm_identity(2))] == f
+    after = dm_source(3)._after
+    assert after[dm_identity(1)][f] == f
+    assert after[f][dm_identity(2)] == f
 
 
 def test_dm_compose_formula():
-    assert dm_source(3)._table[(DmMorphism(5, 1), DmMorphism(4, 2))] == DmMorphism(8, 2)
+    assert dm_source(3)._after[DmMorphism(5, 1)][DmMorphism(4, 2)] == DmMorphism(8, 2)
 
 
 def test_dm_validation():

@@ -33,6 +33,7 @@ from mucat import (
     poset_as_category,
 )
 import mucat.poset
+from mucat.category import _rows
 from mucat.cm_dm import _dm_factorizations
 from mucat.errors import MucatError
 from mucat.lawvere import _both_routes, _position_route, _walk
@@ -50,6 +51,7 @@ from helpers import (
     meet_semilattice,
     opposite,
     product,
+    slice_product,
 )
 
 from test_category import (
@@ -207,7 +209,7 @@ def _iso_pair_source_with_wrong_identity():
     c = iso_pair_category()
     return FactorizationSource(c.factorizations, c.dom.__getitem__, c.cod.__getitem__,
                                lambda x: "f" if x == "Y" else c.identities[x],
-                               c.compose.__getitem__, c.factorizations)
+                               lambda g, h: c.compose[g, h], c.factorizations)
 
 
 @pytest.mark.parametrize(
@@ -515,26 +517,34 @@ def test_position_route_refuses_as_the_staged_route(make, f, error, message):
 
 # -- the keyed walk on checked slices -------------------------------------------
 
-class _CountingTable(dict):
-    """A slice's composition table that counts the composites read through ``get``."""
+class _CountingRows(list):
+    """A slice's composition table, one row per left factor, that counts the
+    composites read through any row's ``get``."""
 
-    reads = 0
+    def __init__(self, rows):
+        super().__init__(_CountingRow(row, self) for row in rows)
+        self.reads = 0
+
+
+class _CountingRow(dict):
+    def __init__(self, row, rows):
+        super().__init__(row)
+        self.rows = rows
 
     def get(self, key, default=None):
-        self.reads += 1
+        self.rows.reads += 1
         return super().get(key, default)
 
 
 def _walks(c):
-    """Each morphism's walk on c (its pairs, how many keys its positions
-    have, its masks and the connecting morphisms it finds) and how many
+    """Each morphism's walk on c (its pairs, how many distinct pairs they
+    hold, its masks and the connecting morphisms it finds) and how many
     composites the walks read."""
-    table = c._table = _CountingTable(c._table)
+    table = c._after = _CountingRows(_rows(c))
     walks = []
     for k in range(len(c.morphisms)):
         found = {}
-        pairs, position, up, more = _walk(c, k, found)
-        walks.append((pairs, len(position), up, more, found))
+        walks.append((*_walk(c, k, found), found))
     return walks, table.reads
 
 
@@ -620,7 +630,7 @@ def test_keyed_walk_equals_the_walk_by_composite(name):
 def test_a_right_factor_listed_twice_keeps_the_walk_by_composite():
     c = _two_left_factors()
     assert find_slice_violation(c) is None and c._associative
-    table = c._table = _CountingTable(c._table)
+    table = c._after = _CountingRows(_rows(c))
     for k, f in enumerate(c.morphisms):  # only f's list names a right factor twice
         before = table.reads
         _walk(c, k)
@@ -641,8 +651,8 @@ def test_keyed_walk_counts_a_hom_set_with_two_elements():
         with pytest.raises(NotThin) as caught:
             moebius_via_lawvere(c, "f")
         assert str(caught.value) == f"hom-set {(source, target)!r} has 2 elements"
-        table, found = _CountingTable(c._table), {}
-        c._table = table
+        table, found = _CountingRows(_rows(c)), {}
+        c._after = table
         pairs, _, up, more = _walk(c, c.morphisms.index("f"), found)
         walks.append(((pairs, up, more, found), table.reads))
     (keyed, keyed_reads), (walked, reads) = walks
@@ -692,6 +702,45 @@ def test_partial_window_passes_the_law_check_but_keeps_the_walk_by_composite():
     assert reads > 0 and walks == _walks(dm_slice(3, 30))[0]
 
 
+def _without(c, w):
+    """c without the morphism w and every entry naming it, none marked
+    complete: a table in which some u'∘h of a walk is missing."""
+    return CategorySlice(c.objects, [f for f in c.morphisms if f != w], c.dom, c.cod,
+                         {p: k for p, k in c.compose.items() if w not in (*p, k)}, c.identities)
+
+
+@pytest.mark.parametrize(
+    "make, holed",
+    [
+        (lambda: dm_slice(3, 30), False),
+        (lambda: slice_product(cm_slice(2, -1), dm_slice(3, 5)), False),
+        (lambda: _without(dm_slice(3, 30), DmMorphism(4, 1)), True),
+        (lambda: slice_product(cm_slice(2, -1), _without(dm_slice(3, 5), DmMorphism(4, 1))), True),
+    ],
+    ids=["dm_slice(3,30)", "cm_slice(2,-1) x dm_slice(3,5)", "dm_slice(3,30) - (4,1)",
+         "cm_slice(2,-1) x (dm_slice(3,5) - (4,1))"],
+)
+def test_walk_by_composite_on_a_partial_table_matches_the_definition(make, holed):
+    # u'∘h is a left factor of the root, so a cap that keeps every factor of
+    # the root drops none of them; a hole in the window does
+    c = make()
+    assert not c._associative
+    at, after, facts, missing = c.morphisms, _rows(c), c._facts, 0
+    for k, f in enumerate(at):
+        found = {}
+        pairs, distinct, up, more = _walk(c, k, found)
+        objects = [(at[u], at[v], f) for u, v in pairs]
+        homs = bf_lawvere_homs(c, f)
+        assert distinct == len(objects) and set(objects) == {a for a, _ in homs}
+        index = dict(zip(objects, range(len(objects))))
+        assert {(objects[i], objects[j]): tuple([at[h] for h in hs])
+                for (i, j), hs in found.items()} == homs
+        assert up == [sum([1 << index[b] for a, b in homs if a == obj]) for obj in objects]
+        assert more == {(index[a], index[b]): len(hs) for (a, b), hs in homs.items() if len(hs) > 1}
+        missing += sum([after[u].get(h) is None for u, v2 in pairs for h, _ in facts[v2]])
+    assert (missing > 0) is holed
+
+
 def test_division_category_takes_its_semigroups_verdict():
     s, transversal = ORDER_CORPUS["boolean B_4"]
     s = _fresh(s)
@@ -705,3 +754,16 @@ def test_division_category_takes_its_semigroups_verdict():
     assert find_semigroup_violation(failing) == "associativity fails on ('c', 'b', 'c')"
     c = division_category(failing)
     assert not c._associative and _walks(c)[1] > 0
+
+
+def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
+    s, transversal = ORDER_CORPUS["boolean B_4"]
+    assert find_semigroup_violation(s) is None
+    c = division_category(s, transversal)
+    mu = moebius_of_slice(c)
+    assert all(moebius_via_lawvere(c, f) == mu[f] for f in c.morphisms)
+    assert c._after == []  # walked by right factor: no composite was read
+    assert find_slice_violation(c) is None
+    at = c.morphisms
+    assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after) for h, k in row.items()} == dict(
+        c.compose.items())
