@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Any
 
 from ._json import load_object, rows, strings
@@ -352,10 +353,12 @@ def find_slice_violation(c: CategorySlice) -> str | None:
 
     Associativity is checked on every composable triple for which both
     bracketings are expressible inside the slice; endpoints are checked
-    when the slice is built.  When it passes and the table composes every
-    composable pair, one entry per g and k into dom(g), the slice records
-    that verdict, which ``lawvere._walk`` reads.  Entries are visited in
-    ``compose`` order, and each composite is read from its left factor's row.
+    when the slice is built.  A table that composes every composable pair,
+    one entry per g and k into dom(g), is total: Light's test on its
+    generators (``_light``) decides it first.  A partial table, or one that
+    test does not pass, takes the full scan (``_scan``), so the triple
+    named is always the scan's.  A total table that passes is marked, and
+    ``lawvere._walk`` reads the mark.
     """
     at, after, ident, dom, cod = c.morphisms, _rows(c), c._ident, c._dom, c._cod
     for f in range(len(at)):
@@ -366,6 +369,51 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     into: dict = {}  # morphisms into each object, in slice order
     for f, y in enumerate(cod):
         into.setdefault(y, []).append(f)
+    total = sum([len(into[x]) for x in dom]) == len(c.compose)
+    if not (total and _light(c, after)) and (violation := _scan(c, after, into)):
+        return violation
+    c._associative = total
+    return None
+
+
+def _light(c: CategorySlice, after) -> bool:
+    """Light's test on a total table whose identity laws hold (Clifford &
+    Preston, *The Algebraic Theory of Semigroups* I, 1961): True iff the
+    identities and atoms generate every morphism and (x∘g)∘y = x∘(g∘y) for
+    each atom g and all composable x, y, which makes the table associative.
+    The m with (x∘m)∘y = x∘(m∘y) for all x, y hold the identities and are
+    closed under composition: (x∘(m∘m'))∘y = ((x∘m)∘m')∘y = (x∘m)∘(m'∘y) =
+    x∘(m∘(m'∘y)) = x∘((m∘m')∘y), each step across m or m', every composite
+    defined.  An atom's only factorizations are f∘1 and 1∘f, so it lists two.
+    Each x is checked at once, row x∘g against row x read through row g."""
+    dom, cod, ident = c._dom, c._cod, c._ident
+    atoms, out = {}, {}  # the atoms and all morphisms, by domain
+    for f, pairs in enumerate(c._facts):
+        out.setdefault(dom[f], []).append(f)
+        if len(pairs) == 2 and ident[dom[f]] != f:
+            atoms.setdefault(dom[f], []).append(f)
+    reached, stack = set(ident), list(ident)
+    while stack:  # each reached w composed with every atom out of cod(w)
+        w = stack.pop()
+        for g in atoms.get(cod[w], ()):
+            if (gw := after[g][w]) not in reached:
+                reached.add(gw)
+                stack.append(gw)
+    if len(reached) != len(after):
+        return False
+    for g in (g for gs in atoms.values() for g in gs):
+        row = after[g]
+        ys, through = itemgetter(*row), itemgetter(*row.values())
+        for x in out[cod[g]]:
+            row_x = after[x]
+            if ys(after[row_x[g]]) != through(row_x):
+                return False
+    return True
+
+
+def _scan(c: CategorySlice, after, into) -> str | None:
+    """The first failing triple: entries in ``compose`` order, k in slice order."""
+    at, dom = c.morphisms, c._dom
     for g, h, gh in c.compose._numbered():
         after_h, after_g, after_gh = after[h].get, after[g].get, after[gh].get
         for k in into.get(dom[h], ()):
@@ -378,7 +426,6 @@ def find_slice_violation(c: CategorySlice) -> str | None:
             if left is not None and left != right:
                 return (f"associativity fails on ({at[g]!r}, {at[h]!r}, {at[k]!r}): "
                         f"{at[left]!r} != {at[right]!r}")
-    c._associative = sum([len(into[x]) for x in dom]) == len(c.compose)
     return None
 
 

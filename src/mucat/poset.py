@@ -179,19 +179,25 @@ def _moebius_to(up: list[int], q: int) -> list:
 def _is_lattice(up: list[int]) -> bool:
     """True iff the masks up, in a linear extension, make a lattice: empty, or
     a bottom (then first) and a join of every pair (Stanley, EC1, Ch. 3), so
-    meets are not checked, nor comparable pairs, whose join is the larger."""
+    meets are not checked, nor comparable pairs, whose join is the larger.
+
+    p is joined only with the minimal elements q of its incomparable
+    partners at higher positions (lower ones had their turn).  That is
+    enough, by induction from the top position down: if q <= q', both
+    incomparable to p, and r = p∨q, then {p, q'} has the upper bounds of
+    {r, q'} (one above q' is above q, so above r), and r, q' sit above p's
+    position, where every pair has its join."""
     full = (1 << len(up)) - 1
     if up and up[0] != full:
         return False
     for p, above in enumerate(up):
-        # incomparable partners at higher positions; lower ones had their turn
         rest = (above ^ full) >> (p + 1) << (p + 1)
         while rest:
-            low = rest & -rest
-            common = above & up[low.bit_length() - 1]
+            q = (rest & -rest).bit_length() - 1
+            common = above & up[q]
             if not common or up[(common & -common).bit_length() - 1] != common:
                 return False
-            rest ^= low
+            rest &= ~up[q]
     return True
 
 

@@ -45,6 +45,7 @@ from mucat import (
     validate_cm_morphism,
     validate_dm_morphism,
 )
+import mucat.category
 from mucat.cm_dm import _cm_composite, _cm_factorizations, _dm_composite, _dm_factorizations
 from mucat.lawvere import _both_routes
 
@@ -330,6 +331,72 @@ def test_numbered_scan_reports_the_first_violation_of_planted_tables(base):
     assert find_slice_violation(base) is None is bf_slice_violation(base)
 
 
+# -- Light's filter on total tables ---------------------------------------------
+
+def _atoms(c):
+    """The non-identities whose every factorization has an identity factor."""
+    identities = set(c.identities.values())
+    return {f for f in c.morphisms if f not in identities
+            and all(identities.intersection(pair) for pair in c.factorizations(f))}
+
+
+def _scans(monkeypatch):
+    """The slices the full scan runs on, in turn."""
+    scanned, scan = [], mucat.category._scan
+    monkeypatch.setattr(mucat.category, "_scan", lambda c, *rest: scanned.append(c) or scan(c, *rest))
+    return scanned
+
+
+@pytest.mark.parametrize("base", [cm_slice(2, -4), cm_slice(3, -5)],
+                         ids=["cm_slice(2,-4)", "cm_slice(3,-5)"])
+def test_filter_matches_the_full_scan_on_planted_total_tables(base, monkeypatch):
+    # redirect one entry (g, h), no identity, to another morphism with the
+    # same endpoints, so the table stays total and the identity laws hold;
+    # half the edits touch an atom, half only morphisms no generator is
+    identities, atoms = set(base.identities.values()), _atoms(base)
+    entries = [(pair, k) for pair, k in base.compose.items() if identities.isdisjoint(pair)
+               and len(base.hom(base.dom[pair[1]], base.cod[pair[0]])) > 1]
+    inner = [entry for entry in entries if atoms.isdisjoint(entry[0])]
+    rng = random.Random(38)
+    edits = rng.sample(inner, 12) + rng.sample([e for e in entries if e not in inner], 12)
+    for (g, h), k in edits:
+        compose = dict(base.compose.items())
+        compose[g, h] = rng.choice([x for x in base.hom(base.dom[h], base.cod[g]) if x != k])
+        filtered, scanned = (CategorySlice(base.objects, base.morphisms, base.dom, base.cod,
+                                           compose, base.identities, base.complete)
+                             for _ in range(2))
+        violation = find_slice_violation(filtered)
+        with monkeypatch.context() as patch:  # the full scan alone, as before the filter
+            patch.setattr(mucat.category, "_light", lambda c, after: False)
+            assert find_slice_violation(scanned) == violation == bf_slice_violation(filtered)
+        assert filtered._associative is scanned._associative is (violation is None)
+
+
+@pytest.mark.parametrize(
+    "make, total",
+    [(lambda: cm_slice(3, -5), True),
+     (lambda: poset_as_category(divisor_poset(12)), True),
+     (lambda: division_category(InverseSemigroup.from_json(
+         (Path(__file__).parent / "golden" / "divisors60.json").read_text())), True),
+     (lambda: dm_slice(2, 8), False)],
+    ids=["cm_slice(3,-5)", "poset(divisors 12)", "division(divisors 60)", "dm_slice(2,8)"],
+)
+def test_only_a_partial_table_that_passes_takes_the_full_scan(make, total, monkeypatch):
+    scanned, c = _scans(monkeypatch), make()
+    assert find_slice_violation(c) is None
+    assert c._associative is total
+    assert scanned == ([] if total else [c])
+
+
+def test_a_total_table_its_atoms_do_not_generate_takes_the_full_scan(monkeypatch):
+    # a and b factor through each other, so the one object has no atom
+    scanned, c = _scans(monkeypatch), _one_object_slice()
+    assert not _atoms(c)
+    assert find_slice_violation(c) == bf_slice_violation(c) == (
+        "associativity fails on ('a', 'a', 'b'): 'a' != 'b'")
+    assert scanned == [c] and not c._associative
+
+
 # -- opposite categories -------------------------------------------------------
 
 OPPOSITE_CORPUS = {
@@ -385,13 +452,33 @@ def test_product_category_multiplies_moebius_functions(name):
         assert mu[f, g] == mu_a[f] * mu_b[g] == moebius_via_lawvere(c, (f, g)), (f, g)
 
 
-def test_product_with_a_non_associative_slice_is_refused():
+def test_product_with_a_non_associative_slice_is_refused(monkeypatch):
+    # each product's table is total, but the one-object factor's atoms do not
+    # generate it, so the full scan names the triple
+    scanned = _scans(monkeypatch)
     point = CategorySlice(["*"], ["1"], {"1": "*"}, {"1": "*"}, {("1", "1"): "1"}, {"*": "1"}, "1")
-    for c in (slice_product(_one_object_slice(), point), slice_product(point, _one_object_slice())):
+    for c in (slice_product(f, g) for total in (point, cm_slice(2, -2))
+              for f, g in [(_one_object_slice(), total), (total, _one_object_slice())]):
         violation = find_slice_violation(c)
         assert violation.startswith("associativity fails on ")
         assert violation == bf_slice_violation(c)
-        assert not c._associative
+        assert scanned[-1] is c and not c._associative
+
+
+@pytest.mark.parametrize(
+    "a, b, total",
+    [(cm_slice(2, -2), poset_as_category(divisor_poset(12)), True),
+     (cm_slice(2, -2), dm_slice(2, 8), False),
+     (dm_slice(2, 8), cm_slice(2, -2), False)],
+    ids=["total x total", "total x partial", "partial x total"],
+)
+def test_product_takes_the_filter_when_both_factors_are_total(a, b, total, monkeypatch):
+    # the atoms of A x B are (atom, identity) and (identity, atom), so they
+    # generate it when each factor's atoms generate that factor
+    scanned, c = _scans(monkeypatch), slice_product(a, b)
+    assert find_slice_violation(c) is None
+    assert c._associative is total
+    assert scanned == ([] if total else [c])
 
 
 def test_compose_is_a_read_only_view_in_table_order():

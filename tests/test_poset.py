@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from mucat import (
     FinitePoset,
     InvalidPoset,
+    InverseSemigroup,
     NotComparable,
     chain,
+    cm_slice,
     moebius_via_lawvere,
     poset_as_category,
 )
+from mucat.lawvere import _position_route
+from mucat.poset import _is_lattice
 
 from helpers import (
     B2,
@@ -33,6 +37,7 @@ from helpers import (
     boolean_lattice,
     classical_moebius,
     divisor_poset,
+    partition_lattice_json,
     poset_json,
     product,
 )
@@ -314,10 +319,49 @@ def test_covers_match_brute_force(p):
     assert set(p.covers()) == bf_covers(p)
 
 
+# the bounded bowtie: a, b have two minimal upper bounds, c and d
+BOWTIE = FinitePoset("0abcd1", covers=["0a", "0b", "ac", "ad", "bc", "bd", "c1", "d1"])
+# p's incomparable partners are q and q' > q: p, q join at r, but r and q'
+# have two minimal upper bounds, u and v, so p, q' have no join; the test
+# joins p only with q and meets the failure at r
+DETOUR = FinitePoset("0pqQruv1", covers=["0p", "0q", "qQ", "pr", "qr", "ru", "rv", "Qu", "Qv",
+                                          "u1", "v1"])
+
+
 @given(random_posets())
+@example(BOWTIE)
+@example(DETOUR)
 @settings(max_examples=60, deadline=None)
 def test_is_lattice_matches_brute_force(p):
     assert p.is_lattice() == bf_is_lattice(p)
+
+
+def test_lattice_test_joins_only_minimal_partners_on_a_detour():
+    elements, relation = DETOUR.elements, bf_relation(DETOUR)
+    assert bf_join(elements, relation, "p", "q") == "r"
+    assert bf_join(elements, relation, "p", "Q") is None is bf_join(elements, relation, "r", "Q")
+    assert not DETOUR.is_lattice()
+
+
+def test_lattice_test_matches_brute_force_on_every_interval_of_a_window():
+    c = cm_slice(3, -6)
+    for f in c.morphisms:
+        masks = _position_route(c, f)[1]
+        assert _is_lattice(masks) == bf_is_lattice(FinitePoset._from_masks(range(len(masks)), masks))
+
+
+def test_lattice_test_matches_brute_force_on_a_partition_lattice():
+    # Π_4 is a lattice that is not distributive; with one partition left
+    # out it may keep its joins or lose them
+    p = InverseSemigroup.from_json(partition_lattice_json(4)).idempotent_poset()
+    assert p.is_lattice() and bf_is_lattice(p)
+    verdicts = set()
+    for x in p.elements:
+        rest = [y for y in p.elements if y != x]
+        q = FinitePoset(rest, leq=[(y, z) for y in rest for z in rest if p.leq(y, z)])
+        verdicts.add(q.is_lattice())
+        assert q.is_lattice() == bf_is_lattice(q), x
+    assert verdicts == {True, False}
 
 
 @given(random_posets(max_size=14, dense=True), st.integers(min_value=0), st.integers(min_value=0))
