@@ -434,18 +434,25 @@ PRODUCT_CASES = {  # (A, B, whether the product's table composes every composabl
     "cm_slice(3,-3) x division(divisors 60)":
         (cm_slice(3, -3), OPPOSITE_CORPUS["division(divisors 60)"], True),
     "cm_slice(2,-3) x dm_slice(3,8)": (cm_slice(2, -3), dm_slice(3, 8), False),
+    "cm_slice(2,-2) x poset(divisors 12)":
+        (cm_slice(2, -2), poset_as_category(divisor_poset(12)), True),
+    "cm_slice(2,-2) x dm_slice(2,8)": (cm_slice(2, -2), dm_slice(2, 8), False),
+    "dm_slice(2,8) x cm_slice(2,-2)": (dm_slice(2, 8), cm_slice(2, -2), False),
 }
 
 
 @pytest.mark.parametrize("name", list(PRODUCT_CASES))
-def test_product_category_multiplies_moebius_functions(name):
+def test_product_category_multiplies_moebius_functions(name, monkeypatch):
     # intervals of A x B are products of intervals (Leroux 1975), so
-    # mu(f, g) = mu_A(f) mu_B(g); a total product table takes the keyed walk,
-    # the partial one the walk by composite
+    # mu(f, g) = mu_A(f) mu_B(g); a total product table takes Light's test,
+    # since (atom, identity) and (identity, atom) generate it when each
+    # factor's atoms do, then the keyed walk; a partial one takes the full
+    # scan and the walk by composite
     a, b, total = PRODUCT_CASES[name]
-    c = slice_product(a, b)
+    scanned, c = _scans(monkeypatch), slice_product(a, b)
     assert find_slice_violation(c) is None
     assert c._associative is total
+    assert scanned == ([] if total else [c])
     mu, mu_a, mu_b = moebius_of_slice(c), moebius_of_slice(a), moebius_of_slice(b)
     assert len(mu) == len(a.morphisms) * len(b.morphisms)
     for f, g in c.morphisms:
@@ -463,22 +470,6 @@ def test_product_with_a_non_associative_slice_is_refused(monkeypatch):
         assert violation.startswith("associativity fails on ")
         assert violation == bf_slice_violation(c)
         assert scanned[-1] is c and not c._associative
-
-
-@pytest.mark.parametrize(
-    "a, b, total",
-    [(cm_slice(2, -2), poset_as_category(divisor_poset(12)), True),
-     (cm_slice(2, -2), dm_slice(2, 8), False),
-     (dm_slice(2, 8), cm_slice(2, -2), False)],
-    ids=["total x total", "total x partial", "partial x total"],
-)
-def test_product_takes_the_filter_when_both_factors_are_total(a, b, total, monkeypatch):
-    # the atoms of A x B are (atom, identity) and (identity, atom), so they
-    # generate it when each factor's atoms generate that factor
-    scanned, c = _scans(monkeypatch), slice_product(a, b)
-    assert find_slice_violation(c) is None
-    assert c._associative is total
-    assert scanned == ([] if total else [c])
 
 
 def test_compose_is_a_read_only_view_in_table_order():

@@ -321,9 +321,9 @@ def test_covers_match_brute_force(p):
 
 # the bounded bowtie: a, b have two minimal upper bounds, c and d
 BOWTIE = FinitePoset("0abcd1", covers=["0a", "0b", "ac", "ad", "bc", "bd", "c1", "d1"])
-# p's incomparable partners are q and q' > q: p, q join at r, but r and q'
-# have two minimal upper bounds, u and v, so p, q' have no join; the test
-# joins p only with q and meets the failure at r
+# p's incomparable partners are q and Q > q: p, q join at r, but r and Q
+# have two minimal upper bounds, u and v, so p, Q have no join; the test
+# joins p only with q and meets the failure at the pair Q, r
 DETOUR = FinitePoset("0pqQruv1", covers=["0p", "0q", "qQ", "pr", "qr", "ru", "rv", "Qu", "Qv",
                                           "u1", "v1"])
 
