@@ -9,9 +9,11 @@ composition table as one row per left factor; the walks read a slice by
 number and a ``FactorizationSource`` by morphism.
 A law check that passes on a table composing every composable pair (or
 Light's test on the semigroup of a division category) marks the slice, and
-``lawvere._walk`` then keys positions by right factor.  Incidence functions
-take exact rational values (Fraction / int); the zeta function's
-convolution inverse is the Möbius function of the slice.
+``lawvere._walk`` then keys positions by right factor; ``factor_slice``
+runs that check's Light's test as it builds, so each total window it
+builds (every ``cm_slice`` and ``poset_as_category`` one) arrives marked.
+Incidence functions take exact rational values (Fraction / int); the zeta
+function's convolution inverse is the Möbius function of the slice.
 """
 
 from __future__ import annotations
@@ -358,22 +360,37 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     generators (``_light``) decides it first.  A partial table, or one that
     test does not pass, takes the full scan (``_scan``), so the triple
     named is always the scan's.  A total table that passes is marked, and
-    ``lawvere._walk`` reads the mark.
+    ``lawvere._walk`` reads the mark.  ``factor_slice`` runs the same
+    identity pass, count and test as it builds, but never the scan.
     """
-    at, after, ident, dom, cod = c.morphisms, _rows(c), c._ident, c._dom, c._cod
+    after = _rows(c)
+    if violation := _identity_violation(c, after):
+        return violation
+    into, total = _into(c)
+    if not (total and _light(c, after)) and (violation := _scan(c, after, into)):
+        return violation
+    c._associative = total
+    return None
+
+
+def _identity_violation(c: CategorySlice, after) -> str | None:
+    """The first identity law that fails, morphisms in slice order, or None."""
+    at, ident, dom, cod = c.morphisms, c._ident, c._dom, c._cod
     for f in range(len(at)):
         if after[f].get(ident[dom[f]]) != f:
             return f"right identity law fails at {at[f]!r}"
         if after[ident[cod[f]]].get(f) != f:
             return f"left identity law fails at {at[f]!r}"
-    into: dict = {}  # morphisms into each object, in slice order
-    for f, y in enumerate(cod):
-        into.setdefault(y, []).append(f)
-    total = sum([len(into[x]) for x in dom]) == len(c.compose)
-    if not (total and _light(c, after)) and (violation := _scan(c, after, into)):
-        return violation
-    c._associative = total
     return None
+
+
+def _into(c: CategorySlice) -> tuple[dict, bool]:
+    """The morphisms into each object, in slice order, and whether the table
+    is total: one entry per g and each k into dom(g)."""
+    into: dict = {}
+    for f, y in enumerate(c._cod):
+        into.setdefault(y, []).append(f)
+    return into, sum([len(into[x]) for x in c._dom]) == len(c.compose)
 
 
 def _light(c: CategorySlice, after) -> bool:
@@ -467,6 +484,10 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     is to list them, and both factors are looked up by number, so every table
     entry and identity is one of the window's own morphisms and each morphism
     is complete.  A factor or an identity outside the window raises InvalidSlice.
+    The rows are filled here, and the slice is marked associative when its
+    identity laws hold, its table is total and Light's test passes, as
+    ``find_slice_violation`` decides; any other window (each partial
+    ``dm_slice`` one) is left unmarked and unscanned.
     """
     window = tuple(window)
     number = dict(zip(window, range(len(window))))
@@ -483,10 +504,11 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     cod_of = {f: cod(f) for f in window}
     c = CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, facts, None,
                                                     identities, window)
-    # its windows are walked by composite, so the rows are filled here, where a
-    # pair the enumerator lists twice shows as one entry fewer than listed
-    if sum(map(len, _rows(c))) != len(c.compose):
+    # a pair the enumerator lists twice shows as one entry fewer than listed
+    after = _rows(c)
+    if sum(map(len, after)) != len(c.compose):
         raise InvalidSlice("a factorization is listed twice")
+    c._associative = _identity_violation(c, after) is None and _into(c)[1] and _light(c, after)
     return c
 
 

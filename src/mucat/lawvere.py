@@ -11,8 +11,9 @@ have refused any interval that is not one-way; the ``--verify`` walk also
 sums ``moebius_at``'s recursion on the same lists.  The staged objects
 (``LawvereInterval``, ``interval_as_poset``, ``is_one_way``) serve
 ``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
-imports and reads them (``LawvereInterval.homs`` too).  On a slice that a
-law check marked (see ``category``), the walk finds positions by right factor.
+imports and reads them (``LawvereInterval.homs`` too).  On a slice marked
+associative (each total window ``factor_slice`` builds, and any slice a law
+check passed; see ``category``), the walk finds positions by right factor.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _walk(c, root, found=None, eta=None):
     eta already holds v for each (h, v) in its list with h not 1.  The loop
     is inline: a generator step costs more than its lookups.
 
-    A slice with a law check's verdict (``_associative``) has a total,
-    associative table, so for (u', v') in the root's list and (h, v) in v''s,
+    A slice with Light's verdict (``_associative``: ``factor_slice`` decides
+    it as it builds, a law check sets it) has a total, associative table, so
+    for (u', v') in the root's list and (h, v) in v''s,
     (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
     (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
     alone: no composite is read."""

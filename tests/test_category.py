@@ -340,11 +340,12 @@ def _atoms(c):
             and all(identities.intersection(pair) for pair in c.factorizations(f))}
 
 
-def _scans(monkeypatch):
-    """The slices the full scan runs on, in turn."""
-    scanned, scan = [], mucat.category._scan
-    monkeypatch.setattr(mucat.category, "_scan", lambda c, *rest: scanned.append(c) or scan(c, *rest))
-    return scanned
+def _calls(monkeypatch, name="_scan"):
+    """The slices ``mucat.category``'s ``name`` runs on, in turn: by default
+    the full scan."""
+    called, real = [], getattr(mucat.category, name)
+    monkeypatch.setattr(mucat.category, name, lambda c, *rest: called.append(c) or real(c, *rest))
+    return called
 
 
 @pytest.mark.parametrize("base", [cm_slice(2, -4), cm_slice(3, -5)],
@@ -382,7 +383,7 @@ def test_filter_matches_the_full_scan_on_planted_total_tables(base, monkeypatch)
     ids=["cm_slice(3,-5)", "poset(divisors 12)", "division(divisors 60)", "dm_slice(2,8)"],
 )
 def test_only_a_partial_table_that_passes_takes_the_full_scan(make, total, monkeypatch):
-    scanned, c = _scans(monkeypatch), make()
+    scanned, c = _calls(monkeypatch), make()
     assert find_slice_violation(c) is None
     assert c._associative is total
     assert scanned == ([] if total else [c])
@@ -390,11 +391,77 @@ def test_only_a_partial_table_that_passes_takes_the_full_scan(make, total, monke
 
 def test_a_total_table_its_atoms_do_not_generate_takes_the_full_scan(monkeypatch):
     # a and b factor through each other, so the one object has no atom
-    scanned, c = _scans(monkeypatch), _one_object_slice()
+    scanned, c = _calls(monkeypatch), _one_object_slice()
     assert not _atoms(c)
     assert find_slice_violation(c) == bf_slice_violation(c) == (
         "associativity fails on ('a', 'a', 'b'): 'a' != 'b'")
     assert scanned == [c] and not c._associative
+
+
+# -- the verdict factor_slice decides as it builds -------------------------------
+
+def _total(c) -> bool:
+    """Whether c's table composes every composable pair, by definition."""
+    return len(c.compose) == sum([c.cod[k] == c.dom[g] for g in c.morphisms for k in c.morphisms])
+
+
+BUILT_CORPUS = {
+    **{f"cm_slice({m},{floor})": (lambda m=m, floor=floor: cm_slice(m, floor))
+       for m, floor in [(2, -6), (3, -5), (4, -4), (5, -3)]},
+    "poset(divisors 12)": lambda: poset_as_category(divisor_poset(12)),
+    "poset(B_3)": lambda: poset_as_category(boolean_lattice(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_CORPUS))
+def test_factor_slice_marks_a_total_window_that_passes_lights_test(name, monkeypatch):
+    # the build runs the law check's identity pass, count and Light's test,
+    # never the full scan, and its verdict is the law check's
+    lights, scanned = _calls(monkeypatch, "_light"), _calls(monkeypatch)
+    c = BUILT_CORPUS[name]()
+    assert c._associative and lights == [c] and scanned == []
+    assert c._associative is (find_slice_violation(c) is None and _total(c))
+    assert c._associative and scanned == []
+
+
+def test_factor_slice_leaves_a_partial_window_unmarked_and_unscanned(monkeypatch):
+    lights, scanned = _calls(monkeypatch, "_light"), _calls(monkeypatch)
+    for m, alpha in [(2, 8), (3, 30), (2, 60)]:
+        c = dm_slice(m, alpha)
+        assert not c._associative and not _total(c)
+    assert lights == scanned == []
+
+
+def _as_source(c) -> FactorizationSource:
+    """The complete slice c read as a source, each list in table order."""
+    def validate(f):
+        if f not in c.complete:
+            raise InvalidSlice(f"{f!r} is not a morphism")
+
+    return FactorizationSource(c.factorizations, c.dom.get, c.cod.get, c.identities.get,
+                               lambda g, h: c.compose[g, h], validate)
+
+
+@pytest.mark.parametrize("redirect", [False, True], ids=["atoms miss b", "a∘1 = b"])
+def test_factor_slice_leaves_a_total_table_that_fails_unmarked(redirect, monkeypatch):
+    # a total table whose atoms do not generate it fails Light's test; one
+    # whose right identity law fails at a never reaches the test.  Both build,
+    # and the law check then names the scan's first failure
+    table = _one_object_slice()
+    if redirect:
+        compose = dict(table.compose.items()) | {("a", "1"): "b"}
+        table = CategorySlice(table.objects, table.morphisms, table.dom, table.cod, compose,
+                              table.identities, table.complete)
+    lights, scanned = _calls(monkeypatch, "_light"), _calls(monkeypatch)
+    c = factor_slice(table.morphisms, _as_source(table))
+    assert _total(c) and not c._associative
+    assert lights == ([] if redirect else [c]) and scanned == []
+    violation = find_slice_violation(c)
+    assert violation == bf_slice_violation(c) and not c._associative
+    if redirect:
+        assert violation == "right identity law fails at 'a'"
+    else:
+        assert violation.startswith("associativity fails on ") and scanned == [c]
 
 
 # -- opposite categories -------------------------------------------------------
@@ -449,7 +516,7 @@ def test_product_category_multiplies_moebius_functions(name, monkeypatch):
     # factor's atoms do, then the keyed walk; a partial one takes the full
     # scan and the walk by composite
     a, b, total = PRODUCT_CASES[name]
-    scanned, c = _scans(monkeypatch), slice_product(a, b)
+    scanned, c = _calls(monkeypatch), slice_product(a, b)
     assert find_slice_violation(c) is None
     assert c._associative is total
     assert scanned == ([] if total else [c])
@@ -462,7 +529,7 @@ def test_product_category_multiplies_moebius_functions(name, monkeypatch):
 def test_product_with_a_non_associative_slice_is_refused(monkeypatch):
     # each product's table is total, but the one-object factor's atoms do not
     # generate it, so the full scan names the triple
-    scanned = _scans(monkeypatch)
+    scanned = _calls(monkeypatch)
     point = CategorySlice(["*"], ["1"], {"1": "*"}, {"1": "*"}, {("1", "1"): "1"}, {"*": "1"}, "1")
     for c in (slice_product(f, g) for total in (point, cm_slice(2, -2))
               for f, g in [(_one_object_slice(), total), (total, _one_object_slice())]):
