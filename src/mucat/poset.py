@@ -21,8 +21,11 @@ The Möbius function is computed by the classical recursion
     mu(x, x) = 1,    mu(x, y) = -sum(mu(z, y) for x < z <= y)
 
 evaluated top-down over the down-set of y in the linear extension, one
-column mu(., y) memoized per instance; values are always integers, each
-up-set summed bit by bit up to ``_PER_BIT`` elements, else via ``compress``.
+column mu(., y) memoized per instance; values are always integers.  The
+values found so far are also kept bit-sliced, one mask per sign and bit of
+|mu|, so each up-set is summed with a few popcounts, not element by element;
+a column with a value wider than ``_PLANES`` bits sums the rest through
+``compress``.
 The law check (``_linear``), the recursion (``_moebius_to``) and the lattice
 test (``_is_lattice``) work on bare masks, so the Lawvere route runs them
 with no poset object.
@@ -38,11 +41,12 @@ from ._json import load_object, rows, strings
 from .errors import InvalidPoset, NotComparable
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_PER_BIT = 8  # _moebius_to sums an up-set of at most this many bits bit by bit (measured)
+_PLANES = 8  # _moebius_to sums by popcount while every |mu| is below 2 ** _PLANES (measured)
 
 
 def _selectors(mask: int) -> bytes:
-    """Bit k of mask as byte k (0 or 1), lowest bit first; feeds compress()."""
+    """Bit k of mask as byte k (0 or 1), lowest bit first; feeds compress()
+    in ``_moebius_to``'s sum over a column with a value too wide for its planes."""
     return bin(mask)[:1:-1].encode().translate(_BYTE_BITS)
 
 
@@ -157,22 +161,69 @@ def _linear(up: list[int], name: Callable[[int], Any]) -> tuple[list[int] | None
 def _moebius_to(up: list[int], q: int) -> list:
     """values[w] = mu(w, q) for w <= q, else 0, on masks in a linear
     extension, by mu(w, q) = -sum(mu(z, q) for w < z <= q) from q down: a
-    strict successor sits higher (Stanley, EC1, Ch. 3), and when w's up-set
-    is summed, values[w] and every z not <= q still read 0."""
+    strict successor sits higher (Stanley, EC1, Ch. 3).
+
+    The values summed so far are also kept bit-sliced: bit z of pos[k]
+    (of neg[k]) is set iff mu(z, q) > 0 (< 0) and bit k of |mu(z, q)| is.
+    When w is summed, the planes hold mu(z, q) for exactly the positions z
+    above w with z <= q: each was summed and recorded before w, w itself is
+    not recorded yet, and a z not <= q never is (its value is 0).  The
+    strict successors of w are the bits of u = up[w] other than w, so
+    -mu(w, q) = sum(2**k * (popcount(u & pos[k]) - popcount(u & neg[k]))),
+    a few popcounts instead of one step per element of u.  While every
+    value is -1, 0 or 1 there is one plane, pos[0] and neg[0]; a wider value
+    adds planes up to ``_PLANES``.  The first value wider than that is
+    stored but not recorded, so from its w on the planes would miss a value
+    and the rest of the column sums ``values`` through ``compress`` instead:
+    ``values`` holds every value computed so far, and values[w] and every
+    z not <= q still read 0, so that sum is exact too.
+    """
     values = [0] * len(up)
     values[q] = 1
-    for w in range(q - 1, -1, -1):
+    pos0, neg0 = 1 << q, 0
+    w = q
+    while w:
+        w -= 1
         u = up[w]
         if u >> q & 1:
-            if u.bit_count() > _PER_BIT:
-                values[w] = -sum(compress(values, _selectors(u)))
-                continue
+            total = (u & neg0).bit_count() - (u & pos0).bit_count()
+            if total == 1:
+                values[w] = 1
+                pos0 |= 1 << w
+            elif total == -1:
+                values[w] = -1
+                neg0 |= 1 << w
+            elif total:  # wider: sum w again over more planes
+                w += 1
+                break
+    else:
+        return values
+    pos, neg = [pos0], [neg0]
+    while w:
+        w -= 1
+        u = up[w]
+        if u >> q & 1:
             total = 0
-            while u:
-                low = u & -u
-                total -= values[low.bit_length() - 1]
-                u ^= low
-            values[w] = total
+            for k in range(len(pos)):
+                total += ((u & neg[k]).bit_count() - (u & pos[k]).bit_count()) << k
+            if total:
+                values[w] = total
+                size = abs(total)
+                width = size.bit_length()
+                if width > len(pos):
+                    if width > _PLANES:
+                        break
+                    pos += [0] * (width - len(pos))
+                    neg += [0] * (width - len(neg))
+                planes = pos if total > 0 else neg
+                bit = 1 << w
+                for k in range(width):
+                    if size >> k & 1:
+                        planes[k] |= bit
+    for w in range(w - 1, -1, -1):
+        u = up[w]
+        if u >> q & 1:
+            values[w] = -sum(compress(values, _selectors(u)))
     return values
 
 

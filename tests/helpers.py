@@ -200,6 +200,27 @@ def partition_moebius(x: str, e: str) -> int:
     return mu
 
 
+def ordinal_sum_json(widths) -> str:
+    """The ordinal sum 0̂ ⊕ A_w1 ⊕ ... ⊕ A_wk ⊕ 1̂ of antichains as a poset
+    JSON object with ``covers``: "bottom", then level j's elements "j.0",
+    "j.1", ... (j from 1), then "top"; each element is covered by every
+    element of the next level."""
+    levels = [["bottom"]] + [[f"{j}.{i}" for i in range(w)] for j, w in enumerate(widths, 1)]
+    levels.append(["top"])
+    covers = [[x, y] for low, high in zip(levels, levels[1:]) for x in low for y in high]
+    return json.dumps({"elements": [x for level in levels for x in level], "covers": covers})
+
+
+def ordinal_sum_moebius(widths, level: int) -> int:
+    """Philip Hall's count on the ordinal sum: mu(x, 1̂) for x on ``level``
+    (0 for the bottom, j for A_wj) is (-1)^(r-1) times the product of
+    (w - 1) over the r = k - level antichains above x; mu(1̂, 1̂) is 1."""
+    mu = -1
+    for w in widths[level:]:
+        mu *= 1 - w
+    return mu
+
+
 # -- brute-force oracles -----------------------------------------------------
 
 def bf_covers(p: FinitePoset) -> set:

@@ -33,7 +33,7 @@ from helpers import (
     symmetric_inverse_monoid,
 )
 
-from test_category import idempotent_endo_category, iso_pair_category
+from test_category import _calls, idempotent_endo_category, iso_pair_category
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,16 @@ def test_verify_walks_each_interval_once(capsys, monkeypatch):
     assert code == 0
     morphisms = int(out.splitlines()[1].split()[1])
     assert len(walked) == len(set(walked)) == morphisms
+
+
+def test_verify_trusts_the_verdict_its_window_was_built_with(capsys, monkeypatch):
+    # factor_slice runs the law check's identity pass, count and Light's test
+    # as it builds the window and marks it; verify reads the mark instead of
+    # running them again, and never scans
+    lights, scanned = _calls(monkeypatch, "_light"), _calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--m", "3", "--level-min", "-4")
+    assert code == 0 and "slice-valid PASS" in out.splitlines()
+    assert len(lights) == 1 and lights[0]._associative and scanned == []
 
 
 # -- interval-dot ------------------------------------------------------------------
@@ -508,6 +518,12 @@ VERIFY_PASS_LINES = [
 ]
 
 
+def _unmarked(c):
+    """c without the associativity verdict factor_slice gave it."""
+    c._associative = False
+    return c
+
+
 @pytest.mark.parametrize("check, owner, name, wrong, line", [
     ("slice-valid", cli, "find_slice_violation", "broken", "slice-valid FAIL"),
     ("intervals-lattice", cli, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
@@ -524,6 +540,9 @@ def test_verify_failure_report(capsys, monkeypatch, check, owner, name, wrong, l
         "moebius_test": True, "intervals_lattice": True, "mu_agreement": True,
         "convolution_identity": True, check.replace("-", "_"): False, "pass": False,
     }
+    if check == "slice-valid":  # verify trusts a marked window: build it unmarked
+        build = cli.cm_slice
+        monkeypatch.setattr(cli, "cm_slice", lambda m, level_min: _unmarked(build(m, level_min)))
     monkeypatch.setattr(owner, name, _wrong_once(real, wrong))
     assert run_cli(capsys, *argv) == (1, "\n".join(lines) + "\n", "")
     monkeypatch.setattr(owner, name, _wrong_once(real, wrong))

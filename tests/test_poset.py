@@ -15,7 +15,7 @@ from mucat import (
     poset_as_category,
 )
 from mucat.lawvere import _position_route
-from mucat.poset import _is_lattice
+from mucat.poset import _PLANES, _is_lattice
 
 from helpers import (
     B2,
@@ -37,6 +37,8 @@ from helpers import (
     boolean_lattice,
     classical_moebius,
     divisor_poset,
+    ordinal_sum_json,
+    ordinal_sum_moebius,
     partition_lattice_json,
     poset_json,
     product,
@@ -368,12 +370,12 @@ def test_lattice_test_matches_brute_force_on_a_partition_lattice():
 @example(chain([f"e{k}" for k in range(14)]), 0, 0)
 @example(FinitePoset(range(14), covers=[(a, b) for k in range(1, 13) for a, b in [(0, k), (k, 13)]]), 0, 0)
 @settings(max_examples=60, deadline=None)
-def test_moebius_matches_chain_count_on_both_sides_of_the_per_bit_crossover(p, i, j):
-    # mu sums an up-set of at most 8 bits one bit at a time and a larger one
-    # through compress; dense posets of up to 14 elements, with small i and j
-    # picking the widest intervals, reach both, as the two examples from
-    # bottom to top surely do (mu 0 on the chain, 11 on twelve atoms between
-    # a bottom and a top).  One pair per poset: the chain count is exponential
+def test_moebius_matches_chain_count_on_wide_intervals_of_dense_posets(p, i, j):
+    # dense posets of up to 14 elements, with small i and j picking the
+    # widest intervals, sum large up-sets over one value plane (every value
+    # -1, 0 or 1, as on the chain, mu 0 from bottom to top) or over several
+    # (twelve atoms between a bottom and a top: mu 11, four planes).  One
+    # pair per poset: the chain count is exponential
     relation = bf_relation(p)
     x = sorted(p.elements, key=lambda z: -sum((z, w) in relation for w in p.elements))[i % len(p)]
     ups = [w for w in p.elements if (x, w) in relation]
@@ -381,6 +383,43 @@ def test_moebius_matches_chain_count_on_both_sides_of_the_per_bit_crossover(p, i
     expected = bf_chain_moebius(p.elements, relation, x, y)
     assert p.moebius(x, y) == expected
     assert moebius_via_lawvere(poset_as_category(p), (x, y)) == expected
+
+
+def _top_column_of_ordinal_sum(widths) -> list:
+    """mu(x, top) for every x of the ordinal sum of antichains of these
+    widths, each checked against Philip Hall's closed form."""
+    p = FinitePoset.from_json(ordinal_sum_json(widths))
+    column = []
+    for x in p.elements:
+        level = 0 if x == "bottom" else len(widths) + 1 if x == "top" else int(x.split(".")[0])
+        expected = 1 if x == "top" else ordinal_sum_moebius(widths, level)
+        assert p.moebius(x, "top") == expected, x
+        column.append(expected)
+    return column
+
+
+@pytest.mark.parametrize("widths, outgrown", [
+    ([3] * 40, True), ([5] * 30, True), ([2, 4, 3, 6, 5] * 4, True), ([3] * 8, True),
+    ([3] * 7, False), ([2] * 30, False),
+], ids=["3x40", "5x30", "mixed", "3x8", "3x7", "2x30"])
+def test_top_column_of_an_ordinal_sum_matches_hall_s_closed_form(widths, outgrown):
+    # |mu| grows level by level from the top, so each column starts in the
+    # value planes and the first four outgrow them partway down, where the
+    # sum over values takes the rest of the column; 3x7 stays below
+    # 2 ** _PLANES and 2x30 in one plane (every value -1, 0 or 1)
+    sizes = {abs(mu) for mu in _top_column_of_ordinal_sum(widths)}
+    assert (max(sizes) >= 1 << _PLANES) is outgrown
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=12))
+@example([6] * 12)
+@example([])
+@settings(max_examples=60, deadline=None)
+def test_ordinal_sum_moebius_matches_hall_s_closed_form_random(widths):
+    column = _top_column_of_ordinal_sum(widths)
+    if sum(widths) <= 16:  # the window holds every pair x <= y of the poset
+        p = FinitePoset.from_json(ordinal_sum_json(widths))
+        assert moebius_via_lawvere(poset_as_category(p), ("bottom", "top")) == column[0]
 
 
 @given(random_posets())
