@@ -6,7 +6,7 @@ marked *complete* promise that every ambient factorization g∘h of the morphism
 has g, h (and the pair entry) inside the slice, so factorization sums are
 exact.  A slice numbers its morphisms and keeps its tables by number, the
 composition table as one row per left factor; the walks read a slice by
-number and a ``FactorizationSource`` by morphism.
+number and a ``FactorizationSource`` by the handles its rules read.
 A law check that passes on a table composing every composable pair (or
 Light's test on the semigroup of a division category) marks the slice, and
 ``lawvere._walk`` then keys positions by right factor; ``factor_slice``
@@ -281,6 +281,11 @@ class _ComposeItems(ItemsView):
         return (((at[g], at[h]), at[k]) for g, h, k in self._mapping._numbered())
 
 
+def _same(f):
+    """The identity rule: a morphism read as its own handle."""
+    return f
+
+
 class _Rule:
     """A read-only mapping that stores nothing: ``r.get(k)`` is ``rule(k)``
     and so is ``r[k]``."""
@@ -300,29 +305,34 @@ class FactorizationSource:
     ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
     give endpoints, ``identity(x)`` the identity of x, ``composite(g, h)``
     the composite of a composable pair, unchecked, and ``validate(f)`` raises
-    unless f is a morphism.  ``factorizations`` is the one public read, and it
-    runs ``validate``.  Each rule is read on request through a private mapping
-    named as a slice's numbered table, with the morphism itself as handle
-    (g's row is ``composite`` with g bound first), so
+    unless f is a morphism.  The rules read and give handles: ``handle(f)``
+    is the handle of a morphism f, ``at(k)`` the morphism of a handle k, and
+    both default to the identity, so a source may read a morphism as its own
+    handle.  ``factorizations`` is the one public read: it runs ``validate``
+    on f and lists morphisms.  Each rule is read on request through a private
+    mapping named as a slice's numbered table (``_number`` is ``handle``,
+    ``_at`` is ``at``, and g's row is ``composite`` with g bound first), so
     the interval walk and the convolution recursion read a source as they
     read a slice, and memory grows only with what a route reads.  Every
     factorization list and identity is checked each time it is handed out,
     as the ``CategorySlice`` constructor checks a table entry, with its
-    messages; the source stores nothing.  ``_enumerate`` is the enumerator
-    unchecked, for ``factor_slice``, whose constructor pass checks each entry.
+    messages, which name morphisms; the source stores nothing.
+    ``_enumerate`` is the enumerator unchecked, for ``factor_slice``, whose
+    constructor pass checks each entry.
     """
 
-    __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate")
-    _at = _Rule(lambda f: f)  # the morphism a handle stands for
+    __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate",
+                 "_number", "_at")
     _associative = False  # no law check has read the rules
 
-    def __init__(self, factorizations, dom, cod, identity, composite, validate):
+    def __init__(self, factorizations, dom, cod, identity, composite, validate,
+                 handle=_same, at=_same):
         def checked_pairs(k):
             pairs = factorizations(k)
             x, y = dom(k), cod(k)
             for g, h in pairs:
                 if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
-                    raise _bad_entry(g, h, k, cod(h) == dom(g))
+                    raise _bad_entry(at(g), at(h), at(k), cod(h) == dom(g))
             return pairs
 
         def checked_identity(x):
@@ -335,15 +345,16 @@ class FactorizationSource:
         self._ident = _Rule(checked_identity)
         self._after = _Rule(lambda g: _Rule(partial(composite, g)))
         self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
-        self._validate = validate
+        self._validate, self._number, self._at = validate, _Rule(handle), _Rule(at)
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
-        return self._facts[self._handle(f)]
+        at = self._at.get
+        return [(at(g), at(h)) for g, h in self._facts[self._handle(f)]]
 
     def _handle(self, f):
-        self._validate(f)  # a source reads f by f itself
-        return f
+        self._validate(f)
+        return self._number.get(f)
 
     _closed_handle = _handle  # every morphism of a source is complete
 
@@ -480,28 +491,36 @@ def one_way(up, multiple) -> bool:
 def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     """The full subcategory of ``source`` on a window closed under factors, in window order.
 
-    Each morphism's factorizations are enumerated once, in the order the slice
-    is to list them, and both factors are looked up by number, so every table
+    Each morphism's factorizations are enumerated once, on the source's
+    handles, in the order the slice is to list them, and both factors are
+    looked up by number, keyed by each window morphism's handle, so every table
     entry and identity is one of the window's own morphisms and each morphism
-    is complete.  A factor or an identity outside the window raises InvalidSlice.
+    is complete.  A factor or an identity outside the window raises InvalidSlice,
+    and so does a morphism whose handle does not read back as itself, which
+    could share its number with another.
     The rows are filled here, and the slice is marked associative when its
     identity laws hold, its table is total and Light's test passes, as
     ``find_slice_violation`` decides; any other window (each partial
     ``dm_slice`` one) is left unmarked and unscanned.
     """
     window = tuple(window)
-    number = dict(zip(window, range(len(window))))
-    facts, factorizations = [], source._enumerate
-    for f in window:
+    handles = list(map(source._number.get, window))
+    number = dict(zip(handles, range(len(window))))
+    facts, factorizations, at = [], source._enumerate, source._at.get
+    for f, k in zip(window, handles):
+        if at(k) != f:  # a handle that reads back as f numbers f alone
+            raise InvalidSlice(f"{f!r} is not a morphism of the source: "
+                               f"its handle reads back as {at(k)!r}")
         try:
-            facts.append(tuple([(number[g], number[h]) for g, h in factorizations(f)]))
+            facts.append(tuple([(number[g], number[h]) for g, h in factorizations(k)]))
         except KeyError as exc:
-            raise InvalidSlice(f"factor {exc.args[0]!r} of {f!r} lies outside the window") from None
+            raise InvalidSlice(f"factor {at(exc.args[0])!r} of {f!r} "
+                               "lies outside the window") from None
     dom, cod, ident = source._dom.get, source._cod.get, source._ident.get
-    dom_of = {f: dom(f) for f in window}
+    dom_of = dict(zip(window, map(dom, handles)))
     objects = list(dict.fromkeys(dom_of.values()))
     identities = {x: window[k] for x in objects if (k := number.get(ident(x))) is not None}
-    cod_of = {f: cod(f) for f in window}
+    cod_of = dict(zip(window, map(cod, handles)))
     c = CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, facts, None,
                                                     identities, window)
     # a pair the enumerator lists twice shows as one entry fewer than listed

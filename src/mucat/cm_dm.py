@@ -19,8 +19,11 @@ from them, and routes that need one morphism's factorizations and its right
 factors' only read them with no window.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
-as their field tuples, so every slice, interval and poset lookup keyed by
-them runs in C.
+as their field tuples.  A source reads each morphism by a cheaper handle: a
+C_m morphism by its plain field tuple (a, x, i, j), a D_m morphism (alpha, x)
+by the integer alpha·m + x, which is exact for every alpha >= x >= 0.  Its
+public reads and its messages decode handles to morphisms, and its endpoints
+stay objects, so a window keeps its ``CmObject`` objects.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ def cm_identity(obj: CmObject) -> CmMorphism:
     return CmMorphism(0, obj.residue, obj.level, obj.level)
 
 
-def _cm_composite(g: CmMorphism, f: CmMorphism) -> CmMorphism:
-    """The composite g∘f of a composable pair, unchecked."""
-    return _new(CmMorphism, (f.a + g.a, f.x, f.i, g.j))
-
-
 def cm_slice(m: int, level_min: int) -> CategorySlice:
     """The full window on objects with level in [level_min, 0].
 
@@ -116,22 +114,25 @@ def cm_moebius_closed_form(f: CmMorphism) -> int:
     return 0
 
 
-def _cm_factorizations(m: int, f: CmMorphism) -> list[tuple[CmMorphism, CmMorphism]]:
-    """Every pair (g, h) with g∘h = f: right factor (b, x, i, l) with l from i
-    down to j, then b ascending, the order cm_slice lists them in."""
-    a, x, i, j = f
-    return [(_new(CmMorphism, (a - b, (b + x) % m, l, j)), _new(CmMorphism, (b, x, i, l)))
-            for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
-
-
 def cm_source(m: int) -> FactorizationSource:
-    """C_m's rules, read with no window or through ``cm_slice``: factorizations from
-    the closed-form enumerator, composites and endpoints from the morphisms' fields."""
+    """C_m's rules, read with no window or through ``cm_slice``, on the plain
+    tuple (a, x, i, j) of each morphism as its handle: factorizations from the
+    closed-form enumerator, composites and endpoints by index."""
     _require_modulus(m)
-    return FactorizationSource(lambda k: _cm_factorizations(m, k),
-                               lambda k: _new(CmObject, (k.x, k.i)),
-                               lambda k: _new(CmObject, ((k.a + k.x) % m, k.j)), cm_identity,
-                               _cm_composite, lambda f: validate_cm_morphism(m, f))
+
+    def factorizations(k):
+        """Every pair (g, h) with g∘h = k: right factor (b, x, i, l) with l from i
+        down to j, then b ascending, the order cm_slice lists them in."""
+        a, x, i, j = k
+        return [((a - b, (b + x) % m, l, j), (b, x, i, l))
+                for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
+
+    return FactorizationSource(factorizations, lambda k: _new(CmObject, (k[1], k[2])),
+                               lambda k: _new(CmObject, ((k[0] + k[1]) % m, k[3])),
+                               lambda x: (0, x[0], x[1], x[1]),
+                               lambda g, h: (h[0] + g[0], h[1], h[2], g[3]),
+                               lambda f: validate_cm_morphism(m, f),
+                               at=lambda k: _new(CmMorphism, k))
 
 
 class DmMorphism(NamedTuple):
@@ -156,11 +157,6 @@ def dm_identity(x: int) -> DmMorphism:
     return DmMorphism(x, x)
 
 
-def _dm_composite(g: DmMorphism, f: DmMorphism) -> DmMorphism:
-    """The composite g∘f of a composable pair, unchecked."""
-    return _new(DmMorphism, (g.alpha - g.x + f.alpha, f.x))
-
-
 def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     """The window of all morphisms with alpha <= alpha_max.
 
@@ -177,21 +173,23 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
     return factor_slice(morphisms, source)
 
 
-def _dm_factorizations(m: int, f: DmMorphism) -> list[tuple[DmMorphism, DmMorphism]]:
-    """Every pair (g, h) with g · h = f: right factor (c, x) with c ascending,
-    the order dm_slice lists them in."""
-    alpha, x = f
-    return [(_new(DmMorphism, (alpha - c + c % m, c % m)), _new(DmMorphism, (c, x)))
-            for c in range(x, alpha + 1)]
-
-
 def dm_source(m: int) -> FactorizationSource:
-    """D_m's rules, read with no window or through ``dm_slice``: factorizations from
-    the closed-form enumerator, composites and endpoints from the morphisms' fields."""
+    """D_m's rules, read with no window or through ``dm_slice``, on the integer
+    alpha·m + x of each morphism (alpha, x) as its handle: factorizations from the
+    closed-form enumerator, composites and endpoints by integer arithmetic."""
     _require_modulus(m)
-    return FactorizationSource(lambda k: _dm_factorizations(m, k), lambda k: k.x,
-                               lambda k: k.alpha % m, dm_identity, _dm_composite,
-                               lambda f: validate_dm_morphism(m, f))
+
+    def factorizations(k):
+        """Every pair (g, h) with g · h = k: right factor (c, x) with c ascending,
+        the order dm_slice lists them in."""
+        alpha, x = divmod(k, m)
+        return [((alpha - c + c % m) * m + c % m, c * m + x) for c in range(x, alpha + 1)]
+
+    return FactorizationSource(factorizations, lambda k: k % m, lambda k: k // m % m,
+                               lambda x: x * m + x,
+                               lambda g, h: (g // m - g % m + h // m) * m + h % m,
+                               lambda f: validate_dm_morphism(m, f),
+                               lambda f: f[0] * m + f[1], lambda k: _new(DmMorphism, divmod(k, m)))
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:

@@ -46,7 +46,6 @@ from mucat import (
     validate_dm_morphism,
 )
 import mucat.category
-from mucat.cm_dm import _cm_composite, _cm_factorizations, _dm_composite, _dm_factorizations
 from mucat.lawvere import _both_routes
 
 from helpers import (
@@ -636,6 +635,11 @@ REVERSED_DM_WINDOW = dm_slice(2, 8).morphisms[::-1]
 D3, C3 = dm_source(3), cm_source(3)
 
 
+def _dm3(*morphisms) -> tuple:
+    """The handles of D_3 morphisms, by dm_source(3)'s own handle rule."""
+    return tuple(map(D3._number.get, morphisms))
+
+
 def _builder_corpus():
     """(name, slice, the category's checked composition rule) per builder."""
     boolean = meet_semilattice(boolean_lattice(3))
@@ -703,23 +707,30 @@ def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice(
         _dm_window(2, [*REVERSED_DM_WINDOW, REVERSED_DM_WINDOW[3]])
 
 
+def test_factor_slice_refuses_a_morphism_its_handle_does_not_read_back():
+    # (0, 2) is no morphism of D_2: its handle 0·2 + 2 is the handle of (1, 0), which it replaces
+    window = [DmMorphism(0, 2) if f == DmMorphism(1, 0) else f for f in dm_slice(2, 5).morphisms]
+    with pytest.raises(InvalidSlice, match=re.escape(
+            "DmMorphism(alpha=0, x=2) is not a morphism of the source: "
+            "its handle reads back as DmMorphism(alpha=1, x=0)")):
+        factor_slice(window, dm_source(2))
+
+
 def test_factor_slice_refuses_a_pair_listed_twice():
     # a row holds one composite per pair, so a pair listed twice, in one list
     # or under two composites, would leave the rows and the lists disagreeing
     window = dm_slice(3, 8).morphisms
-    pair = (DmMorphism(5, 2), DmMorphism(2, 0))  # the last pair listed of (5, 0)
-    for again in (DmMorphism(5, 0), DmMorphism(8, 0)):  # in its own list, then under another
+    pair = _dm3(DmMorphism(5, 2), DmMorphism(2, 0))  # the last pair listed of (5, 0)
+    for again in _dm3(DmMorphism(5, 0), DmMorphism(8, 0)):  # in its own list, then under another
         def listed(k, again=again):
-            pairs = _dm_factorizations(3, k)
+            pairs = D3._enumerate(k)
             return [*pairs, pair] if k == again else pairs
         with pytest.raises(InvalidSlice, match="^a factorization is listed twice$"):
             factor_slice(window, _dm3_source(listed))
 
 
 def test_factor_slice_refuses_an_identity_outside_the_window():
-    nontrivial = FactorizationSource(  # lists no factorization, so 1_0 need not be in the window
-        lambda k: [], D3._dom.get, D3._cod.get, dm_identity, _dm_composite,
-        lambda f: validate_dm_morphism(3, f))
+    nontrivial = _dm3_source(lambda k: [])  # lists no factorization, so 1_0 need not be in the window
     with pytest.raises(InvalidSlice, match="^object 0 lacks an identity morphism$"):
         factor_slice([DmMorphism(3, 0)], nontrivial)
 
@@ -734,8 +745,9 @@ def test_factor_slice_refuses_an_identity_outside_the_window():
 def test_window_reads_as_its_source(c, source):
     for f in c.morphisms:
         assert c.factorizations(f) == tuple(source.factorizations(f))
-        assert (c.dom[f], c.cod[f]) == (source._dom[f], source._cod[f])
-    assert c.identities == {x: source._ident[x] for x in c.objects}
+        k = source._number[f]
+        assert (c.dom[f], c.cod[f]) == (source._dom[k], source._cod[k])
+    assert c.identities == {x: source._at[source._ident[x]] for x in c.objects}
 
 
 def test_factor_slice_enumerates_each_list_once_unchecked():
@@ -799,17 +811,21 @@ def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, sou
 
 # -- factorization sources -----------------------------------------------------------
 
-def _dm3_source(factorizations=None, identity=dm_identity, dom=D3._dom.get, cod=D3._cod.get):
-    """D_3 as a source whose enumerator, identity or endpoint rules may be replaced."""
+def _dm3_source(factorizations=D3._enumerate, identity=dm_identity, dom=D3._dom.get,
+                cod=D3._cod.get):
+    """D_3 as a source on dm_source(3)'s own handle rules, whose enumerator,
+    identity or endpoint rules may be replaced.  Every rule reads and gives
+    handles, but ``identity`` gives a morphism, encoded by the handle rule."""
     return FactorizationSource(
-        factorizations or (lambda k: _dm_factorizations(3, k)), dom, cod, identity,
-        _dm_composite, lambda f: validate_dm_morphism(3, f),
+        factorizations, dom, cod, lambda x: D3._number[identity(x)],
+        lambda g, h: D3._after[g][h], lambda f: validate_dm_morphism(3, f),
+        D3._number.get, D3._at.get,
     )
 
 
 def _counted_dm3_source():
     """D_3 as a source that counts its endpoint reads and the lists it
-    enumerates, in all and of each morphism k under ("lists", k)."""
+    enumerates, in all and of each morphism k under ("lists", k), k decoded."""
     count = Counter()
 
     def counted(rule, key):
@@ -819,8 +835,8 @@ def _counted_dm3_source():
         return read
 
     def listed(k):
-        count["lists", k] += 1
-        return _dm_factorizations(3, k)
+        count["lists", D3._at[k]] += 1
+        return D3._enumerate(k)
 
     source = _dm3_source(counted(listed, "lists"),
                          dom=counted(D3._dom.get, "endpoints"),
@@ -835,7 +851,7 @@ def _counted_dm3_source():
 )
 def test_source_checks_every_list_it_hands_out(first, second):
     f = DmMorphism(13, 1)
-    read = {f, *(h for _, h in _dm_factorizations(3, f))}  # the lists both routes read
+    read = {f, *(h for _, h in D3.factorizations(f))}  # the lists both routes read
     alone, alone_count = _counted_dm3_source()
     shared, count = _counted_dm3_source()
     assert second(alone, f) == first(shared, f) == 0
@@ -847,15 +863,18 @@ def test_source_checks_every_list_it_hands_out(first, second):
 
 
 def _counted_cm3_source():
-    """C_3 as a source that counts the lists it enumerates, of each morphism k under ("lists", k)."""
+    """C_3 as a source on cm_source(3)'s own handle rules that counts the lists
+    it enumerates, of each morphism k under ("lists", k), k decoded."""
     count = Counter()
 
     def listed(k):
-        count["lists", k] += 1
-        return _cm_factorizations(3, k)
+        count["lists", C3._at[k]] += 1
+        return C3._enumerate(k)
 
-    return FactorizationSource(listed, C3._dom.get, C3._cod.get, cm_identity,
-                               _cm_composite, lambda f: validate_cm_morphism(3, f)), count
+    return FactorizationSource(listed, C3._dom.get, C3._cod.get,
+                               lambda x: C3._number[cm_identity(x)], lambda g, h: C3._after[g][h],
+                               lambda f: validate_cm_morphism(3, f), C3._number.get,
+                               C3._at.get), count
 
 
 def _per_list(count) -> dict:
@@ -908,10 +927,10 @@ BAD_PAIR_IDS = ["non_composable", "wrong_domain", "wrong_codomain"]
 
 def _one_bad_pair_source(bad):
     """D_3 as a source that lists ``bad`` in place of the first pair of (4, 1)."""
-    k = DmMorphism(4, 1)
+    k, bad = D3._number[DmMorphism(4, 1)], _dm3(*bad)
 
     def one_bad_pair(f):
-        pairs = _dm_factorizations(3, f)
+        pairs = D3._enumerate(f)
         return [bad, *pairs[1:]] if f == k else pairs
 
     return _dm3_source(one_bad_pair)
@@ -937,18 +956,19 @@ def test_source_checks_each_pair_as_the_constructor_does(bad, message):
 @pytest.mark.parametrize("bad, message", BAD_PAIRS, ids=BAD_PAIR_IDS)
 def test_source_refuses_a_bad_list_on_a_later_read(bad, message):
     k = DmMorphism(4, 1)
+    handle, bad = D3._number[k], _dm3(*bad)
     reads = Counter()
 
     def bad_on_second_read(f):
-        pairs = _dm_factorizations(3, f)
+        pairs = D3._enumerate(f)
         reads[f] += 1
-        return [bad, *pairs[1:]] if f == k and reads[f] == 2 else pairs
+        return [bad, *pairs[1:]] if f == handle and reads[f] == 2 else pairs
 
     source = _dm3_source(bad_on_second_read)
-    assert source.factorizations(k) == _dm_factorizations(3, k)
+    assert source.factorizations(k) == D3.factorizations(k)
     with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
         source.factorizations(k)
-    assert source.factorizations(k) == _dm_factorizations(3, k)
+    assert source.factorizations(k) == D3.factorizations(k)
 
 
 @pytest.mark.parametrize("bad, message", BAD_PAIRS, ids=BAD_PAIR_IDS)

@@ -262,16 +262,25 @@ SOURCE_WINDOWS = [
 def test_source_reads_as_the_window(m, window, source, compose):
     c = source(m)
     mu = moebius_of_slice(window)
+    composites = bf_compose(window, lambda g, h: compose(m, g, h))
+    composing = {f: [] for f in window.morphisms}  # the pairs composing to f, in window order
+    for pair, k in composites.items():
+        composing[k].append(pair)
     for f in window.morphisms:
-        assert tuple(c.factorizations(f)) == window.factorizations(f)
+        listed = c.factorizations(f)  # decoded from the source's handles
+        assert listed == composing[f]
+        assert {type(g) for pair in listed for g in pair} == {type(f)}
+        assert tuple(listed) == window.factorizations(f)
+        k = c._closed_handle(f)
+        assert c._at[k] == f and type(c._at[k]) is type(f)
         iv, expected = lawvere_interval(c, f), lawvere_interval(window, f)
         assert iv.objects == expected.objects
         assert iv.homs == expected.homs
         assert moebius_at(c, f) == mu[f]
-    composites = bf_compose(window, lambda g, h: compose(m, g, h))
-    assert {(g, h): c._after[g].get(h) for g, h in composites} == composites
+    code = c._number.get
+    assert {(g, h): c._at[c._after[code(g)][code(h)]] for g, h in composites} == composites
     for x in window.objects:
-        assert c._ident[x] == window.identities[x]
+        assert c._at[c._ident[x]] == window.identities[x]
 
 
 def test_sources_validate_the_morphism():
@@ -305,14 +314,16 @@ def test_dm_hom_empty_when_bound_is_low():
 
 
 def test_dm_compose_with_identity():
-    f = DmMorphism(4, 2)
-    after = dm_source(3)._after
-    assert after[dm_identity(1)][f] == f
-    assert after[f][dm_identity(2)] == f
+    d = dm_source(3)
+    f, one_1, one_2 = map(d._number.get, (DmMorphism(4, 2), dm_identity(1), dm_identity(2)))
+    assert d._at[d._after[one_1][f]] == DmMorphism(4, 2)
+    assert d._at[d._after[f][one_2]] == DmMorphism(4, 2)
 
 
 def test_dm_compose_formula():
-    assert dm_source(3)._after[DmMorphism(5, 1)][DmMorphism(4, 2)] == DmMorphism(8, 2)
+    d = dm_source(3)
+    g, f = d._number[DmMorphism(5, 1)], d._number[DmMorphism(4, 2)]
+    assert d._at[d._after[g][f]] == DmMorphism(8, 2)
 
 
 def test_dm_validation():

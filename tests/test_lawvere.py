@@ -34,7 +34,6 @@ from mucat import (
 )
 import mucat.poset
 from mucat.category import _rows
-from mucat.cm_dm import _dm_factorizations
 from mucat.errors import MucatError
 from mucat.lawvere import _both_routes, _position_route, _walk
 from mucat.poset import _is_lattice
@@ -57,6 +56,7 @@ from helpers import (
 from test_category import (
     BAD_PAIR_IDS,
     BAD_PAIRS,
+    D3,
     _dm3_source,
     _one_bad_pair_source,
     _one_object_slice,
@@ -192,9 +192,10 @@ def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatc
     # every value but an identity's
     fallbacks = []
     real = mucat.lawvere._invert_from
-    monkeypatch.setattr(mucat.lawvere, "_invert_from", lambda *a: fallbacks.append(a[-1]) or real(*a))
+    monkeypatch.setattr(mucat.lawvere, "_invert_from",  # each root decoded by the source's _at
+                        lambda *a: fallbacks.append(a[0]._at[a[-1]]) or real(*a))
     window = dm_slice(3, 14)
-    reversed_lists = _dm3_source(lambda k: _dm_factorizations(3, k)[::-1])
+    reversed_lists = _dm3_source(lambda k: D3._enumerate(k)[::-1])
     for f in window.morphisms:
         assert _both_routes(reversed_lists, f, {}) == _in_turn(reversed_lists, f)
     assert fallbacks == [f for f in window.morphisms if f.alpha != f.x]
@@ -469,8 +470,8 @@ def test_position_route_matches_the_staged_route(name, monkeypatch):
 def _relisted(edit):
     """D_3 as a source that hands the factorizations of (7, 1) through ``edit``."""
     def factorizations(k):
-        pairs = _dm_factorizations(3, k)
-        return edit(pairs) if k == DmMorphism(7, 1) else pairs
+        pairs = D3._enumerate(k)
+        return edit(pairs) if k == D3._number[DmMorphism(7, 1)] else pairs
 
     return _dm3_source(factorizations)
 
