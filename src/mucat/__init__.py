@@ -8,7 +8,6 @@ from .errors import (
     MucatError,
     NotCombinatorial,
     NotComparable,
-    NotInvertible,
     NotMoebius,
     NotOneWay,
     NotThin,
@@ -20,7 +19,6 @@ from .category import (
     CategorySlice,
     FactorizationSource,
     IncidenceFunction,
-    convolution_inverse,
     convolve,
     factor_slice,
     find_slice_violation,
@@ -41,11 +39,9 @@ from .cm_dm import (
     CmMorphism,
     CmObject,
     DmMorphism,
-    cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
-    dm_identity,
     dm_moebius_closed_form,
     dm_slice,
     dm_source,

@@ -12,8 +12,8 @@ Light's test on the semigroup of a division category) marks the slice, and
 ``lawvere._walk`` then keys positions by right factor; ``factor_slice``
 runs that check's Light's test as it builds, so each total window it
 builds (every ``cm_slice`` and ``poset_as_category`` one) arrives marked.
-Incidence functions take exact rational values (Fraction / int); the zeta
-function's convolution inverse is the Möbius function of the slice.
+Incidence functions take exact rational values (Fraction / int); the
+Möbius function μ, the convolution inverse of zeta, takes ``int`` values.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from operator import itemgetter
 from typing import Any
 
 from ._json import load_object, rows, strings
-from .errors import (
-    IncompleteSlice,
-    InvalidSlice,
-    NotComparable,
-    NotInvertible,
-    NotMoebius,
-)
+from .errors import IncompleteSlice, InvalidSlice, NotComparable, NotMoebius
 from .poset import FinitePoset, _transpose
 
 
@@ -613,39 +607,19 @@ def convolve(c: CategorySlice, xi, eta, f):
     return sum([xi[g] * eta[h] for g, h in c._facts[c._handle(f)]])
 
 
-def convolution_inverse(c: CategorySlice, xi) -> IncidenceFunction:
-    """The two-sided convolution inverse of xi on a fully complete slice.
+def _invert_from(c: CategorySlice | FactorizationSource, eta: dict, root) -> None:
+    """Add to eta μ = ζ⁻¹ at root and at each right factor of root it lacks;
+    c is a slice or a source, and root and eta use its handles.  Solving
+    (ζ * μ)(f) = δ(f) right factors first gives the recursion
 
-    Solves (xi * eta)(f) = delta(f) right factors first:
+        μ(f) = δ(f) - sum_{f = g∘h, g != 1_cod(f)} μ(h)
 
-        eta(f) = (delta(f) - sum_{f = g∘h, g != 1} xi(g) eta(h)) / xi(1_cod(f))
-
-    The walk is depth first on an explicit stack, so long factorization
-    chains need no Python recursion.  Raises NotInvertible if xi vanishes on
-    an identity, and NotMoebius if the walk revisits a morphism that is still
-    waiting for its right factors (the slice is not one-way, so no finite
-    recursion computes the inverse).
-    """
-    xi = _row(c, xi)
-    if len(c.complete) != len(c.morphisms):
-        raise IncompleteSlice("convolution inverse needs every morphism complete")
-    for x, e in zip(c.objects, c._ident):
-        if xi[e] == 0:
-            raise NotInvertible(f"function vanishes on the identity of {x!r}")
-    eta: dict = {}
-    for root in range(len(c.morphisms)):
-        if root not in eta:
-            _invert_from(c, xi, eta, root)
-    return IncidenceFunction(c, {c.morphisms[f]: value for f, value in eta.items()})
-
-
-def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) -> None:
-    """Add to eta the inverse's value at root and at each right factor of
-    root it lacks, right factors first; c is a slice or a source, and root,
-    xi and eta use its handles.
-
-    Each morphism's factorizations are read once and kept on the stack until
-    its value is summed.
+    summed in ``int``.  The walk is depth first on an explicit stack, so long
+    factorization chains need no Python recursion; each morphism's
+    factorizations are read once and kept on the stack until its value is
+    summed.  Raises NotMoebius if the walk revisits a morphism still waiting
+    for its right factors: the category is not one-way, so no finite
+    recursion computes μ.
     """
     facts, ident, cod = c._facts, c._ident, c._cod
     waiting = {root}
@@ -665,37 +639,32 @@ def _invert_from(c: CategorySlice | FactorizationSource, xi, eta: dict, root) ->
         else:
             stack.pop()
             waiting.discard(f)
-            total = 1 if f == one else 0
-            for g, h in pairs:
-                if g != one:
-                    total -= xi[g] * eta[h]
-            unit = xi[one]
-            if type(total) is int and type(unit) is int and total % unit == 0:
-                eta[f] = total // unit
-            else:
-                eta[f] = Fraction(total, unit)
-
-
-_ZETA = _Rule(lambda f: 1)  # the constant-1 function on every morphism of any category
+            eta[f] = int(f == one) - sum([eta[h] for g, h in pairs if g != one])
 
 
 def moebius_at(c: CategorySlice | FactorizationSource, f) -> int:
-    """μ(f) alone, by the recursion of ``convolution_inverse`` on zeta run
-    from f: it reads only f's right factors and their factorizations, so f
-    and every factor of f must be complete."""
+    """μ(f) alone, by ``_invert_from``'s recursion run from f: it reads only
+    f's right factors and their factorizations, so f and every factor of f
+    must be complete."""
     root = c._closed_handle(f)
     eta: dict = {}
-    _invert_from(c, _ZETA, eta, root)
+    _invert_from(c, eta, root)
     return eta[root]
 
 
 def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
-    """The Möbius function: convolution inverse of zeta.
+    """The Möbius function μ = ζ⁻¹ of a fully complete slice, by
+    ``_invert_from``'s recursion run from each morphism in slice order.
 
-    Values are integers, as the inverse divides by zeta(1) = 1 in ``int``
-    arithmetic.  Cached on the slice (deterministic, idempotent).
+    Raises IncompleteSlice unless every morphism is complete, and NotMoebius
+    as ``_invert_from`` does.  Cached on the slice (deterministic, idempotent).
     """
     if c._moebius is None:
-        c._moebius = convolution_inverse(c, IncidenceFunction.zeta(c))
+        if len(c.complete) != len(c.morphisms):
+            raise IncompleteSlice("convolution inverse needs every morphism complete")
+        eta: dict = {}
+        for root in range(len(c.morphisms)):
+            if root not in eta:
+                _invert_from(c, eta, root)
+        c._moebius = IncidenceFunction(c, {c.morphisms[f]: value for f, value in eta.items()})
     return c._moebius
-

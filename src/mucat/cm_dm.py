@@ -77,10 +77,6 @@ def _require_cm_shape(f: CmMorphism) -> None:
         raise ValueError(f"shift a={f.a} not in [0, i-j] = [0, {f.i - f.j}]")
 
 
-def cm_identity(obj: CmObject) -> CmMorphism:
-    return CmMorphism(0, obj.residue, obj.level, obj.level)
-
-
 def cm_slice(m: int, level_min: int) -> CategorySlice:
     """The full window on objects with level in [level_min, 0].
 
@@ -151,10 +147,6 @@ def validate_dm_morphism(m: int, f: DmMorphism) -> None:
         raise ValueError(f"residue {f.x} not in [0, {m})")
     if f.alpha < f.x:
         raise ValueError(f"alpha={f.alpha} is below the canonical representative {f.x}")
-
-
-def dm_identity(x: int) -> DmMorphism:
-    return DmMorphism(x, x)
 
 
 def dm_slice(m: int, alpha_max: int) -> CategorySlice:

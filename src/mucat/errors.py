@@ -21,12 +21,8 @@ class IncompleteSlice(MucatError):
     """A morphism was used as factorization-complete without being marked so."""
 
 
-class NotInvertible(MucatError):
-    """An incidence function vanishing on some identity has no convolution inverse."""
-
-
 class NotMoebius(MucatError):
-    """The convolution-inverse recursion detected a cycle: the slice is not one-way."""
+    """The Möbius recursion detected a cycle: the slice is not one-way."""
 
 
 class NotThin(MucatError):

@@ -22,7 +22,7 @@ from functools import reduce
 from operator import and_
 from typing import Any, NamedTuple
 
-from .category import _ZETA, CategorySlice, FactorizationSource, _invert_from, _rows, one_way
+from .category import CategorySlice, FactorizationSource, _invert_from, _rows, one_way
 from .errors import InvalidPoset, InvalidSlice, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset, _linear, _moebius_to
 
@@ -82,9 +82,9 @@ def _walk(c, root, found=None, eta=None):
     the row of u' (a slice's ``_after[u']``, a source's composite with u'
     bound), and (u'∘h, v) is found by v, then checked by its left factor
     (pairs that share a right factor are chained), so no pair is built per
-    entry.  If eta is a dict, v' gains its ``_invert_from`` value on zeta if
-    eta already holds v for each (h, v) in its list with h not 1.  The loop
-    is inline: a generator step costs more than its lookups.
+    entry.  If eta is a dict, v' gains μ(v') by ``_invert_from``'s recursion
+    if eta already holds v for each (h, v) in its list with h not 1.  The
+    loop is inline: a generator step costs more than its lookups.
 
     A slice with Light's verdict (``_associative``: ``factor_slice`` decides
     it as it builds, a law check sets it) has a total, associative table, so
@@ -216,5 +216,5 @@ def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict) -> tuple:
     turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
     k, _, law = _position_route(c, f, eta)
     if k not in eta:
-        _invert_from(c, _ZETA, eta, k)
+        _invert_from(c, eta, k)
     return law, eta[k]

@@ -19,18 +19,14 @@ from mucat import (
     IncompleteSlice,
     InvalidSlice,
     InverseSemigroup,
-    NotInvertible,
     NotMoebius,
     chain,
-    cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
-    convolution_inverse,
     convolve,
     division_category,
     dm_moebius_closed_form,
-    dm_identity,
     dm_slice,
     dm_source,
     factor_slice,
@@ -811,8 +807,8 @@ def test_slice_moebius_matches_leroux_chain_count(c, composite, closed_form, sou
 
 # -- factorization sources -----------------------------------------------------------
 
-def _dm3_source(factorizations=D3._enumerate, identity=dm_identity, dom=D3._dom.get,
-                cod=D3._cod.get):
+def _dm3_source(factorizations=D3._enumerate, identity=lambda x: DmMorphism(x, x),
+                dom=D3._dom.get, cod=D3._cod.get):
     """D_3 as a source on dm_source(3)'s own handle rules, whose enumerator,
     identity or endpoint rules may be replaced.  Every rule reads and gives
     handles, but ``identity`` gives a morphism, encoded by the handle rule."""
@@ -872,7 +868,8 @@ def _counted_cm3_source():
         return C3._enumerate(k)
 
     return FactorizationSource(listed, C3._dom.get, C3._cod.get,
-                               lambda x: C3._number[cm_identity(x)], lambda g, h: C3._after[g][h],
+                               lambda x: C3._number[CmMorphism(0, x.residue, x.level, x.level)],
+                               lambda g, h: C3._after[g][h],
                                lambda f: validate_cm_morphism(3, f), C3._number.get,
                                C3._at.get), count
 
@@ -979,7 +976,7 @@ def test_factor_slice_refuses_a_bad_pair_as_the_constructor_does(bad, message):
 
 def _wrong_identity_source():
     """D_3 as a source whose identity of object 1 is (2, 1), from 1 to 2."""
-    return _dm3_source(identity=lambda x: DmMorphism(2, 1) if x == 1 else dm_identity(x))
+    return _dm3_source(identity=lambda x: DmMorphism(2, 1) if x == 1 else DmMorphism(x, x))
 
 
 def test_source_checks_each_identity_as_the_constructor_does():
@@ -1101,24 +1098,11 @@ def test_convolution_is_associative(data):
 
 # -- convolution inverse -------------------------------------------------------------
 
-def test_inverse_of_delta_is_delta():
-    c = poset_as_category(B2)
-    delta = IncidenceFunction.delta(c)
-    assert convolution_inverse(c, delta) == delta
-
-
 def test_inverse_of_zeta_on_level_category_window():
     c = cm_slice(3, -4)
-    mu = convolution_inverse(c, IncidenceFunction.zeta(c))
+    mu = moebius_of_slice(c)
     assert mu[CmMorphism(1, 0, 0, -2)] == 1
     assert mu[CmMorphism(0, 1, -1, -2)] == -1
-
-
-def test_not_invertible_when_zero_on_identity():
-    c = poset_as_category(chain([0, 1]))
-    xi = IncidenceFunction(c, {f: 0 if f == (0, 0) else 1 for f in c.morphisms})
-    with pytest.raises(NotInvertible):
-        convolution_inverse(c, xi)
 
 
 def test_inverse_needs_complete_slice():
@@ -1128,16 +1112,7 @@ def test_inverse_needs_complete_slice():
         base.compose, base.identities, complete=[(0, 0), (1, 1)],
     )
     with pytest.raises(IncompleteSlice):
-        convolution_inverse(partial, IncidenceFunction.zeta(partial))
-
-
-def test_inverse_of_twice_zeta_is_half_moebius():
-    c = poset_as_category(chain([0, 1, 2]))
-    inv = convolution_inverse(c, IncidenceFunction(c, dict.fromkeys(c.morphisms, 2)))
-    half = Fraction(1, 2)
-    expected = {(0, 0): half, (0, 1): -half, (0, 2): 0, (1, 1): half, (1, 2): -half, (2, 2): half}
-    assert dict(inv) == expected
-    assert [type(inv[f]) for f in c.morphisms] == [type(expected[f]) for f in c.morphisms]
+        moebius_of_slice(partial)
 
 
 def test_inverse_of_long_chain_in_reversed_order():
@@ -1153,7 +1128,7 @@ def test_inverse_of_long_chain_in_reversed_order():
 def test_iso_pair_yields_not_moebius():
     c = iso_pair_category()
     with pytest.raises(NotMoebius):
-        convolution_inverse(c, IncidenceFunction.zeta(c))
+        moebius_of_slice(c)
 
 
 def test_idempotent_endomorphism_yields_not_moebius():
@@ -1180,9 +1155,18 @@ def test_moebius_on_chain_morphism():
 
 
 def test_moebius_values_are_integers():
-    for c in (poset_as_category(B2), cm_slice(2, -3)):
-        for value in moebius_of_slice(c).values():
-            assert isinstance(value, int)
+    # by type: a bool passes isinstance(value, int), compares equal to 1 and
+    # prints as true in JSON
+    cm_window, dm_window = cm_slice(3, -3), dm_slice(3, 8)
+    slices = (cm_window, dm_window, poset_as_category(B2),
+              division_category(brandt(3), ["e11", "z"]))
+    for c in slices:
+        assert {type(value) for value in moebius_of_slice(c).values()} == {int}
+    for c, morphisms in ((C3, cm_window.morphisms), (D3, dm_window.morphisms),
+                         *((c, c.morphisms) for c in slices)):
+        for f in morphisms:
+            assert type(moebius_at(c, f)) is int
+            assert [type(value) for value in _both_routes(c, f, {})] == [int, int]
 
 
 def test_moebius_is_one_on_identities():
@@ -1238,8 +1222,8 @@ def test_a_function_on_another_numbering_is_read_again():
     for f in c.morphisms:
         assert convolve(copy, xi, zeta, f) == convolve(c, xi, zeta, f)
         assert convolve(copy, zeta, xi, f) == convolve(c, zeta, xi, f)
-    assert convolution_inverse(copy, xi) == convolution_inverse(c, xi)
-    assert list(convolution_inverse(copy, xi)) == list(copy.morphisms)
+    assert moebius_of_slice(copy) == moebius_of_slice(c)
+    assert list(moebius_of_slice(copy)) == list(copy.morphisms)
 
 
 def test_a_slice_with_its_moebius_function_leaves_no_cyclic_garbage():
@@ -1361,11 +1345,3 @@ def test_convolve_checks_a_plain_mappings_values_are_exact():
         convolve(c, dict.fromkeys(c.morphisms, 0.5), IncidenceFunction.zeta(c), c.morphisms[-1])
     halves = dict.fromkeys(c.morphisms, Fraction(1, 2))
     assert convolve(c, halves, halves, c.morphisms[0]) == Fraction(1, 4)
-
-
-def test_convolution_inverse_checks_a_plain_mappings_values_are_exact():
-    c = cm_slice(2, -2)
-    with pytest.raises(TypeError, match="^incidence values must be exact rationals, got float$"):
-        convolution_inverse(c, dict.fromkeys(c.morphisms, 1.0))
-    ones = dict.fromkeys(c.morphisms, Fraction(1))
-    assert convolution_inverse(c, ones) == moebius_of_slice(c)

@@ -9,11 +9,9 @@ from mucat import (
     CmObject,
     DmMorphism,
     Factorization,
-    cm_identity,
     cm_moebius_closed_form,
     cm_slice,
     cm_source,
-    dm_identity,
     dm_moebius_closed_form,
     dm_slice,
     dm_source,
@@ -118,8 +116,8 @@ def test_hom_matches_membership_predicate(m, xr, i, yr, j):
 
 def test_compose_with_identities():
     f = CmMorphism(1, 0, 0, -1)
-    left = cm_identity(CmObject(1, -1))
-    right = cm_identity(CmObject(0, 0))
+    left = CmMorphism(0, 1, -1, -1)
+    right = CmMorphism(0, 0, 0, 0)
     after = cm_source(2)._after
     assert after[left][f] == f
     assert after[f][right] == f
@@ -315,7 +313,7 @@ def test_dm_hom_empty_when_bound_is_low():
 
 def test_dm_compose_with_identity():
     d = dm_source(3)
-    f, one_1, one_2 = map(d._number.get, (DmMorphism(4, 2), dm_identity(1), dm_identity(2)))
+    f, one_1, one_2 = map(d._number.get, (DmMorphism(4, 2), DmMorphism(1, 1), DmMorphism(2, 2)))
     assert d._at[d._after[one_1][f]] == DmMorphism(4, 2)
     assert d._at[d._after[f][one_2]] == DmMorphism(4, 2)
 
@@ -359,8 +357,7 @@ def test_dm_factorization_count_law():
 # -- the level-collapsing functor --------------------------------------------------------
 
 def test_functor_on_objects_and_identities():
-    obj = CmObject(2, -3)
-    assert functor_F(cm_identity(obj)) == dm_identity(2)
+    assert functor_F(CmMorphism(0, 2, -3, -3)) == DmMorphism(2, 2)
 
 
 def test_functor_on_morphisms():

@@ -17,11 +17,10 @@ PUBLIC_NAMES = [
     "CategorySlice", "CmMorphism", "CmObject", "DmMorphism", "Factorization",
     "FactorizationSource", "FinitePoset", "IncidenceFunction", "IncompleteSlice",
     "InvalidPoset", "InvalidSemigroup", "InvalidSlice", "InverseSemigroup",
-    "LawvereInterval", "MucatError", "NotCombinatorial", "NotComparable", "NotInvertible",
-    "NotMoebius", "NotOneWay", "NotThin", "NotTransversal", "Unbounded", "chain",
-    "check_transversal", "cm_identity", "cm_moebius_closed_form", "cm_slice", "cm_source",
-    "convolution_inverse", "convolve", "default_transversal", "division_category",
-    "dm_identity", "dm_moebius_closed_form", "dm_slice", "dm_source", "factor_slice",
+    "LawvereInterval", "MucatError", "NotCombinatorial", "NotComparable", "NotMoebius",
+    "NotOneWay", "NotThin", "NotTransversal", "Unbounded", "chain", "check_transversal",
+    "cm_moebius_closed_form", "cm_slice", "cm_source", "convolve", "default_transversal",
+    "division_category", "dm_moebius_closed_form", "dm_slice", "dm_source", "factor_slice",
     "find_semigroup_violation", "find_slice_violation", "interval_as_poset", "is_one_way",
     "is_one_way_category", "lawvere_interval", "moebius_at", "moebius_of_slice",
     "moebius_via_idempotent_lattice", "moebius_via_lawvere", "moebius_via_quotients",
