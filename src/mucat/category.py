@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 from typing import Any
 
@@ -297,30 +296,33 @@ class FactorizationSource:
     """A category read through its rules instead of a table.
 
     ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
-    give endpoints, ``identity(x)`` the identity of x, ``composite(g, h)``
-    the composite of a composable pair, unchecked, and ``validate(f)`` raises
-    unless f is a morphism.  The rules read and give handles: ``handle(f)``
-    is the handle of a morphism f, ``at(k)`` the morphism of a handle k, and
-    both default to the identity, so a source may read a morphism as its own
-    handle.  ``factorizations`` is the one public read: it runs ``validate``
+    give endpoints, ``identity(x)`` the identity of x, ``row(g)`` the
+    function h ↦ g∘h on the h composable with g, unchecked, and
+    ``validate(f)`` raises unless f is a morphism.  The rules read and give
+    handles and plain endpoint values: ``handle(f)`` is the handle of a
+    morphism f, ``at(k)`` the morphism of a handle k, ``obj(x)`` the object
+    of an endpoint value x, and all three default to the identity, so a
+    source may read a morphism as its own handle and an object as its own
+    value.  ``factorizations`` is the one public read: it runs ``validate``
     on f and lists morphisms.  Each rule is read on request through a private
     mapping named as a slice's numbered table (``_number`` is ``handle``,
-    ``_at`` is ``at``, and g's row is ``composite`` with g bound first), so
-    the interval walk and the convolution recursion read a source as they
-    read a slice, and memory grows only with what a route reads.  Every
+    ``_at`` is ``at``, and g's row ``_after[g]`` is ``row(g)``), so the
+    interval walk and the convolution recursion read a source as they read
+    a slice, and memory grows only with what a route reads.  Every
     factorization list and identity is checked each time it is handed out,
-    as the ``CategorySlice`` constructor checks a table entry, with its
-    messages, which name morphisms; the source stores nothing.
-    ``_enumerate`` is the enumerator unchecked, for ``factor_slice``, whose
-    constructor pass checks each entry.
+    as the ``CategorySlice`` constructor checks a table entry, on plain
+    values, with its messages, which decode handles through ``at`` and
+    endpoint values through ``obj``; the source stores nothing.
+    ``_enumerate`` is the enumerator unchecked and ``_obj`` the object rule,
+    for ``factor_slice``, whose constructor pass checks each entry.
     """
 
     __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate",
-                 "_number", "_at")
+                 "_number", "_at", "_obj")
     _associative = False  # no law check has read the rules
 
-    def __init__(self, factorizations, dom, cod, identity, composite, validate,
-                 handle=_same, at=_same):
+    def __init__(self, factorizations, dom, cod, identity, row, validate,
+                 handle=_same, at=_same, obj=_same):
         def checked_pairs(k):
             pairs = factorizations(k)
             x, y = dom(k), cod(k)
@@ -332,14 +334,15 @@ class FactorizationSource:
         def checked_identity(x):
             e = identity(x)
             if dom(e) != x or cod(e) != x:
-                raise _bad_identity(x, dom(e), cod(e))
+                raise _bad_identity(obj(x), obj(dom(e)), obj(cod(e)))
             return e
 
         self._dom, self._cod = _Rule(dom), _Rule(cod)
         self._ident = _Rule(checked_identity)
-        self._after = _Rule(lambda g: _Rule(partial(composite, g)))
+        self._after = _Rule(lambda g: _Rule(row(g)))
         self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
         self._validate, self._number, self._at = validate, _Rule(handle), _Rule(at)
+        self._obj = obj
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
@@ -489,9 +492,11 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     handles, in the order the slice is to list them, and both factors are
     looked up by number, keyed by each window morphism's handle, so every table
     entry and identity is one of the window's own morphisms and each morphism
-    is complete.  A factor or an identity outside the window raises InvalidSlice,
-    and so does a morphism whose handle does not read back as itself, which
-    could share its number with another.
+    is complete; each distinct endpoint value is decoded once through the
+    source's ``obj``, so the slice keeps the source's objects.  A factor or an
+    identity outside the window raises InvalidSlice, and so does a morphism
+    whose handle does not read back as itself, which could share its number
+    with another.
     The rows are filled here, and the slice is marked associative when its
     identity laws hold, its table is total and Light's test passes, as
     ``find_slice_violation`` decides; any other window (each partial
@@ -510,11 +515,13 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
         except KeyError as exc:
             raise InvalidSlice(f"factor {at(exc.args[0])!r} of {f!r} "
                                "lies outside the window") from None
-    dom, cod, ident = source._dom.get, source._cod.get, source._ident.get
-    dom_of = dict(zip(window, map(dom, handles)))
-    objects = list(dict.fromkeys(dom_of.values()))
-    identities = {x: window[k] for x in objects if (k := number.get(ident(x))) is not None}
-    cod_of = dict(zip(window, map(cod, handles)))
+    doms, cods = list(map(source._dom.get, handles)), list(map(source._cod.get, handles))
+    decoded = {x: source._obj(x) for x in dict.fromkeys(doms + cods)}  # each value once
+    firsts, ident = dict.fromkeys(doms), source._ident.get
+    objects = [decoded[x] for x in firsts]
+    identities = {decoded[x]: window[k] for x in firsts if (k := number.get(ident(x))) is not None}
+    dom_of = dict(zip(window, map(decoded.__getitem__, doms)))
+    cod_of = dict(zip(window, map(decoded.__getitem__, cods)))
     c = CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, facts, None,
                                                     identities, window)
     # a pair the enumerator lists twice shows as one entry fewer than listed
@@ -530,17 +537,26 @@ def poset_as_category(p: FinitePoset) -> CategorySlice:
     factored through each z with x <= z <= y; the window holds every morphism.
     """
     elements, leq = p.elements, p.leq
+    return factor_slice([(x, y) for x in elements for y in elements if leq(x, y)],
+                        _poset_source(p))
+
+
+def _poset_source(p: FinitePoset) -> FactorizationSource:
+    """The rules of ``poset_as_category``, each morphism and object its own handle."""
+    elements, leq = p.elements, p.leq
 
     def validate(f):
         if not leq(*f):  # leq refuses a non-member with NotComparable
             raise NotComparable(f"{f[0]!r} <= {f[1]!r} does not hold")
 
-    source = FactorizationSource(
+    def row(g):  # (z, y) ∘ (x, z) = (x, y)
+        y = g[1]
+        return lambda h: (h[0], y)
+
+    return FactorizationSource(
         lambda f: [((z, f[1]), (f[0], z)) for z in elements if leq(f[0], z) and leq(z, f[1])],
-        lambda f: f[0], lambda f: f[1], lambda x: (x, x), lambda g, h: (h[0], g[1]),
-        validate,
+        lambda f: f[0], lambda f: f[1], lambda x: (x, x), row, validate,
     )
-    return factor_slice([(x, y) for x in elements for y in elements if leq(x, y)], source)
 
 
 # -- incidence functions -----------------------------------------------------

@@ -19,11 +19,18 @@ from them, and routes that need one morphism's factorizations and its right
 factors' only read them with no window.
 
 Objects and morphisms are NamedTuples: they hash, compare and order exactly
-as their field tuples.  A source reads each morphism by a cheaper handle: a
-C_m morphism by its plain field tuple (a, x, i, j), a D_m morphism (alpha, x)
-by the integer alpha·m + x, which is exact for every alpha >= x >= 0.  Its
-public reads and its messages decode handles to morphisms, and its endpoints
-stay objects, so a window keeps its ``CmObject`` objects.
+as their field tuples, and the validators read a morphism by index, so a
+plain field tuple reads as the morphism it equals.  A source reads each
+morphism by a cheaper handle: a C_m morphism by its plain field tuple
+(a, x, i, j), a D_m morphism (alpha, x) by the integer alpha·m + x, which is
+exact for every alpha >= x >= 0.  Its endpoints are plain values too: a C_m
+object by its tuple (residue, level), which the source's ``obj`` decodes to
+a ``CmObject``, a D_m object by its residue.  Composing with a fixed left
+factor is one step on the handle: C_m's row rebuilds the tuple, and D_m's is
+a shift, since (beta, y) · (alpha, x) = (beta - y + alpha, x) has the handle
+h + (beta - y)·m for h the handle of (alpha, x).  Public reads and messages
+decode handles and endpoint values, so a window keeps its ``CmObject``
+objects.
 """
 
 from __future__ import annotations
@@ -62,19 +69,30 @@ class CmMorphism(NamedTuple):
         return f"{self.a},{self.x},{self.i},{self.j}"
 
 
+def _by_index(f, kind) -> tuple:
+    """f, a ``kind`` morphism or its plain field tuple, once checked to hold
+    one int per field, to be read by index."""
+    names = kind._fields
+    if not (isinstance(f, tuple) and len(f) == len(names) and all(type(v) is int for v in f)):
+        raise ValueError(f"a morphism is {len(names)} integers ({', '.join(names)}), got {f!r}")
+    return f
+
+
 def validate_cm_morphism(m: int, f: CmMorphism) -> None:
+    """Raise ValueError unless f, a CmMorphism or its field tuple, is a morphism of C_m."""
     _require_modulus(m)
-    if not 0 <= f.x < m:
-        raise ValueError(f"residue {f.x} not in [0, {m})")
-    _require_cm_shape(f)
+    a, x, i, j = _by_index(f, CmMorphism)
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} not in [0, {m})")
+    _require_cm_shape(a, i, j)
 
 
-def _require_cm_shape(f: CmMorphism) -> None:
+def _require_cm_shape(a: int, i: int, j: int) -> None:
     """The modulus-free part of validate_cm_morphism: levels and shift."""
-    if f.i > 0 or f.j > 0:
-        raise ValueError(f"levels ({f.i}, {f.j}) must be <= 0")
-    if f.a < 0 or f.a > f.i - f.j:
-        raise ValueError(f"shift a={f.a} not in [0, i-j] = [0, {f.i - f.j}]")
+    if i > 0 or j > 0:
+        raise ValueError(f"levels ({i}, {j}) must be <= 0")
+    if a < 0 or a > i - j:
+        raise ValueError(f"shift a={a} not in [0, i-j] = [0, {i - j}]")
 
 
 def cm_slice(m: int, level_min: int) -> CategorySlice:
@@ -102,18 +120,20 @@ def cm_moebius_closed_form(f: CmMorphism) -> int:
     Raises ValueError unless i, j <= 0 and 0 <= a <= i - j; the residue x
     does not enter the value and is not checked (that needs the modulus).
     """
-    _require_cm_shape(f)
-    if (f.a == 0 and f.j == f.i) or (f.a == 1 and f.j == f.i - 2):
+    a, _, i, j = f
+    _require_cm_shape(a, i, j)
+    if (a == 0 and j == i) or (a == 1 and j == i - 2):
         return 1
-    if (f.a == 0 and f.j == f.i - 1) or (f.a == 1 and f.j == f.i - 1):
+    if (a == 0 and j == i - 1) or (a == 1 and j == i - 1):
         return -1
     return 0
 
 
 def cm_source(m: int) -> FactorizationSource:
     """C_m's rules, read with no window or through ``cm_slice``, on the plain
-    tuple (a, x, i, j) of each morphism as its handle: factorizations from the
-    closed-form enumerator, composites and endpoints by index."""
+    tuple (a, x, i, j) of each morphism as its handle and the plain tuple
+    (residue, level) of each object, which ``obj`` decodes: factorizations
+    from the closed-form enumerator, composites and endpoints by index."""
     _require_modulus(m)
 
     def factorizations(k):
@@ -123,12 +143,17 @@ def cm_source(m: int) -> FactorizationSource:
         return [((a - b, (b + x) % m, l, j), (b, x, i, l))
                 for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
 
-    return FactorizationSource(factorizations, lambda k: _new(CmObject, (k[1], k[2])),
-                               lambda k: _new(CmObject, ((k[0] + k[1]) % m, k[3])),
-                               lambda x: (0, x[0], x[1], x[1]),
-                               lambda g, h: (h[0] + g[0], h[1], h[2], g[3]),
+    def row(g):
+        """h ↦ g∘h: (b, y, j, k) ∘ (a, x, i, j) = (a + b, x, i, k)."""
+        b, k = g[0], g[3]
+        return lambda h: (h[0] + b, h[1], h[2], k)
+
+    return FactorizationSource(factorizations, lambda k: (k[1], k[2]),
+                               lambda k: ((k[0] + k[1]) % m, k[3]),
+                               lambda x: (0, x[0], x[1], x[1]), row,
                                lambda f: validate_cm_morphism(m, f),
-                               at=lambda k: _new(CmMorphism, k))
+                               at=lambda k: _new(CmMorphism, k),
+                               obj=lambda x: _new(CmObject, x))
 
 
 class DmMorphism(NamedTuple):
@@ -142,11 +167,13 @@ class DmMorphism(NamedTuple):
 
 
 def validate_dm_morphism(m: int, f: DmMorphism) -> None:
+    """Raise ValueError unless f, a DmMorphism or its field tuple, is a morphism of D_m."""
     _require_modulus(m)
-    if not 0 <= f.x < m:
-        raise ValueError(f"residue {f.x} not in [0, {m})")
-    if f.alpha < f.x:
-        raise ValueError(f"alpha={f.alpha} is below the canonical representative {f.x}")
+    alpha, x = _by_index(f, DmMorphism)
+    if not 0 <= x < m:
+        raise ValueError(f"residue {x} not in [0, {m})")
+    if alpha < x:
+        raise ValueError(f"alpha={alpha} is below the canonical representative {x}")
 
 
 def dm_slice(m: int, alpha_max: int) -> CategorySlice:
@@ -167,8 +194,10 @@ def dm_slice(m: int, alpha_max: int) -> CategorySlice:
 
 def dm_source(m: int) -> FactorizationSource:
     """D_m's rules, read with no window or through ``dm_slice``, on the integer
-    alpha·m + x of each morphism (alpha, x) as its handle: factorizations from the
-    closed-form enumerator, composites and endpoints by integer arithmetic."""
+    alpha·m + x of each morphism (alpha, x) as its handle and the residue of
+    each object: factorizations from the closed-form enumerator, endpoints
+    by integer arithmetic, and g's row the shift h ↦ h + (beta - y)·m for
+    g = (beta, y)."""
     _require_modulus(m)
 
     def factorizations(k):
@@ -179,16 +208,17 @@ def dm_source(m: int) -> FactorizationSource:
 
     return FactorizationSource(factorizations, lambda k: k % m, lambda k: k // m % m,
                                lambda x: x * m + x,
-                               lambda g, h: (g // m - g % m + h // m) * m + h % m,
+                               lambda g: ((g // m - g % m) * m).__add__,
                                lambda f: validate_dm_morphism(m, f),
                                lambda f: f[0] * m + f[1], lambda k: _new(DmMorphism, divmod(k, m)))
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:
     """The closed-form Möbius value of (alpha, x)."""
-    if f.alpha == f.x:
+    alpha, x = f
+    if alpha == x:
         return 1
-    if f.alpha == f.x + 1:
+    if alpha == x + 1:
         return -1
     return 0
 

@@ -79,19 +79,21 @@ def _walk(c, root, found=None, eta=None):
     (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
     the factorizations of each v' (``pairs`` for the root) finds every
     morphism into (u', v'), each hom-set in slice order: u'∘h is read from
-    the row of u' (a slice's ``_after[u']``, a source's composite with u'
-    bound), and (u'∘h, v) is found by v, then checked by its left factor
-    (pairs that share a right factor are chained), so no pair is built per
-    entry.  If eta is a dict, v' gains μ(v') by ``_invert_from``'s recursion
-    if eta already holds v for each (h, v) in its list with h not 1.  The
-    loop is inline: a generator step costs more than its lookups.
+    the row of u' (a slice's ``_after[u']``, a source's ``row(u')``: a
+    closure, or D_m's integer shift), and (u'∘h, v) is found by v, then
+    checked by its left factor (pairs that share a right factor are
+    chained), so no pair is built per entry.  If eta is a dict, v' gains
+    μ(v') by ``_invert_from``'s recursion if eta already holds v for each
+    (h, v) in its list with h not 1.  The loop is inline: a generator step
+    costs more than its lookups.
 
     A slice with Light's verdict (``_associative``: ``factor_slice`` decides
     it as it builds, a law check sets it) has a total, associative table, so
     for (u', v') in the root's list and (h, v) in v''s,
     (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
     (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
-    alone: no composite is read."""
+    alone: no composite is read.  A source carries no verdict, so its walk
+    reads every composite."""
     pairs = c._facts[root]
     position = dict(zip([v for _, v in pairs], range(len(pairs))))  # the last pair ending in v
     once = len(position) == len(pairs)  # each right factor listed once

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mucat import (
     CategorySlice,
     CmMorphism,
+    CmObject,
     FactorizationSource,
     DmMorphism,
     IncidenceFunction,
@@ -434,7 +435,7 @@ def _as_source(c) -> FactorizationSource:
             raise InvalidSlice(f"{f!r} is not a morphism")
 
     return FactorizationSource(c.factorizations, c.dom.get, c.cod.get, c.identities.get,
-                               lambda g, h: c.compose[g, h], validate)
+                               lambda g: lambda h: c.compose[g, h], validate)
 
 
 @pytest.mark.parametrize("redirect", [False, True], ids=["atoms miss b", "a∘1 = b"])
@@ -814,7 +815,7 @@ def _dm3_source(factorizations=D3._enumerate, identity=lambda x: DmMorphism(x, x
     handles, but ``identity`` gives a morphism, encoded by the handle rule."""
     return FactorizationSource(
         factorizations, dom, cod, lambda x: D3._number[identity(x)],
-        lambda g, h: D3._after[g][h], lambda f: validate_dm_morphism(3, f),
+        lambda g: D3._after[g].get, lambda f: validate_dm_morphism(3, f),
         D3._number.get, D3._at.get,
     )
 
@@ -859,8 +860,9 @@ def test_source_checks_every_list_it_hands_out(first, second):
 
 
 def _counted_cm3_source():
-    """C_3 as a source on cm_source(3)'s own handle rules that counts the lists
-    it enumerates, of each morphism k under ("lists", k), k decoded."""
+    """C_3 as a source on cm_source(3)'s own handle and endpoint rules that
+    counts the lists it enumerates, of each morphism k under ("lists", k), k
+    decoded; an endpoint is its plain tuple (residue, level)."""
     count = Counter()
 
     def listed(k):
@@ -868,10 +870,10 @@ def _counted_cm3_source():
         return C3._enumerate(k)
 
     return FactorizationSource(listed, C3._dom.get, C3._cod.get,
-                               lambda x: C3._number[CmMorphism(0, x.residue, x.level, x.level)],
-                               lambda g, h: C3._after[g][h],
+                               lambda x: C3._number[CmMorphism(0, x[0], x[1], x[1])],
+                               lambda g: C3._after[g].get,
                                lambda f: validate_cm_morphism(3, f), C3._number.get,
-                               C3._at.get), count
+                               C3._at.get, C3._obj), count
 
 
 def _per_list(count) -> dict:
@@ -994,6 +996,54 @@ def test_source_checks_each_identity_as_the_constructor_does():
     assert moebius_at(source, DmMorphism(3, 2)) == -1  # right factors end at 2 and 0
     with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
         factor_slice(dm_slice(3, 9).morphisms, source)
+
+
+def _cm3_wrong_identity_source():
+    """C_3 as a source on cm_source(3)'s own rules whose identity of (1, -1)
+    is (0, 1, -1, -2), from (1, -1) to (1, -2)."""
+    return FactorizationSource(
+        C3._enumerate, C3._dom.get, C3._cod.get,
+        lambda x: (0, 1, -1, -2) if x == (1, -1) else C3._ident[x],
+        lambda g: C3._after[g].get, lambda f: validate_cm_morphism(3, f),
+        C3._number.get, C3._at.get, C3._obj,
+    )
+
+
+def test_cm_source_names_objects_in_its_identity_message():
+    # the source checks plain endpoint tuples, and its message decodes them to CmObjects
+    message = ("identity of CmObject(residue=1, level=-1) has endpoints "
+               "(CmObject(residue=1, level=-1), CmObject(residue=1, level=-2))")
+    w = cm_slice(3, -4)
+    identities = {**w.identities, CmObject(1, -1): CmMorphism(0, 1, -1, -2)}
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        CategorySlice(w.objects, w.morphisms, w.dom, w.cod, dict(w.compose), identities, w.complete)
+    source = _cm3_wrong_identity_source()
+    for x in ((1, -1), CmObject(1, -1)):
+        with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+            source._ident[x]
+    for read in (moebius_at, moebius_via_lawvere):
+        with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+            read(source, CmMorphism(2, 1, -1, -3))  # (1, -1) is its domain
+    with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
+        factor_slice(w.morphisms, source)
+
+
+@pytest.mark.parametrize(
+    "c, source",
+    [pytest.param(dm_slice(m, 30), dm_source(m), id=f"dm_slice({m},30)") for m in (2, 3, 4, 5)]
+    + [pytest.param(cm_slice(m, -6), cm_source(m), id=f"cm_slice({m},-6)") for m in (2, 3, 4, 5)]
+    + [pytest.param(poset_as_category(divisor_poset(360)),
+                    mucat.category._poset_source(divisor_poset(360)),
+                    id="poset_as_category(divisors of 360)")],
+)
+def test_source_row_gives_the_handle_of_each_composite(c, source):
+    # row(g) is h ↦ g∘h on handles, as a slice's row _after[g] is on numbers
+    code, entries = source._number.get, dict(c.compose.items())
+    assert len(entries) > 300
+    for (g, h), k in entries.items():
+        assert source._after[code(g)].get(code(h)) == code(k)
+    if isinstance(c.morphisms[0], DmMorphism):  # D_m's shift h + (beta - y)·m with y != 0
+        assert sum(g.x != 0 for g, _ in entries) > 100
 
 
 def test_factorizations_skip_non_composable_compose_entries():

@@ -24,6 +24,9 @@ from mucat import (
     validate_dm_morphism,
 )
 
+import mucat.cm_dm as cm_dm
+from mucat.lawvere import _both_routes
+
 from helpers import bf_compose, cm_composite, dm_composite, functor_F
 
 
@@ -288,6 +291,81 @@ def test_sources_validate_the_morphism():
         moebius_at(dm_source(3), DmMorphism(1, 2))
     with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2, got 1$"):
         dm_source(1)
+
+
+@pytest.mark.parametrize(
+    "source, f",
+    [(cm_source(2), CmMorphism(1, 0, 0, -2)), (cm_source(3), CmMorphism(3, 2, -1, -5)),
+     (dm_source(2), DmMorphism(3, 1)), (dm_source(5), DmMorphism(14, 3))],
+    ids=["C_2", "C_3", "D_2", "D_5"],
+)
+def test_sources_read_a_morphism_as_its_plain_field_tuple(source, f):
+    plain = tuple(f)
+    assert type(plain) is tuple and plain == f
+    assert source.factorizations(plain) == source.factorizations(f)
+    assert moebius_at(source, plain) == moebius_at(source, f)
+    assert moebius_via_lawvere(source, plain) == moebius_via_lawvere(source, f)
+    assert lawvere_interval(source, plain).objects == lawvere_interval(source, f).objects
+    closed_form = cm_moebius_closed_form if type(f) is CmMorphism else dm_moebius_closed_form
+    assert closed_form(plain) == closed_form(f)
+
+
+CM_WRONG_SHAPES = [(1, 0, 0), (1, 0, 0, -2, 0), (1, 0, 0, -2.0), (True, 0, 0, -2), [1, 0, 0, -2], 7]
+DM_WRONG_SHAPES = [(3,), (3, 1, 0), ("3", 1), (3, None), CmMorphism(3, 1, 0, 0), "31"]
+
+
+@pytest.mark.parametrize(
+    "source, validate, f, message",
+    [(cm_source(2), lambda f: validate_cm_morphism(2, f), f, "a morphism is 4 integers (a, x, i, j)")
+     for f in CM_WRONG_SHAPES]
+    + [(dm_source(2), lambda f: validate_dm_morphism(2, f), f, "a morphism is 2 integers (alpha, x)")
+       for f in DM_WRONG_SHAPES],
+    ids=[f"C_2-{f!r}" for f in CM_WRONG_SHAPES] + [f"D_2-{f!r}" for f in DM_WRONG_SHAPES],
+)
+def test_sources_refuse_a_value_of_the_wrong_shape(source, validate, f, message):
+    message += f", got {f!r}"
+    for read in (validate, source.factorizations, lambda f: moebius_at(source, f),
+                 lambda f: moebius_via_lawvere(source, f)):
+        with pytest.raises(ValueError) as caught:
+            read(f)
+        assert str(caught.value) == message
+
+
+def _objects_made(monkeypatch) -> list:
+    """The CmObjects cm_dm builds from here on, each recorded as it is made."""
+    made, new = [], cm_dm._new
+
+    def recorded(cls, fields):
+        value = new(cls, fields)
+        if cls is CmObject:
+            made.append(value)
+        return value
+
+    monkeypatch.setattr(cm_dm, "_new", recorded)
+    return made
+
+
+@pytest.mark.parametrize("m, f", [(5, CmMorphism(6, 0, 0, -12)), (2, CmMorphism(3, 1, -2, -10)),
+                                  (3, CmMorphism(2, 2, -1, -5))])
+def test_cm_source_walks_decode_no_object(m, f, monkeypatch):
+    # the source checks and composes on plain (residue, level) tuples
+    made = _objects_made(monkeypatch)
+    source = cm_source(m)
+    assert _both_routes(source, f, {}) == (cm_moebius_closed_form(f),) * 2
+    assert source.factorizations(f)
+    assert made == []
+
+
+@pytest.mark.parametrize("m, floor", [(2, -6), (3, -5), (5, -4)])
+def test_cm_slice_decodes_each_object_once(m, floor, monkeypatch):
+    made = _objects_made(monkeypatch)
+    c = cm_slice(m, floor)
+    assert sorted(made) == sorted(c.objects)  # one decode per distinct object
+    assert len(c.objects) == m * (1 - floor)
+    assert {type(x) for x in c.objects} == {CmObject}
+    assert {type(x) for f in c.morphisms for x in (c.dom[f], c.cod[f])} == {CmObject}
+    assert {type(x) for x in c.identities} == {CmObject}
+    assert all(c.objects[c._dom[k]] is c.dom[f] for k, f in enumerate(c.morphisms))
 
 
 # -- residue category ------------------------------------------------------------------

@@ -210,7 +210,7 @@ def _iso_pair_source_with_wrong_identity():
     c = iso_pair_category()
     return FactorizationSource(c.factorizations, c.dom.__getitem__, c.cod.__getitem__,
                                lambda x: "f" if x == "Y" else c.identities[x],
-                               lambda g, h: c.compose[g, h], c.factorizations)
+                               lambda g: lambda h: c.compose[g, h], c.factorizations)
 
 
 @pytest.mark.parametrize(
