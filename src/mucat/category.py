@@ -62,13 +62,13 @@ class CategorySlice:
                     {f: cod[f] for f in morphisms if f in cod}, facts, order,
                     dict(identities), complete)
 
-    def _adopt(self, objects, morphisms, dom, cod, facts, order, identities, complete,
-               associative=False) -> "CategorySlice":
+    def _adopt(self, objects, morphisms, dom, cod, facts, order, identities,
+               complete) -> "CategorySlice":
         """Check the tables, then store them as given and return self.  The
         caller's dicts and lists are kept, not copied: ``facts[k]`` lists the
         number pairs composing to k, and ``order`` lists every pair in
         ``compose`` order, or is None to list them by composite, in ``facts``
-        order; ``associative`` is a law check's verdict on a total table."""
+        order.  The slice starts with no law verdict."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -113,7 +113,7 @@ class CategorySlice:
         self._moebius = None
         self._one_way = None
         self._quotients: dict = {}
-        self._associative = associative
+        self._associative = False
         return self
 
     def __repr__(self):

@@ -24,8 +24,7 @@ evaluated top-down over the down-set of y in the linear extension, one
 column mu(., y) memoized per instance; values are always integers.  The
 values found so far are also kept bit-sliced, one mask per sign and bit of
 |mu|, so each up-set is summed with a few popcounts, not element by element;
-a column with a value wider than ``_PLANES`` bits sums the rest through
-``compress``.
+a column has as many planes as its widest value has bits.
 The law check (``_linear``), the recursion (``_moebius_to``) and the lattice
 test (``_is_lattice``) work on bare masks, so the Lawvere route runs them
 with no poset object.
@@ -34,21 +33,10 @@ with no poset object.
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from itertools import compress
 from typing import Any, Callable, Iterable
 
 from ._json import load_object, rows, strings
 from .errors import InvalidPoset, NotComparable
-
-_BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_PLANES = 8  # _moebius_to sums by popcount while every |mu| is below 2 ** _PLANES (measured)
-
-
-def _selectors(mask: int) -> bytes:
-    """Bit k of mask as byte k (0 or 1), lowest bit first; feeds compress()
-    in ``_moebius_to``'s sum over a column with a value too wide for its planes."""
-    return bin(mask)[:1:-1].encode().translate(_BYTE_BITS)
-
 
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
@@ -171,12 +159,11 @@ def _moebius_to(up: list[int], q: int) -> list:
     strict successors of w are the bits of u = up[w] other than w, so
     -mu(w, q) = sum(2**k * (popcount(u & pos[k]) - popcount(u & neg[k]))),
     a few popcounts instead of one step per element of u.  While every
-    value is -1, 0 or 1 there is one plane, pos[0] and neg[0]; a wider value
-    adds planes up to ``_PLANES``.  The first value wider than that is
-    stored but not recorded, so from its w on the planes would miss a value
-    and the rest of the column sums ``values`` through ``compress`` instead:
-    ``values`` holds every value computed so far, and values[w] and every
-    z not <= q still read 0, so that sum is exact too.
+    value is -1, 0 or 1 there is one plane, pos[0] and neg[0]; the first
+    value outside them is summed again by the plane loop, which records it.
+    A value wider than the planes first adds planes, to pos and neg alike,
+    up to its bit length, so every value is recorded and the sum stays
+    exact however wide |mu| grows.
     """
     values = [0] * len(up)
     values[q] = 1
@@ -211,8 +198,6 @@ def _moebius_to(up: list[int], q: int) -> list:
                 size = abs(total)
                 width = size.bit_length()
                 if width > len(pos):
-                    if width > _PLANES:
-                        break
                     pos += [0] * (width - len(pos))
                     neg += [0] * (width - len(neg))
                 planes = pos if total > 0 else neg
@@ -220,10 +205,6 @@ def _moebius_to(up: list[int], q: int) -> list:
                 for k in range(width):
                     if size >> k & 1:
                         planes[k] |= bit
-    for w in range(w - 1, -1, -1):
-        u = up[w]
-        if u >> q & 1:
-            values[w] = -sum(compress(values, _selectors(u)))
     return values
 
 

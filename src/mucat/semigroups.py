@@ -311,8 +311,10 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
         for g in out[cod[f]].values():
             facts[into[table[firsts[g]][x]]].append((g, k))
     identities = {e: (e, e) for e in reps}
-    return CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, facts, None,
-                                                       identities, morphisms, s._associative)
+    c = CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, facts, None,
+                                                    identities, morphisms)
+    c._associative = s._associative
+    return c
 
 
 def quotient_poset(c: CategorySlice, e) -> FinitePoset:
