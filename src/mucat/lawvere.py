@@ -13,7 +13,9 @@ sums ``moebius_at``'s recursion on the same lists.  The staged objects
 ``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
 imports and reads them (``LawvereInterval.homs`` too).  On a slice marked
 associative (each total window ``factor_slice`` builds, and any slice a law
-check passed; see ``category``), the walk finds positions by right factor.
+check passed; see ``category``), the walk finds positions by right factor,
+and the poset-law check skips transitivity, which the mark proves (see
+``poset._linear``).
 """
 
 from __future__ import annotations
@@ -159,17 +161,18 @@ def is_one_way(iv: LawvereInterval) -> bool:
     return one_way(iv._up, iv._more)
 
 
-def _interval_order(f, up, more, distinct, name):
+def _interval_order(f, up, more, distinct, name, transitive):
     """``_linear``'s (order, masks) for f's interval: NotThin unless it is
     thin, NotOneWay if fewer than ``len(up)`` pairs are ``distinct`` (one is
-    listed twice) or a poset law fails.  name(i) names index i in messages."""
+    listed twice) or a poset law fails.  name(i) names index i in messages;
+    ``transitive`` is the slice's mark, which proves that law."""
     if more:
         (i, j), count = min(more.items())
         raise NotThin(f"hom-set {(name(i), name(j))!r} has {count} elements")
     try:
         if distinct != len(up):
             raise InvalidPoset("duplicate elements")
-        return _linear(up, name)
+        return _linear(up, name, transitive)
     except InvalidPoset as exc:  # connectivity relation fails poset laws
         raise NotOneWay(f"interval of {f!r}: {exc}") from exc
 
@@ -179,18 +182,21 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
 
     Only defined for thin one-way intervals; raises NotThin when a hom-set has
     two or more elements, else NotOneWay when the poset laws, checked on the
-    up-set masks, fail (for a thin interval, one-way is reflexive and antisymmetric).
+    up-set masks, fail (for a thin interval, one-way is reflexive and antisymmetric;
+    transitivity is not checked on a marked slice, where it holds).
     """
     objects = iv.objects
     pos = dict(zip(objects, range(len(objects))))
-    order, up = _interval_order(iv.subject, iv._up, iv._more, len(pos), objects.__getitem__)
+    order, up = _interval_order(iv.subject, iv._up, iv._more, len(pos), objects.__getitem__,
+                                iv._c._associative)
     return FinitePoset.__new__(FinitePoset)._adopt(objects, pos, order, up)
 
 
 def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
     """mu(f) as the Möbius value of f's interval poset from bottom to top, by
     position on the walk's masks; no factorization, interval or poset is
-    built.  c is a slice or a ``FactorizationSource``."""
+    built.  c is a slice or a ``FactorizationSource``; on a marked slice the
+    law check takes transitivity from the mark, as ``interval_as_poset``."""
     return _position_route(c, f)[-1]
 
 
@@ -203,7 +209,8 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
     pairs, distinct, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, distinct,
-                             lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)))[1]
+                             lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)),
+                             c._associative)[1]
     try:  # the factorizations are distinct here, so each is listed once
         bottom, top = pairs.index((k, ident[c._dom[k]])), pairs.index((ident[c._cod[k]], k))
     except ValueError:

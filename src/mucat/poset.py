@@ -25,9 +25,10 @@ column mu(., y) memoized per instance; values are always integers.  The
 values found so far are also kept bit-sliced, one mask per sign and bit of
 |mu|, so each up-set is summed with a few popcounts, not element by element;
 a column has as many planes as its widest value has bits.
-The law check (``_linear``), the recursion (``_moebius_to``) and the lattice
-test (``_is_lattice``) work on bare masks, so the Lawvere route runs them
-with no poset object.
+The law check (``_linear``, which skips transitivity where a caller has
+proved it), the recursion (``_moebius_to``) and the lattice test
+(``_is_lattice``) work on bare masks, so the Lawvere route runs them with no
+poset object.
 """
 
 from __future__ import annotations
@@ -108,11 +109,25 @@ def _close_covers(elems: tuple, arcs) -> list[int]:
     return up
 
 
-def _linear(up: list[int], name: Callable[[int], Any]) -> tuple[list[int] | None, list[int]]:
+def _linear(up: list[int], name: Callable[[int], Any],
+            transitive: bool = False) -> tuple[list[int] | None, list[int]]:
     """Check the poset laws on up-set masks and return (order, masks) in a
     linear extension: order is None if the indices are one, else position k
     holds index order[k].  InvalidPoset names elements by name(index).  The
-    loops are inline: a generator step costs more than its mask operations."""
+    loops are inline: a generator step costs more than its mask operations.
+
+    ``transitive`` is the caller's proof that the relation is transitive:
+    the transitivity loop, which would find nothing, is skipped.  Three
+    callers pass it, each for an associative table.  A Lawvere interval of
+    a marked slice (identity laws, a total table, Light's verdict): if
+    h∘vᵢ = vⱼ and h'∘vⱼ = vₖ, then h'∘h is an entry and (h'∘h)∘vᵢ = vₖ,
+    so (h'∘h, vᵢ) is in vₖ's list; the left factors compose the same way
+    (uₖ∘(h'∘h) = uⱼ∘h = uᵢ), so this holds for the unkeyed walk too.  Q(e),
+    by the same step for factoring through.  E(S): e = ef and f = fg give
+    eg = efg = ef = e.  The relabel pass still refuses every pair related
+    both ways: in a transitive reflexive relation the two have equal
+    up-sets, so the later one's lowest bit is an earlier one, whose up-set
+    holds it."""
     order, at = None, name
     # In a linear extension each element is the lowest bit of its own
     # up-set: that is reflexivity, and every strict successor higher up.
@@ -128,6 +143,8 @@ def _linear(up: list[int], name: Callable[[int], Any]) -> tuple[list[int] | None
                 if q != p and up[q] >> p & 1:
                     raise InvalidPoset(f"relation is not antisymmetric on {at(q)!r}, {at(p)!r}")
             break
+    if transitive:
+        return order, up
     # Transitivity, upper positions first.  A q in up[p] other than p
     # either sits higher and is already checked, so once up[q] <= up[p]
     # holds q's whole up-set can be skipped and only the covers of p are
@@ -267,11 +284,14 @@ class FinitePoset:
         self._adopt(elems, index, *_linear(up, elems.__getitem__))
 
     @classmethod
-    def _from_masks(cls, elements: Iterable[Any], up: list[int]) -> "FinitePoset":
+    def _from_masks(cls, elements: Iterable[Any], up: list[int],
+                    transitive: bool = False) -> "FinitePoset":
         """A poset from up-set masks over the supplied order: bit j of up[i]
-        is set iff elements[i] <= elements[j].  Every law is checked."""
+        is set iff elements[i] <= elements[j].  Every law is checked, but
+        transitivity not when the caller has proved it (see ``_linear``)."""
         elems = tuple(elements)
-        return cls.__new__(cls)._adopt(elems, _index(elems), *_linear(up, elems.__getitem__))
+        return cls.__new__(cls)._adopt(elems, _index(elems),
+                                       *_linear(up, elems.__getitem__, transitive))
 
     def _adopt(self, elems: tuple, pos: dict, order, up: list[int]) -> "FinitePoset":
         """Store what ``_linear`` returned for masks over elems; returns self."""

@@ -132,14 +132,15 @@ class InverseSemigroup:
 
         Once the poset laws hold, each E(eSe) = {e y e : y in E(S)} is checked
         to be the set of idempotents below e, as it is in an inverse
-        semigroup; rule two relies on this and checks nothing itself.
+        semigroup; rule two relies on this and checks nothing itself.  After
+        Light's test has passed, transitivity is proved, not checked.
         """
         if self._idem_poset is None:
             self._inverses()  # raises unless every element has exactly one inverse
             table, es = self._table, self._idempotents()
             up = [sum(1 << j for j, y in enumerate(es) if row[y] == x)  # x <= y iff xy = x
                   for x in es for row in [table[x]]]
-            poset = FinitePoset._from_masks([self.elements[e] for e in es], up)
+            poset = FinitePoset._from_masks([self.elements[e] for e in es], up, self._associative)
             for j, e in enumerate(es):
                 row = table[e]
                 if {table[row[y]][e] for y in es} != {x for x, u in zip(es, up) if u >> j & 1}:
@@ -279,19 +280,24 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     s's verdict from ``find_semigroup_violation``; with it, its walks key
     positions by right factor and never read the rows by left factor.
 
-    Morphisms are listed object by object, in transversal order, and each
-    object's by decreasing size of the principal right ideal x⁻¹x·S, ties
-    in element order.  As (t, f)·(x, e) = (tx, e) has (tx)⁻¹tx <= x⁻¹x, and
-    f < f' gives |fS| < |f'S| for idempotents, a right factor comes before
-    every right factor it factors; in a combinatorial s two related ones
-    never tie.  So each morphism's factorizations, listed right factor
-    first, already come in a linear extension of its interval poset, which
-    is then built without relabelling.
+    Objects are listed by decreasing |eS|, ties in transversal order, and
+    morphisms object by object, each object's by decreasing size of the
+    principal right ideal x⁻¹x·S, ties in element order.  f < f' gives
+    |fS| < |f'S| for idempotents, and D-related ones have ideals of one
+    size.  A morphism (x, e): e -> f with f != e has x⁻¹x < e, so
+    |fS| < |eS|: the objects come in a linear extension, and
+    ``is_one_way_category`` needs no transpose.  As (t, f)·(x, e) = (tx, e)
+    has (tx)⁻¹tx <= x⁻¹x, a right factor comes before every right factor it
+    factors; in a combinatorial s two related ones never tie.  So each
+    morphism's factorizations, listed right factor first, already come in a
+    linear extension of its interval poset, which is then built without
+    relabelling.
     """
     reps = default_transversal(s) if transversal is None else check_transversal(s, transversal)
     table, inv, name = s._table, s._inverses(), s.elements
-    objects = {s._index[e]: e for e in reps}
     ideal = {f: len(set(table[f])) for f in s._idempotents()}  # |fS|
+    objects = dict(sorted([(s._index[e], e) for e in reps], key=lambda p: -ideal[p[0]]))
+    reps = tuple(objects.values())
     left, out = {}, {}  # morphism -> position of its first component; e -> {x: number of (x, e)}
     sources = [(x, table[i][x]) for x, i in enumerate(inv) if table[x][i] in objects]  # (x, x⁻¹x)
     for k, e in objects.items():
@@ -324,8 +330,9 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     is iff some (u, (t, e)) is among the factorizations of (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
     the order is antisymmetric.  Listed in reverse slice order, top last, so
-    mostly in a linear extension.  Built once per (slice, e) and cached on the
-    slice.
+    mostly in a linear extension.  On a marked slice the order is transitive
+    by associativity, which is not checked again.  Built once per (slice, e)
+    and cached on the slice.
     """
     poset = c._quotients.get(e)
     if poset is None:
@@ -335,7 +342,7 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
         handles = [c._handle(s) for s in carrier]
         bit = {g: 1 << k for k, g in enumerate(handles)}
         up = [sum({bit[t] for _, t in c._facts[s]}) for s in handles]
-        poset = c._quotients[e] = FinitePoset._from_masks(carrier, up)
+        poset = c._quotients[e] = FinitePoset._from_masks(carrier, up, c._associative)
     return poset
 
 

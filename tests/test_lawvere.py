@@ -31,7 +31,9 @@ from mucat import (
     moebius_of_slice,
     moebius_via_lawvere,
     poset_as_category,
+    quotient_poset,
 )
+import mucat.lawvere
 import mucat.poset
 from mucat.category import _rows
 from mucat.errors import MucatError
@@ -386,6 +388,20 @@ def _chain_without(pair, p=chain([0, 1, 2])):
                          base.identities, base.complete)
 
 
+def _chain_with_a_hole():
+    """The category of the chain 0 < 1 < ... < 4 without the morphism (1, 3):
+    (1, 2) and (2, 3) compose to nothing, so in the interval of (0, 4) the
+    factorization through 1 is connected to the one through 2, and that one
+    to the one through 3, but nothing connects the first to the third.  The
+    table is partial, so the slice is unmarked."""
+    base = poset_as_category(chain(range(5)))
+    gone = (1, 3)
+    morphisms = [f for f in base.morphisms if f != gone]
+    compose = {pair: k for pair, k in base.compose.items() if gone not in (*pair, k)}
+    return CategorySlice(base.objects, morphisms, base.dom, base.cod, compose,
+                         base.identities, morphisms)
+
+
 def test_missing_trivial_factorization_is_unbounded():
     with pytest.raises(Unbounded):
         moebius_via_lawvere(_missing_bottom_category(), "f")
@@ -497,9 +513,15 @@ def _relisted(edit):
         (lambda: _chain_without(((0, 0), (0, 0)), _top_first(chain([0, 1, 2]))), (0, 2), NotOneWay,
          "interval of (0, 2): relation is not reflexive at "
          "Factorization(left=(0, 2), right=(0, 0), subject=(0, 2))"),
+        (_chain_with_a_hole, (0, 4), NotOneWay,
+         "interval of (0, 4): relation is not transitive: "
+         "Factorization(left=(1, 4), right=(0, 1), subject=(0, 4)) <= "
+         "Factorization(left=(2, 4), right=(0, 2), subject=(0, 4)) <= "
+         "Factorization(left=(3, 4), right=(0, 3), subject=(0, 4))"),
     ],
     ids=["not_thin", "listed_twice", "listed_twice_without_top", "missing_bottom",
-         "not_bounded_below", "not_bounded_above", "not_antisymmetric", "not_reflexive"],
+         "not_bounded_below", "not_bounded_above", "not_antisymmetric", "not_reflexive",
+         "not_transitive"],
 )
 def test_position_route_refuses_as_the_staged_route(make, f, error, message):
     # the staged stages check thinness and the poset laws; only the position
@@ -780,3 +802,102 @@ def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
     at = c.morphisms
     assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after) for h, k in row.items()} == dict(
         c.compose.items())
+
+
+# -- the transitivity proof ---------------------------------------------------------
+
+def _law_spy(monkeypatch):
+    """Record the ``transitive`` argument of every ``_linear`` call, from the
+    Lawvere route and from poset builds alike; where it is set, the full law
+    check must return the same (order, masks)."""
+    flags, full = [], mucat.poset._linear
+
+    def spy(up, name, transitive=False):
+        flags.append(transitive)
+        if transitive:
+            assert full(up, name, True) == full(up, name), "the proof path differs"
+        return full(up, name, transitive)
+
+    monkeypatch.setattr(mucat.poset, "_linear", spy)
+    monkeypatch.setattr(mucat.lawvere, "_linear", spy)
+    return flags
+
+
+def _checked_division(s, transversal):
+    s = _fresh(s)
+    assert find_semigroup_violation(s) is None
+    return s, division_category(s, transversal)
+
+
+MARKED_CORPUS = {
+    **{f"cm_slice({m},{floor})": (lambda m=m, floor=floor: (None, cm_slice(m, floor)))
+       for m, floor in [(2, -12), (3, -9), (4, -8), (5, -10)]},
+    "poset D60": lambda: (None, poset_as_category(divisor_poset(60))),
+    "poset B4": lambda: (None, poset_as_category(boolean_lattice(4))),
+    "poset B3 top-first": lambda: (None, poset_as_category(_top_first(boolean_lattice(3)))),
+    **{f"division {name}": (lambda s=s, t=t: _checked_division(s, t))
+       for name, (s, t) in ORDER_CORPUS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(MARKED_CORPUS))
+def test_proof_path_matches_the_full_law_check_on_marked_structures(name, monkeypatch):
+    # every interval, every Q(e) and E(S): each skips the transitivity loop,
+    # and the loop, run beside it, would have returned the same
+    s, c = MARKED_CORPUS[name]()
+    assert c._associative
+    flags = _law_spy(monkeypatch)
+    for f in c.morphisms:
+        moebius_via_lawvere(c, f)
+        interval_as_poset(lawvere_interval(c, f))
+    assert len(flags) == 2 * len(c.morphisms)
+    if s is not None:
+        for e in c.objects:
+            quotient_poset(c, e)
+        s.idempotent_poset()
+        assert len(flags) == 2 * len(c.morphisms) + len(c.objects) + 1
+    assert all(flags)
+
+
+def _unchecked_division():
+    s, t = ORDER_CORPUS["boolean B_4"]
+    s = _fresh(s)
+    return s, division_category(s, t)
+
+
+def _unmarked_window():
+    c = cm_slice(3, -6)
+    c._associative = False
+    return c
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: (None, cm_source(3)), cm_slice(3, -5)),
+    (lambda: (None, dm_source(2)), dm_slice(2, 24)),
+    (lambda: (None, dm_slice(3, 14)), None),  # a partial window: never marked
+    (lambda: (None, _unmarked_window()), None),
+    (_unchecked_division, None),
+], ids=["cm_source", "dm_source", "dm_slice", "unmarked cm_slice", "unchecked division"])
+def test_the_transitivity_loop_runs_on_sources_and_unmarked_slices(make, window, monkeypatch):
+    s, c = make()
+    assert not c._associative
+    flags = _law_spy(monkeypatch)
+    for f in (window or c).morphisms:
+        moebius_via_lawvere(c, f)
+        interval_as_poset(lawvere_interval(c, f))
+    if s is not None:
+        for e in c.objects:
+            quotient_poset(c, e)
+        s.idempotent_poset()
+    FinitePoset("ab", leq=["aa", "ab", "bb"])
+    FinitePoset("ab", covers=["ab"])
+    chain("ab")
+    assert flags and not any(flags)
+
+
+def test_a_hole_in_the_table_passes_the_law_check_but_leaves_the_slice_unmarked():
+    # the scan finds no triple whose two bracketings differ, but the table is
+    # partial, so the intervals keep the transitivity loop, which refuses
+    # (0, 4)'s (the not_transitive case of the position route's refusals)
+    c = _chain_with_a_hole()
+    assert find_slice_violation(c) is None and not c._associative

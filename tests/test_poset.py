@@ -15,7 +15,7 @@ from mucat import (
     poset_as_category,
 )
 from mucat.lawvere import _position_route
-from mucat.poset import _is_lattice
+from mucat.poset import _is_lattice, _linear
 
 from helpers import (
     B2,
@@ -504,6 +504,41 @@ def test_order_queries_match_the_relation(drawn):
         bf_join(elements, relation, x, y) is not None and bf_meet(elements, relation, x, y) is not None
         for x in elements for y in elements
     )
+
+
+def _law_check(up, elements, transitive):
+    """``_linear``'s (order, masks), or the message it refuses with."""
+    try:
+        return _linear(up, elements.__getitem__, transitive)
+    except InvalidPoset as exc:
+        return str(exc)
+
+
+def test_a_proof_of_transitivity_skips_only_the_transitivity_loop():
+    elements = ["a", "b", "c"]
+    not_transitive = [0b011, 0b110, 0b100]  # a <= b <= c, not a <= c
+    assert _law_check(not_transitive, elements, False) == "relation is not transitive: 'a' <= 'b' <= 'c'"
+    assert _law_check(not_transitive, elements, True) == (None, not_transitive)
+    # the relabel pass still refuses a pair related both ways, or a missing loop
+    assert _law_check([0b11, 0b11], elements, True) == "relation is not antisymmetric on 'a', 'b'"
+    assert _law_check([0b10, 0b10], elements, True) == "relation is not reflexive at 'a'"
+
+
+@given(relations())
+@settings(max_examples=300, deadline=None)
+def test_a_proof_of_transitivity_changes_nothing_on_a_transitive_relation(drawn):
+    # each drawn relation closed transitively (Warshall), not reflexively:
+    # partial orders, and near misses of reflexivity and antisymmetry
+    elements, relation = drawn
+    index = {x: k for k, x in enumerate(elements)}
+    up = [0] * len(elements)
+    for a, b in relation:
+        up[index[a]] |= 1 << index[b]
+    for k in range(len(up)):
+        for i in range(len(up)):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    assert _law_check(up, elements, True) == _law_check(up, elements, False)
 
 
 @st.composite

@@ -30,6 +30,7 @@ from mucat import (
     quotient_poset,
 )
 
+import mucat.category
 import mucat.poset
 from mucat.semigroups import _generators, check_combinatorial
 
@@ -494,6 +495,7 @@ ORDER_CORPUS = {
     "divisors of 60": (meet_semilattice(divisor_poset(60)), None),
     "POI_4": (poi(4), partial_identities(4)),
     "Brandt B_3": (brandt(3), ["e11", "z"]),
+    "partitions Π_4": (InverseSemigroup.from_json(partition_lattice_json(4)), None),
 }
 
 
@@ -511,6 +513,9 @@ def test_division_category_is_the_definition_listed_by_decreasing_ideal(name):
     ]
     morphisms = [f for fs in by_object for f in fs]
     assert set(c.morphisms) == set(morphisms)
+    # objects by decreasing |eS|, ties in transversal order
+    reps = default_transversal(s) if transversal is None else transversal
+    assert c.objects == tuple(sorted(reps, key=lambda e: -ideal[e]))
     for a in c.objects:
         for b in c.objects:
             assert set(c.hom(a, b)) == {(x, e) for x, e in morphisms if e == a and target[x] == b}
@@ -532,6 +537,18 @@ def test_interval_posets_of_division_categories_need_no_relabelling(name, monkey
     for f in c.morphisms:
         iv = lawvere_interval(c, f)
         assert interval_as_poset(iv).elements == iv.objects
+
+
+@pytest.mark.parametrize("name", list(ORDER_CORPUS))
+def test_division_categories_pass_the_one_way_shortcut(name, monkeypatch):
+    # the objects come in a linear extension, so the masks are never transposed
+    c = division_category(*ORDER_CORPUS[name])
+
+    def refuse(masks):
+        raise AssertionError("objects are not listed in a linear extension")
+
+    monkeypatch.setattr(mucat.category, "_transpose", refuse)
+    assert is_one_way_category(c)
 
 
 def test_group_division_category_is_returned_but_not_moebius():
