@@ -823,10 +823,26 @@ def _law_spy(monkeypatch):
     return flags
 
 
-def _checked_division(s, transversal):
+def _fresh_division(name, check=True):
+    """(s, division category) for a fresh copy s of ORDER_CORPUS[name]'s
+    semigroup, checked, so that the category is marked, unless check is False."""
+    s, transversal = ORDER_CORPUS[name]
     s = _fresh(s)
-    assert find_semigroup_violation(s) is None
+    if check:
+        assert find_semigroup_violation(s) is None
     return s, division_category(s, transversal)
+
+
+def _every_order(s, c, morphisms):
+    """Build each morphism's interval order by both Lawvere routes and, for a
+    division category of s, every Q(e) and E(S)."""
+    for f in morphisms:
+        moebius_via_lawvere(c, f)
+        interval_as_poset(lawvere_interval(c, f))
+    if s is not None:
+        for e in c.objects:
+            quotient_poset(c, e)
+        s.idempotent_poset()
 
 
 MARKED_CORPUS = {
@@ -835,8 +851,7 @@ MARKED_CORPUS = {
     "poset D60": lambda: (None, poset_as_category(divisor_poset(60))),
     "poset B4": lambda: (None, poset_as_category(boolean_lattice(4))),
     "poset B3 top-first": lambda: (None, poset_as_category(_top_first(boolean_lattice(3)))),
-    **{f"division {name}": (lambda s=s, t=t: _checked_division(s, t))
-       for name, (s, t) in ORDER_CORPUS.items()},
+    **{f"division {name}": (lambda name=name: _fresh_division(name)) for name in ORDER_CORPUS},
 }
 
 
@@ -847,22 +862,9 @@ def test_proof_path_matches_the_full_law_check_on_marked_structures(name, monkey
     s, c = MARKED_CORPUS[name]()
     assert c._associative
     flags = _law_spy(monkeypatch)
-    for f in c.morphisms:
-        moebius_via_lawvere(c, f)
-        interval_as_poset(lawvere_interval(c, f))
-    assert len(flags) == 2 * len(c.morphisms)
-    if s is not None:
-        for e in c.objects:
-            quotient_poset(c, e)
-        s.idempotent_poset()
-        assert len(flags) == 2 * len(c.morphisms) + len(c.objects) + 1
+    _every_order(s, c, c.morphisms)
+    assert len(flags) == 2 * len(c.morphisms) + (0 if s is None else len(c.objects) + 1)
     assert all(flags)
-
-
-def _unchecked_division():
-    s, t = ORDER_CORPUS["boolean B_4"]
-    s = _fresh(s)
-    return s, division_category(s, t)
 
 
 def _unmarked_window():
@@ -876,19 +878,13 @@ def _unmarked_window():
     (lambda: (None, dm_source(2)), dm_slice(2, 24)),
     (lambda: (None, dm_slice(3, 14)), None),  # a partial window: never marked
     (lambda: (None, _unmarked_window()), None),
-    (_unchecked_division, None),
+    (lambda: _fresh_division("boolean B_4", check=False), None),
 ], ids=["cm_source", "dm_source", "dm_slice", "unmarked cm_slice", "unchecked division"])
 def test_the_transitivity_loop_runs_on_sources_and_unmarked_slices(make, window, monkeypatch):
     s, c = make()
     assert not c._associative
     flags = _law_spy(monkeypatch)
-    for f in (window or c).morphisms:
-        moebius_via_lawvere(c, f)
-        interval_as_poset(lawvere_interval(c, f))
-    if s is not None:
-        for e in c.objects:
-            quotient_poset(c, e)
-        s.idempotent_poset()
+    _every_order(s, c, (window or c).morphisms)
     FinitePoset("ab", leq=["aa", "ab", "bb"])
     FinitePoset("ab", covers=["ab"])
     chain("ab")
