@@ -312,23 +312,38 @@ class FactorizationSource:
     factorization list and identity is checked each time it is handed out,
     as the ``CategorySlice`` constructor checks a table entry, on plain
     values, with its messages, which decode handles through ``at`` and
-    endpoint values through ``obj``; the source stores nothing.
+    endpoint values through ``obj``; the source stores nothing.  The list
+    check is one rule, ``bad(k, pairs)``, kept as ``_bad``: the index of the
+    first pair (g, h) of k's list with cod h ≠ dom g, dom h ≠ dom k or
+    cod g ≠ cod k, or None.  By default it loops over the pairs calling
+    ``dom`` and ``cod``; a source may state it with the same endpoints read
+    inline on handles.  Every endpoint of every pair is checked either way,
+    and the refusal is built from the pair the rule names.
     ``_enumerate`` is the enumerator unchecked and ``_obj`` the object rule,
     for ``factor_slice``, whose constructor pass checks each entry.
     """
 
     __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate",
-                 "_number", "_at", "_obj")
+                 "_number", "_at", "_obj", "_bad")
     _associative = False  # no law check has read the rules
 
     def __init__(self, factorizations, dom, cod, identity, row, validate,
-                 handle=_same, at=_same, obj=_same):
+                 handle=_same, at=_same, obj=_same, bad=None):
+        def each_pair(k, pairs):
+            x, y = dom(k), cod(k)
+            for i, (g, h) in enumerate(pairs):
+                if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
+                    return i
+            return None
+
+        bad = bad or each_pair
+
         def checked_pairs(k):
             pairs = factorizations(k)
-            x, y = dom(k), cod(k)
-            for g, h in pairs:
-                if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
-                    raise _bad_entry(at(g), at(h), at(k), cod(h) == dom(g))
+            i = bad(k, pairs)
+            if i is not None:
+                g, h = pairs[i]
+                raise _bad_entry(at(g), at(h), at(k), cod(h) == dom(g))
             return pairs
 
         def checked_identity(x):
@@ -342,7 +357,7 @@ class FactorizationSource:
         self._after = _Rule(lambda g: _Rule(row(g)))
         self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
         self._validate, self._number, self._at = validate, _Rule(handle), _Rule(at)
-        self._obj = obj
+        self._obj, self._bad = obj, bad
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""

@@ -28,7 +28,9 @@ object by its tuple (residue, level), which the source's ``obj`` decodes to
 a ``CmObject``, a D_m object by its residue.  Composing with a fixed left
 factor is one step on the handle: C_m's row rebuilds the tuple, and D_m's is
 a shift, since (beta, y) · (alpha, x) = (beta - y + alpha, x) has the handle
-h + (beta - y)·m for h the handle of (alpha, x).  Public reads and messages
+h + (beta - y)·m for h the handle of (alpha, x).  Each source checks a whole
+list by a rule that reads every pair's endpoints inline on the handles,
+with no ``dom``/``cod`` call per pair.  Public reads and messages
 decode handles and endpoint values, so a window keeps its ``CmObject``
 objects.
 """
@@ -148,12 +150,21 @@ def cm_source(m: int) -> FactorizationSource:
         b, k = g[0], g[3]
         return lambda h: (h[0] + b, h[1], h[2], k)
 
+    def bad(k, pairs):
+        """The first pair with dom h ≠ (x, i), cod g ≠ (y, j) or cod h ≠ dom g."""
+        a, x, i, j = k
+        y = (a + x) % m
+        for n, ((ga, gx, gi, gj), (ha, hx, hi, hj)) in enumerate(pairs):
+            if hx != x or hi != i or gj != j or hj != gi or (ha + hx) % m != gx or (ga + gx) % m != y:
+                return n
+        return None
+
     return FactorizationSource(factorizations, lambda k: (k[1], k[2]),
                                lambda k: ((k[0] + k[1]) % m, k[3]),
                                lambda x: (0, x[0], x[1], x[1]), row,
                                lambda f: validate_cm_morphism(m, f),
                                at=lambda k: _new(CmMorphism, k),
-                               obj=lambda x: _new(CmObject, x))
+                               obj=lambda x: _new(CmObject, x), bad=bad)
 
 
 class DmMorphism(NamedTuple):
@@ -206,11 +217,20 @@ def dm_source(m: int) -> FactorizationSource:
         alpha, x = divmod(k, m)
         return [((alpha - c + c % m) * m + c % m, c * m + x) for c in range(x, alpha + 1)]
 
+    def bad(k, pairs):
+        """The first pair with dom h ≠ x, cod g ≠ y or cod h ≠ dom g."""
+        x, y = k % m, k // m % m
+        for n, (g, h) in enumerate(pairs):
+            if h % m != x or g // m % m != y or h // m % m != g % m:
+                return n
+        return None
+
     return FactorizationSource(factorizations, lambda k: k % m, lambda k: k // m % m,
                                lambda x: x * m + x,
                                lambda g: ((g // m - g % m) * m).__add__,
                                lambda f: validate_dm_morphism(m, f),
-                               lambda f: f[0] * m + f[1], lambda k: _new(DmMorphism, divmod(k, m)))
+                               lambda f: f[0] * m + f[1], lambda k: _new(DmMorphism, divmod(k, m)),
+                               bad=bad)
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:

@@ -43,6 +43,8 @@ from mucat import (
     validate_dm_morphism,
 )
 import mucat.category
+import mucat.cm_dm
+from mucat.cli import main
 from mucat.lawvere import _both_routes
 
 from helpers import (
@@ -974,6 +976,154 @@ def test_source_refuses_a_bad_list_on_a_later_read(bad, message):
 def test_factor_slice_refuses_a_bad_pair_as_the_constructor_does(bad, message):
     with pytest.raises(InvalidSlice, match=f"^{re.escape(message)}$"):
         factor_slice(dm_slice(3, 9).morphisms, _one_bad_pair_source(bad))
+
+
+# -- list rules ----------------------------------------------------------------------
+
+def _planted(rules, factorizations, bad):
+    """A source on the handle, endpoint, identity and row rules of ``rules``
+    whose enumerator is ``factorizations`` and whose list rule is ``bad``;
+    None gives the default loop on ``dom`` and ``cod``."""
+    return FactorizationSource(factorizations, rules._dom.get, rules._cod.get, rules._ident.get,
+                               lambda g: rules._after[g].get, rules._validate,
+                               rules._number.get, rules._at.get, rules._obj, bad=bad)
+
+
+# fault: (the pair (g, h) of handles with the fault planted, whether it is
+# still composable); each moves one endpoint, so one clause of the rule fails
+CM_FAULTS = {
+    "right factor's residue": (lambda m, g, h: (g, (h[0] + m - 1, (h[1] + 1) % m, *h[2:])), True),
+    "right factor's level": (lambda m, g, h: (g, (*h[:2], h[2] - 1, h[3])), True),
+    "left factor's target residue": (lambda m, g, h: ((g[0] + 1, *g[1:]), h), True),
+    "left factor's target level": (lambda m, g, h: ((*g[:3], g[3] - 1), h), True),
+    "middle object's residue": (lambda m, g, h: (g, (h[0] + 1, *h[1:])), False),
+    "middle object's level": (lambda m, g, h: (g, (*h[:3], h[3] - 1)), False),
+}
+DM_FAULTS = {
+    "right factor's residue": (lambda m, g, h: (g, h - h % m + (h + 1) % m), True),
+    "left factor's target": (lambda m, g, h: (g + m, h), True),
+    "middle object": (lambda m, g, h: (g - g % m + (g + 1) % m, h), False),
+}
+LIST_RULE_CASES = [  # (m, source, k whose list is planted, f with k as a right factor, fault)
+    pytest.param(m, cm_source(m), CmMorphism(2, m - 1, -1, -4), CmMorphism(3, m - 1, -1, -5),
+                 fault, id=f"C_{m}: {name}")
+    for m in (2, 3, 5) for name, fault in CM_FAULTS.items()
+] + [
+    pytest.param(m, dm_source(m), DmMorphism(3 * m, m - 1), DmMorphism(4 * m, m - 1),
+                 fault, id=f"D_{m}: {name}")
+    for m in (2, 3, 5) for name, fault in DM_FAULTS.items()
+]
+
+
+@pytest.mark.parametrize("m, rules, k, f, fault", LIST_RULE_CASES)
+def test_list_rule_refuses_a_planted_pair_as_the_default_loop(m, rules, k, f, fault):
+    plant, composable = fault
+    code, at = rules._number[k], rules._at
+    pairs = rules._enumerate(code)
+    first = len(pairs) // 2  # planted there and in the last pair; the refusal names the first
+    listed = [plant(m, *pair) if n in (first, len(pairs) - 1) else pair
+              for n, pair in enumerate(pairs)]
+
+    def planted(h):
+        return listed if h == code else rules._enumerate(h)
+
+    by_rule, by_loop = _planted(rules, planted, rules._bad), _planted(rules, planted, None)
+    assert rules._bad(code, pairs) is None
+    assert by_rule._bad(code, listed) == by_loop._bad(code, listed) == first
+    g, h = at[listed[first][0]], at[listed[first][1]]
+    message = (f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints" if composable
+               else f"compose defined on non-composable pair ({g!r}, {h!r})")
+    for read, morphism in ((FactorizationSource.factorizations, k), (moebius_at, k),
+                           (moebius_via_lawvere, k), (moebius_at, f), (moebius_via_lawvere, f)):
+        for source in (by_rule, by_loop):
+            with pytest.raises(InvalidSlice) as caught:
+                read(source, morphism)
+            assert str(caught.value) == message
+
+
+def _handles(m, family):
+    """Handles of ``family`` ("C" or "D") in a small range, morphisms or not."""
+    if family == "D":
+        return st.integers(-2 * m, 30 * m)
+    return st.tuples(st.integers(-2, 8), st.integers(-1, m), st.integers(-8, 1), st.integers(-12, 1))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_list_rule_and_default_loop_name_the_same_first_pair(data):
+    # on k's own list or a list of any handles, with factors replaced by any
+    # handles, then with each planted fault at one pair: the rule reads what
+    # the loop reads
+    m, family = data.draw(st.integers(2, 6)), data.draw(st.sampled_from("CD"))
+    rules = (cm_source if family == "C" else dm_source)(m)
+    loop = _planted(rules, rules._enumerate, None)._bad
+    x = data.draw(st.integers(0, m - 1))
+    if family == "D":
+        code = data.draw(st.integers(x, x + 12)) * m + x
+    else:
+        i = data.draw(st.integers(-4, 0))
+        j = data.draw(st.integers(i - 5, i))
+        code = (data.draw(st.integers(0, i - j)), x, i, j)
+    pairs = list(rules._enumerate(code))
+    handle = _handles(m, family)
+    if data.draw(st.integers(0, 3)) == 0:
+        pairs = data.draw(st.lists(st.tuples(handle, handle), max_size=6))
+    for _ in range(data.draw(st.integers(0, 2)) if pairs else 0):
+        n, new = data.draw(st.integers(0, len(pairs) - 1)), data.draw(handle)
+        g, h = pairs[n]
+        pairs[n] = data.draw(st.sampled_from([(new, h), (g, new)]))
+    assert rules._bad(code, pairs) == loop(code, pairs)
+    if pairs:
+        n = data.draw(st.integers(0, len(pairs) - 1))
+        for plant, _ in (CM_FAULTS if family == "C" else DM_FAULTS).values():
+            moved = [*pairs[:n], plant(m, *pairs[n]), *pairs[n + 1:]]
+            assert rules._bad(code, moved) == loop(code, moved)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu-cm", "--m", "2", "3,1,0,-8", "--verify"],
+    ["mu-cm", "--m", "5", "12,3,0,-30", "--verify"],
+    ["mu-dm", "--m", "2", "30,0", "--verify"],
+    ["mu-dm", "--m", "3", "40,2", "--verify"],
+], ids=lambda argv: " ".join(argv[:4]))
+@pytest.mark.parametrize("stated", [True, False], ids=["list rule", "default loop"])
+def test_verify_checks_source_lists_with_no_endpoint_call(argv, stated, monkeypatch, capsys):
+    # cm_source and dm_source check each list by their stated rule, which reads
+    # handles inline; with the rule dropped, the default loop calls dom and cod
+    # per pair, and the output is the same
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    calls, inside = Counter(), []
+
+    class Spied(FactorizationSource):
+        __slots__ = ()
+
+        def __init__(self, factorizations, dom, cod, *rules, bad=None, **named):
+            def counted(rule):
+                def read(k):
+                    calls["in a list check" if inside else "elsewhere"] += 1
+                    return rule(k)
+                return read
+
+            super().__init__(factorizations, counted(dom), counted(cod), *rules,
+                             bad=bad if stated else None, **named)
+            checked = self._facts.get
+
+            def listed(k):
+                calls["lists"] += 1
+                inside.append(k)
+                try:
+                    return checked(k)
+                finally:
+                    inside.pop()
+
+            self._facts = mucat.category._Rule(listed)
+
+    monkeypatch.setattr(mucat.cm_dm, "FactorizationSource", Spied)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert calls["lists"] > 10 and calls["elsewhere"] > 0
+    assert (calls["in a list check"] == 0) is stated
 
 
 def _wrong_identity_source():

@@ -66,7 +66,7 @@ from test_category import (
     idempotent_endo_category,
     iso_pair_category,
 )
-from test_semigroups import ORDER_CORPUS
+from test_semigroups import ORDER_CORPUS, order_corpus
 
 
 # -- interval construction ----------------------------------------------------
@@ -279,8 +279,10 @@ def test_moebius_test_rejects_iso_pair():
     (idempotent_endo_category, False),
     (lambda: poset_as_category(_top_first(boolean_lattice(3))), True),
     (lambda: poset_as_category(_top_first(divisor_poset(12))), True),
-    (lambda: division_category(*ORDER_CORPUS["Brandt B_3"]), True),
-], ids=["iso_pair", "idempotent_endo", "B3_top_first", "D12_top_first", "division_brandt_3"])
+    (lambda: division_category(*order_corpus("Brandt B_3", check=False)), True),
+    (lambda: division_category(*order_corpus("Brandt B_3", check=True)), True),
+], ids=["iso_pair", "idempotent_endo", "B3_top_first", "D12_top_first", "division_brandt_3",
+        "marked_division_brandt_3"])
 def test_one_way_test_matches_the_definition(make, expected):
     c = make()
     verdicts = [is_one_way(lawvere_interval(c, f)) for f in c.morphisms]
@@ -456,8 +458,11 @@ PARITY_CASES = {
     "dm_slice(3, 14)": lambda: (dm_slice(3, 14), None),
     "cm_source(3)": lambda: (cm_source(3), cm_slice(3, -5)),
     "dm_source(2)": lambda: (dm_source(2), dm_slice(2, 24)),
-    **{f"division {name}": (lambda s=s, t=t: (division_category(s, t), None))
-       for name, (s, t) in ORDER_CORPUS.items()},
+    **{f"division {name}": (lambda name=name: (division_category(*order_corpus(name, False)), None))
+       for name in ORDER_CORPUS},
+    **{f"marked division {name}": (lambda name=name: (division_category(*order_corpus(name, True)),
+                                                     None))
+       for name in ORDER_CORPUS},
     "poset D12": lambda: (poset_as_category(divisor_poset(12)), None),
     "poset B3 top-first": lambda: (poset_as_category(_top_first(boolean_lattice(3))), None),
     # a and b have two minimal upper bounds, c and d: not a lattice
@@ -575,11 +580,6 @@ def _lists_a_right_factor_twice(c) -> bool:
     return any(len({v for _, v in pairs}) < len(pairs) for pairs in c._facts)
 
 
-def _fresh(s):
-    """A copy of the semigroup s that no check has read."""
-    return InverseSemigroup(s.elements, [[s.elements[k] for k in row] for row in s._table])
-
-
 def _letter_slice(objects, ends, compose):
     """The slice on one-letter objects whose morphisms run as ``ends`` says
     (dom then cod), with the entries ``compose``, then every identity entry;
@@ -618,12 +618,12 @@ KEYED_CORPUS = {
     "cm_slice(2,-6)": lambda: cm_slice(2, -6),
     "poset D12": lambda: poset_as_category(divisor_poset(12)),
     "poset B3 top-first": lambda: poset_as_category(_top_first(boolean_lattice(3))),
-    **{f"division {name}": (lambda s=s, t=t: division_category(_fresh(s), t))
-       for name, (s, t) in ORDER_CORPUS.items()},
+    **{f"division {name}": (lambda name=name: division_category(*order_corpus(name, check=False)))
+       for name in ORDER_CORPUS},
     "opposite cm_slice(3,-4)": lambda: opposite(cm_slice(3, -4)),
     # POI_4's division category lists a left factor twice: its opposite mixes both walks
-    "opposite division POI_4": lambda: opposite(division_category(*ORDER_CORPUS["POI_4"]),
-                                                random.Random(35)),
+    "opposite division POI_4": lambda: opposite(
+        division_category(*order_corpus("POI_4", check=False)), random.Random(35)),
     "iso pair": iso_pair_category,
     "idempotent endo": idempotent_endo_category,
     "u∘v = u2∘v": _two_left_factors,
@@ -697,7 +697,8 @@ def test_keyed_walk_counts_a_hom_set_with_two_elements():
 
 @pytest.mark.parametrize(
     "base",
-    [cm_slice(2, -3), poset_as_category(divisor_poset(12)), division_category(*ORDER_CORPUS["Brandt B_3"])],
+    [cm_slice(2, -3), poset_as_category(divisor_poset(12)),
+     division_category(*order_corpus("Brandt B_3", check=False))],
     ids=["cm_slice(2,-3)", "poset(divisors 12)", "division(Brandt B_3)"],
 )
 def test_planted_edits_get_the_verdict_only_when_associative_and_total(base):
@@ -777,8 +778,7 @@ def test_walk_by_composite_on_a_partial_table_matches_the_definition(make, holed
 
 
 def test_division_category_takes_its_semigroups_verdict():
-    s, transversal = ORDER_CORPUS["boolean B_4"]
-    s = _fresh(s)
+    s, transversal = order_corpus("boolean B_4", check=False)
     assert not division_category(s, transversal)._associative  # no check has run
     assert find_semigroup_violation(s) is None
     checked = division_category(s, transversal)
@@ -792,9 +792,7 @@ def test_division_category_takes_its_semigroups_verdict():
 
 
 def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
-    s, transversal = ORDER_CORPUS["boolean B_4"]
-    assert find_semigroup_violation(s) is None
-    c = division_category(s, transversal)
+    c = division_category(*order_corpus("boolean B_4", check=True))
     mu = moebius_of_slice(c)
     assert all(moebius_via_lawvere(c, f) == mu[f] for f in c.morphisms)
     assert c._after == []  # walked by right factor: no composite was read
@@ -824,12 +822,9 @@ def _law_spy(monkeypatch):
 
 
 def _fresh_division(name, check=True):
-    """(s, division category) for a fresh copy s of ORDER_CORPUS[name]'s
-    semigroup, checked, so that the category is marked, unless check is False."""
-    s, transversal = ORDER_CORPUS[name]
-    s = _fresh(s)
-    if check:
-        assert find_semigroup_violation(s) is None
+    """(s, division category) for a fresh semigroup s of ORDER_CORPUS[name],
+    checked, so that the category is marked, unless check is False."""
+    s, transversal = order_corpus(name, check)
     return s, division_category(s, transversal)
 
 

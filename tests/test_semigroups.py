@@ -490,18 +490,28 @@ def test_division_category_passes_validation_across_corpus():
         assert find_slice_violation(division_category(s)) is None
 
 
-ORDER_CORPUS = {
-    "boolean B_4": (meet_semilattice(boolean_lattice(4)), None),
-    "divisors of 60": (meet_semilattice(divisor_poset(60)), None),
-    "POI_4": (poi(4), partial_identities(4)),
-    "Brandt B_3": (brandt(3), ["e11", "z"]),
-    "partitions Π_4": (InverseSemigroup.from_json(partition_lattice_json(4)), None),
+ORDER_CORPUS = {  # factories, so that a check run in one test marks no semigroup of another
+    "boolean B_4": lambda: (meet_semilattice(boolean_lattice(4)), None),
+    "divisors of 60": lambda: (meet_semilattice(divisor_poset(60)), None),
+    "POI_4": lambda: (poi(4), partial_identities(4)),
+    "Brandt B_3": lambda: (brandt(3), ["e11", "z"]),
+    "partitions Π_4": lambda: (InverseSemigroup.from_json(partition_lattice_json(4)), None),
 }
+
+
+def order_corpus(name, check):
+    """(s, transversal) for a fresh semigroup s of ORDER_CORPUS[name], checked
+    iff ``check``, so that its division categories are marked iff ``check``."""
+    s, transversal = ORDER_CORPUS[name]()
+    if check:
+        assert find_semigroup_violation(s) is None
+    assert s._associative is check
+    return s, transversal
 
 
 @pytest.mark.parametrize("name", list(ORDER_CORPUS))
 def test_division_category_is_the_definition_listed_by_decreasing_ideal(name):
-    s, transversal = ORDER_CORPUS[name]
+    s, transversal = order_corpus(name, check=False)
     c = division_category(s, transversal)
     source = {x: s.mul(s.inverse(x), x) for x in s.elements}
     target = {x: s.mul(x, s.inverse(x)) for x in s.elements}
@@ -525,10 +535,14 @@ def test_division_category_is_the_definition_listed_by_decreasing_ideal(name):
     assert c.morphisms == tuple(f for fs in by_object for f in sorted(fs, key=lambda f: -ideal[f[0]]))
 
 
-@pytest.mark.parametrize("name", list(ORDER_CORPUS))
-def test_interval_posets_of_division_categories_need_no_relabelling(name, monkeypatch):
-    s, transversal = ORDER_CORPUS[name]
-    c = division_category(s, transversal)
+@pytest.mark.parametrize(
+    "name, check",
+    [pytest.param(name, check, id=f"marked {name}" if check else name)
+     for check in (False, True) for name in ORDER_CORPUS],
+)
+def test_interval_posets_of_division_categories_need_no_relabelling(name, check, monkeypatch):
+    c = division_category(*order_corpus(name, check))
+    assert c._associative is check
 
     def refuse(masks, order):
         raise AssertionError("factorizations are not listed in a linear extension")
@@ -542,7 +556,7 @@ def test_interval_posets_of_division_categories_need_no_relabelling(name, monkey
 @pytest.mark.parametrize("name", list(ORDER_CORPUS))
 def test_division_categories_pass_the_one_way_shortcut(name, monkeypatch):
     # the objects come in a linear extension, so the masks are never transposed
-    c = division_category(*ORDER_CORPUS[name])
+    c = division_category(*order_corpus(name, check=False))
 
     def refuse(masks):
         raise AssertionError("objects are not listed in a linear extension")
