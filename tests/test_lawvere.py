@@ -458,11 +458,9 @@ PARITY_CASES = {
     "dm_slice(3, 14)": lambda: (dm_slice(3, 14), None),
     "cm_source(3)": lambda: (cm_source(3), cm_slice(3, -5)),
     "dm_source(2)": lambda: (dm_source(2), dm_slice(2, 24)),
-    **{f"division {name}": (lambda name=name: (division_category(*order_corpus(name, False)), None))
-       for name in ORDER_CORPUS},
-    **{f"marked division {name}": (lambda name=name: (division_category(*order_corpus(name, True)),
-                                                     None))
-       for name in ORDER_CORPUS},
+    **{f"{'marked ' if check else ''}division {name}":
+       (lambda name=name, check=check: (division_category(*order_corpus(name, check)), None))
+       for check in (False, True) for name in ORDER_CORPUS},
     "poset D12": lambda: (poset_as_category(divisor_poset(12)), None),
     "poset B3 top-first": lambda: (poset_as_category(_top_first(boolean_lattice(3))), None),
     # a and b have two minimal upper bounds, c and d: not a lattice
