@@ -18,7 +18,7 @@ Möbius function μ, the convolution inverse of zeta, takes ``int`` values.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import itemgetter
 from typing import Any
@@ -233,7 +233,8 @@ def _rows(c):
 
 class _Compose(Mapping):
     """A slice's composition table read by morphism, (g, h) -> g∘h, in table
-    order; read-only, it translates the numbered rows on each read."""
+    order; read-only, each read (``Mapping``'s ``items`` too) translates the
+    numbered rows."""
 
     __slots__ = ("_after", "_facts", "_order", "_number", "_at")
 
@@ -256,9 +257,6 @@ class _Compose(Mapping):
     def __len__(self):
         return sum(map(len, self._facts))
 
-    def items(self):  # each entry translated once, not looked up again by key
-        return _ComposeItems(self)
-
     def _numbered(self):
         """Each entry (g, h, g∘h) by number, in table order: as ``_order``
         lists the pairs, or by composite."""
@@ -266,12 +264,6 @@ class _Compose(Mapping):
             return ((g, h, k) for k, pairs in enumerate(self._facts) for g, h in pairs)
         after = _rows(self)
         return ((g, h, after[g][h]) for g, h in self._order)
-
-
-class _ComposeItems(ItemsView):
-    def __iter__(self):
-        at = self._mapping._at
-        return (((at[g], at[h]), at[k]) for g, h, k in self._mapping._numbered())
 
 
 def _same(f):

@@ -46,7 +46,7 @@ class LawvereInterval:
     iff some morphism connects ``objects[i]`` to ``objects[j]``, and
     ``_more`` counts the elements of each hom-set with two or more, keyed
     (i, j).  The ``homs`` dict, keyed (source, target) source-major then
-    target in object order, is re-walked from the subject's handle ``_root``.
+    target in object order, is read off composites by a walk from ``_root``.
     """
 
     __slots__ = ("subject", "objects", "_up", "_more", "_c", "_root", "_homs")
@@ -76,8 +76,8 @@ class LawvereInterval:
 
 def _walk(c, root, found=None, eta=None):
     """The factorizations ``pairs`` of c's handle ``root``, how many distinct
-    pairs they hold, and ``_up`` and ``_more`` on them, appending each
-    connecting h to found[i, j] if found is a dict.  h connects (u, v) to
+    pairs they hold, and ``_up`` and ``_more`` on them; a walk given a dict
+    found appends each connecting h to found[i, j].  h connects (u, v) to
     (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
     the factorizations of each v' (``pairs`` for the root) finds every
     morphism into (u', v'), each hom-set in slice order: u'∘h is read from
@@ -94,12 +94,12 @@ def _walk(c, root, found=None, eta=None):
     for (u', v') in the root's list and (h, v) in v''s,
     (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
     (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
-    alone: no composite is read.  A source carries no verdict, so its walk
-    reads every composite."""
+    alone: no composite is read.  A walk given found, and a source's walk
+    (a source carries no verdict), read every composite."""
     pairs = c._facts[root]
     position = dict(zip([v for _, v in pairs], range(len(pairs))))  # the last pair ending in v
     once = len(position) == len(pairs)  # each right factor listed once
-    keyed = once and c._associative
+    keyed = once and c._associative and found is None
     if not keyed:
         after, lefts, earlier = _rows(c), [u for u, _ in pairs], [None] * len(pairs)
         if not once:  # chain each pair to the one before it with the same right factor
@@ -119,8 +119,6 @@ def _walk(c, root, found=None, eta=None):
                     more[i, j] = more.get((i, j), 1) + 1
                 else:
                     up[i] |= bit
-                if found is not None:
-                    found.setdefault((i, j), []).append(h)
         else:
             row = after[u2].get
             for h, v in below:

@@ -32,11 +32,11 @@ from .poset import FinitePoset
 class InverseSemigroup:
     """A finite semigroup given by its full multiplication table.
 
-    ``_table[i][j]`` is the position of elements[i] · elements[j]; names are
-    read and written only at the public surface.  The inverse map is derived
-    by exhaustive search, not supplied.  ``find_semigroup_violation`` checks
-    that the table really is an inverse semigroup; accessors that need
-    inverses raise InvalidSemigroup otherwise.
+    ``_table[i][j]`` is the position of elements[i] · elements[j], in tuple
+    rows every check reads as stored; names are read and written only at the
+    public surface.  The inverse map is derived by search, not supplied.
+    ``find_semigroup_violation`` checks that the table really is an inverse
+    semigroup; accessors that need inverses raise InvalidSemigroup otherwise.
     """
 
     __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups", "_associative")
@@ -50,7 +50,7 @@ class InverseSemigroup:
         rows = [list(row) for row in table]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidSemigroup(f"table must be {n}x{n}")
-        self._table = [[index.get(entry) for entry in row] for row in rows]
+        self._table = [tuple([index.get(entry) for entry in row]) for row in rows]
         for names, row in zip(rows, self._table):
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
@@ -99,9 +99,9 @@ class InverseSemigroup:
 
     def identity(self):
         """The identity element if one exists, else None; detected on each call."""
-        table, ident = self._table, list(range(len(self.elements)))
+        table, ident = self._table, tuple(range(len(self.elements)))
         return next((self.elements[k] for k, row in enumerate(table)
-                     if row == ident and [r[k] for r in table] == ident), None)
+                     if row == ident and tuple([r[k] for r in table]) == ident), None)
 
     def d_classes(self) -> list[list]:
         """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹.
@@ -209,7 +209,7 @@ def find_semigroup_violation(s: InverseSemigroup) -> str | None:
     pairwise: in a semigroup where every element has exactly one inverse
     they commute (Howie, *Fundamentals of Semigroup Theory*, 1995,
     Thm 5.1.1)."""
-    rows, name = [tuple(row) for row in s._table], s.elements
+    rows, name = s._table, s.elements
     # a one-element table is associative, and itemgetter of one index returns no tuple
     for g in _generators(rows) if len(rows) > 1 else ():
         through = itemgetter(*rows[g])

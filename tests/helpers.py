@@ -487,12 +487,14 @@ def bf_lawvere_homs(c, f) -> dict:
     h∘v = v' and u'∘h = u.  Keys are (u, v, f) triples, source-major then
     target, factorizations ordered by right factor, then by left factor, each
     in slice morphism order (the order ``factorizations`` lists them only when
-    the table was filled right factor major).  Each hom-set is in slice order."""
+    the table was filled right factor major).  Each hom-set is in slice order.
+    Only pairs h: dom f -> x, g: x -> cod f are tried: a slice refuses an
+    entry with other endpoints."""
     objects = [
         (g, h, f)
-        for h in c.morphisms
-        for g in c.morphisms
-        if c.dom[g] == c.cod[h] and c.compose.get((g, h)) == f
+        for h in c.morphisms_from(c.dom[f])
+        for g in c.hom(c.cod[h], c.cod[f])
+        if c.compose.get((g, h)) == f
     ]
     homs = {}
     for a in objects:

@@ -564,14 +564,9 @@ class _CountingRow(dict):
 
 def _walks(c):
     """Each morphism's walk on c (its pairs, how many distinct pairs they
-    hold, its masks and the connecting morphisms it finds) and how many
-    composites the walks read."""
+    hold and its masks) and how many composites the walks read."""
     table = c._after = _CountingRows(_rows(c))
-    walks = []
-    for k in range(len(c.morphisms)):
-        found = {}
-        walks.append((*_walk(c, k, found), found))
-    return walks, table.reads
+    return [_walk(c, k) for k in range(len(c.morphisms))], table.reads
 
 
 def _lists_a_right_factor_twice(c) -> bool:
@@ -684,10 +679,9 @@ def test_keyed_walk_counts_a_hom_set_with_two_elements():
         with pytest.raises(NotThin) as caught:
             moebius_via_lawvere(c, "f")
         assert str(caught.value) == f"hom-set {(source, target)!r} has 2 elements"
-        table, found = _CountingRows(_rows(c)), {}
-        c._after = table
-        pairs, _, up, more = _walk(c, c.morphisms.index("f"), found)
-        walks.append(((pairs, up, more, found), table.reads))
+        table = c._after = _CountingRows(_rows(c))
+        pairs, _, up, more = _walk(c, c.morphisms.index("f"))
+        walks.append(((pairs, up, more), table.reads))
     (keyed, keyed_reads), (walked, reads) = walks
     assert keyed == walked and keyed_reads == 0 < reads
     assert list(keyed[2].values()) == [2]  # _more: one hom-set, with two elements
@@ -798,6 +792,28 @@ def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
     at = c.morphisms
     assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after) for h, k in row.items()} == dict(
         c.compose.items())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cm_slice(5, -10),
+     *[lambda name=name: division_category(*order_corpus(name, check=True))
+       for name in ORDER_CORPUS]],
+    ids=["marked cm_slice(5,-10)", *[f"marked division {name}" for name in ORDER_CORPUS]],
+)
+def test_marked_routes_read_no_composite_and_homs_read_them(make):
+    # the routes and the interval's masks stay on the keyed walk; the hom-sets,
+    # which no route reads, come from the walk by composite
+    c = make()
+    assert c._associative
+    table = c._after = _CountingRows(_rows(c))
+    for f in c.morphisms:
+        moebius_via_lawvere(c, f)
+        iv = lawvere_interval(c, f)
+        assert table.reads == 0, f
+        assert iv.homs == bf_lawvere_homs(c, f), f
+        assert table.reads > 0, f
+        table.reads = 0
 
 
 # -- the transitivity proof ---------------------------------------------------------

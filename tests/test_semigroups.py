@@ -535,6 +535,23 @@ def test_division_category_is_the_definition_listed_by_decreasing_ideal(name):
     assert c.morphisms == tuple(f for fs in by_object for f in sorted(fs, key=lambda f: -ideal[f[0]]))
 
 
+@pytest.mark.parametrize("name", list(ORDER_CORPUS))
+def test_compose_view_of_an_unread_division_category_is_its_definition(name):
+    # Mapping's items() on a checked division category whose rows were never
+    # built: each entry once, in table order (composite major, as listed)
+    s, transversal = order_corpus(name, check=True)
+    c = division_category(s, transversal)
+    assert c._after == []
+    table = bf_compose(c, lambda g, f: (s.mul(g[0], f[0]), f[1]))
+    items = list(c.compose.items())
+    assert items == [((g, h), f) for f in c.morphisms for g, h in c.factorizations(f)]
+    assert dict(items) == table and len(c.compose) == len(table)
+    misses = [(f, g) for (g, f) in table if (f, g) not in table]
+    assert misses  # some pair is not composable either way round
+    for key in [*table, *misses, ("no", "such"), (c.morphisms[0],), "x", None]:
+        assert (key in c.compose) is (key in table), key
+
+
 @pytest.mark.parametrize(
     "name, check",
     [pytest.param(name, check, id=f"marked {name}" if check else name)
@@ -785,6 +802,19 @@ def test_identity_is_detected_once():
     for p in (B2, boolean_lattice(3), fork_poset(), chain(["f", "e"])):
         s = meet_semilattice(p)
         assert s.identity() == bf_top(p)
+
+
+def test_identity_is_the_element_every_product_keeps():
+    # a brute-force search through mul; of the corpus only Brandt B_3 has none
+    missing = []
+    for name, make in ORDER_CORPUS.items():
+        s = make()[0]
+        one = next((e for e in s.elements
+                    if all(s.mul(e, x) == x == s.mul(x, e) for x in s.elements)), None)
+        assert s.identity() == one, name
+        if one is None:
+            missing.append(name)
+    assert missing == ["Brandt B_3"]
 
 
 def test_semigroup_json_rejects_unknown_keys():
