@@ -547,7 +547,7 @@ def test_compose_view_of_an_unread_division_category_is_its_definition(name):
     assert items == [((g, h), f) for f in c.morphisms for g, h in c.factorizations(f)]
     assert dict(items) == table and len(c.compose) == len(table)
     misses = [(f, g) for (g, f) in table if (f, g) not in table]
-    assert misses  # some pair is not composable either way round
+    assert misses  # entries read the other way round that the table does not hold
     for key in [*table, *misses, ("no", "such"), (c.morphisms[0],), "x", None]:
         assert (key in c.compose) is (key in table), key
 
