@@ -45,7 +45,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
         "_number", "_at", "_after", "_facts", "_dom", "_cod", "_ident",
-        "_groups", "_moebius", "_one_way", "_quotients", "_associative",
+        "_groups", "_one_way", "_quotients", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -110,7 +110,6 @@ class CategorySlice:
         if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
         self._groups = None
-        self._moebius = None
         self._one_way = None
         self._quotients: dict = {}
         self._associative = False
@@ -583,7 +582,7 @@ class IncidenceFunction(Mapping):
     slice order.  The constructor checks once that ``values`` gives every
     morphism of ``c`` an exact value; keys outside ``c`` are dropped."""
 
-    # _number: the slice's numbering, not the slice, so a slice's cached μ forms no cycle
+    # _number: the slice's numbering, which ``_row`` compares by identity
     __slots__ = ("_number", "_row")
 
     def __init__(self, c: CategorySlice, values: Mapping):
@@ -680,14 +679,12 @@ def moebius_of_slice(c: CategorySlice) -> IncidenceFunction:
     ``_invert_from``'s recursion run from each morphism in slice order.
 
     Raises IncompleteSlice unless every morphism is complete, and NotMoebius
-    as ``_invert_from`` does.  Cached on the slice (deterministic, idempotent).
+    as ``_invert_from`` does.
     """
-    if c._moebius is None:
-        if len(c.complete) != len(c.morphisms):
-            raise IncompleteSlice("convolution inverse needs every morphism complete")
-        eta: dict = {}
-        for root in range(len(c.morphisms)):
-            if root not in eta:
-                _invert_from(c, eta, root)
-        c._moebius = IncidenceFunction(c, {c.morphisms[f]: value for f, value in eta.items()})
-    return c._moebius
+    if len(c.complete) != len(c.morphisms):
+        raise IncompleteSlice("convolution inverse needs every morphism complete")
+    eta: dict = {}
+    for root in range(len(c.morphisms)):
+        if root not in eta:
+            _invert_from(c, eta, root)
+    return IncidenceFunction(c, {c.morphisms[f]: value for f, value in eta.items()})

@@ -97,7 +97,7 @@ def cmd_mu(args) -> int:
     if not args.verify:
         _emit(args, [str(closed)], {"mu": closed})
         return 0
-    law, conv = _both_routes(source(args.m), f, {})
+    law, conv = _both_routes(source(args.m), f)
     return _agreement(args, {"closed_form": closed, "lawvere": law, "convolution": conv})
 
 

@@ -117,12 +117,13 @@ def cm_slice(m: int, level_min: int) -> CategorySlice:
 
 
 def cm_moebius_closed_form(f: CmMorphism) -> int:
-    """The closed-form Möbius value of (a, x, i, j).
+    """The closed-form Möbius value of (a, x, i, j), a CmMorphism or its field tuple.
 
-    Raises ValueError unless i, j <= 0 and 0 <= a <= i - j; the residue x
-    does not enter the value and is not checked (that needs the modulus).
+    Raises ValueError unless f holds four ints with i, j <= 0 and
+    0 <= a <= i - j, in the validator's words; the residue x does not enter
+    the value and is not checked (that needs the modulus).
     """
-    a, _, i, j = f
+    a, _, i, j = _by_index(f, CmMorphism)
     _require_cm_shape(a, i, j)
     if (a == 0 and j == i) or (a == 1 and j == i - 2):
         return 1
@@ -183,6 +184,11 @@ def validate_dm_morphism(m: int, f: DmMorphism) -> None:
     alpha, x = _by_index(f, DmMorphism)
     if not 0 <= x < m:
         raise ValueError(f"residue {x} not in [0, {m})")
+    _require_dm_shape(alpha, x)
+
+
+def _require_dm_shape(alpha: int, x: int) -> None:
+    """The modulus-free part of validate_dm_morphism: alpha >= x."""
     if alpha < x:
         raise ValueError(f"alpha={alpha} is below the canonical representative {x}")
 
@@ -234,8 +240,13 @@ def dm_source(m: int) -> FactorizationSource:
 
 
 def dm_moebius_closed_form(f: DmMorphism) -> int:
-    """The closed-form Möbius value of (alpha, x)."""
-    alpha, x = f
+    """The closed-form Möbius value of (alpha, x), a DmMorphism or its field tuple.
+
+    Raises ValueError unless f holds two ints with alpha >= x, in the
+    validator's words; the residue x is not checked (that needs the modulus).
+    """
+    alpha, x = _by_index(f, DmMorphism)
+    _require_dm_shape(alpha, x)
     if alpha == x:
         return 1
     if alpha == x + 1:

@@ -218,9 +218,10 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
     return k, linear, _moebius_to(linear, len(linear) - 1)[0]
 
 
-def _both_routes(c: CategorySlice | FactorizationSource, f, eta: dict) -> tuple:
+def _both_routes(c: CategorySlice | FactorizationSource, f) -> tuple:
     """(``moebius_via_lawvere``, ``moebius_at``) of f, raising as the two in
-    turn; the walk fills eta, and ``_invert_from`` fills its gaps."""
+    turn, from one walk that fills a fresh μ table; ``_invert_from`` fills its gaps."""
+    eta: dict = {}
     k, _, law = _position_route(c, f, eta)
     if k not in eta:
         _invert_from(c, eta, k)

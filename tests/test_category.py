@@ -893,7 +893,7 @@ def test_shared_pass_enumerates_each_list_once(counted, plain, f):
     read = {f, *(h for _, h in plain.factorizations(f))}  # the lists both routes read
     in_turn, turn_count = counted()
     shared, count = counted()
-    assert _both_routes(shared, f, {}) == (moebius_via_lawvere(in_turn, f), moebius_at(in_turn, f))
+    assert _both_routes(shared, f) == (moebius_via_lawvere(in_turn, f), moebius_at(in_turn, f))
     assert len(read) > 10
     assert _per_list(count) == dict.fromkeys(read, 1)
     assert _per_list(turn_count) == dict.fromkeys(read, 2)  # the two routes in turn
@@ -1366,7 +1366,7 @@ def test_moebius_values_are_integers():
                          *((c, c.morphisms) for c in slices)):
         for f in morphisms:
             assert type(moebius_at(c, f)) is int
-            assert [type(value) for value in _both_routes(c, f, {})] == [int, int]
+            assert [type(value) for value in _both_routes(c, f)] == [int, int]
 
 
 def test_moebius_is_one_on_identities():

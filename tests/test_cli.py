@@ -479,8 +479,8 @@ def test_single_morphism_disagreement_report(capsys, monkeypatch, argv, route, t
     # the shared pass returns (Lawvere value, convolution value); route 0 or 1 reads 7
     real = cli._both_routes
 
-    def one_route_wrong(c, f, eta):
-        values = list(real(c, f, eta))
+    def one_route_wrong(c, f):
+        values = list(real(c, f))
         values[route] = 7
         return tuple(values)
 

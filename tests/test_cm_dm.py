@@ -191,15 +191,21 @@ def test_closed_form_cases():
     assert cm_moebius_closed_form(CmMorphism(0, 0, 0, -2)) == 0
 
 
+def _refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
 @pytest.mark.parametrize(
     "f",
     [CmMorphism(-5, 0, 3, 7), CmMorphism(-1, 0, 0, -2), CmMorphism(3, 0, 0, -2),
-     CmMorphism(0, 0, 1, 0), CmMorphism(0, 0, 0, 1)],
+     CmMorphism(0, 0, 1, 0), CmMorphism(0, 0, 0, 1), (1.5, 0, 0, -2), (2, 0, 0), (0, 0, 0, 0, 0)],
     ids=str,
 )
 def test_closed_form_rejects_invalid_morphisms(f):
-    with pytest.raises(ValueError):
-        cm_moebius_closed_form(f)
+    # the residue 0 is valid for any modulus, so the validator refuses f for the same reason
+    assert _refusal(cm_moebius_closed_form, f) == _refusal(validate_cm_morphism, 2, f)
 
 
 # -- factorization enumeration -------------------------------------------------------
@@ -351,7 +357,7 @@ def test_cm_source_walks_decode_no_object(m, f, monkeypatch):
     # the source checks and composes on plain (residue, level) tuples
     made = _objects_made(monkeypatch)
     source = cm_source(m)
-    assert _both_routes(source, f, {}) == (cm_moebius_closed_form(f),) * 2
+    assert _both_routes(source, f) == (cm_moebius_closed_form(f),) * 2
     assert source.factorizations(f)
     assert made == []
 
@@ -413,6 +419,12 @@ def test_dm_closed_form():
     assert dm_moebius_closed_form(DmMorphism(2, 2)) == 1
     assert dm_moebius_closed_form(DmMorphism(3, 2)) == -1
     assert dm_moebius_closed_form(DmMorphism(5, 2)) == 0
+
+
+@pytest.mark.parametrize(
+    "f", [DmMorphism(1, 2), (0, 1), (2.0, 1), (True, 0), (3,), (3, 1, 0)], ids=str)
+def test_dm_closed_form_rejects_invalid_morphisms(f):
+    assert _refusal(dm_moebius_closed_form, f) == _refusal(validate_dm_morphism, 3, f)
 
 
 def test_dm_slice_is_valid_and_complete():

@@ -164,7 +164,7 @@ def test_source_holds_no_lists():
     # keeping the 401 lists both routes read would take 16 MB
     f = DmMorphism(400, 0)
     for routes in (lambda s: (moebius_via_lawvere(s, f), moebius_at(s, f)),
-                   lambda s: _both_routes(s, f, {})):
+                   lambda s: _both_routes(s, f)):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -199,11 +199,11 @@ def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatc
     window = dm_slice(3, 14)
     reversed_lists = _dm3_source(lambda k: D3._enumerate(k)[::-1])
     for f in window.morphisms:
-        assert _both_routes(reversed_lists, f, {}) == _in_turn(reversed_lists, f)
+        assert _both_routes(reversed_lists, f) == _in_turn(reversed_lists, f)
     assert fallbacks == [f for f in window.morphisms if f.alpha != f.x]
     fallbacks.clear()
     for f in window.morphisms:  # lists in the enumerator's order need no fallback
-        assert _both_routes(_dm3_source(), f, {}) == _in_turn(_dm3_source(), f)
+        assert _both_routes(_dm3_source(), f) == _in_turn(_dm3_source(), f)
     assert fallbacks == []
 
 
@@ -231,7 +231,7 @@ def test_shared_pass_refuses_as_the_two_routes_in_turn(make, morphisms):
     refused = 0
     for f in morphisms:  # fresh for each call: neither starts from the other's slice caches
         expected = _values_or_error(_in_turn, make(), f)
-        assert _values_or_error(lambda c, f: _both_routes(c, f, {}), make(), f) == expected
+        assert _values_or_error(_both_routes, make(), f) == expected
         refused += isinstance(expected[0], type)
     assert refused
 
@@ -640,7 +640,7 @@ def test_keyed_walk_equals_the_walk_by_composite(name):
         homs = lawvere_interval(checked, f).homs
         assert homs == lawvere_interval(plain, f).homs
         assert homs == bf_lawvere_homs(checked, f), f  # an opposite lists pairs in its own order
-        for routes in (_in_turn, lambda c, f: _both_routes(c, f, {})):
+        for routes in (_in_turn, _both_routes):
             assert _values_or_error(routes, checked, f) == _values_or_error(routes, plain, f), f
 
 
