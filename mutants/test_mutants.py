@@ -25,6 +25,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LAWVERE, POSET = "tests/test_lawvere.py", "tests/test_poset.py"
 SEMIGROUPS, CATEGORY = "tests/test_semigroups.py", "tests/test_category.py"
+CLI = "tests/test_cli.py"
+PLANTED = f"{CATEGORY}::test_list_rule_refuses_a_planted_pair_as_the_default_loop"
+SPIED = f"{CATEGORY}::test_verify_checks_source_lists_with_no_endpoint_call[list rule-"
+HALL = f"{POSET}::test_top_column_of_an_ordinal_sum_matches_hall_s_closed_form"
+
+
+def _clauses_dropped(owner, file, rule, faults, indent):
+    """One row per clause of ``owner``'s list rule ``rule``, an ``if`` on one
+    line of ``file``: the clause dropped, caught by the planted pairs in
+    ``faults`` at the clause's position, the faults only that clause refuses."""
+    clauses, rows = rule.split(" or "), {}
+    for n, clause in enumerate(clauses):
+        kept = " or ".join(clauses[:n] + clauses[n + 1:])
+        rows[f"{owner} without {clause}"] = (
+            file, f"{indent}if {rule}:\n", f"{indent}if {kept}:\n",
+            [f"{PLANTED}[{case}]" for case in faults[n]],
+        )
+    return rows
+
 
 MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
     # a walk asked for hom-sets must read them off composites
@@ -69,10 +88,91 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "category.py",
         "            i = bad(k, pairs)\n",
         "            i = None\n",
-        [f"{CATEGORY}::test_list_rule_refuses_a_planted_pair_as_the_default_loop"
-         "[C_2: right factor's residue]",
-         f"{CATEGORY}::test_list_rule_refuses_a_planted_pair_as_the_default_loop"
-         "[D_3: left factor's target]"],
+        [f"{PLANTED}[C_2: right factor's residue]", f"{PLANTED}[D_3: left factor's target]"],
+    ),
+    # a value wider than the planes must add planes, to pos and neg alike
+    "planes capped at 8": (
+        "poset.py",
+        "                width = size.bit_length()\n",
+        "                width = min(size.bit_length(), 8)\n",
+        [f"{HALL}[3x40]", f"{HALL}[3x70]"],
+    ),
+    "planes capped at 64": (
+        "poset.py",
+        "                width = size.bit_length()\n",
+        "                width = min(size.bit_length(), 64)\n",
+        [f"{HALL}[3x70]"],
+    ),
+    "neg not grown with pos": (
+        "poset.py",
+        "                    neg += [0] * (width - len(neg))\n",
+        "",
+        [f"{HALL}[3x7]", f"{HALL}[3x40]"],
+    ),
+    "division_category without its semigroup's verdict": (
+        "semigroups.py",
+        "    c._associative = s._associative\n",
+        "    c._associative = False\n",
+        [f"{LAWVERE}::test_division_category_takes_its_semigroups_verdict"],
+    ),
+    # each clause of each list rule refuses one planted fault that no other clause sees
+    **_clauses_dropped(
+        "cm_source's list rule", "cm_dm.py",
+        "hx != x or hi != i or gj != j or hj != gi or (ha + hx) % m != gx or (ga + gx) % m != y",
+        [[f"C_{m}: {fault}" for m in (2, 5)] for fault in (
+            "right factor's residue", "right factor's level", "left factor's target level",
+            "middle object's level", "middle object's residue", "left factor's target residue")],
+        " " * 12),
+    **_clauses_dropped(
+        "dm_source's list rule", "cm_dm.py", "h % m != x or g // m % m != y or h // m % m != g % m",
+        [[f"D_{m}: {fault}" for m in (2, 3)]
+         for fault in ("right factor's residue", "left factor's target", "middle object")],
+        " " * 12),
+    **_clauses_dropped(
+        "the default loop", "category.py", "cod(h) != dom(g) or dom(h) != x or cod(g) != y",
+        [["C_2: middle object's residue", "D_3: middle object"],
+         ["C_2: right factor's residue", "D_3: right factor's residue"],
+         ["C_2: left factor's target residue", "D_3: left factor's target"]],
+        " " * 16),
+    # a source that states no rule checks its lists by the default loop's endpoint calls
+    "cm_source states no list rule": (
+        "cm_dm.py",
+        "obj=lambda x: _new(CmObject, x), bad=bad)",
+        "obj=lambda x: _new(CmObject, x))",
+        [f"{SPIED}mu-cm --m 2 3,1,0,-8]", f"{SPIED}mu-cm --m 5 12,3,0,-30]"],
+    ),
+    "dm_source states no list rule": (
+        "cm_dm.py",
+        "divmod(k, m)),\n                               bad=bad)",
+        "divmod(k, m)))",
+        [f"{SPIED}mu-dm --m 2 30,0]", f"{SPIED}mu-dm --m 3 40,2]"],
+    ),
+    # a list naming a right factor twice has no position by right factor alone
+    "keyed walk without its once test": (
+        "lawvere.py",
+        "keyed = once and c._associative and found is None\n",
+        "keyed = c._associative and found is None\n",
+        [f"{LAWVERE}::test_a_right_factor_listed_twice_keeps_the_walk_by_composite"],
+    ),
+    "find_semigroup_violation without _inverses": (
+        "semigroups.py",
+        "        s._inverses()\n    except InvalidSemigroup as exc:\n",
+        "        pass\n    except InvalidSemigroup as exc:\n",
+        [f"{SEMIGROUPS}::test_left_zero_semigroup_has_non_unique_inverses",
+         f"{SEMIGROUPS}::test_inverse_count_violation_matches_oracle[left zero]"],
+    ),
+    "check_combinatorial as a no-op": (
+        "semigroups.py",
+        "    if members := s._subgroup_members():\n",
+        "    if members := []:\n",
+        [f"{SEMIGROUPS}::test_two_element_group_is_inverse_but_not_combinatorial",
+         f"{CLI}::test_semigroup_names_a_non_combinatorial_semigroup[2]"],
+    ),
+    "_split_names takes the first split when two fit": (
+        "cli.py",
+        "    if ways > 1:\n",
+        "    if False:\n",
+        [f"{CLI}::test_semigroup_ambiguous_comma_split"],
     ),
 }
 
