@@ -29,6 +29,7 @@ CLI = "tests/test_cli.py"
 PLANTED = f"{CATEGORY}::test_list_rule_refuses_a_planted_pair_as_the_default_loop"
 SPIED = f"{CATEGORY}::test_verify_checks_source_lists_with_no_endpoint_call[list rule-"
 HALL = f"{POSET}::test_top_column_of_an_ordinal_sum_matches_hall_s_closed_form"
+ORDERS = f"{LAWVERE}::test_object_orders_"
 
 
 def _clauses_dropped(owner, file, rule, faults, indent):
@@ -153,6 +154,27 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "keyed = once and c._associative and found is None\n",
         "keyed = c._associative and found is None\n",
         [f"{LAWVERE}::test_a_right_factor_listed_twice_keeps_the_walk_by_composite"],
+    ),
+    # one order per object: its lattice shortcut, its checks and the mark it rests on
+    "object order's lattice verdict forced to True": (
+        "lawvere.py",
+        "            lattice[x] = _is_lattice([u | top for u in up] + [top])\n",
+        "            lattice[x] = True\n",
+        [f"{ORDERS}give_the_walks_values_and_lattice_verdicts[poset bounded bowtie top-first]"],
+    ),
+    "object order without its check for a right factor listed twice": (
+        "lawvere.py",
+        '                if up[i] & bit:\n                    raise InvalidPoset("a right factor listed twice")\n',
+        "",
+        [f"{LAWVERE}::test_a_right_factor_listed_twice_keeps_the_walk_by_composite",
+         f"{LAWVERE}::test_keyed_walk_counts_a_hom_set_with_two_elements"],
+    ),
+    "object orders read without the mark": (
+        "lawvere.py",
+        "    if c._associative:\n        k = c._closed_handle(f)\n",
+        "    if True:\n        k = c._closed_handle(f)\n",
+        [f"{LAWVERE}::test_position_route_refuses_as_the_staged_route[not_transitive]",
+         f"{ORDERS}run_where_their_checks_pass_and_the_walk_elsewhere[unmarked division boolean B_4]"],
     ),
     "find_semigroup_violation without _inverses": (
         "semigroups.py",

@@ -9,7 +9,8 @@ composition table as one row per left factor; the walks read a slice by
 number and a ``FactorizationSource`` by the handles its rules read.
 A law check that passes on a table composing every composable pair (or
 Light's test on the semigroup of a division category) marks the slice, and
-``lawvere._walk`` then keys positions by right factor; ``factor_slice``
+the Lawvere route then reads one order per object (``lawvere._object_order``)
+and ``lawvere._walk`` keys positions by right factor; ``factor_slice``
 runs that check's Light's test as it builds, so each total window it
 builds (every ``cm_slice`` and ``poset_as_category`` one) arrives marked.
 Incidence functions take exact rational values (Fraction / int); the
@@ -45,7 +46,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
         "_number", "_at", "_after", "_facts", "_dom", "_cod", "_ident",
-        "_groups", "_one_way", "_quotients", "_associative",
+        "_groups", "_one_way", "_quotients", "_orders", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -112,6 +113,7 @@ class CategorySlice:
         self._groups = None
         self._one_way = None
         self._quotients: dict = {}
+        self._orders: dict = {}  # object number -> lawvere._object_order's order or None
         self._associative = False
         return self
 

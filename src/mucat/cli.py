@@ -28,12 +28,12 @@ from .cm_dm import (
 from .errors import MucatError
 from .lawvere import (
     _both_routes,
-    _position_route,
+    _lawvere_sweep,
     interval_as_poset,
     lawvere_interval,
     moebius_via_lawvere,
 )
-from .poset import FinitePoset, _is_lattice
+from .poset import FinitePoset
 from .semigroups import (
     InverseSemigroup,
     check_combinatorial,
@@ -108,9 +108,8 @@ def cmd_verify(args) -> int:
     slice_ok = c._associative or find_slice_violation(c) is None
     lattices = agree = 0
     mu = moebius_of_slice(c)
-    for f in c.morphisms:
-        _, linear, law = _position_route(c, f)
-        lattices += _is_lattice(linear)
+    for f, (law, lattice) in zip(c.morphisms, _lawvere_sweep(c)):
+        lattices += lattice
         agree += cm_moebius_closed_form(f) == law == mu[f]
     zeta, delta = IncidenceFunction.zeta(c), IncidenceFunction.delta(c)
     conv_ok = all(convolve(c, mu, zeta, f) == delta[f] == convolve(c, zeta, mu, f)

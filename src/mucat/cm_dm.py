@@ -141,10 +141,13 @@ def cm_source(m: int) -> FactorizationSource:
 
     def factorizations(k):
         """Every pair (g, h) with g∘h = k: right factor (b, x, i, l) with l from i
-        down to j, then b ascending, the order cm_slice lists them in."""
+        down to j, then b ascending, the order cm_slice lists them in; at
+        level l, b runs from max(0, a - (l - j)) to min(a, i - l), each bound
+        a conditional expression, not a builtin call."""
         a, x, i, j = k
         return [((a - b, (b + x) % m, l, j), (b, x, i, l))
-                for l in range(i, j - 1, -1) for b in range(max(0, a - l + j), min(a, i - l) + 1)]
+                for l in range(i, j - 1, -1)
+                for b in range(a + j - l if a + j > l else 0, (a if a < i - l else i - l) + 1)]
 
     def row(g):
         """h ↦ g∘h: (b, y, j, k) ∘ (a, x, i, j) = (a + b, x, i, k)."""
@@ -221,7 +224,7 @@ def dm_source(m: int) -> FactorizationSource:
         """Every pair (g, h) with g · h = k: right factor (c, x) with c ascending,
         the order dm_slice lists them in."""
         alpha, x = divmod(k, m)
-        return [((alpha - c + c % m) * m + c % m, c * m + x) for c in range(x, alpha + 1)]
+        return [((alpha - c + r) * m + r, c * m + x) for c in range(x, alpha + 1) for r in (c % m,)]
 
     def bad(k, pairs):
         """The first pair with dom h ≠ x, cod g ≠ y or cod h ≠ dom g."""

@@ -4,18 +4,22 @@ The interval of a morphism f has the factorizations f = u∘v as objects; an
 ambient morphism h connects (u, v) to (u', v') when h∘v = v' and u'∘h = u.
 With that convention f itself connects the bottom (f, 1_dom) to the top
 (1_cod, f).  When the interval is one-way and thin it is a finite poset and
-mu(f) is the poset Möbius value from bottom to top.  ``moebius_via_lawvere``,
-``mucat verify`` and ``mu-cm``/``mu-dm --verify`` read it by position off
-the walk's masks, after the thin and poset-law checks of ``interval_as_poset``
-have refused any interval that is not one-way; the ``--verify`` walk also
-sums ``moebius_at``'s recursion on the same lists.  The staged objects
+mu(f) is the poset Möbius value from bottom to top.  On a slice marked
+associative (each total window ``factor_slice`` builds, and any slice a law
+check passed; see ``category``) each interval of a morphism out of x is a
+down-set of one order per object, P_x, the morphisms out of x under "is a
+right factor of" (``_object_order``): ``moebius_via_lawvere`` and ``mucat
+verify`` read μ(f) off f's column of P_x, and ``verify`` tests the lattice
+property once per object.  Sources, unmarked slices and objects whose order
+fails a check take the walk (``_position_route``), read by position off its
+masks after the thin and poset-law checks of ``interval_as_poset`` have
+refused any interval that is not one-way; on a marked slice the walk finds
+positions by right factor, and its law check skips transitivity, which the
+mark proves (see ``poset._linear``).  The ``--verify`` walk also sums
+``moebius_at``'s recursion on the same lists.  The staged objects
 (``LawvereInterval``, ``interval_as_poset``, ``is_one_way``) serve
 ``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
-imports and reads them (``LawvereInterval.homs`` too).  On a slice marked
-associative (each total window ``factor_slice`` builds, and any slice a law
-check passed; see ``category``), the walk finds positions by right factor,
-and the poset-law check skips transitivity, which the mark proves (see
-``poset._linear``).
+imports and reads them (``LawvereInterval.homs`` too).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Any, NamedTuple
 
 from .category import CategorySlice, FactorizationSource, _invert_from, _rows, one_way
 from .errors import InvalidPoset, InvalidSlice, NotOneWay, NotThin, Unbounded
-from .poset import FinitePoset, _linear, _moebius_to
+from .poset import FinitePoset, _is_lattice, _linear, _moebius_to
 
 _new = tuple.__new__  # a Factorization from its field tuple, skipping the class's slower __new__
 
@@ -191,11 +195,116 @@ def interval_as_poset(iv: LawvereInterval) -> FinitePoset:
 
 
 def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
-    """mu(f) as the Möbius value of f's interval poset from bottom to top, by
-    position on the walk's masks; no factorization, interval or poset is
-    built.  c is a slice or a ``FactorizationSource``; on a marked slice the
-    law check takes transitivity from the mark, as ``interval_as_poset``."""
-    return _position_route(c, f)[-1]
+    """mu(f) as the Möbius value of f's interval poset from bottom to top; no
+    factorization, interval or poset is built.  On a marked slice it is read
+    off f's column of the order of f's domain (``_object_order``); a source,
+    an unmarked slice or an object that order refuses takes the walk, by
+    position on its masks (``_position_route``), and raises as it does."""
+    placed = _placed(c, f)
+    if placed is None:
+        return _position_route(c, f)[-1]
+    (up, position, one), k = placed
+    return _moebius_to(up, position[k])[one]
+
+
+def _placed(c: CategorySlice | FactorizationSource, f):
+    """(the order of f's domain, f's handle) if c is a marked slice and
+    ``_object_order`` builds that order, once f and its factors are checked
+    complete; else None, and the walk reads f."""
+    if c._associative:
+        k = c._closed_handle(f)
+        order = _object_order(c, c._dom[k])
+        if order is not None:
+            return order, k
+    return None
+
+
+def _object_order(c: CategorySlice, x: int):
+    """(up, position, one) for P_x, the morphisms out of c's object number x
+    ordered by "is a right factor of" on a marked slice c, or None; built on
+    the first call and kept in ``c._orders``.  up holds ``_linear``'s masks,
+    position maps each morphism's number to its position there, and one is
+    the position of 1_x.  One pass over the lists of the morphisms out of x
+    sets bit w of up[v] for each (h, v) in w's list; the order is None if
+    some list names a right factor twice, ``_linear`` refuses the masks
+    (transitivity skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry
+    of the total table and (h'∘h)∘v = h'∘(h∘v) = z) or 1_x is not least.
+
+    A marked slice has its identity laws, a table that composes every
+    composable pair and Light's verdict, associativity.  Let the order pass,
+    and let f: x → y, read through ``_closed_handle``.
+
+    - f's interval is the down-set ↓f of P_x.  v ≤ f exactly when f's list
+      holds a pair (u, v), once by the first check, so the pairs of f stand
+      one to one for ↓f.  The walk keys positions by right factor
+      (``_walk``): (u, v) ≤ (u', v') in the interval iff v''s list holds
+      some (h, v), that is iff v ≤ v' in P_x.  So the walk's masks are
+      P_x's, restricted to ↓f.
+    - Every check the walk makes on f passes.  No list of P_x names a right
+      factor twice, so no hom-set has two elements and f's pairs are
+      distinct (NotThin and the duplicate check).  A restriction of a
+      reflexive, antisymmetric relation is one, and the mark proves both
+      transitive (NotOneWay).  The identity laws put (f, 1_x) and
+      (1_y, f) in f's list; the first is below every pair since 1_x is
+      least, the second above every pair since ↓f lies below f (Unbounded).
+    - μ(f) is μ_{P_x}(1_x, f): the interval [1_x, f] is ↓f in both, and
+      the walk's μ is the same top-down column from f (``_moebius_to``),
+      read at the bottom.  The bottom-up row from 1_x would be
+      ``_invert_from``'s recursion, which ``verify`` compares μ against.
+    - If P_x with a top t added is a lattice L, so is every [1_x, f]: it
+      has the bottom 1_x, and for a, b ≤ f the join z of a and b in L is
+      ≤ f, so z is not t, lies in [1_x, f] and is below every upper bound
+      of a and b there.  A finite poset with a bottom and a join of every
+      pair is a lattice (``_is_lattice``)."""
+    orders = c._orders
+    if x in orders:
+        return orders[x]
+    out = [c._number[f] for f in c.morphisms_from(c.objects[x])]
+    position = dict(zip(out, range(len(out))))
+    up, facts, order = [0] * len(out), c._facts, None
+    try:
+        for j, w in enumerate(out):  # each right factor v of w has dom x
+            bit = 1 << j
+            for _, v in facts[w]:
+                i = position[v]
+                if up[i] & bit:
+                    raise InvalidPoset("a right factor listed twice")
+                up[i] |= bit
+        linear, up = _linear(up, out.__getitem__, True)
+        if linear is not None:
+            position = dict(zip([out[k] for k in linear], range(len(out))))
+        one = position[c._ident[x]]
+        if up[one] != (1 << len(up)) - 1:
+            raise InvalidPoset("1_x is not least")
+        order = up, position, one
+    except InvalidPoset:
+        pass
+    orders[x] = order
+    return order
+
+
+def _lawvere_sweep(c: CategorySlice):
+    """Yield (mu(f), whether f's interval is a lattice) for each morphism f
+    of the slice c in slice order, raising as ``moebius_via_lawvere`` at the
+    first f it refuses.  Where ``_placed`` gives an order, μ is f's column
+    and one lattice test per object, on the order with a top added, stands
+    for every interval out of it (``_object_order``); if it fails, each
+    interval out of the object takes its own test on the walk's masks, as
+    every f with no order does."""
+    lattice = {}  # object number -> its order with a top added is a lattice
+    for f in c.morphisms:
+        placed = _placed(c, f)
+        if placed is None:
+            _, linear, law = _position_route(c, f)
+            yield law, _is_lattice(linear)
+            continue
+        (up, position, one), k = placed
+        x = c._dom[k]
+        if x not in lattice:
+            top = 1 << len(up)
+            lattice[x] = _is_lattice([u | top for u in up] + [top])
+        yield (_moebius_to(up, position[k])[one],
+               lattice[x] or _is_lattice(_position_route(c, f)[1]))
 
 
 def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None) -> tuple:

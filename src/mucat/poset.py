@@ -117,17 +117,18 @@ def _linear(up: list[int], name: Callable[[int], Any],
     loops are inline: a generator step costs more than its mask operations.
 
     ``transitive`` is the caller's proof that the relation is transitive:
-    the transitivity loop, which would find nothing, is skipped.  Three
+    the transitivity loop, which would find nothing, is skipped.  Four
     callers pass it, each for an associative table.  A Lawvere interval of
     a marked slice (identity laws, a total table, Light's verdict): if
     h∘vᵢ = vⱼ and h'∘vⱼ = vₖ, then h'∘h is an entry and (h'∘h)∘vᵢ = vₖ,
     so (h'∘h, vᵢ) is in vₖ's list; the left factors compose the same way
-    (uₖ∘(h'∘h) = uⱼ∘h = uᵢ), so this holds for the unkeyed walk too.  Q(e),
-    by the same step for factoring through.  E(S): e = ef and f = fg give
-    eg = efg = ef = e.  The relabel pass still refuses every pair related
-    both ways: in a transitive reflexive relation the two have equal
-    up-sets, so the later one's lowest bit is an earlier one, whose up-set
-    holds it."""
+    (uₖ∘(h'∘h) = uⱼ∘h = uᵢ), so this holds for the unkeyed walk too.  The
+    order of the morphisms out of an object under "is a right factor of"
+    (``lawvere._object_order``), by the same first step, and Q(e), its
+    reverse.  E(S): e = ef and f = fg give eg = efg = ef = e.  The relabel
+    pass still refuses every pair related both ways: in a transitive
+    reflexive relation the two have equal up-sets, so the later one's
+    lowest bit is an earlier one, whose up-set holds it."""
     order, at = None, name
     # In a linear extension each element is the lowest bit of its own
     # up-set: that is reflexivity, and every strict successor higher up.

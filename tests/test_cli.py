@@ -21,6 +21,7 @@ from mucat import (
     moebius_of_slice,
     moebius_via_lawvere,
 )
+import mucat.lawvere
 from mucat.cli import main
 
 from helpers import (
@@ -186,8 +187,9 @@ def test_verify_is_deterministic(capsys):
 
 
 def test_verify_walks_each_interval_once(capsys, monkeypatch):
-    import mucat.lawvere
-
+    # where no object has an order (as on a window no check marked), verify
+    # falls back to one walk per interval
+    monkeypatch.setattr(mucat.lawvere, "_object_order", lambda c, x: None)
     walked, walk = [], mucat.lawvere._walk
 
     def counting(c, root, found=None, eta=None):
@@ -205,6 +207,33 @@ def test_verify_walks_each_interval_once(capsys, monkeypatch):
     assert code == 0
     morphisms = int(out.splitlines()[1].split()[1])
     assert len(walked) == len(set(walked)) == morphisms
+
+
+def test_verify_reads_one_order_per_object_and_walks_no_interval(capsys, monkeypatch):
+    calls = {name: [] for name in ("_walk", "_object_order", "_is_lattice", "_moebius_to")}
+    for name, log in calls.items():
+        real = getattr(mucat.lawvere, name)
+        monkeypatch.setattr(mucat.lawvere, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--level-min", "-3")
+    assert (code, out.splitlines()[:2]) == (0, ["objects 8", "morphisms 40"])
+    # one order asked for per morphism, one lattice test per object
+    assert calls["_walk"] == [] and len(calls["_object_order"]) == 40
+    assert len({x for _, x in calls["_object_order"]}) == len(calls["_is_lattice"]) == 8
+    assert len(calls["_moebius_to"]) == 40
+
+
+def test_verify_rereads_the_intervals_of_an_object_whose_order_is_no_lattice(capsys, monkeypatch):
+    # a wrong verdict on one object's order sends its morphisms to their own
+    # tests, which pass; a wrong verdict on one interval's fails the count
+    real = mucat.lawvere._is_lattice
+    monkeypatch.setattr(mucat.lawvere, "_is_lattice", _wrong_once(real, False))
+    assert run_cli(capsys, "verify", "--m", "2", "--level-min", "-2") == (
+        0, "\n".join(VERIFY_PASS_LINES) + "\n", "")
+    verdicts = []
+    monkeypatch.setattr(mucat.lawvere, "_is_lattice", lambda up: verdicts.append(up) or False)
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--level-min", "-2")
+    assert code == 1 and "intervals-lattice 0/20 FAIL" in out.splitlines()
+    assert len(verdicts) == 6 + 20  # each object's order, then each interval
 
 
 def test_verify_trusts_the_verdict_its_window_was_built_with(capsys, monkeypatch):
@@ -526,7 +555,7 @@ def _unmarked(c):
 
 @pytest.mark.parametrize("check, owner, name, wrong, line", [
     ("slice-valid", cli, "find_slice_violation", "broken", "slice-valid FAIL"),
-    ("intervals-lattice", cli, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
+    ("intervals-lattice", mucat.lawvere, "_is_lattice", False, "intervals-lattice 19/20 FAIL"),
     ("mu-agreement", cli, "cm_moebius_closed_form", 7, "mu-agreement 19/20 FAIL"),
     ("convolution-identity", cli, "convolve", 7, "convolution-identity FAIL"),
 ])
@@ -543,6 +572,8 @@ def test_verify_failure_report(capsys, monkeypatch, check, owner, name, wrong, l
     if check == "slice-valid":  # verify trusts a marked window: build it unmarked
         build = cli.cm_slice
         monkeypatch.setattr(cli, "cm_slice", lambda m, level_min: _unmarked(build(m, level_min)))
+    if check == "intervals-lattice":  # with no order per object, each interval takes its own test
+        monkeypatch.setattr(mucat.lawvere, "_object_order", lambda c, x: None)
     monkeypatch.setattr(owner, name, _wrong_once(real, wrong))
     assert run_cli(capsys, *argv) == (1, "\n".join(lines) + "\n", "")
     monkeypatch.setattr(owner, name, _wrong_once(real, wrong))

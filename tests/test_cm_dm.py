@@ -254,6 +254,37 @@ def test_factorization_objects_in_ascending_triple_order():
         assert cm_factorization_objects(m, f) == expected
 
 
+def _cm_grid(m, floor):
+    return [CmMorphism(a, x, i, j) for i in range(0, floor - 1, -1) for j in range(i, floor - 1, -1)
+            for a in range(i - j + 1) for x in range(m)]
+
+
+ENUMERATOR_GRIDS = [  # (source, m, grid, endpoints by the definition, composite)
+    *((cm_source, m, _cm_grid(m, -5), lambda f, m=m: ((f.x, f.i), ((f.a + f.x) % m, f.j)),
+       cm_composite) for m in (2, 3, 4, 5)),
+    *((dm_source, m, [DmMorphism(alpha, x) for x in range(m) for alpha in range(x, 25)],
+       lambda f, m=m: (f.x, f.alpha % m), dm_composite) for m in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "source, m, grid, ends, compose", ENUMERATOR_GRIDS,
+    ids=[f"{s.__name__}-m{m}" for s, m, *_ in ENUMERATOR_GRIDS],
+)
+def test_enumerators_list_every_factorization_in_order(source, m, grid, ends, compose):
+    # every composable pair of the grid by brute force, right factor h in grid
+    # order: C_m's right factors of (a, x, i, j) come by level from i down,
+    # then by shift, and D_m's by alpha, the orders the enumerators promise
+    inside, pairs = set(grid), {f: [] for f in grid}
+    for h in grid:
+        for g in grid:
+            if ends(h)[1] == ends(g)[0] and (k := compose(m, g, h)) in inside:
+                pairs[k].append((g, h))
+    c = source(m)
+    for f in grid:
+        assert c.factorizations(f) == pairs[f], f
+
+
 # -- sources ---------------------------------------------------------------------------
 
 SOURCE_WINDOWS = [

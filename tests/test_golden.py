@@ -4,8 +4,9 @@ Each output file under tests/golden/ holds the exact stdout of one command,
 recorded before the poset and interval internals moved to bitmasks (the
 semigroup files before the multiplication table moved to positions, the
 mu-cm/mu-dm --verify files and the third interval-dot file before those
-commands moved from windows to factor slices); stdout, JSON and DOT must not
-change with the representation.  The README's CLI examples that state a
+commands moved from windows to factor slices, the larger verify files before
+verify moved from one walk per interval to one order per object); stdout,
+JSON and DOT must not change with the representation.  The README's CLI examples that state a
 result are run too, and so is each of its ```python blocks.
 """
 
@@ -23,6 +24,9 @@ README = Path(__file__).parent.parent / "README.md"
 CASES = [
     ("verify_m3.txt", ["verify", "--m", "3", "--level-min", "-8"]),
     ("verify_m3.json", ["verify", "--m", "3", "--level-min", "-8", "--format", "json"]),
+    ("verify_m3_-16.txt", ["verify", "--m", "3", "--level-min", "-16"]),
+    ("verify_m2_-20.txt", ["verify", "--m", "2", "--level-min", "-20"]),
+    ("verify_m2_-20.json", ["verify", "--m", "2", "--level-min", "-20", "--format", "json"]),
     ("interval_dot_m3_chain.dot", ["interval-dot", "--m", "3", "6,0,0,-6"]),
     ("interval_dot_m2_grid.dot", ["interval-dot", "--m", "2", "2,0,0,-4"]),
     ("interval_dot_m3_negative.dot", ["interval-dot", "--m", "3", "2,1,-1,-5"]),

@@ -37,7 +37,7 @@ import mucat.lawvere
 import mucat.poset
 from mucat.category import _rows
 from mucat.errors import MucatError
-from mucat.lawvere import _both_routes, _position_route, _walk
+from mucat.lawvere import _both_routes, _lawvere_sweep, _position_route, _walk
 from mucat.poset import _is_lattice
 
 from helpers import (
@@ -872,7 +872,8 @@ def test_proof_path_matches_the_full_law_check_on_marked_structures(name, monkey
     assert c._associative
     flags = _law_spy(monkeypatch)
     _every_order(s, c, c.morphisms)
-    assert len(flags) == 2 * len(c.morphisms) + (0 if s is None else len(c.objects) + 1)
+    # one interval_as_poset per morphism, one order per object for the route
+    assert len(flags) == len(c.morphisms) + len(c.objects) + (0 if s is None else len(c.objects) + 1)
     assert all(flags)
 
 
@@ -906,3 +907,104 @@ def test_a_hole_in_the_table_passes_the_law_check_but_leaves_the_slice_unmarked(
     # (0, 4)'s (the not_transitive case of the position route's refusals)
     c = _chain_with_a_hole()
     assert find_slice_violation(c) is None and not c._associative
+
+
+# -- one order per object -------------------------------------------------------------
+
+def _marked(c):
+    """c once its law check has passed, which marks a total table."""
+    assert find_slice_violation(c) is None and c._associative
+    return c
+
+
+def _marked_with_incomplete_morphisms():
+    """B_3's category, marked, with the morphisms into the top not marked
+    complete: the routes refuse them, and read the others by their orders,
+    which hold the incomplete morphisms too."""
+    base = poset_as_category(boolean_lattice(3))
+    top = base.objects[-1]
+    complete = [f for f in base.morphisms if f[1] != top]
+    return _marked(CategorySlice(base.objects, base.morphisms, base.dom, base.cod, base.compose,
+                                 base.identities, complete))
+
+
+BOWTIE = "poset bounded bowtie top-first"
+OBJECT_ORDER_CASES = {  # name: (make, objects with no order, objects whose order plus a top is no lattice)
+    "cm_slice(2,-6)": (lambda: cm_slice(2, -6), set(), set()),
+    "cm_slice(5,-3)": (lambda: cm_slice(5, -3), set(), set()),
+    "poset D12": (lambda: poset_as_category(divisor_poset(12)), set(), set()),
+    "poset B3 top-first": (lambda: poset_as_category(_top_first(boolean_lattice(3))), set(), set()),
+    BOWTIE: (lambda: PARITY_CASES[BOWTIE]()[0], set(), {"0"}),
+    **{f"{'marked' if check else 'unmarked'} division {name}":
+       (lambda name=name, check=check: division_category(*order_corpus(name, check)), set(), set())
+       for check in (True, False) for name in ORDER_CORPUS},
+    "marked, incomplete into the top": (_marked_with_incomplete_morphisms, set(), set()),
+    # A's lists name v twice; B's and C's orders stand
+    "marked u∘v = u2∘v": (lambda: _marked(_two_left_factors()), {"A"}, set()),
+    "marked h∘v = k∘v": (lambda: _marked(_two_connecting_morphisms()), {"A"}, set()),
+}
+
+
+def _walk_spy(monkeypatch):
+    """The morphisms whose walks run, decoded, in call order."""
+    walked, walk = [], mucat.lawvere._walk
+
+    def spy(c, root, found=None, eta=None):
+        walked.append(c._at[root])
+        return walk(c, root, found, eta)
+
+    monkeypatch.setattr(mucat.lawvere, "_walk", spy)
+    return walked
+
+
+def _swept(c):
+    """``_lawvere_sweep``'s (μ, lattice) pairs, then the error that stopped it, if any."""
+    out = []
+    try:
+        out.extend(_lawvere_sweep(c))
+    except MucatError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _walked(c):
+    """(μ, lattice) of each morphism from its own walk and its own lattice
+    test, in slice order, up to the first error, which ends the list."""
+    out = []
+    for f in c.morphisms:
+        try:
+            _, linear, law = _position_route(c, f)
+        except MucatError as exc:
+            return out + [(type(exc), str(exc))]
+        out.append((law, _is_lattice(linear)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(OBJECT_ORDER_CASES))
+def test_object_orders_give_the_walks_values_and_lattice_verdicts(name):
+    make = OBJECT_ORDER_CASES[name][0]
+    c = make()
+    for f in c.morphisms:
+        assert (_values_or_error(moebius_via_lawvere, c, f)
+                == _values_or_error(lambda c, f: _position_route(c, f)[-1], make(), f)), f
+    assert _swept(c) == _walked(make())
+
+
+@pytest.mark.parametrize("name", list(OBJECT_ORDER_CASES))
+def test_object_orders_run_where_their_checks_pass_and_the_walk_elsewhere(name, monkeypatch):
+    make, no_order, no_lattice = OBJECT_ORDER_CASES[name]
+    monkeypatch.setattr(mucat.lawvere, "_invert_from", None)  # μ is a column, not the recursion
+    walked, c = _walk_spy(monkeypatch), make()
+    for f in c.morphisms:
+        _values_or_error(moebius_via_lawvere, c, f)
+    complete = [f for f in c.morphisms if f in c.complete]
+    if not c._associative:
+        assert c._orders == {} and walked == complete
+        return
+    orders = {c.objects[x]: order for x, order in c._orders.items()}
+    assert {x for x, order in orders.items() if order is None} == no_order
+    assert set(orders) == {c.dom[f] for f in complete}  # each built once, on a complete f
+    assert walked == [f for f in complete if c.dom[f] in no_order]
+    walked.clear()
+    _swept(c)
+    assert walked == [f for f in complete if c.dom[f] in no_order | no_lattice]
