@@ -127,22 +127,30 @@ class CategorySlice:
         return self._ident[self._dom[k]] == k
 
     def _grouped(self):
-        """Morphisms by (dom, cod) and by dom, in slice order; one pass."""
+        """(place, hom, out), all by number and in slice order, from one pass
+        over the numbered endpoints: ``place`` maps each object to its
+        number, ``hom`` each pair of object numbers (x, y) to the numbers of
+        the morphisms x -> y, and ``out[x]`` lists the numbers of the
+        morphisms out of object x, which ``lawvere._object_order`` and
+        ``quotient_poset`` read."""
         if self._groups is None:
-            hom, out = {}, {}
-            for f in self.morphisms:
-                x = self.dom[f]
-                hom.setdefault((x, self.cod[f]), []).append(f)
-                out.setdefault(x, []).append(f)
-            self._groups = tuple({k: tuple(v) for k, v in t.items()} for t in (hom, out))
+            hom, out = {}, [[] for _ in self.objects]
+            for k, (x, y) in enumerate(zip(self._dom, self._cod)):
+                hom.setdefault((x, y), []).append(k)
+                out[x].append(k)
+            self._groups = dict(zip(self.objects, range(len(out)))), hom, out
         return self._groups
 
     def hom(self, x, y) -> tuple:
         """All morphisms x -> y, in slice order."""
-        return self._grouped()[0].get((x, y), ())
+        place, hom, _ = self._grouped()
+        at = self.morphisms
+        return tuple([at[k] for k in hom.get((place.get(x), place.get(y)), ())])
 
     def morphisms_from(self, x) -> tuple:
-        return self._grouped()[1].get(x, ())
+        place, _, out = self._grouped()
+        at = self.morphisms
+        return tuple([at[k] for k in (out[place[x]] if x in place else ())])
 
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
@@ -154,22 +162,30 @@ class CategorySlice:
         at = self.morphisms
         return tuple([(at[g], at[h]) for g, h in self._facts[self._handle(f)]])
 
-    def _handle(self, f) -> int:  # the number f is read by, once f is checked to be complete
-        if f not in self.complete:
-            if f not in self._number:
-                raise InvalidSlice(f"{f!r} is not a morphism of the slice")
-            raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
-        return self._number[f]
+    def _handle(self, f) -> int:
+        """The number f is read by, once f is checked to be complete: a fully
+        complete slice reads ``_number`` alone (``_closed_handle`` says why)."""
+        return self._closed_handle(f, False)
 
-    def _closed_handle(self, f) -> int:
-        """f's number, once f and every factor of f are checked to be complete, as
-        exact intervals and sums need; a fully complete slice skips the factors."""
-        k = self._handle(f)
-        if len(self.complete) != len(self.morphisms):
-            for h in (self._at[g] for pair in self._facts[k] for g in pair):
-                if h not in self.complete:
-                    raise IncompleteSlice(
-                        f"factor {h!r} of {f!r} is not marked factorization-complete")
+    def _closed_handle(self, f, factors: bool = True) -> int:
+        """f's number, once f and every factor of f (only f if ``factors`` is
+        False) are checked to be complete, as exact intervals and sums need.
+        ``_adopt`` refuses a complete set that is not a subset of the
+        morphisms, so one as large as ``_number`` is the whole set: on such a
+        fully complete slice (every window ``factor_slice`` builds, every
+        division category) a morphism with a number is complete and so is
+        each of its factors, and only a partial slice reads ``complete``."""
+        k = self._number.get(f)  # numbers are ints, so None means no morphism
+        if k is None:
+            raise InvalidSlice(f"{f!r} is not a morphism of the slice")
+        if len(self.complete) != len(self._number):
+            if f not in self.complete:
+                raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
+            if factors:
+                for h in (self._at[g] for pair in self._facts[k] for g in pair):
+                    if h not in self.complete:
+                        raise IncompleteSlice(
+                            f"factor {h!r} of {f!r} is not marked factorization-complete")
         return k
 
     # -- JSON input ------------------------------------------------------

@@ -200,32 +200,35 @@ def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
     off f's column of the order of f's domain (``_object_order``); a source,
     an unmarked slice or an object that order refuses takes the walk, by
     position on its masks (``_position_route``), and raises as it does."""
-    placed = _placed(c, f)
-    if placed is None:
-        return _position_route(c, f)[-1]
-    (up, position, one), k = placed
+    order, k = _placed(c, f)
+    if order is None:
+        return _position_route(c, f, k=k)[-1]
+    up, position, one = order
     return _moebius_to(up, position[k])[one]
 
 
-def _placed(c: CategorySlice | FactorizationSource, f):
-    """(the order of f's domain, f's handle) if c is a marked slice and
-    ``_object_order`` builds that order, once f and its factors are checked
-    complete; else None, and the walk reads f."""
+def _placed(c: CategorySlice | FactorizationSource, f) -> tuple:
+    """(the order of f's domain or None, f's handle), once f and its factors
+    are checked complete: on a marked slice the order is read off
+    ``c._orders``, which ``_object_order`` fills on an object's first
+    morphism; elsewhere it is None.  A walk that reads f then takes the
+    handle, so each route call checks f once."""
+    k = c._closed_handle(f)
     if c._associative:
-        k = c._closed_handle(f)
-        order = _object_order(c, c._dom[k])
-        if order is not None:
-            return order, k
-    return None
+        x, orders = c._dom[k], c._orders
+        return (orders[x] if x in orders else _object_order(c, x)), k
+    return None, k
 
 
 def _object_order(c: CategorySlice, x: int):
     """(up, position, one) for P_x, the morphisms out of c's object number x
-    ordered by "is a right factor of" on a marked slice c, or None; built on
-    the first call and kept in ``c._orders``.  up holds ``_linear``'s masks,
-    position maps each morphism's number to its position there, and one is
-    the position of 1_x.  One pass over the lists of the morphisms out of x
-    sets bit w of up[v] for each (h, v) in w's list; the order is None if
+    ordered by "is a right factor of" on a marked slice c, or None; built
+    once and kept in ``c._orders``, where ``_placed`` reads it.  up holds
+    ``_linear``'s masks, position maps each morphism's number to its
+    position there, and one is the position of 1_x.  The numbers out of x
+    are read off the slice's grouping (``CategorySlice._grouped``), and one
+    pass over their lists sets bit w of up[v] for each (h, v) in w's list,
+    with no lookup by name; the order is None if
     some list names a right factor twice, ``_linear`` refuses the masks
     (transitivity skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry
     of the total table and (h'∘h)∘v = h'∘(h∘v) = z) or 1_x is not least.
@@ -256,10 +259,7 @@ def _object_order(c: CategorySlice, x: int):
       ≤ f, so z is not t, lies in [1_x, f] and is below every upper bound
       of a and b there.  A finite poset with a bottom and a join of every
       pair is a lattice (``_is_lattice``)."""
-    orders = c._orders
-    if x in orders:
-        return orders[x]
-    out = [c._number[f] for f in c.morphisms_from(c.objects[x])]
+    out = c._grouped()[2][x]  # the numbers out of x, in slice order
     position = dict(zip(out, range(len(out))))
     up, facts, order = [0] * len(out), c._facts, None
     try:
@@ -279,7 +279,7 @@ def _object_order(c: CategorySlice, x: int):
         order = up, position, one
     except InvalidPoset:
         pass
-    orders[x] = order
+    c._orders[x] = order
     return order
 
 
@@ -293,26 +293,30 @@ def _lawvere_sweep(c: CategorySlice):
     every f with no order does."""
     lattice = {}  # object number -> its order with a top added is a lattice
     for f in c.morphisms:
-        placed = _placed(c, f)
-        if placed is None:
-            _, linear, law = _position_route(c, f)
+        order, k = _placed(c, f)
+        if order is None:
+            _, linear, law = _position_route(c, f, k=k)
             yield law, _is_lattice(linear)
             continue
-        (up, position, one), k = placed
+        up, position, one = order
         x = c._dom[k]
         if x not in lattice:
             top = 1 << len(up)
             lattice[x] = _is_lattice([u | top for u in up] + [top])
         yield (_moebius_to(up, position[k])[one],
-               lattice[x] or _is_lattice(_position_route(c, f)[1]))
+               lattice[x] or _is_lattice(_position_route(c, f, k=k)[1]))
 
 
-def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None) -> tuple:
+def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None,
+                    k=None) -> tuple:
     """(f's handle, ``_linear``'s masks, mu(f)).  It raises as
     ``interval_as_poset``, then Unbounded unless the trivial
     factorizations are least and greatest; they then sit first and last in
-    the linear extension.  The walk fills eta as ``_walk`` says."""
-    k = c._closed_handle(f)
+    the linear extension.  The walk fills eta as ``_walk`` says.  k is f's
+    handle when the caller has read it through ``_closed_handle``, which
+    then is not run again."""
+    if k is None:
+        k = c._closed_handle(f)
     pairs, distinct, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, distinct,

@@ -320,10 +320,10 @@ class FinitePoset:
 
     def leq(self, x, y) -> bool:
         pos = self._pos
-        try:
-            return self._up[pos[x]] >> pos[y] & 1 == 1
-        except KeyError:
-            raise NotComparable(f"{x!r} or {y!r} is not an element of this poset") from None
+        p, q = pos.get(x), pos.get(y)  # positions are ints: None means no element
+        if p is None or q is None:
+            raise NotComparable(f"{x!r} or {y!r} is not an element of this poset")
+        return self._up[p] >> q & 1 == 1
 
     def covers(self) -> list[tuple[Any, Any]]:
         """All pairs x < y with nothing strictly between, in element order:
@@ -348,15 +348,18 @@ class FinitePoset:
     def moebius(self, x, y) -> int:
         """mu(x, y) of this poset; mu(., y) is memoized per instance."""
         pos = self._pos
-        if x not in pos or y not in pos:
+        p, q = pos.get(x), pos.get(y)  # positions are ints: None means no element
+        if p is None or q is None:
             raise NotComparable(f"{x!r} or {y!r} is not an element of this poset")
-        p, q = pos[x], pos[y]
         if not self._up[p] >> q & 1:
             raise NotComparable(f"{x!r} <= {y!r} does not hold")
-        column = self._mu.get(q)
-        if column is None:
-            column = self._mu[q] = _moebius_to(self._up, q)
-        return column[p]
+        return (self._mu.get(q) or self._column(q))[p]
+
+    def _column(self, q: int) -> list:
+        """mu(., at[q]) by position, computed and memoized: a reader takes
+        ``_mu.get(q) or _column(q)``, as a column is never empty."""
+        column = self._mu[q] = _moebius_to(self._up, q)
+        return column
 
     # -- JSON input and DOT output ----------------------------------------
 

@@ -39,7 +39,8 @@ class InverseSemigroup:
     semigroup; accessors that need inverses raise InvalidSemigroup otherwise.
     """
 
-    __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups", "_associative")
+    __slots__ = ("elements", "_index", "_table", "_inv", "_idem_poset", "_in_groups", "_d_keys",
+                 "_associative")
 
     def __init__(self, elements: Iterable[str], table):
         self.elements = tuple(elements)
@@ -54,7 +55,7 @@ class InverseSemigroup:
         for names, row in zip(rows, self._table):
             if None in row:
                 raise InvalidSemigroup(f"table entry {names[row.index(None)]!r} is not an element")
-        self._inv = self._idem_poset = self._in_groups = None
+        self._inv = self._idem_poset = self._in_groups = self._d_keys = None
         self._associative = False  # set once find_semigroup_violation passes
 
     def __len__(self):
@@ -104,18 +105,14 @@ class InverseSemigroup:
                      if row == ident and tuple([r[k] for r in table]) == ident), None)
 
     def d_classes(self) -> list[list]:
-        """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹.
-
-        As s D s⁻¹s, and the idempotents D-related to e are the xx⁻¹ with
-        x⁻¹x = e, s is keyed by the earliest such xx⁻¹ for e = s⁻¹s.
-        """
-        table, inv = self._table, self._inverses()
-        key = [len(table)] * len(table)
-        for x, i in enumerate(inv):
-            key[table[i][x]] = min(key[table[i][x]], table[x][i])
+        """Partition by: s ~ t iff some x has x⁻¹x = s⁻¹s and xx⁻¹ = tt⁻¹,
+        in fresh lists on each call, from class keys found once per instance
+        (``_d_class_keys``)."""
+        if self._d_keys is None:
+            self._d_keys = _d_class_keys(self._table, self._inverses())
         classes: dict[int, list] = {}
-        for s, name in enumerate(self.elements):
-            classes.setdefault(key[table[inv[s]][s]], []).append(name)
+        for key, name in zip(self._d_keys, self.elements):
+            classes.setdefault(key, []).append(name)
         return list(classes.values())
 
     def _subgroup_members(self) -> list:
@@ -165,6 +162,16 @@ class InverseSemigroup:
             what = "an identity" if one in s._index else "an element"
             raise InvalidSemigroup(f"'one' {one!r} is not {what}")
         return s
+
+
+def _d_class_keys(table, inv) -> list[int]:
+    """Each element's D-class key, by position.  As s D s⁻¹s, and the
+    idempotents D-related to e are the xx⁻¹ with x⁻¹x = e, s is keyed by the
+    earliest such xx⁻¹ for e = s⁻¹s."""
+    key = [len(table)] * len(table)
+    for x, i in enumerate(inv):
+        key[table[i][x]] = min(key[table[i][x]], table[x][i])
+    return [key[table[i][s]] for s, i in enumerate(inv)]
 
 
 def _generators(table) -> list[int]:
@@ -330,28 +337,40 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     is iff some (u, (t, e)) is among the factorizations of (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
     the order is antisymmetric.  Listed in reverse slice order, top last, so
-    mostly in a linear extension.  On a marked slice the order is transitive
-    by associativity, which is not checked again.  Built once per (slice, e)
-    and cached on the slice.
+    mostly in a linear extension.  The carrier is read by number off the
+    slice's grouping (``CategorySlice._grouped``), so each mask is built from
+    the numbered lists with no lookup by name; a slice that is not fully
+    complete first refuses the carrier's first incomplete morphism.  On a
+    marked slice the order is transitive by associativity, which is not
+    checked again.  Built once per (slice, e) and cached on the slice.
     """
     poset = c._quotients.get(e)
     if poset is None:
         if not is_one_way_category(c):
             raise NotOneWay("quotient posets need a one-way category")
-        carrier = c.morphisms_from(e)[::-1]
-        handles = [c._handle(s) for s in carrier]
-        bit = {g: 1 << k for k, g in enumerate(handles)}
-        up = [sum({bit[t] for _, t in c._facts[s]}) for s in handles]
+        place, _, out = c._grouped()
+        numbers = out[place[e]][::-1] if e in place else []
+        carrier = [c.morphisms[s] for s in numbers]
+        if len(c.complete) != len(c.morphisms):
+            for s in carrier:
+                c._handle(s)
+        bit = {g: 1 << k for k, g in enumerate(numbers)}
+        up = [sum({bit[t] for _, t in c._facts[s]}) for s in numbers]
         poset = c._quotients[e] = FinitePoset._from_masks(carrier, up, c._associative)
     return poset
 
 
 def moebius_via_quotients(c: CategorySlice, morphism) -> int:
-    """Rule one: mu(s, e) = mu_{Q(e)}((s, e), (e, e))."""
-    if morphism not in c.dom:
-        raise InvalidSlice(f"{morphism!r} is not a morphism of the division category")
-    e = c.dom[morphism]
-    q = quotient_poset(c, e)
+    """Rule one: mu(s, e) = mu_{Q(e)}((s, e), (e, e)).  The domain is read
+    once, and only a KeyError refuses: any hashable, None too, can name an
+    object.  Q(e) is read off the slice's cache."""
+    try:
+        e = c.dom[morphism]
+    except KeyError:
+        raise InvalidSlice(f"{morphism!r} is not a morphism of the division category") from None
+    q = c._quotients.get(e)
+    if q is None:  # not ``or``: a poset with no elements is falsy
+        q = quotient_poset(c, e)
     return q.moebius(morphism, c.identities[e])
 
 
@@ -362,12 +381,25 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     interval [s'⁻¹ s', e] is the same there as in E(S), so mu is read off the
     cached idempotent poset.  The rule holds for combinatorial s only, so it
     raises NotCombinatorial otherwise (a check made once per semigroup).
+    Everything is read by position: s'⁻¹ s' off the table and the inverses
+    (which building the poset found), one position in the poset for it and
+    one for e, the order off the poset's masks and μ off e's memoized column.
+    On a table that is not associative s'⁻¹ s' need not be idempotent; the
+    poset's ``leq`` then refuses it with its own message.
     """
     x, e = morphism
-    poset = s.idempotent_poset()
-    if e not in poset:
+    poset = s._idem_poset or s.idempotent_poset()  # an empty (falsy) poset takes the call
+    pos = poset._pos
+    q = pos.get(e)  # positions are ints: None means no idempotent
+    if q is None:
         raise InvalidSemigroup(f"{e!r} is not an idempotent")
     check_combinatorial(s)
-    if x not in s._index or not poset.leq(source := s.mul(s.inverse(x), x), e):
-        raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")
-    return poset.moebius(source, e)
+    i = s._index.get(x)
+    if i is not None:
+        source = s.elements[s._table[s._inv[i]][i]]
+        p = pos.get(source)
+        if p is None:
+            poset.leq(source, e)  # raises NotComparable
+        if poset._up[p] >> q & 1:
+            return (poset._mu.get(q) or poset._column(q))[p]
+    raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")

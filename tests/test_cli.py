@@ -216,8 +216,8 @@ def test_verify_reads_one_order_per_object_and_walks_no_interval(capsys, monkeyp
         monkeypatch.setattr(mucat.lawvere, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--level-min", "-3")
     assert (code, out.splitlines()[:2]) == (0, ["objects 8", "morphisms 40"])
-    # one order asked for per morphism, one lattice test per object
-    assert calls["_walk"] == [] and len(calls["_object_order"]) == 40
+    # one order built per object, one lattice test per object
+    assert calls["_walk"] == [] and len(calls["_object_order"]) == 8
     assert len({x for _, x in calls["_object_order"]}) == len(calls["_is_lattice"]) == 8
     assert len(calls["_moebius_to"]) == 40
 
