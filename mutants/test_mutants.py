@@ -25,11 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LAWVERE, POSET = "tests/test_lawvere.py", "tests/test_poset.py"
 SEMIGROUPS, CATEGORY = "tests/test_semigroups.py", "tests/test_category.py"
-CLI = "tests/test_cli.py"
+CLI, CM_DM = "tests/test_cli.py", "tests/test_cm_dm.py"
 PLANTED = f"{CATEGORY}::test_list_rule_refuses_a_planted_pair_as_the_default_loop"
 SPIED = f"{CATEGORY}::test_verify_checks_source_lists_with_no_endpoint_call[list rule-"
 HALL = f"{POSET}::test_top_column_of_an_ordinal_sum_matches_hall_s_closed_form"
 ORDERS = f"{LAWVERE}::test_object_orders_"
+ONCE = f"{LAWVERE}::test_each_route_call_checks_its_morphism_once"
+ENUMERATED = f"{CM_DM}::test_enumerators_list_every_factorization_in_order"
 
 
 def _clauses_dropped(owner, file, rule, faults, indent):
@@ -171,8 +173,8 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
     ),
     "object orders read without the mark": (
         "lawvere.py",
-        "    if c._associative:\n        k = c._closed_handle(f)\n",
-        "    if True:\n        k = c._closed_handle(f)\n",
+        "    if c._associative:\n        x, orders = c._dom[k], c._orders\n",
+        "    if True:\n        x, orders = c._dom[k], c._orders\n",
         [f"{LAWVERE}::test_position_route_refuses_as_the_staged_route[not_transitive]",
          f"{ORDERS}run_where_their_checks_pass_and_the_walk_elsewhere[unmarked division boolean B_4]"],
     ),
@@ -189,6 +191,48 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "    if members := []:\n",
         [f"{SEMIGROUPS}::test_two_element_group_is_inverse_but_not_combinatorial",
          f"{CLI}::test_semigroup_names_a_non_combinatorial_semigroup[2]"],
+    ),
+    # a walk a marked slice falls back on takes the handle _placed checked
+    "the Lawvere route's walk checks f again": (
+        "lawvere.py",
+        "        return _position_route(c, f, k=k)[-1]\n",
+        "        return _position_route(c, f)[-1]\n",
+        [f"{ONCE}[listed twice u]", f"{ONCE}[listed twice h]"],
+    ),
+    "the sweep's per-interval lattice test checks f again": (
+        "lawvere.py",
+        "lattice[x] or _is_lattice(_position_route(c, f, k=k)[1])",
+        "lattice[x] or _is_lattice(_position_route(c, f)[1])",
+        [f"{ONCE}[bowtie]"],
+    ),
+    # one read of _number is a complete handle only on a fully complete slice
+    "_closed_handle takes the fully complete shortcut on every slice": (
+        "category.py",
+        "        if len(self.complete) != len(self._number):\n",
+        "        if False:\n",
+        [f"{CATEGORY}::test_factorizations_require_completeness",
+         f"{SEMIGROUPS}::test_handles_on_a_partial_slice_refuse_as_before"],
+    ),
+    "rule two without its test of x^-1 x <= e": (
+        "semigroups.py",
+        "        if poset._up[p] >> q & 1:\n",
+        "        if True:\n",
+        [f"{SEMIGROUPS}::test_idempotent_rule_names_a_pair_that_is_not_a_morphism[pair1]",
+         f"{SEMIGROUPS}::test_rules_by_position_match_the_rules_by_name[Brandt B_5]"],
+    ),
+    # the enumerators against an all-pairs scan; the windows are built in the
+    # tests, so a mutant fails them by assertion, not the module's collection
+    "cm_source's lower bound on b raised to 1": (
+        "cm_dm.py",
+        "a + j - l if a + j > l else 0, ",
+        "a + j - l if a + j > l else 1, ",
+        [f"{ENUMERATED}[cm_source-m2]", f"{ENUMERATED}[cm_source-m5]"],
+    ),
+    "dm_source's residue shifted by one": (
+        "cm_dm.py",
+        "for r in (c % m,)]",
+        "for r in ((c + 1) % m,)]",
+        [f"{ENUMERATED}[dm_source-m2]", f"{ENUMERATED}[dm_source-m3]"],
     ),
     "_split_names takes the first split when two fit": (
         "cli.py",

@@ -287,18 +287,18 @@ def test_enumerators_list_every_factorization_in_order(source, m, grid, ends, co
 
 # -- sources ---------------------------------------------------------------------------
 
-SOURCE_WINDOWS = [
-    *((m, cm_slice(m, -6), cm_source, cm_composite) for m in (2, 3, 4)),
-    *((m, dm_slice(m, 20), dm_source, dm_composite) for m in (2, 3, 4, 5)),
+SOURCE_WINDOWS = [  # each window built in its test, so a broken enumerator fails tests, not collection
+    *((m, lambda m=m: cm_slice(m, -6), cm_source, cm_composite) for m in (2, 3, 4)),
+    *((m, lambda m=m: dm_slice(m, 20), dm_source, dm_composite) for m in (2, 3, 4, 5)),
 ]
 
 
 @pytest.mark.parametrize(
-    "m, window, source, compose", SOURCE_WINDOWS,
+    "m, make, source, compose", SOURCE_WINDOWS,
     ids=[f"{s.__name__}-m{m}" for m, _, s, _ in SOURCE_WINDOWS],
 )
-def test_source_reads_as_the_window(m, window, source, compose):
-    c = source(m)
+def test_source_reads_as_the_window(m, make, source, compose):
+    c, window = source(m), make()
     mu = moebius_of_slice(window)
     composites = bf_compose(window, lambda g, h: compose(m, g, h))
     composing = {f: [] for f in window.morphisms}  # the pairs composing to f, in window order

@@ -1008,3 +1008,32 @@ def test_object_orders_run_where_their_checks_pass_and_the_walk_elsewhere(name, 
     walked.clear()
     _swept(c)
     assert walked == [f for f in complete if c.dom[f] in no_order | no_lattice]
+
+
+@pytest.mark.parametrize("name", ["marked, incomplete into the top", "marked u∘v = u2∘v",
+                                  "marked h∘v = k∘v", BOWTIE],
+                         ids=["incomplete into the top", "listed twice u", "listed twice h", "bowtie"])
+def test_each_route_call_checks_its_morphism_once(name, monkeypatch):
+    # the walk a marked slice falls back on takes the handle _placed read,
+    # and so does the sweep's per-interval lattice test
+    make = OBJECT_ORDER_CASES[name][0]
+    c, expected = make(), make()
+    checked, real = [], CategorySlice._closed_handle
+
+    def spy(c, f, factors=True):
+        checked.append(f)
+        return real(c, f, factors)
+
+    monkeypatch.setattr(CategorySlice, "_closed_handle", spy)
+    for f in c.morphisms:
+        checked.clear()
+        got = _values_or_error(moebius_via_lawvere, c, f)
+        assert checked == [f]
+        monkeypatch.setattr(CategorySlice, "_closed_handle", real)
+        assert got == _values_or_error(lambda c, f: _position_route(c, f)[-1], expected, f), f
+        monkeypatch.setattr(CategorySlice, "_closed_handle", spy)
+    checked.clear()
+    swept = _swept(c)
+    assert checked == list(c.morphisms[:len(checked)]) and len(checked) == len(swept)
+    monkeypatch.setattr(CategorySlice, "_closed_handle", real)
+    assert swept == _walked(make())

@@ -7,10 +7,16 @@ from math import comb, factorial
 import pytest
 
 from mucat import (
+    CategorySlice,
+    Factorization,
+    FinitePoset,
+    IncompleteSlice,
     InvalidSemigroup,
     InvalidSlice,
     InverseSemigroup,
+    MucatError,
     NotCombinatorial,
+    NotComparable,
     NotOneWay,
     NotTransversal,
     chain,
@@ -27,11 +33,13 @@ from mucat import (
     moebius_via_idempotent_lattice,
     moebius_via_lawvere,
     moebius_via_quotients,
+    poset_as_category,
     quotient_poset,
 )
 
 import mucat.category
 import mucat.poset
+import mucat.semigroups
 from mucat.semigroups import _generators, check_combinatorial
 
 from helpers import (
@@ -784,6 +792,157 @@ def test_transversal_choice_comparison_is_recorded():
         values[reps] = sorted(mu.values())
     print(f"transversal mu multisets: {values}")
     assert set(values) == {("e11", "z"), ("e22", "z")}
+
+
+# -- the rules by position against the rules by name ----------------------------------------
+
+def _outcome(rule, *args):
+    """rule(*args), or the type and message of the error it raises."""
+    try:
+        return rule(*args)
+    except MucatError as exc:
+        return type(exc), str(exc)
+
+
+def _rule_one_by_name(c, f):
+    """Rule one on a Q(e) built from ``morphisms_from`` and ``factorizations``
+    by name, every poset law checked."""
+    if f not in c.dom:
+        raise InvalidSlice(f"{f!r} is not a morphism of the division category")
+    e = c.dom[f]
+    carrier = c.morphisms_from(e)[::-1]
+    q = FinitePoset(carrier, leq=[(s, t) for s in carrier for _, t in c.factorizations(s)])
+    return q.moebius(f, c.identities[e])
+
+
+def _rule_two_by_name(s, morphism):
+    """Rule two through the public calls: ``mul``, ``inverse``, ``leq``, ``moebius``."""
+    x, e = morphism
+    poset = s.idempotent_poset()
+    if e not in poset:
+        raise InvalidSemigroup(f"{e!r} is not an idempotent")
+    check_combinatorial(s)
+    if x not in s.elements or not poset.leq(source := s.mul(s.inverse(x), x), e):
+        raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")
+    return poset.moebius(source, e)
+
+
+def _lawvere_by_name(c, f):
+    """The Lawvere rule on the staged interval poset, read by factorization."""
+    poset = interval_as_poset(lawvere_interval(c, f))
+    bottom = Factorization(f, c.identities[c.dom[f]], f)
+    return poset.moebius(bottom, Factorization(c.identities[c.cod[f]], f, f))
+
+
+RULE_CORPUS = {
+    **{f"{'marked' if check else 'unmarked'} {name}":
+       (lambda name=name, check=check: order_corpus(name, check))
+       for check in (True, False) for name in ORDER_CORPUS},
+    "Brandt B_5": lambda: (brandt_five(), ["e11", "z"]),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_CORPUS))
+def test_rules_by_position_match_the_rules_by_name(name):
+    s, transversal = RULE_CORPUS[name]()
+    c = division_category(s, transversal)
+    reference = division_category(*RULE_CORPUS[name]())  # its own caches, read by name
+    for e in c.objects:
+        q, expected = quotient_poset(c, e), quotient_poset(reference, e)
+        assert q.elements == expected.elements == reference.morphisms_from(e)[::-1]
+        assert [[q.leq(a, b) for b in q.elements] for a in q.elements] == [
+            [expected.leq(a, b) for b in q.elements] for a in q.elements]
+    for f in c.morphisms:
+        assert moebius_via_quotients(c, f) == _rule_one_by_name(reference, f), f
+        assert moebius_via_lawvere(c, f) == _lawvere_by_name(reference, f), f
+    # rule two on every pair of names, morphisms or not, and names outside s
+    names = [*s.elements, "nope"]
+    for morphism in product(names, names):
+        assert (_outcome(moebius_via_idempotent_lattice, s, morphism)
+                == _outcome(_rule_two_by_name, s, morphism)), morphism
+        if morphism not in c.dom:
+            assert _outcome(moebius_via_quotients, c, morphism) == (
+                InvalidSlice, f"{morphism!r} is not a morphism of the division category")
+
+
+# unique inverses on a table that is not associative: b⁻¹b and c⁻¹c are no idempotents
+NOT_ASSOCIATIVE = [["a", "a", "a"], ["a", "a", "c"], ["a", "b", "a"]]
+
+
+# the rule's other refusals, each with its exact message, are tested above
+@pytest.mark.parametrize("make, morphism, error, message", [
+    (lambda: InverseSemigroup(["a", "b", "c"], [["a", "a", "a"], ["a", "b", "a"], ["a", "c", "c"]]),
+     ("b", "b"), InvalidSemigroup, "E(eSe) differs from the idempotents below e = 'b'"),
+    (lambda: InverseSemigroup("abc", NOT_ASSOCIATIVE), ("b", "a"), NotComparable,
+     "'b' or 'a' is not an element of this poset"),
+], ids=["E(eSe)", "x^-1 x no idempotent"])
+def test_idempotent_rule_refuses_with_its_exact_message(make, morphism, error, message):
+    s = make()
+    assert _outcome(moebius_via_idempotent_lattice, s, morphism) == (error, message)
+    assert _outcome(_rule_two_by_name, make(), morphism) == (error, message)
+
+
+def test_quotient_rule_reads_an_object_named_none():
+    c = poset_as_category(chain([None, 1]))  # objects None and 1
+    assert c.objects == (None, 1)
+    assert [moebius_via_quotients(c, f) for f in c.morphisms] == [1, -1, 1]
+    for f in [None, (1, None), "ghost"]:
+        assert _outcome(moebius_via_quotients, c, f) == (
+            InvalidSlice, f"{f!r} is not a morphism of the division category")
+
+
+def _partial_b2():
+    """B_2's category with the morphisms into the top not marked complete."""
+    base = poset_as_category(B2)
+    top = base.objects[-1]
+    complete = [f for f in base.morphisms if f[1] != top]
+    return CategorySlice(base.objects, base.morphisms, base.dom, base.cod, base.compose,
+                         base.identities, complete), top
+
+
+def test_handles_on_a_partial_slice_refuse_as_before():
+    c, top = _partial_b2()
+    bottom, atom = c.objects[0], c.objects[1]
+    ghost = (top, bottom)
+    for read in (c._handle, c._closed_handle):
+        assert _outcome(read, ghost) == (InvalidSlice, f"{ghost!r} is not a morphism of the slice")
+        assert _outcome(read, (bottom, top)) == (
+            IncompleteSlice, f"morphism {(bottom, top)!r} is not marked factorization-complete")
+        assert read((bottom, atom)) == c._number[bottom, atom]
+    # (bottom, atom) is complete, and so is each of its factors
+    assert c._closed_handle((bottom, atom)) == c._number[bottom, atom]
+    # rule one refuses Q(bottom), whose carrier holds incomplete morphisms, as the handle does
+    first = c.morphisms_from(bottom)[::-1]
+    incomplete = next(f for f in first if f not in c.complete)
+    assert _outcome(quotient_poset, c, bottom) == (
+        IncompleteSlice, f"morphism {incomplete!r} is not marked factorization-complete")
+
+
+def test_closed_handle_names_an_incomplete_factor():
+    base = poset_as_category(chain([0, 1, 2]))
+    c = CategorySlice(base.objects, base.morphisms, base.dom, base.cod, base.compose,
+                      base.identities, [f for f in base.morphisms if f != (1, 2)])
+    assert c._handle((0, 2)) == c._number[0, 2]
+    assert _outcome(c._closed_handle, (0, 2)) == (
+        IncompleteSlice, "factor (1, 2) of (0, 2) is not marked factorization-complete")
+
+
+def test_d_classes_are_found_once_per_semigroup(monkeypatch):
+    found, real = [], mucat.semigroups._d_class_keys
+    monkeypatch.setattr(mucat.semigroups, "_d_class_keys",
+                        lambda *args: found.append(args) or real(*args))
+    s = meet_semilattice(divisor_poset(60))
+    expected = bf_d_classes(s)
+    reps = default_transversal(s)
+    division_category(s, reps)  # checks the transversal against the classes again
+    assert len(found) == 1
+    classes = s.d_classes()
+    assert sorted(map(sorted, classes)) == sorted(map(sorted, expected))
+    classes[0].append("junk")  # a caller's lists are its own
+    assert s.d_classes() != classes and len(found) == 1
+    t = brandt_five()
+    division_category(t, check_transversal(t, ["e11", "z"]))
+    assert len(found) == 2
 
 
 # -- serialization ----------------------------------------------------------------------------
