@@ -4,9 +4,12 @@ Each row of ``MUTANTS`` names a file under ``src/mucat``, an anchor text that
 must occur there exactly once, its replacement, and the test node IDs that
 must fail once the anchor is replaced.  A case copies ``src/mucat`` to a
 temporary directory, applies its mutant and runs its nodes in a subprocess
-that imports ``mucat`` from the copy; one more case runs every listed node on
-the unmutated copy and requires each to pass.  A refactor that removes an
-anchor fails its case, so the row has to move with the code.
+that imports ``mucat`` from the copy; it counts as caught only when every
+listed node reports FAILED in the ``-rA`` summary, so a mutant that breaks
+the import or the collection of a module fails its case.  One more case runs
+every listed node on the unmutated copy and requires each to pass.  A
+refactor that removes an anchor fails its case, so the row has to move with
+the code.
 
 Run with ``python -m pytest mutants`` from the repository root; ``testpaths``
 leaves this directory out of the tier-1 run.
@@ -215,8 +218,8 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
     ),
     "rule two without its test of x^-1 x <= e": (
         "semigroups.py",
-        "        if poset._up[p] >> q & 1:\n",
-        "        if True:\n",
+        "        if p is not None and poset._up[p] >> q & 1:\n",
+        "        if p is not None:\n",
         [f"{SEMIGROUPS}::test_idempotent_rule_names_a_pair_that_is_not_a_morphism[pair1]",
          f"{SEMIGROUPS}::test_rules_by_position_match_the_rules_by_name[Brandt B_5]"],
     ),
@@ -233,6 +236,22 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "for r in (c % m,)]",
         "for r in ((c + 1) % m,)]",
         [f"{ENUMERATED}[dm_source-m2]", f"{ENUMERATED}[dm_source-m3]"],
+    ),
+    # the object index: its into lists count totality, its out lists give hom
+    "the object index's into lists drop morphism 0": (
+        "category.py",
+        "                into[y].append(k)\n",
+        "                into[y].append(k) if k else None\n",
+        [f"{CATEGORY}::test_factor_slice_marks_a_total_window_that_passes_lights_test"
+         "[cm_slice(2,-6)]",
+         f"{CATEGORY}::test_only_a_partial_table_that_passes_takes_the_full_scan[cm_slice(3,-5)]"],
+    ),
+    "hom ignores the codomain": (
+        "category.py",
+        " if cod[k] == y])\n",
+        "])\n",
+        [f"{CATEGORY}::test_grouped_reads_match_filters[cm_slice(3,-4)]",
+         f"{CATEGORY}::test_grouped_reads_match_filters[poset(divisors 12), objects reversed]"],
     ),
     "_split_names takes the first split when two fit": (
         "cli.py",
@@ -273,7 +292,8 @@ def test_unmutated_copy_passes_every_listed_node(tmp_path):
 def test_mutant_is_caught(name, tmp_path):
     file, anchor, replacement, nodes = MUTANTS[name]
     run = _run(tmp_path, nodes, (file, anchor, replacement))
-    # a node fails, or errors with its module; the unmutated case shows that each exists
-    assert run.returncode != 0, run.stdout
-    passed = [node for node in nodes if f"PASSED {node}\n" in run.stdout]
-    assert not passed, run.stdout
+    summary = run.stdout.splitlines()
+    # each node ran and failed: an import or collection error names no node
+    missed = [node for node in nodes if f"FAILED {node}" not in summary
+              and not any(line.startswith(f"FAILED {node} - ") for line in summary)]
+    assert run.returncode != 0 and not missed, run.stdout + run.stderr

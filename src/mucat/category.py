@@ -39,8 +39,8 @@ class CategorySlice:
     identities; ``compose`` is a read-only view of the rows by morphism.
     The constructor fills the index in one pass over its table and checks
     each entry's and each identity's endpoints once; the rows are filled
-    from the index on the first read that needs them.  Other derived tables
-    are cached.
+    from the index on the first read that needs them, and the object index
+    (``_grouped``) on its first read.  Other derived tables are cached.
     """
 
     __slots__ = (
@@ -110,7 +110,7 @@ class CategorySlice:
         self.complete = frozenset(complete)
         if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
-        self._groups = None
+        self._groups = place, None, None  # ``_grouped`` fills the two lists
         self._one_way = None
         self._quotients: dict = {}
         self._orders: dict = {}  # object number -> lawvere._object_order's order or None
@@ -127,28 +127,29 @@ class CategorySlice:
         return self._ident[self._dom[k]] == k
 
     def _grouped(self):
-        """(place, hom, out), all by number and in slice order, from one pass
-        over the numbered endpoints: ``place`` maps each object to its
-        number, ``hom`` each pair of object numbers (x, y) to the numbers of
-        the morphisms x -> y, and ``out[x]`` lists the numbers of the
-        morphisms out of object x, which ``lawvere._object_order`` and
-        ``quotient_poset`` read."""
-        if self._groups is None:
-            hom, out = {}, [[] for _ in self.objects]
+        """(place, out, into), the slice's object index: ``place`` maps each
+        object to its number (``_adopt``'s, from the endpoint check), and
+        ``out[x]`` and ``into[x]`` list the numbers of the morphisms out of
+        and into object number x, in slice order, from one pass over the
+        numbered endpoints on the first read.  Every read by object (``hom``,
+        the law check, ``_object_order``, ``quotient_poset``) goes through it."""
+        place, out, into = self._groups
+        if out is None:
+            out, into = [[] for _ in place], [[] for _ in place]
             for k, (x, y) in enumerate(zip(self._dom, self._cod)):
-                hom.setdefault((x, y), []).append(k)
                 out[x].append(k)
-            self._groups = dict(zip(self.objects, range(len(out)))), hom, out
+                into[y].append(k)
+            self._groups = place, out, into
         return self._groups
 
     def hom(self, x, y) -> tuple:
-        """All morphisms x -> y, in slice order."""
-        place, hom, _ = self._grouped()
-        at = self.morphisms
-        return tuple([at[k] for k in hom.get((place.get(x), place.get(y)), ())])
+        """All morphisms x -> y, in slice order: those in ``out[x]`` with codomain y."""
+        place, out, _ = self._grouped()
+        at, cod, y = self.morphisms, self._cod, place.get(y)
+        return tuple([at[k] for k in (out[place[x]] if x in place else ()) if cod[k] == y])
 
     def morphisms_from(self, x) -> tuple:
-        place, _, out = self._grouped()
+        place, out, _ = self._grouped()
         at = self.morphisms
         return tuple([at[k] for k in (out[place[x]] if x in place else ())])
 
@@ -388,18 +389,19 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     Associativity is checked on every composable triple for which both
     bracketings are expressible inside the slice; endpoints are checked
     when the slice is built.  A table that composes every composable pair,
-    one entry per g and k into dom(g), is total: Light's test on its
-    generators (``_light``) decides it first.  A partial table, or one that
-    test does not pass, takes the full scan (``_scan``), so the triple
-    named is always the scan's.  A total table that passes is marked, and
-    ``lawvere._walk`` reads the mark.  ``factor_slice`` runs the same
-    identity pass, count and test as it builds, but never the scan.
+    one entry per g and k into dom(g), is total (``_total``): Light's test
+    on its generators (``_light``) decides it first.  A partial table, or
+    one that test does not pass, takes the full scan (``_scan``), so the
+    triple named is always the scan's.  All three read the object index.  A
+    total table that passes is marked, and ``lawvere._walk`` reads the mark.
+    ``factor_slice`` runs the same identity pass, count and test as it
+    builds, but never the scan.
     """
     after = _rows(c)
     if violation := _identity_violation(c, after):
         return violation
-    into, total = _into(c)
-    if not (total and _light(c, after)) and (violation := _scan(c, after, into)):
+    total = _total(c)
+    if not (total and _light(c, after)) and (violation := _scan(c, after)):
         return violation
     c._associative = total
     return None
@@ -416,13 +418,10 @@ def _identity_violation(c: CategorySlice, after) -> str | None:
     return None
 
 
-def _into(c: CategorySlice) -> tuple[dict, bool]:
-    """The morphisms into each object, in slice order, and whether the table
-    is total: one entry per g and each k into dom(g)."""
-    into: dict = {}
-    for f, y in enumerate(c._cod):
-        into.setdefault(y, []).append(f)
-    return into, sum([len(into[x]) for x in c._dom]) == len(c.compose)
+def _total(c: CategorySlice) -> bool:
+    """Whether the table is total: one entry per g and each k into dom(g)."""
+    into = c._grouped()[2]
+    return sum([len(into[x]) for x in c._dom]) == len(c.compose)
 
 
 def _light(c: CategorySlice, after) -> bool:
@@ -434,11 +433,11 @@ def _light(c: CategorySlice, after) -> bool:
     closed under composition: (x∘(m∘m'))∘y = ((x∘m)∘m')∘y = (x∘m)∘(m'∘y) =
     x∘(m∘(m'∘y)) = x∘((m∘m')∘y), each step across m or m', every composite
     defined.  An atom's only factorizations are f∘1 and 1∘f, so it lists two.
-    Each x is checked at once, row x∘g against row x read through row g."""
-    dom, cod, ident = c._dom, c._cod, c._ident
-    atoms, out = {}, {}  # the atoms and all morphisms, by domain
+    Each x is checked at once, row x∘g against row x read through row g;
+    the x composable with g are read off the object index."""
+    dom, cod, ident, out = c._dom, c._cod, c._ident, c._grouped()[1]
+    atoms = {}  # the atoms, by domain
     for f, pairs in enumerate(c._facts):
-        out.setdefault(dom[f], []).append(f)
         if len(pairs) == 2 and ident[dom[f]] != f:
             atoms.setdefault(dom[f], []).append(f)
     reached, stack = set(ident), list(ident)
@@ -460,12 +459,12 @@ def _light(c: CategorySlice, after) -> bool:
     return True
 
 
-def _scan(c: CategorySlice, after, into) -> str | None:
-    """The first failing triple: entries in ``compose`` order, k in slice order."""
-    at, dom = c.morphisms, c._dom
+def _scan(c: CategorySlice, after) -> str | None:
+    """The first failing triple: entries in ``compose`` order, k in ``into[dom h]``."""
+    at, dom, into = c.morphisms, c._dom, c._grouped()[2]
     for g, h, gh in c.compose._numbered():
         after_h, after_g, after_gh = after[h].get, after[g].get, after[gh].get
-        for k in into.get(dom[h], ()):
+        for k in into[dom[h]]:
             hk = after_h(k)
             if hk is None:
                 continue
@@ -552,7 +551,7 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     after = _rows(c)
     if sum(map(len, after)) != len(c.compose):
         raise InvalidSlice("a factorization is listed twice")
-    c._associative = _identity_violation(c, after) is None and _into(c)[1] and _light(c, after)
+    c._associative = _identity_violation(c, after) is None and _total(c) and _light(c, after)
     return c
 
 

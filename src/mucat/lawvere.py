@@ -226,9 +226,9 @@ def _object_order(c: CategorySlice, x: int):
     once and kept in ``c._orders``, where ``_placed`` reads it.  up holds
     ``_linear``'s masks, position maps each morphism's number to its
     position there, and one is the position of 1_x.  The numbers out of x
-    are read off the slice's grouping (``CategorySlice._grouped``), and one
-    pass over their lists sets bit w of up[v] for each (h, v) in w's list,
-    with no lookup by name; the order is None if
+    are ``out[x]`` of the slice's object index (``CategorySlice._grouped``),
+    and one pass over their lists sets bit w of up[v] for each (h, v) in
+    w's list, with no lookup by name; the order is None if
     some list names a right factor twice, ``_linear`` refuses the masks
     (transitivity skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry
     of the total table and (h'∘h)∘v = h'∘(h∘v) = z) or 1_x is not least.
@@ -259,7 +259,7 @@ def _object_order(c: CategorySlice, x: int):
       ≤ f, so z is not t, lies in [1_x, f] and is below every upper bound
       of a and b there.  A finite poset with a bottom and a join of every
       pair is a lattice (``_is_lattice``)."""
-    out = c._grouped()[2][x]  # the numbers out of x, in slice order
+    out = c._grouped()[1][x]  # the numbers out of x, in slice order
     position = dict(zip(out, range(len(out))))
     up, facts, order = [0] * len(out), c._facts, None
     try:

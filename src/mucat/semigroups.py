@@ -337,9 +337,9 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     is iff some (u, (t, e)) is among the factorizations of (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
     the order is antisymmetric.  Listed in reverse slice order, top last, so
-    mostly in a linear extension.  The carrier is read by number off the
-    slice's grouping (``CategorySlice._grouped``), so each mask is built from
-    the numbered lists with no lookup by name; a slice that is not fully
+    mostly in a linear extension.  The carrier is e's ``out`` list of the
+    slice's object index (``CategorySlice._grouped``), so each mask is built
+    from the numbered lists with no lookup by name; a slice that is not fully
     complete first refuses the carrier's first incomplete morphism.  On a
     marked slice the order is transitive by associativity, which is not
     checked again.  Built once per (slice, e) and cached on the slice.
@@ -348,7 +348,7 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     if poset is None:
         if not is_one_way_category(c):
             raise NotOneWay("quotient posets need a one-way category")
-        place, _, out = c._grouped()
+        place, out, _ = c._grouped()
         numbers = out[place[e]][::-1] if e in place else []
         carrier = [c.morphisms[s] for s in numbers]
         if len(c.complete) != len(c.morphisms):
@@ -384,8 +384,8 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     Everything is read by position: s'⁻¹ s' off the table and the inverses
     (which building the poset found), one position in the poset for it and
     one for e, the order off the poset's masks and μ off e's memoized column.
-    On a table that is not associative s'⁻¹ s' need not be idempotent; the
-    poset's ``leq`` then refuses it with its own message.
+    On a table that is not associative s'⁻¹ s' need not be idempotent, and
+    then (s', e) is refused as no morphism, as when s'⁻¹ s' is not below e.
     """
     x, e = morphism
     poset = s._idem_poset or s.idempotent_poset()  # an empty (falsy) poset takes the call
@@ -396,10 +396,7 @@ def moebius_via_idempotent_lattice(s: InverseSemigroup, morphism) -> int:
     check_combinatorial(s)
     i = s._index.get(x)
     if i is not None:
-        source = s.elements[s._table[s._inv[i]][i]]
-        p = pos.get(source)
-        if p is None:
-            poset.leq(source, e)  # raises NotComparable
-        if poset._up[p] >> q & 1:
+        p = pos.get(s.elements[s._table[s._inv[i]][i]])
+        if p is not None and poset._up[p] >> q & 1:
             return (poset._mu.get(q) or poset._column(q))[p]
     raise InvalidSemigroup(f"({x!r}, {e!r}) is not a morphism of the division category")

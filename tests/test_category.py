@@ -45,7 +45,7 @@ from mucat import (
 import mucat.category
 import mucat.cm_dm
 from mucat.cli import main
-from mucat.lawvere import _both_routes
+from mucat.lawvere import _both_routes, _lawvere_sweep
 
 from helpers import (
     B2,
@@ -1218,20 +1218,69 @@ def test_factorizations_follow_compose_table_order():
         assert flipped.factorizations(f) == base.factorizations(f)[::-1]
 
 
+def _objects_reversed(c) -> CategorySlice:
+    """c with its objects listed last first, so not in a linear extension."""
+    return CategorySlice(c.objects[::-1], c.morphisms, c.dom, c.cod, c.compose, c.identities,
+                         c.complete)
+
+
 @pytest.mark.parametrize(
     "c",
-    [cm_slice(3, -4), dm_slice(2, 12), division_category(brandt(3), ["e11", "z"])],
-    ids=["cm_slice(3,-4)", "dm_slice(2,12)", "division(brandt3)"],
+    [cm_slice(3, -4), dm_slice(2, 12), division_category(brandt(3), ["e11", "z"]),
+     CategorySlice.from_json(slice_json(dm_slice(3, 9))),
+     _objects_reversed(poset_as_category(divisor_poset(12)))],
+    ids=["cm_slice(3,-4)", "dm_slice(2,12)", "division(brandt3)", "from_json(dm_slice(3,9))",
+         "poset(divisors 12), objects reversed"],
 )
 def test_grouped_reads_match_filters(c):
+    absent = object()
     for x in c.objects:
         assert c.morphisms_from(x) == tuple(f for f in c.morphisms if c.dom[f] == x)
+        assert c.hom(x, absent) == c.hom(absent, x) == ()
         for y in c.objects:
             assert c.hom(x, y) == tuple(
                 f for f in c.morphisms if c.dom[f] == x and c.cod[f] == y
             )
-    absent = object()
     assert c.morphisms_from(absent) == c.hom(absent, absent) == ()
+
+
+def _grouping_passes(monkeypatch) -> list:
+    """The slices the object index's pass runs on, in turn: each call of
+    ``CategorySlice._grouped`` that hands back another index than it found."""
+    passes, real = [], CategorySlice._grouped
+
+    def spy(c):
+        found = c._groups
+        groups = real(c)
+        if groups is not found:
+            passes.append(c)
+        return groups
+
+    monkeypatch.setattr(CategorySlice, "_grouped", spy)
+    return passes
+
+
+def test_one_grouping_pass_serves_a_windows_build_law_check_and_sweep(monkeypatch):
+    passes = _grouping_passes(monkeypatch)
+    c = cm_slice(3, -6)
+    assert passes == [c]  # Light's test and the totality count at the build
+    assert find_slice_violation(c) is None and c._associative
+    sweep = list(_lawvere_sweep(c))
+    assert [mu for mu, _ in sweep] == list(moebius_of_slice(c).values())
+    assert passes == [c]
+
+
+@pytest.mark.parametrize("make", [lambda: cm_slice(2, -4), lambda: dm_slice(3, 9)],
+                         ids=["total cm_slice(2,-4)", "partial dm_slice(3,9)"])
+def test_the_law_check_reuses_a_loaded_slices_grouping(make, monkeypatch):
+    text = slice_json(make())
+    passes = _grouping_passes(monkeypatch)
+    c = CategorySlice.from_json(text)
+    assert passes == []  # the constructor keeps the object numbering only
+    assert c.morphisms_from(c.objects[0])
+    assert passes == [c]
+    assert find_slice_violation(c) is None  # the count, then Light's test or the scan
+    assert passes == [c]
 
 
 def test_factorizations_are_deterministic():
