@@ -1244,43 +1244,43 @@ def test_grouped_reads_match_filters(c):
     assert c.morphisms_from(absent) == c.hom(absent, absent) == ()
 
 
-def _grouping_passes(monkeypatch) -> list:
-    """The slices the object index's pass runs on, in turn: each call of
-    ``CategorySlice._grouped`` that hands back another index than it found."""
-    passes, real = [], CategorySlice._grouped
+def _grouping_reads(monkeypatch) -> list:
+    """Each read of a slice's object index, in turn, as (slice, whether the
+    read ran the grouping pass, handing back another index than it found)."""
+    reads, real = [], CategorySlice._grouped
 
     def spy(c):
         found = c._groups
         groups = real(c)
-        if groups is not found:
-            passes.append(c)
+        reads.append((c, groups is not found))
         return groups
 
     monkeypatch.setattr(CategorySlice, "_grouped", spy)
-    return passes
+    return reads
 
 
 def test_one_grouping_pass_serves_a_windows_build_law_check_and_sweep(monkeypatch):
-    passes = _grouping_passes(monkeypatch)
+    reads = _grouping_reads(monkeypatch)
     c = cm_slice(3, -6)
-    assert passes == [c]  # Light's test and the totality count at the build
+    built = len(reads)  # the totality count and Light's test
+    assert built and reads[0] == (c, True)
     assert find_slice_violation(c) is None and c._associative
     sweep = list(_lawvere_sweep(c))
     assert [mu for mu, _ in sweep] == list(moebius_of_slice(c).values())
-    assert passes == [c]
+    assert len(reads) > built and all(d is c and not passed for d, passed in reads[1:])
 
 
 @pytest.mark.parametrize("make", [lambda: cm_slice(2, -4), lambda: dm_slice(3, 9)],
                          ids=["total cm_slice(2,-4)", "partial dm_slice(3,9)"])
 def test_the_law_check_reuses_a_loaded_slices_grouping(make, monkeypatch):
     text = slice_json(make())
-    passes = _grouping_passes(monkeypatch)
+    reads = _grouping_reads(monkeypatch)
     c = CategorySlice.from_json(text)
-    assert passes == []  # the constructor keeps the object numbering only
-    assert c.morphisms_from(c.objects[0])
-    assert passes == [c]
+    assert reads == []  # the constructor keeps the object numbering only
+    assert c.hom(c.objects[0], c.objects[-1]) == c.hom(c.objects[0], c.objects[-1])
     assert find_slice_violation(c) is None  # the count, then Light's test or the scan
-    assert passes == [c]
+    assert reads[0] == (c, True) and len(reads) > 2
+    assert all(d is c and not passed for d, passed in reads[1:])
 
 
 def test_factorizations_are_deterministic():

@@ -68,7 +68,8 @@ from helpers import (
 
 
 def two_element_group():
-    # built with no "one" to check, as the corpora below build it at import
+    # no "one": the corpora below build it at import, where a faulty identity() would
+    # stop the collection of this module instead of failing the identity tests
     return InverseSemigroup(["1", "g"], [["1", "g"], ["g", "1"]])
 
 
