@@ -11,15 +11,15 @@ down-set of one order per object, P_x, the morphisms out of x under "is a
 right factor of" (``_object_order``): ``moebius_via_lawvere`` and ``mucat
 verify`` read μ(f) off f's column of P_x, and ``verify`` tests the lattice
 property once per object.  Sources, unmarked slices and objects whose order
-fails a check take the walk (``_position_route``), read by position off its
-masks after the thin and poset-law checks of ``interval_as_poset`` have
-refused any interval that is not one-way; on a marked slice the walk finds
-positions by right factor, and its law check skips transitivity, which the
-mark proves (see ``poset._linear``).  The ``--verify`` walk also sums
-``moebius_at``'s recursion on the same lists.  The staged objects
-(``LawvereInterval``, ``interval_as_poset``, ``is_one_way``) serve
-``interval-dot``, and stay because the benchmark's ``bench/workloads.py``
-imports and reads them (``LawvereInterval.homs`` too).
+fails a check or that test take the walk (``_position_route``), read by
+position off its masks after the thin and poset-law checks of
+``interval_as_poset`` have refused any interval that is not one-way; on a
+marked slice the walk finds positions by right factor, and its law check
+skips transitivity, which the mark proves (see ``poset._linear``).  The
+``--verify`` walk also sums ``moebius_at``'s recursion on the same lists.
+The staged objects (``LawvereInterval``, ``interval_as_poset``,
+``is_one_way``) serve ``interval-dot``, and stay because the benchmark's
+``bench/workloads.py`` imports and reads them (``LawvereInterval.homs`` too).
 """
 
 from __future__ import annotations
@@ -228,14 +228,15 @@ def _object_order(c: CategorySlice, x: int):
     position there, and one is the position of 1_x.  The numbers out of x
     are ``out[x]`` of the slice's object index (``CategorySlice._grouped``),
     and one pass over their lists sets bit w of up[v] for each (h, v) in
-    w's list, with no lookup by name; the order is None if
-    some list names a right factor twice, ``_linear`` refuses the masks
-    (transitivity skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry
-    of the total table and (h'∘h)∘v = h'∘(h∘v) = z) or 1_x is not least.
+    w's list, with no lookup by name; the order is None if some list names
+    a right factor twice or ``_linear`` refuses the masks (transitivity
+    skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry of the total
+    table and (h'∘h)∘v = h'∘(h∘v) = z).
 
     A marked slice has its identity laws, a table that composes every
-    composable pair and Light's verdict, associativity.  Let the order pass,
-    and let f: x → y, read through ``_closed_handle``.
+    composable pair and Light's verdict, associativity.  So 1_x is least:
+    w∘1_x = w puts (w, 1_x) in the list of every w out of x.  Let the order
+    pass, and let f: x → y, read through ``_closed_handle``.
 
     - f's interval is the down-set ↓f of P_x.  v ≤ f exactly when f's list
       holds a pair (u, v), once by the first check, so the pairs of f stand
@@ -273,10 +274,7 @@ def _object_order(c: CategorySlice, x: int):
         linear, up = _linear(up, out.__getitem__, True)
         if linear is not None:
             position = dict(zip([out[k] for k in linear], range(len(out))))
-        one = position[c._ident[x]]
-        if up[one] != (1 << len(up)) - 1:
-            raise InvalidPoset("1_x is not least")
-        order = up, position, one
+        order = up, position, position[c._ident[x]]
     except InvalidPoset:
         pass
     c._orders[x] = order
@@ -286,25 +284,24 @@ def _object_order(c: CategorySlice, x: int):
 def _lawvere_sweep(c: CategorySlice):
     """Yield (mu(f), whether f's interval is a lattice) for each morphism f
     of the slice c in slice order, raising as ``moebius_via_lawvere`` at the
-    first f it refuses.  Where ``_placed`` gives an order, μ is f's column
-    and one lattice test per object, on the order with a top added, stands
-    for every interval out of it (``_object_order``); if it fails, each
-    interval out of the object takes its own test on the walk's masks, as
-    every f with no order does."""
+    first f it refuses.  Where f's object has an order that passes one lattice
+    test per object, on the order with a top added, μ is f's column and every
+    interval out of the object is a lattice (``_object_order``).  Every other
+    f takes one walk, which gives μ and the masks for its own lattice test."""
     lattice = {}  # object number -> its order with a top added is a lattice
     for f in c.morphisms:
         order, k = _placed(c, f)
-        if order is None:
-            _, linear, law = _position_route(c, f, k=k)
-            yield law, _is_lattice(linear)
-            continue
-        up, position, one = order
-        x = c._dom[k]
-        if x not in lattice:
-            top = 1 << len(up)
-            lattice[x] = _is_lattice([u | top for u in up] + [top])
-        yield (_moebius_to(up, position[k])[one],
-               lattice[x] or _is_lattice(_position_route(c, f, k=k)[1]))
+        if order is not None:
+            up, position, one = order
+            x = c._dom[k]
+            if x not in lattice:
+                top = 1 << len(up)
+                lattice[x] = _is_lattice([u | top for u in up] + [top])
+            if lattice[x]:
+                yield _moebius_to(up, position[k])[one], True
+                continue
+        _, linear, law = _position_route(c, f, k=k)
+        yield law, _is_lattice(linear)
 
 
 def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None,

@@ -1010,12 +1010,52 @@ def test_object_orders_run_where_their_checks_pass_and_the_walk_elsewhere(name, 
     assert walked == [f for f in complete if c.dom[f] in no_order | no_lattice]
 
 
+def test_sweep_reads_no_column_of_an_object_whose_lattice_test_fails(monkeypatch):
+    # the bowtie's P_0 with a top added is no lattice: each morphism out of 0
+    # takes one walk, whose column gives μ, and P_0's own column is not read
+    make = OBJECT_ORDER_CASES[BOWTIE][0]
+    c, expected = make(), _walked(make())
+    walked, columns, column = _walk_spy(monkeypatch), [], mucat.lawvere._moebius_to
+    monkeypatch.setattr(mucat.lawvere, "_moebius_to",
+                        lambda up, q: columns.append(q) or column(up, q))
+    swept = []
+    for f, pair in zip(c.morphisms, _lawvere_sweep(c)):
+        assert walked == ([f] if c.dom[f] == "0" else []) and len(columns) == 1, f
+        swept.append(pair)
+        walked.clear()
+        columns.clear()
+    assert swept == expected and len(swept) == len(c.morphisms)
+
+
+IDENTITY_LEAST_CASES = {
+    **{name: case[0] for name, case in OBJECT_ORDER_CASES.items()
+       if not name.startswith("unmarked")},
+    # the iso pair's and the idempotent endo's orders are all refused
+    **{f"checked {name}": (lambda name=name: _marked(KEYED_CORPUS[name]())) for name in KEYED_CORPUS
+       if name not in ("iso pair", "idempotent endo")},
+}
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_LEAST_CASES))
+def test_every_object_order_has_its_identity_least(name):
+    # _object_order checks no least element: the right identity law, which
+    # the mark rests on, puts (w, 1_x) in the list of every w out of x
+    c = IDENTITY_LEAST_CASES[name]()
+    assert c._associative
+    orders = [mucat.lawvere._object_order(c, x) for x in range(len(c.objects))]
+    assert any(order is not None for order in orders)
+    for x, order in enumerate(orders):
+        if order is not None:
+            up, position, one = order
+            assert one == position[c._ident[x]] and up[one] == (1 << len(up)) - 1, c.objects[x]
+
+
 @pytest.mark.parametrize("name", ["marked, incomplete into the top", "marked u∘v = u2∘v",
                                   "marked h∘v = k∘v", BOWTIE],
                          ids=["incomplete into the top", "listed twice u", "listed twice h", "bowtie"])
 def test_each_route_call_checks_its_morphism_once(name, monkeypatch):
     # the walk a marked slice falls back on takes the handle _placed read,
-    # and so does the sweep's per-interval lattice test
+    # in the route and in the sweep alike
     make = OBJECT_ORDER_CASES[name][0]
     c, expected = make(), make()
     checked, real = [], CategorySlice._closed_handle
