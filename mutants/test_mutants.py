@@ -9,7 +9,8 @@ listed node reports FAILED in the ``-rA`` summary, so a mutant that breaks
 the import or the collection of a module fails its case.  One more case runs
 every listed node on the unmutated copy and requires each to pass.  A
 refactor that removes an anchor fails its case, so the row has to move with
-the code.
+the code.  The selected cases start together, from one session fixture, on a
+pool of at most ``os.cpu_count()`` workers, and each test asserts its own.
 
 Run with ``python -m pytest mutants`` from the repository root; ``testpaths``
 leaves this directory out of the tier-1 run.
@@ -20,6 +21,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,9 @@ SPIED = f"{CATEGORY}::test_verify_checks_source_lists_with_no_endpoint_call[list
 HALL = f"{POSET}::test_top_column_of_an_ordinal_sum_matches_hall_s_closed_form"
 FAILS_UNMARKED = f"{CATEGORY}::test_factor_slice_leaves_a_total_table_that_fails_unmarked"
 ORDERS = f"{LAWVERE}::test_object_orders_"
-ONCE = f"{LAWVERE}::test_each_route_call_checks_its_morphism_once"
+FILTERED = f"{CATEGORY}::test_filter_matches_the_full_scan_on_planted_total_tables"
+UNGENERATED = f"{CATEGORY}::test_a_total_table_its_atoms_do_not_generate_takes_the_full_scan"
+BY_IDEAL = f"{SEMIGROUPS}::test_division_category_is_the_definition_listed_by_decreasing_ideal"
 ENUMERATED = f"{CM_DM}::test_enumerators_list_every_factorization_in_order"
 
 
@@ -230,18 +234,39 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         [f"{SEMIGROUPS}::test_two_element_group_is_inverse_but_not_combinatorial",
          f"{CLI}::test_semigroup_names_a_non_combinatorial_semigroup[2]"],
     ),
-    # a walk a marked slice falls back on takes the handle _placed checked
-    "the Lawvere route's walk checks f again": (
-        "lawvere.py",
-        "        return _position_route(c, f, k=k)[-1]\n",
-        "        return _position_route(c, f)[-1]\n",
-        [f"{ONCE}[listed twice u]", f"{ONCE}[listed twice h]"],
+    # Light's test: the closure walk and the atom check each refuse tables
+    # the other passes, and a total table that fails both takes the full scan
+    "_light always True": (
+        "category.py",
+        "    atoms = {}  # the atoms, by domain\n",
+        "    return True\n",
+        [UNGENERATED, f"{FILTERED}[cm_slice(2,-4)]"],
     ),
-    "the sweep's walk checks f again": (
-        "lawvere.py",
-        "        _, linear, law = _position_route(c, f, k=k)\n",
-        "        _, linear, law = _position_route(c, f)\n",
-        [f"{ONCE}[bowtie]"],
+    "_light without its closure test": (
+        "category.py",
+        "    if len(reached) != len(after):\n        return False\n",
+        "",
+        [UNGENERATED, f"{FAILS_UNMARKED}[atoms miss b]"],
+    ),
+    "_light without its atom check": (
+        "category.py",
+        "            if ys(after[row_x[g]]) != through(row_x):\n                return False\n",
+        "",
+        [f"{FILTERED}[cm_slice(2,-4)]", f"{FILTERED}[cm_slice(3,-5)]"],
+    ),
+    # a pair with no join may sit past p's first minimal partner
+    "_is_lattice joins only the first partner": (
+        "poset.py",
+        "                return False\n            rest &= ~up[q]\n",
+        "                return False\n            rest = 0\n",
+        [f"{POSET}::test_lattice_test_joins_every_minimal_partner"],
+    ),
+    # the one sort of the division category's (x, x⁻¹x) list
+    "division_category lists by increasing ideal": (
+        "semigroups.py",
+        "key=lambda p: -ideal.get(p[1], 0))",
+        "key=lambda p: ideal.get(p[1], 0))",
+        [f"{BY_IDEAL}[boolean B_4]", f"{BY_IDEAL}[Brandt B_3]"],
     ),
     # one read of _number is a complete handle only on a fully complete slice
     "_closed_handle takes the fully complete shortcut on every slice": (
@@ -316,17 +341,35 @@ def _run(tmp_path, nodes, mutant=None):
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_unmutated_copy_passes_every_listed_node(tmp_path):
-    nodes = list(dict.fromkeys(node for *_, ids in MUTANTS.values() for node in ids))
-    run = _run(tmp_path, nodes)
+UNMUTATED = "the unmutated copy"
+# case: (mutant or None, node IDs); the unmutated copy, the longest, runs first
+CASES = {
+    UNMUTATED: (None, list(dict.fromkeys(node for *_, ids in MUTANTS.values() for node in ids))),
+    **{name: (tuple(row[:3]), row[3]) for name, row in MUTANTS.items()},
+}
+
+
+@pytest.fixture(scope="session")
+def runs(request, tmp_path_factory):
+    """{case: future of its ``_run``} for every case this session selected,
+    all submitted at once."""
+    selected = {item.callspec.params["name"] if hasattr(item, "callspec") else UNMUTATED
+                for item in request.session.items if item.module.__name__ == __name__}
+    pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    yield {name: pool.submit(_run, tmp_path_factory.mktemp("case"), nodes, mutant)
+           for name, (mutant, nodes) in CASES.items() if name in selected}
+    pool.shutdown(cancel_futures=True)
+
+
+def test_unmutated_copy_passes_every_listed_node(runs):
+    run, nodes = runs[UNMUTATED].result(), CASES[UNMUTATED][1]
     assert run.returncode == 0, run.stdout + run.stderr
     assert f"{len(nodes)} passed" in run.stdout, run.stdout
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
-def test_mutant_is_caught(name, tmp_path):
-    file, anchor, replacement, nodes = MUTANTS[name]
-    run = _run(tmp_path, nodes, (file, anchor, replacement))
+def test_mutant_is_caught(name, runs):
+    run, nodes = runs[name].result(), CASES[name][1]
     summary = run.stdout.splitlines()
     # each node ran and failed: an import or collection error names no node
     missed = [node for node in nodes if f"FAILED {node}" not in summary

@@ -202,7 +202,7 @@ def moebius_via_lawvere(c: CategorySlice | FactorizationSource, f) -> int:
     position on its masks (``_position_route``), and raises as it does."""
     order, k = _placed(c, f)
     if order is None:
-        return _position_route(c, f, k=k)[-1]
+        return _position_route(c, f, k)[-1]
     up, position, one = order
     return _moebius_to(up, position[k])[one]
 
@@ -300,20 +300,17 @@ def _lawvere_sweep(c: CategorySlice):
             if lattice[x]:
                 yield _moebius_to(up, position[k])[one], True
                 continue
-        _, linear, law = _position_route(c, f, k=k)
+        linear, law = _position_route(c, f, k)
         yield law, _is_lattice(linear)
 
 
-def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None = None,
-                    k=None) -> tuple:
-    """(f's handle, ``_linear``'s masks, mu(f)).  It raises as
-    ``interval_as_poset``, then Unbounded unless the trivial
+def _position_route(c: CategorySlice | FactorizationSource, f, k,
+                    eta: dict | None = None) -> tuple:
+    """(``_linear``'s masks, mu(f)) for f and its handle k, which the caller
+    has read through ``_closed_handle``; the route runs no guard itself.  It
+    raises as ``interval_as_poset``, then Unbounded unless the trivial
     factorizations are least and greatest; they then sit first and last in
-    the linear extension.  The walk fills eta as ``_walk`` says.  k is f's
-    handle when the caller has read it through ``_closed_handle``, which
-    then is not run again."""
-    if k is None:
-        k = c._closed_handle(f)
+    the linear extension.  The walk fills eta as ``_walk`` says."""
     pairs, distinct, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, distinct,
@@ -325,14 +322,15 @@ def _position_route(c: CategorySlice | FactorizationSource, f, eta: dict | None 
         raise Unbounded(f"interval of {f!r} lacks its trivial factorizations") from None
     if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:
         raise Unbounded(f"interval of {f!r} is not bounded by its trivial factorizations")
-    return k, linear, _moebius_to(linear, len(linear) - 1)[0]
+    return linear, _moebius_to(linear, len(linear) - 1)[0]
 
 
 def _both_routes(c: CategorySlice | FactorizationSource, f) -> tuple:
     """(``moebius_via_lawvere``, ``moebius_at``) of f, raising as the two in
-    turn, from one walk that fills a fresh μ table; ``_invert_from`` fills its gaps."""
-    eta: dict = {}
-    k, _, law = _position_route(c, f, eta)
+    turn, from one walk that fills a fresh μ table; ``_invert_from`` fills its
+    gaps.  f is checked once, here, and the walk takes its handle."""
+    k, eta = c._closed_handle(f), {}
+    law = _position_route(c, f, k, eta)[1]
     if k not in eta:
         _invert_from(c, eta, k)
     return law, eta[k]

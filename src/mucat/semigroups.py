@@ -283,49 +283,51 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     Objects are the transversal; Hom(e, f) = {(s', e) : s'⁻¹ s' <= e,
     s' s'⁻¹ = f}.  This is the whole (finite) category, so every morphism is
     factorization-complete.  For non-combinatorial s the category is still
-    returned; it just fails the Möbius test.  Its table is total, so it takes
-    s's verdict from ``find_semigroup_violation``; with it, its walks key
-    positions by right factor and never read the rows by left factor.
+    returned; it just fails the Möbius test.  On an unchecked table that is
+    not associative a composite outside the category raises InvalidSemigroup
+    naming its factors.  Its table is total, so it takes s's verdict from
+    ``find_semigroup_violation``; with it, its walks key positions by right
+    factor and never read the rows by left factor.
 
     Objects are listed by decreasing |eS|, ties in transversal order, and
     morphisms object by object, each object's by decreasing size of the
-    principal right ideal x⁻¹x·S, ties in element order.  f < f' gives
-    |fS| < |f'S| for idempotents, and D-related ones have ideals of one
-    size.  A morphism (x, e): e -> f with f != e has x⁻¹x < e, so
-    |fS| < |eS|: the objects come in a linear extension, and
-    ``is_one_way_category`` needs no transpose.  As (t, f)·(x, e) = (tx, e)
-    has (tx)⁻¹tx <= x⁻¹x, a right factor comes before every right factor it
-    factors; in a combinatorial s two related ones never tie.  So each
-    morphism's factorizations, listed right factor first, already come in a
-    linear extension of its interval poset, which is then built without
-    relabelling.
+    principal right ideal x⁻¹x·S, ties in element order, cut from one stable
+    sort of the pairs (x, x⁻¹x) (x⁻¹x last if not idempotent).  f < f' gives
+    |fS| < |f'S| for idempotents, and D-related ones have ideals of one size.
+    A morphism (x, e): e -> f with f != e has x⁻¹x < e, so |fS| < |eS|: the
+    objects come in a linear extension, and ``is_one_way_category`` needs no
+    transpose.  As (t, f)·(x, e) = (tx, e) has (tx)⁻¹tx <= x⁻¹x, a right factor
+    comes before every right factor it factors; in a combinatorial s two
+    related ones never tie.  So each morphism's factorizations, listed right
+    factor first, already come in a linear extension of its interval poset,
+    which is then built without relabelling.
     """
     reps = default_transversal(s) if transversal is None else check_transversal(s, transversal)
     table, inv, name = s._table, s._inverses(), s.elements
     ideal = {f: len(set(table[f])) for f in s._idempotents()}  # |fS|
     objects = dict(sorted([(s._index[e], e) for e in reps], key=lambda p: -ideal[p[0]]))
-    reps = tuple(objects.values())
     left, out = {}, {}  # morphism -> position of its first component; e -> {x: number of (x, e)}
-    sources = [(x, table[i][x]) for x, i in enumerate(inv) if table[x][i] in objects]  # (x, x⁻¹x)
+    sources = sorted([(x, table[i][x]) for x, i in enumerate(inv) if table[x][i] in objects],
+                     key=lambda p: -ideal.get(p[1], 0))  # (x, x⁻¹x), by decreasing |x⁻¹x·S|
     for k, e in objects.items():
-        # x x⁻¹ in the transversal and x⁻¹x <= e (e x⁻¹x = x⁻¹x), by decreasing |x⁻¹x·S|
-        xs = [x for x, d in sources if table[k][d] == d]
-        xs.sort(key=lambda x: -ideal[table[inv[x]][x]])
+        xs = [x for x, d in sources if table[k][d] == d]  # x⁻¹x <= e: e x⁻¹x = x⁻¹x
         out[e] = {x: len(left) + n for n, x in enumerate(xs)}
         left.update(((name[x], e), x) for x in out[e])
     morphisms, firsts = list(left), list(left.values())  # numbered in this order
     dom = {f: f[1] for f in morphisms}
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
-    # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always,
-    # so composites stay inside
+    # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always
     facts = [[] for _ in morphisms]
-    for k, f in enumerate(morphisms):
-        into, x = out[f[1]], firsts[k]
-        for g in out[cod[f]].values():
-            facts[into[table[firsts[g]][x]]].append((g, k))
-    identities = {e: (e, e) for e in reps}
-    c = CategorySlice.__new__(CategorySlice)._adopt(reps, morphisms, dom, cod, facts, None,
-                                                    identities, morphisms)
+    try:
+        for k, f in enumerate(morphisms):
+            into, x = out[f[1]], firsts[k]
+            for g in out[cod[f]].values():
+                facts[into[table[firsts[g]][x]]].append((g, k))
+    except KeyError:  # only on a table that is not associative
+        raise InvalidSemigroup(f"{morphisms[g]!r} · {f!r} is not a morphism: not associative") from None
+    identities = {e: (e, e) for e in objects.values()}
+    c = CategorySlice.__new__(CategorySlice)._adopt(objects.values(), morphisms, dom, cod, facts,
+                                                    None, identities, morphisms)
     c._associative = s._associative
     return c
 

@@ -20,6 +20,7 @@ from mucat import (
     IncompleteSlice,
     InvalidSlice,
     InverseSemigroup,
+    NotComparable,
     NotMoebius,
     chain,
     cm_moebius_closed_form,
@@ -1194,6 +1195,17 @@ def test_source_row_gives_the_handle_of_each_composite(c, source):
         assert source._after[code(g)].get(code(h)) == code(k)
     if isinstance(c.morphisms[0], DmMorphism):  # D_m's shift h + (beta - y)·m with y != 0
         assert sum(g.x != 0 for g, _ in entries) > 100
+
+
+def test_poset_source_refuses_an_unrelated_pair():
+    # its validate rule: leq refuses a non-member itself, and a pair of
+    # members that is not related is no morphism
+    source = mucat.category._poset_source(divisor_poset(12))
+    assert source.factorizations((2, 12))[0] == ((2, 12), (2, 2))
+    with pytest.raises(NotComparable, match=r"^2 <= 3 does not hold$"):
+        source.factorizations((2, 3))
+    with pytest.raises(NotComparable, match=r"^2 or 5 is not an element of this poset$"):
+        source.factorizations((2, 5))
 
 
 def test_factorizations_skip_non_composable_compose_entries():

@@ -481,7 +481,8 @@ def test_position_route_matches_the_staged_route(name, monkeypatch):
         assert moebius_via_lawvere(c, f) == _staged(c, f, window), f
         # verify's lattice test reads the position route's masks, relabelled if need be
         poset = interval_as_poset(lawvere_interval(c, f))
-        assert _is_lattice(_position_route(c, f)[1]) == poset.is_lattice() == bf_is_lattice(poset), f
+        linear = _position_route(c, f, c._closed_handle(f))[0]
+        assert _is_lattice(linear) == poset.is_lattice() == bf_is_lattice(poset), f
     # a top-first poset lists every nontrivial interval top first
     assert bool(relabelled) == name.endswith("top-first")
 
@@ -973,7 +974,7 @@ def _walked(c):
     out = []
     for f in c.morphisms:
         try:
-            _, linear, law = _position_route(c, f)
+            linear, law = _position_route(c, f, c._closed_handle(f))
         except MucatError as exc:
             return out + [(type(exc), str(exc))]
         out.append((law, _is_lattice(linear)))
@@ -986,7 +987,8 @@ def test_object_orders_give_the_walks_values_and_lattice_verdicts(name):
     c = make()
     for f in c.morphisms:
         assert (_values_or_error(moebius_via_lawvere, c, f)
-                == _values_or_error(lambda c, f: _position_route(c, f)[-1], make(), f)), f
+                == _values_or_error(lambda c, f: _position_route(c, f, c._closed_handle(f))[-1],
+                                    make(), f)), f
     assert _swept(c) == _walked(make())
 
 
@@ -1070,7 +1072,8 @@ def test_each_route_call_checks_its_morphism_once(name, monkeypatch):
         got = _values_or_error(moebius_via_lawvere, c, f)
         assert checked == [f]
         monkeypatch.setattr(CategorySlice, "_closed_handle", real)
-        assert got == _values_or_error(lambda c, f: _position_route(c, f)[-1], expected, f), f
+        assert got == _values_or_error(
+            lambda c, f: _position_route(c, f, c._closed_handle(f))[-1], expected, f), f
         monkeypatch.setattr(CategorySlice, "_closed_handle", spy)
     checked.clear()
     swept = _swept(c)

@@ -330,9 +330,17 @@ DETOUR = FinitePoset("0pqQruv1", covers=["0p", "0q", "qQ", "pr", "qr", "ru", "rv
                                           "u1", "v1"])
 
 
+# p's minimal incomparable partners are q and r: p, q join at a, but p, r
+# have two minimal upper bounds, c and d, the only pair with no join, which
+# the test meets only past p's first partner
+FORK = FinitePoset("0pqrabcd1", covers=["0p", "0q", "0r", "pa", "qa", "qb", "rb", "pc", "pd",
+                                        "rc", "rd", "a1", "b1", "c1", "d1"])
+
+
 @given(random_posets())
 @example(BOWTIE)
 @example(DETOUR)
+@example(FORK)
 @settings(max_examples=60, deadline=None)
 def test_is_lattice_matches_brute_force(p):
     assert p.is_lattice() == bf_is_lattice(p)
@@ -345,10 +353,19 @@ def test_lattice_test_joins_only_minimal_partners_on_a_detour():
     assert not DETOUR.is_lattice()
 
 
+def test_lattice_test_joins_every_minimal_partner():
+    elements, relation = FORK.elements, bf_relation(FORK)
+    assert bf_join(elements, relation, "p", "q") == "a"
+    assert bf_join(elements, relation, "p", "r") is None
+    assert [(x, y) for x in elements for y in elements
+            if bf_join(elements, relation, x, y) is None] == [("p", "r"), ("r", "p")]
+    assert not FORK.is_lattice() and not bf_is_lattice(FORK)
+
+
 def test_lattice_test_matches_brute_force_on_every_interval_of_a_window():
     c = cm_slice(3, -6)
     for f in c.morphisms:
-        masks = _position_route(c, f)[1]
+        masks = _position_route(c, f, c._closed_handle(f))[0]
         assert _is_lattice(masks) == bf_is_lattice(FinitePoset._from_masks(range(len(masks)), masks))
 
 

@@ -600,6 +600,33 @@ def test_group_division_category_is_returned_but_not_moebius():
         moebius_via_idempotent_lattice(g, ("g", "1"))
 
 
+def test_division_category_of_a_table_that_is_not_associative_names_two_morphisms():
+    # a composite (t, f)·(x, e) = (tx, e) that is not a morphism refuses the
+    # table in one line; the CLI's Light's test names its own triple first
+    s = InverseSemigroup("abc", [["a", "a", "a"], ["a", "b", "a"], ["b", "b", "c"]])
+    with pytest.raises(InvalidSemigroup) as refused:
+        division_category(s)
+    assert str(refused.value) == "('a', 'b') · ('b', 'c') is not a morphism: not associative"
+    assert find_semigroup_violation(s) == "associativity fails on ('c', 'b', 'a')"
+
+
+def test_every_three_element_table_with_unique_inverses_builds_or_is_refused():
+    outcomes = {"built": 0, "refused": 0, "composite": 0}
+    for s in _all_tables(3):
+        try:
+            s._inverses()
+        except InvalidSemigroup:
+            continue
+        try:
+            division_category(s)
+        except MucatError as exc:
+            outcomes["refused"] += 1
+            outcomes["composite"] += str(exc).endswith("is not a morphism: not associative")
+        else:
+            outcomes["built"] += 1
+    assert min(outcomes.values()) > 0
+
+
 # -- quotient posets and the two poset rules -----------------------------------------------
 
 def test_quotient_poset_of_chain():
