@@ -234,8 +234,8 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         [f"{SEMIGROUPS}::test_two_element_group_is_inverse_but_not_combinatorial",
          f"{CLI}::test_semigroup_names_a_non_combinatorial_semigroup[2]"],
     ),
-    # Light's test: the closure walk and the atom check each refuse tables
-    # the other passes, and a total table that fails both takes the full scan
+    # Light's test: its closure walk and its atom check each refuse a table
+    # the other passes, and a total table either refuses takes the full scan
     "_light always True": (
         "category.py",
         "    atoms = {}  # the atoms, by domain\n",

@@ -340,7 +340,6 @@ FORK = FinitePoset("0pqrabcd1", covers=["0p", "0q", "0r", "pa", "qa", "qb", "rb"
 @given(random_posets())
 @example(BOWTIE)
 @example(DETOUR)
-@example(FORK)
 @settings(max_examples=60, deadline=None)
 def test_is_lattice_matches_brute_force(p):
     assert p.is_lattice() == bf_is_lattice(p)
@@ -356,7 +355,6 @@ def test_lattice_test_joins_only_minimal_partners_on_a_detour():
 def test_lattice_test_joins_every_minimal_partner():
     elements, relation = FORK.elements, bf_relation(FORK)
     assert bf_join(elements, relation, "p", "q") == "a"
-    assert bf_join(elements, relation, "p", "r") is None
     assert [(x, y) for x in elements for y in elements
             if bf_join(elements, relation, x, y) is None] == [("p", "r"), ("r", "p")]
     assert not FORK.is_lattice() and not bf_is_lattice(FORK)
