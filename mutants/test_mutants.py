@@ -95,9 +95,9 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         [f"{LAWVERE}::test_proof_path_matches_the_full_law_check_on_marked_structures"
          "[division boolean B_4]"],
     ),
-    "checked_pairs skips the list rule": (
+    "the source's list check skips the list rule": (
         "category.py",
-        "            i = bad(k, pairs)\n",
+        "            i = bad(k, lefts, rights)\n",
         "            i = None\n",
         [f"{PLANTED}[C_2: right factor's residue]", f"{PLANTED}[D_3: left factor's target]"],
     ),
@@ -171,6 +171,43 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
          ["C_2: right factor's residue", "D_3: right factor's residue"],
          ["C_2: left factor's target residue", "D_3: left factor's target"]],
         " " * 16),
+    # the table check reads each pair off the two zipped lists, every clause
+    "_adopt's check without dom h = dom k": (
+        "category.py",
+        "                if cod_of[h] != dom_of[g] or dom_of[h] != x or cod_of[g] != y:\n",
+        "                if cod_of[h] != dom_of[g] or cod_of[g] != y:\n",
+        [f"{CATEGORY}::test_constructor_checks_every_entry_and_identity[wrong_composite_endpoints]",
+         f"{CATEGORY}::test_table_adopting_builder_checks_every_entry_and_identity"
+         "[wrong_composite_endpoints]"],
+    ),
+    # a list rule reads every pair, the first too
+    "dm_source's list rule skips the first pair": (
+        "cm_dm.py",
+        "        for n, (g, h) in enumerate(zip(lefts, rights)):\n",
+        "        for n, (g, h) in enumerate(zip(lefts[1:], rights[1:]), 1):\n",
+        [f"{CATEGORY}::test_list_rule_names_the_first_of_two_bad_pairs[D_3]"],
+    ),
+    # the readers of right factors alone take the second of the two lists
+    "keyed walk reads the left factors": (
+        "lawvere.py",
+        "            for v in below[1]:\n",
+        "            for v in below[0]:\n",
+        [f"{LAWVERE}::test_keyed_walk_equals_the_walk_by_composite[cm_slice(3,-4)]",
+         f"{LAWVERE}::test_a_fresh_cm_window_walks_every_morphism_by_right_factor"],
+    ),
+    "object orders read the left factors": (
+        "lawvere.py",
+        "            for v in facts[w][1]:\n",
+        "            for v in facts[w][0]:\n",
+        [f"{ORDERS}give_the_walks_values_and_lattice_verdicts[poset bounded bowtie top-first]"],
+    ),
+    "quotient masks read the left factors": (
+        "semigroups.py",
+        "for t in c._facts[s][1]}",
+        "for t in c._facts[s][0]}",
+        [f"{SEMIGROUPS}::test_quotient_poset_of_chain",
+         f"{SEMIGROUPS}::test_quotient_poset_is_cached_and_matches_factor_through_order"],
+    ),
     # a source that states no rule checks its lists by the default loop's endpoint calls
     "cm_source states no list rule": (
         "cm_dm.py",

@@ -34,7 +34,8 @@ class CategorySlice:
 
     Morphisms and objects are numbered in list order, and the tables are
     kept by number: the row ``_after[g]`` maps h with cod(h) = dom(g) to g∘h
-    when the composite lies in the slice, ``_facts[k]`` lists the pairs
+    when the composite lies in the slice, ``_facts[k]`` is the two tuples
+    (lefts, rights) of equal length whose i-th entries g, h are the i-th pair
     composing to k, and ``_dom``/``_cod``/``_ident`` give endpoints and
     identities; ``compose`` is a read-only view of the rows by morphism.
     The constructor fills the index in one pass over its table and checks
@@ -52,12 +53,14 @@ class CategorySlice:
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
         morphisms = tuple(morphisms)
         number = dict(zip(morphisms, range(len(morphisms)))).get
-        facts, order = [[] for _ in morphisms], []
+        facts, order = [([], []) for _ in morphisms], []
         for (g, h), k in compose.items():
             pair, composite = (number(g), number(h)), number(k)
             if composite is None or None in pair:
                 raise InvalidSlice(f"compose entry ({g!r}, {h!r}) -> {k!r} mentions unknown morphisms")
-            facts[composite].append(pair)
+            lefts, rights = facts[composite]
+            lefts.append(pair[0])
+            rights.append(pair[1])
             order.append(pair)
         self._adopt(objects, morphisms, {f: dom[f] for f in morphisms if f in dom},
                     {f: cod[f] for f in morphisms if f in cod}, facts, order,
@@ -66,10 +69,12 @@ class CategorySlice:
     def _adopt(self, objects, morphisms, dom, cod, facts, order, identities,
                complete) -> "CategorySlice":
         """Check the tables, then store them as given and return self.  The
-        caller's dicts and lists are kept, not copied: ``facts[k]`` lists the
-        number pairs composing to k, and ``order`` lists every pair in
-        ``compose`` order, or is None to list them by composite, in ``facts``
-        order.  The slice starts with no law verdict."""
+        caller's dicts and lists are kept, not copied: ``facts[k]`` is the
+        left and the right factors, by number, of the pairs composing to k,
+        two sequences of equal length that are stored as tuples, and
+        ``order`` lists every pair in ``compose`` order, or is None to list
+        them by composite, in ``facts`` order.  The slice starts with no law
+        verdict."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
         place = dict(zip(self.objects, range(len(self.objects))))
@@ -89,12 +94,12 @@ class CategorySlice:
             dom_of.append(x)
             cod_of.append(y)
         at = self.morphisms
-        for k, pairs in enumerate(facts):  # each list is freed as its tuple is made
+        for k, (lefts, rights) in enumerate(facts):  # each list is freed as its tuple is made
             x, y = dom_of[k], cod_of[k]
-            for g, h in pairs:
+            for g, h in zip(lefts, rights):
                 if cod_of[h] != dom_of[g] or dom_of[h] != x or cod_of[g] != y:
                     raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
-            facts[k] = tuple(pairs)
+            facts[k] = tuple(lefts), tuple(rights)
         self._after, self._facts = [], facts  # ``_rows`` fills the rows on the first read
         self.compose = _Compose(self._after, facts, order, number, at)
         self.identities, self._ident = identities, []
@@ -142,6 +147,11 @@ class CategorySlice:
             self._groups = place, out, into
         return self._groups
 
+    def _row(self, g):
+        """h ↦ g∘h by number, None where the table has no entry: the
+        ``get`` of g's row, filled on the first read."""
+        return _rows(self)[g].get
+
     def hom(self, x, y) -> tuple:
         """All morphisms x -> y, in slice order: those in ``out[x]`` with codomain y."""
         place, out, _ = self._grouped()
@@ -161,7 +171,7 @@ class CategorySlice:
         category.  Translated from the numbered table on each call.
         """
         at = self.morphisms
-        return tuple([(at[g], at[h]) for g, h in self._facts[self._handle(f)]])
+        return tuple([(at[g], at[h]) for g, h in zip(*self._facts[self._handle(f)])])
 
     def _handle(self, f) -> int:
         """The number f is read by, once f is checked to be complete: a fully
@@ -183,7 +193,7 @@ class CategorySlice:
             if f not in self.complete:
                 raise IncompleteSlice(f"morphism {f!r} is not marked factorization-complete")
             if factors:
-                for h in (self._at[g] for pair in self._facts[k] for g in pair):
+                for h in (self._at[g] for pair in zip(*self._facts[k]) for g in pair):
                     if h not in self.complete:
                         raise IncompleteSlice(
                             f"factor {h!r} of {f!r} is not marked factorization-complete")
@@ -236,15 +246,15 @@ def _bad_identity(x, d, c) -> InvalidSlice:
 
 
 def _rows(c):
-    """The rows by left factor of a slice, its ``compose`` view or a source;
-    a slice fills them from its factorization index on the first read, so a
+    """The rows by left factor of a slice or its ``compose`` view; a slice
+    fills them from its factorization index on the first read, so a
     slice that no read needs them on (a checked division category, walked by
     right factor) never holds them."""
     after = c._after
     if not after and c._facts:
         after += [{} for _ in c._facts]
-        for k, pairs in enumerate(c._facts):
-            for g, h in pairs:
+        for k, (lefts, rights) in enumerate(c._facts):
+            for g, h in zip(lefts, rights):
                 after[g][h] = k
     return after
 
@@ -273,13 +283,13 @@ class _Compose(Mapping):
         return ((at[g], at[h]) for g, h, _ in self._numbered())
 
     def __len__(self):
-        return sum(map(len, self._facts))
+        return sum([len(rights) for _, rights in self._facts])
 
     def _numbered(self):
         """Each entry (g, h, g∘h) by number, in table order: as ``_order``
         lists the pairs, or by composite."""
         if self._order is None:
-            return ((g, h, k) for k, pairs in enumerate(self._facts) for g, h in pairs)
+            return ((g, h, k) for k, listed in enumerate(self._facts) for g, h in zip(*listed))
         after = _rows(self)
         return ((g, h, after[g][h]) for g, h in self._order)
 
@@ -305,56 +315,60 @@ class _Rule:
 class FactorizationSource:
     """A category read through its rules instead of a table.
 
-    ``factorizations(k)`` lists every (g, h) with g∘h = k, ``dom``/``cod``
-    give endpoints, ``identity(x)`` the identity of x, ``row(g)`` the
-    function h ↦ g∘h on the h composable with g, unchecked, and
-    ``validate(f)`` raises unless f is a morphism.  The rules read and give
-    handles and plain endpoint values: ``handle(f)`` is the handle of a
-    morphism f, ``at(k)`` the morphism of a handle k, ``obj(x)`` the object
-    of an endpoint value x, and all three default to the identity, so a
-    source may read a morphism as its own handle and an object as its own
-    value.  ``factorizations`` is the one public read: it runs ``validate``
-    on f and lists morphisms.  Each rule is read on request through a private
-    mapping named as a slice's numbered table (``_number`` is ``handle``,
-    ``_at`` is ``at``, and g's row ``_after[g]`` is ``row(g)``), so the
-    interval walk and the convolution recursion read a source as they read
-    a slice, and memory grows only with what a route reads.  Every
-    factorization list and identity is checked each time it is handed out,
-    as the ``CategorySlice`` constructor checks a table entry, on plain
-    values, with its messages, which decode handles through ``at`` and
-    endpoint values through ``obj``; the source stores nothing.  The list
-    check is one rule, ``bad(k, pairs)``, kept as ``_bad``: the index of the
-    first pair (g, h) of k's list with cod h ≠ dom g, dom h ≠ dom k or
+    ``factorizations(k)`` gives two sequences of equal length, the left
+    factors (g₀, g₁, …) and the right factors (h₀, h₁, …) of the pairs
+    (gᵢ, hᵢ) with gᵢ∘hᵢ = k, ``dom``/``cod`` give endpoints, ``identity(x)``
+    the identity of x, ``row(g)`` the function h ↦ g∘h on the h composable
+    with g, unchecked, and ``validate(f)`` raises unless f is a morphism.
+    The rules read and give handles and plain endpoint values: ``handle(f)``
+    is the handle of a morphism f, ``at(k)`` the morphism of a handle k,
+    ``obj(x)`` the object of an endpoint value x, and all three default to
+    the identity, so a source may read a morphism as its own handle and an
+    object as its own value.  ``factorizations`` is the one public read: it
+    runs ``validate`` on f and lists the pairs (g, h) as morphisms.  Each
+    rule is read on request through a private name of a slice's numbered
+    tables (``_number`` is ``handle``, ``_at`` is ``at``, and ``_row`` is
+    ``row``, as a slice's ``_row(g)`` reads g's row), so the interval walk
+    and the convolution recursion read a source as they read a slice, and
+    memory grows only with what a route reads.  Every factorization list and
+    identity is checked each time it is handed out, as the ``CategorySlice``
+    constructor checks a table entry, on plain values, with its messages,
+    which decode handles through ``at`` and endpoint values through
+    ``obj``; the source stores nothing.  The list check is one rule,
+    ``bad(k, lefts, rights)``, kept as ``_bad``: the index i of the first
+    pair (lefts[i], rights[i]) = (g, h) with cod h ≠ dom g, dom h ≠ dom k or
     cod g ≠ cod k, or None.  By default it loops over the pairs calling
     ``dom`` and ``cod``; a source may state it with the same endpoints read
     inline on handles.  Every endpoint of every pair is checked either way,
-    and the refusal is built from the pair the rule names.
+    and the refusal is built from the pair the rule names.  Equal length is
+    the enumerator's contract, like the endpoint rules', and is not checked:
+    every reader pairs the two sequences by ``zip``.
     ``_enumerate`` is the enumerator unchecked and ``_obj`` the object rule,
     for ``factor_slice``, whose constructor pass checks each entry.
     """
 
-    __slots__ = ("_enumerate", "_facts", "_after", "_dom", "_cod", "_ident", "_validate",
+    __slots__ = ("_enumerate", "_facts", "_row", "_dom", "_cod", "_ident", "_validate",
                  "_number", "_at", "_obj", "_bad")
     _associative = False  # no law check has read the rules
 
     def __init__(self, factorizations, dom, cod, identity, row, validate,
                  handle=_same, at=_same, obj=_same, bad=None):
-        def each_pair(k, pairs):
+        def each_pair(k, lefts, rights):
             x, y = dom(k), cod(k)
-            for i, (g, h) in enumerate(pairs):
+            for i, (g, h) in enumerate(zip(lefts, rights)):
                 if cod(h) != dom(g) or dom(h) != x or cod(g) != y:
                     return i
             return None
 
         bad = bad or each_pair
 
-        def checked_pairs(k):
-            pairs = factorizations(k)
-            i = bad(k, pairs)
+        def checked_lists(k):
+            lefts, rights = listed = factorizations(k)
+            i = bad(k, lefts, rights)
             if i is not None:
-                g, h = pairs[i]
+                g, h = lefts[i], rights[i]
                 raise _bad_entry(at(g), at(h), at(k), cod(h) == dom(g))
-            return pairs
+            return listed
 
         def checked_identity(x):
             e = identity(x)
@@ -364,15 +378,15 @@ class FactorizationSource:
 
         self._dom, self._cod = _Rule(dom), _Rule(cod)
         self._ident = _Rule(checked_identity)
-        self._after = _Rule(lambda g: _Rule(row(g)))
-        self._enumerate, self._facts = factorizations, _Rule(checked_pairs)
+        self._row = row
+        self._enumerate, self._facts = factorizations, _Rule(checked_lists)
         self._validate, self._number, self._at = validate, _Rule(handle), _Rule(at)
         self._obj, self._bad = obj, bad
 
     def factorizations(self, f) -> list:
         """All ordered pairs (g, h) with g∘h = f, in the enumerator's order."""
         at = self._at.get
-        return [(at(g), at(h)) for g, h in self._facts[self._handle(f)]]
+        return [(at(g), at(h)) for g, h in zip(*self._facts[self._handle(f)])]
 
     def _handle(self, f):
         self._validate(f)
@@ -437,8 +451,8 @@ def _light(c: CategorySlice, after) -> bool:
     the x composable with g are read off the object index."""
     dom, cod, ident, out = c._dom, c._cod, c._ident, c._grouped()[1]
     atoms = {}  # the atoms, by domain
-    for f, pairs in enumerate(c._facts):
-        if len(pairs) == 2 and ident[dom[f]] != f:
+    for f, (_, rights) in enumerate(c._facts):
+        if len(rights) == 2 and ident[dom[f]] != f:
             atoms.setdefault(dom[f], []).append(f)
     reached, stack = set(ident), list(ident)
     while stack:  # each reached w composed with every atom out of cod(w)
@@ -512,8 +526,9 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     """The full subcategory of ``source`` on a window closed under factors, in window order.
 
     Each morphism's factorizations are enumerated once, on the source's
-    handles, in the order the slice is to list them, and both factors are
-    looked up by number, keyed by each window morphism's handle, so every table
+    handles, in the order the slice is to list them, and each side is
+    numbered by one lookup per factor, keyed by each window morphism's
+    handle, so every table
     entry and identity is one of the window's own morphisms and each morphism
     is complete; each distinct endpoint value is decoded once through the
     source's ``obj``, so the slice keeps the source's objects.  A factor or an
@@ -528,15 +543,17 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     window = tuple(window)
     handles = list(map(source._number.get, window))
     number = dict(zip(handles, range(len(window))))
-    facts, factorizations, at = [], source._enumerate, source._at.get
+    facts, factorizations, at, numbered = [], source._enumerate, source._at.get, number.__getitem__
     for f, k in zip(window, handles):
         if at(k) != f:  # a handle that reads back as f numbers f alone
             raise InvalidSlice(f"{f!r} is not a morphism of the source: "
                                f"its handle reads back as {at(k)!r}")
+        lefts, rights = factorizations(k)
         try:
-            facts.append(tuple([(number[g], number[h]) for g, h in factorizations(k)]))
-        except KeyError as exc:
-            raise InvalidSlice(f"factor {at(exc.args[0])!r} of {f!r} "
+            facts.append((tuple(map(numbered, lefts)), tuple(map(numbered, rights))))
+        except KeyError:  # name the first factor outside in (g₀, h₀, g₁, h₁, …) order
+            outside = next(g for pair in zip(lefts, rights) for g in pair if g not in number)
+            raise InvalidSlice(f"factor {at(outside)!r} of {f!r} "
                                "lies outside the window") from None
     doms, cods = list(map(source._dom.get, handles)), list(map(source._cod.get, handles))
     decoded = {x: source._obj(x) for x in dict.fromkeys(doms + cods)}  # each value once
@@ -576,10 +593,12 @@ def _poset_source(p: FinitePoset) -> FactorizationSource:
         y = g[1]
         return lambda h: (h[0], y)
 
-    return FactorizationSource(
-        lambda f: [((z, f[1]), (f[0], z)) for z in elements if leq(f[0], z) and leq(z, f[1])],
-        lambda f: f[0], lambda f: f[1], lambda x: (x, x), row, validate,
-    )
+    def factorizations(f):  # (z, y) ∘ (x, z) for each z with x <= z <= y
+        between = [z for z in elements if leq(f[0], z) and leq(z, f[1])]
+        return [(z, f[1]) for z in between], [(f[0], z) for z in between]
+
+    return FactorizationSource(factorizations, lambda f: f[0], lambda f: f[1], lambda x: (x, x),
+                               row, validate)
 
 
 # -- incidence functions -----------------------------------------------------
@@ -643,7 +662,7 @@ def _row(c: CategorySlice, xi) -> list:
 def convolve(c: CategorySlice, xi, eta, f):
     """(xi * eta)(f) = sum over factorizations f = g∘h of xi(g) * eta(h)."""
     xi, eta = _row(c, xi), _row(c, eta)
-    return sum([xi[g] * eta[h] for g, h in c._facts[c._handle(f)]])
+    return sum([xi[g] * eta[h] for g, h in zip(*c._facts[c._handle(f)])])
 
 
 def _invert_from(c: CategorySlice | FactorizationSource, eta: dict, root) -> None:
@@ -662,10 +681,10 @@ def _invert_from(c: CategorySlice | FactorizationSource, eta: dict, root) -> Non
     """
     facts, ident, cod = c._facts, c._ident, c._cod
     waiting = {root}
-    pairs = facts[root]
-    stack = [(root, ident[cod[root]], pairs, iter(pairs))]
+    listed = facts[root]
+    stack = [(root, ident[cod[root]], listed, zip(*listed))]
     while stack:
-        f, one, pairs, rest = stack[-1]
+        f, one, listed, rest = stack[-1]
         for g, h in rest:
             if g != one and h not in eta:
                 if h in waiting:
@@ -673,12 +692,12 @@ def _invert_from(c: CategorySlice | FactorizationSource, eta: dict, root) -> Non
                                      "slice is not one-way")
                 waiting.add(h)
                 below = facts[h]
-                stack.append((h, ident[cod[h]], below, iter(below)))
+                stack.append((h, ident[cod[h]], below, zip(*below)))
                 break
         else:
             stack.pop()
             waiting.discard(f)
-            eta[f] = int(f == one) - sum([eta[h] for g, h in pairs if g != one])
+            eta[f] = int(f == one) - sum([eta[h] for g, h in zip(*listed) if g != one])
 
 
 def moebius_at(c: CategorySlice | FactorizationSource, f) -> int:

@@ -140,25 +140,28 @@ def cm_source(m: int) -> FactorizationSource:
     _require_modulus(m)
 
     def factorizations(k):
-        """Every pair (g, h) with g∘h = k: right factor (b, x, i, l) with l from i
-        down to j, then b ascending, the order cm_slice lists them in; at
-        level l, b runs from max(0, a - (l - j)) to min(a, i - l), each bound
-        a conditional expression, not a builtin call."""
+        """The left and right factors of every pair (g, h) with g∘h = k: right
+        factor (b, x, i, l) with l from i down to j, then b ascending, the
+        order cm_slice lists them in; at level l, b runs from
+        max(0, a - (l - j)) to min(a, i - l), each bound a conditional
+        expression, not a builtin call.  Each left factor
+        (a - b, (b + x) mod m, l, j) is read off its right factor."""
         a, x, i, j = k
-        return [((a - b, (b + x) % m, l, j), (b, x, i, l))
-                for l in range(i, j - 1, -1)
-                for b in range(a + j - l if a + j > l else 0, (a if a < i - l else i - l) + 1)]
+        rights = [(b, x, i, l)
+                  for l in range(i, j - 1, -1)
+                  for b in range(a + j - l if a + j > l else 0, (a if a < i - l else i - l) + 1)]
+        return [(a - b, (b + x) % m, l, j) for b, _, _, l in rights], rights
 
     def row(g):
         """h ↦ g∘h: (b, y, j, k) ∘ (a, x, i, j) = (a + b, x, i, k)."""
         b, k = g[0], g[3]
         return lambda h: (h[0] + b, h[1], h[2], k)
 
-    def bad(k, pairs):
+    def bad(k, lefts, rights):
         """The first pair with dom h ≠ (x, i), cod g ≠ (y, j) or cod h ≠ dom g."""
         a, x, i, j = k
         y = (a + x) % m
-        for n, ((ga, gx, gi, gj), (ha, hx, hi, hj)) in enumerate(pairs):
+        for n, ((ga, gx, gi, gj), (ha, hx, hi, hj)) in enumerate(zip(lefts, rights)):
             if hx != x or hi != i or gj != j or hj != gi or (ha + hx) % m != gx or (ga + gx) % m != y:
                 return n
         return None
@@ -221,15 +224,17 @@ def dm_source(m: int) -> FactorizationSource:
     _require_modulus(m)
 
     def factorizations(k):
-        """Every pair (g, h) with g · h = k: right factor (c, x) with c ascending,
-        the order dm_slice lists them in."""
+        """The left and right factors of every pair (g, h) with g · h = k:
+        right factor (c, x) with c ascending, the order dm_slice lists them
+        in, so the right factors' handles c·m + x are a range."""
         alpha, x = divmod(k, m)
-        return [((alpha - c + r) * m + r, c * m + x) for c in range(x, alpha + 1) for r in (c % m,)]
+        return ([(alpha - c + r) * m + r for c in range(x, alpha + 1) for r in (c % m,)],
+                range(x * m + x, k + 1, m))
 
-    def bad(k, pairs):
+    def bad(k, lefts, rights):
         """The first pair with dom h ≠ x, cod g ≠ y or cod h ≠ dom g."""
         x, y = k % m, k // m % m
-        for n, (g, h) in enumerate(pairs):
+        for n, (g, h) in enumerate(zip(lefts, rights)):
             if h % m != x or g // m % m != y or h // m % m != g % m:
                 return n
         return None

@@ -25,10 +25,10 @@ The staged objects (``LawvereInterval``, ``interval_as_poset``,
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_
+from operator import and_, indexOf
 from typing import Any, NamedTuple
 
-from .category import CategorySlice, FactorizationSource, _invert_from, _rows, one_way
+from .category import CategorySlice, FactorizationSource, _invert_from, one_way
 from .errors import InvalidPoset, InvalidSlice, NotOneWay, NotThin, Unbounded
 from .poset import FinitePoset, _is_lattice, _linear, _moebius_to
 
@@ -79,16 +79,17 @@ class LawvereInterval:
 
 
 def _walk(c, root, found=None, eta=None):
-    """The factorizations ``pairs`` of c's handle ``root``, how many distinct
-    pairs they hold, and ``_up`` and ``_more`` on them; a walk given a dict
-    found appends each connecting h to found[i, j].  h connects (u, v) to
-    (u', v') exactly when (h, v) factors v' and u'∘h = u, so one walk over
-    the factorizations of each v' (``pairs`` for the root) finds every
+    """The factorizations (lefts, rights) of c's handle ``root``, how many
+    distinct pairs they hold, and ``_up`` and ``_more`` on them, the pair at
+    index i being (lefts[i], rights[i]); a walk given a dict found appends
+    each connecting h to found[i, j].  h connects (u, v) to (u', v')
+    exactly when (h, v) factors v' and u'∘h = u, so one walk over the
+    factorizations of each v' (the root's own for the root) finds every
     morphism into (u', v'), each hom-set in slice order: u'∘h is read from
-    the row of u' (a slice's ``_after[u']``, a source's ``row(u')``: a
-    closure, or D_m's integer shift), and (u'∘h, v) is found by v, then
-    checked by its left factor (pairs that share a right factor are
-    chained), so no pair is built per entry.  If eta is a dict, v' gains
+    u''s row, ``c._row(u')`` (a slice's ``_after[u'].get``, a source's
+    ``row(u')``: a closure, or D_m's integer shift), and (u'∘h, v) is
+    found by v, then checked by its left factor (pairs that share a right
+    factor are chained), so no pair is built per entry.  If eta is a dict, v' gains
     μ(v') by ``_invert_from``'s recursion if eta already holds v for each
     (h, v) in its list with h not 1.  The loop is inline: a generator step
     costs more than its lookups.
@@ -98,35 +99,36 @@ def _walk(c, root, found=None, eta=None):
     for (u', v') in the root's list and (h, v) in v''s,
     (u'∘h)∘v = u'∘(h∘v) = root.  If the root lists each right factor once,
     (u'∘h, v) is its one pair ending in v, and the walk keys positions by v
-    alone: no composite is read.  A walk given found, and a source's walk
-    (a source carries no verdict), read every composite."""
-    pairs = c._facts[root]
-    position = dict(zip([v for _, v in pairs], range(len(pairs))))  # the last pair ending in v
-    once = len(position) == len(pairs)  # each right factor listed once
+    alone: no composite is read, and only right factors are.  A walk given
+    found, and a source's walk (a source carries no verdict), read every
+    composite."""
+    lefts, rights = listed = c._facts[root]
+    position = dict(zip(rights, range(len(rights))))  # the last pair ending in v
+    once = len(position) == len(rights)  # each right factor listed once
     keyed = once and c._associative and found is None
     if not keyed:
-        after, lefts, earlier = _rows(c), [u for u, _ in pairs], [None] * len(pairs)
+        earlier = [None] * len(rights)
         if not once:  # chain each pair to the one before it with the same right factor
             position = {}
-            for i, (_, v) in enumerate(pairs):
+            for i, v in enumerate(rights):
                 earlier[i], position[v] = position.get(v), i
-    distinct = len(pairs) if once else len(set(pairs))
+    distinct = len(rights) if once else len(set(zip(lefts, rights)))
     get, facts, ident, cod = position.get, c._facts, c._ident, c._cod
-    up, more = [0] * len(pairs), {}
-    for j, (u2, v2) in enumerate(pairs):
+    up, more = [0] * len(rights), {}
+    for j, v2 in enumerate(rights):  # the pair (lefts[j], v2)
         bit = 1 << j
-        below = pairs if v2 == root else facts[v2]
+        below = listed if v2 == root else facts[v2]
         if keyed:
-            for h, v in below:
+            for v in below[1]:
                 i = position[v]
                 if up[i] & bit:
                     more[i, j] = more.get((i, j), 1) + 1
                 else:
                     up[i] |= bit
         else:
-            row = after[u2].get
-            for h, v in below:
-                i, u = get(v), row(h)  # u is None if u2∘h is missing
+            row = c._row(lefts[j])
+            for h, v in zip(*below):
+                i, u = get(v), row(h)  # u is None if lefts[j]∘h is missing
                 while i is not None and lefts[i] != u:
                     i = earlier[i]
                 if i is not None:
@@ -141,10 +143,10 @@ def _walk(c, root, found=None, eta=None):
                 one = ident[cod[v2]]
             except InvalidSlice:  # the recursion raises it, after the interval's checks
                 continue
-            rest = [eta.get(v) for h, v in below if h != one]
+            rest = [eta.get(v) for h, v in zip(*below) if h != one]
             if None not in rest:
                 eta[v2] = int(v2 == one) - sum(rest)
-    return pairs, distinct, up, more
+    return listed, distinct, up, more
 
 
 def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterval:
@@ -152,9 +154,9 @@ def lawvere_interval(c: CategorySlice | FactorizationSource, f) -> LawvereInterv
     slice, where f and every factor of f must be complete: the factorization
     index is exact only there.  Both are walked by handle."""
     k = c._closed_handle(f)
-    pairs, _, up, more = _walk(c, k)
+    (lefts, rights), _, up, more = _walk(c, k)
     at = c._at
-    objects = [_new(Factorization, (at[g], at[h], f)) for g, h in pairs]
+    objects = [_new(Factorization, (at[g], at[h], f)) for g, h in zip(lefts, rights)]
     return LawvereInterval(f, objects, up, more, c, k)
 
 
@@ -227,11 +229,11 @@ def _object_order(c: CategorySlice, x: int):
     ``_linear``'s masks, position maps each morphism's number to its
     position there, and one is the position of 1_x.  The numbers out of x
     are ``out[x]`` of the slice's object index (``CategorySlice._grouped``),
-    and one pass over their lists sets bit w of up[v] for each (h, v) in
-    w's list, with no lookup by name; the order is None if some list names
-    a right factor twice or ``_linear`` refuses the masks (transitivity
-    skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry of the total
-    table and (h'∘h)∘v = h'∘(h∘v) = z).
+    and one pass over their right factors alone sets bit w of up[v] for
+    each right factor v of w, with no lookup by name; the order is None if
+    some list names a right factor twice or ``_linear`` refuses the masks
+    (transitivity skipped: if h∘v = w and h'∘w = z, then h'∘h is an entry
+    of the total table and (h'∘h)∘v = h'∘(h∘v) = z).
 
     A marked slice has its identity laws, a table that composes every
     composable pair and Light's verdict, associativity.  So 1_x is least:
@@ -266,7 +268,7 @@ def _object_order(c: CategorySlice, x: int):
     try:
         for j, w in enumerate(out):  # each right factor v of w has dom x
             bit = 1 << j
-            for _, v in facts[w]:
+            for v in facts[w][1]:
                 i = position[v]
                 if up[i] & bit:
                     raise InvalidPoset("a right factor listed twice")
@@ -311,13 +313,14 @@ def _position_route(c: CategorySlice | FactorizationSource, f, k,
     raises as ``interval_as_poset``, then Unbounded unless the trivial
     factorizations are least and greatest; they then sit first and last in
     the linear extension.  The walk fills eta as ``_walk`` says."""
-    pairs, distinct, up, more = _walk(c, k, eta=eta)
+    (lefts, rights), distinct, up, more = _walk(c, k, eta=eta)
     at, ident = c._at, c._ident
     linear = _interval_order(f, up, more, distinct,
-                             lambda i: _new(Factorization, (at[pairs[i][0]], at[pairs[i][1]], f)),
+                             lambda i: _new(Factorization, (at[lefts[i]], at[rights[i]], f)),
                              c._associative)[1]
     try:  # the factorizations are distinct here, so each is listed once
-        bottom, top = pairs.index((k, ident[c._dom[k]])), pairs.index((ident[c._cod[k]], k))
+        bottom = indexOf(zip(lefts, rights), (k, ident[c._dom[k]]))
+        top = indexOf(zip(lefts, rights), (ident[c._cod[k]], k))
     except ValueError:
         raise Unbounded(f"interval of {f!r} lacks its trivial factorizations") from None
     if up[bottom] != (1 << len(up)) - 1 or not reduce(and_, up) >> top & 1:

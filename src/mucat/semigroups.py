@@ -317,12 +317,14 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     dom = {f: f[1] for f in morphisms}
     cod = {f: name[table[x][inv[x]]] for f, x in left.items()}
     # (t, f) · (x, e) = (t x, e), right factor major; cod(x, e) ∈ reps always
-    facts = [[] for _ in morphisms]
+    facts = [([], []) for _ in morphisms]
     try:
         for k, f in enumerate(morphisms):
             into, x = out[f[1]], firsts[k]
             for g in out[cod[f]].values():
-                facts[into[table[firsts[g]][x]]].append((g, k))
+                lefts, rights = facts[into[table[firsts[g]][x]]]
+                lefts.append(g)
+                rights.append(k)
     except KeyError:  # only on a table that is not associative
         raise InvalidSemigroup(f"{morphisms[g]!r} · {f!r} is not a morphism: not associative") from None
     identities = {e: (e, e) for e in objects.values()}
@@ -341,7 +343,8 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     the order is antisymmetric.  Listed in reverse slice order, top last, so
     mostly in a linear extension.  The carrier is e's ``out`` list of the
     slice's object index (``CategorySlice._grouped``), so each mask is built
-    from the numbered lists with no lookup by name; a slice that is not fully
+    from the numbered right factors (the second tuple of each ``_facts``
+    entry) with no lookup by name; a slice that is not fully
     complete first refuses the carrier's first incomplete morphism.  On a
     marked slice the order is transitive by associativity, which is not
     checked again.  Built once per (slice, e) and cached on the slice.
@@ -357,7 +360,7 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
             for s in carrier:
                 c._handle(s)
         bit = {g: 1 << k for k, g in enumerate(numbers)}
-        up = [sum({bit[t] for _, t in c._facts[s]}) for s in numbers]
+        up = [sum({bit[t] for t in c._facts[s][1]}) for s in numbers]
         poset = c._quotients[e] = FinitePoset._from_masks(carrier, up, c._associative)
     return poset
 

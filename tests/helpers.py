@@ -400,6 +400,18 @@ def bf_compose(c, composite) -> dict:
     return table
 
 
+def sides(pairs) -> tuple[list, list]:
+    """The pairs (g, h) as a source's factorization rule gives them: the
+    list of left factors and the list of right factors, in pair order."""
+    return [g for g, _ in pairs], [h for _, h in pairs]
+
+
+def paired(lists) -> list:
+    """The pairs (g, h) of a source's two factor lists (lefts, rights)."""
+    lefts, rights = lists
+    return list(zip(lefts, rights))
+
+
 def opposite(c, rng=None) -> CategorySlice:
     """The opposite of the slice c, through the public constructor: each
     compose entry (g, h) -> k becomes (h, g) -> k and each morphism's domain

@@ -1,9 +1,11 @@
 import gc
 import random
 import re
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,7 @@ from mucat import (
 )
 import mucat.category
 import mucat.cm_dm
+from mucat.category import _poset_source
 from mucat.cli import main
 from mucat.lawvere import _both_routes, _lawvere_sweep
 
@@ -62,6 +65,8 @@ from helpers import (
     inversion_round_trip,
     meet_semilattice,
     opposite,
+    paired,
+    sides,
     slice_json,
     slice_product,
 )
@@ -224,13 +229,14 @@ def test_constructor_checks_every_entry_and_identity(compose, identities, messag
 
 
 def _numbered_tables(objects, morphisms, dom, cod, compose, identities, complete):
-    """``_adopt`` on the factorization index, the pairs composing to each
-    morphism by number, as the builders hand it; a builder numbers only
-    morphisms it lists, so no entry can name an unknown one."""
+    """``_adopt`` on the factorization index, the left and right factors
+    composing to each morphism by number, as the builders hand it; a builder
+    numbers only morphisms it lists, so no entry can name an unknown one."""
     number = {f: k for k, f in enumerate(morphisms)}
-    facts = [[] for _ in morphisms]
+    facts = [([], []) for _ in morphisms]
     for (g, h), k in compose.items():
-        facts[number[k]].append((number[g], number[h]))
+        facts[number[k]][0].append(number[g])
+        facts[number[k]][1].append(number[h])
     return CategorySlice.__new__(CategorySlice)._adopt(
         objects, morphisms, dom, cod, facts, None, identities, complete)
 
@@ -240,6 +246,20 @@ def test_table_adopting_builder_checks_every_entry_and_identity(compose, identit
     with pytest.raises(InvalidSlice) as caught:
         _arrow_slice(compose, identities, _numbered_tables)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("build", [CategorySlice, _numbered_tables],
+                         ids=["constructor", "adopting builder"])
+@pytest.mark.parametrize("first, second", [(0, 2), (2, 0), (1, 2)])
+def test_table_check_names_the_first_of_two_bad_pairs(build, first, second):
+    # both bad pairs compose to (4, 1), listed in compose order; each check
+    # names the one listed first
+    w, k = dm_slice(3, 9), DmMorphism(4, 1)
+    bad = {BAD_PAIRS[first][0]: k, BAD_PAIRS[second][0]: k}
+    compose = {**bad, **{pair: g for pair, g in w.compose.items() if pair not in bad}}
+    with pytest.raises(InvalidSlice) as caught:
+        build(w.objects, w.morphisms, w.dom, w.cod, compose, w.identities, w.complete)
+    assert str(caught.value) == BAD_PAIRS[first][1]
 
 
 def test_constructor_copies_the_callers_tables():
@@ -437,8 +457,8 @@ def _as_source(c) -> FactorizationSource:
         if f not in c.complete:
             raise InvalidSlice(f"{f!r} is not a morphism")
 
-    return FactorizationSource(c.factorizations, c.dom.get, c.cod.get, c.identities.get,
-                               lambda g: lambda h: c.compose[g, h], validate)
+    return FactorizationSource(lambda f: sides(c.factorizations(f)), c.dom.get, c.cod.get,
+                               c.identities.get, lambda g: lambda h: c.compose[g, h], validate)
 
 
 @pytest.mark.parametrize("redirect", [False, True], ids=["atoms miss b", "a∘1 = b"])
@@ -685,6 +705,72 @@ def test_builders_match_all_pairs_compose_oracle(c, composite, reversed_window):
     assert list(c.compose.items()) == [(p, k) for k in c.morphisms for p in c.factorizations(k)]
 
 
+def _two_tuples(c) -> bool:
+    """Whether each entry of c's factorization index is two tuples of equal length."""
+    return len(c._facts) == len(c.morphisms) and all(
+        type(listed) is tuple and len(listed) == 2 and all(type(side) is tuple for side in listed)
+        and len(listed[0]) == len(listed[1]) for listed in c._facts)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(c, id=name) for name, c, _ in _builder_corpus()]
+    + [pytest.param(CategorySlice.from_json(slice_json(dm_slice(3, 9))), id="from_json"),
+       pytest.param(iso_pair_category(), id="constructor")],
+)
+def test_each_factorization_list_is_two_tuples_of_equal_length(c):
+    # the i-th entries of k's two tuples are the numbers of k's i-th pair
+    assert _two_tuples(c)
+    at = c.morphisms
+    assert [tuple([(at[g], at[h]) for g, h in zip(*listed)]) for listed in c._facts] == [
+        c.factorizations(f) for f in c.morphisms]
+
+
+def _poset_composite(m, g, f):
+    """(y, z) ∘ (x, y) = (x, z) in a poset category; m is not read."""
+    return f[0], g[1]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_factorizations_of_a_shuffled_window_match_the_definition(data):
+    # factor_slice on any order of a window lists each morphism's pairs as the
+    # source enumerates them, and they are the all-pairs scan's pairs
+    family, m = data.draw(st.sampled_from("CDP")), data.draw(st.integers(2, 3))
+    if family == "C":
+        base, source, rule = cm_slice(m, data.draw(st.integers(-3, 0))), cm_source(m), cm_composite
+    elif family == "D":
+        base, source, rule = dm_slice(m, data.draw(st.integers(m - 1, 10))), dm_source(m), dm_composite
+    else:
+        p = divisor_poset(data.draw(st.sampled_from([8, 12, 30])))
+        base, source, rule = poset_as_category(p), _poset_source(p), _poset_composite
+    c = factor_slice(data.draw(st.permutations(base.morphisms)), source)
+    assert _two_tuples(c)
+    expected = bf_compose(c, lambda g, f: rule(m, g, f))
+    for f in c.morphisms:
+        listed = c.factorizations(f)
+        assert listed == tuple(source.factorizations(f))
+        assert sorted(listed) == sorted(pair for pair, k in expected.items() if k == f)
+
+
+def test_factorization_index_takes_at_most_40_bytes_an_entry():
+    # two tuples per morphism take about 28 bytes an entry, traced; a tuple
+    # per pair, as the index held before, takes about 61
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        c = cm_slice(3, -8)
+        gc.collect()
+        held, entries = tracemalloc.get_traced_memory()[0], len(c.compose)
+        c._facts = c.compose._facts = None
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert entries == 3861 and 16 * entries <= freed <= 40 * entries
+
+
 @pytest.mark.parametrize(
     "c, reversed_window",
     [pytest.param(c, name.startswith("reversed"), id=name)
@@ -707,6 +793,35 @@ def test_factor_slice_refuses_a_window_not_closed_under_factors_or_listed_twice(
         _dm_window(2, [*REVERSED_DM_WINDOW, REVERSED_DM_WINDOW[3]])
 
 
+@pytest.mark.parametrize("outside, named", [
+    ({DmMorphism(2, 1), DmMorphism(4, 0)}, DmMorphism(2, 1)),
+    ({DmMorphism(7, 2), DmMorphism(3, 1)}, DmMorphism(7, 2)),
+], ids=["right factor first", "left factor first"])
+def test_factor_slice_names_the_first_factor_outside_in_pair_order(outside, named):
+    # (7, 1) lists ((7, 1), (1, 1)), ((7, 2), (2, 1)), ((4, 0), (3, 1)), ...
+    # and comes first in the window: the refusal names the first factor
+    # outside in (g0, h0, g1, h1, ...) order, whichever side holds it
+    f = DmMorphism(7, 1)
+    window = [f, *(g for g in dm_slice(3, 9).morphisms if g != f and g not in outside)]
+    with pytest.raises(InvalidSlice, match=re.escape(
+            f"factor {named!r} of {f!r} lies outside the window")):
+        factor_slice(window, dm_source(3))
+
+
+@pytest.mark.parametrize("missing, named", [
+    ({DmMorphism(2, 1), DmMorphism(4, 0)}, DmMorphism(2, 1)),
+    ({DmMorphism(7, 2), DmMorphism(3, 1)}, DmMorphism(7, 2)),
+], ids=["right factor first", "left factor first"])
+def test_closed_handle_names_the_first_incomplete_factor_in_pair_order(missing, named):
+    w, f = dm_slice(3, 9), DmMorphism(7, 1)
+    partial = CategorySlice(w.objects, w.morphisms, w.dom, w.cod, w.compose, w.identities,
+                            [g for g in w.morphisms if g not in missing])
+    message = f"^{re.escape(f'factor {named!r} of {f!r}')} is not marked factorization-complete$"
+    for read in (moebius_at, moebius_via_lawvere, lawvere_interval):
+        with pytest.raises(IncompleteSlice, match=message):
+            read(partial, f)
+
+
 def test_factor_slice_refuses_a_morphism_its_handle_does_not_read_back():
     # (0, 2) is no morphism of D_2: its handle 0·2 + 2 is the handle of (1, 0), which it replaces
     window = [DmMorphism(0, 2) if f == DmMorphism(1, 0) else f for f in dm_slice(2, 5).morphisms]
@@ -723,14 +838,14 @@ def test_factor_slice_refuses_a_pair_listed_twice():
     pair = _dm3(DmMorphism(5, 2), DmMorphism(2, 0))  # the last pair listed of (5, 0)
     for again in _dm3(DmMorphism(5, 0), DmMorphism(8, 0)):  # in its own list, then under another
         def listed(k, again=again):
-            pairs = D3._enumerate(k)
-            return [*pairs, pair] if k == again else pairs
+            pairs = paired(D3._enumerate(k))
+            return sides([*pairs, pair] if k == again else pairs)
         with pytest.raises(InvalidSlice, match="^a factorization is listed twice$"):
             factor_slice(window, _dm3_source(listed))
 
 
 def test_factor_slice_refuses_an_identity_outside_the_window():
-    nontrivial = _dm3_source(lambda k: [])  # lists no factorization, so 1_0 need not be in the window
+    nontrivial = _dm3_source(lambda k: ([], []))  # lists no factorization, so 1_0 need not be in the window
     with pytest.raises(InvalidSlice, match="^object 0 lacks an identity morphism$"):
         factor_slice([DmMorphism(3, 0)], nontrivial)
 
@@ -818,7 +933,7 @@ def _dm3_source(factorizations=D3._enumerate, identity=lambda x: DmMorphism(x, x
     handles, but ``identity`` gives a morphism, encoded by the handle rule."""
     return FactorizationSource(
         factorizations, dom, cod, lambda x: D3._number[identity(x)],
-        lambda g: D3._after[g].get, lambda f: validate_dm_morphism(3, f),
+        D3._row, lambda f: validate_dm_morphism(3, f),
         D3._number.get, D3._at.get,
     )
 
@@ -874,7 +989,7 @@ def _counted_cm3_source():
 
     return FactorizationSource(listed, C3._dom.get, C3._cod.get,
                                lambda x: C3._number[CmMorphism(0, x[0], x[1], x[1])],
-                               lambda g: C3._after[g].get,
+                               C3._row,
                                lambda f: validate_cm_morphism(3, f), C3._number.get,
                                C3._at.get, C3._obj), count
 
@@ -932,8 +1047,8 @@ def _one_bad_pair_source(bad):
     k, bad = D3._number[DmMorphism(4, 1)], _dm3(*bad)
 
     def one_bad_pair(f):
-        pairs = D3._enumerate(f)
-        return [bad, *pairs[1:]] if f == k else pairs
+        pairs = paired(D3._enumerate(f))
+        return sides([bad, *pairs[1:]] if f == k else pairs)
 
     return _dm3_source(one_bad_pair)
 
@@ -962,9 +1077,9 @@ def test_source_refuses_a_bad_list_on_a_later_read(bad, message):
     reads = Counter()
 
     def bad_on_second_read(f):
-        pairs = D3._enumerate(f)
+        pairs = paired(D3._enumerate(f))
         reads[f] += 1
-        return [bad, *pairs[1:]] if f == handle and reads[f] == 2 else pairs
+        return sides([bad, *pairs[1:]] if f == handle and reads[f] == 2 else pairs)
 
     source = _dm3_source(bad_on_second_read)
     assert source.factorizations(k) == D3.factorizations(k)
@@ -986,7 +1101,7 @@ def _planted(rules, factorizations, bad):
     whose enumerator is ``factorizations`` and whose list rule is ``bad``;
     None gives the default loop on ``dom`` and ``cod``."""
     return FactorizationSource(factorizations, rules._dom.get, rules._cod.get, rules._ident.get,
-                               lambda g: rules._after[g].get, rules._validate,
+                               rules._row, rules._validate,
                                rules._number.get, rules._at.get, rules._obj, bad=bad)
 
 
@@ -1020,17 +1135,17 @@ LIST_RULE_CASES = [  # (m, source, k whose list is planted, f with k as a right 
 def test_list_rule_refuses_a_planted_pair_as_the_default_loop(m, rules, k, f, fault):
     plant, composable = fault
     code, at = rules._number[k], rules._at
-    pairs = rules._enumerate(code)
+    pairs = paired(rules._enumerate(code))
     first = len(pairs) // 2  # planted there and in the last pair; the refusal names the first
     listed = [plant(m, *pair) if n in (first, len(pairs) - 1) else pair
               for n, pair in enumerate(pairs)]
 
     def planted(h):
-        return listed if h == code else rules._enumerate(h)
+        return sides(listed) if h == code else rules._enumerate(h)
 
     by_rule, by_loop = _planted(rules, planted, rules._bad), _planted(rules, planted, None)
-    assert rules._bad(code, pairs) is None
-    assert by_rule._bad(code, listed) == by_loop._bad(code, listed) == first
+    assert rules._bad(code, *sides(pairs)) is None
+    assert by_rule._bad(code, *sides(listed)) == by_loop._bad(code, *sides(listed)) == first
     g, h = at[listed[first][0]], at[listed[first][1]]
     message = (f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints" if composable
                else f"compose defined on non-composable pair ({g!r}, {h!r})")
@@ -1039,6 +1154,32 @@ def test_list_rule_refuses_a_planted_pair_as_the_default_loop(m, rules, k, f, fa
         for source in (by_rule, by_loop):
             with pytest.raises(InvalidSlice) as caught:
                 read(source, morphism)
+            assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("rules, k, faults", [
+    pytest.param(C3, CmMorphism(2, 2, -1, -4), CM_FAULTS, id="C_3"),
+    pytest.param(D3, DmMorphism(9, 2), DM_FAULTS, id="D_3"),
+])
+def test_list_rule_names_the_first_of_two_bad_pairs(rules, k, faults):
+    # two faults planted in k's first and third pairs, each pair of faults in
+    # both orders: the stated rule and the default loop name the first pair
+    code, at = rules._number[k], rules._at
+    pairs = paired(rules._enumerate(code))
+    for (early, composable), (late, _) in permutations(faults.values(), 2):
+        listed = [early(3, *pairs[0]), pairs[1], late(3, *pairs[2]), *pairs[3:]]
+
+        def planted(h, listed=listed):
+            return sides(listed) if h == code else rules._enumerate(h)
+
+        g, h = at[listed[0][0]], at[listed[0][1]]
+        message = (f"composite {k!r} of ({g!r}, {h!r}) has wrong endpoints" if composable
+                   else f"compose defined on non-composable pair ({g!r}, {h!r})")
+        for bad in (rules._bad, None):
+            source = _planted(rules, planted, bad)
+            assert source._bad(code, *sides(listed)) == 0
+            with pytest.raises(InvalidSlice) as caught:
+                source.factorizations(k)
             assert str(caught.value) == message
 
 
@@ -1065,7 +1206,7 @@ def test_list_rule_and_default_loop_name_the_same_first_pair(data):
         i = data.draw(st.integers(-4, 0))
         j = data.draw(st.integers(i - 5, i))
         code = (data.draw(st.integers(0, i - j)), x, i, j)
-    pairs = list(rules._enumerate(code))
+    pairs = paired(rules._enumerate(code))
     handle = _handles(m, family)
     if data.draw(st.integers(0, 3)) == 0:
         pairs = data.draw(st.lists(st.tuples(handle, handle), max_size=6))
@@ -1073,12 +1214,12 @@ def test_list_rule_and_default_loop_name_the_same_first_pair(data):
         n, new = data.draw(st.integers(0, len(pairs) - 1)), data.draw(handle)
         g, h = pairs[n]
         pairs[n] = data.draw(st.sampled_from([(new, h), (g, new)]))
-    assert rules._bad(code, pairs) == loop(code, pairs)
+    assert rules._bad(code, *sides(pairs)) == loop(code, *sides(pairs))
     if pairs:
         n = data.draw(st.integers(0, len(pairs) - 1))
         for plant, _ in (CM_FAULTS if family == "C" else DM_FAULTS).values():
             moved = [*pairs[:n], plant(m, *pairs[n]), *pairs[n + 1:]]
-            assert rules._bad(code, moved) == loop(code, moved)
+            assert rules._bad(code, *sides(moved)) == loop(code, *sides(moved))
 
 
 @pytest.mark.parametrize("argv", [
@@ -1155,7 +1296,7 @@ def _cm3_wrong_identity_source():
     return FactorizationSource(
         C3._enumerate, C3._dom.get, C3._cod.get,
         lambda x: (0, 1, -1, -2) if x == (1, -1) else C3._ident[x],
-        lambda g: C3._after[g].get, lambda f: validate_cm_morphism(3, f),
+        C3._row, lambda f: validate_cm_morphism(3, f),
         C3._number.get, C3._at.get, C3._obj,
     )
 
@@ -1188,11 +1329,11 @@ def test_cm_source_names_objects_in_its_identity_message():
                     id="poset_as_category(divisors of 360)")],
 )
 def test_source_row_gives_the_handle_of_each_composite(c, source):
-    # row(g) is h ↦ g∘h on handles, as a slice's row _after[g] is on numbers
+    # row(g) is h ↦ g∘h on handles, as a slice's _row(g) is on numbers
     code, entries = source._number.get, dict(c.compose.items())
     assert len(entries) > 300
     for (g, h), k in entries.items():
-        assert source._after[code(g)].get(code(h)) == code(k)
+        assert source._row(code(g))(code(h)) == code(k)
     if isinstance(c.morphisms[0], DmMorphism):  # D_m's shift h + (beta - y)·m with y != 0
         assert sum(g.x != 0 for g, _ in entries) > 100
 

@@ -121,14 +121,14 @@ def test_compose_with_identities():
     f = CmMorphism(1, 0, 0, -1)
     left = CmMorphism(0, 1, -1, -1)
     right = CmMorphism(0, 0, 0, 0)
-    after = cm_source(2)._after
-    assert after[left][f] == f
-    assert after[f][right] == f
+    row = cm_source(2)._row
+    assert row(left)(f) == f
+    assert row(f)(right) == f
 
 
 def test_compose_formula():
     g, f = CmMorphism(1, 1, -1, -2), CmMorphism(1, 0, 0, -1)
-    assert cm_source(2)._after[g][f] == CmMorphism(2, 0, 0, -2)
+    assert cm_source(2)._row(g)(f) == CmMorphism(2, 0, 0, -2)
 
 
 def test_morphism_validation():
@@ -316,7 +316,7 @@ def test_source_reads_as_the_window(m, make, source, compose):
         assert iv.homs == expected.homs
         assert moebius_at(c, f) == mu[f]
     code = c._number.get
-    assert {(g, h): c._at[c._after[code(g)][code(h)]] for g, h in composites} == composites
+    assert {(g, h): c._at[c._row(code(g))(code(h))] for g, h in composites} == composites
     for x in window.objects:
         assert c._at[c._ident[x]] == window.identities[x]
 
@@ -429,14 +429,14 @@ def test_dm_hom_empty_when_bound_is_low():
 def test_dm_compose_with_identity():
     d = dm_source(3)
     f, one_1, one_2 = map(d._number.get, (DmMorphism(4, 2), DmMorphism(1, 1), DmMorphism(2, 2)))
-    assert d._at[d._after[one_1][f]] == DmMorphism(4, 2)
-    assert d._at[d._after[f][one_2]] == DmMorphism(4, 2)
+    assert d._at[d._row(one_1)(f)] == DmMorphism(4, 2)
+    assert d._at[d._row(f)(one_2)] == DmMorphism(4, 2)
 
 
 def test_dm_compose_formula():
     d = dm_source(3)
     g, f = d._number[DmMorphism(5, 1)], d._number[DmMorphism(4, 2)]
-    assert d._at[d._after[g][f]] == DmMorphism(8, 2)
+    assert d._at[d._row(g)(f)] == DmMorphism(8, 2)
 
 
 def test_dm_validation():

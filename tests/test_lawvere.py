@@ -51,7 +51,9 @@ from helpers import (
     is_total_order,
     meet_semilattice,
     opposite,
+    paired,
     product,
+    sides,
     slice_product,
 )
 
@@ -197,7 +199,7 @@ def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatc
     monkeypatch.setattr(mucat.lawvere, "_invert_from",  # each root decoded by the source's _at
                         lambda *a: fallbacks.append(a[0]._at[a[-1]]) or real(*a))
     window = dm_slice(3, 14)
-    reversed_lists = _dm3_source(lambda k: D3._enumerate(k)[::-1])
+    reversed_lists = _dm3_source(lambda k: sides(paired(D3._enumerate(k))[::-1]))
     for f in window.morphisms:
         assert _both_routes(reversed_lists, f) == _in_turn(reversed_lists, f)
     assert fallbacks == [f for f in window.morphisms if f.alpha != f.x]
@@ -210,8 +212,8 @@ def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatc
 def _iso_pair_source_with_wrong_identity():
     """The iso pair read through its rules, with f: X -> Y given as Y's identity."""
     c = iso_pair_category()
-    return FactorizationSource(c.factorizations, c.dom.__getitem__, c.cod.__getitem__,
-                               lambda x: "f" if x == "Y" else c.identities[x],
+    return FactorizationSource(lambda f: sides(c.factorizations(f)), c.dom.__getitem__,
+                               c.cod.__getitem__, lambda x: "f" if x == "Y" else c.identities[x],
                                lambda g: lambda h: c.compose[g, h], c.factorizations)
 
 
@@ -490,8 +492,8 @@ def test_position_route_matches_the_staged_route(name, monkeypatch):
 def _relisted(edit):
     """D_3 as a source that hands the factorizations of (7, 1) through ``edit``."""
     def factorizations(k):
-        pairs = D3._enumerate(k)
-        return edit(pairs) if k == D3._number[DmMorphism(7, 1)] else pairs
+        pairs = paired(D3._enumerate(k))
+        return sides(edit(pairs) if k == D3._number[DmMorphism(7, 1)] else pairs)
 
     return _dm3_source(factorizations)
 
@@ -571,7 +573,7 @@ def _walks(c):
 
 
 def _lists_a_right_factor_twice(c) -> bool:
-    return any(len({v for _, v in pairs}) < len(pairs) for pairs in c._facts)
+    return any(len(set(rights)) < len(rights) for _, rights in c._facts)
 
 
 def _letter_slice(objects, ends, compose):
@@ -758,6 +760,7 @@ def test_walk_by_composite_on_a_partial_table_matches_the_definition(make, holed
     for k, f in enumerate(at):
         found = {}
         pairs, distinct, up, more = _walk(c, k, found)
+        pairs = list(zip(*pairs))
         objects = [(at[u], at[v], f) for u, v in pairs]
         homs = bf_lawvere_homs(c, f)
         assert distinct == len(objects) and set(objects) == {a for a, _ in homs}
@@ -766,7 +769,7 @@ def test_walk_by_composite_on_a_partial_table_matches_the_definition(make, holed
                 for (i, j), hs in found.items()} == homs
         assert up == [sum([1 << index[b] for a, b in homs if a == obj]) for obj in objects]
         assert more == {(index[a], index[b]): len(hs) for (a, b), hs in homs.items() if len(hs) > 1}
-        missing += sum([after[u].get(h) is None for u, v2 in pairs for h, _ in facts[v2]])
+        missing += sum([after[u].get(h) is None for u, v2 in pairs for h in facts[v2][0]])
     assert (missing > 0) is holed
 
 
