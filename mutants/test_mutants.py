@@ -40,6 +40,7 @@ FILTERED = f"{CATEGORY}::test_filter_matches_the_full_scan_on_planted_total_tabl
 UNGENERATED = f"{CATEGORY}::test_a_total_table_its_atoms_do_not_generate_takes_the_full_scan"
 BY_IDEAL = f"{SEMIGROUPS}::test_division_category_is_the_definition_listed_by_decreasing_ideal"
 ENUMERATED = f"{CM_DM}::test_enumerators_list_every_factorization_in_order"
+ROWS = "tests/test_rows.py::test_each_row_holds_one_slot_per_morphism_into_its_left_factors_domain"
 
 
 def _clauses_dropped(owner, file, rule, faults, indent):
@@ -287,7 +288,8 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
     ),
     "_light without its atom check": (
         "category.py",
-        "            if ys(after[row_x[g]]) != through(row_x):\n                return False\n",
+        "            if after[row_x[s]] != list(map(row_x.__getitem__, through)):\n"
+        "                return False\n",
         "",
         [f"{FILTERED}[cm_slice(2,-4)]", f"{FILTERED}[cm_slice(3,-5)]"],
     ),
@@ -334,14 +336,29 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "for r in ((c + 1) % m,)]",
         [f"{ENUMERATED}[dm_source-m2]", f"{ENUMERATED}[dm_source-m3]"],
     ),
-    # the object index: its into lists count totality, its out lists give hom
+    # the object index: its into lists count totality and size the rows, its
+    # slots place each composite, its out lists give hom; a row too short for
+    # a slot breaks every window build, so the nodes build their windows in
+    # the test, not at collection
     "the object index's into lists drop morphism 0": (
         "category.py",
         "                into[y].append(k)\n",
         "                into[y].append(k) if k else None\n",
-        [f"{CATEGORY}::test_factor_slice_marks_a_total_window_that_passes_lights_test"
-         "[cm_slice(2,-6)]",
-         f"{CATEGORY}::test_only_a_partial_table_that_passes_takes_the_full_scan[cm_slice(3,-5)]"],
+        [f"{ROWS}[cm_slice(2,-3)]", f"{ROWS}[dm_slice(3,30)]"],
+    ),
+    # a row's slots are positions among the morphisms into dom g, so a slot
+    # is read only for a composable pair, and each h is written at its slot
+    "compose reads a slot without the composability test": (
+        "category.py",
+        "            if h is not None and self._cod[h] == self._dom[g]:\n",
+        "            if h is not None:\n",
+        ["tests/test_rows.py::test_compose_refuses_every_pair_that_does_not_compose"],
+    ),
+    "_rows writes at h's number, not its slot": (
+        "category.py",
+        "                after[g][slot[h]] = k\n",
+        "                after[g][h] = k\n",
+        [f"{ROWS}[cm_slice(2,-3)]", f"{ROWS}[dm_slice(3,30)]", f"{ROWS}[from_json(dm_slice(3,9))]"],
     ),
     "hom ignores the codomain": (
         "category.py",

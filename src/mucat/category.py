@@ -5,8 +5,9 @@ morphisms, a partial composition table, and an identity per object.  Morphisms
 marked *complete* promise that every ambient factorization g∘h of the morphism
 has g, h (and the pair entry) inside the slice, so factorization sums are
 exact.  A slice numbers its morphisms and keeps its tables by number, the
-composition table as one row per left factor; the walks read a slice by
-number and a ``FactorizationSource`` by the handles its rules read.
+composition table as one row per left factor, a list by slot; the walks
+read a slice by number and a ``FactorizationSource`` by the handles its
+rules read.
 A law check that passes on a table composing every composable pair (or
 Light's test on the semigroup of a division category) marks the slice, and
 the Lawvere route then reads one order per object (``lawvere._object_order``)
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import itemgetter
 from typing import Any
 
 from ._json import load_object, rows, strings
@@ -33,11 +33,14 @@ class CategorySlice:
     """Finite presentation of a window of a small category.
 
     Morphisms and objects are numbered in list order, and the tables are
-    kept by number: the row ``_after[g]`` maps h with cod(h) = dom(g) to g∘h
-    when the composite lies in the slice, ``_facts[k]`` is the two tuples
+    kept by number: the row ``_after[g]`` is a list aligned with ``into[dom
+    g]`` of the object index, whose slot ``_slot[h]``, h's position in
+    ``into[cod h]``, holds g∘h for an h with cod(h) = dom(g), or None when
+    the composite leaves the slice, ``_facts[k]`` is the two tuples
     (lefts, rights) of equal length whose i-th entries g, h are the i-th pair
     composing to k, and ``_dom``/``_cod``/``_ident`` give endpoints and
-    identities; ``compose`` is a read-only view of the rows by morphism.
+    identities; ``compose`` is a read-only view of the rows by morphism,
+    which refuses a pair that does not compose before it reads a slot.
     The constructor fills the index in one pass over its table and checks
     each entry's and each identity's endpoints once; the rows are filled
     from the index on the first read that needs them, and the object index
@@ -47,7 +50,7 @@ class CategorySlice:
     __slots__ = (
         "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
         "_number", "_at", "_after", "_facts", "_dom", "_cod", "_ident",
-        "_groups", "_one_way", "_quotients", "_orders", "_associative",
+        "_groups", "_slot", "_one_way", "_quotients", "_orders", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -101,7 +104,8 @@ class CategorySlice:
                     raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
             facts[k] = tuple(lefts), tuple(rights)
         self._after, self._facts = [], facts  # ``_rows`` fills the rows on the first read
-        self.compose = _Compose(self._after, facts, order, number, at)
+        self._groups, self._slot = (place, [], []), []  # ``_grouped`` fills the three lists
+        self.compose = _Compose(self, order)
         self.identities, self._ident = identities, []
         for x, i in place.items():
             e = number.get(identities[x]) if x in identities else None
@@ -115,7 +119,6 @@ class CategorySlice:
         self.complete = frozenset(complete)
         if not number.keys() >= self.complete:
             raise InvalidSlice("complete set mentions unknown morphisms")
-        self._groups = place, None, None  # ``_grouped`` fills the two lists
         self._one_way = None
         self._quotients: dict = {}
         self._orders: dict = {}  # object number -> lawvere._object_order's order or None
@@ -135,22 +138,29 @@ class CategorySlice:
         """(place, out, into), the slice's object index: ``place`` maps each
         object to its number (``_adopt``'s, from the endpoint check), and
         ``out[x]`` and ``into[x]`` list the numbers of the morphisms out of
-        and into object number x, in slice order, from one pass over the
-        numbered endpoints on the first read.  Every read by object (``hom``,
-        the law check, ``_object_order``, ``quotient_poset``) goes through it."""
-        place, out, into = self._groups
-        if out is None:
-            out, into = [[] for _ in place], [[] for _ in place]
+        and into object number x, in slice order, and ``_slot[k]`` is k's
+        position in ``into[cod k]``.  One pass over the numbered endpoints
+        fills the three lists in place on the first read, by the slice or by
+        its ``compose`` view, which shares them.  Every read by object
+        (``hom``, the rows, the law check, ``_object_order``,
+        ``quotient_poset``) goes through it."""
+        groups, slot = self._groups, self._slot
+        if len(slot) < len(self._dom):
+            place, out, into = groups
+            out += [[] for _ in place]
+            into += [[] for _ in place]
             for k, (x, y) in enumerate(zip(self._dom, self._cod)):
                 out[x].append(k)
+                slot.append(len(into[y]))
                 into[y].append(k)
-            self._groups = place, out, into
-        return self._groups
+        return groups
 
     def _row(self, g):
-        """h ↦ g∘h by number, None where the table has no entry: the
-        ``get`` of g's row, filled on the first read."""
-        return _rows(self)[g].get
+        """h ↦ g∘h by number, for an h composable with g: slot ``_slot[h]``
+        of g's row, filled on the first read.  The composite is None where
+        the table has no entry."""
+        row, slot = _rows(self)[g], self._slot
+        return lambda h: row[slot[h]]
 
     def hom(self, x, y) -> tuple:
         """All morphisms x -> y, in slice order: those in ``out[x]`` with codomain y."""
@@ -246,36 +256,47 @@ def _bad_identity(x, d, c) -> InvalidSlice:
 
 
 def _rows(c):
-    """The rows by left factor of a slice or its ``compose`` view; a slice
-    fills them from its factorization index on the first read, so a
-    slice that no read needs them on (a checked division category, walked by
-    right factor) never holds them."""
+    """The rows by left factor of a slice or its ``compose`` view.  Row g is
+    a list aligned with ``into[dom g]``: slot ``_slot[h]`` holds g∘h for the
+    h composable with g, or None where the table has no entry, so a total
+    table holds one slot per entry and a partial one still holds
+    Σ_g |into[dom g]|.  A slice fills them from its factorization index on
+    the first read, so a slice that no read needs them on (a checked
+    division category, walked by right factor) never holds them."""
     after = c._after
     if not after and c._facts:
-        after += [{} for _ in c._facts]
+        into, slot = c._grouped()[2], c._slot
+        after += [[None] * len(into[x]) for x in c._dom]
         for k, (lefts, rights) in enumerate(c._facts):
             for g, h in zip(lefts, rights):
-                after[g][h] = k
+                after[g][slot[h]] = k
     return after
 
 
 class _Compose(Mapping):
     """A slice's composition table read by morphism, (g, h) -> g∘h, in table
     order; read-only, each read (``Mapping``'s ``items`` too) translates the
-    numbered rows."""
+    numbered rows.  It keeps the slice's tables, not the slice, so the two
+    hold no reference cycle."""
 
-    __slots__ = ("_after", "_facts", "_order", "_number", "_at")
+    __slots__ = ("_after", "_facts", "_order", "_number", "_at", "_dom", "_cod", "_groups",
+                 "_slot")
+    _grouped = CategorySlice._grouped
 
-    def __init__(self, after, facts, order, number, at):
-        self._after, self._facts, self._order = after, facts, order
-        self._number, self._at = number, at
+    def __init__(self, c: CategorySlice, order):
+        self._after, self._facts, self._order = c._after, c._facts, order
+        self._number, self._at, self._dom, self._cod = c._number, c._at, c._dom, c._cod
+        self._groups, self._slot = c._groups, c._slot
 
     def __getitem__(self, pair):
         if isinstance(pair, tuple) and len(pair) == 2:
             g = self._number.get(pair[0])
-            k = None if g is None else _rows(self)[g].get(self._number.get(pair[1]))
-            if k is not None:
-                return self._at[k]
+            h = None if g is None else self._number.get(pair[1])
+            # a slot is read only for a composable pair: another's may be in range
+            if h is not None and self._cod[h] == self._dom[g]:
+                k = _rows(self)[g][self._slot[h]]
+                if k is not None:
+                    return self._at[k]
         raise KeyError(pair)
 
     def __iter__(self):
@@ -290,8 +311,8 @@ class _Compose(Mapping):
         lists the pairs, or by composite."""
         if self._order is None:
             return ((g, h, k) for k, listed in enumerate(self._facts) for g, h in zip(*listed))
-        after = _rows(self)
-        return ((g, h, after[g][h]) for g, h in self._order)
+        after, slot = _rows(self), self._slot
+        return ((g, h, after[g][slot[h]]) for g, h in self._order)
 
 
 def _same(f):
@@ -423,11 +444,11 @@ def find_slice_violation(c: CategorySlice) -> str | None:
 
 def _identity_violation(c: CategorySlice, after) -> str | None:
     """The first identity law that fails, morphisms in slice order, or None."""
-    at, ident, dom, cod = c.morphisms, c._ident, c._dom, c._cod
+    at, ident, dom, cod, slot = c.morphisms, c._ident, c._dom, c._cod, c._slot
     for f in range(len(at)):
-        if after[f].get(ident[dom[f]]) != f:
+        if after[f][slot[ident[dom[f]]]] != f:
             return f"right identity law fails at {at[f]!r}"
-        if after[ident[cod[f]]].get(f) != f:
+        if after[ident[cod[f]]][slot[f]] != f:
             return f"left identity law fails at {at[f]!r}"
     return None
 
@@ -447,9 +468,10 @@ def _light(c: CategorySlice, after) -> bool:
     closed under composition: (x∘(m∘m'))∘y = ((x∘m)∘m')∘y = (x∘m)∘(m'∘y) =
     x∘(m∘(m'∘y)) = x∘((m∘m')∘y), each step across m or m', every composite
     defined.  An atom's only factorizations are f∘1 and 1∘f, so it lists two.
-    Each x is checked at once, row x∘g against row x read through row g;
-    the x composable with g are read off the object index."""
-    dom, cod, ident, out = c._dom, c._cod, c._ident, c._grouped()[1]
+    Each x is checked at once: row x∘g is aligned with row g, so it must
+    equal row x read at the slots of row g's composites, one list
+    comparison; the x composable with g are read off the object index."""
+    dom, cod, ident, out, slot = c._dom, c._cod, c._ident, c._grouped()[1], c._slot
     atoms = {}  # the atoms, by domain
     for f, (_, rights) in enumerate(c._facts):
         if len(rights) == 2 and ident[dom[f]] != f:
@@ -458,31 +480,30 @@ def _light(c: CategorySlice, after) -> bool:
     while stack:  # each reached w composed with every atom out of cod(w)
         w = stack.pop()
         for g in atoms.get(cod[w], ()):
-            if (gw := after[g][w]) not in reached:
+            if (gw := after[g][slot[w]]) not in reached:
                 reached.add(gw)
                 stack.append(gw)
     if len(reached) != len(after):
         return False
     for g in (g for gs in atoms.values() for g in gs):
-        row = after[g]
-        ys, through = itemgetter(*row), itemgetter(*row.values())
+        through, s = [slot[gy] for gy in after[g]], slot[g]
         for x in out[cod[g]]:
             row_x = after[x]
-            if ys(after[row_x[g]]) != through(row_x):
+            if after[row_x[s]] != list(map(row_x.__getitem__, through)):
                 return False
     return True
 
 
 def _scan(c: CategorySlice, after) -> str | None:
-    """The first failing triple: entries in ``compose`` order, k in ``into[dom h]``."""
-    at, dom, into = c.morphisms, c._dom, c._grouped()[2]
+    """The first failing triple: entries in ``compose`` order, k in
+    ``into[dom h]``, whose slots index rows h and g∘h alike."""
+    at, dom, into, slot = c.morphisms, c._dom, c._grouped()[2], c._slot
     for g, h, gh in c.compose._numbered():
-        after_h, after_g, after_gh = after[h].get, after[g].get, after[gh].get
-        for k in into[dom[h]]:
-            hk = after_h(k)
+        after_g = after[g]
+        for k, hk, left in zip(into[dom[h]], after[h], after[gh]):
             if hk is None:
                 continue
-            left, right = after_gh(k), after_g(hk)
+            right = after_g[slot[hk]]
             if (left is None) != (right is None):
                 return f"associativity definedness mismatch on ({at[g]!r}, {at[h]!r}, {at[k]!r})"
             if left is not None and left != right:
@@ -564,9 +585,9 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     cod_of = dict(zip(window, map(decoded.__getitem__, cods)))
     c = CategorySlice.__new__(CategorySlice)._adopt(objects, window, dom_of, cod_of, facts, None,
                                                     identities, window)
-    # a pair the enumerator lists twice shows as one entry fewer than listed
+    # a pair the enumerator lists twice fills one slot fewer than listed
     after = _rows(c)
-    if sum(map(len, after)) != len(c.compose):
+    if sum([len(row) - row.count(None) for row in after]) != len(c.compose):
         raise InvalidSlice("a factorization is listed twice")
     c._associative = _identity_violation(c, after) is None and _total(c) and _light(c, after)
     return c

@@ -86,8 +86,9 @@ def _walk(c, root, found=None, eta=None):
     exactly when (h, v) factors v' and u'∘h = u, so one walk over the
     factorizations of each v' (the root's own for the root) finds every
     morphism into (u', v'), each hom-set in slice order: u'∘h is read from
-    u''s row, ``c._row(u')`` (a slice's ``_after[u'].get``, a source's
-    ``row(u')``: a closure, or D_m's integer shift), and (u'∘h, v) is
+    u''s row, ``c._row(u')`` (on a slice, h ↦ slot ``_slot[h]`` of row
+    ``_after[u']``; a source's ``row(u')``: a closure, or D_m's integer
+    shift), each h composable with u' as u'∘v' = root, and (u'∘h, v) is
     found by v, then checked by its left factor (pairs that share a right
     factor are chained), so no pair is built per entry.  If eta is a dict, v' gains
     μ(v') by ``_invert_from``'s recursion if eta already holds v for each

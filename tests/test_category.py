@@ -1399,13 +1399,13 @@ def test_grouped_reads_match_filters(c):
 
 def _grouping_reads(monkeypatch) -> list:
     """Each read of a slice's object index, in turn, as (slice, whether the
-    read ran the grouping pass, handing back another index than it found)."""
+    read ran the grouping pass, which fills the slots in place)."""
     reads, real = [], CategorySlice._grouped
 
     def spy(c):
-        found = c._groups
+        found = len(c._slot)
         groups = real(c)
-        reads.append((c, groups is not found))
+        reads.append((c, len(c._slot) != found))
         return groups
 
     monkeypatch.setattr(CategorySlice, "_grouped", spy)

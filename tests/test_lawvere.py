@@ -548,21 +548,21 @@ def test_position_route_refuses_as_the_staged_route(make, f, error, message):
 
 class _CountingRows(list):
     """A slice's composition table, one row per left factor, that counts the
-    composites read through any row's ``get``."""
+    composites read through any row's slots."""
 
     def __init__(self, rows):
         super().__init__(_CountingRow(row, self) for row in rows)
         self.reads = 0
 
 
-class _CountingRow(dict):
+class _CountingRow(list):
     def __init__(self, row, rows):
         super().__init__(row)
         self.rows = rows
 
-    def get(self, key, default=None):
+    def __getitem__(self, slot):
         self.rows.reads += 1
-        return super().get(key, default)
+        return super().__getitem__(slot)
 
 
 def _walks(c):
@@ -769,7 +769,7 @@ def test_walk_by_composite_on_a_partial_table_matches_the_definition(make, holed
                 for (i, j), hs in found.items()} == homs
         assert up == [sum([1 << index[b] for a, b in homs if a == obj]) for obj in objects]
         assert more == {(index[a], index[b]): len(hs) for (a, b), hs in homs.items() if len(hs) > 1}
-        missing += sum([after[u].get(h) is None for u, v2 in pairs for h in facts[v2][0]])
+        missing += sum([after[u][c._slot[h]] is None for u, v2 in pairs for h in facts[v2][0]])
     assert (missing > 0) is holed
 
 
@@ -793,9 +793,9 @@ def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
     assert all(moebius_via_lawvere(c, f) == mu[f] for f in c.morphisms)
     assert c._after == []  # walked by right factor: no composite was read
     assert find_slice_violation(c) is None
-    at = c.morphisms
-    assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after) for h, k in row.items()} == dict(
-        c.compose.items())
+    at, into = c.morphisms, c._grouped()[2]
+    assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after)
+            for h, k in zip(into[c._dom[g]], row) if k is not None} == dict(c.compose.items())
 
 
 @pytest.mark.parametrize(
