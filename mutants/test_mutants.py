@@ -41,6 +41,7 @@ UNGENERATED = f"{CATEGORY}::test_a_total_table_its_atoms_do_not_generate_takes_t
 BY_IDEAL = f"{SEMIGROUPS}::test_division_category_is_the_definition_listed_by_decreasing_ideal"
 ENUMERATED = f"{CM_DM}::test_enumerators_list_every_factorization_in_order"
 ROWS = "tests/test_rows.py::test_each_row_holds_one_slot_per_morphism_into_its_left_factors_domain"
+INDEX = "tests/test_rows.py::test_each_builder_fills_the_object_index_as_it_builds"
 
 
 def _clauses_dropped(owner, file, rule, faults, indent):
@@ -336,21 +337,29 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "for r in ((c + 1) % m,)]",
         [f"{ENUMERATED}[dm_source-m2]", f"{ENUMERATED}[dm_source-m3]"],
     ),
-    # the object index: its into lists count totality and size the rows, its
-    # slots place each composite, its out lists give hom; a row too short for
-    # a slot breaks every window build, so the nodes build their windows in
-    # the test, not at collection
+    # the object index, filled in the constructor's endpoint pass: its into
+    # lists count totality and size the rows, its slots place each
+    # composite, its out lists give hom and Light's test; a fault there can
+    # break every window build, so the nodes build their windows in the
+    # test, not at collection
     "the object index's into lists drop morphism 0": (
         "category.py",
-        "                into[y].append(k)\n",
-        "                into[y].append(k) if k else None\n",
+        "            into[y].append(k)\n",
+        "            into[y].append(k) if k else None\n",
         [f"{ROWS}[cm_slice(2,-3)]", f"{ROWS}[dm_slice(3,30)]"],
+    ),
+    "out keyed by codomain": (
+        "category.py",
+        "            out[x].append(k)\n",
+        "            out[y].append(k)\n",
+        [f"{INDEX}[constructor, objects reversed]", f"{INDEX}[division(brandt3)]",
+         f"{INDEX}[poset(divisors 12)]"],
     ),
     # a row's slots are positions among the morphisms into dom g, so a slot
     # is read only for a composable pair, and each h is written at its slot
     "compose reads a slot without the composability test": (
         "category.py",
-        "            if h is not None and self._cod[h] == self._dom[g]:\n",
+        "            if h is not None and c._cod[h] == c._dom[g]:\n",
         "            if h is not None:\n",
         ["tests/test_rows.py::test_compose_refuses_every_pair_that_does_not_compose"],
     ),
@@ -364,8 +373,8 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "category.py",
         " if cod[k] == y])\n",
         "])\n",
-        [f"{CATEGORY}::test_grouped_reads_match_filters[cm_slice(3,-4)]",
-         f"{CATEGORY}::test_grouped_reads_match_filters[poset(divisors 12), objects reversed]"],
+        [f"{CATEGORY}::test_object_index_reads_match_filters[cm_slice(3,-4)]",
+         f"{CATEGORY}::test_object_index_reads_match_filters[poset(divisors 12), objects reversed]"],
     ),
     "_split_names takes the first split when two fit": (
         "cli.py",

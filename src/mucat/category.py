@@ -33,24 +33,27 @@ class CategorySlice:
     """Finite presentation of a window of a small category.
 
     Morphisms and objects are numbered in list order, and the tables are
-    kept by number: the row ``_after[g]`` is a list aligned with ``into[dom
-    g]`` of the object index, whose slot ``_slot[h]``, h's position in
-    ``into[cod h]``, holds g∘h for an h with cod(h) = dom(g), or None when
-    the composite leaves the slice, ``_facts[k]`` is the two tuples
-    (lefts, rights) of equal length whose i-th entries g, h are the i-th pair
-    composing to k, and ``_dom``/``_cod``/``_ident`` give endpoints and
-    identities; ``compose`` is a read-only view of the rows by morphism,
-    which refuses a pair that does not compose before it reads a slot.
-    The constructor fills the index in one pass over its table and checks
-    each entry's and each identity's endpoints once; the rows are filled
-    from the index on the first read that needs them, and the object index
-    (``_grouped``) on its first read.  Other derived tables are cached.
+    kept by number.  The object index: ``_place`` maps each object to its
+    number, ``_out[x]`` and ``_into[x]`` list the numbers of the morphisms
+    out of and into object number x, in slice order, and ``_slot[k]`` is
+    k's position in ``_into[cod k]``.  The row ``_after[g]`` is a list
+    aligned with ``_into[dom g]``, whose slot ``_slot[h]`` holds g∘h for an
+    h with cod(h) = dom(g), or None when the composite leaves the slice,
+    ``_facts[k]`` is the two tuples (lefts, rights) of equal length whose
+    i-th entries g, h are the i-th pair composing to k, and
+    ``_dom``/``_cod``/``_ident`` give endpoints and identities; ``compose``
+    is a read-only view of the rows by morphism, which refuses a pair that
+    does not compose before it reads a slot.  The constructor fills the
+    factorization index in one pass over its table, the object index in
+    its endpoint pass, and checks each entry's and each identity's
+    endpoints once; the rows are built on the first read that needs them
+    and published whole, as every other derived table is cached.
     """
 
     __slots__ = (
-        "objects", "morphisms", "dom", "cod", "compose", "identities", "complete",
-        "_number", "_at", "_after", "_facts", "_dom", "_cod", "_ident",
-        "_groups", "_slot", "_one_way", "_quotients", "_orders", "_associative",
+        "objects", "morphisms", "dom", "cod", "identities", "complete",
+        "_number", "_at", "_after", "_facts", "_order", "_dom", "_cod", "_ident",
+        "_place", "_out", "_into", "_slot", "_one_way", "_quotients", "_orders", "_associative",
     )
 
     def __init__(self, objects, morphisms, dom, cod, compose, identities, complete=()):
@@ -76,19 +79,20 @@ class CategorySlice:
         left and the right factors, by number, of the pairs composing to k,
         two sequences of equal length that are stored as tuples, and
         ``order`` lists every pair in ``compose`` order, or is None to list
-        them by composite, in ``facts`` order.  The slice starts with no law
-        verdict."""
+        them by composite, in ``facts`` order.  The endpoint pass fills the
+        object index; the slice starts with no rows and no law verdict."""
         self.objects = tuple(objects)
         self.morphisms = self._at = tuple(morphisms)
-        place = dict(zip(self.objects, range(len(self.objects))))
+        place = self._place = dict(zip(self.objects, range(len(self.objects))))
         if len(place) != len(self.objects):
             raise InvalidSlice("duplicate objects")
         number = self._number = dict(zip(self.morphisms, range(len(self.morphisms))))
         if len(number) != len(self.morphisms):
             raise InvalidSlice("duplicate morphisms")
         self.dom, self.cod = dom, cod
-        dom_of, cod_of = self._dom, self._cod = [], []
-        for f in self.morphisms:
+        dom_of, cod_of, slot = self._dom, self._cod, self._slot = [], [], []
+        out, into = self._out, self._into = [[] for _ in place], [[] for _ in place]
+        for k, f in enumerate(self.morphisms):
             if f not in dom or f not in cod:
                 raise InvalidSlice(f"morphism {f!r} lacks a domain or codomain")
             x, y = place.get(dom[f]), place.get(cod[f])
@@ -96,6 +100,9 @@ class CategorySlice:
                 raise InvalidSlice(f"morphism {f!r} has endpoints outside the slice")
             dom_of.append(x)
             cod_of.append(y)
+            out[x].append(k)
+            slot.append(len(into[y]))
+            into[y].append(k)
         at = self.morphisms
         for k, (lefts, rights) in enumerate(facts):  # each list is freed as its tuple is made
             x, y = dom_of[k], cod_of[k]
@@ -103,9 +110,7 @@ class CategorySlice:
                 if cod_of[h] != dom_of[g] or dom_of[h] != x or cod_of[g] != y:
                     raise _bad_entry(at[g], at[h], at[k], cod_of[h] == dom_of[g])
             facts[k] = tuple(lefts), tuple(rights)
-        self._after, self._facts = [], facts  # ``_rows`` fills the rows on the first read
-        self._groups, self._slot = (place, [], []), []  # ``_grouped`` fills the three lists
-        self.compose = _Compose(self, order)
+        self._after, self._facts, self._order = [], facts, order  # ``_rows`` builds the rows
         self.identities, self._ident = identities, []
         for x, i in place.items():
             e = number.get(identities[x]) if x in identities else None
@@ -134,44 +139,27 @@ class CategorySlice:
             raise InvalidSlice(f"{f!r} is not a morphism of the slice")
         return self._ident[self._dom[k]] == k
 
-    def _grouped(self):
-        """(place, out, into), the slice's object index: ``place`` maps each
-        object to its number (``_adopt``'s, from the endpoint check), and
-        ``out[x]`` and ``into[x]`` list the numbers of the morphisms out of
-        and into object number x, in slice order, and ``_slot[k]`` is k's
-        position in ``into[cod k]``.  One pass over the numbered endpoints
-        fills the three lists in place on the first read, by the slice or by
-        its ``compose`` view, which shares them.  Every read by object
-        (``hom``, the rows, the law check, ``_object_order``,
-        ``quotient_poset``) goes through it."""
-        groups, slot = self._groups, self._slot
-        if len(slot) < len(self._dom):
-            place, out, into = groups
-            out += [[] for _ in place]
-            into += [[] for _ in place]
-            for k, (x, y) in enumerate(zip(self._dom, self._cod)):
-                out[x].append(k)
-                slot.append(len(into[y]))
-                into[y].append(k)
-        return groups
-
     def _row(self, g):
         """h ↦ g∘h by number, for an h composable with g: slot ``_slot[h]``
-        of g's row, filled on the first read.  The composite is None where
+        of g's row, built on the first read.  The composite is None where
         the table has no entry."""
         row, slot = _rows(self)[g], self._slot
         return lambda h: row[slot[h]]
 
+    @property
+    def compose(self) -> "_Compose":
+        """The composition table read by morphism, (g, h) -> g∘h: a read-only view."""
+        return _Compose(self)
+
     def hom(self, x, y) -> tuple:
-        """All morphisms x -> y, in slice order: those in ``out[x]`` with codomain y."""
-        place, out, _ = self._grouped()
-        at, cod, y = self.morphisms, self._cod, place.get(y)
-        return tuple([at[k] for k in (out[place[x]] if x in place else ()) if cod[k] == y])
+        """All morphisms x -> y, in slice order: those in ``_out[x]`` with codomain y."""
+        place, at, cod = self._place, self.morphisms, self._cod
+        y = place.get(y)
+        return tuple([at[k] for k in (self._out[place[x]] if x in place else ()) if cod[k] == y])
 
     def morphisms_from(self, x) -> tuple:
-        place, out, _ = self._grouped()
-        at = self.morphisms
-        return tuple([at[k] for k in (out[place[x]] if x in place else ())])
+        place, at = self._place, self.morphisms
+        return tuple([at[k] for k in (self._out[place[x]] if x in place else ())])
 
     def factorizations(self, f) -> tuple[tuple[Any, Any], ...]:
         """All ordered pairs (g, h) with g∘h = f, trivial ones included.
@@ -255,64 +243,65 @@ def _bad_identity(x, d, c) -> InvalidSlice:
     return InvalidSlice(f"identity of {x!r} has endpoints ({d!r}, {c!r})")
 
 
-def _rows(c):
-    """The rows by left factor of a slice or its ``compose`` view.  Row g is
-    a list aligned with ``into[dom g]``: slot ``_slot[h]`` holds g∘h for the
-    h composable with g, or None where the table has no entry, so a total
-    table holds one slot per entry and a partial one still holds
-    Σ_g |into[dom g]|.  A slice fills them from its factorization index on
-    the first read, so a slice that no read needs them on (a checked
-    division category, walked by right factor) never holds them."""
+def _rows(c: CategorySlice):
+    """The slice's rows by left factor.  Row g is a list aligned with
+    ``_into[dom g]``: slot ``_slot[h]`` holds g∘h for the h composable with
+    g, or None where the table has no entry, so a total table holds one
+    slot per entry and a partial one still holds Σ_g |into[dom g]|.  They
+    are built from the factorization index on the first read, in a list of
+    this call's own, and published by one assignment once filled, so a
+    reader in another thread sees no rows or all of them; a slice that no
+    read needs them on (a checked division category, walked by right
+    factor) never holds them."""
     after = c._after
     if not after and c._facts:
-        into, slot = c._grouped()[2], c._slot
-        after += [[None] * len(into[x]) for x in c._dom]
+        into, slot = c._into, c._slot
+        after = [[None] * len(into[x]) for x in c._dom]
         for k, (lefts, rights) in enumerate(c._facts):
             for g, h in zip(lefts, rights):
                 after[g][slot[h]] = k
+        c._after = after
     return after
 
 
 class _Compose(Mapping):
     """A slice's composition table read by morphism, (g, h) -> g∘h, in table
     order; read-only, each read (``Mapping``'s ``items`` too) translates the
-    numbered rows.  It keeps the slice's tables, not the slice, so the two
-    hold no reference cycle."""
+    slice's numbered rows.  It holds the slice alone, and the slice does
+    not hold it: ``compose`` makes one on each read."""
 
-    __slots__ = ("_after", "_facts", "_order", "_number", "_at", "_dom", "_cod", "_groups",
-                 "_slot")
-    _grouped = CategorySlice._grouped
+    __slots__ = ("_c",)
 
-    def __init__(self, c: CategorySlice, order):
-        self._after, self._facts, self._order = c._after, c._facts, order
-        self._number, self._at, self._dom, self._cod = c._number, c._at, c._dom, c._cod
-        self._groups, self._slot = c._groups, c._slot
+    def __init__(self, c: CategorySlice):
+        self._c = c
 
     def __getitem__(self, pair):
+        c = self._c
         if isinstance(pair, tuple) and len(pair) == 2:
-            g = self._number.get(pair[0])
-            h = None if g is None else self._number.get(pair[1])
+            g = c._number.get(pair[0])
+            h = None if g is None else c._number.get(pair[1])
             # a slot is read only for a composable pair: another's may be in range
-            if h is not None and self._cod[h] == self._dom[g]:
-                k = _rows(self)[g][self._slot[h]]
+            if h is not None and c._cod[h] == c._dom[g]:
+                k = _rows(c)[g][c._slot[h]]
                 if k is not None:
-                    return self._at[k]
+                    return c._at[k]
         raise KeyError(pair)
 
     def __iter__(self):
-        at = self._at
+        at = self._c._at
         return ((at[g], at[h]) for g, h, _ in self._numbered())
 
     def __len__(self):
-        return sum([len(rights) for _, rights in self._facts])
+        return sum([len(rights) for _, rights in self._c._facts])
 
     def _numbered(self):
-        """Each entry (g, h, g∘h) by number, in table order: as ``_order``
-        lists the pairs, or by composite."""
-        if self._order is None:
-            return ((g, h, k) for k, listed in enumerate(self._facts) for g, h in zip(*listed))
-        after, slot = _rows(self), self._slot
-        return ((g, h, after[g][slot[h]]) for g, h in self._order)
+        """Each entry (g, h, g∘h) by number, in table order: as the slice's
+        ``_order`` lists the pairs, or by composite."""
+        c = self._c
+        if c._order is None:
+            return ((g, h, k) for k, listed in enumerate(c._facts) for g, h in zip(*listed))
+        after, slot = _rows(c), c._slot
+        return ((g, h, after[g][slot[h]]) for g, h in c._order)
 
 
 def _same(f):
@@ -427,8 +416,9 @@ def find_slice_violation(c: CategorySlice) -> str | None:
     one entry per g and k into dom(g), is total (``_total``): Light's test
     on its generators (``_light``) decides it first.  A partial table, or
     one that test does not pass, takes the full scan (``_scan``), so the
-    triple named is always the scan's.  All three read the object index.  A
-    total table that passes is marked, and ``lawvere._walk`` reads the mark.
+    triple named is always the scan's.  All three read the object index,
+    which the constructor filled, and the rows, which the first read builds.
+    A total table that passes is marked, and ``lawvere._walk`` reads the mark.
     ``factor_slice`` runs the same identity pass, count and test as it
     builds, but never the scan.
     """
@@ -455,7 +445,7 @@ def _identity_violation(c: CategorySlice, after) -> str | None:
 
 def _total(c: CategorySlice) -> bool:
     """Whether the table is total: one entry per g and each k into dom(g)."""
-    into = c._grouped()[2]
+    into = c._into
     return sum([len(into[x]) for x in c._dom]) == len(c.compose)
 
 
@@ -470,8 +460,8 @@ def _light(c: CategorySlice, after) -> bool:
     defined.  An atom's only factorizations are f∘1 and 1∘f, so it lists two.
     Each x is checked at once: row x∘g is aligned with row g, so it must
     equal row x read at the slots of row g's composites, one list
-    comparison; the x composable with g are read off the object index."""
-    dom, cod, ident, out, slot = c._dom, c._cod, c._ident, c._grouped()[1], c._slot
+    comparison; the x composable with g are ``_out[cod g]``."""
+    dom, cod, ident, out, slot = c._dom, c._cod, c._ident, c._out, c._slot
     atoms = {}  # the atoms, by domain
     for f, (_, rights) in enumerate(c._facts):
         if len(rights) == 2 and ident[dom[f]] != f:
@@ -497,7 +487,7 @@ def _light(c: CategorySlice, after) -> bool:
 def _scan(c: CategorySlice, after) -> str | None:
     """The first failing triple: entries in ``compose`` order, k in
     ``into[dom h]``, whose slots index rows h and g∘h alike."""
-    at, dom, into, slot = c.morphisms, c._dom, c._grouped()[2], c._slot
+    at, dom, into, slot = c.morphisms, c._dom, c._into, c._slot
     for g, h, gh in c.compose._numbered():
         after_g = after[g]
         for k, hk, left in zip(into[dom[h]], after[h], after[gh]):
@@ -556,7 +546,7 @@ def factor_slice(window, source: FactorizationSource) -> CategorySlice:
     identity outside the window raises InvalidSlice, and so does a morphism
     whose handle does not read back as itself, which could share its number
     with another.
-    The rows are filled here, and the slice is marked associative when its
+    The rows are built here, and the slice is marked associative when its
     identity laws hold, its table is total and Light's test passes, as
     ``find_slice_violation`` decides; any other window (each partial
     ``dm_slice`` one) is left unmarked and unscanned.

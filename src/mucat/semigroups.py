@@ -328,6 +328,7 @@ def division_category(s: InverseSemigroup, transversal=None) -> CategorySlice:
     except KeyError:  # only on a table that is not associative
         raise InvalidSemigroup(f"{morphisms[g]!r} · {f!r} is not a morphism: not associative") from None
     identities = {e: (e, e) for e in objects.values()}
+    del left, out, firsts, sources  # freed before the slice's index is built
     c = CategorySlice.__new__(CategorySlice)._adopt(objects.values(), morphisms, dom, cod, facts,
                                                     None, identities, morphisms)
     c._associative = s._associative
@@ -341,8 +342,8 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     is iff some (u, (t, e)) is among the factorizations of (s, e); the
     identity (e, e) is the top.  Requires the category to be one-way so that
     the order is antisymmetric.  Listed in reverse slice order, top last, so
-    mostly in a linear extension.  The carrier is e's ``out`` list of the
-    slice's object index (``CategorySlice._grouped``), so each mask is built
+    mostly in a linear extension.  The carrier is e's ``_out`` list of the
+    slice's object index, filled as the slice is built, so each mask is built
     from the numbered right factors (the second tuple of each ``_facts``
     entry) with no lookup by name; a slice that is not fully
     complete first refuses the carrier's first incomplete morphism.  On a
@@ -353,8 +354,8 @@ def quotient_poset(c: CategorySlice, e) -> FinitePoset:
     if poset is None:
         if not is_one_way_category(c):
             raise NotOneWay("quotient posets need a one-way category")
-        place, out, _ = c._grouped()
-        numbers = out[place[e]][::-1] if e in place else []
+        place = c._place
+        numbers = c._out[place[e]][::-1] if e in place else []
         carrier = [c.morphisms[s] for s in numbers]
         if len(c.complete) != len(c.morphisms):
             for s in carrier:

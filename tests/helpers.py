@@ -151,6 +151,13 @@ def semigroup_json(s: InverseSemigroup) -> str:
     return json.dumps(data)
 
 
+def objects_reversed(c: CategorySlice) -> CategorySlice:
+    """c rebuilt by the public constructor with its objects listed last
+    first, so not in a linear extension."""
+    return CategorySlice(c.objects[::-1], c.morphisms, c.dom, c.cod, c.compose, c.identities,
+                         c.complete)
+
+
 def slice_json(c: CategorySlice) -> str:
     """c in the slice format, its compose entries in ``c.compose`` order."""
     return json.dumps({

@@ -49,7 +49,7 @@ import mucat.category
 import mucat.cm_dm
 from mucat.category import _poset_source
 from mucat.cli import main
-from mucat.lawvere import _both_routes, _lawvere_sweep
+from mucat.lawvere import _both_routes
 
 from helpers import (
     B2,
@@ -64,6 +64,7 @@ from helpers import (
     dm_composite,
     inversion_round_trip,
     meet_semilattice,
+    objects_reversed,
     opposite,
     paired,
     sides,
@@ -597,8 +598,7 @@ def test_slice_rebuilt_from_a_compose_view_equals_one_rebuilt_from_a_copy():
         from_view = _rebuilt(source, source.compose, source.morphisms[::-1])
         from_copy = _rebuilt(source, dict(source.compose.items()), source.morphisms[::-1])
         assert slice_json(from_view) == slice_json(from_copy)
-        assert (from_view._facts, from_view.compose._order) == (
-            from_copy._facts, from_copy.compose._order)
+        assert (from_view._facts, from_view._order) == (from_copy._facts, from_copy._order)
         assert list(from_view.compose.items()) == list(from_copy.compose.items())
         assert dict(from_view.compose.items()) == dict(source.compose)
 
@@ -762,7 +762,7 @@ def test_factorization_index_takes_at_most_40_bytes_an_entry():
         c = cm_slice(3, -8)
         gc.collect()
         held, entries = tracemalloc.get_traced_memory()[0], len(c.compose)
-        c._facts = c.compose._facts = None
+        c._facts = None
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
@@ -1371,21 +1371,15 @@ def test_factorizations_follow_compose_table_order():
         assert flipped.factorizations(f) == base.factorizations(f)[::-1]
 
 
-def _objects_reversed(c) -> CategorySlice:
-    """c with its objects listed last first, so not in a linear extension."""
-    return CategorySlice(c.objects[::-1], c.morphisms, c.dom, c.cod, c.compose, c.identities,
-                         c.complete)
-
-
 @pytest.mark.parametrize(
     "c",
     [cm_slice(3, -4), dm_slice(2, 12), division_category(brandt(3), ["e11", "z"]),
      CategorySlice.from_json(slice_json(dm_slice(3, 9))),
-     _objects_reversed(poset_as_category(divisor_poset(12)))],
+     objects_reversed(poset_as_category(divisor_poset(12)))],
     ids=["cm_slice(3,-4)", "dm_slice(2,12)", "division(brandt3)", "from_json(dm_slice(3,9))",
          "poset(divisors 12), objects reversed"],
 )
-def test_grouped_reads_match_filters(c):
+def test_object_index_reads_match_filters(c):
     absent = object()
     for x in c.objects:
         assert c.morphisms_from(x) == tuple(f for f in c.morphisms if c.dom[f] == x)
@@ -1395,45 +1389,6 @@ def test_grouped_reads_match_filters(c):
                 f for f in c.morphisms if c.dom[f] == x and c.cod[f] == y
             )
     assert c.morphisms_from(absent) == c.hom(absent, absent) == ()
-
-
-def _grouping_reads(monkeypatch) -> list:
-    """Each read of a slice's object index, in turn, as (slice, whether the
-    read ran the grouping pass, which fills the slots in place)."""
-    reads, real = [], CategorySlice._grouped
-
-    def spy(c):
-        found = len(c._slot)
-        groups = real(c)
-        reads.append((c, len(c._slot) != found))
-        return groups
-
-    monkeypatch.setattr(CategorySlice, "_grouped", spy)
-    return reads
-
-
-def test_one_grouping_pass_serves_a_windows_build_law_check_and_sweep(monkeypatch):
-    reads = _grouping_reads(monkeypatch)
-    c = cm_slice(3, -6)
-    built = len(reads)  # the totality count and Light's test
-    assert built and reads[0] == (c, True)
-    assert find_slice_violation(c) is None and c._associative
-    sweep = list(_lawvere_sweep(c))
-    assert [mu for mu, _ in sweep] == list(moebius_of_slice(c).values())
-    assert len(reads) > built and all(d is c and not passed for d, passed in reads[1:])
-
-
-@pytest.mark.parametrize("make", [lambda: cm_slice(2, -4), lambda: dm_slice(3, 9)],
-                         ids=["total cm_slice(2,-4)", "partial dm_slice(3,9)"])
-def test_the_law_check_reuses_a_loaded_slices_grouping(make, monkeypatch):
-    text = slice_json(make())
-    reads = _grouping_reads(monkeypatch)
-    c = CategorySlice.from_json(text)
-    assert reads == []  # the constructor keeps the object numbering only
-    assert c.hom(c.objects[0], c.objects[-1]) == c.hom(c.objects[0], c.objects[-1])
-    assert find_slice_violation(c) is None  # the count, then Light's test or the scan
-    assert reads[0] == (c, True) and len(reads) > 2
-    assert all(d is c and not passed for d, passed in reads[1:])
 
 
 def test_factorizations_are_deterministic():

@@ -793,7 +793,7 @@ def test_division_category_fills_its_rows_on_the_first_read_that_needs_them():
     assert all(moebius_via_lawvere(c, f) == mu[f] for f in c.morphisms)
     assert c._after == []  # walked by right factor: no composite was read
     assert find_slice_violation(c) is None
-    at, into = c.morphisms, c._grouped()[2]
+    at, into = c.morphisms, c._into
     assert {(at[g], at[h]): at[k] for g, row in enumerate(c._after)
             for h, k in zip(into[c._dom[g]], row) if k is not None} == dict(c.compose.items())
 

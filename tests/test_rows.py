@@ -1,24 +1,67 @@
-"""The composition rows by slot: row g of a slice's table is a list aligned
-with the morphisms into dom g, and slot ``_slot[h]`` holds g∘h or None.
+"""The object index and the composition rows by slot: ``_out[x]`` and
+``_into[x]`` list the morphisms out of and into object x, row g of a slice's
+table is a list aligned with the morphisms into dom g, and slot ``_slot[h]``
+holds g∘h or None.
 
-Every window here is built inside its test, so a fault in the row layout,
-which breaks every window build, fails these tests one by one instead of
-this module's collection."""
+Every window here is built inside its test, so a fault in the index or the
+row layout, which breaks every window build, fails these tests one by one
+instead of this module's collection."""
 
 import gc
 import tracemalloc
 
 import pytest
 
-from mucat import CategorySlice, DmMorphism, cm_slice, dm_slice, poset_as_category
+from mucat import (
+    CategorySlice,
+    DmMorphism,
+    cm_slice,
+    cm_source,
+    division_category,
+    dm_slice,
+    factor_slice,
+    poset_as_category,
+)
 from mucat.category import _rows
 
-from helpers import bf_compose, cm_composite, divisor_poset, dm_composite, slice_json
+from helpers import (
+    bf_compose,
+    boolean_lattice,
+    brandt,
+    cm_composite,
+    divisor_poset,
+    dm_composite,
+    meet_semilattice,
+    objects_reversed,
+    slice_json,
+)
 
 
 def _dm_read(text) -> DmMorphism:
     """The D_m morphism a slice file names "alpha,x"."""
     return DmMorphism(*map(int, text.split(",")))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: objects_reversed(dm_slice(2, 12)),
+     lambda: CategorySlice.from_json(slice_json(dm_slice(3, 9))),
+     lambda: factor_slice(cm_slice(2, -3).morphisms[::-1], cm_source(2)),
+     lambda: division_category(brandt(3), ["e11", "z"]),
+     lambda: division_category(meet_semilattice(boolean_lattice(3))),
+     lambda: poset_as_category(divisor_poset(12))],
+    ids=["constructor, objects reversed", "from_json(dm_slice(3,9))",
+         "factor_slice(cm_slice(2,-3) reversed)", "division(brandt3)", "division(B3)",
+         "poset(divisors 12)"],
+)
+def test_each_builder_fills_the_object_index_as_it_builds(make):
+    # read right after construction: no later pass fills a list of the index
+    c = make()
+    at, dom, cod = c.morphisms, c.dom, c.cod
+    assert c._place == {x: i for i, x in enumerate(c.objects)}
+    assert c._out == [[k for k, f in enumerate(at) if dom[f] == x] for x in c.objects]
+    assert c._into == [[k for k, f in enumerate(at) if cod[f] == x] for x in c.objects]
+    assert c._slot == [sum([cod[h] == cod[f] for h in at[:k]]) for k, f in enumerate(at)]
 
 
 @pytest.mark.parametrize(
@@ -33,7 +76,7 @@ def _dm_read(text) -> DmMorphism:
 def test_each_row_holds_one_slot_per_morphism_into_its_left_factors_domain(make, rule):
     # slot _slot[h] of row g holds g∘h, or None where the composite leaves the window
     c = make()
-    after, (_, _, into), slot = _rows(c), c._grouped(), c._slot
+    after, into, slot = _rows(c), c._into, c._slot
     at, number, table = c.morphisms, c._number, bf_compose(c, rule)
     assert [into[c._cod[h]][slot[h]] for h in range(len(at))] == list(range(len(at)))
     for g, row in enumerate(after):
@@ -70,7 +113,7 @@ def test_composition_rows_take_at_most_24_bytes_an_entry():
         c = cm_slice(3, -8)  # factor_slice fills the rows
         gc.collect()
         held, entries = tracemalloc.get_traced_memory()[0], len(c.compose)
-        del c._after[:]  # the compose view shares the list
+        c._after = []  # the slice alone holds its rows
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
