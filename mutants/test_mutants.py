@@ -382,6 +382,13 @@ MUTANTS = {  # name: (file, anchor, replacement, node IDs that must fail)
         "    if False:\n",
         [f"{CLI}::test_semigroup_ambiguous_comma_split"],
     ),
+    # every route computes in int, so importing mucat loads no decimal
+    "fractions imported with category.py": (
+        "category.py",
+        "from collections.abc import Mapping\n",
+        "from collections.abc import Mapping\nfrom fractions import Fraction\n",
+        [f"{CLI}::test_importing_mucat_loads_none_of_the_deferred_modules"],
+    ),
 }
 
 

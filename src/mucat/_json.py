@@ -5,8 +5,6 @@ are the one JSON it prints."""
 
 from __future__ import annotations
 
-import json
-
 
 def strings(value, length=None) -> bool:
     """True iff value is an array of strings (of ``length`` items, if given)."""
@@ -27,6 +25,7 @@ def load_object(data, error, what: str, fields) -> dict:
     Failures raise ``error`` naming ``what`` and, for a field, key and shape.
     """
     if isinstance(data, (str, bytes)):
+        import json  # here, not at import: only text needs the parser
         try:
             data = json.loads(data)
         except (ValueError, RecursionError) as exc:

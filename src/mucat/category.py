@@ -21,7 +21,6 @@ Möbius function μ, the convolution inverse of zeta, takes ``int`` values.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from typing import Any
 
 from ._json import load_object, rows, strings
@@ -616,10 +615,11 @@ def _poset_source(p: FinitePoset) -> FactorizationSource:
 
 def _exact(value):
     """Normalize an exact scalar: Fractions with denominator 1 become ints."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
         return value
+    from fractions import Fraction  # here, not at import: it loads decimal; routes use int
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     raise TypeError(f"incidence values must be exact rationals, got {type(value).__name__}")
 
 

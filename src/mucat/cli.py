@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .category import IncidenceFunction, convolve, find_slice_violation, moebius_of_slice
@@ -70,6 +69,7 @@ def parse_dm_spec(m: int, spec: str) -> DmMorphism:
 
 def _emit(args, text_lines, payload) -> None:
     if getattr(args, "format", "text") == "json":
+        import json  # here, not at import: only --format json prints JSON
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:

@@ -92,7 +92,8 @@ def _walk(c, root, found=None, eta=None):
     found by v, then checked by its left factor (pairs that share a right
     factor are chained), so no pair is built per entry.  If eta is a dict, v' gains
     μ(v') by ``_invert_from``'s recursion if eta already holds v for each
-    (h, v) in its list with h not 1.  The loop is inline: a generator step
+    (h, v) in its list with h not 1, 1 being the identity of v''s codomain,
+    read once per codomain and walk.  The loop is inline: a generator step
     costs more than its lookups.
 
     A slice with Light's verdict (``_associative``: ``factor_slice`` decides
@@ -116,6 +117,7 @@ def _walk(c, root, found=None, eta=None):
     distinct = len(rights) if once else len(set(zip(lefts, rights)))
     get, facts, ident, cod = position.get, c._facts, c._ident, c._cod
     up, more = [0] * len(rights), {}
+    ones = {}  # codomain → its identity, read once; ones itself if it is refused
     for j, v2 in enumerate(rights):  # the pair (lefts[j], v2)
         bit = 1 << j
         below = listed if v2 == root else facts[v2]
@@ -140,9 +142,14 @@ def _walk(c, root, found=None, eta=None):
                     if found is not None:
                         found.setdefault((i, j), []).append(h)
         if eta is not None and v2 not in eta:
-            try:
-                one = ident[cod[v2]]
-            except InvalidSlice:  # the recursion raises it, after the interval's checks
+            y = cod[v2]
+            if y not in ones:
+                try:
+                    ones[y] = ident[y]
+                except InvalidSlice:  # the recursion raises it, after the interval's checks
+                    ones[y] = ones
+            one = ones[y]
+            if one is ones:
                 continue
             rest = [eta.get(v) for h, v in zip(*below) if h != one]
             if None not in rest:

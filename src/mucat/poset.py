@@ -33,7 +33,6 @@ poset object.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
 from typing import Any, Callable, Iterable
 
 from ._json import load_object, rows, strings
@@ -90,6 +89,7 @@ def _close_covers(elems: tuple, arcs) -> list[int]:
     up[x] is x's bit or'ed with its successors' masks, filled last to first;
     on a cycle the arc that closes it is named.  Loops (x, x) add nothing.
     """
+    from graphlib import CycleError, TopologicalSorter  # here, not at import: only covers need it
     graph, succ = TopologicalSorter(), [[] for _ in elems]
     for x in range(len(elems)):
         graph.add(x)

@@ -646,6 +646,40 @@ def test_importing_the_cli_builds_no_parser():
     assert result.stdout == "0\n"
 
 
+FOOTPRINT = """\
+import sys
+import mucat, mucat.cli
+print(sorted({"decimal", "fractions", "numbers", "json", "graphlib"} & set(sys.modules)))
+from fractions import Fraction
+c = mucat.poset_as_category(mucat.chain("ab"))
+xi = mucat.IncidenceFunction(c, dict.fromkeys(c.morphisms, Fraction(2, 2)))
+print(sorted(map(type, xi.values()), key=str))
+text = '{"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]%s]}'
+p = mucat.FinitePoset.from_json(text % "")
+print(p.covers(), p.moebius("a", "c"))
+try:
+    mucat.FinitePoset.from_json(text % ', ["c", "a"]')
+except mucat.InvalidPoset as exc:
+    print(exc)
+sys.exit(mucat.cli.main(["mu-cm", "--m", "5", "6,0,-1,-13", "--verify", "--format", "json"]))
+"""
+
+
+def test_importing_mucat_loads_none_of_the_deferred_modules():
+    # -S: no site hooks, so sys.modules holds only what the interpreter and mucat load
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [
+        "[]",
+        "[<class 'int'>, <class 'int'>, <class 'int'>]",
+        "[('a', 'b'), ('b', 'c')] 0",
+        "cyclic cover input: 'c' and 'a'",
+        '{"agree": true, "closed_form": 0, "convolution": 0, "lawvere": 0}',
+    ]
+
+
 def test_module_entry_point_exits_with_the_command_code():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 

@@ -209,6 +209,24 @@ def test_shared_pass_falls_back_when_lists_are_in_no_linear_extension(monkeypatc
     assert fallbacks == []
 
 
+def test_shared_walk_reads_each_codomains_identity_once():
+    # the μ fill needs 1_cod(v') for every list v' and reads it once per
+    # codomain; a refused identity is read once too, and no list into its
+    # object is filled
+    wrong = {1: DmMorphism(2, 1)}  # from 1 to 2: the source refuses it
+    f = DmMorphism(24, 0)
+    for identities in ({}, wrong):
+        reads = []
+        source = _dm3_source(
+            identity=lambda x: reads.append(x) or identities.get(x, DmMorphism(x, x)))
+        eta = {}
+        (_, rights), *_ = _walk(source, source._number[f], eta=eta)
+        codomains = {source._cod[v] for v in rights}
+        assert sorted(reads) == sorted(codomains) == [0, 1, 2]
+        filled = {source._cod[v] for v in eta}
+        assert (1 not in filled) if identities else (filled == codomains)
+
+
 def _iso_pair_source_with_wrong_identity():
     """The iso pair read through its rules, with f: X -> Y given as Y's identity."""
     c = iso_pair_category()
